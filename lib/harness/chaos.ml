@@ -16,6 +16,55 @@ module Channel = Madeleine.Channel
 module Mad = Madeleine.Api
 module Vc = Madeleine.Vchannel
 
+type value =
+  | Int of int
+  | Float of float * int (* value, decimals printed *)
+  | Bool of bool
+  | Str of string
+  | Ints of int list
+  | Null
+  | Table of (string * value) list list
+
+type result = {
+  fields : (string * value) list;
+  line : string;
+  gates : (string * bool) list;
+}
+
+type workload = {
+  name : string;
+  doc : string;
+  run : seed:int -> quick:bool -> result;
+}
+
+let field r name = List.assoc name r.fields
+let gate r name = List.assoc name r.gates
+let f2 x = Float (x, 2)
+let f3 x = Float (x, 3)
+let ints l = String.concat "; " (List.map string_of_int l)
+
+(* Every instrumented queue of a vchannel, as a table of its peaks. *)
+let queue_table queues =
+  Table
+    (List.map
+       (fun q ->
+         [
+           ("point", Str q.Vc.q_point);
+           ("node", Int q.Vc.q_node);
+           ("peer", Int q.Vc.q_peer);
+           ("peak", Int q.Vc.q_peak);
+           ("bound", match q.Vc.q_bound with Some v -> Int v | None -> Null);
+         ])
+       queues)
+
+let bounded_queues queues =
+  List.for_all
+    (fun q ->
+      match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
+    queues
+
+(* One verified ping-pong under one fault setting: a row of the fault
+   table. *)
 type row = {
   scenario : string;
   size : int;
@@ -29,185 +78,6 @@ type row = {
   retransmissions : int;
   crc_rejects : int;
   intact : bool; (* every delivered message matched the packed bytes *)
-}
-
-type failover = {
-  fo_messages : int;
-  fo_size : int;
-  fo_crashed_gateway : int;
-  fo_route_after : int list;
-  fo_reroutes : int;
-  fo_reemitted : int;
-  fo_dup_drops : int;
-  fo_intact : bool;
-  fo_partitioned : bool; (* second crash really partitions the vchannel *)
-  fo_finish_us : float;
-}
-
-(* Sliding-window payoff: the same one-way stream at the same drop
-   rate, once with the configured go-back-N window and once degraded to
-   stop-and-wait (window = 1). *)
-type goodput = {
-  gp_size : int;
-  gp_messages : int;
-  gp_drop_pct : float;
-  gp_window : int;
-  gp_window_mb_s : float;
-  gp_stopwait_mb_s : float;
-  gp_speedup : float; (* windowed / stop-and-wait *)
-  gp_intact : bool;
-}
-
-(* Mid-stream node restarts on a single-gateway route: first the
-   gateway dies and comes back (origin logs replay through the route
-   hole), then the origin itself dies and comes back with a new crash
-   epoch (the session handshake restores its numbering). Every message
-   must reach the far side bit-identical, exactly once. *)
-type crash_restart = {
-  cr_messages : int; (* per phase; two phases *)
-  cr_size : int;
-  cr_gateway : int;
-  cr_restart_us : float;
-  cr_delivered : int;
-  cr_handshakes : int;
-  cr_reroutes : int;
-  cr_reemitted : int;
-  cr_dup_drops : int;
-  cr_exactly_once : bool;
-  cr_suspicions : (float * int * int * string * string * float) list;
-      (* (at_us, observer, peer, from, to, phi) *)
-  cr_flows : Vc.flow_stat list;
-  cr_finish_us : float;
-}
-
-(* Overload: a sender at full tilt against a receiver whose drain rate
-   the fault plane caps two orders of magnitude lower. With credits
-   armed, the sender must end up blocked on the credit window (never
-   dropping, never queueing unboundedly): delivery stays bit-identical
-   and every instrumented buffering point stays under its configured
-   bound. *)
-type overload = {
-  ov_messages : int;
-  ov_size : int;
-  ov_credits : int;
-  ov_mtu : int;
-  ov_rx_cap_mb_s : float;
-  ov_clean_mb_s : float; (* same stream, no throttle *)
-  ov_throttled_mb_s : float;
-  ov_stalls : int;
-  ov_grants : int;
-  ov_probes : int;
-  ov_queues : Vc.queue_stat list;
-  ov_inbox_peak_bytes : int; (* tcp receive-side backlog, worst conn *)
-  ov_sendq_peak_frames : int;
-  ov_intact : bool;
-  ov_bounded : bool; (* every q_peak <= its q_bound *)
-  ov_finish_us : float;
-}
-
-(* Slow gateway: a two-segment route whose egress leg drains far slower
-   than the ingress leg can deliver. The bounded forwarding pool must
-   throttle the ingress to the egress bandwidth (hop-by-hop
-   backpressure, not gateway-side queueing), and the gateway must
-   report Overloaded through the sentinels while the pool is pinned at
-   its high watermark — then clear once the stream drains. *)
-type slow_gateway = {
-  sg_messages : int;
-  sg_size : int;
-  sg_credits : int;
-  sg_gw_pool : int;
-  sg_rx_cap_mb_s : float; (* egress receiver's capped drain rate *)
-  sg_ingress_mb_s : float; (* sustained end-to-end rate through the gw *)
-  sg_overload_events : int;
-  sg_overload_reported : bool; (* Overloaded seen via peer_status/sentinel *)
-  sg_overload_cleared : bool; (* no gateway still overloaded at the end *)
-  sg_queues : Vc.queue_stat list;
-  sg_intact : bool;
-  sg_bounded : bool;
-  sg_finish_us : float;
-}
-
-(* Scheduled aggregation under loss: concurrent small-message logical
-   flows on a sched=aggreg vchannel crossing a lossy gateway route.
-   Delivery must stay bit-identical per flow while the scheduler
-   actually merges — an aggregate lost on the wire is retransmitted as
-   one unit by the go-back-N machinery. *)
-type sched_chaos = {
-  sc_flows : int;
-  sc_messages : int; (* per flow *)
-  sc_size : int;
-  sc_drop_pct : float;
-  sc_merged : int; (* frames that shared their wire packet *)
-  sc_aggregates : int;
-  sc_mean_frames : float;
-  sc_flush_full : int;
-  sc_flush_deadline : int;
-  sc_flush_flow : int;
-  sc_reemitted : int;
-  sc_dup_drops : int;
-  sc_intact : bool;
-  sc_finish_us : float;
-}
-
-(* Rolling restart on a live-topology vchannel: every rank of the
-   redundant-gateway world leaves and comes back mid-sweep — the
-   gateways and the receiver drain, restart and rejoin under their own
-   epochs; the coordinator (also the sender) rides a crash-epoch
-   restart. Delivery must stay exactly-once and bit-identical, no data
-   flow may observe Partitioned, and every queue stays under its
-   bound. *)
-type rolling_restart = {
-  rr_messages : int; (* per phase; two phases *)
-  rr_size : int;
-  rr_restarted : int list; (* every rank, in roll order *)
-  rr_epoch_start : int;
-  rr_epoch_final : int;
-  rr_joins : int; (* epoch swaps that re-admitted a rank *)
-  rr_drains : int; (* epoch swaps that removed a rank *)
-  rr_delivered : int;
-  rr_dup_deliveries : int; (* messages the application saw twice *)
-  rr_reroutes : int;
-  rr_reemitted : int;
-  rr_dup_drops : int; (* wire-level duplicates the rel plane dropped *)
-  rr_handshakes : int;
-  rr_queues : Vc.queue_stat list;
-  rr_partitioned : bool; (* a data flow observed Partitioned *)
-  rr_exactly_once : bool;
-  rr_bounded : bool;
-  rr_finish_us : float;
-}
-
-(* Elastic membership under load: one rank joins (or drains) while
-   unrelated flows stream through the vchannel. Shared shape for the
-   join-under-load and drain-under-load scenarios, told apart by
-   [el_op]. *)
-type elastic = {
-  el_op : string; (* "join" or "drain" *)
-  el_messages : int;
-  el_size : int;
-  el_rank : int; (* the rank that joined / drained *)
-  el_epoch_final : int;
-  el_routable : bool; (* join: rank reachable; drain: rank off every route *)
-  el_status : string; (* peer_status toward the rank after the swap *)
-  el_watched : bool; (* some sentinel still probes the rank *)
-  el_partitioned : bool; (* an in-flight flow observed Partitioned *)
-  el_intact : bool;
-  el_finish_us : float;
-}
-
-type report = {
-  rep_seed : int;
-  rep_quick : bool;
-  rep_rows : row list;
-  rep_failover : failover;
-  rep_goodput : goodput;
-  rep_crash : crash_restart;
-  rep_overload : overload;
-  rep_slow_gateway : slow_gateway;
-  rep_sched : sched_chaos;
-  rep_rolling : rolling_restart;
-  rep_join : elastic;
-  rep_drain : elastic;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -343,6 +213,87 @@ let stall_row ~seed ~size =
   finish_row ~scenario:"pci-stall" ~drop:0.0 ~size w
     (verified_pingpong w ~size ~iters:4)
 
+(* The fault table: a drop-rate x size sweep, a corruption sweep, a
+   mid-exchange link flap, a reorder/duplication exchange and a PCI
+   stall. Stop-and-wait retransmission gives up after 12 attempts, so
+   the per-frame survival probability bounds which (rate, size) points
+   can complete: at 5% per link a frame of a dozen or more MTU fragments
+   (crossing two faulty endpoints) dies often enough that twelve
+   consecutive losses become likely, so the heaviest rate is swept only
+   over single-digit-fragment messages rather than reported dead. *)
+let pingpong_faults ~seed ~quick =
+  let rates = if quick then [ 0.0; 0.01 ] else [ 0.0; 0.005; 0.01; 0.05 ] in
+  let sizes =
+    if quick then [ 4; 4096; 16384 ] else [ 4; 256; 4096; 16384; 65536 ]
+  in
+  let drop_rows =
+    List.concat_map
+      (fun drop ->
+        List.filter_map
+          (fun size ->
+            if drop >= 0.05 && size > 4096 then None
+            else Some (drop_row ~seed ~drop ~size))
+          sizes)
+      rates
+  in
+  let corrupt_rows =
+    List.map
+      (fun size -> corrupt_row ~seed ~rate:0.02 ~size)
+      (if quick then [ 16384 ] else [ 4096; 16384 ])
+  in
+  let rows =
+    drop_rows @ corrupt_rows
+    @ [
+        flap_row ~seed ~size:16384;
+        reorder_row ~seed ~size:16384;
+        stall_row ~seed ~size:65536;
+      ]
+  in
+  (* Degradation is judged against the clean (0%) row of the same size. *)
+  let clean_lat size =
+    List.find_map
+      (fun row ->
+        if row.scenario = "drop" && row.drop_pct = 0.0 && row.size = size then
+          Some row.lat_us
+        else None)
+      rows
+  in
+  let row_line row =
+    Printf.sprintf "%-10s %8d %7.1f %12.2f %10.2f %6d %8d %5d %5d %8d %5d %7s%s\n"
+      row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
+      row.corrupts row.dups row.delays row.retransmissions row.crc_rejects
+      (if row.intact then "yes" else "NO")
+      (match clean_lat row.size with
+      | Some base when row.drop_pct > 0.0 && base > 0.0 ->
+          Printf.sprintf "  (%.2fx clean latency)" (row.lat_us /. base)
+      | _ -> "")
+  in
+  let row_fields row =
+    [
+      ("scenario", Str row.scenario);
+      ("size", Int row.size);
+      ("drop_pct", f2 row.drop_pct);
+      ("lat_us", f2 row.lat_us);
+      ("bw_mb_s", f2 row.bw_mb_s);
+      ("drops", Int row.drops);
+      ("corrupts", Int row.corrupts);
+      ("dups", Int row.dups);
+      ("delays", Int row.delays);
+      ("retransmissions", Int row.retransmissions);
+      ("crc_rejects", Int row.crc_rejects);
+      ("intact", Bool row.intact);
+    ]
+  in
+  {
+    fields = [ ("rows", Table (List.map row_fields rows)) ];
+    line =
+      Printf.sprintf "%-10s %8s %7s %12s %10s %6s %8s %5s %5s %8s %5s %7s\n"
+        "scenario" "size(B)" "drop%" "latency(us)" "bw(MB/s)" "drops"
+        "corrupts" "dups" "late" "retrans" "crc" "intact"
+      ^ String.concat "" (List.map row_line rows);
+    gates = [ ("rows-intact", List.for_all (fun row -> row.intact) rows) ];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Gateway failover: rank 0 talks to rank 3 across two Ethernet
    segments joined by two redundant gateways (ranks 1 and 2). The
@@ -422,17 +373,37 @@ let failover_run ~seed ~size ~messages =
   let stats =
     match Vc.rel_stats vc with Some s -> s | None -> assert false
   in
+  let finish_us = Time.to_us !finish in
   {
-    fo_messages = messages;
-    fo_size = size;
-    fo_crashed_gateway = gw;
-    fo_route_after = !route_after;
-    fo_reroutes = stats.Vc.reroutes;
-    fo_reemitted = stats.Vc.reemitted;
-    fo_dup_drops = stats.Vc.dup_drops;
-    fo_intact = !intact;
-    fo_partitioned = !partitioned;
-    fo_finish_us = Time.to_us !finish;
+    fields =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("crashed_gateway", Int gw);
+        ("route_after", Ints !route_after);
+        ("reroutes", Int stats.Vc.reroutes);
+        ("reemitted", Int stats.Vc.reemitted);
+        ("dup_drops", Int stats.Vc.dup_drops);
+        ("intact", Bool !intact);
+        ("partitioned_after_second_crash", Bool !partitioned);
+        ("finish_us", f2 finish_us);
+      ];
+    line =
+      Printf.sprintf
+        "failover: %d x %d B via gateway %d; crash mid-stream -> route [%s], \
+         %d reroute(s), %d re-emitted, %d dup(s) dropped, intact=%s, \
+         partitioned after second crash=%s, finish=%.2f us\n"
+        messages size gw (ints !route_after) stats.Vc.reroutes
+        stats.Vc.reemitted stats.Vc.dup_drops
+        (if !intact then "yes" else "NO")
+        (if !partitioned then "yes" else "NO")
+        finish_us;
+    gates =
+      [
+        ("failover-intact", !intact);
+        ("failover-partition-detected", !partitioned);
+        ("failover-rerouted", stats.Vc.reroutes >= 1);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -480,16 +451,30 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
 let goodput_run ~seed ~size ~messages ~window ~drop =
   let window_mb_s, ok_w = goodput_one ~seed ~size ~messages ~window ~drop in
   let stopwait_mb_s, ok_s = goodput_one ~seed ~size ~messages ~window:1 ~drop in
+  let speedup =
+    if stopwait_mb_s > 0.0 then window_mb_s /. stopwait_mb_s else 0.0
+  in
+  let intact = ok_w && ok_s in
   {
-    gp_size = size;
-    gp_messages = messages;
-    gp_drop_pct = drop *. 100.0;
-    gp_window = window;
-    gp_window_mb_s = window_mb_s;
-    gp_stopwait_mb_s = stopwait_mb_s;
-    gp_speedup =
-      (if stopwait_mb_s > 0.0 then window_mb_s /. stopwait_mb_s else 0.0);
-    gp_intact = ok_w && ok_s;
+    fields =
+      [
+        ("size", Int size);
+        ("messages", Int messages);
+        ("drop_pct", f2 (drop *. 100.0));
+        ("window", Int window);
+        ("window_mb_s", f2 window_mb_s);
+        ("stopwait_mb_s", f2 stopwait_mb_s);
+        ("speedup", f2 speedup);
+        ("intact", Bool intact);
+      ];
+    line =
+      Printf.sprintf
+        "goodput:  %d x %d B at %.1f%% drop: window=%d %.2f MB/s vs \
+         stop-and-wait %.2f MB/s -> %.2fx, intact=%s\n"
+        messages size (drop *. 100.0) window window_mb_s stopwait_mb_s speedup
+        (if intact then "yes" else "NO");
+    gates =
+      [ ("goodput-intact", intact); ("goodput-window-speedup", speedup >= 2.0) ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -582,32 +567,68 @@ let crash_restart_run ~seed ~size ~messages =
       finish := Engine.now engine);
   Engine.run engine;
   let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let module S = Madeleine.Sentinel in
   let suspicions =
     List.map
       (fun (observer, ev) ->
-        ( Time.to_us (Time.diff ev.Madeleine.Sentinel.ev_at Time.zero),
-          observer,
-          ev.Madeleine.Sentinel.ev_peer,
-          Madeleine.Sentinel.state_name ev.Madeleine.Sentinel.ev_from,
-          Madeleine.Sentinel.state_name ev.Madeleine.Sentinel.ev_to,
-          ev.Madeleine.Sentinel.ev_phi ))
+        [
+          ("at_us", f2 (Time.to_us (Time.diff ev.S.ev_at Time.zero)));
+          ("observer", Int observer);
+          ("peer", Int ev.S.ev_peer);
+          ("from", Str (S.state_name ev.S.ev_from));
+          ("to", Str (S.state_name ev.S.ev_to));
+          ("phi", f3 ev.S.ev_phi);
+        ])
       (Vc.suspicion_timeline vc)
   in
+  let flows =
+    List.map
+      (fun fs ->
+        [
+          ("src", Int fs.Vc.flow_src);
+          ("dst", Int fs.Vc.flow_dst);
+          ("sent", Int fs.Vc.sent);
+          ("unacked", Int fs.Vc.unacked);
+          ("delivered", Int fs.Vc.delivered);
+        ])
+      (Vc.flow_stats vc)
+  in
+  let delivered = Array.fold_left ( + ) 0 received in
+  let exactly_once = !intact && Array.for_all (fun n -> n = 1) received in
+  let finish_us = Time.to_us !finish in
   {
-    cr_messages = messages;
-    cr_size = size;
-    cr_gateway = 1;
-    cr_restart_us = Time.to_us restart;
-    cr_delivered = Array.fold_left ( + ) 0 received;
-    cr_handshakes = stats.Vc.handshakes;
-    cr_reroutes = stats.Vc.reroutes;
-    cr_reemitted = stats.Vc.reemitted;
-    cr_dup_drops = stats.Vc.dup_drops;
-    cr_exactly_once =
-      !intact && Array.for_all (fun n -> n = 1) received;
-    cr_suspicions = suspicions;
-    cr_flows = Vc.flow_stats vc;
-    cr_finish_us = Time.to_us !finish;
+    fields =
+      [
+        ("messages_per_phase", Int messages);
+        ("size", Int size);
+        ("gateway", Int 1);
+        ("restart_us", f2 (Time.to_us restart));
+        ("delivered", Int delivered);
+        ("handshakes", Int stats.Vc.handshakes);
+        ("reroutes", Int stats.Vc.reroutes);
+        ("reemitted", Int stats.Vc.reemitted);
+        ("dup_drops", Int stats.Vc.dup_drops);
+        ("exactly_once", Bool exactly_once);
+        ("finish_us", f2 finish_us);
+        ("suspicions", Table suspicions);
+        ("flows", Table flows);
+      ];
+    line =
+      Printf.sprintf
+        "crash-restart: 2 x %d x %d B through gateway %d; gateway and \
+         origin each die and restart (%.0f us) mid-stream -> %d delivered, \
+         %d handshake(s), %d reroute(s), %d re-emitted, %d dup(s) dropped, \
+         %d suspicion event(s), exactly-once=%s, finish=%.2f us\n"
+        messages size 1 (Time.to_us restart) delivered stats.Vc.handshakes
+        stats.Vc.reroutes stats.Vc.reemitted stats.Vc.dup_drops
+        (List.length suspicions)
+        (if exactly_once then "yes" else "NO")
+        finish_us;
+    gates =
+      [
+        ("crash-restart-exactly-once", exactly_once);
+        ("crash-restart-handshake", stats.Vc.handshakes >= 1);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -763,32 +784,97 @@ let rolling_restart_run ~seed ~size ~messages =
     match Vc.topology_stats vc with Some s -> s | None -> assert false
   in
   let queues = Vc.queue_stats vc in
-  let bounded =
-    List.for_all
-      (fun q ->
-        match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
-      queues
+  let bounded = bounded_queues queues in
+  let delivered = Array.fold_left ( + ) 0 received in
+  let dup_deliveries =
+    Array.fold_left (fun acc n -> acc + max 0 (n - 1)) 0 received
   in
+  let exactly_once = !intact && Array.for_all (fun n -> n = 1) received in
+  let finish_us = Time.to_us !finish in
+  let epoch_final = topo.Vc.topo_epoch in
+  let joins = topo.Vc.topo_joins and drains = topo.Vc.topo_drains in
   {
-    rr_messages = messages;
-    rr_size = size;
-    rr_restarted = !rolled;
-    rr_epoch_start = epoch_start;
-    rr_epoch_final = topo.Vc.topo_epoch;
-    rr_joins = topo.Vc.topo_joins;
-    rr_drains = topo.Vc.topo_drains;
-    rr_delivered = Array.fold_left ( + ) 0 received;
-    rr_dup_deliveries =
-      Array.fold_left (fun acc n -> acc + max 0 (n - 1)) 0 received;
-    rr_reroutes = stats.Vc.reroutes;
-    rr_reemitted = stats.Vc.reemitted;
-    rr_dup_drops = stats.Vc.dup_drops;
-    rr_handshakes = stats.Vc.handshakes;
-    rr_queues = queues;
-    rr_partitioned = !partitioned;
-    rr_exactly_once = !intact && Array.for_all (fun n -> n = 1) received;
-    rr_bounded = bounded;
-    rr_finish_us = Time.to_us !finish;
+    fields =
+      [
+        ("messages_per_phase", Int messages);
+        ("size", Int size);
+        ("restarted", Ints !rolled);
+        ("epoch_start", Int epoch_start);
+        ("epoch_final", Int epoch_final);
+        ("joins", Int joins);
+        ("drains", Int drains);
+        ("delivered", Int delivered);
+        ("dup_deliveries", Int dup_deliveries);
+        ("reroutes", Int stats.Vc.reroutes);
+        ("reemitted", Int stats.Vc.reemitted);
+        ("dup_drops", Int stats.Vc.dup_drops);
+        ("handshakes", Int stats.Vc.handshakes);
+        ("partitioned", Bool !partitioned);
+        ("exactly_once", Bool exactly_once);
+        ("bounded", Bool bounded);
+        ("finish_us", f2 finish_us);
+        ("queues", queue_table queues);
+      ];
+    line =
+      Printf.sprintf
+        "rolling-restart: 2 x %d x %d B while every rank restarts \
+         (order [%s]); epoch %d -> %d (%d join(s), %d drain(s)), \
+         %d delivered (%d dup), %d reroute(s), %d re-emitted, \
+         %d handshake(s), partitioned=%s, exactly-once=%s, bounded=%s, \
+         finish=%.2f us\n"
+        messages size (ints !rolled) epoch_start epoch_final joins drains
+        delivered dup_deliveries stats.Vc.reroutes stats.Vc.reemitted
+        stats.Vc.handshakes
+        (if !partitioned then "YES" else "no")
+        (if exactly_once then "yes" else "NO")
+        (if bounded then "yes" else "NO")
+        finish_us;
+    gates =
+      [
+        ("rolling-restart-exactly-once", exactly_once);
+        ( "rolling-restart-no-dup-deliveries",
+          dup_deliveries = 0 && delivered = 2 * messages );
+        ("rolling-restart-no-partition", not !partitioned);
+        ("rolling-restart-queues-bounded", bounded);
+        ( "rolling-restart-epochs-advanced",
+          joins >= 3 && drains >= 3 && epoch_final >= epoch_start + 6 );
+      ];
+  }
+
+(* Join- and drain-under-load share one shape, told apart by [op];
+   [routable] means "reachable" for a join and "off every route" for a
+   drain, and [settled] is the op's own end-state gate. *)
+let elastic_result ~op ~messages ~size ~rank ~epoch ~routable ~status
+    ~watched ~partitioned ~intact ~finish ~settled =
+  let name = op ^ "-under-load" and finish_us = Time.to_us finish in
+  {
+    fields =
+      [
+        ("op", Str op);
+        ("messages", Int messages);
+        ("size", Int size);
+        ("rank", Int rank);
+        ("epoch_final", Int epoch);
+        ("routable", Bool routable);
+        ("status", Str status);
+        ("watched", Bool watched);
+        ("partitioned", Bool partitioned);
+        ("intact", Bool intact);
+        ("finish_us", f2 finish_us);
+      ];
+    line =
+      Printf.sprintf
+        "%s: %d x %d B; rank %d %sed mid-sweep -> epoch %d, \
+         routable-as-expected=%s, status=%s, watched=%s, partitioned=%s, \
+         intact=%s, finish=%.2f us\n"
+        name messages size rank op epoch
+        (if routable then "yes" else "NO")
+        status
+        (if watched then "yes" else "no")
+        (if partitioned then "YES" else "no")
+        (if intact then "yes" else "NO")
+        finish_us;
+    gates = [ (name ^ "-no-partition", (not partitioned) && intact); settled ];
   }
 
 let join_load_run ~seed ~size ~messages =
@@ -858,19 +944,13 @@ let join_load_run ~seed ~size ~messages =
     | [] -> false
     | exception _ -> false
   in
-  {
-    el_op = "join";
-    el_messages = messages;
-    el_size = size;
-    el_rank = 3;
-    el_epoch_final = epoch_of vc;
-    el_routable = routable;
-    el_status = health_name (Vc.peer_status vc ~src:0 ~dst:3);
-    el_watched = some_sentinel_watches vc ~ranks:[ 0; 1; 2 ] ~rank:3;
-    el_partitioned = !partitioned;
-    el_intact = !intact;
-    el_finish_us = Time.to_us !finish;
-  }
+  let status = health_name (Vc.peer_status vc ~src:0 ~dst:3) in
+  let watched = some_sentinel_watches vc ~ranks:[ 0; 1; 2 ] ~rank:3 in
+  elastic_result ~op:"join" ~messages ~size ~rank:3 ~epoch:(epoch_of vc)
+    ~routable ~status ~watched ~partitioned:!partitioned ~intact:!intact
+    ~finish:!finish
+    ~settled:
+      ("join-under-load-routable", routable && status = "up" && watched)
 
 let drain_load_run ~seed ~size ~messages =
   let engine, _faults, vc = elastic_world ~seed in
@@ -922,22 +1002,19 @@ let drain_load_run ~seed ~size ~messages =
     | hops -> not (List.mem gw hops)
     | exception _ -> false
   in
-  {
-    el_op = "drain";
-    el_messages = messages;
-    el_size = size;
-    el_rank = gw;
-    el_epoch_final = epoch_of vc;
-    el_routable = off_route;
-    el_status = health_name (Vc.peer_status vc ~src:0 ~dst:gw);
-    el_watched =
-      some_sentinel_watches vc
-        ~ranks:(List.filter (fun r -> r <> gw) [ 0; 1; 2; 3 ])
-        ~rank:gw;
-    el_partitioned = !partitioned;
-    el_intact = !intact && Array.for_all (fun n -> n = 1) received;
-    el_finish_us = Time.to_us !finish;
-  }
+  let status = health_name (Vc.peer_status vc ~src:0 ~dst:gw) in
+  let watched =
+    some_sentinel_watches vc
+      ~ranks:(List.filter (fun r -> r <> gw) [ 0; 1; 2; 3 ])
+      ~rank:gw
+  in
+  elastic_result ~op:"drain" ~messages ~size ~rank:gw ~epoch:(epoch_of vc)
+    ~routable:off_route ~status ~watched ~partitioned:!partitioned
+    ~intact:(!intact && Array.for_all (fun n -> n = 1) received)
+    ~finish:!finish
+    ~settled:
+      ( "drain-under-load-forgotten",
+        off_route && status = "departed" && not watched )
 
 (* ------------------------------------------------------------------ *)
 (* Partition chaos: four ranks on one Ethernet segment with the
@@ -946,25 +1023,6 @@ let drain_load_run ~seed ~size ~messages =
    coordinator ever commits an epoch, the majority side keeps its
    goodput during the cut, the minority surfaces typed errors instead
    of hanging, and post-heal delivery is exactly-once. *)
-
-type partition_chaos = {
-  pt_workload : string;
-  pt_messages : int;
-  pt_size : int;
-  pt_cycles : int; (* partition/heal cycles injected *)
-  pt_coordinator_before : int;
-  pt_coordinator_after : int; (* -1 = no committed coordinator *)
-  pt_elections : int;
-  pt_epochs_unique : bool;
-  pt_reelect_latency_us : float;
-  pt_cut_delivered : int;
-  pt_minority_typed : bool;
-  pt_pending_after : int;
-  pt_members_final : int list;
-  pt_reemitted : int;
-  pt_exactly_once : bool;
-  pt_finish_us : float;
-}
 
 let election_world ~seed =
   let engine = Engine.create () in
@@ -1024,6 +1082,85 @@ let wait_until engine ?(deadline_us = 200_000.0) cond =
   while (not (cond ())) && Time.( < ) (Engine.now engine) deadline do
     Engine.sleep (Time.us 250.0)
   done
+
+(* The shared tail of the partition workloads: the election audit and
+   the common gates, plus each workload's own seat/flap gates. *)
+let partition_result vc ~workload:w ~messages ~size ~cycles
+    ~coordinator_before ~cut_delivered ~minority_typed ~exactly_once ~finish
+    =
+  let stats = election_summary vc in
+  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let coordinator_after =
+    match Vc.coordinator vc with Some c -> c | None -> -1
+  in
+  let elections = stats.Vc.elections in
+  let epochs_unique = commit_epochs_unique stats in
+  let latency_us = stats.Vc.last_latency_us in
+  let pending = stats.Vc.pending in
+  let members = members_of vc in
+  let finish_us = Time.to_us finish in
+  {
+    fields =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("cycles", Int cycles);
+        ("coordinator_before", Int coordinator_before);
+        ("coordinator_after", Int coordinator_after);
+        ("elections", Int elections);
+        ("epochs_unique", Bool epochs_unique);
+        ("reelect_latency_us", f2 latency_us);
+        ("cut_delivered", Int cut_delivered);
+        ("minority_typed", Bool minority_typed);
+        ("pending_after", Int pending);
+        ("members_final", Ints members);
+        ("reemitted", Int rel.Vc.reemitted);
+        ("exactly_once", Bool exactly_once);
+        ("finish_us", f2 finish_us);
+      ];
+    line =
+      Printf.sprintf
+        "%s: %d x %d B over %d cut/heal cycle(s); coordinator %d -> %d \
+         (%d election(s), epochs-unique=%s, last re-election %.2f us), \
+         %d delivered mid-cut, minority-typed=%s, pending=%d, members=[%s], \
+         %d re-emitted, exactly-once=%s, finish=%.2f us\n"
+        w messages size cycles coordinator_before coordinator_after elections
+        (if epochs_unique then "yes" else "NO")
+        latency_us cut_delivered
+        (if minority_typed then "yes" else "NO")
+        pending (ints members) rel.Vc.reemitted
+        (if exactly_once then "yes" else "NO")
+        finish_us;
+    gates =
+      [
+        (w ^ ": at most one coordinator committed per epoch", epochs_unique);
+        (w ^ ": majority goodput continued during the cut", cut_delivered > 0);
+        (w ^ ": minority surfaced typed errors, never hung", minority_typed);
+        (w ^ ": no intent left parked after the heal", pending = 0);
+        (w ^ ": post-heal delivery exactly-once, bit-identical", exactly_once);
+      ]
+      @
+      match w with
+      | "partition-majority" ->
+          [
+            ( w ^ ": coordinator seat never moved",
+              coordinator_after = coordinator_before );
+            (w ^ ": heal replayed the parked join", members = [ 0; 1; 2; 3 ]);
+          ]
+      | "coordinator-loss" ->
+          [
+            ( w ^ ": majority elected a replacement coordinator",
+              elections >= 1
+              && coordinator_after >= 0
+              && coordinator_after <> coordinator_before );
+            (w ^ ": re-election latency measured", latency_us > 0.0);
+          ]
+      | _ ->
+          [
+            (w ^ ": every flap forced a committed re-election", elections >= cycles);
+            (w ^ ": membership survived the flapping", members = [ 0; 1; 2; 3 ]);
+          ];
+  }
 
 (* One exactly-once verified stream: sender/receiver pair with per-index
    delivery counts. [gate] parks the sender until released; [retry]
@@ -1138,27 +1275,10 @@ let partition_majority_run ~seed ~size ~messages =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  {
-    pt_workload = "partition-majority";
-    pt_messages = messages;
-    pt_size = size;
-    pt_cycles = 1;
-    pt_coordinator_before = coordinator_before;
-    pt_coordinator_after =
-      (match Vc.coordinator vc with Some c -> c | None -> -1);
-    pt_elections = stats.Vc.elections;
-    pt_epochs_unique = commit_epochs_unique stats;
-    pt_reelect_latency_us = stats.Vc.last_latency_us;
-    pt_cut_delivered = !cut_delivered;
-    pt_minority_typed = !minority_typed;
-    pt_pending_after = stats.Vc.pending;
-    pt_members_final = members_of vc;
-    pt_reemitted = rel.Vc.reemitted;
-    pt_exactly_once = bg_ok () && fg_ok ();
-    pt_finish_us = Time.to_us !finish;
-  }
+  partition_result vc ~workload:"partition-majority" ~messages ~size
+    ~cycles:1 ~coordinator_before ~cut_delivered:!cut_delivered
+    ~minority_typed:!minority_typed ~exactly_once:(bg_ok () && fg_ok ())
+    ~finish:!finish
 
 (* The coordinator itself is cut off: the majority elects its lowest
    member and keeps its goodput, the isolated old seat sees typed
@@ -1224,27 +1344,10 @@ let coordinator_loss_run ~seed ~size ~messages =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  {
-    pt_workload = "coordinator-loss";
-    pt_messages = messages;
-    pt_size = size;
-    pt_cycles = 1;
-    pt_coordinator_before = coordinator_before;
-    pt_coordinator_after =
-      (match Vc.coordinator vc with Some c -> c | None -> -1);
-    pt_elections = stats.Vc.elections;
-    pt_epochs_unique = commit_epochs_unique stats;
-    pt_reelect_latency_us = stats.Vc.last_latency_us;
-    pt_cut_delivered = !cut_delivered;
-    pt_minority_typed = !minority_typed;
-    pt_pending_after = stats.Vc.pending;
-    pt_members_final = members_of vc;
-    pt_reemitted = rel.Vc.reemitted;
-    pt_exactly_once = bg_ok () && fg_ok ();
-    pt_finish_us = Time.to_us !finish;
-  }
+  partition_result vc ~workload:"coordinator-loss" ~messages ~size
+    ~cycles:1 ~coordinator_before ~cut_delivered:!cut_delivered
+    ~minority_typed:!minority_typed ~exactly_once:(bg_ok () && fg_ok ())
+    ~finish:!finish
 
 (* Repeated cut/heal cycles, each isolating whoever holds the seat: the
    coordinator flip-flops between the two lowest ranks, every cycle
@@ -1298,78 +1401,10 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  {
-    pt_workload = "partition-flapping";
-    pt_messages = total;
-    pt_size = size;
-    pt_cycles = cycles;
-    pt_coordinator_before = coordinator_before;
-    pt_coordinator_after =
-      (match Vc.coordinator vc with Some c -> c | None -> -1);
-    pt_elections = stats.Vc.elections;
-    pt_epochs_unique = commit_epochs_unique stats;
-    pt_reelect_latency_us = stats.Vc.last_latency_us;
-    pt_cut_delivered = !cut_delivered;
-    pt_minority_typed = !minority_typed;
-    pt_pending_after = stats.Vc.pending;
-    pt_members_final = members_of vc;
-    pt_reemitted = rel.Vc.reemitted;
-    pt_exactly_once = bg_ok ();
-    pt_finish_us = Time.to_us !finish;
-  }
-
-let partition_gates p =
-  let w = p.pt_workload in
-  [
-    (w ^ ": at most one coordinator committed per epoch", p.pt_epochs_unique);
-    (w ^ ": majority goodput continued during the cut", p.pt_cut_delivered > 0);
-    (w ^ ": minority surfaced typed errors, never hung", p.pt_minority_typed);
-    (w ^ ": no intent left parked after the heal", p.pt_pending_after = 0);
-    (w ^ ": post-heal delivery exactly-once, bit-identical",
-     p.pt_exactly_once);
-  ]
-  @ (match w with
-    | "partition-majority" ->
-        [
-          ( w ^ ": coordinator seat never moved",
-            p.pt_coordinator_after = p.pt_coordinator_before );
-          ( w ^ ": heal replayed the parked join",
-            p.pt_members_final = [ 0; 1; 2; 3 ] );
-        ]
-    | "coordinator-loss" ->
-        [
-          ( w ^ ": majority elected a replacement coordinator",
-            p.pt_elections >= 1
-            && p.pt_coordinator_after >= 0
-            && p.pt_coordinator_after <> p.pt_coordinator_before );
-          (w ^ ": re-election latency measured", p.pt_reelect_latency_us > 0.0);
-        ]
-    | _ ->
-        [
-          ( w ^ ": every flap forced a committed re-election",
-            p.pt_elections >= p.pt_cycles );
-          ( w ^ ": membership survived the flapping",
-            p.pt_members_final = [ 0; 1; 2; 3 ] );
-        ])
-
-let partition_line p =
-  Printf.sprintf
-    "%s: %d x %d B over %d cut/heal cycle(s); coordinator %d -> %d \
-     (%d election(s), epochs-unique=%s, last re-election %.2f us), \
-     %d delivered mid-cut, minority-typed=%s, pending=%d, members=[%s], \
-     %d re-emitted, exactly-once=%s, finish=%.2f us\n"
-    p.pt_workload p.pt_messages p.pt_size p.pt_cycles
-    p.pt_coordinator_before p.pt_coordinator_after p.pt_elections
-    (if p.pt_epochs_unique then "yes" else "NO")
-    p.pt_reelect_latency_us p.pt_cut_delivered
-    (if p.pt_minority_typed then "yes" else "NO")
-    p.pt_pending_after
-    (String.concat "; " (List.map string_of_int p.pt_members_final))
-    p.pt_reemitted
-    (if p.pt_exactly_once then "yes" else "NO")
-    p.pt_finish_us
+  partition_result vc ~workload:"partition-flapping" ~messages:total ~size
+    ~cycles ~coordinator_before ~cut_delivered:!cut_delivered
+    ~minority_typed:!minority_typed ~exactly_once:(bg_ok ())
+    ~finish:!finish
 
 (* ------------------------------------------------------------------ *)
 (* Overload: one reliable credit-armed vchannel over a single TCP
@@ -1423,12 +1458,6 @@ let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
   let rate = Time.rate_mb_s ~bytes_count:(size * messages) !finish in
   (rate, vc, net, !intact, !finish)
 
-let bounded_queues queues =
-  List.for_all
-    (fun q ->
-      match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
-    queues
-
 let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
   let clean_mb_s, _, _, clean_ok, _ =
     overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap:None
@@ -1442,23 +1471,55 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
   in
   let queues = Vc.queue_stats vc in
   let inbox_peak, sendq_peak = Tcpnet.queue_peaks net in
+  let intact = ok && clean_ok and bounded = bounded_queues queues in
+  let mismatch =
+    if throttled_mb_s > 0.0 then clean_mb_s /. throttled_mb_s else 0.0
+  in
   {
-    ov_messages = messages;
-    ov_size = size;
-    ov_credits = credits;
-    ov_mtu = mtu;
-    ov_rx_cap_mb_s = rx_cap_mb_s;
-    ov_clean_mb_s = clean_mb_s;
-    ov_throttled_mb_s = throttled_mb_s;
-    ov_stalls = cs.Vc.stalls;
-    ov_grants = cs.Vc.grants;
-    ov_probes = cs.Vc.probes;
-    ov_queues = queues;
-    ov_inbox_peak_bytes = inbox_peak;
-    ov_sendq_peak_frames = sendq_peak;
-    ov_intact = ok && clean_ok;
-    ov_bounded = bounded_queues queues;
-    ov_finish_us = Time.to_us finish;
+    fields =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("credits", Int credits);
+        ("mtu", Int mtu);
+        ("rx_cap_mb_s", f3 rx_cap_mb_s);
+        ("clean_mb_s", f2 clean_mb_s);
+        ("throttled_mb_s", f3 throttled_mb_s);
+        ("stalls", Int cs.Vc.stalls);
+        ("grants", Int cs.Vc.grants);
+        ("probes", Int cs.Vc.probes);
+        ("inbox_peak_bytes", Int inbox_peak);
+        ("sendq_peak_frames", Int sendq_peak);
+        ("intact", Bool intact);
+        ("bounded", Bool bounded);
+        ("finish_us", f2 (Time.to_us finish));
+        ("queues", queue_table queues);
+      ];
+    line =
+      Printf.sprintf
+        "overload: %d x %d B, credits=%d, receiver capped at %.2f MB/s \
+         (clean %.2f MB/s -> %.1f:1 mismatch): delivered %.3f MB/s, \
+         %d stall(s), %d grant(s), %d probe(s), queues bounded=%s, intact=%s\n"
+        messages size credits rx_cap_mb_s clean_mb_s mismatch throttled_mb_s
+        cs.Vc.stalls cs.Vc.grants cs.Vc.probes
+        (if bounded then "yes" else "NO")
+        (if intact then "yes" else "NO")
+      ^ String.concat ""
+          (List.map
+             (fun q ->
+               Printf.sprintf "  queue %-18s node=%d peer=%d peak=%d bound=%s\n"
+                 q.Vc.q_point q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
+                 (match q.Vc.q_bound with
+                 | Some v -> string_of_int v
+                 | None -> "-"))
+             queues);
+    gates =
+      [
+        ("overload-intact", intact);
+        ("overload-queues-bounded", bounded);
+        ("overload-sender-stalled", cs.Vc.stalls > 0 && cs.Vc.grants > 0);
+        ("overload-rate-mismatch", throttled_mb_s > 0.0 && mismatch >= 10.0);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1534,20 +1595,48 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
       (Vc.suspicion_timeline vc)
   in
   let queues = Vc.queue_stats vc in
+  let ingress_mb_s = Time.rate_mb_s ~bytes_count:(size * messages) !finish in
+  let events = Vc.overload_events vc in
+  let reported = !reported || sentinel_saw_overload in
+  let cleared = Vc.overloaded vc = [] in
+  let bounded = bounded_queues queues in
   {
-    sg_messages = messages;
-    sg_size = size;
-    sg_credits = credits;
-    sg_gw_pool = gw_pool;
-    sg_rx_cap_mb_s = rx_cap_mb_s;
-    sg_ingress_mb_s = Time.rate_mb_s ~bytes_count:(size * messages) !finish;
-    sg_overload_events = Vc.overload_events vc;
-    sg_overload_reported = !reported || sentinel_saw_overload;
-    sg_overload_cleared = Vc.overloaded vc = [];
-    sg_queues = queues;
-    sg_intact = !intact;
-    sg_bounded = bounded_queues queues;
-    sg_finish_us = Time.to_us !finish;
+    fields =
+      [
+        ("messages", Int messages);
+        ("size", Int size);
+        ("credits", Int credits);
+        ("gw_pool", Int gw_pool);
+        ("rx_cap_mb_s", f3 rx_cap_mb_s);
+        ("ingress_mb_s", f3 ingress_mb_s);
+        ("overload_events", Int events);
+        ("overload_reported", Bool reported);
+        ("overload_cleared", Bool cleared);
+        ("intact", Bool !intact);
+        ("bounded", Bool bounded);
+        ("finish_us", f2 (Time.to_us !finish));
+        ("queues", queue_table queues);
+      ];
+    line =
+      Printf.sprintf
+        "slow-gateway: %d x %d B via a pool of %d, egress capped at \
+         %.2f MB/s: ingress throttled to %.3f MB/s, %d overload event(s) \
+         (reported=%s, cleared=%s), queues bounded=%s, intact=%s\n"
+        messages size gw_pool rx_cap_mb_s ingress_mb_s events
+        (if reported then "yes" else "NO")
+        (if cleared then "yes" else "NO")
+        (if bounded then "yes" else "NO")
+        (if !intact then "yes" else "NO");
+    gates =
+      [
+        ("slow-gateway-intact", !intact);
+        ("slow-gateway-queues-bounded", bounded);
+        ("slow-gateway-overload-reported", events >= 1 && reported);
+        ("slow-gateway-overload-cleared", cleared);
+        ( "slow-gateway-ingress-throttled",
+          ingress_mb_s <= 2.0 *. rx_cap_mb_s
+          && ingress_mb_s >= 0.2 *. rx_cap_mb_s );
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1630,21 +1719,42 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
   Engine.run engine;
   let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
   let rs = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let module S = Madeleine.Sched in
+  let drop_pct = drop *. 100.0 and finish_us = Time.to_us !finish in
   {
-    sc_flows = flows;
-    sc_messages = messages;
-    sc_size = size;
-    sc_drop_pct = drop *. 100.0;
-    sc_merged = ss.Madeleine.Sched.sched_merged;
-    sc_aggregates = ss.Madeleine.Sched.sched_aggregates;
-    sc_mean_frames = ss.Madeleine.Sched.sched_mean_frames;
-    sc_flush_full = ss.Madeleine.Sched.sched_flush_full;
-    sc_flush_deadline = ss.Madeleine.Sched.sched_flush_deadline;
-    sc_flush_flow = ss.Madeleine.Sched.sched_flush_flow;
-    sc_reemitted = rs.Vc.reemitted;
-    sc_dup_drops = rs.Vc.dup_drops;
-    sc_intact = !intact;
-    sc_finish_us = Time.to_us !finish;
+    fields =
+      [
+        ("flows", Int flows);
+        ("messages_per_flow", Int messages);
+        ("size", Int size);
+        ("drop_pct", f2 drop_pct);
+        ("merged", Int ss.S.sched_merged);
+        ("aggregates", Int ss.S.sched_aggregates);
+        ("mean_frames", f2 ss.S.sched_mean_frames);
+        ("flush_full", Int ss.S.sched_flush_full);
+        ("flush_deadline", Int ss.S.sched_flush_deadline);
+        ("flush_flow", Int ss.S.sched_flush_flow);
+        ("reemitted", Int rs.Vc.reemitted);
+        ("dup_drops", Int rs.Vc.dup_drops);
+        ("intact", Bool !intact);
+        ("finish_us", f2 finish_us);
+      ];
+    line =
+      Printf.sprintf
+        "sched-aggreg: %d flows x %d x %d B at %.1f%% drop: %d frame(s) \
+         merged into %d aggregate(s) (%.1f frames each; full=%d \
+         deadline=%d flow=%d), %d re-emitted, %d dup(s) dropped, \
+         intact=%s, finish=%.2f us\n"
+        flows messages size drop_pct ss.S.sched_merged ss.S.sched_aggregates
+        ss.S.sched_mean_frames ss.S.sched_flush_full ss.S.sched_flush_deadline
+        ss.S.sched_flush_flow rs.Vc.reemitted rs.Vc.dup_drops
+        (if !intact then "yes" else "NO")
+        finish_us;
+    gates =
+      [
+        ("sched-aggreg-intact", !intact);
+        ("sched-aggreg-merged", ss.S.sched_merged > 0);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1658,24 +1768,61 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
 
 module Coll = Madeleine.Collectives
 
-type coll_chaos = {
-  co_workload : string;
-  co_ranks : int;
-  co_expected : int; (* collective calls issued across all ranks *)
-  co_completed : int; (* calls that returned a decision *)
-  co_failed : int; (* calls that raised Collective_failed *)
-  co_agree : bool; (* every completing rank got bit-identical bytes *)
-  co_value_ok : bool; (* decided value = sum over the covered ranks *)
-  co_covered : int list; (* ranks the last decision covers *)
-  co_rejoined : bool; (* >= 1 late contribution answered from the journal *)
-  co_spine_ok : bool; (* no Overloaded gateway sat on the sampled spine *)
-  co_repairs : int;
-  co_packets : int;
-  co_combined : int;
-  co_root_contribs : int;
-  co_dup_suppressed : int;
-  co_finish_us : float;
-}
+(* The shared shape of the collectives fault workloads; which gates
+   apply depends on the workload: the spine run must route around the
+   overloaded gateway, the crash runs must repair and answer a late
+   contribution from the journal. *)
+let coll_result ~workload:w ~ranks ~expected ~completed ~failed ~agree
+    ~value_ok ~rejoined ~spine_ok (st : Coll.stats) ~finish =
+  let tag s = w ^ "-" ^ s and finish_us = Time.to_us finish in
+  {
+    fields =
+      [
+        ("ranks", Int ranks);
+        ("expected", Int expected);
+        ("completed", Int completed);
+        ("failed", Int failed);
+        ("agree", Bool agree);
+        ("value_ok", Bool value_ok);
+        ("covered", Ints st.Coll.last_covered);
+        ("rejoined", Bool rejoined);
+        ("spine_ok", Bool spine_ok);
+        ("repairs", Int st.Coll.repairs);
+        ("packets", Int st.Coll.packets);
+        ("combined", Int st.Coll.combined);
+        ("root_contribs", Int st.Coll.root_contribs);
+        ("dup_suppressed", Int st.Coll.dup_suppressed);
+        ("finish_us", f2 finish_us);
+      ];
+    line =
+      Printf.sprintf
+        "%s: %d rank(s), %d/%d call(s) completed (%d failed typed); \
+         agree=%s, value-correct=%s, covered=[%s], repairs=%d, \
+         combined=%d, root-contribs=%d, dup-suppressed=%d, \
+         journal-answers=%s, spine-ok=%s, packets=%d, finish=%.2f us\n"
+        w ranks completed expected failed
+        (if agree then "yes" else "NO")
+        (if value_ok then "yes" else "NO")
+        (ints st.Coll.last_covered) st.Coll.repairs st.Coll.combined
+        st.Coll.root_contribs st.Coll.dup_suppressed
+        (if rejoined then "yes" else "no")
+        (if spine_ok then "yes" else "NO")
+        st.Coll.packets finish_us;
+    gates =
+      [
+        (tag "completed", completed = expected && failed = 0);
+        (tag "agree", agree);
+        (tag "exactly-once", value_ok && st.Coll.dup_suppressed >= 0);
+      ]
+      @
+      if w = "coll-spine-overload" then
+        [ (tag "spine-avoids-overloaded", spine_ok) ]
+      else
+        [
+          (tag "rejoined-from-journal", rejoined);
+          (tag "repaired", st.Coll.repairs >= 1);
+        ];
+  }
 
 (* 64-bit little-endian sum: associative, commutative, and a different
    result for every distinct subset of contributors — so a value match
@@ -1741,24 +1888,9 @@ let coll_crash_barrier_run ~seed =
   Engine.run engine;
   let st = Coll.stats coll in
   let agree, value_ok = coll_agree_and_value results st.Coll.last_covered in
-  {
-    co_workload = "coll-crash-barrier";
-    co_ranks = n;
-    co_expected = 2 * n;
-    co_completed = !barriers + !allreds;
-    co_failed = !failed;
-    co_agree = agree;
-    co_value_ok = value_ok;
-    co_covered = st.Coll.last_covered;
-    co_rejoined = st.Coll.journal_answers >= 1;
-    co_spine_ok = true;
-    co_repairs = st.Coll.repairs;
-    co_packets = st.Coll.packets;
-    co_combined = st.Coll.combined;
-    co_root_contribs = st.Coll.root_contribs;
-    co_dup_suppressed = st.Coll.dup_suppressed;
-    co_finish_us = Time.to_us !finish;
-  }
+  coll_result ~workload:"coll-crash-barrier" ~ranks:n ~expected:(2 * n)
+    ~completed:(!barriers + !allreds) ~failed:!failed ~agree ~value_ok
+    ~rejoined:(st.Coll.journal_answers >= 1) ~spine_ok:true st ~finish:!finish
 
 (* An Overloaded gateway on the tree spine: a background stream pins
    the on-route gateway's forwarding pool (the PR 5 watermark), the
@@ -1850,24 +1982,9 @@ let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
          (fun (_, parent) -> not (List.mem parent !overloaded_at_sample))
          !spine
   in
-  {
-    co_workload = "coll-spine-overload";
-    co_ranks = 4;
-    co_expected = 4;
-    co_completed = !barriers;
-    co_failed = !failed;
-    co_agree = true;
-    co_value_ok = !intact;
-    co_covered = st.Coll.last_covered;
-    co_rejoined = true;
-    co_spine_ok = spine_ok;
-    co_repairs = st.Coll.repairs;
-    co_packets = st.Coll.packets;
-    co_combined = st.Coll.combined;
-    co_root_contribs = st.Coll.root_contribs;
-    co_dup_suppressed = st.Coll.dup_suppressed;
-    co_finish_us = Time.to_us !finish;
-  }
+  coll_result ~workload:"coll-spine-overload" ~ranks:4 ~expected:4
+    ~completed:!barriers ~failed:!failed ~agree:true ~value_ok:!intact
+    ~rejoined:true ~spine_ok st ~finish:!finish
 
 (* A hierarchical cluster-of-clusters world: [clusters] leaf channels
    of [per] ranks each, bridged by a backbone channel of the gateway
@@ -1949,43 +2066,9 @@ let coll_rolling_allreduce_run ~seed ~clusters ~per =
   Engine.run engine;
   let st = Coll.stats coll in
   let agree, value_ok = coll_agree_and_value results st.Coll.last_covered in
-  {
-    co_workload = "coll-rolling-allreduce";
-    co_ranks = n;
-    co_expected = n;
-    co_completed = !completed;
-    co_failed = !failed;
-    co_agree = agree;
-    co_value_ok = value_ok;
-    co_covered = st.Coll.last_covered;
-    co_rejoined = st.Coll.journal_answers >= 1;
-    co_spine_ok = true;
-    co_repairs = st.Coll.repairs;
-    co_packets = st.Coll.packets;
-    co_combined = st.Coll.combined;
-    co_root_contribs = st.Coll.root_contribs;
-    co_dup_suppressed = st.Coll.dup_suppressed;
-    co_finish_us = Time.to_us !finish;
-  }
-
-type coll_scale_row = {
-  sr_ranks : int;
-  sr_depth : int;
-  sr_rounds : int;
-  sr_tree_us : float;
-  sr_tree_root_contribs : int;
-  sr_tree_packets : int;
-  sr_flat_us : float;
-  sr_flat_root_contribs : int;
-  sr_flat_packets : int;
-}
-
-type coll_scale = {
-  cs_fanout : int;
-  cs_rows : coll_scale_row list;
-  cs_ratio : float; (* flat / tree barrier latency at the largest size *)
-  cs_log_like : bool; (* tree depth <= 2 * ceil(log2 n) at every size *)
-}
+  coll_result ~workload:"coll-rolling-allreduce" ~ranks:n ~expected:n
+    ~completed:!completed ~failed:!failed ~agree ~value_ok
+    ~rejoined:(st.Coll.journal_answers >= 1) ~spine_ok:true st ~finish:!finish
 
 let coll_barrier_once ~seed ~clusters ~per ~algo ~fanout =
   let engine, _faults, vc = coll_world ~seed ~clusters ~per ~with_faults:false in
@@ -2008,635 +2091,357 @@ let coll_barrier_once ~seed ~clusters ~per ~algo ~fanout =
 
 (* The headline figure: one barrier over the hierarchical world, tree
    vs flat, at every requested scale. Latency is simulated time, so
-   the rows are byte-identical for a given seed. *)
+   the rows are byte-identical for a given seed. The top-level fields
+   describe the largest size, where the ratio gate binds. *)
 let coll_scale_run ~seed ~fanout ~sizes =
-  let rows =
+  let measured =
     List.map
       (fun (clusters, per) ->
-        let n = clusters * per in
-        let tree_us, tree_st =
+        let tree_us, tree =
           coll_barrier_once ~seed ~clusters ~per ~algo:Coll.Tree ~fanout
         in
-        let flat_us, flat_st =
+        let flat_us, flat =
           coll_barrier_once ~seed ~clusters ~per ~algo:Coll.Flat ~fanout
         in
-        {
-          sr_ranks = n;
-          sr_depth = tree_st.Coll.last_depth;
-          sr_rounds = tree_st.Coll.last_rounds;
-          sr_tree_us = tree_us;
-          sr_tree_root_contribs = tree_st.Coll.root_contribs;
-          sr_tree_packets = tree_st.Coll.packets;
-          sr_flat_us = flat_us;
-          sr_flat_root_contribs = flat_st.Coll.root_contribs;
-          sr_flat_packets = flat_st.Coll.packets;
-        })
+        (clusters * per, tree_us, tree, flat_us, flat))
       sizes
   in
+  let ratio tree_us flat_us = flat_us /. Float.max 1e-9 tree_us in
   let log2_ceil n =
     let rec go k acc = if acc >= n then k else go (k + 1) (2 * acc) in
     go 0 1
   in
-  let largest = List.nth rows (List.length rows - 1) in
+  let n, tree_us, tree, flat_us, flat =
+    List.nth measured (List.length measured - 1)
+  in
+  let largest_ratio = ratio tree_us flat_us in
+  let log_like =
+    List.for_all
+      (fun (n, _, tree, _, _) -> tree.Coll.last_depth <= 2 * log2_ceil n)
+      measured
+  in
   {
-    cs_fanout = fanout;
-    cs_rows = rows;
-    cs_ratio = largest.sr_flat_us /. largest.sr_tree_us;
-    cs_log_like =
-      List.for_all
-        (fun r -> r.sr_depth <= 2 * log2_ceil r.sr_ranks)
-        rows;
+    fields =
+      [
+        ("fanout", Int fanout);
+        ("ranks", Int n);
+        ("tree_depth", Int tree.Coll.last_depth);
+        ("tree_rounds", Int tree.Coll.last_rounds);
+        ("tree_us", f2 tree_us);
+        ("flat_us", f2 flat_us);
+        ("ratio", f2 largest_ratio);
+        ("tree_root_contribs", Int tree.Coll.root_contribs);
+        ("flat_root_contribs", Int flat.Coll.root_contribs);
+        ("log_like", Bool log_like);
+        ( "rows",
+          Table
+            (List.map
+               (fun (n, tree_us, tree, flat_us, flat) ->
+                 [
+                   ("ranks", Int n);
+                   ("depth", Int tree.Coll.last_depth);
+                   ("rounds", Int tree.Coll.last_rounds);
+                   ("tree_us", f2 tree_us);
+                   ("tree_root_contribs", Int tree.Coll.root_contribs);
+                   ("tree_packets", Int tree.Coll.packets);
+                   ("flat_us", f2 flat_us);
+                   ("flat_root_contribs", Int flat.Coll.root_contribs);
+                   ("flat_packets", Int flat.Coll.packets);
+                 ])
+               measured) );
+      ];
+    line =
+      Printf.sprintf
+        "coll-scale (fanout %d): barrier tree-vs-flat, ratio %.2fx at \
+         largest size, log-like=%s\n"
+        fanout largest_ratio
+        (if log_like then "yes" else "NO")
+      ^ Printf.sprintf "  %6s %6s %7s %12s %12s %8s %11s %11s\n" "ranks"
+          "depth" "rounds" "tree(us)" "flat(us)" "ratio" "tree-root"
+          "flat-root"
+      ^ String.concat ""
+          (List.map
+             (fun (n, tree_us, tree, flat_us, flat) ->
+               Printf.sprintf "  %6d %6d %7d %12.2f %12.2f %7.2fx %11d %11d\n"
+                 n tree.Coll.last_depth tree.Coll.last_rounds tree_us flat_us
+                 (ratio tree_us flat_us) tree.Coll.root_contribs
+                 flat.Coll.root_contribs)
+             measured);
+    gates =
+      [
+        ("coll-scale-tree-log-rounds", log_like);
+        ("coll-scale-speedup", largest_ratio >= 4.0);
+        ( "coll-scale-combining",
+          List.for_all
+            (fun (_, _, tree, _, flat) ->
+              tree.Coll.root_contribs < flat.Coll.root_contribs)
+            measured );
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
-(* The workload set. Stop-and-wait retransmission gives up after 12
-   attempts, so the per-frame survival probability bounds which
-   (rate, size) points can complete: at 5% per link a frame of a dozen
-   or more MTU fragments (crossing two faulty endpoints) dies often
-   enough that twelve consecutive losses become likely, so the heaviest
-   rate is swept only over single-digit-fragment messages rather than
-   reported dead. *)
+(* The registry. Each workload's parameters live here and nowhere else;
+   [quick] trims a workload to its CI size. *)
 
-type outcome =
-  | Row of row
-  | Failed_over of failover
-  | Goodput_of of goodput
-  | Restarted of crash_restart
-  | Overloaded_of of overload
-  | Slow_gateway_of of slow_gateway
-  | Sched_of of sched_chaos
-  | Rolled of rolling_restart
-  | Elastic_of of elastic
+let workloads =
+  let size = 16384 in
+  let phases quick = if quick then 3 else 4 in
+  let under_load quick = if quick then 4 else 6 in
+  [
+    {
+      name = "pingpong-faults";
+      doc =
+        "verified TCP ping-pongs under a drop-rate x size sweep, \
+         corruption, a link flap, reordering/duplication and a PCI stall, \
+         one table row each";
+      run = pingpong_faults;
+    };
+    {
+      name = "failover";
+      doc =
+        "the first-hop gateway of a 0 -> 3 stream crashes mid-stream; the \
+         rest arrives intact over the spare, and losing it too partitions";
+      run = (fun ~seed ~quick:_ -> failover_run ~seed ~size ~messages:4);
+    };
+    {
+      name = "goodput";
+      doc = "go-back-N against stop-and-wait on one TCP stream at 1% drop";
+      run =
+        (fun ~seed ~quick ->
+          goodput_run ~seed ~size:1024
+            ~messages:(if quick then 256 else 512)
+            ~window:8 ~drop:0.01);
+    };
+    {
+      name = "crash-restart";
+      doc =
+        "the only gateway, then the origin, die and restart mid-stream; \
+         delivery stays exactly-once";
+      run =
+        (fun ~seed ~quick ->
+          crash_restart_run ~seed ~size ~messages:(phases quick));
+    };
+    {
+      name = "overload";
+      doc =
+        "a ~100:1 producer/consumer rate mismatch must stall the sender on \
+         its credits with every queue under its bound";
+      run =
+        (fun ~seed ~quick ->
+          overload_run ~seed ~size
+            ~messages:(if quick then 4 else 6)
+            ~credits:8 ~mtu:4096 ~rx_cap_mb_s:0.11);
+    };
+    {
+      name = "slow-gateway";
+      doc =
+        "a rate-capped egress behind a bounded gateway pool throttles \
+         ingress hop by hop and reports Overloaded";
+      run =
+        (fun ~seed ~quick ->
+          slow_gateway_run ~seed ~size
+            ~messages:(if quick then 6 else 8)
+            ~credits:32 ~gw_pool:2 ~rx_cap_mb_s:0.5);
+    };
+    {
+      name = "sched-aggreg";
+      doc =
+        "many small-message flows aggregated by sched=aggreg across a \
+         lossy gateway route, each delivered bit-identical in order";
+      run =
+        (fun ~seed ~quick ->
+          sched_aggreg_run ~seed
+            ~flows:(if quick then 16 else 32)
+            ~messages:4 ~size:256 ~drop:0.01);
+    };
+    {
+      name = "rolling-restart";
+      doc =
+        "every rank drains, restarts and rejoins under traffic; the \
+         coordinator rides a crash-epoch restart";
+      run =
+        (fun ~seed ~quick ->
+          rolling_restart_run ~seed ~size ~messages:(phases quick));
+    };
+    {
+      name = "join-under-load";
+      doc =
+        "a rank joins mid-stream and becomes routable without quiescing \
+         flows";
+      run =
+        (fun ~seed ~quick ->
+          join_load_run ~seed ~size ~messages:(under_load quick));
+    };
+    {
+      name = "drain-under-load";
+      doc = "the on-route gateway drains mid-stream and the flow reroutes";
+      run =
+        (fun ~seed ~quick ->
+          drain_load_run ~seed ~size ~messages:(under_load quick));
+    };
+    {
+      name = "partition-majority";
+      doc =
+        "a minority rank is cut off; the majority keeps its coordinator \
+         and goodput, the minority fails typed, the heal replays its \
+         parked join";
+      run =
+        (fun ~seed ~quick ->
+          partition_majority_run ~seed ~size ~messages:(phases quick));
+    };
+    {
+      name = "coordinator-loss";
+      doc =
+        "the partition strands the coordinator itself; the majority elects \
+         a replacement and the re-election latency is recorded";
+      run =
+        (fun ~seed ~quick ->
+          coordinator_loss_run ~seed ~size ~messages:(phases quick));
+    };
+    {
+      name = "partition-flapping";
+      doc =
+        "repeated cut/heal cycles each isolate the sitting coordinator; \
+         every flap forces a committed re-election and membership survives";
+      run =
+        (fun ~seed ~quick ->
+          partition_flapping_run ~seed ~size ~messages:(phases quick)
+            ~cycles:3);
+    };
+    {
+      name = "coll-crash-barrier";
+      doc =
+        "a rank crashes mid-barrier, survivors decide, the restart re-joins \
+         from the journal exactly-once";
+      run = (fun ~seed ~quick:_ -> coll_crash_barrier_run ~seed);
+    };
+    {
+      name = "coll-spine-overload";
+      doc = "an Overloaded gateway is routed off the collective tree spine";
+      run =
+        (fun ~seed ~quick ->
+          coll_spine_overload_run ~seed ~size:4096
+            ~messages:(if quick then 24 else 48)
+            ~credits:64 ~gw_pool:4 ~rx_cap_mb_s:1.0);
+    };
+    {
+      name = "coll-rolling-allreduce";
+      doc =
+        "rolling restarts during a 64-rank allreduce; every survivor agrees \
+         bit-identically";
+      run =
+        (fun ~seed ~quick:_ ->
+          coll_rolling_allreduce_run ~seed ~clusters:8 ~per:8);
+    };
+    {
+      name = "coll-scale";
+      doc =
+        "tree-vs-flat barrier latency at 64/256/1024 ranks (quick stops at \
+         256); the flat/tree ratio at the largest size is gated";
+      run =
+        (fun ~seed ~quick ->
+          coll_scale_run ~seed ~fanout:4
+            ~sizes:
+              ((8, 8) :: (16, 16) :: (if quick then [] else [ (32, 32) ])));
+    };
+  ]
+
+let find name = List.find_opt (fun w -> w.name = name) workloads
+
+let sweep =
+  [
+    "pingpong-faults"; "failover"; "goodput"; "crash-restart"; "overload";
+    "slow-gateway"; "sched-aggreg"; "rolling-restart"; "join-under-load";
+    "drain-under-load";
+  ]
 
 let run (runner : Sweeps.runner) ~seed ~quick =
-  let rates = if quick then [ 0.0; 0.01 ] else [ 0.0; 0.005; 0.01; 0.05 ] in
-  let sizes =
-    if quick then [ 4; 4096; 16384 ] else [ 4; 256; 4096; 16384; 65536 ]
-  in
-  let drop_jobs =
-    List.concat_map
-      (fun drop ->
-        List.filter_map
-          (fun size ->
-            if drop >= 0.05 && size > 4096 then None
-            else
-              Some
-                ( Printf.sprintf "chaos/drop-%.1f%%/%d" (drop *. 100.0) size,
-                  fun () -> Row (drop_row ~seed ~drop ~size) ))
-          sizes)
-      rates
-  in
-  let corrupt_sizes = if quick then [ 16384 ] else [ 4096; 16384 ] in
-  let corrupt_jobs =
-    List.map
-      (fun size ->
-        ( Printf.sprintf "chaos/corrupt-2.0%%/%d" size,
-          fun () -> Row (corrupt_row ~seed ~rate:0.02 ~size) ))
-      corrupt_sizes
-  in
-  let scheduled_jobs =
-    [
-      ("chaos/flap", fun () -> Row (flap_row ~seed ~size:16384));
-      ("chaos/reorder", fun () -> Row (reorder_row ~seed ~size:16384));
-      ("chaos/pci-stall", fun () -> Row (stall_row ~seed ~size:65536));
-      ( "chaos/gateway-failover",
-        fun () -> Failed_over (failover_run ~seed ~size:16384 ~messages:4) );
-      ( "chaos/goodput",
-        fun () ->
-          Goodput_of
-            (goodput_run ~seed ~size:1024
-               ~messages:(if quick then 256 else 512)
-               ~window:8 ~drop:0.01) );
-      ( "chaos/crash-restart",
-        fun () ->
-          Restarted
-            (crash_restart_run ~seed ~size:16384
-               ~messages:(if quick then 3 else 4)) );
-      ( "chaos/overload",
-        fun () ->
-          Overloaded_of
-            (overload_run ~seed ~size:16384
-               ~messages:(if quick then 4 else 6)
-               ~credits:8 ~mtu:4096 ~rx_cap_mb_s:0.11) );
-      ( "chaos/slow-gateway",
-        fun () ->
-          Slow_gateway_of
-            (slow_gateway_run ~seed ~size:16384
-               ~messages:(if quick then 6 else 8)
-               ~credits:32 ~gw_pool:2 ~rx_cap_mb_s:0.5) );
-      ( "chaos/sched-aggreg",
-        fun () ->
-          Sched_of
-            (sched_aggreg_run ~seed
-               ~flows:(if quick then 16 else 32)
-               ~messages:4 ~size:256 ~drop:0.01) );
-      ( "chaos/rolling-restart",
-        fun () ->
-          Rolled
-            (rolling_restart_run ~seed ~size:16384
-               ~messages:(if quick then 3 else 4)) );
-      ( "chaos/join-under-load",
-        fun () ->
-          Elastic_of
-            (join_load_run ~seed ~size:16384
-               ~messages:(if quick then 4 else 6)) );
-      ( "chaos/drain-under-load",
-        fun () ->
-          Elastic_of
-            (drain_load_run ~seed ~size:16384
-               ~messages:(if quick then 4 else 6)) );
-    ]
-  in
-  let outcomes = runner.Sweeps.run (drop_jobs @ corrupt_jobs @ scheduled_jobs) in
-  let rows =
-    List.filter_map (function Row r -> Some r | _ -> None) outcomes
-  in
-  let pick what f =
-    match List.find_map f outcomes with
-    | Some v -> v
-    | None -> failwith ("chaos: missing " ^ what)
-  in
-  {
-    rep_seed = seed;
-    rep_quick = quick;
-    rep_rows = rows;
-    rep_failover = pick "failover" (function Failed_over f -> Some f | _ -> None);
-    rep_goodput = pick "goodput" (function Goodput_of g -> Some g | _ -> None);
-    rep_crash = pick "crash-restart" (function Restarted c -> Some c | _ -> None);
-    rep_overload =
-      pick "overload" (function Overloaded_of o -> Some o | _ -> None);
-    rep_slow_gateway =
-      pick "slow-gateway" (function Slow_gateway_of s -> Some s | _ -> None);
-    rep_sched = pick "sched-aggreg" (function Sched_of s -> Some s | _ -> None);
-    rep_rolling =
-      pick "rolling-restart" (function Rolled r -> Some r | _ -> None);
-    rep_join =
-      pick "join-under-load" (function
-        | Elastic_of e when e.el_op = "join" -> Some e
-        | _ -> None);
-    rep_drain =
-      pick "drain-under-load" (function
-        | Elastic_of e when e.el_op = "drain" -> Some e
-        | _ -> None);
-  }
+  runner.Sweeps.run
+    (List.map
+       (fun name ->
+         let w = Option.get (find name) in
+         ("chaos/" ^ name, fun () -> (name, w.run ~seed ~quick)))
+       sweep)
 
-(* Named pass/fail gates; CI relies on the process exit code derived
-   from these, and a failure prints the gate names that tripped. The
-   live-topology gates stand alone so `madbench chaos WORKLOAD` can
-   judge a single scenario. *)
-let rolling_gates rr =
-  [
-    ("rolling-restart-exactly-once", rr.rr_exactly_once);
-    ( "rolling-restart-no-dup-deliveries",
-      rr.rr_dup_deliveries = 0 && rr.rr_delivered = 2 * rr.rr_messages );
-    ("rolling-restart-no-partition", not rr.rr_partitioned);
-    ("rolling-restart-queues-bounded", rr.rr_bounded);
-    ( "rolling-restart-epochs-advanced",
-      rr.rr_joins >= 3 && rr.rr_drains >= 3
-      && rr.rr_epoch_final >= rr.rr_epoch_start + 6 );
-  ]
-
-let elastic_gates e =
-  if e.el_op = "join" then
-    [
-      ( "join-under-load-no-partition",
-        (not e.el_partitioned) && e.el_intact );
-      ( "join-under-load-routable",
-        e.el_routable && e.el_status = "up" && e.el_watched );
-    ]
-  else
-    [
-      ( "drain-under-load-no-partition",
-        (not e.el_partitioned) && e.el_intact );
-      ( "drain-under-load-forgotten",
-        e.el_routable && e.el_status = "departed" && not e.el_watched );
-    ]
-
-let coll_gates c =
-  let tag s = c.co_workload ^ "-" ^ s in
-  [
-    ( tag "completed",
-      c.co_completed = c.co_expected && c.co_failed = 0 );
-    (tag "agree", c.co_agree);
-    ( tag "exactly-once",
-      c.co_value_ok && c.co_dup_suppressed >= 0 );
-  ]
-  @ (if c.co_workload = "coll-spine-overload" then
-       [ (tag "spine-avoids-overloaded", c.co_spine_ok) ]
-     else
-       [
-         (tag "rejoined-from-journal", c.co_rejoined);
-         (tag "repaired", c.co_repairs >= 1);
-       ])
-
-let coll_scale_gates cs =
-  [
-    ("coll-scale-tree-log-rounds", cs.cs_log_like);
-    ("coll-scale-speedup", cs.cs_ratio >= 4.0);
-    ( "coll-scale-combining",
-      List.for_all
-        (fun r -> r.sr_tree_root_contribs < r.sr_flat_root_contribs)
-        cs.cs_rows );
-  ]
-
-let gates r =
-  let ov = r.rep_overload and sg = r.rep_slow_gateway in
-  [
-    ("rows-intact", List.for_all (fun row -> row.intact) r.rep_rows);
-    ("failover-intact", r.rep_failover.fo_intact);
-    ("failover-partition-detected", r.rep_failover.fo_partitioned);
-    ("failover-rerouted", r.rep_failover.fo_reroutes >= 1);
-    ("goodput-intact", r.rep_goodput.gp_intact);
-    ("goodput-window-speedup", r.rep_goodput.gp_speedup >= 2.0);
-    ("crash-restart-exactly-once", r.rep_crash.cr_exactly_once);
-    ("crash-restart-handshake", r.rep_crash.cr_handshakes >= 1);
-    ("overload-intact", ov.ov_intact);
-    ("overload-queues-bounded", ov.ov_bounded);
-    ("overload-sender-stalled", ov.ov_stalls > 0 && ov.ov_grants > 0);
-    ( "overload-rate-mismatch",
-      ov.ov_throttled_mb_s > 0.0
-      && ov.ov_clean_mb_s /. ov.ov_throttled_mb_s >= 10.0 );
-    ("slow-gateway-intact", sg.sg_intact);
-    ("slow-gateway-queues-bounded", sg.sg_bounded);
-    ( "slow-gateway-overload-reported",
-      sg.sg_overload_events >= 1 && sg.sg_overload_reported );
-    ("slow-gateway-overload-cleared", sg.sg_overload_cleared);
-    ( "slow-gateway-ingress-throttled",
-      sg.sg_ingress_mb_s <= 2.0 *. sg.sg_rx_cap_mb_s
-      && sg.sg_ingress_mb_s >= 0.2 *. sg.sg_rx_cap_mb_s );
-    ("sched-aggreg-intact", r.rep_sched.sc_intact);
-    ("sched-aggreg-merged", r.rep_sched.sc_merged > 0);
-  ]
-  @ rolling_gates r.rep_rolling
-  @ elastic_gates r.rep_join
-  @ elastic_gates r.rep_drain
-
-let failing_gates r =
-  List.filter_map (fun (name, ok) -> if ok then None else Some name) (gates r)
-
-let all_ok r = List.for_all snd (gates r)
+let gates results = List.concat_map (fun (_, r) -> r.gates) results
 
 (* ------------------------------------------------------------------ *)
-(* Rendering. Every figure below is simulated, so the whole report is a
-   pure function of (seed, quick): reruns are byte-identical. *)
+(* Rendering. Every figure is simulated, so a report is a pure function
+   of (seed, quick): reruns are byte-identical. *)
 
-let queues_json b queues =
-  Buffer.add_string b "[\n";
-  let last = List.length queues - 1 in
-  List.iteri
-    (fun i q ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"point\": %S, \"node\": %d, \"peer\": %d, \"peak\": %d, \
-            \"bound\": %s }%s\n"
-           q.Vc.q_point q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
-           (match q.Vc.q_bound with
-           | Some v -> string_of_int v
-           | None -> "null")
-           (if i = last then "" else ",")))
-    queues;
-  Buffer.add_string b "  ]"
+let rec json_value indent = function
+  | Int n -> string_of_int n
+  | Float (x, decimals) -> Printf.sprintf "%.*f" decimals x
+  | Bool b -> string_of_bool b
+  | Str s -> Printf.sprintf "%S" s
+  | Ints l -> "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
+  | Null -> "null"
+  | Table rows ->
+      let pad = String.make indent ' ' in
+      "[\n"
+      ^ String.concat ""
+          (List.mapi
+             (fun i row ->
+               Printf.sprintf "%s  %s%s\n" pad (json_object row)
+                 (if i = List.length rows - 1 then "" else ","))
+             rows)
+      ^ pad ^ "]"
 
-let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{ \"chaos\": { \"seed\": %d, \"quick\": %b, \"rows\": [\n"
-       r.rep_seed r.rep_quick);
-  let last = List.length r.rep_rows - 1 in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  { \"scenario\": %S, \"size\": %d, \"drop_pct\": %.2f, \
-            \"lat_us\": %.2f, \"bw_mb_s\": %.2f, \"drops\": %d, \
-            \"corrupts\": %d, \"dups\": %d, \"delays\": %d, \
-            \"retransmissions\": %d, \"crc_rejects\": %d, \
-            \"intact\": %b }%s\n"
-           row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
-           row.corrupts row.dups row.delays row.retransmissions
-           row.crc_rejects row.intact
-           (if i = last then "" else ",")))
-    r.rep_rows;
-  let f = r.rep_failover in
-  Buffer.add_string b
-    (Printf.sprintf
-       "], \"failover\": { \"messages\": %d, \"size\": %d, \
-        \"crashed_gateway\": %d, \"route_after\": [%s], \"reroutes\": %d, \
-        \"reemitted\": %d, \"dup_drops\": %d, \"intact\": %b, \
-        \"partitioned_after_second_crash\": %b, \"finish_us\": %.2f },\n"
-       f.fo_messages f.fo_size f.fo_crashed_gateway
-       (String.concat ", " (List.map string_of_int f.fo_route_after))
-       f.fo_reroutes f.fo_reemitted f.fo_dup_drops f.fo_intact f.fo_partitioned
-       f.fo_finish_us);
-  let g = r.rep_goodput in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"goodput\": { \"size\": %d, \"messages\": %d, \"drop_pct\": %.2f, \
-        \"window\": %d, \"window_mb_s\": %.2f, \"stopwait_mb_s\": %.2f, \
-        \"speedup\": %.2f, \"intact\": %b },\n"
-       g.gp_size g.gp_messages g.gp_drop_pct g.gp_window g.gp_window_mb_s
-       g.gp_stopwait_mb_s g.gp_speedup g.gp_intact);
-  let c = r.rep_crash in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"crash_restart\": { \"messages_per_phase\": %d, \"size\": %d, \
-        \"gateway\": %d, \"restart_us\": %.2f, \"delivered\": %d, \
-        \"handshakes\": %d, \"reroutes\": %d, \"reemitted\": %d, \
-        \"dup_drops\": %d, \"exactly_once\": %b, \"finish_us\": %.2f,\n"
-       c.cr_messages c.cr_size c.cr_gateway c.cr_restart_us c.cr_delivered
-       c.cr_handshakes c.cr_reroutes c.cr_reemitted c.cr_dup_drops
-       c.cr_exactly_once c.cr_finish_us);
-  Buffer.add_string b "  \"suspicions\": [\n";
-  let last_s = List.length c.cr_suspicions - 1 in
-  List.iteri
-    (fun i (at_us, observer, peer, from_, to_, phi) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"at_us\": %.2f, \"observer\": %d, \"peer\": %d, \
-            \"from\": %S, \"to\": %S, \"phi\": %.3f }%s\n"
-           at_us observer peer from_ to_ phi
-           (if i = last_s then "" else ",")))
-    c.cr_suspicions;
-  Buffer.add_string b "  ],\n  \"flows\": [\n";
-  let last_f = List.length c.cr_flows - 1 in
-  List.iteri
-    (fun i fs ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"src\": %d, \"dst\": %d, \"sent\": %d, \"unacked\": %d, \
-            \"delivered\": %d }%s\n"
-           fs.Vc.flow_src fs.Vc.flow_dst fs.Vc.sent fs.Vc.unacked
-           fs.Vc.delivered
-           (if i = last_f then "" else ",")))
-    c.cr_flows;
-  Buffer.add_string b "  ] },\n";
-  let o = r.rep_overload in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"overload\": { \"messages\": %d, \"size\": %d, \"credits\": %d, \
-        \"mtu\": %d, \"rx_cap_mb_s\": %.3f, \"clean_mb_s\": %.2f, \
-        \"throttled_mb_s\": %.3f, \"stalls\": %d, \"grants\": %d, \
-        \"probes\": %d, \"inbox_peak_bytes\": %d, \"sendq_peak_frames\": %d, \
-        \"intact\": %b, \"bounded\": %b, \"finish_us\": %.2f,\n  \"queues\": "
-       o.ov_messages o.ov_size o.ov_credits o.ov_mtu o.ov_rx_cap_mb_s
-       o.ov_clean_mb_s o.ov_throttled_mb_s o.ov_stalls o.ov_grants o.ov_probes
-       o.ov_inbox_peak_bytes o.ov_sendq_peak_frames o.ov_intact o.ov_bounded
-       o.ov_finish_us);
-  queues_json b o.ov_queues;
-  Buffer.add_string b " },\n";
-  let s = r.rep_slow_gateway in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"slow_gateway\": { \"messages\": %d, \"size\": %d, \"credits\": %d, \
-        \"gw_pool\": %d, \"rx_cap_mb_s\": %.3f, \"ingress_mb_s\": %.3f, \
-        \"overload_events\": %d, \"overload_reported\": %b, \
-        \"overload_cleared\": %b, \"intact\": %b, \"bounded\": %b, \
-        \"finish_us\": %.2f,\n  \"queues\": "
-       s.sg_messages s.sg_size s.sg_credits s.sg_gw_pool s.sg_rx_cap_mb_s
-       s.sg_ingress_mb_s s.sg_overload_events s.sg_overload_reported
-       s.sg_overload_cleared s.sg_intact s.sg_bounded s.sg_finish_us);
-  queues_json b s.sg_queues;
-  Buffer.add_string b " },\n";
-  let sc = r.rep_sched in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"sched_aggreg\": { \"flows\": %d, \"messages_per_flow\": %d, \
-        \"size\": %d, \"drop_pct\": %.2f, \"merged\": %d, \
-        \"aggregates\": %d, \"mean_frames\": %.2f, \"flush_full\": %d, \
-        \"flush_deadline\": %d, \"flush_flow\": %d, \"reemitted\": %d, \
-        \"dup_drops\": %d, \"intact\": %b, \"finish_us\": %.2f },\n"
-       sc.sc_flows sc.sc_messages sc.sc_size sc.sc_drop_pct sc.sc_merged
-       sc.sc_aggregates sc.sc_mean_frames sc.sc_flush_full
-       sc.sc_flush_deadline sc.sc_flush_flow sc.sc_reemitted sc.sc_dup_drops
-       sc.sc_intact sc.sc_finish_us);
-  let rr = r.rep_rolling in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"rolling_restart\": { \"messages_per_phase\": %d, \"size\": %d, \
-        \"restarted\": [%s], \"epoch_start\": %d, \"epoch_final\": %d, \
-        \"joins\": %d, \"drains\": %d, \"delivered\": %d, \
-        \"dup_deliveries\": %d, \"reroutes\": %d, \"reemitted\": %d, \
-        \"dup_drops\": %d, \"handshakes\": %d, \"partitioned\": %b, \
-        \"exactly_once\": %b, \"bounded\": %b, \"finish_us\": %.2f,\n\
-       \  \"queues\": "
-       rr.rr_messages rr.rr_size
-       (String.concat ", " (List.map string_of_int rr.rr_restarted))
-       rr.rr_epoch_start rr.rr_epoch_final rr.rr_joins rr.rr_drains
-       rr.rr_delivered rr.rr_dup_deliveries rr.rr_reroutes rr.rr_reemitted
-       rr.rr_dup_drops rr.rr_handshakes rr.rr_partitioned rr.rr_exactly_once
-       rr.rr_bounded rr.rr_finish_us);
-  queues_json b rr.rr_queues;
-  Buffer.add_string b " },\n";
-  let elastic_json e =
-    Printf.sprintf
-      "{ \"op\": %S, \"messages\": %d, \"size\": %d, \"rank\": %d, \
-       \"epoch_final\": %d, \"routable\": %b, \"status\": %S, \
-       \"watched\": %b, \"partitioned\": %b, \"intact\": %b, \
-       \"finish_us\": %.2f }"
-      e.el_op e.el_messages e.el_size e.el_rank e.el_epoch_final e.el_routable
-      e.el_status e.el_watched e.el_partitioned e.el_intact e.el_finish_us
+(* One object on one line, except that a table field starts a new line. *)
+and json_object fields =
+  "{ "
+  ^ String.concat ""
+      (List.mapi
+         (fun i (k, v) ->
+           let sep =
+             match (i, v) with
+             | 0, _ -> ""
+             | _, Table _ -> ",\n  "
+             | _ -> ", "
+           in
+           Printf.sprintf "%s%S: %s" sep k (json_value 2 v))
+         fields)
+  ^ " }"
+
+let gates_json gates =
+  json_value 0
+    (Table (List.map (fun (n, ok) -> [ ("gate", Str n); ("pass", Bool ok) ]) gates))
+
+let to_json ~seed ~quick results =
+  let member (name, r) =
+    match r.fields with
+    | [ (key, (Table _ as rows)) ] ->
+        (* A workload that is nothing but a table (the fault rows) is
+           inlined as that table. *)
+        Printf.sprintf "%S: %s, " key (json_value 0 rows)
+    | fields ->
+        Printf.sprintf "%S: %s,\n"
+          (String.map (function '-' -> '_' | c -> c) name)
+          (json_object fields)
   in
-  Buffer.add_string b
-    (Printf.sprintf "\"join_under_load\": %s,\n\"drain_under_load\": %s,\n"
-       (elastic_json r.rep_join)
-       (elastic_json r.rep_drain));
-  Buffer.add_string b "\"gates\": [\n";
-  let gs = gates r in
-  let last_g = List.length gs - 1 in
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string b
-        (Printf.sprintf "  { \"gate\": %S, \"pass\": %b }%s\n" name ok
-           (if i = last_g then "" else ",")))
-    gs;
-  Buffer.add_string b "] } }\n";
-  Buffer.contents b
+  Printf.sprintf "{ \"chaos\": { \"seed\": %d, \"quick\": %b, %s\"gates\": %s } }\n"
+    seed quick
+    (String.concat "" (List.map member results))
+    (gates_json (gates results))
 
-let rolling_line rr =
+let workload_json ~seed name r =
   Printf.sprintf
-    "rolling-restart: 2 x %d x %d B while every rank restarts \
-     (order [%s]); epoch %d -> %d (%d join(s), %d drain(s)), \
-     %d delivered (%d dup), %d reroute(s), %d re-emitted, \
-     %d handshake(s), partitioned=%s, exactly-once=%s, bounded=%s, \
-     finish=%.2f us\n"
-    rr.rr_messages rr.rr_size
-    (String.concat "; " (List.map string_of_int rr.rr_restarted))
-    rr.rr_epoch_start rr.rr_epoch_final rr.rr_joins rr.rr_drains
-    rr.rr_delivered rr.rr_dup_deliveries rr.rr_reroutes rr.rr_reemitted
-    rr.rr_handshakes
-    (if rr.rr_partitioned then "YES" else "no")
-    (if rr.rr_exactly_once then "yes" else "NO")
-    (if rr.rr_bounded then "yes" else "NO")
-    rr.rr_finish_us
+    "{ \"chaos\": { \"seed\": %d, \"workload\": %S,\n\"metrics\": {\n%s\n},\n\"gates\": %s } }\n"
+    seed name
+    (String.concat ",\n"
+       (List.map
+          (fun (k, v) -> Printf.sprintf "  %S: %s" k (json_value 2 v))
+          r.fields))
+    (gates_json r.gates)
 
-let elastic_line e =
-  Printf.sprintf
-    "%s-under-load: %d x %d B; rank %d %sed mid-sweep -> epoch %d, \
-     routable-as-expected=%s, status=%s, watched=%s, partitioned=%s, \
-     intact=%s, finish=%.2f us\n"
-    e.el_op e.el_messages e.el_size e.el_rank e.el_op e.el_epoch_final
-    (if e.el_routable then "yes" else "NO")
-    e.el_status
-    (if e.el_watched then "yes" else "no")
-    (if e.el_partitioned then "YES" else "no")
-    (if e.el_intact then "yes" else "NO")
-    e.el_finish_us
-
-let coll_line c =
-  Printf.sprintf
-    "%s: %d rank(s), %d/%d call(s) completed (%d failed typed); \
-     agree=%s, value-correct=%s, covered=[%s], repairs=%d, \
-     combined=%d, root-contribs=%d, dup-suppressed=%d, \
-     journal-answers=%s, spine-ok=%s, packets=%d, finish=%.2f us\n"
-    c.co_workload c.co_ranks c.co_completed c.co_expected c.co_failed
-    (if c.co_agree then "yes" else "NO")
-    (if c.co_value_ok then "yes" else "NO")
-    (String.concat "; " (List.map string_of_int c.co_covered))
-    c.co_repairs c.co_combined c.co_root_contribs c.co_dup_suppressed
-    (if c.co_rejoined then "yes" else "no")
-    (if c.co_spine_ok then "yes" else "NO")
-    c.co_packets c.co_finish_us
-
-let coll_scale_line cs =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "coll-scale (fanout %d): barrier tree-vs-flat, ratio %.2fx at \
-        largest size, log-like=%s\n"
-       cs.cs_fanout cs.cs_ratio
-       (if cs.cs_log_like then "yes" else "NO"));
-  Buffer.add_string b
-    (Printf.sprintf "  %6s %6s %7s %12s %12s %8s %11s %11s\n" "ranks" "depth"
-       "rounds" "tree(us)" "flat(us)" "ratio" "tree-root" "flat-root");
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "  %6d %6d %7d %12.2f %12.2f %7.2fx %11d %11d\n"
-           r.sr_ranks r.sr_depth r.sr_rounds r.sr_tree_us r.sr_flat_us
-           (r.sr_flat_us /. r.sr_tree_us) r.sr_tree_root_contribs
-           r.sr_flat_root_contribs))
-    cs.cs_rows;
-  Buffer.contents b
-
-let render_table r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "# chaos report (seed %d%s)\n" r.rep_seed
-       (if r.rep_quick then ", quick" else ""));
-  Buffer.add_string b
-    (Printf.sprintf "%-10s %8s %7s %12s %10s %6s %8s %5s %5s %8s %5s %7s\n"
-       "scenario" "size(B)" "drop%" "latency(us)" "bw(MB/s)" "drops" "corrupts"
-       "dups" "late" "retrans" "crc" "intact");
-  (* Degradation is judged against the clean (0%) row of the same size. *)
-  let clean_lat size =
-    List.find_map
-      (fun row ->
-        if row.scenario = "drop" && row.drop_pct = 0.0 && row.size = size then
-          Some row.lat_us
-        else None)
-      r.rep_rows
-  in
-  List.iter
-    (fun row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "%-10s %8d %7.1f %12.2f %10.2f %6d %8d %5d %5d %8d %5d %7s%s\n"
-           row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
-           row.corrupts row.dups row.delays row.retransmissions row.crc_rejects
-           (if row.intact then "yes" else "NO")
-           (match clean_lat row.size with
-           | Some base when row.drop_pct > 0.0 && base > 0.0 ->
-               Printf.sprintf "  (%.2fx clean latency)" (row.lat_us /. base)
-           | _ -> "")))
-    r.rep_rows;
-  let f = r.rep_failover in
-  Buffer.add_string b
-    (Printf.sprintf
-       "failover: %d x %d B via gateway %d; crash mid-stream -> route [%s], \
-        %d reroute(s), %d re-emitted, %d dup(s) dropped, intact=%s, \
-        partitioned after second crash=%s, finish=%.2f us\n"
-       f.fo_messages f.fo_size f.fo_crashed_gateway
-       (String.concat "; " (List.map string_of_int f.fo_route_after))
-       f.fo_reroutes f.fo_reemitted f.fo_dup_drops
-       (if f.fo_intact then "yes" else "NO")
-       (if f.fo_partitioned then "yes" else "NO")
-       f.fo_finish_us);
-  let g = r.rep_goodput in
-  Buffer.add_string b
-    (Printf.sprintf
-       "goodput:  %d x %d B at %.1f%% drop: window=%d %.2f MB/s vs \
-        stop-and-wait %.2f MB/s -> %.2fx, intact=%s\n"
-       g.gp_messages g.gp_size g.gp_drop_pct g.gp_window g.gp_window_mb_s
-       g.gp_stopwait_mb_s g.gp_speedup
-       (if g.gp_intact then "yes" else "NO"))
-  ;
-  let c = r.rep_crash in
-  Buffer.add_string b
-    (Printf.sprintf
-       "crash-restart: 2 x %d x %d B through gateway %d; gateway and \
-        origin each die and restart (%.0f us) mid-stream -> %d delivered, \
-        %d handshake(s), %d reroute(s), %d re-emitted, %d dup(s) dropped, \
-        %d suspicion event(s), exactly-once=%s, finish=%.2f us\n"
-       c.cr_messages c.cr_size c.cr_gateway c.cr_restart_us c.cr_delivered
-       c.cr_handshakes c.cr_reroutes c.cr_reemitted c.cr_dup_drops
-       (List.length c.cr_suspicions)
-       (if c.cr_exactly_once then "yes" else "NO")
-       c.cr_finish_us);
-  let o = r.rep_overload in
-  Buffer.add_string b
-    (Printf.sprintf
-       "overload: %d x %d B, credits=%d, receiver capped at %.2f MB/s \
-        (clean %.2f MB/s -> %.1f:1 mismatch): delivered %.3f MB/s, \
-        %d stall(s), %d grant(s), %d probe(s), queues bounded=%s, intact=%s\n"
-       o.ov_messages o.ov_size o.ov_credits o.ov_rx_cap_mb_s o.ov_clean_mb_s
-       (if o.ov_throttled_mb_s > 0.0 then
-          o.ov_clean_mb_s /. o.ov_throttled_mb_s
-        else 0.0)
-       o.ov_throttled_mb_s o.ov_stalls o.ov_grants o.ov_probes
-       (if o.ov_bounded then "yes" else "NO")
-       (if o.ov_intact then "yes" else "NO"));
-  List.iter
-    (fun q ->
-      Buffer.add_string b
-        (Printf.sprintf "  queue %-18s node=%d peer=%d peak=%d bound=%s\n"
-           q.Vc.q_point q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
-           (match q.Vc.q_bound with
-           | Some v -> string_of_int v
-           | None -> "-")))
-    o.ov_queues;
-  let s = r.rep_slow_gateway in
-  Buffer.add_string b
-    (Printf.sprintf
-       "slow-gateway: %d x %d B via a pool of %d, egress capped at \
-        %.2f MB/s: ingress throttled to %.3f MB/s, %d overload event(s) \
-        (reported=%s, cleared=%s), queues bounded=%s, intact=%s\n"
-       s.sg_messages s.sg_size s.sg_gw_pool s.sg_rx_cap_mb_s s.sg_ingress_mb_s
-       s.sg_overload_events
-       (if s.sg_overload_reported then "yes" else "NO")
-       (if s.sg_overload_cleared then "yes" else "NO")
-       (if s.sg_bounded then "yes" else "NO")
-       (if s.sg_intact then "yes" else "NO"));
-  let sc = r.rep_sched in
-  Buffer.add_string b
-    (Printf.sprintf
-       "sched-aggreg: %d flows x %d x %d B at %.1f%% drop: %d frame(s) \
-        merged into %d aggregate(s) (%.1f frames each; full=%d \
-        deadline=%d flow=%d), %d re-emitted, %d dup(s) dropped, \
-        intact=%s, finish=%.2f us\n"
-       sc.sc_flows sc.sc_messages sc.sc_size sc.sc_drop_pct sc.sc_merged
-       sc.sc_aggregates sc.sc_mean_frames sc.sc_flush_full
-       sc.sc_flush_deadline sc.sc_flush_flow sc.sc_reemitted sc.sc_dup_drops
-       (if sc.sc_intact then "yes" else "NO")
-       sc.sc_finish_us);
-  Buffer.add_string b (rolling_line r.rep_rolling);
-  Buffer.add_string b (elastic_line r.rep_join);
-  Buffer.add_string b (elastic_line r.rep_drain);
-  (match failing_gates r with
-  | [] -> Buffer.add_string b "gates: all passed\n"
-  | failed ->
-      Buffer.add_string b
-        (Printf.sprintf "gates FAILED: %s\n" (String.concat ", " failed)));
-  Buffer.contents b
+let render_table ~seed ~quick results =
+  Printf.sprintf "# chaos report (seed %d%s)\n" seed
+    (if quick then ", quick" else "")
+  ^ String.concat "" (List.map (fun (_, r) -> r.line) results)
+  ^
+  match List.filter_map (fun (n, ok) -> if ok then None else Some n) (gates results) with
+  | [] -> "gates: all passed\n"
+  | failed -> Printf.sprintf "gates FAILED: %s\n" (String.concat ", " failed)
 
 (* ------------------------------------------------------------------ *)
 (* The clean-path control: the quick chaos workload with no fault plane

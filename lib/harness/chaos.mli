@@ -1,483 +1,77 @@
 (** The deterministic chaos harness.
 
-    Drives fig-4-style ping-pong workloads and the gateway-forwarding
-    workload through the {!Simnet.Faults} plane, verifying that what the
-    reliable transports deliver is bit-identical to what was packed, and
-    recording how latency and bandwidth degrade under each injected
-    failure (drop rates, corruption, link flaps, PCI stalls, gateway
-    crashes).
+    Drives fig-4-style ping-pong workloads, gateway-forwarding streams,
+    live-topology changes, partitions and collectives through the
+    {!Simnet.Faults} plane, verifying that what the reliable transports
+    deliver is bit-identical to what was packed, and recording how
+    latency and bandwidth degrade under each injected failure (drop
+    rates, corruption, link flaps, PCI stalls, gateway crashes,
+    restarts, partitions, overload).
 
-    Every recorded number is simulated time or a simulated counter —
-    nothing host-dependent — so a {!report} is a pure function of
-    [(seed, quick)]: reruns and different worker counts produce
-    byte-identical JSON. *)
+    Every workload is one {!workload} entry of the {!workloads}
+    registry and returns one {!result} shape. Every recorded number is
+    simulated time or a simulated counter — nothing host-dependent — so
+    a result is a pure function of [(seed, quick)]: reruns and
+    different worker counts produce byte-identical JSON. *)
 
-type row = {
-  scenario : string; (* "drop", "corrupt", "flap", "reorder" or "pci-stall" *)
-  size : int;
-  drop_pct : float; (* injected per-link rate, in percent *)
-  lat_us : float;
-  bw_mb_s : float;
-  drops : int;
-  corrupts : int;
-  dups : int; (* frames the plane delivered twice *)
-  delays : int; (* frames held back so later ones overtake *)
-  retransmissions : int;
-  crc_rejects : int;
-  intact : bool; (* delivered bytes matched packed bytes throughout *)
+type value =
+  | Int of int
+  | Float of float * int  (** the value and the decimals it prints with *)
+  | Bool of bool
+  | Str of string
+  | Ints of int list
+  | Null
+  | Table of (string * value) list list
+      (** rows of flat fields: queues, suspicions, flows, table rows *)
+
+type result = {
+  fields : (string * value) list;
+      (** the measurements, in the order the JSON object lists them *)
+  line : string;
+      (** the human rendering (newline terminated; tabular workloads
+          span several lines) *)
+  gates : (string * bool) list;
+      (** named pass/fail invariants, in order; [madbench chaos] exits
+          non-zero naming the ones that failed *)
 }
 
-type failover = {
-  fo_messages : int;
-  fo_size : int;
-  fo_crashed_gateway : int;
-  fo_route_after : int list; (* hops of the recomputed 0 -> 3 route *)
-  fo_reroutes : int;
-  fo_reemitted : int;
-  fo_dup_drops : int;
-  fo_intact : bool;
-  fo_partitioned : bool; (* crashing the last gateway raised Partitioned *)
-  fo_finish_us : float;
+type workload = {
+  name : string;  (** the [madbench chaos WORKLOAD] name *)
+  doc : string;  (** one-line description, shown by [--help] *)
+  run : seed:int -> quick:bool -> result;
+      (** [quick] trims the workload to its CI size *)
 }
 
-type goodput = {
-  gp_size : int;
-  gp_messages : int;
-  gp_drop_pct : float;
-  gp_window : int;
-  gp_window_mb_s : float; (* go-back-N with the configured window *)
-  gp_stopwait_mb_s : float; (* same stream, window = 1 *)
-  gp_speedup : float;
-  gp_intact : bool;
-}
+val workloads : workload list
+(** Every chaos workload, with its parameters. *)
 
-type crash_restart = {
-  cr_messages : int; (* per phase; the stream has two phases *)
-  cr_size : int;
-  cr_gateway : int;
-  cr_restart_us : float;
-  cr_delivered : int;
-  cr_handshakes : int; (* crash-epoch session handshakes completed *)
-  cr_reroutes : int;
-  cr_reemitted : int;
-  cr_dup_drops : int;
-  cr_exactly_once : bool; (* every message once, bit-identical *)
-  cr_suspicions : (float * int * int * string * string * float) list;
-      (* sentinel timeline: (at_us, observer, peer, from, to, phi) *)
-  cr_flows : Madeleine.Vchannel.flow_stat list;
-  cr_finish_us : float;
-}
+val find : string -> workload option
 
-type overload = {
-  ov_messages : int;
-  ov_size : int;
-  ov_credits : int;
-  ov_mtu : int;
-  ov_rx_cap_mb_s : float; (* receiving host's capped drain rate *)
-  ov_clean_mb_s : float; (* the same stream with no throttle *)
-  ov_throttled_mb_s : float;
-  ov_stalls : int; (* times the sender blocked out of credits *)
-  ov_grants : int;
-  ov_probes : int; (* zero-window probes while blocked *)
-  ov_queues : Madeleine.Vchannel.queue_stat list;
-  ov_inbox_peak_bytes : int; (* worst tcp receive backlog across conns *)
-  ov_sendq_peak_frames : int;
-  ov_intact : bool;
-  ov_bounded : bool; (* every instrumented peak <= its bound *)
-  ov_finish_us : float;
-}
+val sweep : string list
+(** The registry names of the full sweep, in report order. *)
 
-type slow_gateway = {
-  sg_messages : int;
-  sg_size : int;
-  sg_credits : int;
-  sg_gw_pool : int;
-  sg_rx_cap_mb_s : float; (* egress receiver's capped drain rate *)
-  sg_ingress_mb_s : float; (* sustained end-to-end rate through the gw *)
-  sg_overload_events : int; (* rising-edge Overloaded transitions *)
-  sg_overload_reported : bool; (* seen via peer_status or a sentinel *)
-  sg_overload_cleared : bool; (* nothing still overloaded at the end *)
-  sg_queues : Madeleine.Vchannel.queue_stat list;
-  sg_intact : bool;
-  sg_bounded : bool;
-  sg_finish_us : float;
-}
+val run : Sweeps.runner -> seed:int -> quick:bool -> (string * result) list
+(** Runs the {!sweep} workloads (one job each) and returns them, named,
+    in sweep order. *)
 
-type sched_chaos = {
-  sc_flows : int;
-  sc_messages : int; (* per flow *)
-  sc_size : int;
-  sc_drop_pct : float;
-  sc_merged : int; (* frames that shared their wire packet *)
-  sc_aggregates : int; (* aggregate wire packets emitted *)
-  sc_mean_frames : float;
-  sc_flush_full : int; (* flushes forced by the aggr_max budget *)
-  sc_flush_deadline : int; (* flushes forced by the aggr_flush deadline *)
-  sc_flush_flow : int; (* flushes forced by per-flow ordering *)
-  sc_reemitted : int;
-  sc_dup_drops : int;
-  sc_intact : bool; (* every flow bit-identical, in per-flow order *)
-  sc_finish_us : float;
-}
+val gates : (string * result) list -> (string * bool) list
+(** Every gate of a sweep, in order. *)
 
-type rolling_restart = {
-  rr_messages : int; (* per phase; the stream has two phases *)
-  rr_size : int;
-  rr_restarted : int list; (* every rank, in roll order *)
-  rr_epoch_start : int;
-  rr_epoch_final : int;
-  rr_joins : int; (* epoch swaps that re-admitted a rank *)
-  rr_drains : int; (* epoch swaps that removed a rank *)
-  rr_delivered : int;
-  rr_dup_deliveries : int; (* messages the application saw twice *)
-  rr_reroutes : int;
-  rr_reemitted : int;
-  rr_dup_drops : int; (* wire duplicates the reliability plane dropped *)
-  rr_handshakes : int;
-  rr_queues : Madeleine.Vchannel.queue_stat list;
-  rr_partitioned : bool; (* a data flow observed Partitioned *)
-  rr_exactly_once : bool; (* every message once, bit-identical *)
-  rr_bounded : bool; (* every instrumented peak <= its bound *)
-  rr_finish_us : float;
-}
+val field : result -> string -> value
+val gate : result -> string -> bool
+(** Look a field or gate up by name. Raise [Not_found] if absent. *)
 
-type elastic = {
-  el_op : string; (* "join" or "drain" *)
-  el_messages : int;
-  el_size : int;
-  el_rank : int; (* the rank that joined / drained *)
-  el_epoch_final : int;
-  el_routable : bool; (* join: rank reachable; drain: rank off every route *)
-  el_status : string; (* peer_status toward the rank after the swap *)
-  el_watched : bool; (* some sentinel still probes the rank *)
-  el_partitioned : bool; (* an in-flight flow observed Partitioned *)
-  el_intact : bool;
-  el_finish_us : float;
-}
+val render_table : seed:int -> quick:bool -> (string * result) list -> string
+(** The sweep as text: a header, every result's line, and the gate
+    verdict. *)
 
-type partition_chaos = {
-  pt_workload : string;
-      (* "partition-majority", "coordinator-loss" or "partition-flapping" *)
-  pt_messages : int;
-  pt_size : int;
-  pt_cycles : int; (* partition/heal cycles injected *)
-  pt_coordinator_before : int;
-  pt_coordinator_after : int; (* -1 = no committed coordinator *)
-  pt_elections : int; (* committed coordinator changes *)
-  pt_epochs_unique : bool; (* at most one commit per epoch, the
-                              split-brain audit *)
-  pt_reelect_latency_us : float; (* candidacy-start -> commit, last
-                                    election *)
-  pt_cut_delivered : int; (* majority-side messages landed mid-cut *)
-  pt_minority_typed : bool; (* minority ops failed typed, never hung *)
-  pt_pending_after : int; (* intents still parked at the end *)
-  pt_members_final : int list;
-  pt_reemitted : int;
-  pt_exactly_once : bool; (* every stream exactly-once, bit-identical *)
-  pt_finish_us : float;
-}
-(** Outcome of one partition chaos workload on the quorum-election
-    world: four ranks on one Ethernet segment, the coordinator seat
-    elected with a majority of the current membership (see
-    {!Madeleine.Vchannel.election_stats}), cuts injected with
-    {!Simnet.Faults.partition}. *)
+val to_json : seed:int -> quick:bool -> (string * result) list -> string
+(** The sweep as JSON: one object per workload (keyed by its name with
+    dashes turned into underscores), then every gate. *)
 
-type coll_chaos = {
-  co_workload : string;
-  co_ranks : int;
-  co_expected : int; (* collective calls issued across all ranks *)
-  co_completed : int; (* calls that returned a decision *)
-  co_failed : int; (* calls that raised [Collective_failed] *)
-  co_agree : bool; (* every completing rank got bit-identical bytes *)
-  co_value_ok : bool; (* decided value = sum over the covered ranks *)
-  co_covered : int list; (* ranks the last decision covers, sorted *)
-  co_rejoined : bool; (* >= 1 late contribution answered from the journal *)
-  co_spine_ok : bool; (* no Overloaded gateway sat on the sampled spine *)
-  co_repairs : int;
-  co_packets : int;
-  co_combined : int;
-  co_root_contribs : int;
-  co_dup_suppressed : int;
-  co_finish_us : float;
-}
-(** Outcome of one collectives chaos workload; which invariants are
-    meaningful depends on [co_workload] (see {!coll_gates}). *)
-
-type coll_scale_row = {
-  sr_ranks : int;
-  sr_depth : int; (* depth of the deciding tree *)
-  sr_rounds : int; (* up+down rounds of the barrier *)
-  sr_tree_us : float;
-  sr_tree_root_contribs : int;
-  sr_tree_packets : int;
-  sr_flat_us : float;
-  sr_flat_root_contribs : int;
-  sr_flat_packets : int;
-}
-
-type coll_scale = {
-  cs_fanout : int;
-  cs_rows : coll_scale_row list;
-  cs_ratio : float; (* flat / tree barrier latency at the largest size *)
-  cs_log_like : bool; (* tree depth <= 2 * ceil(log2 n) at every size *)
-}
-(** The log-vs-linear scaling measurement: one barrier per (size, algo)
-    over the hierarchical cluster-of-clusters world. *)
-
-type report = {
-  rep_seed : int;
-  rep_quick : bool;
-  rep_rows : row list;
-  rep_failover : failover;
-  rep_goodput : goodput;
-  rep_crash : crash_restart;
-  rep_overload : overload;
-  rep_slow_gateway : slow_gateway;
-  rep_sched : sched_chaos;
-  rep_rolling : rolling_restart;
-  rep_join : elastic;
-  rep_drain : elastic;
-}
-
-val failover_run : seed:int -> size:int -> messages:int -> failover
-(** The redundant-gateway crash scenario on its own (also part of
-    {!run}): rank 0 streams [messages] messages of [size] bytes to
-    rank 3 across two Ethernet segments joined by gateways 1 and 2; the
-    first-hop gateway is crashed right after the first message is
-    delivered, so the crash lands mid-stream. *)
-
-val crash_restart_run : seed:int -> size:int -> messages:int -> crash_restart
-(** The crash-restart scenario on its own (also part of {!run}): rank 0
-    streams through the only gateway to rank 2; the gateway dies
-    mid-stream and restarts within the vchannel's patience, then — once
-    phase one is fully delivered — the origin itself dies and restarts
-    with a new crash epoch, resuming the stream after the session
-    handshake. Delivery must be exactly-once and bit-identical
-    throughout. *)
-
-val goodput_run :
-  seed:int -> size:int -> messages:int -> window:int -> drop:float -> goodput
-(** One-way verified TCP stream under [drop] per-link loss, measured
-    once with the go-back-N [window] and once degraded to stop-and-wait
-    (window 1). *)
-
-val overload_run :
-  seed:int ->
-  size:int ->
-  messages:int ->
-  credits:int ->
-  mtu:int ->
-  rx_cap_mb_s:float ->
-  overload
-(** The overload scenario on its own (also part of {!run}): a
-    credit-armed reliable vchannel over one TCP segment whose receiving
-    host is capped at [rx_cap_mb_s] by
-    {!Simnet.Faults.slow_receiver} — a ~100:1 rate mismatch against the
-    unthrottled stream, which is measured first as the baseline. The
-    sender must end up blocked on the credit window: delivery is
-    bit-identical and every instrumented queue peak stays under its
-    bound. *)
-
-val slow_gateway_run :
-  seed:int ->
-  size:int ->
-  messages:int ->
-  credits:int ->
-  gw_pool:int ->
-  rx_cap_mb_s:float ->
-  slow_gateway
-(** The slow-gateway scenario on its own (also part of {!run}): a
-    two-segment route whose egress receiver is rate-capped while
-    credits are generous, so the gateway's bounded forwarding pool is
-    the active constraint. Ingress must be throttled to the egress
-    bandwidth hop-by-hop, with the gateway reporting [Overloaded]
-    through {!Madeleine.Vchannel.peer_status} and the sentinels while
-    its pool is pinned, and clearing once the stream drains. *)
-
-val sched_aggreg_run :
-  seed:int ->
-  flows:int ->
-  messages:int ->
-  size:int ->
-  drop:float ->
-  sched_chaos
-(** The aggregation-under-loss scenario on its own (also part of
-    {!run}): [flows] concurrent logical flows each stream [messages]
-    messages of [size] bytes from rank 0 to rank 2 through the gateway
-    on a reliable [sched=aggreg] vchannel, with [drop] per-link loss on
-    both segments. The scheduler merges the small-message trains into
-    aggregates, which cross the lossy links as single go-back-N units;
-    delivery must end bit-identical and in order on every flow, and the
-    scheduler must have merged at least one pair of frames. *)
-
-val rolling_restart_run : seed:int -> size:int -> messages:int -> rolling_restart
-(** The headline live-topology scenario on its own (also part of
-    {!run}): the redundant-gateway world with its membership promoted
-    to a versioned epoch snapshot (coordinator rank 0). While rank 0
-    streams [2 * messages] messages to rank 3, every rank restarts —
-    the spare gateway, the on-route gateway and the receiver each
-    drain, crash-restart and rejoin under advancing epochs (the data
-    flow reroutes mid-stream when the on-route gateway leaves), and
-    the coordinator itself rides a crash-epoch restart between
-    phases. Delivery must be exactly-once and bit-identical, no data
-    flow may observe {!Madeleine.Vchannel.Partitioned}, and every
-    instrumented queue stays under its bound. *)
-
-val join_load_run : seed:int -> size:int -> messages:int -> elastic
-(** Join-under-load on its own (also part of {!run}): rank 3 drains
-    before any traffic, a background stream runs 0 -> 1, and rank 3
-    rejoins mid-stream — becoming routable without quiescing the
-    background flow — after which a fresh 0 -> 3 stream completes. No
-    flow may observe [Partitioned]; afterwards the joiner is routable,
-    reports [Up] and is watched by a sentinel again. *)
-
-val drain_load_run : seed:int -> size:int -> messages:int -> elastic
-(** Drain-under-load on its own (also part of {!run}): the on-route
-    gateway of a live 0 -> 3 stream drains mid-sweep. The stream must
-    reroute through the spare gateway with exactly-once delivery and
-    no [Partitioned]; afterwards the drained rank is off every route,
-    reports the typed [Departed] status and has been forgotten by
-    every sentinel. *)
-
-val partition_majority_run : seed:int -> size:int -> messages:int -> partition_chaos
-(** The majority keeps working while a cut isolates an outsider host:
-    rank 3 drains cleanly, the cut isolates its host, a mid-stream
-    0 -> 1 flow keeps delivering, the cut-side re-join parks with the
-    typed {!Madeleine.Vchannel.No_quorum}, and the heal replays it —
-    after which a fresh 0 -> 3 stream must land exactly-once over the
-    revived paths. The coordinator seat must never move. *)
-
-val coordinator_loss_run : seed:int -> size:int -> messages:int -> partition_chaos
-(** The coordinator itself is cut off mid-stream: the majority elects
-    its lowest member (the re-election latency is recorded) and keeps
-    its goodput, the isolated old seat sees typed [Partitioned] flows
-    and no quorum, and after the heal a fresh stream from it must land
-    exactly-once. *)
-
-val partition_flapping_run :
-  seed:int -> size:int -> messages:int -> cycles:int -> partition_chaos
-(** [cycles] cut/heal cycles, each isolating whoever currently holds
-    the seat: every flap must commit exactly one new epoch (the commit
-    audit trail stays duplicate-free), the membership must survive
-    unchanged, and a stream between two never-cut ranks delivers
-    exactly-once through the churn. *)
-
-val partition_gates : partition_chaos -> (string * bool) list
-(** Pass/fail invariants of one partition workload, prefixed with its
-    name: unique commit epochs, mid-cut majority goodput, typed
-    minority errors, no parked intent surviving the heal, exactly-once
-    delivery — plus, per workload, the seat-stability / re-election /
-    flap-count gates. [madbench chaos partition-majority|
-    coordinator-loss|partition-flapping] keys its exit code off
-    these. *)
-
-val partition_line : partition_chaos -> string
-(** One-line human rendering (newline terminated). *)
-
-val coll_crash_barrier_run : seed:int -> coll_chaos
-(** Crash mid-barrier with a restart re-join: on the 4-rank redundant
-    gateway world, rank 3 holds a barrier open while the others park
-    waiting for its contribution, the controller crashes it under them
-    (restart 5 ms later), the survivors repair and decide among
-    themselves, and the restarted rank re-enters the same collective
-    and is answered from the decision journal. A follow-up allreduce
-    proves exactly-once: its value must equal the sum over exactly the
-    covered ranks — a double-counted contribution cannot produce it. *)
-
-val coll_spine_overload_run :
-  seed:int ->
-  size:int ->
-  messages:int ->
-  credits:int ->
-  gw_pool:int ->
-  rx_cap_mb_s:float ->
-  coll_chaos
-(** An [Overloaded] gateway on the tree spine: a background stream
-    through the redundant-gateway world pins the on-route gateway's
-    forwarding pool until the overload watermark trips, then a barrier
-    runs. The sampled spine must hang the far rank off the spare
-    gateway — the tree routes around the load — and the barrier must
-    complete. *)
-
-val coll_rolling_allreduce_run :
-  seed:int -> clusters:int -> per:int -> coll_chaos
-(** Rolling restarts during one allreduce over a hierarchical world of
-    [clusters] leaf channels of [per] ranks bridged by a gateway
-    backbone: a leaf rank and then a whole gateway (cutting its cluster
-    off the tree) crash and restart while rank 1 holds the collective
-    open. Every rank's call must return bit-identical bytes equal to
-    the sum over exactly the covered set, with at least one journal
-    re-join and repair generation observed. *)
-
-val coll_scale_run :
-  seed:int -> fanout:int -> sizes:(int * int) list -> coll_scale
-(** The headline scaling figure: for each [(clusters, per)] size, one
-    faultless barrier under [Tree] and one under [Flat], measuring
-    simulated completion latency and root contribution counts.
-    Deterministic for a given seed. *)
-
-val run : Sweeps.runner -> seed:int -> quick:bool -> report
-(** The full workload set: a drop-rate x size sweep, a corruption sweep,
-    a mid-exchange link flap, a reorder/duplication exchange, a PCI
-    stall, the redundant-gateway crash scenario (rank 0 to rank 3 across
-    two Ethernet segments; the first-hop gateway dies after the first
-    message, the rest must arrive intact over the recomputed route;
-    killing the second gateway must raise
-    {!Madeleine.Vchannel.Partitioned}), the sliding-window goodput
-    comparison, the crash-restart exactly-once scenario, the
-    credit-backpressure overload scenario and the bounded-pool
-    slow-gateway scenario. [quick] trims the sweep to a CI-sized
-    subset. *)
-
-val gates : report -> (string * bool) list
-(** Every pass/fail invariant of the report, by name: intact delivery
-    everywhere, failover rerouted and detected the partition, goodput
-    speedup >= 2x, crash-restart exactly-once with a handshake, the
-    overload run stalled the sender with every queue under its bound at
-    a >= 10:1 measured rate mismatch, the slow-gateway run throttled
-    ingress to the egress bandwidth with the overload reported and
-    cleared, and the sched-aggreg run delivered every logical flow
-    bit-identical under loss while actually merging frames. The JSON
-    report embeds this list; [madbench chaos] exits non-zero naming the
-    gates that failed. *)
-
-val rolling_gates : rolling_restart -> (string * bool) list
-val elastic_gates : elastic -> (string * bool) list
-(** The live-topology subsets of {!gates}, usable on a single scenario
-    run — [madbench chaos rolling-restart|join|drain] keys its exit
-    code off these. *)
-
-val coll_gates : coll_chaos -> (string * bool) list
-(** Pass/fail invariants of one collectives chaos workload, prefixed
-    with its name: all calls completed with none failed typed, results
-    agree bit-identically, the decided value matches the covered set
-    exactly once — plus, per workload, the journal re-join and repair
-    gates (crash / rolling) or the spine-avoids-overloaded gate. *)
-
-val coll_scale_gates : coll_scale -> (string * bool) list
-(** The scaling gates: tree depth stays logarithmic at every size, the
-    flat/tree latency ratio at the largest size is >= 4x, and gateway
-    combining delivers fewer root contributions than the flat star at
-    every size. *)
-
-val rolling_line : rolling_restart -> string
-val elastic_line : elastic -> string
-(** One-line human renderings of the live-topology scenarios (newline
-    terminated), as embedded in {!render_table}. *)
-
-val coll_line : coll_chaos -> string
-val coll_scale_line : coll_scale -> string
-(** Human renderings of the collectives workloads ([coll_scale_line]
-    is a small table, one row per size). *)
-
-val failing_gates : report -> string list
-(** Names of the gates currently false, in {!gates} order. *)
-
-val all_ok : report -> bool
-(** [List.for_all snd (gates r)]. *)
-
-val to_json : report -> string
-val render_table : report -> string
+val workload_json : seed:int -> string -> result -> string
+(** One workload's result as JSON: its fields as ["metrics"], then its
+    gates. *)
 
 val clean_path_events : unit -> int
 (** Host events processed by the quick chaos ping-pong workload with no

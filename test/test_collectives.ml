@@ -133,38 +133,37 @@ let test_flat_baseline () =
 (* ------------------------------------------------------------------ *)
 (* Crash recovery, driven through the chaos harness. *)
 
+let coll_workload ?(seed = 42) name =
+  (Option.get (Chaos.find name)).Chaos.run ~seed ~quick:true
+
 let test_crash_mid_barrier () =
-  let c = Chaos.coll_crash_barrier_run ~seed:42 in
-  check_gates "crash-barrier" (Chaos.coll_gates c)
+  check_gates "crash-barrier" (coll_workload "coll-crash-barrier").Chaos.gates
 
 let test_overloaded_spine_reroute () =
-  let c =
-    Chaos.coll_spine_overload_run ~seed:42 ~size:4096 ~messages:24 ~credits:64
-      ~gw_pool:4 ~rx_cap_mb_s:1.0
-  in
-  check_gates "spine-overload" (Chaos.coll_gates c)
+  check_gates "spine-overload" (coll_workload "coll-spine-overload").Chaos.gates
 
 let test_rolling_allreduce () =
-  let c = Chaos.coll_rolling_allreduce_run ~seed:42 ~clusters:4 ~per:4 in
-  check_gates "rolling-allreduce" (Chaos.coll_gates c)
+  check_gates "rolling-allreduce"
+    (coll_workload "coll-rolling-allreduce").Chaos.gates
 
 (* The restarted rank rejoins through the decision journal: its late
    contribution is answered with the recorded decision (or dropped as
    a duplicate), never double-counted. *)
 let test_restart_rejoins_exactly_once () =
-  let c = Chaos.coll_crash_barrier_run ~seed:7 in
-  Alcotest.(check int) "everyone completed" c.Chaos.co_expected
-    c.Chaos.co_completed;
-  Alcotest.(check bool) "survivors agree" true c.Chaos.co_agree;
-  Alcotest.(check bool) "value = sum over covered set" true c.Chaos.co_value_ok;
+  let c = coll_workload ~seed:7 "coll-crash-barrier" in
+  let gate g = Chaos.gate c ("coll-crash-barrier-" ^ g) in
+  Alcotest.(check bool) "everyone completed" true (gate "completed");
+  Alcotest.(check bool) "survivors agree" true (gate "agree");
+  Alcotest.(check bool) "value = sum over covered set" true
+    (gate "exactly-once");
   Alcotest.(check bool) "restarted rank rejoined from the journal" true
-    c.Chaos.co_rejoined;
-  Alcotest.(check bool) "repair generations ran" true (c.Chaos.co_repairs > 0)
+    (gate "rejoined-from-journal");
+  Alcotest.(check bool) "repair generations ran" true (gate "repaired")
 
 (* Same seed, same world, same schedule — byte-identical outcome
    (including the virtual finish time). *)
 let test_deterministic_per_seed () =
-  let line () = Chaos.coll_line (Chaos.coll_crash_barrier_run ~seed:11) in
+  let line () = (coll_workload ~seed:11 "coll-crash-barrier").Chaos.line in
   Alcotest.(check string) "same seed, same line" (line ()) (line ())
 
 (* ------------------------------------------------------------------ *)

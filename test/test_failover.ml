@@ -42,16 +42,29 @@ let single_channel_world () =
   let vc = Vc.create session ~mtu:4096 ~faults [ ch ] in
   (engine, faults, vc)
 
+(* Registry workloads at their CI size, judged through their named gates
+   and fields. *)
+let chaos_workload name =
+  (Option.get (Chaos.find name)).Chaos.run ~seed:42 ~quick:true
+
+let int_field r name =
+  match Chaos.field r name with Chaos.Int n -> n | _ -> Alcotest.fail name
+
 let test_gateway_crash_failover () =
-  let f = Chaos.failover_run ~seed:42 ~size:16384 ~messages:4 in
-  Alcotest.(check bool) "all messages intact" true f.Chaos.fo_intact;
-  Alcotest.(check bool) "routes were recomputed" true (f.Chaos.fo_reroutes >= 1);
+  let f = chaos_workload "failover" in
+  (* Intact also means the crashed gateway left the recomputed route. *)
+  Alcotest.(check bool) "all messages intact" true
+    (Chaos.gate f "failover-intact");
+  Alcotest.(check bool) "routes were recomputed" true
+    (Chaos.gate f "failover-rerouted");
   Alcotest.(check bool) "unacked packets re-emitted" true
-    (f.Chaos.fo_reemitted > 0);
+    (int_field f "reemitted" > 0);
   Alcotest.(check bool) "crashed gateway left the route" true
-    (not (List.mem f.Chaos.fo_crashed_gateway f.Chaos.fo_route_after));
+    (match (Chaos.field f "crashed_gateway", Chaos.field f "route_after") with
+    | Chaos.Int gw, Chaos.Ints route -> not (List.mem gw route)
+    | _ -> false);
   Alcotest.(check bool) "losing the last gateway partitions" true
-    f.Chaos.fo_partitioned
+    (Chaos.gate f "failover-partition-detected")
 
 let test_single_channel_reliable_then_partitioned () =
   let engine, faults, vc = single_channel_world () in
@@ -112,27 +125,34 @@ let test_route_queries_invalid_rank () =
       Alcotest.(check bool) "message names the rank" true (contains msg "7")
 
 let test_crash_restart_exactly_once () =
-  let r = Chaos.crash_restart_run ~seed:42 ~size:16384 ~messages:3 in
+  let r = chaos_workload "crash-restart" in
   Alcotest.(check bool) "delivered exactly once, bit-identical" true
-    r.Chaos.cr_exactly_once;
-  Alcotest.(check int) "both phases fully delivered" 6 r.Chaos.cr_delivered;
+    (Chaos.gate r "crash-restart-exactly-once");
+  Alcotest.(check int) "both phases fully delivered" 6
+    (int_field r "delivered");
   Alcotest.(check bool) "crash-epoch handshake completed" true
-    (r.Chaos.cr_handshakes >= 1);
-  Alcotest.(check bool) "routes were recomputed" true (r.Chaos.cr_reroutes >= 1);
+    (Chaos.gate r "crash-restart-handshake");
+  Alcotest.(check bool) "routes were recomputed" true
+    (int_field r "reroutes" >= 1);
   Alcotest.(check bool) "sentinels observed the outage" true
-    (r.Chaos.cr_suspicions <> []);
+    (Chaos.field r "suspicions" <> Chaos.Table []);
   (* Once the stream completes, every origin re-emission log is empty:
      everything sent in the current epoch has been acknowledged. *)
-  List.iter
-    (fun f -> Alcotest.(check int) "origin log drained" 0 f.Vc.unacked)
-    r.Chaos.cr_flows
+  match Chaos.field r "flows" with
+  | Chaos.Table flows ->
+      List.iter
+        (fun f ->
+          Alcotest.(check bool) "origin log drained" true
+            (List.assoc "unacked" f = Chaos.Int 0))
+        flows
+  | _ -> Alcotest.fail "flows"
 
 let test_window_beats_stop_and_wait () =
-  let g = Chaos.goodput_run ~seed:42 ~size:1024 ~messages:256 ~window:8
-      ~drop:0.01 in
-  Alcotest.(check bool) "both streams intact" true g.Chaos.gp_intact;
+  let g = chaos_workload "goodput" in
+  Alcotest.(check bool) "both streams intact" true
+    (Chaos.gate g "goodput-intact");
   Alcotest.(check bool) "go-back-N >= 2x stop-and-wait at 1% drop" true
-    (g.Chaos.gp_speedup >= 2.0)
+    (Chaos.gate g "goodput-window-speedup")
 
 (* ------------------------------------------------------------------ *)
 (* Live topology: a 4-rank redundant-gateway world with the membership
@@ -591,7 +611,8 @@ let prop_split_brain_safe =
 
 let test_chaos_report_reproducible () =
   let report () =
-    Chaos.to_json (Chaos.run Sweeps.serial_runner ~seed:42 ~quick:true)
+    Chaos.to_json ~seed:42 ~quick:true
+      (Chaos.run Sweeps.serial_runner ~seed:42 ~quick:true)
   in
   Alcotest.(check string) "same seed, byte-identical report" (report ())
     (report ())

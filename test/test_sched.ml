@@ -216,11 +216,11 @@ let test_gateway_crash_reemits_aggregates () =
     (rs.Vc.reemitted >= 1)
 
 let test_chaos_drop_bit_identical () =
-  let sc =
-    Chaos.sched_aggreg_run ~seed:7 ~flows:8 ~messages:3 ~size:256 ~drop:0.01
-  in
-  Alcotest.(check bool) "intact under 1% drop" true sc.Chaos.sc_intact;
-  Alcotest.(check bool) "merged under 1% drop" true (sc.Chaos.sc_merged > 0)
+  let sc = (Option.get (Chaos.find "sched-aggreg")).Chaos.run ~seed:7 ~quick:true in
+  Alcotest.(check bool) "intact under 1% drop" true
+    (Chaos.gate sc "sched-aggreg-intact");
+  Alcotest.(check bool) "merged under 1% drop" true
+    (Chaos.gate sc "sched-aggreg-merged")
 
 let () =
   Alcotest.run "sched"
