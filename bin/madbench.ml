@@ -428,7 +428,8 @@ let workload_arg =
            ("Run a single workload instead of the full sweep: "
            ^ String.concat ", "
                (List.map
-                  (fun w -> Printf.sprintf "$(b,%s) (%s)" w.Chaos.name w.Chaos.doc)
+                  (fun w ->
+                    Printf.sprintf "$(b,%s) (%s)" w.Chaos.name w.Chaos.doc)
                   Chaos.workloads)
            ^ ". Only that workload's gates decide the exit code."))
 

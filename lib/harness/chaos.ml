@@ -83,6 +83,33 @@ type row = {
 (* ------------------------------------------------------------------ *)
 (* A two-node TCP world with a fault plane attached. *)
 
+(* One Ethernet segment "eth" of [hosts] nodes with a fault plane
+   attached; [setup] configures the plane before the TCP stacks attach.
+   The nodes and their stacks are indexed by rank. *)
+let one_segment ~seed ~hosts ?window ?(setup = ignore) () =
+  let engine = Engine.create () in
+  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
+  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
+  Fabric.set_faults fabric faults;
+  let nodes =
+    Array.init hosts (fun i ->
+        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
+        Fabric.attach fabric n;
+        n)
+  in
+  setup faults;
+  let net = Tcpnet.make_net ?window engine fabric in
+  (engine, faults, net, nodes, Array.map (Tcpnet.attach net) nodes)
+
+(* A session with one TCP channel over every stack. *)
+let session_channel engine stacks =
+  let session = Madeleine.Session.create engine in
+  ( session,
+    Channel.create session
+      (Madeleine.Pmm_tcp.driver (Array.get stacks))
+      ~ranks:(List.init (Array.length stacks) Fun.id)
+      () )
+
 type tcp_world = {
   fw_engine : Engine.t;
   fw_faults : Faults.t;
@@ -92,26 +119,18 @@ type tcp_world = {
 }
 
 let faulty_tcp_world ~seed ~drop ~corrupt =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 2 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
+  let engine, faults, net, nodes, stacks =
+    one_segment ~seed ~hosts:2
+      ~setup:(fun faults ->
+        for i = 0 to 1 do
+          if drop > 0.0 then
+            Faults.set_drop faults ~fabric:"eth" ~node:i ~rate:drop;
+          if corrupt > 0.0 then
+            Faults.set_corrupt faults ~fabric:"eth" ~node:i ~rate:corrupt
+        done)
+      ()
   in
-  for i = 0 to 1 do
-    if drop > 0.0 then Faults.set_drop faults ~fabric:"eth" ~node:i ~rate:drop;
-    if corrupt > 0.0 then
-      Faults.set_corrupt faults ~fabric:"eth" ~node:i ~rate:corrupt
-  done;
-  let net = Tcpnet.make_net engine fabric in
-  let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
-  let driver = Madeleine.Pmm_tcp.driver (function 0 -> s0 | _ -> s1) in
-  let session = Madeleine.Session.create engine in
-  let channel = Channel.create session driver ~ranks:[ 0; 1 ] () in
+  let _session, channel = session_channel engine stacks in
   { fw_engine = engine; fw_faults = faults; fw_net = net;
     fw_channel = channel; fw_nodes = nodes }
 
@@ -259,7 +278,8 @@ let pingpong_faults ~seed ~quick =
       rows
   in
   let row_line row =
-    Printf.sprintf "%-10s %8d %7.1f %12.2f %10.2f %6d %8d %5d %5d %8d %5d %7s%s\n"
+    Printf.sprintf
+      "%-10s %8d %7.1f %12.2f %10.2f %6d %8d %5d %5d %8d %5d %7s%s\n"
       row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
       row.corrupts row.dups row.delays row.retransmissions row.crc_rejects
       (if row.intact then "yes" else "NO")
@@ -295,6 +315,45 @@ let pingpong_faults ~seed ~quick =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Two Ethernet segments with a fault plane on both: ethA over ranks [a]
+   and ethB over ranks [b] (the ranks on both are the gateways), one TCP
+   channel each. [setup] configures the plane before the TCP stacks
+   attach; [vchannel] builds the vchannel over the two channels. *)
+
+let two_segment_world ~seed ~a ~b ?(setup = ignore) vchannel =
+  let engine = Engine.create () in
+  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
+  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
+  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
+  Fabric.set_faults fab_a faults;
+  Fabric.set_faults fab_b faults;
+  let nodes =
+    Array.init
+      (1 + List.fold_left max 0 (a @ b))
+      (fun i -> Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  in
+  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) a;
+  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) b;
+  setup faults;
+  let net_a = Tcpnet.make_net engine fab_a in
+  let net_b = Tcpnet.make_net engine fab_b in
+  let stacks net ranks =
+    let t = Hashtbl.create 4 in
+    List.iter (fun i -> Hashtbl.add t i (Tcpnet.attach net nodes.(i))) ranks;
+    Hashtbl.find t
+  in
+  let stacks_a = stacks net_a a in
+  let stacks_b = stacks net_b b in
+  let session = Madeleine.Session.create engine in
+  let ch_a =
+    Channel.create session (Madeleine.Pmm_tcp.driver stacks_a) ~ranks:a ()
+  in
+  let ch_b =
+    Channel.create session (Madeleine.Pmm_tcp.driver stacks_b) ~ranks:b ()
+  in
+  (engine, faults, vchannel session faults [ ch_a; ch_b ])
+
+(* ------------------------------------------------------------------ *)
 (* Gateway failover: rank 0 talks to rank 3 across two Ethernet
    segments joined by two redundant gateways (ranks 1 and 2). The
    first-hop gateway is crashed after the first message lands; the
@@ -302,43 +361,10 @@ let pingpong_faults ~seed ~quick =
    Crashing the second gateway then partitions the virtual channel. *)
 
 let failover_run ~seed ~size ~messages =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a =
-    Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet
+  let engine, faults, vc =
+    two_segment_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
+      (fun session faults chans -> Vc.create session ~mtu:4096 ~faults chans)
   in
-  let fab_b =
-    Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet
-  in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 ~faults [ ch_a; ch_b ] in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
   let data = Harness.payload size 11L in
@@ -412,22 +438,16 @@ let failover_run ~seed ~size ~messages =
    go-back-N window against the same net degraded to stop-and-wait. *)
 
 let goodput_one ~seed ~size ~messages ~window ~drop =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 2 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
+  let engine, _faults, _net, _nodes, stacks =
+    one_segment ~seed ~hosts:2 ~window
+      ~setup:(fun faults ->
+        for i = 0 to 1 do
+          if drop > 0.0 then
+            Faults.set_drop faults ~fabric:"eth" ~node:i ~rate:drop
+        done)
+      ()
   in
-  for i = 0 to 1 do
-    if drop > 0.0 then Faults.set_drop faults ~fabric:"eth" ~node:i ~rate:drop
-  done;
-  let net = Tcpnet.make_net ~window engine fabric in
-  let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
-  let c0, c1 = Tcpnet.socketpair s0 s1 in
+  let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
   let payload m =
     let p = Harness.payload size (Int64.of_int (200 + m)) in
     p
@@ -474,7 +494,10 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
         messages size (drop *. 100.0) window window_mb_s stopwait_mb_s speedup
         (if intact then "yes" else "NO");
     gates =
-      [ ("goodput-intact", intact); ("goodput-window-speedup", speedup >= 2.0) ];
+      [
+        ("goodput-intact", intact);
+        ("goodput-window-speedup", speedup >= 2.0);
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -488,39 +511,10 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
    must be exactly-once, bit-identical, across both restarts. *)
 
 let crash_restart_run ~seed ~size ~messages =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 3 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  let engine, faults, vc =
+    two_segment_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+      (fun session faults chans -> Vc.create session ~mtu:4096 ~faults chans)
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 ~faults [ ch_a; ch_b ] in
   let restart = Time.us 5_000.0 in
   let total = 2 * messages in
   let payload_of m =
@@ -638,43 +632,9 @@ let crash_restart_run ~seed ~size ~messages =
    back into the session while traffic flows. *)
 
 let elastic_world ~seed =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
-      [ ch_a; ch_b ]
-  in
-  (engine, faults, vc)
+  two_segment_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
+    (fun session faults chans ->
+      Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0 chans)
 
 let health_name h = Format.asprintf "%a" Madeleine.Iface.pp_health h
 
@@ -1025,24 +985,8 @@ let drain_load_run ~seed ~size ~messages =
    of hanging, and post-heal delivery is exactly-once. *)
 
 let election_world ~seed =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
-  in
-  let net = Tcpnet.make_net engine fabric in
-  let stacks = Array.map (Tcpnet.attach net) nodes in
-  let session = Madeleine.Session.create engine in
-  let ch =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (fun i -> stacks.(i)))
-      ~ranks:[ 0; 1; 2; 3 ] ()
-  in
+  let engine, faults, _net, _nodes, stacks = one_segment ~seed ~hosts:4 () in
+  let session, ch = session_channel engine stacks in
   let vc =
     Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
       ~election:true [ ch ]
@@ -1157,8 +1101,10 @@ let partition_result vc ~workload:w ~messages ~size ~cycles
           ]
       | _ ->
           [
-            (w ^ ": every flap forced a committed re-election", elections >= cycles);
-            (w ^ ": membership survived the flapping", members = [ 0; 1; 2; 3 ]);
+            ( w ^ ": every flap forced a committed re-election",
+              elections >= cycles );
+            ( w ^ ": membership survived the flapping",
+              members = [ 0; 1; 2; 3 ] );
           ];
   }
 
@@ -1413,28 +1359,16 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
    once throttled for the backpressure assertions. *)
 
 let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 2 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
+  let engine, faults, net, _nodes, stacks =
+    one_segment ~seed ~hosts:2
+      ~setup:(fun faults ->
+        match rx_cap with
+        | Some cap ->
+            Faults.slow_receiver faults ~fabric:"eth" ~node:1 ~mb_per_s:cap
+        | None -> ())
+      ()
   in
-  ignore nodes;
-  (match rx_cap with
-  | Some cap -> Faults.slow_receiver faults ~fabric:"eth" ~node:1 ~mb_per_s:cap
-  | None -> ());
-  let net = Tcpnet.make_net engine fabric in
-  let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
-  let session = Madeleine.Session.create engine in
-  let channel =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (function 0 -> s0 | _ -> s1))
-      ~ranks:[ 0; 1 ] ()
-  in
+  let session, channel = session_channel engine stacks in
   let vc = Vc.create session ~mtu ~credits ~faults [ channel ] in
   let payload_of m = Harness.payload size (Int64.of_int (300 + m)) in
   let intact = ref true in
@@ -1529,41 +1463,13 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
    forwarding pool is the active constraint. *)
 
 let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 3 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2 ];
-  Faults.slow_receiver faults ~fabric:"ethB" ~node:2 ~mb_per_s:rx_cap_mb_s;
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults [ ch_a; ch_b ]
+  let engine, _faults, vc =
+    two_segment_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+      ~setup:(fun faults ->
+        Faults.slow_receiver faults ~fabric:"ethB" ~node:2
+          ~mb_per_s:rx_cap_mb_s)
+      (fun session faults chans ->
+        Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans)
   in
   let payload_of m = Harness.payload size (Int64.of_int (400 + m)) in
   let intact = ref true in
@@ -1649,48 +1555,19 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
    something, or the scenario is not testing aggregation at all. *)
 
 let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 3 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2 ];
-  List.iter
-    (fun i -> Faults.set_drop faults ~fabric:"ethA" ~node:i ~rate:drop)
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Faults.set_drop faults ~fabric:"ethB" ~node:i ~rate:drop)
-    [ 1; 2 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults
-      ~sched:(Madeleine.Sched.aggreg ())
-      [ ch_a; ch_b ]
+  let engine, _faults, vc =
+    two_segment_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+      ~setup:(fun faults ->
+        List.iter
+          (fun i -> Faults.set_drop faults ~fabric:"ethA" ~node:i ~rate:drop)
+          [ 0; 1 ];
+        List.iter
+          (fun i -> Faults.set_drop faults ~fabric:"ethB" ~node:i ~rate:drop)
+          [ 1; 2 ])
+      (fun session faults chans ->
+        Vc.create session ~mtu:4096 ~faults
+          ~sched:(Madeleine.Sched.aggreg ())
+          chans)
   in
   let payload_of flow m =
     Harness.payload size (Int64.of_int (600 + (flow * 1000) + m))
@@ -1899,41 +1776,13 @@ let coll_crash_barrier_run ~seed =
    completes around the load instead of through it. *)
 let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
     ~rx_cap_mb_s =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  Faults.slow_receiver faults ~fabric:"ethB" ~node:3 ~mb_per_s:rx_cap_mb_s;
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults [ ch_a; ch_b ]
+  let engine, _faults, vc =
+    two_segment_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
+      ~setup:(fun faults ->
+        Faults.slow_receiver faults ~fabric:"ethB" ~node:3
+          ~mb_per_s:rx_cap_mb_s)
+      (fun session faults chans ->
+        Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans)
   in
   let coll = Coll.create ~fanout:2 vc in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
@@ -2405,7 +2254,8 @@ and json_object fields =
 
 let gates_json gates =
   json_value 0
-    (Table (List.map (fun (n, ok) -> [ ("gate", Str n); ("pass", Bool ok) ]) gates))
+    (Table
+       (List.map (fun (n, ok) -> [ ("gate", Str n); ("pass", Bool ok) ]) gates))
 
 let to_json ~seed ~quick results =
   let member (name, r) =
@@ -2419,14 +2269,16 @@ let to_json ~seed ~quick results =
           (String.map (function '-' -> '_' | c -> c) name)
           (json_object fields)
   in
-  Printf.sprintf "{ \"chaos\": { \"seed\": %d, \"quick\": %b, %s\"gates\": %s } }\n"
-    seed quick
+  Printf.sprintf
+    "{ \"chaos\": { \"seed\": %d, \"quick\": %b, %s\"gates\": %s } }\n" seed
+    quick
     (String.concat "" (List.map member results))
     (gates_json (gates results))
 
 let workload_json ~seed name r =
   Printf.sprintf
-    "{ \"chaos\": { \"seed\": %d, \"workload\": %S,\n\"metrics\": {\n%s\n},\n\"gates\": %s } }\n"
+    "{ \"chaos\": { \"seed\": %d, \"workload\": %S,\n\
+     \"metrics\": {\n%s\n},\n\"gates\": %s } }\n"
     seed name
     (String.concat ",\n"
        (List.map
@@ -2439,7 +2291,9 @@ let render_table ~seed ~quick results =
     (if quick then ", quick" else "")
   ^ String.concat "" (List.map (fun (_, r) -> r.line) results)
   ^
-  match List.filter_map (fun (n, ok) -> if ok then None else Some n) (gates results) with
+  match
+    List.filter_map (fun (n, ok) -> if ok then None else Some n) (gates results)
+  with
   | [] -> "gates: all passed\n"
   | failed -> Printf.sprintf "gates FAILED: %s\n" (String.concat ", " failed)
 
@@ -2465,19 +2319,10 @@ let clean_path_events () =
    stop-and-wait — to catch the window/session machinery taxing the
    fault-free fast path. *)
 let inert_window_events ~window =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:42L in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 2 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
+  let engine, _faults, _net, _nodes, stacks =
+    one_segment ~seed:42 ~hosts:2 ~window ()
   in
-  let net = Tcpnet.make_net ~window engine fabric in
-  let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
-  let c0, c1 = Tcpnet.socketpair s0 s1 in
+  let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
   (* Enough messages that the wall clock is tens of milliseconds — the
      20%-tolerance gate would be pure scheduler noise on a smaller
      sample. *)

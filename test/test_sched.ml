@@ -216,7 +216,9 @@ let test_gateway_crash_reemits_aggregates () =
     (rs.Vc.reemitted >= 1)
 
 let test_chaos_drop_bit_identical () =
-  let sc = (Option.get (Chaos.find "sched-aggreg")).Chaos.run ~seed:7 ~quick:true in
+  let sc =
+    (Option.get (Chaos.find "sched-aggreg")).Chaos.run ~seed:7 ~quick:true
+  in
   Alcotest.(check bool) "intact under 1% drop" true
     (Chaos.gate sc "sched-aggreg-intact");
   Alcotest.(check bool) "merged under 1% drop" true
