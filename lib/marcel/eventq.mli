@@ -1,9 +1,9 @@
 (** Monomorphic event queue: a 4-ary min-heap specialized to the
     engine's [(time, seq)] keys.
 
-    Unlike the generic {!Heap}, keys are stored unboxed in flat integer
-    arrays and compared with native [int] comparisons — no comparison
-    closure, no [Int64] boxing, no polymorphic compare. Elements with
+    Keys are stored unboxed in flat integer arrays and compared with
+    native [int] comparisons — no comparison closure, no [Int64]
+    boxing, no polymorphic compare. Elements with
     equal times come out in increasing [seq] order, which is how the
     engine guarantees FIFO execution of same-instant events.
 

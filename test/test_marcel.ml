@@ -37,29 +37,38 @@ let test_time_rates () =
     (Time.rate_mb_s ~bytes_count:1_000_000 (Time.ms 10.0))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
+(* Heap: the engine's event queue, a min-heap on (time, seq) keys. *)
+
+let drain_times q =
+  let out = ref [] in
+  while not (Marcel.Eventq.is_empty q) do
+    out := Marcel.Eventq.min_time q :: !out;
+    let (_ : unit -> unit) = Marcel.Eventq.take q in
+    ()
+  done;
+  List.rev !out
 
 let test_heap_sorts () =
-  let h = Marcel.Heap.create ~cmp:compare in
+  let q = Marcel.Eventq.create () in
   let input = [ 5; 1; 4; 1; 3; 9; 2; 6; 8; 7; 0 ] in
-  List.iter (Marcel.Heap.push h) input;
-  let out = List.init (List.length input) (fun _ -> Marcel.Heap.pop h) in
-  Alcotest.(check (list int)) "sorted" (List.sort compare input) out;
-  Alcotest.(check bool) "empty" true (Marcel.Heap.is_empty h)
+  List.iteri (fun seq t -> Marcel.Eventq.push q ~time:t ~seq ignore) input;
+  Alcotest.(check (list int))
+    "sorted" (List.sort compare input) (drain_times q);
+  Alcotest.(check bool) "empty" true (Marcel.Eventq.is_empty q)
 
 let test_heap_empty_pop () =
-  let h = Marcel.Heap.create ~cmp:compare in
+  let q = Marcel.Eventq.create () in
   Alcotest.check_raises "pop empty" Not_found (fun () ->
-      ignore (Marcel.Heap.pop h))
+      let (_ : unit -> unit) = Marcel.Eventq.take q in
+      ())
 
 let prop_heap_matches_sort =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list small_int)
+    QCheck.(list small_nat)
     (fun xs ->
-      let h = Marcel.Heap.create ~cmp:compare in
-      List.iter (Marcel.Heap.push h) xs;
-      let out = List.init (List.length xs) (fun _ -> Marcel.Heap.pop h) in
-      out = List.sort compare xs)
+      let q = Marcel.Eventq.create () in
+      List.iteri (fun seq t -> Marcel.Eventq.push q ~time:t ~seq ignore) xs;
+      drain_times q = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -491,80 +500,6 @@ let prop_mailbox_is_fifo_queue =
       got = expect)
 
 (* ------------------------------------------------------------------ *)
-(* Barrier *)
-
-let test_barrier_releases_together () =
-  let n = 4 in
-  let b = Marcel.Barrier.create n in
-  let released = ref [] in
-  let e = Engine.create () in
-  for i = 1 to n do
-    Engine.spawn e ~name:(Printf.sprintf "t%d" i) (fun () ->
-        Engine.sleep ((i * 10));
-        Marcel.Barrier.await b;
-        released := (i, Engine.now e) :: !released)
-  done;
-  Engine.run e;
-  (* Everyone leaves at the last arrival's instant. *)
-  List.iter
-    (fun (_, at) -> check_i64 "released at last arrival" 40 at)
-    !released;
-  Alcotest.(check int) "all released" n (List.length !released)
-
-let test_barrier_reusable () =
-  let b = Marcel.Barrier.create 2 in
-  let laps = ref 0 in
-  let e = Engine.create () in
-  for _ = 1 to 2 do
-    Engine.spawn e ~name:"t" (fun () ->
-        for _ = 1 to 3 do
-          Marcel.Barrier.await b;
-          incr laps
-        done)
-  done;
-  Engine.run e;
-  Alcotest.(check int) "three laps each" 6 !laps
-
-let test_barrier_validation () =
-  Alcotest.check_raises "zero" (Invalid_argument "Barrier.create: parties <= 0")
-    (fun () -> ignore (Marcel.Barrier.create 0))
-
-(* ------------------------------------------------------------------ *)
-(* Waitgroup *)
-
-let test_waitgroup_waits_for_all () =
-  let wg = Marcel.Waitgroup.create () in
-  let finished_at = ref Time.zero in
-  let e = Engine.create () in
-  Marcel.Waitgroup.add wg 3;
-  for i = 1 to 3 do
-    Engine.spawn e ~name:"worker" (fun () ->
-        Engine.sleep ((i * 100));
-        Marcel.Waitgroup.done_ wg)
-  done;
-  Engine.spawn e ~name:"waiter" (fun () ->
-      Marcel.Waitgroup.wait wg;
-      finished_at := Engine.now e);
-  Engine.run e;
-  check_i64 "released at slowest worker" 300 !finished_at
-
-let test_waitgroup_zero_does_not_block () =
-  let wg = Marcel.Waitgroup.create () in
-  let passed = ref false in
-  let e = Engine.create () in
-  Engine.spawn e ~name:"waiter" (fun () ->
-      Marcel.Waitgroup.wait wg;
-      passed := true);
-  Engine.run e;
-  Alcotest.(check bool) "no block" true !passed
-
-let test_waitgroup_negative_rejected () =
-  let wg = Marcel.Waitgroup.create () in
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Waitgroup.add: negative count") (fun () ->
-      Marcel.Waitgroup.done_ wg)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "marcel"
@@ -631,21 +566,6 @@ let () =
             test_mailbox_capacity_respected;
           Alcotest.test_case "take_opt" `Quick test_mailbox_take_opt;
           QCheck_alcotest.to_alcotest prop_mailbox_is_fifo_queue;
-        ] );
-      ( "barrier",
-        [
-          Alcotest.test_case "releases together" `Quick
-            test_barrier_releases_together;
-          Alcotest.test_case "reusable" `Quick test_barrier_reusable;
-          Alcotest.test_case "validation" `Quick test_barrier_validation;
-        ] );
-      ( "waitgroup",
-        [
-          Alcotest.test_case "waits for all" `Quick
-            test_waitgroup_waits_for_all;
-          Alcotest.test_case "zero no block" `Quick
-            test_waitgroup_zero_does_not_block;
-          Alcotest.test_case "negative" `Quick test_waitgroup_negative_rejected;
         ] );
       ( "ivar",
         [
