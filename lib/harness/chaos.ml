@@ -81,7 +81,7 @@ type row = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* A two-node TCP world with a fault plane attached. *)
+(* Single-segment TCP worlds with a fault plane attached. *)
 
 (* One Ethernet segment "eth" of [hosts] nodes with a fault plane
    attached; [setup] configures the plane before the TCP stacks attach.
@@ -2185,8 +2185,8 @@ let workloads =
     {
       name = "coll-scale";
       doc =
-        "tree-vs-flat barrier latency at 64/256/1024 ranks (quick stops at \
-         256); the flat/tree ratio at the largest size is gated";
+        "tree-vs-flat barrier latency at 64/256/1024 ranks, quick stopping \
+         at 256; the flat/tree ratio at the largest size is gated";
       run =
         (fun ~seed ~quick ->
           coll_scale_run ~seed ~fanout:4
@@ -2226,13 +2226,13 @@ let rec json_value indent = function
   | Ints l -> "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
   | Null -> "null"
   | Table rows ->
-      let pad = String.make indent ' ' in
+      let pad = String.make indent ' ' and last = List.length rows - 1 in
       "[\n"
       ^ String.concat ""
           (List.mapi
              (fun i row ->
                Printf.sprintf "%s  %s%s\n" pad (json_object row)
-                 (if i = List.length rows - 1 then "" else ","))
+                 (if i = last then "" else ","))
              rows)
       ^ pad ^ "]"
 
