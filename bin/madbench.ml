@@ -374,23 +374,6 @@ let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
          ~doc:"Also write the machine-readable report to FILE.")
 
-(* Exit non-zero naming every tripped gate; write the JSON report when
-   asked. *)
-let chaos_finish ~json_file ~json gates =
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc json;
-      close_out oc;
-      Format.printf "wrote %s@." file);
-  match List.filter_map (fun (n, ok) -> if ok then None else Some n) gates with
-  | [] -> ()
-  | failed ->
-      List.iter (fun name -> Format.eprintf "chaos: gate FAILED: %s@." name)
-        failed;
-      exit 1
-
 (* One registry workload alone (the CI smoke path) judges only its own
    gates; without one, the full sweep runs over the --jobs pool. *)
 let chaos workload quick seed jobs_opt json_file =
@@ -420,7 +403,20 @@ let chaos workload quick seed jobs_opt json_file =
           Chaos.gates results )
   in
   print_string text;
-  chaos_finish ~json_file ~json gates
+  (match json_file with
+  | None -> ()
+  | Some file ->
+      let oc = open_out file in
+      output_string oc json;
+      close_out oc;
+      Format.printf "wrote %s@." file);
+  (* Exit non-zero naming every tripped gate. *)
+  match List.filter_map (fun (n, ok) -> if ok then None else Some n) gates with
+  | [] -> ()
+  | failed ->
+      List.iter (fun name -> Format.eprintf "chaos: gate FAILED: %s@." name)
+        failed;
+      exit 1
 
 let workload_arg =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD"

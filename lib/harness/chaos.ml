@@ -37,8 +37,6 @@ type workload = {
   run : seed:int -> quick:bool -> result;
 }
 
-let field r name = List.assoc name r.fields
-let gate r name = List.assoc name r.gates
 let f2 x = Float (x, 2)
 let f3 x = Float (x, 3)
 let ints l = String.concat "; " (List.map string_of_int l)

@@ -57,10 +57,6 @@ val run : Sweeps.runner -> seed:int -> quick:bool -> (string * result) list
 val gates : (string * result) list -> (string * bool) list
 (** Every gate of a sweep, in order. *)
 
-val field : result -> string -> value
-val gate : result -> string -> bool
-(** Look a field or gate up by name. Raise [Not_found] if absent. *)
-
 val render_table : seed:int -> quick:bool -> (string * result) list -> string
 (** The sweep as text: a header, every result's line, and the gate
     verdict. *)

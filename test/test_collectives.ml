@@ -151,7 +151,7 @@ let test_rolling_allreduce () =
    a duplicate), never double-counted. *)
 let test_restart_rejoins_exactly_once () =
   let c = coll_workload ~seed:7 "coll-crash-barrier" in
-  let gate g = Chaos.gate c ("coll-crash-barrier-" ^ g) in
+  let gate g = List.assoc ("coll-crash-barrier-" ^ g) c.Chaos.gates in
   Alcotest.(check bool) "everyone completed" true (gate "completed");
   Alcotest.(check bool) "survivors agree" true (gate "agree");
   Alcotest.(check bool) "value = sum over covered set" true

@@ -47,24 +47,26 @@ let single_channel_world () =
 let chaos_workload name =
   (Option.get (Chaos.find name)).Chaos.run ~seed:42 ~quick:true
 
+let gate r name = List.assoc name r.Chaos.gates
+let field r name = List.assoc name r.Chaos.fields
+
 let int_field r name =
-  match Chaos.field r name with Chaos.Int n -> n | _ -> Alcotest.fail name
+  match field r name with Chaos.Int n -> n | _ -> Alcotest.fail name
 
 let test_gateway_crash_failover () =
   let f = chaos_workload "failover" in
-  (* Intact also means the crashed gateway left the recomputed route. *)
   Alcotest.(check bool) "all messages intact" true
-    (Chaos.gate f "failover-intact");
+    (gate f "failover-intact");
   Alcotest.(check bool) "routes were recomputed" true
-    (Chaos.gate f "failover-rerouted");
+    (gate f "failover-rerouted");
   Alcotest.(check bool) "unacked packets re-emitted" true
     (int_field f "reemitted" > 0);
   Alcotest.(check bool) "crashed gateway left the route" true
-    (match (Chaos.field f "crashed_gateway", Chaos.field f "route_after") with
+    (match (field f "crashed_gateway", field f "route_after") with
     | Chaos.Int gw, Chaos.Ints route -> not (List.mem gw route)
     | _ -> false);
   Alcotest.(check bool) "losing the last gateway partitions" true
-    (Chaos.gate f "failover-partition-detected")
+    (gate f "failover-partition-detected")
 
 let test_single_channel_reliable_then_partitioned () =
   let engine, faults, vc = single_channel_world () in
@@ -127,18 +129,18 @@ let test_route_queries_invalid_rank () =
 let test_crash_restart_exactly_once () =
   let r = chaos_workload "crash-restart" in
   Alcotest.(check bool) "delivered exactly once, bit-identical" true
-    (Chaos.gate r "crash-restart-exactly-once");
+    (gate r "crash-restart-exactly-once");
   Alcotest.(check int) "both phases fully delivered" 6
     (int_field r "delivered");
   Alcotest.(check bool) "crash-epoch handshake completed" true
-    (Chaos.gate r "crash-restart-handshake");
+    (gate r "crash-restart-handshake");
   Alcotest.(check bool) "routes were recomputed" true
     (int_field r "reroutes" >= 1);
   Alcotest.(check bool) "sentinels observed the outage" true
-    (Chaos.field r "suspicions" <> Chaos.Table []);
+    (field r "suspicions" <> Chaos.Table []);
   (* Once the stream completes, every origin re-emission log is empty:
      everything sent in the current epoch has been acknowledged. *)
-  match Chaos.field r "flows" with
+  match field r "flows" with
   | Chaos.Table flows ->
       List.iter
         (fun f ->
@@ -150,9 +152,9 @@ let test_crash_restart_exactly_once () =
 let test_window_beats_stop_and_wait () =
   let g = chaos_workload "goodput" in
   Alcotest.(check bool) "both streams intact" true
-    (Chaos.gate g "goodput-intact");
+    (gate g "goodput-intact");
   Alcotest.(check bool) "go-back-N >= 2x stop-and-wait at 1% drop" true
-    (Chaos.gate g "goodput-window-speedup")
+    (gate g "goodput-window-speedup")
 
 (* ------------------------------------------------------------------ *)
 (* Live topology: a 4-rank redundant-gateway world with the membership

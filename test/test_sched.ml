@@ -220,9 +220,9 @@ let test_chaos_drop_bit_identical () =
     (Option.get (Chaos.find "sched-aggreg")).Chaos.run ~seed:7 ~quick:true
   in
   Alcotest.(check bool) "intact under 1% drop" true
-    (Chaos.gate sc "sched-aggreg-intact");
+    (List.assoc "sched-aggreg-intact" sc.Chaos.gates);
   Alcotest.(check bool) "merged under 1% drop" true
-    (Chaos.gate sc "sched-aggreg-merged")
+    (List.assoc "sched-aggreg-merged" sc.Chaos.gates)
 
 let () =
   Alcotest.run "sched"
