@@ -315,16 +315,9 @@ let bump t =
    the deadline passes — whichever comes first. *)
 let wait_change t inst ~deadline =
   Engine.suspend ~name:"collectives.wait" (fun wake ->
-      let woken = ref false in
-      let once () =
-        if not !woken then begin
-          woken := true;
-          wake ()
-        end
-      in
-      inst.i_waiters <- once :: inst.i_waiters;
-      t.gen_waiters <- once :: t.gen_waiters;
-      Engine.at t.engine deadline once)
+      inst.i_waiters <- wake :: inst.i_waiters;
+      t.gen_waiters <- wake :: t.gen_waiters;
+      Engine.at t.engine deadline wake)
 
 (* Park until [progressed ()], a generation change, or the deadline —
    and only report a timeout when the deadline genuinely passed. The

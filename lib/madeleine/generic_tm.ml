@@ -13,6 +13,22 @@ type packet_header = {
   col : bool;  (* collective-control packet: contribution / decision frames *)
 }
 
+let header ~origin ~final_dst ~payload_len =
+  {
+    final_dst;
+    origin;
+    payload_len;
+    first = false;
+    last = false;
+    seq = 0;
+    ack = false;
+    hs = false;
+    crd = false;
+    agg = false;
+    top = false;
+    col = false;
+  }
+
 let header_size = Config.packet_header_size
 let magic = '\xAD'
 

@@ -76,6 +76,10 @@ type packet_header = {
           format is then unchanged. *)
 }
 
+val header : origin:int -> final_dst:int -> payload_len:int -> packet_header
+(** A header with every flag [false] and [seq = 0]; callers set the
+    fields that differ with [{ (header ...) with ... }]. *)
+
 val header_size : int
 val encode_header : packet_header -> Bytes.t
 val decode_header : Bytes.t -> packet_header

@@ -241,10 +241,6 @@ val drain : t -> rank:int -> unit
     is withdrawn, the intent parked for post-heal replay, and
     {!No_quorum} raised. *)
 
-val draining : t -> int list
-(** Ranks currently mid-drain (still routable, accepting no new flows),
-    sorted. *)
-
 type topology_stats = {
   topo_epoch : int;
   topo_members : int list;
