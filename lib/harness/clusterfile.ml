@@ -506,20 +506,6 @@ let parse_line t lineno line =
           raise (Parse_error (lineno, "aggr_max= requires sched=aggreg"))
       | _, _, Some _ ->
           raise (Parse_error (lineno, "aggr_flush_us= requires sched=aggreg")));
-      (match (!version, !coordinator) with
-      | None, Some _ ->
-          raise (Parse_error (lineno, "coordinator= requires version="))
-      | _ -> ());
-      (* Election rides the live-topology and reliability planes: quorum
-         is counted over sentinel ballots and membership epochs. *)
-      (match (!election, !topo_quorum) with
-      | false, Some _ ->
-          raise (Parse_error (lineno, "topo_quorum= requires election=on"))
-      | _ -> ());
-      if !election && !version = None then
-        raise (Parse_error (lineno, "election=on requires version="));
-      if !election && not !reliable then
-        raise (Parse_error (lineno, "election=on requires reliable=true"));
       (match (!coll, !coll_fanout) with
       | Some Madeleine.Collectives.Tree, _ | _, None -> ()
       | _, Some _ ->
@@ -591,7 +577,10 @@ let load text =
            | Some j -> String.sub line 0 j
            | None -> line
          in
-         parse_line t (i + 1) line);
+         (* The library validates what it is handed (cross-option rules
+            included); its rejections carry the declaration's line. *)
+         try parse_line t (i + 1) line
+         with Invalid_argument msg -> raise (Parse_error (i + 1, msg)));
   t
 
 let load_file path =

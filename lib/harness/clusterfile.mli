@@ -33,46 +33,44 @@
     (PIO-to-DMA switch point), [rendezvous=BYTES|auto|off] (zero-copy
     rendezvous threshold; [auto] reads the fabric's measured crossover
     from {!Crossover.default_file}, written by [madbench crossover],
-    and is rejected with a line-numbered {!Parse_error} when no
-    measurement exists), [regcache=N] (>= 0 cached registrations; 0 =
-    register per send) and [regcache_bytes=BYTES] (pinned-byte budget
-    of the cache). A vchannel additionally accepts [version=N] (>= 1;
+    and fails when no measurement exists), [regcache=N] (>= 0 cached
+    registrations; 0 = register per send) and [regcache_bytes=BYTES]
+    (pinned-byte budget of the cache). A vchannel additionally accepts [version=N] (>= 1;
     arms the live-topology plane with the clusterfile's membership as
     epoch [N], see {!Madeleine.Vchannel.topology}) and
     [coordinator=NODE] (a declared node that arbitrates joins and
-    drains; requires [version=], defaults to the lowest rank). Both are
-    rejected with a line-numbered {!Parse_error} on malformed values or
-    unknown nodes. [election=on|off] (default [off]) replaces the
-    static coordinator with a quorum-elected one
+    drains; requires [version=], defaults to the lowest rank).
+    [election=on|off] (default [off]) replaces the static coordinator
+    with a quorum-elected one
     ({!Madeleine.Vchannel.election_stats}); it requires [version=] and
     [reliable=true], and [coordinator=] then merely seats the initial
     incumbent. [topo_quorum=N] (>= 1) pins the election's ballot
     quorum (default: a majority of the current membership) and
-    requires [election=on].
-    Malformed values, [election=on] without its prerequisites and
-    [topo_quorum=] without [election=on] are all rejected with a
-    line-numbered {!Parse_error}. [coll=tree|flat] attaches a fault-tolerant
+    requires [election=on]. [coll=tree|flat] attaches a fault-tolerant
     collectives layer ({!Madeleine.Collectives}, retrieved with
     {!collectives}); [coll_fanout=N] (>= 2, requires [coll=tree]) caps
     the children per spanning-tree node and [coll_quorum=N] (>= 1,
     requires [coll=]) is the live-rank minimum below which a collective
-    fails typed. Malformed values, [coll_fanout=] without [coll=tree]
-    and [coll_quorum=] without [coll=] are all rejected with a
-    line-numbered {!Parse_error}; with [coll=] unset no layer is
-    created and the vchannel behaves exactly as before. Network
-    types: [sisci], [bip], [tcp], [via], [sbp]; [tcp] networks
+    fails typed; with [coll=] unset no layer is created and the
+    vchannel behaves exactly as before. Network types: [sisci], [bip], [tcp], [via], [sbp]; [tcp] networks
     additionally accept [window=FRAMES] (go-back-N sender window) and
     [max_retries=N] (consecutive RTO expiries before a connection is
     declared dead) — see {!Tcpnet.make_net} — and [bip] networks
-    [credits=N] (short-message send window, {!Bip.make_net}). Options
-    on a network kind that does not support them are rejected with a
-    line-numbered {!Parse_error}. On a vchannel, [credits=N] arms
-    end-to-end credit-based flow control and [gw_pool=N] sizes the
-    gateway forwarding pools (both >= 1; see
+    [credits=N] (short-message send window, {!Bip.make_net}). On a
+    vchannel, [credits=N] arms end-to-end credit-based flow control and
+    [gw_pool=N] sizes the gateway forwarding pools (both >= 1; see
     {!Madeleine.Vchannel.create}). [#] starts a comment. Declarations
     must appear in dependency order (networks, then nodes, then
     channels, then virtual channels). Node ranks are assigned in
     declaration order.
+
+    Every rejection raises {!Parse_error} with the line of the offending
+    declaration: unknown keywords, options or names, malformed values,
+    options on a declaration or network kind that does not take them,
+    unmet prerequisites between options, and values the library itself
+    refuses ({!Madeleine.Vchannel.create}, {!Madeleine.Channel.create},
+    {!Simnet.Faults}; for instance [coordinator=] without [version=], or
+    a [topo_quorum=] larger than the vchannel).
 
     {2 Fault injection}
 

@@ -409,14 +409,7 @@ let test_election_option_errors () =
     (base ^ "reliable=true version=1 election=on topo_quorum=two");
   (* Election needs both the live-topology and reliability planes. *)
   expect_parse_error ~line:6 (base ^ "reliable=true election=on");
-  expect_parse_error ~line:6 (base ^ "version=1 election=on");
-  (* A quorum wider than the membership is rejected by the vchannel. *)
-  match
-    Cf.load
-      (base ^ "reliable=true version=1 election=on topo_quorum=5")
-  with
-  | _ -> Alcotest.fail "oversized quorum accepted"
-  | exception Invalid_argument _ -> ()
+  expect_parse_error ~line:6 (base ^ "version=1 election=on")
 
 let test_coll_options_parsed () =
   (* coll= attaches a fault-tolerant collectives layer to the vchannel;
@@ -493,6 +486,35 @@ let test_coll_option_errors () =
     "network s type=sisci\nnode a nets=s\nnode b nets=s\n\
      channel c net=s nodes=a,b coll_fanout=2"
 
+let test_library_rejections_line_numbered () =
+  (* Values only the library judges (Vchannel.create, Channel.create,
+     Faults, Time) are rejected as Parse_error on the declaration's
+     line, never as a bare Invalid_argument. *)
+  let world =
+    "faults seed=3\nnetwork s type=tcp\nnode a nets=s\nnode b nets=s\n"
+  in
+  List.iter
+    (fun opts ->
+      expect_parse_error ~line:6
+        (world ^ "channel c net=s nodes=a,b\nvchannel v channels=c " ^ opts))
+    [
+      "mtu=4";
+      "ingress_cap=0";
+      "patience_us=-5";
+      "gateway_overhead_us=-5";
+      "sched=aggreg aggr_max=4";
+      "reliable=true version=1 election=on topo_quorum=5";
+    ];
+  List.iter
+    (fun line -> expect_parse_error ~line:5 (world ^ line))
+    [
+      "channel c net=s nodes=a,b connect_timeout_us=-1";
+      "channel c net=s nodes=a";
+      "fault drop net=s node=a rate=2.0";
+      "fault drop net=s node=a rate=-1";
+      "fault crash node=a at_us=-3";
+    ]
+
 let test_parse_errors () =
   expect_parse_error ~line:1 "network foo type=quantum";
   expect_parse_error ~line:1 "node lonely nets=nowhere";
@@ -544,6 +566,8 @@ let () =
             test_coll_options_parsed;
           Alcotest.test_case "collectives option errors" `Quick
             test_coll_option_errors;
+          Alcotest.test_case "library rejections line-numbered" `Quick
+            test_library_rejections_line_numbered;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
         ] );
     ]
