@@ -131,6 +131,42 @@ let test_flow_needs_scheduler () =
     !rejected;
   Alcotest.(check bool) "no scheduler state" true (Vc.sched_stats vc = None)
 
+let test_barrier_flush () =
+  (* A lone small message waits in the aggregation buffer for its
+     10 ms deadline unless a barrier flush ships it: arrival well before
+     the deadline, one barrier flush and no deadline flush show that
+     Vchannel.flush, not the timer, put it on the wire. *)
+  let w = Harness.two_cluster_world () in
+  let aggr_flush = Time.ms 10.0 in
+  let vc =
+    Vc.create w.Harness.cw_session
+      ~sched:(Sched.aggreg ~aggr_flush ())
+      [ w.Harness.ch_sci; w.Harness.ch_myri ]
+  in
+  let engine = w.Harness.cw_engine in
+  let msg = payload_of ~size:64 ~flow:0 0 in
+  let arrived = ref None in
+  Engine.spawn engine ~name:"send" (fun () ->
+      let oc = Vc.begin_packing vc ~me:0 ~remote:2 in
+      Vc.pack oc msg;
+      Vc.end_packing oc;
+      Vc.flush vc ~me:0);
+  Engine.spawn engine ~name:"recv" (fun () ->
+      let sink = Bytes.create 64 in
+      let ic = Vc.begin_unpacking_from vc ~me:2 ~remote:0 in
+      Vc.unpack ic sink;
+      Vc.end_unpacking ic;
+      if Bytes.equal sink msg then arrived := Some (Engine.now engine));
+  Engine.run engine;
+  (match !arrived with
+  | None -> Alcotest.fail "message lost or corrupted"
+  | Some at ->
+      Alcotest.(check bool) "arrives before the aggr_flush deadline" true
+        (Time.( < ) at (Time.add Time.zero aggr_flush)));
+  let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
+  Alcotest.(check int) "one barrier flush" 1 ss.Sched.sched_flush_barrier;
+  Alcotest.(check int) "no deadline flush" 0 ss.Sched.sched_flush_deadline
+
 (* Gateway crash with aggregates in flight: the redundant-gateway world
    of the chaos failover scenario, but the stream is many small logical
    flows on a sched=aggreg vchannel. The crash lands mid-stream, so
@@ -237,6 +273,8 @@ let () =
             test_credits_split_aggregates;
           Alcotest.test_case "fifo and unset identical" `Quick
             test_fifo_and_unset_identical;
+          Alcotest.test_case "barrier flush ships before the deadline" `Quick
+            test_barrier_flush;
           Alcotest.test_case "flow needs scheduler" `Quick
             test_flow_needs_scheduler;
         ] );
