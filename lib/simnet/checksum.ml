@@ -1,22 +1,22 @@
-(* Table-driven reflected CRC-32, the Ethernet/zlib polynomial. *)
+(* Table-driven reflected CRC-32, the Ethernet/zlib polynomial. The
+   table is built eagerly at module initialisation: a lazy one raises
+   [CamlinternalLazy.Undefined] when two sweep domains force it at once. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Checksum.crc32: out of bounds";
-  let tbl = Lazy.force table in
   let c = ref 0xFFFFFFFF in
   for i = off to off + len - 1 do
-    c := tbl.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+    c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
          lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
