@@ -1,10 +1,10 @@
 #!/bin/sh
 # Host-speed regression gate: re-measure simulator event throughput and
 # fail if it regressed more than 20% below the committed baseline.
-# Also gates the parallel sweep scenarios: on hosts with >= 4 cores the
-# "@4 domains" sweep must reach at least 2.5x the serial sweep's
-# aggregate events/s (on smaller hosts the floor is skipped — the sweep
-# cannot physically scale past the core count).
+# Also gates the parallel sweep scenarios: the "pooled" sweep runs on
+# min(4, cores) domains and must reach at least 2.5x the serial sweep's
+# aggregate events/s at 4 domains, 1.5x at 2-3 domains (the floor is
+# skipped on a single core, where there is nothing to scale).
 # Also gates scheduler aggregation: the "10k flows 64B" scenario pair
 # (sched=fifo vs sched=aggreg) must show >= 2x simulated goodput with
 # aggregation on. Both finish times are simulated, so this gate is

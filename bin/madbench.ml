@@ -73,15 +73,13 @@ let pingpong_cmd =
 (* -------- sweep -------- *)
 
 let jobs_arg =
-  Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N"
-         ~doc:"Worker domains to fan the sweep over (default: \
-               $(b,PARSIM_JOBS) or the machine's recommended domain \
-               count; 1 = serial). Output is byte-identical for any N.")
+  Arg.(value & opt int (Domain.recommended_domain_count ())
+       & info [ "jobs" ] ~docv:"N"
+           ~absent:"the machine's recommended domain count"
+           ~doc:"Worker domains to fan the sweep over (1 = serial). \
+                 Output is byte-identical for any N.")
 
-let sweep net jobs_opt =
-  let jobs =
-    match jobs_opt with Some n -> n | None -> Parsim.default_jobs ()
-  in
+let sweep net jobs =
   Format.printf "# %s latency/bandwidth sweep@." (net_name net);
   Format.printf "%-10s %12s %12s@." "size(B)" "latency(us)" "bw(MB/s)";
   let rows =
@@ -376,7 +374,7 @@ let json_arg =
 
 (* One registry workload alone (the CI smoke path) judges only its own
    gates; without one, the full sweep runs over the --jobs pool. *)
-let chaos workload quick seed jobs_opt json_file =
+let chaos workload quick seed jobs json_file =
   let text, json, gates =
     match workload with
     | Some name -> (
@@ -391,12 +389,8 @@ let chaos workload quick seed jobs_opt json_file =
                  (List.map (fun w -> w.Chaos.name) Chaos.workloads));
             exit 2)
     | None ->
-        let jobs =
-          match jobs_opt with Some n -> n | None -> Parsim.default_jobs ()
-        in
         let results =
-          Parsim.with_pool ~jobs (fun pool ->
-              Chaos.run (Sweeps.pool_runner pool) ~seed ~quick)
+          Parsim.with_pool ~jobs (fun pool -> Chaos.run pool ~seed ~quick)
         in
         ( Chaos.render_table ~seed ~quick results,
           Chaos.to_json ~seed ~quick results,

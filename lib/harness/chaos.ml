@@ -4,7 +4,7 @@
    recording how much latency and bandwidth degrade under each injected
    failure. All numbers in a report are simulated quantities, so a report
    for a given seed and workload set is byte-identical across runs and
-   across worker counts (the jobs fan out over a {!Sweeps.runner}). *)
+   across worker counts (the jobs fan out over a {!Parsim} pool). *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -2202,8 +2202,8 @@ let sweep =
     "drain-under-load";
   ]
 
-let run (runner : Sweeps.runner) ~seed ~quick =
-  runner.Sweeps.run
+let run pool ~seed ~quick =
+  Parsim.run pool
     (List.map
        (fun name ->
          let w = Option.get (find name) in

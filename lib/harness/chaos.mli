@@ -50,7 +50,7 @@ val find : string -> workload option
 val sweep : string list
 (** The registry names of the full sweep, in report order. *)
 
-val run : Sweeps.runner -> seed:int -> quick:bool -> (string * result) list
+val run : Parsim.pool -> seed:int -> quick:bool -> (string * result) list
 (** Runs the {!sweep} workloads (one job each) and returns them, named,
     in sweep order. *)
 

@@ -1,17 +1,12 @@
 (* The figure sweeps of bench/main.exe, restructured so that every
    measured point is a (label, thunk) job returning a structured row.
    Thunks build their whole world inside the job (the world-isolation
-   invariant, docs/MODEL.md), so a Parsim runner may execute them on any
+   invariant, docs/MODEL.md), so a Parsim pool may execute them on any
    worker domain; rendering happens only after ordered collection, which
    is what makes parallel output byte-identical to serial output. *)
 
 module Time = Marcel.Time
 module H = Harness
-
-type runner = { run : 'a. (string * (unit -> 'a)) list -> 'a list }
-
-let serial_runner = { run = (fun jobs -> List.map (fun (_, f) -> f ()) jobs) }
-let pool_runner pool = { run = (fun jobs -> Parsim.run pool jobs) }
 
 let sizes_small =
   [ 4; 16; 64; 256; 1024; 4096; 16384; 65536; 262144; 1048576 ]
@@ -26,9 +21,9 @@ let bw n span = Time.rate_mb_s ~bytes_count:n span
 
 (* ------------------------------------------------------------------ *)
 
-let fig4 r =
+let fig4 pool =
   let rows =
-    r.run
+    Parsim.run pool
       (List.map
          (fun n ->
            ( Printf.sprintf "fig4/%d" n,
@@ -46,9 +41,9 @@ let fig4 r =
     (Printf.sprintf "%-10s %12s %12s\n" "size(B)" "latency(us)" "bw(MB/s)"
     ^ String.concat "" rows)
 
-let fig5 r =
+let fig5 pool =
   let rows =
-    r.run
+    Parsim.run pool
       (List.map
          (fun n ->
            ( Printf.sprintf "fig5/%d" n,
@@ -68,9 +63,9 @@ let fig5 r =
        "mad bw" "raw lat(us)" "raw bw"
     ^ String.concat "" rows)
 
-let fig6 r =
+let fig6 pool =
   let rows =
-    r.run
+    Parsim.run pool
       (List.map
          (fun n ->
            ( Printf.sprintf "fig6/%d" n,
@@ -117,9 +112,9 @@ let fig6 r =
      worst latency but the best bandwidth from 32 kB up)"
     (Buffer.contents b)
 
-let fig7 r =
+let fig7 pool =
   let rows =
-    r.run
+    Parsim.run pool
       (List.map
          (fun n ->
            ( Printf.sprintf "fig7/%d" n,
@@ -143,10 +138,10 @@ let fig7 r =
        "sci bw" "tcp lat(us)" "tcp bw"
     ^ String.concat "" rows)
 
-let eq16k r =
+let eq16k pool =
   let n = 16384 in
   let rows =
-    r.run
+    Parsim.run pool
       [
         ( "eq16k/sisci",
           fun () ->
@@ -167,9 +162,9 @@ let eq16k r =
 
 let mtu_sweep = [ 8192; 16384; 32768; 65536; 131072 ]
 
-let forwarding_fig ~title ~src ~dst r =
+let forwarding_fig ~title ~src ~dst pool =
   let rows =
-    r.run
+    Parsim.run pool
       (List.map
          (fun mtu ->
            ( Printf.sprintf "fwd/%d-%d/%d" src dst mtu,
@@ -184,16 +179,16 @@ let forwarding_fig ~title ~src ~dst r =
     (Printf.sprintf "%-10s %12s %14s\n" "mtu(B)" "bw(MB/s)" "gw-pci-util"
     ^ String.concat "" rows)
 
-let fig10 r =
+let fig10 pool =
   forwarding_fig
     ~title:
       "Fig. 10 -- forwarding bandwidth SCI -> Myrinet (paper: 36.5 MB/s at\n\
        8 kB packets, rising to ~49.5 at 128 kB; PCI full-duplex limit)"
-    ~src:0 ~dst:2 r
+    ~src:0 ~dst:2 pool
 
-let fig11 r =
+let fig11 pool =
   forwarding_fig
     ~title:
       "Fig. 11 -- forwarding bandwidth Myrinet -> SCI (paper: 29 MB/s at\n\
        8 kB, staying under ~36.5: Myrinet DMA starves the gateway's PIO)"
-    ~src:2 ~dst:0 r
+    ~src:2 ~dst:0 pool

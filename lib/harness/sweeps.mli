@@ -2,45 +2,31 @@
 
     Every measured point of a figure is one {e job}: a [(label, thunk)]
     pair whose thunk builds a fresh, fully isolated world, measures one
-    point and returns a structured row — no printing. A {!runner}
-    decides how the job set executes (serially, or fanned out over a
-    {!Parsim} pool); each figure function renders the collected rows to
-    the section's full text {e after} collection, so the output is
-    byte-identical whatever the runner. *)
+    point and returns a structured row — no printing. Each figure
+    function fans its job set out over a {!Parsim} pool (a [jobs:1] pool
+    runs it serially, in place) and renders the collected rows to the
+    section's full text {e after} collection, so the output is
+    byte-identical whatever the pool's worker count.
 
-type runner = { run : 'a. (string * (unit -> 'a)) list -> 'a list }
-(** How to execute a job set. [run] must return results in submission
-    order (both runners below do). *)
+    Each returns the complete rendered section (header included). *)
 
-val serial_runner : runner
-(** Runs each job in place, in order — the reference semantics. *)
-
-val pool_runner : Parsim.pool -> runner
-(** Fans the job set out over the pool's domains; {!Parsim.run}'s
-    deterministic collector restores submission order. *)
-
-(** {1 Figure sections}
-
-    Each returns the complete rendered section (header included),
-    byte-identical for any conforming runner. *)
-
-val fig4 : runner -> string
+val fig4 : Parsim.pool -> string
 (** Madeleine II over SISCI/SCI: latency and bandwidth sweep. *)
 
-val fig5 : runner -> string
+val fig5 : Parsim.pool -> string
 (** Madeleine II over BIP/Myrinet vs raw BIP. *)
 
-val fig6 : runner -> string
+val fig6 : Parsim.pool -> string
 (** The three MPI implementations over SCI, latency then bandwidth. *)
 
-val fig7 : runner -> string
+val fig7 : Parsim.pool -> string
 (** Nexus/Madeleine II over SISCI and TCP. *)
 
-val eq16k : runner -> string
+val eq16k : Parsim.pool -> string
 (** §6.2.1: the 16 kB equal-cost point of the two networks. *)
 
-val fig10 : runner -> string
+val fig10 : Parsim.pool -> string
 (** Forwarding bandwidth SCI -> Myrinet across gateway MTUs. *)
 
-val fig11 : runner -> string
+val fig11 : Parsim.pool -> string
 (** Forwarding bandwidth Myrinet -> SCI across gateway MTUs. *)

