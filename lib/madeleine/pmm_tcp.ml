@@ -34,6 +34,10 @@ let conn_for pairs ~me ~peer =
 let guard f =
   try f () with Tcpnet.Timeout { msg; _ } -> raise (Config.Peer_unreachable msg)
 
+let slice buf = (buf.Buf.data, buf.Buf.off, buf.Buf.len)
+
+(* Tcpnet stages the slices itself (one copy per send), so the Bufs go
+   down as they are. *)
 let send_tm conn =
   {
     Tm.s_name = "tcp";
@@ -41,16 +45,15 @@ let send_tm conn =
       Tm.Dynamic_send
         {
           Tm.send_buffer =
-            (fun buf -> guard (fun () -> Tcpnet.send conn (Buf.to_bytes buf)));
+            (fun buf -> guard (fun () -> Tcpnet.send_group conn [ slice buf ]));
           send_buffer_group =
             (fun bufs ->
               guard (fun () ->
-                  Tcpnet.send_group conn (Bufs.map_to_list Buf.to_bytes bufs)));
+                  Tcpnet.send_group conn (Bufs.map_to_list slice bufs)));
         };
   }
 
 let recv_tm conn =
-  let slice buf = (buf.Buf.data, buf.Buf.off, buf.Buf.len) in
   {
     Tm.r_name = "tcp";
     r_side =

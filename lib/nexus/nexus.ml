@@ -102,7 +102,8 @@ let tcp_transports engine ~stacks =
         | Some conn ->
             let hdr = Bytes.create 4 in
             Bytes.set_int32_le hdr 0 (Int32.of_int (Bytes.length payload));
-            Tcpnet.send_group conn [ hdr; payload ]
+            Tcpnet.send_group conn
+              [ (hdr, 0, 4); (payload, 0, Bytes.length payload) ]
       in
       {
         tr_name = "tcp";

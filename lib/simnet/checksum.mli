@@ -6,6 +6,7 @@
     is what turns injected corruption into a recoverable loss. *)
 
 val crc32 : ?off:int -> ?len:int -> Bytes.t -> int
-(** Checksum of [len] bytes of [b] starting at [off] (defaults: the whole
-    buffer). The result fits in 32 bits. Raises [Invalid_argument] on an
-    out-of-bounds range. *)
+(** Checksum of [len] bytes of [b] starting at [off] (defaults: [off] 0,
+    [len] the rest of the buffer). The result fits in 32 bits. Raises
+    [Invalid_argument] unless [0 <= off <= length b] and
+    [0 <= len <= length b - off]. *)

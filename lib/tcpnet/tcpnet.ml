@@ -292,15 +292,14 @@ let out_stream conn remote =
       conn.out_stream <- Some st;
       st
 
-(* One kernel entry ships [staged] (already copied); delivery continues
-   asynchronously in the per-connection FIFO stream, as with a real
-   socket buffer. *)
-let fast_transmit conn remote staged =
-  let bytes_count = List.fold_left (fun n b -> n + Bytes.length b) 0 staged in
+(* One kernel entry ships [data] (the send's staging copy); delivery
+   continues asynchronously in the per-connection FIFO stream, as with a
+   real socket buffer. *)
+let fast_transmit conn remote data =
   Engine.sleep Netparams.tcp_send_overhead;
-  Simnet.Stream.push (out_stream conn remote) ~bytes_count
+  Simnet.Stream.push (out_stream conn remote) ~bytes_count:(Bytes.length data)
     ~on_delivered:(fun () ->
-      List.iter (push_inbox remote) staged;
+      push_inbox remote data;
       wake_readers remote)
 
 let host_id conn = conn.stack.host.Node.id
@@ -724,7 +723,7 @@ let ensure_rtx conn remote faults =
    the session handshake after a restart); delivery and recovery are
    driven by the retransmitter daemon, so a sender may exit with frames
    still in flight and the transfer completes behind it. *)
-let reliable_send conn remote faults staged =
+let reliable_send conn remote faults data =
   let net = conn.stack.net in
   install_fault_hooks net faults;
   ensure_epoch_baseline conn remote faults;
@@ -749,7 +748,6 @@ let reliable_send conn remote faults staged =
     mark_dead conn remote;
     fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
   end;
-  let data = Bytes.concat Bytes.empty staged in
   let total = Bytes.length data in
   let mtu = (Fabric.link net.fabric).Netparams.hw_mtu in
   let seq = conn.tx_seq in
@@ -776,18 +774,41 @@ let reliable_send conn remote faults staged =
   push_wire conn remote faults f;
   wake_rtx conn
 
-let transmit conn staged =
+(* Copies the slices, in order, into one fresh buffer: the only copy a
+   send makes of the caller's bytes. It becomes the fast path's inbox
+   chunk or the reliable frame's payload, and is taken before any
+   blocking, so the caller may reuse its buffers as soon as the call
+   returns. *)
+let stage slices =
+  let total =
+    List.fold_left
+      (fun n (buf, off, len) ->
+        if off < 0 || len < 0 || off > Bytes.length buf - len then
+          invalid_arg "Tcpnet.send_group: out of bounds";
+        n + len)
+      0 slices
+  in
+  let data = Bytes.create total in
+  ignore
+    (List.fold_left
+       (fun pos (buf, off, len) ->
+         Bytes.blit buf off data pos len;
+         pos + len)
+       0 slices);
+  data
+
+let send_group conn slices =
+  let data = stage slices in
   let remote =
     match conn.peer with
     | Some p -> p
     | None -> invalid_arg "Tcpnet.send: not connected"
   in
   match Fabric.faults conn.stack.net.fabric with
-  | None -> fast_transmit conn remote staged
-  | Some faults -> reliable_send conn remote faults staged
+  | None -> fast_transmit conn remote data
+  | Some faults -> reliable_send conn remote faults data
 
-let send conn data = transmit conn [ Bytes.copy data ]
-let send_group conn bufs = transmit conn (List.map Bytes.copy bufs)
+let send conn data = send_group conn [ (data, 0, Bytes.length data) ]
 
 let is_dead conn = conn.dead
 let retries conn = conn.retries

@@ -82,11 +82,13 @@ val socketpair : t -> t -> conn * conn
 val send : conn -> Bytes.t -> unit
 (** Blocks for the kernel send path; returns when the payload has been
     handed to the stack (socket-buffer semantics), with delivery
-    continuing asynchronously. Under a fault plane, additionally blocks
-    while the send window is full; recovery is then driven by a per-conn
-    retransmitter daemon, so the call returns with the frame still in
-    flight and raises {!Timeout} only if the connection is (or becomes,
-    while waiting for window space) dead. *)
+    continuing asynchronously. The payload is copied once, on entry, so
+    the caller may reuse its buffer as soon as the call returns. Under a
+    fault plane, additionally blocks while the send window is full;
+    recovery is then driven by a per-conn retransmitter daemon, so the
+    call returns with the frame still in flight and raises {!Timeout}
+    only if the connection is (or becomes, while waiting for window
+    space) dead. *)
 
 val recv :
   ?timeout:Marcel.Time.span -> conn -> Bytes.t -> off:int -> len:int -> unit
@@ -97,9 +99,13 @@ val recv :
 val available : conn -> int
 (** Bytes currently buffered for reading. *)
 
-val send_group : conn -> Bytes.t list -> unit
-(** Scatter-gather send ([writev]): ships several buffers while paying the
-    kernel entry cost only once. *)
+val send_group : conn -> (Bytes.t * int * int) list -> unit
+(** Scatter-gather send ([writev]): ships each [(buf, off, len)] slice in
+    order while paying the kernel entry cost only once. The slices are
+    copied once, on entry, into a single staging buffer that travels as
+    one chunk (one frame under a fault plane), so the caller may reuse
+    them as soon as the call returns. [send] is the one-slice case.
+    Raises [Invalid_argument] if a slice is out of bounds. *)
 
 val recv_group : conn -> (Bytes.t * int * int) list -> unit
 (** Gather receive ([readv]): fills each [(buf, off, len)] slice in order,

@@ -24,11 +24,13 @@ type fw = {
   c1 : Tcpnet.conn;
 }
 
-let faulty_world ?(seed = 7L) ?(drop = 0.0) ?(corrupt = 0.0) () =
+let faulty_world ?(seed = 7L) ?(drop = 0.0) ?(corrupt = 0.0) ?(plane = true)
+    () =
   let engine = Engine.create () in
   let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
   let faults = Faults.create engine ~seed in
-  Fabric.set_faults fabric faults;
+  (* Without the plane attached, Tcpnet runs its fault-free path. *)
+  if plane then Fabric.set_faults fabric faults;
   let nodes =
     Array.init 2 (fun i ->
         let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
@@ -64,9 +66,85 @@ let faulty_transfer w ~size ~msgs =
   (!ok, !finish)
 
 let test_crc_known_vector () =
+  Alcotest.(check int) "crc32(\"\")" 0 (Simnet.Checksum.crc32 Bytes.empty);
   Alcotest.(check int)
     "crc32(\"123456789\")" 0xCBF43926
     (Simnet.Checksum.crc32 (Bytes.of_string "123456789"))
+
+(* Byte-at-a-time reference CRC-32 (same reflected polynomial), the
+   oracle for the sliced kernel. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let ref_crc32 b ~off ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := ref_table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_every_alignment () =
+  (* Every start offset mod 8 against every tail length, across the
+     8-byte step boundary. *)
+  let b = payload 96 5L in
+  for off = 0 to 15 do
+    for len = 0 to 80 do
+      Alcotest.(check int)
+        (Printf.sprintf "off %d len %d" off len)
+        (ref_crc32 b ~off ~len)
+        (Simnet.Checksum.crc32 ~off ~len b)
+    done
+  done
+
+let prop_crc_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 9216 >>= fun size ->
+      int_range 0 size >>= fun off ->
+      int_range 0 (size - off) >>= fun len ->
+      int >|= fun seed -> (size, off, len, seed))
+  in
+  QCheck.Test.make ~name:"crc32 matches the bytewise reference" ~count:300
+    (QCheck.make
+       ~print:(fun (size, off, len, seed) ->
+         Printf.sprintf "size %d off %d len %d seed %d" size off len seed)
+       gen)
+    (fun (size, off, len, seed) ->
+      let b = payload size (Int64.of_int seed) in
+      Simnet.Checksum.crc32 ~off ~len b = ref_crc32 b ~off ~len
+      && Simnet.Checksum.crc32 ~off b = ref_crc32 b ~off ~len:(size - off)
+      && Simnet.Checksum.crc32 b = ref_crc32 b ~off:0 ~len:size)
+
+let test_crc_out_of_bounds () =
+  let b = Bytes.create 16 in
+  List.iter
+    (fun (off, len) ->
+      let name =
+        Printf.sprintf "off %d len %s" off
+          (match len with Some l -> string_of_int l | None -> "-")
+      in
+      match Simnet.Checksum.crc32 ~off ?len b with
+      | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument _ -> ())
+    [
+      (* [off + len] wraps negative and used to pass the check. *)
+      (1, Some max_int);
+      (16, Some max_int);
+      (0, Some 17);
+      (8, Some 9);
+      (-1, Some 4);
+      (2, Some (-1));
+      (17, None);
+      (max_int, None);
+      (min_int, Some 0);
+    ];
+  Alcotest.(check int) "empty range at the end" 0
+    (Simnet.Checksum.crc32 ~off:16 b)
 
 let test_zero_rate_plane_changes_nothing () =
   (* Attaching a plane but configuring no fault must not consume any
@@ -131,6 +209,78 @@ let test_pci_stall_slows_transfer () =
   Alcotest.(check bool) "intact across the stall" true ok;
   Alcotest.(check bool) "stall slowed the transfer" true
     Time.(t_clean < t_stall)
+
+(* The send path stages the caller's bytes once, on entry: overwriting
+   the caller's buffers right after [send]/[send_group] returns must not
+   change what the receiver reads, on the fault-free path (the staged
+   bytes wait in the delivery stream) or the reliable one (they are the
+   frame that retransmissions resend). A [send_group] of slices at
+   nonzero offsets delivers exactly those bytes. *)
+let one_copy_contract ~plane ~drop () =
+  let w = faulty_world ~plane ~drop () in
+  let msgs = 8 in
+  let whole = List.init msgs (fun i -> payload 3000 (Int64.of_int (200 + i))) in
+  let parts =
+    List.init msgs (fun i ->
+        (payload 700 (Int64.of_int (300 + i)), payload 5000 (Int64.of_int (400 + i))))
+  in
+  let expected =
+    List.map2
+      (fun d (g, h) ->
+        (Bytes.copy d, Bytes.cat (Bytes.sub g 5 100) (Bytes.sub h 17 4000)))
+      whole parts
+  in
+  Engine.spawn w.engine ~name:"send" (fun () ->
+      List.iter2
+        (fun d (g, h) ->
+          Tcpnet.send w.c0 d;
+          Bytes.fill d 0 (Bytes.length d) 'X';
+          Tcpnet.send_group w.c0 [ (g, 5, 100); (h, 17, 4000) ];
+          Bytes.fill g 0 (Bytes.length g) 'Y';
+          Bytes.fill h 0 (Bytes.length h) 'Z')
+        whole parts);
+  let got = ref [] in
+  Engine.spawn w.engine ~name:"recv" (fun () ->
+      List.iter
+        (fun _ ->
+          let d = Bytes.create 3000 and gh = Bytes.create 4100 in
+          Tcpnet.recv w.c1 d ~off:0 ~len:3000;
+          Tcpnet.recv w.c1 gh ~off:0 ~len:4100;
+          got := (d, gh) :: !got)
+        whole);
+  Engine.run w.engine;
+  let got = List.rev !got in
+  Alcotest.(check int) "every message read" msgs (List.length got);
+  List.iteri
+    (fun i ((d, gh), (d', gh')) ->
+      Alcotest.(check bool) (Printf.sprintf "send %d intact" i) true
+        (Bytes.equal d d');
+      Alcotest.(check bool) (Printf.sprintf "send_group %d intact" i) true
+        (Bytes.equal gh gh'))
+    (List.combine expected got);
+  w
+
+let test_one_copy_fault_free () =
+  let w = one_copy_contract ~plane:false ~drop:0.0 () in
+  Alcotest.(check (pair int int)) "no reliable machinery" (0, 0)
+    (Tcpnet.net_stats w.net)
+
+let test_one_copy_reliable () =
+  let w = one_copy_contract ~plane:true ~drop:0.05 () in
+  let retrans, _ = Tcpnet.net_stats w.net in
+  Alcotest.(check bool) "retransmissions resent the staged frames" true
+    (retrans > 0)
+
+let test_send_group_rejects_bad_slice () =
+  let w = faulty_world ~plane:false () in
+  let b = Bytes.create 8 in
+  List.iter
+    (fun (off, len) ->
+      match Tcpnet.send_group w.c0 [ (b, 0, 4); (b, off, len) ] with
+      | () -> Alcotest.failf "off %d len %d: expected Invalid_argument" off len
+      | exception Invalid_argument _ -> ())
+    [ (4, 5); (-1, 2); (2, -1); (1, max_int); (9, 0) ];
+  Alcotest.(check int) "nothing sent" 0 (Tcpnet.available w.c1)
 
 let test_connect_timeout_on_crashed_peer () =
   let w = faulty_world () in
@@ -510,6 +660,11 @@ let () =
       ( "plane",
         [
           Alcotest.test_case "crc32 known vector" `Quick test_crc_known_vector;
+          Alcotest.test_case "crc32 every alignment" `Quick
+            test_crc_every_alignment;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+          Alcotest.test_case "crc32 out of bounds rejected" `Quick
+            test_crc_out_of_bounds;
           Alcotest.test_case "zero-rate plane is inert" `Quick
             test_zero_rate_plane_changes_nothing;
           Alcotest.test_case "seeded run reproducible" `Quick
@@ -532,6 +687,12 @@ let () =
             test_window_survives_reorder_dup_loss;
           Alcotest.test_case "max_retries: give up, attempts" `Quick
             test_max_retries_gives_up_with_attempt_count;
+          Alcotest.test_case "one copy: fault-free send" `Quick
+            test_one_copy_fault_free;
+          Alcotest.test_case "one copy: reliable send" `Quick
+            test_one_copy_reliable;
+          Alcotest.test_case "send_group rejects bad slices" `Quick
+            test_send_group_rejects_bad_slice;
         ] );
       ( "partitions",
         [
