@@ -6,6 +6,8 @@
      madbench mpi --device chmad --size 65536
      madbench nexus --proto sci --size 1024
      madbench chaos --quick --seed 42 --jobs 4 --json chaos.json
+     madbench figures fig4 fig10 report --jobs 4
+     madbench simspeed --baseline BENCH_simspeed.json
      madbench describe --config examples/clusters/two_cluster.cfg
      madbench config-pingpong --config cluster.cfg --channel wan \
          --from a --to b --size 4096
@@ -76,8 +78,8 @@ let jobs_arg =
   Arg.(value & opt int (Domain.recommended_domain_count ())
        & info [ "jobs" ] ~docv:"N"
            ~absent:"the machine's recommended domain count"
-           ~doc:"Worker domains to fan the sweep over (1 = serial). \
-                 Output is byte-identical for any N.")
+           ~doc:"Worker domains to fan independent jobs over (1 = serial). \
+                 Simulated results are byte-identical for any N.")
 
 let sweep net jobs =
   Format.printf "# %s latency/bandwidth sweep@." (net_name net);
@@ -275,28 +277,30 @@ let crossover_fabric (name, make) =
   { co_fabric = name; co_bytes; co_points; co_hit_rate }
 
 let crossover_write_json file results =
+  let record r =
+    Json.Obj
+      [
+        ("fabric", Json.Str r.co_fabric);
+        ("crossover_bytes", Json.Int r.co_bytes);
+        ("regcache_hit_rate", Json.Float (r.co_hit_rate, 3));
+        ( "points",
+          Json.List
+            (List.map
+               (fun (s, staged, rdv, cold) ->
+                 Json.Obj
+                   [
+                     ("bytes", Json.Int s);
+                     ("staged_mb_s", Json.Float (staged, 2));
+                     ("rdv_mb_s", Json.Float (rdv, 2));
+                     ("rdv_cold_mb_s", Json.Float (cold, 2));
+                     ("gain", Json.Float (rdv /. Float.max 1e-9 staged, 3));
+                   ])
+               r.co_points) );
+      ]
+  in
   let oc = open_out file in
-  output_string oc "{ \"crossover\": [\n";
-  let last = List.length results - 1 in
-  List.iteri
-    (fun i r ->
-      let points =
-        String.concat ", "
-          (List.map
-             (fun (s, staged, rdv, cold) ->
-               Printf.sprintf
-                 "{ \"bytes\": %d, \"staged_mb_s\": %.2f, \"rdv_mb_s\": \
-                  %.2f, \"rdv_cold_mb_s\": %.2f, \"gain\": %.3f }"
-                 s staged rdv cold (rdv /. Float.max 1e-9 staged))
-             r.co_points)
-      in
-      Printf.fprintf oc
-        "  { \"fabric\": %S, \"crossover_bytes\": %d, \"regcache_hit_rate\": \
-         %.3f, \"points\": [ %s ] }%s\n"
-        r.co_fabric r.co_bytes r.co_hit_rate points
-        (if i = last then "" else ","))
-    results;
-  output_string oc "] }\n";
+  Printf.fprintf oc "{ \"crossover\": %s }\n"
+    (Json.to_string (Json.List (List.map record results)));
   close_out oc
 
 let crossover out =
@@ -432,6 +436,69 @@ let chaos_cmd =
              collectives workloads.")
     Term.(
       const chaos $ workload_arg $ quick_arg $ seed_arg $ jobs_arg $ json_arg)
+
+(* -------- figures -------- *)
+
+(* The paper's evaluation (§5-§6) section by section, then the
+   ablations and the judged replication report; every number is
+   simulated, so the output is byte-identical for any --jobs. *)
+let figure_sections =
+  let fig f pool = print_string (f pool) in
+  [
+    ("fig4", fig Sweeps.fig4);
+    ("fig5", fig Sweeps.fig5);
+    ("fig6", fig Sweeps.fig6);
+    ("fig7", fig Sweeps.fig7);
+    ("eq16k", fig Sweeps.eq16k);
+    ("fig10", fig Sweeps.fig10);
+    ("fig11", fig Sweeps.fig11);
+    ("ablations", Ablations.run);
+    ( "report",
+      fun _pool ->
+        print_string
+          (Sweeps.section "Replication report -- paper vs measured, judged" "");
+        ignore (Report.run ()) );
+  ]
+
+let figures sections jobs =
+  let sections =
+    if sections = [] then List.map snd figure_sections else sections
+  in
+  Parsim.with_pool ~jobs (fun pool -> List.iter (fun f -> f pool) sections);
+  print_string "\nbench: all requested sections completed.\n"
+
+let sections_arg =
+  Arg.(value & pos_all (enum figure_sections) [] & info [] ~docv:"SECTION"
+         ~doc:("Sections to run, in order (default: all): "
+              ^ String.concat " " (List.map fst figure_sections) ^ "."))
+
+let figures_cmd =
+  Cmd.v
+    (Cmd.info "figures"
+       ~doc:"Regenerate the paper's figures, the ablations and the \
+             replication report.")
+    Term.(const figures $ sections_arg $ jobs_arg)
+
+(* -------- simspeed -------- *)
+
+let simspeed jobs json baseline =
+  if not (Simspeed.run ~jobs ~json ~baseline) then exit 1
+
+let write_json_arg =
+  Arg.(value & flag & info [ "json" ]
+         ~doc:"Also write the results to BENCH_simspeed.json.")
+
+let baseline_arg =
+  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
+         ~doc:"Gate the run against the baseline FILE, read before \
+               $(b,--json) writes; exit 1 if a gate fails.")
+
+let simspeed_cmd =
+  Cmd.v
+    (Cmd.info "simspeed"
+       ~doc:"Simulator throughput (host events per second) per scenario, \
+             optionally gated against a baseline.")
+    Term.(const simspeed $ jobs_arg $ write_json_arg $ baseline_arg)
 
 (* -------- describe / config-driven runs -------- *)
 
@@ -570,13 +637,14 @@ let () =
         "Measurements on the simulated Madeleine II testbed (CLUSTER 2000 \
          reproduction): ping-pongs and sweeps on each interface, gateway \
          forwarding, MPI and Nexus layers, the fault-injection chaos \
-         sweep, and cluster-file driven worlds (describe, \
-         config-pingpong)."
+         sweep, the paper's figures, simulator throughput, and \
+         cluster-file driven worlds (describe, config-pingpong)."
   in
   exit
     (Cmd.eval
        (Cmd.group info
           [
             pingpong_cmd; sweep_cmd; forward_cmd; mpi_cmd; nexus_cmd;
-            crossover_cmd; chaos_cmd; describe_cmd; config_pingpong_cmd;
+            crossover_cmd; chaos_cmd; figures_cmd; simspeed_cmd; describe_cmd;
+            config_pingpong_cmd;
           ]))

@@ -16,17 +16,10 @@ module Channel = Madeleine.Channel
 module Mad = Madeleine.Api
 module Vc = Madeleine.Vchannel
 
-type value =
-  | Int of int
-  | Float of float * int (* value, decimals printed *)
-  | Bool of bool
-  | Str of string
-  | Ints of int list
-  | Null
-  | Table of (string * value) list list
+open Json
 
 type result = {
-  fields : (string * value) list;
+  fields : (string * Json.t) list;
   line : string;
   gates : (string * bool) list;
 }
@@ -40,10 +33,12 @@ type workload = {
 let f2 x = Float (x, 2)
 let f3 x = Float (x, 3)
 let ints l = String.concat "; " (List.map string_of_int l)
+let int_list l = List (List.map (fun n -> Int n) l)
+let table rows = List (List.map (fun row -> Obj row) rows)
 
 (* Every instrumented queue of a vchannel, as a table of its peaks. *)
 let queue_table queues =
-  Table
+  table
     (List.map
        (fun q ->
          [
@@ -303,7 +298,7 @@ let pingpong_faults ~seed ~quick =
     ]
   in
   {
-    fields = [ ("rows", Table (List.map row_fields rows)) ];
+    fields = [ ("rows", table (List.map row_fields rows)) ];
     line =
       Printf.sprintf "%-10s %8s %7s %12s %10s %6s %8s %5s %5s %8s %5s %7s\n"
         "scenario" "size(B)" "drop%" "latency(us)" "bw(MB/s)" "drops"
@@ -404,7 +399,7 @@ let failover_run ~seed ~size ~messages =
         ("messages", Int messages);
         ("size", Int size);
         ("crashed_gateway", Int gw);
-        ("route_after", Ints !route_after);
+        ("route_after", int_list !route_after);
         ("reroutes", Int stats.Vc.reroutes);
         ("reemitted", Int stats.Vc.reemitted);
         ("dup_drops", Int stats.Vc.dup_drops);
@@ -602,8 +597,8 @@ let crash_restart_run ~seed ~size ~messages =
         ("dup_drops", Int stats.Vc.dup_drops);
         ("exactly_once", Bool exactly_once);
         ("finish_us", f2 finish_us);
-        ("suspicions", Table suspicions);
-        ("flows", Table flows);
+        ("suspicions", table suspicions);
+        ("flows", table flows);
       ];
     line =
       Printf.sprintf
@@ -756,7 +751,7 @@ let rolling_restart_run ~seed ~size ~messages =
       [
         ("messages_per_phase", Int messages);
         ("size", Int size);
-        ("restarted", Ints !rolled);
+        ("restarted", int_list !rolled);
         ("epoch_start", Int epoch_start);
         ("epoch_final", Int epoch_final);
         ("joins", Int joins);
@@ -1055,7 +1050,7 @@ let partition_result vc ~workload:w ~messages ~size ~cycles
         ("cut_delivered", Int cut_delivered);
         ("minority_typed", Bool minority_typed);
         ("pending_after", Int pending);
-        ("members_final", Ints members);
+        ("members_final", int_list members);
         ("reemitted", Int rel.Vc.reemitted);
         ("exactly_once", Bool exactly_once);
         ("finish_us", f2 finish_us);
@@ -1659,7 +1654,7 @@ let coll_result ~workload:w ~ranks ~expected ~completed ~failed ~agree
         ("failed", Int failed);
         ("agree", Bool agree);
         ("value_ok", Bool value_ok);
-        ("covered", Ints st.Coll.last_covered);
+        ("covered", int_list st.Coll.last_covered);
         ("rejoined", Bool rejoined);
         ("spine_ok", Bool spine_ok);
         ("repairs", Int st.Coll.repairs);
@@ -1981,7 +1976,7 @@ let coll_scale_run ~seed ~fanout ~sizes =
         ("flat_root_contribs", Int flat.Coll.root_contribs);
         ("log_like", Bool log_like);
         ( "rows",
-          Table
+          table
             (List.map
                (fun (n, tree_us, tree, flat_us, flat) ->
                  [
@@ -2216,56 +2211,22 @@ let gates results = List.concat_map (fun (_, r) -> r.gates) results
 (* Rendering. Every figure is simulated, so a report is a pure function
    of (seed, quick): reruns are byte-identical. *)
 
-let rec json_value indent = function
-  | Int n -> string_of_int n
-  | Float (x, decimals) -> Printf.sprintf "%.*f" decimals x
-  | Bool b -> string_of_bool b
-  | Str s -> Printf.sprintf "%S" s
-  | Ints l -> "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
-  | Null -> "null"
-  | Table rows ->
-      let pad = String.make indent ' ' and last = List.length rows - 1 in
-      "[\n"
-      ^ String.concat ""
-          (List.mapi
-             (fun i row ->
-               Printf.sprintf "%s  %s%s\n" pad (json_object row)
-                 (if i = last then "" else ","))
-             rows)
-      ^ pad ^ "]"
-
-(* One object on one line, except that a table field starts a new line. *)
-and json_object fields =
-  "{ "
-  ^ String.concat ""
-      (List.mapi
-         (fun i (k, v) ->
-           let sep =
-             match (i, v) with
-             | 0, _ -> ""
-             | _, Table _ -> ",\n  "
-             | _ -> ", "
-           in
-           Printf.sprintf "%s%S: %s" sep k (json_value 2 v))
-         fields)
-  ^ " }"
-
 let gates_json gates =
-  json_value 0
-    (Table
+  Json.to_string
+    (table
        (List.map (fun (n, ok) -> [ ("gate", Str n); ("pass", Bool ok) ]) gates))
 
 let to_json ~seed ~quick results =
   let member (name, r) =
     match r.fields with
-    | [ (key, (Table _ as rows)) ] ->
+    | [ (key, (List _ as rows)) ] ->
         (* A workload that is nothing but a table (the fault rows) is
            inlined as that table. *)
-        Printf.sprintf "%S: %s, " key (json_value 0 rows)
+        Printf.sprintf "%s: %s, " (Json.quote key) (Json.to_string rows)
     | fields ->
-        Printf.sprintf "%S: %s,\n"
-          (String.map (function '-' -> '_' | c -> c) name)
-          (json_object fields)
+        Printf.sprintf "%s: %s,\n"
+          (Json.quote (String.map (function '-' -> '_' | c -> c) name))
+          (Json.to_string (Obj fields))
   in
   Printf.sprintf
     "{ \"chaos\": { \"seed\": %d, \"quick\": %b, %s\"gates\": %s } }\n" seed
@@ -2275,12 +2236,13 @@ let to_json ~seed ~quick results =
 
 let workload_json ~seed name r =
   Printf.sprintf
-    "{ \"chaos\": { \"seed\": %d, \"workload\": %S,\n\
+    "{ \"chaos\": { \"seed\": %d, \"workload\": %s,\n\
      \"metrics\": {\n%s\n},\n\"gates\": %s } }\n"
-    seed name
+    seed (Json.quote name)
     (String.concat ",\n"
        (List.map
-          (fun (k, v) -> Printf.sprintf "  %S: %s" k (json_value 2 v))
+          (fun (k, v) ->
+            Printf.sprintf "  %s: %s" (Json.quote k) (Json.to_string ~indent:2 v))
           r.fields))
     (gates_json r.gates)
 

@@ -14,18 +14,8 @@
     a result is a pure function of [(seed, quick)]: reruns and
     different worker counts produce byte-identical JSON. *)
 
-type value =
-  | Int of int
-  | Float of float * int  (** the value and the decimals it prints with *)
-  | Bool of bool
-  | Str of string
-  | Ints of int list
-  | Null
-  | Table of (string * value) list list
-      (** rows of flat fields: queues, suspicions, flows, table rows *)
-
 type result = {
-  fields : (string * value) list;
+  fields : (string * Json.t) list;
       (** the measurements, in the order the JSON object lists them *)
   line : string;
       (** the human rendering (newline terminated; tabular workloads

@@ -403,6 +403,8 @@ let parse_line t lineno line =
       (if !rendezvous_auto then
          let fabric = string_of_kind net.kind in
          match Crossover.lookup ~fabric () with
+         | exception Json.Error msg ->
+             raise (Parse_error (lineno, "rendezvous=auto: " ^ msg))
          | Some bytes_count ->
              config := { !config with rendezvous_threshold = Some bytes_count }
          | None ->

@@ -1,58 +1,16 @@
 (* Loader for the measured eager/rendezvous crossover points written by
-   `madbench crossover` (BENCH_crossover.json). Each fabric's record
-   sits on one line of the JSON, so plain string scanning suffices —
-   the toolchain has no JSON library, and the bench writers guarantee
-   the one-object-per-line shape. *)
+   `madbench crossover` (BENCH_crossover.json). *)
 
 let default_file = "BENCH_crossover.json"
 
-let find_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let string_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": \"" key) with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-let int_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some start ->
-      let n = String.length line in
-      let stop = ref start in
-      while
-        !stop < n && match line.[!stop] with '0' .. '9' -> true | _ -> false
-      do
-        incr stop
-      done;
-      int_of_string_opt (String.sub line start (!stop - start))
-
 let load ?(file = default_file) () =
   if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let acc = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           (string_field line "fabric", int_field line "crossover_bytes")
-         with
-         | Some fabric, Some bytes_count -> acc := (fabric, bytes_count) :: !acc
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-  end
+  else
+    Json.read_file file (fun doc ->
+        List.map
+          (fun r ->
+            ( Json.to_str (Json.member "fabric" r),
+              Json.to_int (Json.member "crossover_bytes" r) ))
+          (Json.to_list (Json.member "crossover" doc)))
 
 let lookup ?file ~fabric () = List.assoc_opt fabric (load ?file ())

@@ -10,8 +10,9 @@ val default_file : string
 (** ["BENCH_crossover.json"], resolved against the working directory. *)
 
 val load : ?file:string -> unit -> (string * int) list
-(** [(fabric, crossover_bytes)] for every fabric recorded in the file;
-    [[]] if the file does not exist. *)
+(** [(fabric, crossover_bytes)] for every fabric recorded in the file,
+    whatever its layout; [[]] if the file does not exist.
+    @raise Json.Error naming the file if it is malformed. *)
 
 val lookup : ?file:string -> fabric:string -> unit -> int option
 (** The measured crossover for one fabric (e.g. ["sisci"]), if any. *)

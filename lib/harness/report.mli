@@ -1,8 +1,7 @@
 (** The machine-checkable replication report: measures every headline
     quantity of the paper on the simulated testbed and judges it against
-    a tolerance band. Run from the benchmark harness ([bench/main.exe
-    report]) and enforced by the test suite, so a regression in any
-    calibrated number fails CI. *)
+    a tolerance band. Run by [madbench figures report] and enforced by
+    the test suite, so a regression in any calibrated number fails CI. *)
 
 type verdict = Match | Close | Off
 

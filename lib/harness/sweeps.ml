@@ -1,4 +1,4 @@
-(* The figure sweeps of bench/main.exe, restructured so that every
+(* The figure sweeps of `madbench figures`, restructured so that every
    measured point is a (label, thunk) job returning a structured row.
    Thunks build their whole world inside the job (the world-isolation
    invariant, docs/MODEL.md), so a Parsim pool may execute them on any

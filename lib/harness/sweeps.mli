@@ -10,6 +10,10 @@
 
     Each returns the complete rendered section (header included). *)
 
+val section : string -> string -> string
+(** [section title body]: [body] under [title] between two rules, the
+    heading every figure section prints. *)
+
 val fig4 : Parsim.pool -> string
 (** Madeleine II over SISCI/SCI: latency and bandwidth sweep. *)
 

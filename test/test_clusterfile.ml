@@ -277,6 +277,47 @@ let test_rendezvous_auto_from_bench_json () =
       Alcotest.(check (option int)) "loader misses via" None
         (Crossover.lookup ~file ~fabric:"via" ()))
 
+let with_file ?(name = Filename.temp_file "crossover" ".json") text f =
+  let oc = open_out name in
+  output_string oc text;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove name) (fun () -> f name)
+
+let test_rendezvous_auto_any_layout () =
+  (* The crossover file is read as JSON, not line by line: a record
+     split over several lines is found, and a malformed file is an error
+     naming it, not a missing measurement. *)
+  with_file
+    {|{
+  "crossover": [
+    {
+      "fabric": "sisci",
+      "crossover_bytes": 24576
+    }
+  ]
+}
+|}
+    (fun file ->
+      Alcotest.(check (option int)) "multi-line record" (Some 24576)
+        (Crossover.lookup ~file ~fabric:"sisci" ()));
+  let truncated = {|{ "crossover": [ { "fabric": "sisci", |} in
+  with_file truncated (fun file ->
+      match Crossover.lookup ~file ~fabric:"sisci" () with
+      | _ -> Alcotest.fail "a malformed file read as a measurement"
+      | exception Json.Error msg ->
+          Alcotest.(check bool) "error names the file" true
+            (String.starts_with ~prefix:file msg));
+  (* Through a clusterfile, the same fault is a line-numbered error. *)
+  let cwd = Sys.getcwd () and dir = Filename.temp_dir "crossover" "" in
+  Sys.chdir dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Sys.rmdir dir)
+    (fun () ->
+      with_file ~name:Crossover.default_file truncated (fun _ ->
+          expect_parse_error ~line:4 (rdv_cfg_lines "rendezvous=auto")))
+
 let test_rendezvous_option_errors () =
   expect_parse_error ~line:4 (rdv_cfg_lines "slot_payload=0");
   expect_parse_error ~line:4 (rdv_cfg_lines "dma_threshold=-1");
@@ -552,6 +593,8 @@ let () =
             test_rendezvous_options_parsed;
           Alcotest.test_case "rendezvous auto crossover" `Quick
             test_rendezvous_auto_from_bench_json;
+          Alcotest.test_case "rendezvous auto any layout" `Quick
+            test_rendezvous_auto_any_layout;
           Alcotest.test_case "rendezvous option errors" `Quick
             test_rendezvous_option_errors;
           Alcotest.test_case "topology options" `Quick

@@ -51,7 +51,7 @@ let gate r name = List.assoc name r.Chaos.gates
 let field r name = List.assoc name r.Chaos.fields
 
 let int_field r name =
-  match field r name with Chaos.Int n -> n | _ -> Alcotest.fail name
+  match field r name with Json.Int n -> n | _ -> Alcotest.fail name
 
 let test_gateway_crash_failover () =
   let f = chaos_workload "failover" in
@@ -63,7 +63,7 @@ let test_gateway_crash_failover () =
     (int_field f "reemitted" > 0);
   Alcotest.(check bool) "crashed gateway left the route" true
     (match (field f "crashed_gateway", field f "route_after") with
-    | Chaos.Int gw, Chaos.Ints route -> not (List.mem gw route)
+    | Json.Int gw, Json.List route -> not (List.mem (Json.Int gw) route)
     | _ -> false);
   Alcotest.(check bool) "losing the last gateway partitions" true
     (gate f "failover-partition-detected")
@@ -137,15 +137,15 @@ let test_crash_restart_exactly_once () =
   Alcotest.(check bool) "routes were recomputed" true
     (int_field r "reroutes" >= 1);
   Alcotest.(check bool) "sentinels observed the outage" true
-    (field r "suspicions" <> Chaos.Table []);
+    (field r "suspicions" <> Json.List []);
   (* Once the stream completes, every origin re-emission log is empty:
      everything sent in the current epoch has been acknowledged. *)
   match field r "flows" with
-  | Chaos.Table flows ->
+  | Json.List flows ->
       List.iter
         (fun f ->
           Alcotest.(check bool) "origin log drained" true
-            (List.assoc "unacked" f = Chaos.Int 0))
+            (Json.member "unacked" f = Json.Int 0))
         flows
   | _ -> Alcotest.fail "flows"
 

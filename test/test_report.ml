@@ -1,6 +1,6 @@
 (* The replication report as a regression gate: every calibrated paper
    quantity must stay within twice its tolerance band. The full table
-   prints on failure (and in `bench/main.exe report`). *)
+   prints on failure (and in `madbench figures report`). *)
 
 let test_replication_report () =
   Alcotest.(check bool) "all paper quantities within tolerance" true
