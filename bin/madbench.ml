@@ -481,8 +481,8 @@ let figures_cmd =
 
 (* -------- simspeed -------- *)
 
-let simspeed jobs json baseline =
-  if not (Simspeed.run ~jobs ~json ~baseline) then exit 1
+let simspeed json baseline =
+  if not (Simspeed.run ~json ~baseline) then exit 1
 
 let write_json_arg =
   Arg.(value & flag & info [ "json" ]
@@ -498,7 +498,7 @@ let simspeed_cmd =
     (Cmd.info "simspeed"
        ~doc:"Simulator throughput (host events per second) per scenario, \
              optionally gated against a baseline.")
-    Term.(const simspeed $ jobs_arg $ write_json_arg $ baseline_arg)
+    Term.(const simspeed $ write_json_arg $ baseline_arg)
 
 (* -------- describe / config-driven runs -------- *)
 

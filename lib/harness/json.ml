@@ -40,8 +40,6 @@ let is_table = function
 let rec print ~indent ~inline v =
   match v with
   | Int n -> string_of_int n
-  (* The exponent keeps a zero-decimal float apart from an Int. *)
-  | Float (x, 0) -> Printf.sprintf "%.0fe0" x
   | Float (x, decimals) -> Printf.sprintf "%.*f" decimals x
   | Bool b -> string_of_bool b
   | Str s -> quote s

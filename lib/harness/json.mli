@@ -23,13 +23,14 @@ val to_string : ?indent:int -> t -> string
     objects (a table) prints one row per line, indented two spaces past
     [indent] (default 0), and a table field starts a new line; inside a
     table row, tables stay inline as [[ {...}, {...} ]]. Other lists
-    print as [[1, 2]]. [Float (x, 0)] prints as [xe0] so it reads back
-    as a [Float]. *)
+    print as [[1, 2]]. [Float (x, 0)] prints as an integer literal, so
+    it reads back as an [Int]; no report prints one. *)
 
 val parse : string -> t
 (** A number with neither fraction nor exponent is an [Int]; any other
     is a [Float] carrying its count of fraction digits, so
-    [parse (to_string v) = v] for floats that print exactly.
+    [parse (to_string v) = v] for floats that print exactly with at
+    least one decimal.
     @raise Error with the line and column of the first fault. *)
 
 val read_file : string -> (t -> 'a) -> 'a

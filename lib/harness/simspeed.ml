@@ -32,6 +32,7 @@ type sim_us = {
    pinned and the labels are fixed, so both stay machine-independent;
    the domain count lands in the JSON's [domains] field. *)
 let parallel_sweep_worlds = 8
+let parallel_sweep_domains = min 4 (Domain.recommended_domain_count ())
 let parallel_serial_label = "parallel sweep 8x sisci serial"
 let parallel_domains_label = "parallel sweep 8x sisci pooled"
 
@@ -243,37 +244,37 @@ let tolerance = 0.20
 let verdict ok text =
   ((if ok then "  GATE OK:   " else "  GATE FAIL: ") ^ text, ok)
 
+(* One verdict per measured row. Event counts replay a deterministic
+   schedule, so any difference means the simulation itself changed. A
+   baseline that matches none of the rows compares nothing, so it fails
+   the gate rather than passing it vacuously. *)
 let check_baseline ~baseline rows =
-  List.concat_map
-    (fun row ->
-      match List.find_opt (fun b -> b.scenario = row.scenario) baseline with
-      | None ->
-          [
-            (Printf.sprintf "  GATE WARN: %S not in baseline" row.scenario, true);
-          ]
-      | Some base ->
-          let ratio = row.events_per_s /. Float.max 1e-9 base.events_per_s in
-          (* Event counts replay a deterministic schedule: any difference
-             means the simulation itself changed. *)
-          (if row.events = base.events then []
-           else
-             [
-               verdict false
-                 (Printf.sprintf
-                    "%-34s %d events vs baseline %d (the simulated schedule \
-                     changed)"
-                    row.scenario row.events base.events);
-             ])
-          @ [
-              verdict (ratio >= 1.0 -. tolerance)
-                (Printf.sprintf
-                   "%-34s %8.2f Mev/s vs baseline %8.2f Mev/s (%.0f%% of \
-                    baseline, floor %.0f%%)"
-                   row.scenario (row.events_per_s /. 1e6)
-                   (base.events_per_s /. 1e6) (ratio *. 100.)
-                   ((1.0 -. tolerance) *. 100.));
-            ])
-    rows
+  let base_of row =
+    List.find_opt (fun b -> b.scenario = row.scenario) baseline
+  in
+  let check row =
+    match base_of row with
+    | None ->
+        (Printf.sprintf "  GATE WARN: %S not in baseline" row.scenario, true)
+    | Some base ->
+        let ratio = row.events_per_s /. Float.max 1e-9 base.events_per_s in
+        verdict
+          (row.events = base.events && ratio >= 1.0 -. tolerance)
+          (Printf.sprintf
+             "%-34s %8.2f Mev/s vs baseline %8.2f Mev/s (%.0f%% of baseline, \
+              floor %.0f%%)%s"
+             row.scenario (row.events_per_s /. 1e6) (base.events_per_s /. 1e6)
+             (ratio *. 100.) ((1.0 -. tolerance) *. 100.)
+             (if row.events = base.events then ""
+              else
+                Printf.sprintf
+                  "; %d events vs baseline %d (the simulated schedule changed)"
+                  row.events base.events))
+  in
+  List.map check rows
+  @
+  if List.exists (fun row -> base_of row <> None) rows then []
+  else [ ("  GATE ERROR: no measured scenario is in the baseline", false) ]
 
 (* Aggregation must buy goodput on the 10k-flow workload and the
    warm-cache zero-copy path must buy bandwidth over the staged path at
@@ -281,7 +282,7 @@ let check_baseline ~baseline rows =
 let aggregation_floor = 2.0
 let rendezvous_floor = 1.2
 
-let run ~jobs ~json ~baseline =
+let run ~json ~baseline =
   match Option.map read_baseline baseline with
   | exception Json.Error msg ->
       Printf.printf "simspeed: baseline unreadable: %s\n%!" msg;
@@ -291,10 +292,9 @@ let run ~jobs ~json ~baseline =
         (Sweeps.section
            "Simulator throughput -- discrete events per host wall-clock second"
            "");
-      let domains = min 4 (min jobs (Domain.recommended_domain_count ())) in
       let sim = { staged = 0.; zero_copy = 0.; fifo = 0.; aggreg = 0. } in
       let results =
-        Parsim.with_pool ~jobs:domains (fun pool ->
+        Parsim.with_pool ~jobs:parallel_sweep_domains (fun pool ->
             List.map
               (fun (label, f) ->
                 let events, wall = measure f in
@@ -321,7 +321,7 @@ let run ~jobs ~json ~baseline =
       Printf.printf
         "  parallel sweep speedup: %.2fx over serial (%d domains, %d \
          core(s))\n%!"
-        speedup domains
+        speedup parallel_sweep_domains
         (Domain.recommended_domain_count ());
       let goodput_ratio =
         if sim.aggreg > 0.0 then sim.fifo /. sim.aggreg else 0.0
@@ -342,7 +342,7 @@ let run ~jobs ~json ~baseline =
           [
             ( parallel_domains_label,
               [
-                ("domains", Json.Int domains);
+                ("domains", Json.Int parallel_sweep_domains);
                 ("speedup_vs_serial", Json.Float (speedup, 2));
               ] );
             ( sched_aggreg_label,
@@ -371,17 +371,20 @@ let run ~jobs ~json ~baseline =
       | None -> true
       | Some baseline ->
           (* The speedup floor scales with the pool: 2.5x at 4 domains,
-             1.5x at 2-3. A single domain has no parallelism to gate. *)
+             1.5x at 2-3. A single-core host has no parallelism to gate. *)
           let speedup_gate =
-            if domains < 2 then
-              [ ("  GATE SKIP: speedup floor needs >= 2 domains", true) ]
+            if parallel_sweep_domains < 2 then
+              [
+                ( "  GATE SKIP: speedup floor needs >= 2 cores, host has 1",
+                  true );
+              ]
             else
-              let floor = if domains >= 4 then 2.5 else 1.5 in
+              let floor = if parallel_sweep_domains >= 4 then 2.5 else 1.5 in
               [
                 verdict (speedup >= floor)
                   (Printf.sprintf
                      "parallel sweep speedup %.2fx on %d domains (floor %.1fx)"
-                     speedup domains floor);
+                     speedup parallel_sweep_domains floor);
               ]
           in
           let gates =

@@ -28,6 +28,10 @@ let test_layout () =
     "{ \"k\": 7,\n  \"rows\": [\n    { \"n\": 1, \"ok\": true }\n  ] }"
     (Json.to_string
        (Json.Obj [ ("k", Json.Int 7); ("rows", Json.List [ row 1 ]) ]));
+  Alcotest.(check string)
+    "an empty table field prints inline, like any empty list"
+    {|{ "k": 7, "rows": [] }|}
+    (Json.to_string (Json.Obj [ ("k", Json.Int 7); ("rows", Json.List []) ]));
   Alcotest.(check string) "a table inside a row stays inline"
     "[\n  { \"rows\": [ { \"n\": 1, \"ok\": true } ] }\n]"
     (Json.to_string (Json.List [ Json.Obj [ ("rows", Json.List [ row 1 ]) ] ]))
@@ -44,9 +48,6 @@ let test_parse () =
     (Json.parse
        " {\n \"s\" : \"a\\\"b\\\\c\\/\\n\\u0001\\u00e9\",\"x\":-1.25,\r\n\
         \t\"e\": 1.5e3 , \"l\":[0,false]}\n");
-  Alcotest.(check json) "a zero-decimal float reads back as a float"
-    (Json.Float (3., 0))
-    (Json.parse (Json.to_string (Json.Float (3., 0))));
   List.iter
     (fun bad ->
       match Json.parse bad with
@@ -102,10 +103,18 @@ let gen_json =
                      (list_size (0 -- 4) (pair gen_string (self (n / 3)))) );
                ]))
 
+(* A zero-decimal float prints as an integer literal and reads back as
+   an Int; every other value reads back as itself. *)
+let rec reread = function
+  | Json.Float (x, 0) -> Json.Int (int_of_float x)
+  | Json.List l -> Json.List (List.map reread l)
+  | Json.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, reread v)) fields)
+  | v -> v
+
 let prop_roundtrip =
   QCheck.Test.make ~count:500 ~name:"parse (to_string v) = v"
     (QCheck.make ~print:Json.to_string gen_json)
-    (fun v -> Json.parse (Json.to_string v) = v)
+    (fun v -> Json.parse (Json.to_string v) = reread v)
 
 (* ---------------- committed reports ---------------- *)
 
@@ -147,11 +156,18 @@ let test_simspeed_check () =
   Alcotest.(check (list bool)) "rate below the floor" [ false ]
     (verdicts [ row "a" 1000 0.75e6 ]);
   Alcotest.(check (list bool))
-    "an event count off by one fails, whatever the rate" [ false; true ]
+    "an event count off by one fails, whatever the rate" [ false ]
     (verdicts [ row "b" 2001 9e6 ]);
   Alcotest.(check (list bool))
-    "a scenario the baseline lacks only warns" [ true ]
-    (verdicts [ row "c" 5 1. ])
+    "a scenario the baseline lacks only warns" [ true; true ]
+    (verdicts [ row "a" 1000 1e6; row "c" 5 1. ]);
+  Alcotest.(check (list bool))
+    "a baseline matching no measured scenario fails" [ true; false ]
+    (verdicts [ row "c" 5 1. ]);
+  Alcotest.(check (list bool)) "an empty baseline fails" [ true; true; false ]
+    (List.map snd
+       (Simspeed.check_baseline ~baseline:[]
+          [ row "a" 1000 1e6; row "b" 2000 2e6 ]))
 
 let () =
   Alcotest.run "json"
