@@ -2262,23 +2262,23 @@ let render_table ~seed ~quick results =
    attached at all. Simspeed tracks its host events/s to catch the
    fault machinery taxing the fault-free fast path. *)
 
-let clean_path_events () =
+let clean_path_engines () =
   (* Enough iterations that the host-side wall clock of the scenario is
      tens of milliseconds: a 20%-tolerance gate on a millisecond-sized
      sample would be all noise. *)
-  List.fold_left
-    (fun acc size ->
+  List.map
+    (fun size ->
       let w = Harness.tcp_world () in
       ignore (Harness.mad_pingpong w ~bytes_count:size ~iters:256);
-      acc + Engine.events_processed w.Harness.engine)
-    0 [ 4; 4096; 16384 ]
+      w.Harness.engine)
+    [ 4; 4096; 16384 ]
 
 (* The windowed-protocol control: the reliable TCP stream with a fault
    plane attached but inert (no fault configured). Simspeed tracks its
    host events/s — once with the go-back-N window and once degraded to
    stop-and-wait — to catch the window/session machinery taxing the
    fault-free fast path. *)
-let inert_window_events ~window =
+let inert_window_engine ~window =
   let engine, _faults, _net, _nodes, stacks =
     one_segment ~seed:42 ~hosts:2 ~window ()
   in
@@ -2298,4 +2298,4 @@ let inert_window_events ~window =
         Tcpnet.recv c1 buf ~off:0 ~len:size
       done);
   Engine.run engine;
-  Engine.events_processed engine
+  engine

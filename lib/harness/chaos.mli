@@ -59,13 +59,13 @@ val workload_json : seed:int -> string -> result -> string
 (** One workload's result as JSON: its fields as ["metrics"], then its
     gates. *)
 
-val clean_path_events : unit -> int
-(** Host events processed by the quick chaos ping-pong workload with no
+val clean_path_engines : unit -> Marcel.Engine.t list
+(** The finished worlds of the quick chaos ping-pong workload with no
     fault plane attached — the simspeed control guarding the fault-free
-    fast path. *)
+    fast path, which reads their event counts and fingerprints. *)
 
-val inert_window_events : window:int -> int
-(** Host events processed by a one-way reliable TCP stream (256 x 4 kB)
+val inert_window_engine : window:int -> Marcel.Engine.t
+(** The finished world of a one-way reliable TCP stream (1024 x 4 kB)
     with a fault plane attached but inert — the simspeed control
     guarding the fault-free fast path of the go-back-N protocol. Run it
     at the default window and at [window:1] (stop-and-wait) to compare

@@ -9,7 +9,30 @@
 module H = Harness
 module Vc = Madeleine.Vchannel
 
-type row = { scenario : string; events : int; events_per_s : float }
+type row = {
+  scenario : string;
+  events : int;
+  fingerprint : int;
+  events_per_s : float;
+}
+
+(* What one scenario run leaves behind: its event count and the
+   combined schedule fingerprint of the worlds it ran. *)
+type tally = { t_events : int; t_fingerprint : int }
+
+let no_tally = { t_events = 0; t_fingerprint = 0 }
+
+let add_tally a b =
+  {
+    t_events = a.t_events + b.t_events;
+    t_fingerprint = (a.t_fingerprint * 1_000_003) + b.t_fingerprint;
+  }
+
+let tally_of engine =
+  {
+    t_events = Marcel.Engine.events_processed engine;
+    t_fingerprint = Marcel.Engine.fingerprint engine;
+  }
 
 let reps = 6
 let json_file = "BENCH_simspeed.json"
@@ -43,9 +66,9 @@ let parallel_sweep_events pool =
           fun () ->
             let w = H.sisci_world () in
             ignore (H.mad_pingpong w ~bytes_count:(1 lsl 20) ~iters:4);
-            Marcel.Engine.events_processed w.H.engine ))
+            tally_of w.H.engine ))
   in
-  List.fold_left ( + ) 0 (Parsim.run pool jobs)
+  List.fold_left add_tally no_tally (Parsim.run pool jobs)
 
 (* The SchedOpt workload: 10 000 concurrent small-message logical flows
    (100 sender threads x 100 one-message flows of 64 B) crossing the
@@ -95,7 +118,7 @@ let sched_flows_events sim ~aggreg =
   assert (!fin = total);
   let us = Marcel.Time.to_us !finish in
   if aggreg then sim.aggreg <- us else sim.fifo <- us;
-  Marcel.Engine.events_processed w.H.cw_engine
+  tally_of w.H.cw_engine
 
 (* The zero-copy rendezvous scenarios: the same 1 MB ping-pong as the
    staged line, with the long-message path switched on — once with a
@@ -119,7 +142,7 @@ let sisci_1mb_events ?entries () =
   in
   let w = H.sisci_world ?config () in
   let t = H.mad_pingpong w ~bytes_count:(1 lsl 20) ~iters:4 in
-  (Marcel.Engine.events_processed w.H.engine, Marcel.Time.to_us t)
+  (tally_of w.H.engine, Marcel.Time.to_us t)
 
 (* Four 1 MB messages from the SCI side to the Myrinet side through the
    gateway, optionally with the credit plane and a bounded gateway pool
@@ -149,9 +172,9 @@ let gateway_stream_events ?credits ?gw_pool () =
       done);
   Marcel.Engine.run w.H.cw_engine;
   assert (!fin = msgs);
-  Marcel.Engine.events_processed w.H.cw_engine
+  tally_of w.H.cw_engine
 
-let scenarios sim : (string * (unit -> int)) list =
+let scenarios sim : (string * (unit -> tally)) list =
   [
     ( "sisci 1MB ping-pong",
       fun () ->
@@ -168,16 +191,20 @@ let scenarios sim : (string * (unit -> int)) list =
     (* The chaos workload with no fault plane attached: guards the
        fault-free fast path against overhead from the fault machinery
        (the dispatch is a single [Fabric.faults] check). *)
-    ("chaos clean-path tcp pingpong", Chaos.clean_path_events);
+    ( "chaos clean-path tcp pingpong",
+      fun () ->
+        List.fold_left
+          (fun acc e -> add_tally acc (tally_of e))
+          no_tally (Chaos.clean_path_engines ()) );
     (* The windowed reliable protocol with a fault plane attached but
        inert: guards the fault-free fast path of the go-back-N sender
        (sequencing, ack bookkeeping, RTO arming) — and, next to the
        stop-and-wait line, shows what the window machinery itself
        costs when nothing is ever retransmitted. *)
     ( "reliable tcp inert window=8",
-      fun () -> Chaos.inert_window_events ~window:8 );
+      fun () -> tally_of (Chaos.inert_window_engine ~window:8) );
     ( "reliable tcp inert stop-and-wait",
-      fun () -> Chaos.inert_window_events ~window:1 );
+      fun () -> tally_of (Chaos.inert_window_engine ~window:1) );
     (* The credit plane armed but never binding: the window is generous
        enough that no sender ever stalls, so these guard the cost the
        credit bookkeeping (shipped/granted counters, grant emission on
@@ -212,22 +239,22 @@ let scenarios sim : (string * (unit -> int)) list =
               Vc.end_packing oc
             done);
         Marcel.Engine.run w.H.cw_engine;
-        Marcel.Engine.events_processed w.H.cw_engine );
+        tally_of w.H.cw_engine );
     ( "inert-credit gateway forwarding",
       fun () -> gateway_stream_events ~credits:256 ~gw_pool:64 () );
     (sched_fifo_label, fun () -> sched_flows_events sim ~aggreg:false);
     (sched_aggreg_label, fun () -> sched_flows_events sim ~aggreg:true);
   ]
 
-(* The fastest of [reps] runs; the event count is the same every run. *)
+(* The fastest of [reps] runs; the tally is the same every run. *)
 let measure f =
-  let events = ref 0 and best = ref infinity in
+  let tally = ref no_tally and best = ref infinity in
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
-    events := f ();
+    tally := f ();
     best := Float.min !best (Unix.gettimeofday () -. t0)
   done;
-  (!events, Float.max 1e-9 !best)
+  (!tally, Float.max 1e-9 !best)
 
 let read_baseline file =
   Json.read_file file (fun doc ->
@@ -236,6 +263,7 @@ let read_baseline file =
           {
             scenario = Json.to_str (Json.member "scenario" r);
             events = Json.to_int (Json.member "events" r);
+            fingerprint = Json.to_int (Json.member "fingerprint" r);
             events_per_s = Json.to_number (Json.member "events_per_s" r);
           })
         (Json.to_list (Json.member "simspeed" doc)))
@@ -244,10 +272,10 @@ let tolerance = 0.20
 let verdict ok text =
   ((if ok then "  GATE OK:   " else "  GATE FAIL: ") ^ text, ok)
 
-(* One verdict per measured row. Event counts replay a deterministic
-   schedule, so any difference means the simulation itself changed. A
-   baseline that matches none of the rows compares nothing, so it fails
-   the gate rather than passing it vacuously. *)
+(* One verdict per measured row. Event counts and fingerprints replay a
+   deterministic schedule, so any difference means the simulation
+   itself changed. A baseline that matches none of the rows compares
+   nothing, so it fails the gate rather than passing it vacuously. *)
 let check_baseline ~baseline rows =
   let base_of row =
     List.find_opt (fun b -> b.scenario = row.scenario) baseline
@@ -258,8 +286,10 @@ let check_baseline ~baseline rows =
         (Printf.sprintf "  GATE WARN: %S not in baseline" row.scenario, true)
     | Some base ->
         let ratio = row.events_per_s /. Float.max 1e-9 base.events_per_s in
+        let same_schedule = row.fingerprint = base.fingerprint in
         verdict
-          (row.events = base.events && ratio >= 1.0 -. tolerance)
+          (row.events = base.events && same_schedule
+          && ratio >= 1.0 -. tolerance)
           (Printf.sprintf
              "%-34s %8.2f Mev/s vs baseline %8.2f Mev/s (%.0f%% of baseline, \
               floor %.0f%%)%s"
@@ -269,7 +299,14 @@ let check_baseline ~baseline rows =
               else
                 Printf.sprintf
                   "; %d events vs baseline %d (the simulated schedule changed)"
-                  row.events base.events))
+                  row.events base.events)
+             ^
+             if same_schedule then ""
+             else
+               Printf.sprintf
+                 "; fingerprint %d vs baseline %d (the simulated schedule \
+                  changed)"
+                 row.fingerprint base.fingerprint)
   in
   List.map check rows
   @
@@ -297,11 +334,18 @@ let run ~json ~baseline =
         Parsim.with_pool ~jobs:parallel_sweep_domains (fun pool ->
             List.map
               (fun (label, f) ->
-                let events, wall = measure f in
+                let tally, wall = measure f in
+                let events = tally.t_events in
                 let rate = float_of_int events /. wall in
                 Printf.printf "  %-34s %9d events, %8.2f Mev/s\n%!" label events
                   (rate /. 1e6);
-                ({ scenario = label; events; events_per_s = rate }, wall))
+                ( {
+                    scenario = label;
+                    events;
+                    fingerprint = tally.t_fingerprint;
+                    events_per_s = rate;
+                  },
+                  wall ))
               (scenarios sim
               @ [
                   ( parallel_serial_label,
@@ -356,6 +400,7 @@ let run ~json ~baseline =
             ([
                ("scenario", Json.Str r.scenario);
                ("events", Json.Int r.events);
+               ("fingerprint", Json.Int r.fingerprint);
                ("wall_s", Json.Float (wall, 6));
                ("events_per_s", Json.Float (r.events_per_s, 1));
              ]

@@ -2,7 +2,13 @@
     set of scenarios, and the gates that compare a run with a committed
     baseline ([BENCH_simspeed.json]). Run by [madbench simspeed]. *)
 
-type row = { scenario : string; events : int; events_per_s : float }
+type row = {
+  scenario : string;
+  events : int;
+  fingerprint : int;
+      (** combined {!Marcel.Engine.fingerprint} of the scenario's worlds *)
+  events_per_s : float;
+}
 (** One scenario of a run or of a baseline. *)
 
 val read_baseline : string -> row list
@@ -11,9 +17,10 @@ val read_baseline : string -> row list
 
 val check_baseline : baseline:row list -> row list -> (string * bool) list
 (** One verdict line per measured row, with its outcome. A row fails
-    if its event count differs from the baseline's (counts replay a
-    deterministic schedule, so any difference means the simulation
-    changed) or if its events/s falls below 80% of the baseline's. A
+    if its event count or its schedule fingerprint differs from the
+    baseline's (both replay a deterministic schedule, so any difference
+    means the simulation changed) or if its events/s falls below 80% of
+    the baseline's. A
     scenario the baseline lacks passes with a warning, but if the
     baseline holds none of the measured scenarios (an empty one
     included) a final failing line is added: nothing was compared. *)

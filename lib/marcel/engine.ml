@@ -13,6 +13,7 @@ type t = {
   mutable live_n : int;
   mutable failure : exn option;
   mutable processed : int;
+  mutable fingerprint : int; (* running hash of processed (clock, seq) *)
   owner : int; (* id of the domain that created the engine *)
 }
 
@@ -38,6 +39,7 @@ let create () =
     live_n = 0;
     failure = None;
     processed = 0;
+    fingerprint = 0;
     owner = (Domain.self () :> int);
   }
 
@@ -54,6 +56,16 @@ let check_owner t =
 
 let now t = t.clock
 let events_processed t = t.processed
+let fingerprint t = t.fingerprint
+
+(* FNV-1a over the two keys of each processed event, in 63-bit
+   wrapping arithmetic: any moved, added or dropped event changes it. *)
+let fnv_prime = 0x100000001b3
+let mix h x = (h lxor x) * fnv_prime
+
+let note_event t q =
+  t.fingerprint <- mix (mix t.fingerprint t.clock) (Eventq.min_seq q);
+  t.processed <- t.processed + 1
 
 let schedule t time action =
   if Time.( < ) time t.clock then invalid_arg "Engine: scheduling in the past";
@@ -156,8 +168,8 @@ let run_until t deadline =
     | None ->
         if (not (Eventq.is_empty q)) && Eventq.min_time_ns q <= dl then begin
           t.clock <- Eventq.min_time q;
+          note_event t q;
           let act = Eventq.take q in
-          t.processed <- t.processed + 1;
           act ();
           loop ()
         end
@@ -176,8 +188,8 @@ let run t =
     | None ->
         if not (Eventq.is_empty q) then begin
           t.clock <- Eventq.min_time q;
+          note_event t q;
           let act = Eventq.take q in
-          t.processed <- t.processed + 1;
           act ();
           loop ()
         end

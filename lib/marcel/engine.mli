@@ -34,6 +34,12 @@ val events_processed : t -> int
     the discrete-event engine's unit of work, for simulator-throughput
     reporting. *)
 
+val fingerprint : t -> int
+(** Running hash of the [(time, seq)] key of every event executed so
+    far, in execution order. Two runs with equal fingerprints (and
+    equal {!events_processed}) executed the same schedule; a host-side
+    change that moves, adds or drops a single event changes it. *)
+
 val spawn : t -> ?daemon:bool -> name:string -> (unit -> unit) -> unit
 (** [spawn t ~name f] creates a thread running [f]. The thread starts at
     the current virtual instant, after already-scheduled events. A

@@ -68,6 +68,7 @@ let push h ~time ~seq act =
 let min_time_ns h = if h.size = 0 then raise Not_found else Array.unsafe_get h.times 0
 
 let min_time = min_time_ns
+let min_seq h = if h.size = 0 then raise Not_found else Array.unsafe_get h.seqs 0
 
 let take h =
   if h.size = 0 then raise Not_found;

@@ -29,6 +29,10 @@ val min_time_ns : t -> int
     separate name for hot loops that want the raw count. Raises
     [Not_found] when empty. *)
 
+val min_seq : t -> int
+(** Sequence key of the minimum element. Raises [Not_found] when
+    empty. *)
+
 val take : t -> unit -> unit
 (** Removes the minimum element and returns its action. The vacated
     slot is cleared so the action is collectible once it has run.

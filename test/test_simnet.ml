@@ -360,6 +360,125 @@ let test_stream_pipelines_messages () =
      (4 + 2 - 1) * 1ms = 5ms, not the 8ms of sequential execution. *)
   close_to (Time.ms 5.0) !last "pipelined stream"
 
+(* Stage-machine schedules pinned exactly: the completion instants,
+   the number of engine events and the schedule fingerprint of each
+   scenario are the values the fragment pipeline produced when every
+   stage ran as its own thread. A reimplementation of the stages must
+   reproduce them to the nanosecond and to the event. *)
+
+let wire ?rate_cap ?(weight = 1.0) fluid =
+  { Pipeline.fluid; weight; rate_cap; cls = 0 }
+
+let check_schedule e ~events ~fingerprint times expected =
+  Alcotest.(check (list (pair string int))) "completion instants" expected
+    (List.rev times);
+  Alcotest.(check int) "events" events (Engine.events_processed e);
+  Alcotest.(check int) "fingerprint" fingerprint (Engine.fingerprint e)
+
+let test_stream_mixed_sizes_schedule () =
+  let e = Engine.create () in
+  let f1 = Fluid.create e ~name:"f1" ~capacity_mb_s:100.0 () in
+  let f2 = Fluid.create e ~name:"f2" ~capacity_mb_s:50.0 () in
+  let st =
+    Simnet.Stream.create e ~name:"s"
+      ~stages:
+        [
+          Pipeline.stage ~use:(wire f1) ~per_fragment:(Time.us 1.0)
+            ~prop:(Time.us 2.0) "a";
+          Pipeline.stage ~per_fragment:(Time.us 0.5) "b";
+          Pipeline.stage ~use:(wire ~rate_cap:40.0 f2) "c";
+        ]
+      ~mtu:1000
+  in
+  let times = ref [] in
+  let push label bytes_count =
+    Simnet.Stream.push st ~bytes_count ~on_delivered:(fun () ->
+        times := (label, Engine.now e) :: !times)
+  in
+  Engine.spawn e ~name:"pusher" (fun () ->
+      push "2500" 2500;
+      push "0" 0;
+      push "10" 10;
+      Engine.sleep (Time.us 3.0);
+      push "4000" 4000;
+      push "1000" 1000);
+  Engine.run e;
+  check_schedule e ~events:93 ~fingerprint:3363666543715983743 !times
+    [
+      ("2500", 76000);
+      ("0", 76000);
+      ("10", 76250);
+      ("4000", 176250);
+      ("1000", 201250);
+    ]
+
+let test_streams_share_fluid_schedule () =
+  let e = Engine.create () in
+  let shared = Fluid.create e ~name:"shared" ~capacity_mb_s:100.0 () in
+  let own = Fluid.create e ~name:"own" ~capacity_mb_s:80.0 () in
+  let s1 =
+    Simnet.Stream.create e ~name:"s1"
+      ~stages:
+        [
+          Pipeline.stage ~use:(wire shared) "shared";
+          Pipeline.stage ~use:(wire own) ~prop:(Time.us 1.5) "own";
+        ]
+      ~mtu:512
+  and s2 =
+    Simnet.Stream.create e ~name:"s2"
+      ~stages:
+        [
+          Pipeline.stage ~use:(wire ~weight:2.0 shared) ~prop:(Time.us 1.0)
+            "shared";
+        ]
+      ~mtu:700
+  in
+  let times = ref [] in
+  let push st label bytes_count =
+    Simnet.Stream.push st ~bytes_count ~on_delivered:(fun () ->
+        times := (label, Engine.now e) :: !times)
+  in
+  Engine.spawn e ~name:"p1" (fun () ->
+      push s1 "s1:3000" 3000;
+      push s1 "s1:100" 100);
+  Engine.spawn e ~name:"p2" (fun () ->
+      Engine.sleep (Time.us 2.0);
+      push s2 "s2:2100" 2100;
+      push s2 "s2:0" 0);
+  Engine.run e;
+  check_schedule e ~events:73 ~fingerprint:(-1378526633725673441) !times
+    [
+      ("s2:2100", 34500);
+      ("s2:0", 34500);
+      ("s1:3000", 62560);
+      ("s1:100", 63810);
+    ]
+
+let test_pipeline_per_fragment_schedule () =
+  let e = Engine.create () in
+  let f = Fluid.create e ~name:"f" ~capacity_mb_s:100.0 () in
+  let g = Fluid.create e ~name:"g" ~capacity_mb_s:60.0 () in
+  let stages =
+    [
+      Pipeline.stage ~use:(wire f) ~per_fragment:(Time.us 0.3) "f";
+      Pipeline.stage ~per_fragment:(Time.us 1.0) ~prop:(Time.us 0.5) "sw";
+      Pipeline.stage ~use:(wire g) ~per_fragment:(Time.us 0.2) "g";
+    ]
+  in
+  let times = ref [] in
+  let transfer label bytes_count () =
+    Pipeline.run e ~stages ~bytes_count ~mtu:1024;
+    times := (label, Engine.now e) :: !times
+  in
+  Engine.spawn e ~name:"t5000" (transfer "5000" 5000);
+  Engine.spawn e ~name:"t0" (transfer "0" 0);
+  Engine.spawn e ~name:"t2048" (fun () ->
+      Engine.sleep (Time.us 4.0);
+      transfer "2048" 2048 ());
+  Engine.run e;
+  check_schedule e ~events:100 ~fingerprint:(-1010651500189754071) !times
+    [ ("0", 2000); ("2048", 94248); ("5000", 136349) ]
+
 let test_fabric_attach () =
   let e = Engine.create () in
   let fab =
@@ -545,6 +664,10 @@ let () =
             test_stream_preserves_order;
           Alcotest.test_case "pipelines messages" `Quick
             test_stream_pipelines_messages;
+          Alcotest.test_case "mixed sizes schedule" `Quick
+            test_stream_mixed_sizes_schedule;
+          Alcotest.test_case "shared fluid schedule" `Quick
+            test_streams_share_fluid_schedule;
         ] );
       ("fabric", [ Alcotest.test_case "attach" `Quick test_fabric_attach ]);
       ( "pipeline",
@@ -556,6 +679,8 @@ let () =
           Alcotest.test_case "bottleneck dominates" `Quick
             test_pipeline_bottleneck_dominates;
           Alcotest.test_case "bad args" `Quick test_pipeline_rejects_bad_args;
+          Alcotest.test_case "per-fragment schedule" `Quick
+            test_pipeline_per_fragment_schedule;
           QCheck_alcotest.to_alcotest prop_pipeline_single_stage_duration;
         ] );
     ]
