@@ -17,7 +17,7 @@ type xfer = {
   fl : fl;
   capped : bool;
   cls : int; (* transaction class; mixing classes degrades the bus *)
-  wake : unit -> unit;
+  on_done : unit -> unit;
 }
 
 (* Single-field all-float record: flat, so accumulating into it does not
@@ -181,38 +181,49 @@ and complete t =
   (match t.active with
   | [ x ] when x.fl.remaining <= finish_epsilon ->
       t.active <- [];
-      x.wake ()
+      x.on_done ()
   | [ _ ] -> ()
   | active ->
       let finished, still =
         List.partition (fun x -> x.fl.remaining <= finish_epsilon) active
       in
       t.active <- still;
-      List.iter (fun x -> x.wake ()) finished);
+      List.iter (fun x -> x.on_done ()) finished);
   reschedule t
 
+let check_args fn ~bytes_count ~weight rate_cap =
+  if bytes_count < 0 then invalid_arg (fn ^ ": negative size");
+  if weight <= 0.0 then invalid_arg (fn ^ ": weight <= 0");
+  match rate_cap with
+  | Some c when c <= 0.0 -> invalid_arg (fn ^ ": rate_cap <= 0")
+  | Some _ | None -> ()
+
+(* The water-filling insert behind both entry points: [bytes_count] is
+   positive and the arguments are checked. *)
+let insert t ~bytes_count ~weight ~rate_cap ~cls on_done =
+  t.moved.fv <- t.moved.fv +. float_of_int bytes_count;
+  advance t;
+  let capped, cap =
+    match rate_cap with Some c -> (true, c) | None -> (false, infinity)
+  in
+  let x =
+    {
+      fl = { weight; cap; remaining = float_of_int bytes_count; rate = 0.0 };
+      capped;
+      cls;
+      on_done;
+    }
+  in
+  t.active <- x :: t.active;
+  reschedule t
+
+let start t ~bytes_count ~weight ?rate_cap ?(cls = 0) ~on_done () =
+  check_args "Fluid.start" ~bytes_count ~weight rate_cap;
+  if bytes_count > 0 then insert t ~bytes_count ~weight ~rate_cap ~cls on_done
+  else on_done ()
+
 let transfer t ~bytes_count ~weight ?rate_cap ?(cls = 0) () =
-  if bytes_count < 0 then invalid_arg "Fluid.transfer: negative size";
-  if weight <= 0.0 then invalid_arg "Fluid.transfer: weight <= 0";
-  (match rate_cap with
-  | Some c when c <= 0.0 -> invalid_arg "Fluid.transfer: rate_cap <= 0"
-  | Some _ | None -> ());
-  if bytes_count > 0 then begin
-    t.moved.fv <- t.moved.fv +. float_of_int bytes_count;
-    Engine.suspend ~name:t.suspend_name (fun wake ->
-        advance t;
-        let capped, cap =
-          match rate_cap with Some c -> (true, c) | None -> (false, infinity)
-        in
-        let x =
-          {
-            fl =
-              { weight; cap; remaining = float_of_int bytes_count; rate = 0.0 };
-            capped;
-            cls;
-            wake;
-          }
-        in
-        t.active <- x :: t.active;
-        reschedule t)
-  end
+  check_args "Fluid.transfer" ~bytes_count ~weight rate_cap;
+  if bytes_count > 0 then
+    Engine.suspend ~name:t.suspend_name
+      (insert t ~bytes_count ~weight ~rate_cap ~cls)

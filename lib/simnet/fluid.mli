@@ -48,10 +48,28 @@ val transfer :
   unit ->
   unit
 (** Blocks the calling thread for as long as the weighted fair-share
-    schedule needs to move [bytes_count] bytes. Must be called from inside
-    an engine thread. Zero-byte transfers return immediately. [cls]
-    labels the transaction class (default [0]); it only affects which
-    contention factor applies when classes mix. *)
+    schedule needs to move [bytes_count] bytes: {!start} with the
+    thread's wake-up as [on_done], so resuming costs one more event at
+    the completion instant. Must be called from inside an engine thread.
+    Zero-byte transfers return immediately. [cls] labels the transaction
+    class (default [0]); it only affects which contention factor applies
+    when classes mix. *)
+
+val start :
+  t ->
+  bytes_count:int ->
+  weight:float ->
+  ?rate_cap:float ->
+  ?cls:int ->
+  on_done:(unit -> unit) ->
+  unit ->
+  unit
+(** Non-blocking form of {!transfer}: joins the fair-share schedule now
+    and returns; [on_done] runs inside the engine event at which the
+    last byte has moved. It runs in event context, so it must not
+    block — to resume work, schedule it with {!Marcel.Engine.at}. A
+    zero-byte transfer calls [on_done] before [start] returns. Usable
+    from threads and from raw engine callbacks alike. *)
 
 val total_bytes : t -> float
 (** Total bytes moved through this resource since creation. *)

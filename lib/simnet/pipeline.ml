@@ -14,6 +14,77 @@ type stage = {
 let stage ?use ?(per_fragment = 0) ?(prop = 0) label =
   { label; use; per_fragment; prop }
 
+(* One running stage. It moves through exactly the states of a thread
+   looping on a mailbox — take a fragment, sleep [per_fragment], cross
+   the fluid, hand the fragment on after [prop] — and schedules the same
+   engine events that thread did: [idle] is "blocked in take", so a
+   fragment fed to an idle stage costs one [Engine.at now] wake-up, a
+   queued one is picked up with no event, and a fluid completion costs
+   one [Engine.at now] resumption. The schedule is therefore
+   event-for-event the threaded one, minus the fiber switches. *)
+type 'a runner = {
+  engine : Engine.t;
+  spec : stage;
+  size : 'a -> int;
+  queue : 'a Queue.t;
+  mutable idle : bool;
+  next : 'a -> unit; (* the fragment's hand-off once it leaves *)
+}
+
+let rec serve r frag =
+  let pf = r.spec.per_fragment in
+  if pf > 0 then
+    Engine.at r.engine (Time.add (Engine.now r.engine) pf) (fun () ->
+        cross r frag)
+  else cross r frag
+
+and cross r frag =
+  let bytes_count = r.size frag in
+  match r.spec.use with
+  | Some { fluid; weight; rate_cap; cls } when bytes_count > 0 ->
+      Fluid.start fluid ~bytes_count ~weight ?rate_cap ~cls
+        ~on_done:(fun () ->
+          Engine.at r.engine (Engine.now r.engine) (fun () -> leave r frag))
+        ()
+  | Some _ | None -> leave r frag
+
+and leave r frag =
+  let prop = r.spec.prop in
+  if Time.equal prop 0 then r.next frag
+  else
+    Engine.at r.engine (Time.add (Engine.now r.engine) prop) (fun () ->
+        r.next frag);
+  pick r
+
+and pick r =
+  if Queue.is_empty r.queue then r.idle <- true else serve r (Queue.pop r.queue)
+
+let feed r frag =
+  if r.idle then begin
+    r.idle <- false;
+    Engine.at r.engine (Engine.now r.engine) (fun () -> serve r frag)
+  end
+  else Queue.push frag r.queue
+
+let chain engine ~stages ~size ~sink =
+  let runners =
+    List.fold_right
+      (fun spec runners ->
+        let next = match runners with r :: _ -> feed r | [] -> sink in
+        { engine; spec; size; queue = Queue.create (); idle = false; next }
+        :: runners)
+      stages []
+  in
+  (* Each stage starts the way a freshly spawned thread did: one event
+     at the current instant, in stage order, after which it takes its
+     first fragment or goes idle. *)
+  List.iter
+    (fun r -> Engine.at engine (Engine.now engine) (fun () -> pick r))
+    runners;
+  match runners with
+  | r :: _ -> feed r
+  | [] -> invalid_arg "Pipeline.chain: no stages"
+
 let fragment_sizes ~bytes_count ~mtu =
   if bytes_count = 0 then [ 0 ]
   else begin
@@ -29,29 +100,7 @@ let run engine ~stages ~bytes_count ~mtu =
   if mtu <= 0 then invalid_arg "Pipeline.run: mtu <= 0";
   if bytes_count < 0 then invalid_arg "Pipeline.run: negative size";
   let fragments = fragment_sizes ~bytes_count ~mtu in
-  let nfrag = List.length fragments in
-  let nstages = List.length stages in
-  (* boxes.(i) feeds stage i; boxes.(nstages) collects completions. *)
-  let boxes = Array.init (nstages + 1) (fun _ -> Mailbox.create ()) in
-  List.iteri
-    (fun i st ->
-      Engine.spawn engine ~name:("pipeline:" ^ st.label) (fun () ->
-          for _ = 1 to nfrag do
-            let frag = Mailbox.take boxes.(i) in
-            if Stdlib.( > ) st.per_fragment 0 then Engine.sleep st.per_fragment;
-            (match st.use with
-            | Some { fluid; weight; rate_cap; cls } ->
-                Fluid.transfer fluid ~bytes_count:frag ~weight ?rate_cap ~cls ()
-            | None -> ());
-            if Time.equal st.prop 0 then Mailbox.put boxes.(i + 1) frag
-            else begin
-              let deliver_at = Time.add (Engine.now engine) st.prop in
-              Engine.at engine deliver_at (fun () ->
-                  Mailbox.put boxes.(i + 1) frag)
-            end
-          done))
-    stages;
-  List.iter (fun frag -> Mailbox.put boxes.(0) frag) fragments;
-  for _ = 1 to nfrag do
-    ignore (Mailbox.take boxes.(nstages))
-  done
+  let arrived = Mailbox.create () in
+  let push = chain engine ~stages ~size:Fun.id ~sink:(Mailbox.put arrived) in
+  List.iter push fragments;
+  List.iter (fun _ -> ignore (Mailbox.take arrived : int)) fragments

@@ -6,10 +6,10 @@
     the wire, fragment [k+1] is already crossing the sender's PCI bus.
 
     [run] models this faithfully: the message is split into MTU-sized
-    fragments; one thread per stage processes fragments in order, paying
-    the stage's fixed per-fragment cost plus the fluid occupancy for the
-    fragment's bytes, then hands the fragment to the next stage after the
-    stage's propagation delay. End-to-end time is therefore
+    fragments; each stage processes fragments in order, one at a time,
+    paying the stage's fixed per-fragment cost plus the fluid occupancy
+    for the fragment's bytes, then hands the fragment to the next stage
+    after the stage's propagation delay. End-to-end time is therefore
     [sum of latencies + bottleneck-stage serialization], and any contention
     on a shared fluid (e.g. a gateway PCI bus) slows exactly the stage
     that crosses it. *)
@@ -34,6 +34,28 @@ val stage :
   ?prop:Marcel.Time.span ->
   string ->
   stage
+
+val chain :
+  Marcel.Engine.t ->
+  stages:stage list ->
+  size:('a -> int) ->
+  sink:('a -> unit) ->
+  'a ->
+  unit
+(** [chain engine ~stages ~size ~sink] sets up a persistent staged
+    pipeline and returns its intake: each fragment fed to it crosses
+    [stages] in order ([size] gives its byte count for the fluids) and
+    is then passed to [sink]. Fragments never overtake each other.
+
+    The stages are a state machine driven by engine callbacks, not
+    threads, but they schedule exactly the events one thread per stage
+    looping on a mailbox would: one event per stage at creation (its
+    start), one when a fragment reaches an idle stage (its wake-up),
+    one per [per_fragment] sleep, one when a fluid crossing completes
+    (its resumption) and one per non-zero [prop]. Feeding never blocks
+    and may happen from a thread or an event. [sink] runs in event
+    context, so it must not block. {!run} and {!Stream} are built on
+    it. Raises [Invalid_argument] if [stages] is empty. *)
 
 val run :
   Marcel.Engine.t -> stages:stage list -> bytes_count:int -> mtu:int -> unit

@@ -257,9 +257,6 @@ let out_stream conn remote =
       let link = Fabric.link net.fabric in
       let st =
         Simnet.Stream.create net.engine
-          ~name:
-            (Printf.sprintf "tcp.%d->%d" conn.stack.host.Node.id
-               remote.stack.host.Node.id)
           ~stages:
             [
               Pipeline.stage

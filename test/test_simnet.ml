@@ -313,7 +313,7 @@ let test_stream_preserves_order () =
   let e = Engine.create () in
   let f = Fluid.create e ~name:"wire" ~capacity_mb_s:100.0 () in
   let st =
-    Simnet.Stream.create e ~name:"s"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage
@@ -337,7 +337,7 @@ let test_stream_pipelines_messages () =
   let f1 = Fluid.create e ~name:"s1" ~capacity_mb_s:100.0 () in
   let f2 = Fluid.create e ~name:"s2" ~capacity_mb_s:100.0 () in
   let st =
-    Simnet.Stream.create e ~name:"s"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage
@@ -380,7 +380,7 @@ let test_stream_mixed_sizes_schedule () =
   let f1 = Fluid.create e ~name:"f1" ~capacity_mb_s:100.0 () in
   let f2 = Fluid.create e ~name:"f2" ~capacity_mb_s:50.0 () in
   let st =
-    Simnet.Stream.create e ~name:"s"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage ~use:(wire f1) ~per_fragment:(Time.us 1.0)
@@ -417,7 +417,7 @@ let test_streams_share_fluid_schedule () =
   let shared = Fluid.create e ~name:"shared" ~capacity_mb_s:100.0 () in
   let own = Fluid.create e ~name:"own" ~capacity_mb_s:80.0 () in
   let s1 =
-    Simnet.Stream.create e ~name:"s1"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage ~use:(wire shared) "shared";
@@ -425,7 +425,7 @@ let test_streams_share_fluid_schedule () =
         ]
       ~mtu:512
   and s2 =
-    Simnet.Stream.create e ~name:"s2"
+    Simnet.Stream.create e
       ~stages:
         [
           Pipeline.stage ~use:(wire ~weight:2.0 shared) ~prop:(Time.us 1.0)
