@@ -2242,7 +2242,8 @@ type out_connection = {
   oc_src : int;
   oc_dst : int;
   oc_flow : int;
-  staging : Bytes.t;
+  mutable staging : Bytes.t;
+      (* sized by the first pack, grown up to the MTU on demand *)
   mutable fill : int;
   mutable first_sent : bool;
   mutable oc_bulk : bool;
@@ -2292,12 +2293,23 @@ let begin_packing ?(flow = 0) t ~me ~remote =
     oc_src = me;
     oc_dst = remote;
     oc_flow = flow;
-    staging = Bytes.create t.mtu;
+    staging = Bytes.empty;
     fill = 0;
     first_sent = false;
     oc_bulk = false;
     oc_closed = false;
   }
+
+(* The staged packet as a frame the scheduler may keep: a buffer filled
+   exactly is handed over whole (the next append allocates afresh),
+   anything else is copied out. *)
+let take_staged oc =
+  if oc.fill = Bytes.length oc.staging then begin
+    let full = oc.staging in
+    oc.staging <- Bytes.empty;
+    full
+  end
+  else Bytes.sub oc.staging 0 oc.fill
 
 let ship oc ~last =
   let t = oc.v in
@@ -2325,7 +2337,7 @@ let ship oc ~last =
              Sched.fr_flow = oc.oc_flow;
              fr_first = not oc.first_sent;
              fr_last = last;
-             fr_data = Bytes.sub oc.staging 0 oc.fill;
+             fr_data = take_staged oc;
            }
      | None ->
          (* Credits are charged per data-carrying packet before it is
@@ -2348,14 +2360,29 @@ let ship oc ~last =
   oc.first_sent <- true;
   oc.fill <- 0
 
-(* Append raw bytes to the packet stream, shipping full packets. *)
-let rec append oc data ~off ~len =
+(* Make room for [n] staged bytes, [n] at most the MTU. A message's
+   first pack sizes the buffer to what it carries, so a small message
+   never allocates a whole MTU; a later pack that does not fit grows it
+   geometrically, capped at the MTU. *)
+let reserve oc n =
+  let cap = Bytes.length oc.staging in
+  if n > cap then begin
+    let grown = Bytes.create (min oc.v.mtu (max n (2 * cap))) in
+    Bytes.blit oc.staging 0 grown 0 oc.fill;
+    oc.staging <- grown
+  end
+
+(* Append raw bytes to the packet stream, shipping full packets.
+   [ahead] more bytes of the same pack follow these [len]. *)
+let rec append oc data ~off ~len ~ahead =
   if len > 0 then begin
-    if oc.fill = oc.v.mtu then ship oc ~last:false;
-    let take = min len (oc.v.mtu - oc.fill) in
+    let mtu = oc.v.mtu in
+    if oc.fill = mtu then ship oc ~last:false;
+    reserve oc (min mtu (oc.fill + len + ahead));
+    let take = min len (mtu - oc.fill) in
     Bytes.blit data off oc.staging oc.fill take;
     oc.fill <- oc.fill + take;
-    append oc data ~off:(off + take) ~len:(len - take)
+    append oc data ~off:(off + take) ~len:(len - take) ~ahead
   end
 
 let pack oc ?(s_mode = Iface.Send_cheaper) ?(r_mode = Iface.Receive_cheaper)
@@ -2366,13 +2393,13 @@ let pack oc ?(s_mode = Iface.Send_cheaper) ?(r_mode = Iface.Receive_cheaper)
   let sub =
     Generic_tm.encode_sub_header ~len:(Buf.length buf) s_mode r_mode
   in
-  append oc sub ~off:0 ~len:(Bytes.length sub);
+  append oc sub ~off:0 ~len:(Bytes.length sub) ~ahead:(Buf.length buf);
   (* No copy cost is charged here: per §6.1 the Generic TM borrows the
      outgoing protocol TM's buffers, so the single data movement is the
      one the underlying channel's pack already models (PIO write, BIP
      staging, socket copy...). The staging blit below is simulation
      bookkeeping. *)
-  append oc buf.Buf.data ~off:buf.Buf.off ~len:buf.Buf.len
+  append oc buf.Buf.data ~off:buf.Buf.off ~len:buf.Buf.len ~ahead:0
 
 let end_packing oc =
   if oc.oc_closed then invalid_arg "Vchannel.end_packing: connection closed";

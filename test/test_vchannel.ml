@@ -141,6 +141,46 @@ let test_forward_multi_field () =
        [ payload 4 4L; payload 50_000 5L; payload 17 6L ]
        [ express; cheaper; cheaper ])
 
+(* Several packs per message whose sub-headers and data straddle the
+   MTU boundary in every way — a pack ending just short of it, one
+   crossing it, one filling it exactly, an empty one — over the gateway
+   route, with and without the aggregating scheduler (which keeps the
+   staged packets as frames). Every field must arrive bit-identical. *)
+let test_multi_pack_straddles_mtu () =
+  let mtu = 1024 in
+  let messages =
+    [
+      [ payload 1000 31L; payload 40 32L; payload 2000 33L ];
+      [ payload 4 34L; payload (mtu - 12) 35L; payload 0 36L; payload 5 37L ];
+      [ payload 3 38L; payload 3 39L; payload 3 40L; payload 3000 41L ];
+    ]
+  in
+  List.iter
+    (fun sched ->
+      let w = two_cluster_world () in
+      let vc = Vc.create w.session ~mtu ?sched [ w.ch_sci; w.ch_myri ] in
+      let got = ref [] in
+      let modes fields = List.map (fun _ -> cheaper) fields in
+      Engine.spawn w.engine ~name:"sender" (fun () ->
+          List.iter
+            (fun fields -> send_fields vc ~me:0 ~remote:2 fields (modes fields))
+            messages);
+      Engine.spawn w.engine ~name:"receiver" (fun () ->
+          List.iter
+            (fun fields ->
+              let sinks =
+                List.map (fun f -> Bytes.create (Bytes.length f)) fields
+              in
+              recv_fields vc ~me:2 ~remote:0 sinks (modes fields);
+              got := sinks :: !got)
+            messages);
+      Engine.run w.engine;
+      List.iter2
+        (List.iter2 (fun expect got ->
+             Alcotest.(check bytes) "content" expect got))
+        messages (List.rev !got))
+    [ None; Some (Madeleine.Sched.aggreg ()) ]
+
 let test_single_hop_vchannel () =
   (* A virtual channel degenerates gracefully to one real channel. *)
   ignore (forward_roundtrip ~src:0 ~dst:1 [ payload 30_000 7L ] [ cheaper ])
@@ -486,6 +526,8 @@ let () =
           Alcotest.test_case "multi packet" `Quick test_forward_multi_packet;
           Alcotest.test_case "reverse" `Quick test_forward_reverse_direction;
           Alcotest.test_case "multi field" `Quick test_forward_multi_field;
+          Alcotest.test_case "multi pack straddles mtu" `Quick
+            test_multi_pack_straddles_mtu;
           Alcotest.test_case "single hop" `Quick test_single_hop_vchannel;
           Alcotest.test_case "message sequence" `Quick
             test_message_sequence_through_gateway;
