@@ -9,13 +9,20 @@ module Netparams = Simnet.Netparams
 
 type short_message = { payload : Bytes.t }
 
+(* A posted long receive: the payload lands in [buf] at [buf_off],
+   within [buf_len] bytes. *)
+type rdv_posted = {
+  buf : Bytes.t;
+  buf_off : int;
+  buf_len : int;
+  completion : int Ivar.t;
+}
+
 type rdv_request = {
   req_len : int;
   ready : unit Ivar.t; (* receiver posted a buffer; sender may stream *)
-  target : (Bytes.t * int Ivar.t) Ivar.t; (* receiver buffer + completion *)
+  target : rdv_posted Ivar.t;
 }
-
-type rdv_posted = { buf : Bytes.t; completion : int Ivar.t }
 
 type t = {
   net : net;
@@ -137,14 +144,14 @@ let nic_stream net ~src ~dst =
 
 (* Short path: sender injects locally and returns; the stream carries the
    packet to the receiver's preallocated buffer pool. *)
-let send_short t ~dst ~tag payload =
+let send_short t ~dst ~tag payload ~off ~len =
   let net = t.net in
   let src = rank t in
   let receiver = peer net dst in
   Semaphore.acquire (credits net ~src ~dst);
   Engine.sleep Netparams.bip_send_overhead;
-  let staged = Bytes.copy payload in
-  let bytes_count = Bytes.length payload in
+  let staged = Bytes.sub payload off len in
+  let bytes_count = len in
   Simnet.Node.pci_dma t.endpoint_node ~bytes_count;
   Simnet.Stream.push (nic_stream net ~src ~dst) ~bytes_count
     ~on_delivered:(fun () ->
@@ -153,21 +160,19 @@ let send_short t ~dst ~tag payload =
 
 (* Long path: rendezvous, then the payload streams straight into the
    receiver's posted buffer. *)
-let send_long t ~dst ~tag payload =
+let send_long t ~dst ~tag payload ~off ~len =
   let net = t.net in
   let src = rank t in
   let receiver = peer net dst in
   Engine.sleep Netparams.bip_send_overhead;
   (* Request travels to the receiver. *)
   Engine.sleep (control_latency net);
-  let req =
-    { req_len = Bytes.length payload; ready = Ivar.create (); target = Ivar.create () }
-  in
+  let req = { req_len = len; ready = Ivar.create (); target = Ivar.create () } in
   let posted = find_queue receiver.posted_recvs (src, tag) in
   (match Queue.take_opt posted with
-  | Some { buf; completion } ->
+  | Some target ->
       (* Receiver was already waiting: its ready ack comes straight back. *)
-      Ivar.fill req.target (buf, completion);
+      Ivar.fill req.target target;
       Engine.at net.engine
         (Time.add (Engine.now net.engine) (control_latency net))
         (fun () -> Ivar.fill req.ready ())
@@ -176,17 +181,18 @@ let send_long t ~dst ~tag payload =
       fire_hook receiver);
   Ivar.read req.ready;
   Engine.sleep Netparams.bip_rendezvous_overhead;
-  let buf, completion = Ivar.read req.target in
-  if Bytes.length buf < req.req_len then
+  let { buf; buf_off; buf_len; completion } = Ivar.read req.target in
+  if buf_len < req.req_len then
     invalid_arg
-      (Printf.sprintf "Bip.recv: posted buffer too small (%d < %d)"
-         (Bytes.length buf) req.req_len);
+      (Printf.sprintf "Bip.recv: posted buffer too small (%d < %d)" buf_len
+         req.req_len);
   (* The send returns once the NIC has pulled the payload across the
      local PCI bus — the buffer is then reusable, so the data must be
      snapshotted here: later writes by the application must not reach
      the wire. Delivery continues in the NIC stream, completing the
-     receiver's posted buffer in order. *)
-  let snapshot = Bytes.copy payload in
+     receiver's posted buffer in order. This snapshot is the message's
+     only host copy: it lands straight in the posted slice. *)
+  let snapshot = Bytes.sub payload off len in
   let grain = (Fabric.link net.fabric).Netparams.hw_mtu in
   let stream = nic_stream net ~src ~dst in
   let rec inject sent =
@@ -196,59 +202,65 @@ let send_long t ~dst ~tag payload =
     Simnet.Stream.push stream ~bytes_count:chunk
       ~on_delivered:
         (if last then fun () ->
-           Bytes.blit snapshot 0 buf 0 req.req_len;
+           Bytes.blit snapshot 0 buf buf_off req.req_len;
            Ivar.fill completion req.req_len
          else fun () -> ());
     if not last then inject (sent + chunk)
   in
   if req.req_len = 0 then Ivar.fill completion 0 else inject 0
 
-let send t ~dst ~tag payload =
+(* The [off]/[len] slice of [buf] named by a send or receive; [len]
+   defaults to the rest of the buffer. *)
+let slice fn ?(off = 0) ?len buf =
+  let len = Option.value len ~default:(Bytes.length buf - off) in
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg (fn ^ ": slice out of bounds");
+  (off, len)
+
+let send t ~dst ~tag ?off ?len payload =
   if dst = rank t then invalid_arg "Bip.send: dst is self";
   ignore (peer t.net dst : t);
-  if Bytes.length payload < Netparams.bip_short_max then
-    send_short t ~dst ~tag payload
-  else send_long t ~dst ~tag payload
+  let off, len = slice "Bip.send" ?off ?len payload in
+  if len < Netparams.bip_short_max then send_short t ~dst ~tag payload ~off ~len
+  else send_long t ~dst ~tag payload ~off ~len
 
-let recv_short t ~src ~tag buf =
+let recv_short t ~src ~tag buf ~off ~len:room =
   let msg = Mailbox.take (find_mailbox t (src, tag)) in
   Engine.sleep Netparams.bip_recv_overhead;
   let len = Bytes.length msg.payload in
-  if Bytes.length buf < len then
-    invalid_arg
-      (Printf.sprintf "Bip.recv: buffer too small (%d < %d)" (Bytes.length buf)
-         len);
+  if room < len then
+    invalid_arg (Printf.sprintf "Bip.recv: buffer too small (%d < %d)" room len);
   (* Staging copy out of the preallocated buffer pool. *)
   Engine.sleep
     (Time.bytes_at_rate ~bytes_count:len ~mb_per_s:Netparams.bip_copy_rate_mb_s);
-  Bytes.blit msg.payload 0 buf 0 len;
+  Bytes.blit msg.payload 0 buf off len;
   (* Consuming the buffer returns one credit to the sender (piggybacked
      on regular traffic in real BIP; modelled as immediate). *)
   Semaphore.release (credits t.net ~src ~dst:(rank t));
   len
 
-let recv_long t ~src ~tag buf =
+let recv_long t ~src ~tag buf ~off ~len =
   Engine.sleep Netparams.bip_recv_overhead;
   let completion = Ivar.create () in
+  let posted = { buf; buf_off = off; buf_len = len; completion } in
   let pending = find_queue t.pending_requests (src, tag) in
   (match Queue.take_opt pending with
   | Some req ->
-      Ivar.fill req.target (buf, completion);
+      Ivar.fill req.target posted;
       (* Ready ack travels back to the sender. *)
       Engine.at t.net.engine
         (Time.add (Engine.now t.net.engine) (control_latency t.net))
         (fun () -> Ivar.fill req.ready ())
-  | None ->
-      Queue.push { buf; completion } (find_queue t.posted_recvs (src, tag)));
+  | None -> Queue.push posted (find_queue t.posted_recvs (src, tag)));
   Ivar.read completion
 
 (* BIP distinguishes the two receive paths by message size, and both sides
    of an exchange know which mode is in use (Madeleine's pack/unpack
    symmetry guarantees the receiver knows each packet's length). *)
-let recv t ~src ~tag ?len buf =
-  let len = Option.value len ~default:(Bytes.length buf) in
-  if len < Netparams.bip_short_max then recv_short t ~src ~tag buf
-  else recv_long t ~src ~tag buf
+let recv t ~src ~tag ?off ?len buf =
+  let off, len = slice "Bip.recv" ?off ?len buf in
+  if len < Netparams.bip_short_max then recv_short t ~src ~tag buf ~off ~len
+  else recv_long t ~src ~tag buf ~off ~len
 
 let short_credits_available t ~dst =
   Semaphore.available (credits t.net ~src:(rank t) ~dst)

@@ -37,24 +37,30 @@ val node : t -> Simnet.Node.t
 val rank : t -> int
 (** Node id of this endpoint. *)
 
-val send : t -> dst:int -> tag:int -> Bytes.t -> unit
-(** Blocking send. Returns when the payload buffer may be reused: after
-    local injection for short messages (credit permitting), after full
-    remote delivery for long ones. Raises [Invalid_argument] if [dst] is
-    unknown or equals the sender. *)
+val send : t -> dst:int -> tag:int -> ?off:int -> ?len:int -> Bytes.t -> unit
+(** [send t ~dst ~tag ?off ?len buf] sends the [len] bytes of [buf]
+    starting at [off] (defaults: the whole buffer). Blocking: returns
+    when the slice may be reused — after local injection for short
+    messages (credit permitting), after full remote delivery for long
+    ones. Either way the slice is snapshotted once, at injection; that
+    is the message's only host copy on the send side. Raises
+    [Invalid_argument] if [dst] is unknown or equals the sender, or if
+    the slice exceeds [buf]. *)
 
-val recv : t -> src:int -> tag:int -> ?len:int -> Bytes.t -> int
-(** [recv t ~src ~tag buf] blocks for the next message from [src] with
-    [tag], places the payload at the start of [buf] and returns its
-    length. [len] is the expected message length (defaults to
-    [Bytes.length buf]); it selects the short or long receive path, so it
-    must be on the same side of the 1 kB threshold as the sender's length
-    — both sides of a BIP exchange know which mode they are using, as do
-    Madeleine's symmetric pack/unpack sequences. Raises
-    [Invalid_argument] if [buf] is too small for the message (BIP
-    truncation is a programming error here, not silent). For short
-    messages this pays the staging copy out of the preallocated buffer;
-    long messages land directly. *)
+val recv :
+  t -> src:int -> tag:int -> ?off:int -> ?len:int -> Bytes.t -> int
+(** [recv t ~src ~tag ?off ?len buf] blocks for the next message from
+    [src] with [tag], places the payload at [off] in [buf] and returns
+    its length. The receive slice is the [len] bytes from [off]
+    (defaults: the whole buffer); [len] also selects the short or long
+    receive path, so it must be on the same side of the 1 kB threshold
+    as the sender's length — both sides of a BIP exchange know which
+    mode they are using, as do Madeleine's symmetric pack/unpack
+    sequences. Raises [Invalid_argument] if the slice exceeds [buf] or
+    is too small for the message (BIP truncation is a programming error
+    here, not silent). For short messages this pays the staging copy
+    out of the preallocated buffer; long messages land directly in the
+    slice, with no intermediate buffer. *)
 
 val short_credits_available : t -> dst:int -> int
 (** Remaining send window toward [dst] (for tests and flow-control

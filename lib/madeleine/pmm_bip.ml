@@ -33,16 +33,17 @@ let send_short_tm endpoint ~dst ~tag =
               fill := !fill + Buf.length buf);
           ship_static =
             (fun () ->
-              Bip.send endpoint ~dst ~tag (Bytes.sub staging 0 !fill);
+              Bip.send endpoint ~dst ~tag ~len:!fill staging;
               fill := 0);
         };
   }
 
-(* BIP long messages land at their final destination, so an offset view
-   costs nothing: the extra blit below is simulation bookkeeping with no
-   modelled time. *)
+(* BIP long messages are sent from, and land at, the user's slice: the
+   only host copy is the send-side snapshot inside Bip. *)
 let send_long_tm endpoint ~dst ~tag =
-  let send_one buf = Bip.send endpoint ~dst ~tag (Buf.to_bytes buf) in
+  let send_one buf =
+    Bip.send endpoint ~dst ~tag ~off:buf.Buf.off ~len:buf.Buf.len buf.Buf.data
+  in
   {
     Tm.s_name = "bip-long";
     s_side =
@@ -64,7 +65,7 @@ let recv_short_tm endpoint ~from ~tag =
           Tm.recv_capacity = short_capacity;
           fetch_static =
             (fun () ->
-              let len = Bip.recv endpoint ~src:from ~tag ~len:0 staging in
+              let len = Bip.recv endpoint ~src:from ~tag staging in
               read_off := 0;
               len);
           read_static =
@@ -79,16 +80,15 @@ let recv_short_tm endpoint ~from ~tag =
 
 let recv_long_tm endpoint ~from ~tag =
   let recv_one buf =
-    let tmp = Bytes.create (Buf.length buf) in
     let len =
-      Bip.recv endpoint ~src:from ~tag ~len:(Buf.length buf) tmp
+      Bip.recv endpoint ~src:from ~tag ~off:buf.Buf.off ~len:buf.Buf.len
+        buf.Buf.data
     in
     if len <> Buf.length buf then
       raise
         (Config.Symmetry_violation
            (Printf.sprintf "bip-long: expected %d bytes, got %d"
-              (Buf.length buf) len));
-    Buf.blit_in buf tmp 0
+              (Buf.length buf) len))
   in
   {
     Tm.r_name = "bip-long";

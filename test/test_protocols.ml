@@ -45,6 +45,50 @@ let test_bip_short_roundtrip () =
   Engine.run e;
   Alcotest.(check bytes) "content" data got
 
+(* Slices on both sides: a short and a long message sent from the
+   middle of a buffer land at an offset of the receiver's buffer, the
+   bytes around the receive slice untouched; slices outside the buffer
+   are rejected on both sides. *)
+let test_bip_slices () =
+  let e, b0, b1 = bip_world () in
+  let src = payload 300_000 11L in
+  let short_at = 17 and long_at = 1_000 in
+  let short_len = 100 and long_len = 200_000 in
+  let short_got = Bytes.make 300 '.' and long_got = Bytes.make 250_000 '.' in
+  let bad what f =
+    Alcotest.check_raises what (Invalid_argument (what ^ ": slice out of bounds"))
+      (fun () -> ignore (f ()))
+  in
+  Engine.spawn e ~name:"sender" (fun () ->
+      bad "Bip.send" (fun () -> Bip.send b0 ~dst:1 ~tag:0 ~off:(-1) src);
+      bad "Bip.send" (fun () -> Bip.send b0 ~dst:1 ~tag:0 ~len:(-1) src);
+      bad "Bip.send" (fun () ->
+          Bip.send b0 ~dst:1 ~tag:0 ~off:1 ~len:300_000 src);
+      bad "Bip.send" (fun () -> Bip.send b0 ~dst:1 ~tag:0 ~off:300_001 src);
+      Bip.send b0 ~dst:1 ~tag:0 ~off:short_at ~len:short_len src;
+      Bip.send b0 ~dst:1 ~tag:1 ~off:long_at ~len:long_len src);
+  Engine.spawn e ~name:"receiver" (fun () ->
+      bad "Bip.recv" (fun () -> Bip.recv b1 ~src:0 ~tag:0 ~off:(-1) short_got);
+      bad "Bip.recv" (fun () ->
+          Bip.recv b1 ~src:0 ~tag:0 ~off:200 ~len:101 short_got);
+      Alcotest.(check int) "short length" short_len
+        (Bip.recv b1 ~src:0 ~tag:0 ~off:50 ~len:200 short_got);
+      Alcotest.(check int) "long length" long_len
+        (Bip.recv b1 ~src:0 ~tag:1 ~off:3 ~len:long_len long_got));
+  Engine.run e;
+  let expect_around dst ~off ~len ~from =
+    let n = Bytes.length dst in
+    Alcotest.(check bytes) "slice content" (Bytes.sub src from len)
+      (Bytes.sub dst off len);
+    Alcotest.(check string) "before the slice" (String.make off '.')
+      (Bytes.sub_string dst 0 off);
+    Alcotest.(check string) "after the slice"
+      (String.make (n - off - len) '.')
+      (Bytes.sub_string dst (off + len) (n - off - len))
+  in
+  expect_around short_got ~off:50 ~len:short_len ~from:short_at;
+  expect_around long_got ~off:3 ~len:long_len ~from:long_at
+
 let test_bip_short_latency () =
   (* Raw BIP one-way small-message latency should be near 5 us. *)
   let e, b0, b1 = bip_world () in
@@ -597,6 +641,7 @@ let () =
       ( "bip",
         [
           Alcotest.test_case "short roundtrip" `Quick test_bip_short_roundtrip;
+          Alcotest.test_case "send and recv slices" `Quick test_bip_slices;
           Alcotest.test_case "short latency" `Quick test_bip_short_latency;
           Alcotest.test_case "long delivery" `Quick
             test_bip_long_zero_copy_delivery;
