@@ -16,12 +16,13 @@ let stage ?use ?(per_fragment = 0) ?(prop = 0) label =
 
 (* One running stage. It moves through exactly the states of a thread
    looping on a mailbox — take a fragment, sleep [per_fragment], cross
-   the fluid, hand the fragment on after [prop] — and schedules the same
-   engine events that thread did: [idle] is "blocked in take", so a
+   the fluid, hand the fragment on after [prop] — and must schedule the
+   engine events such a thread would: [idle] is "blocked in take", so a
    fragment fed to an idle stage costs one [Engine.at now] wake-up, a
    queued one is picked up with no event, and a fluid completion costs
-   one [Engine.at now] resumption. The schedule is therefore
-   event-for-event the threaded one, minus the fiber switches. *)
+   one [Engine.at now] resumption. That keeps the schedule, event for
+   event, the one-thread-per-stage model of docs/MODEL.md, which the
+   goldens and the simspeed fingerprints pin. *)
 type 'a runner = {
   engine : Engine.t;
   spec : stage;
@@ -75,9 +76,9 @@ let chain engine ~stages ~size ~sink =
         :: runners)
       stages []
   in
-  (* Each stage starts the way a freshly spawned thread did: one event
-     at the current instant, in stage order, after which it takes its
-     first fragment or goes idle. *)
+  (* Each stage starts as a freshly spawned thread would: one event at
+     the current instant, in stage order, after which it takes its first
+     fragment or goes idle. *)
   List.iter
     (fun r -> Engine.at engine (Engine.now engine) (fun () -> pick r))
     runners;

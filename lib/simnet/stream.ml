@@ -6,8 +6,8 @@ type fragment = { frag_len : int; on_delivered : unit -> unit }
 
 type t = { mtu : int; intake : fragment -> unit }
 
-(* The delivery point is one more cost-free stage, so a callback runs
-   exactly where the delivery thread used to run it. *)
+(* The delivery point is one more cost-free stage: reaching it costs
+   the same wake-up event as any other stage hand-off. *)
 let deliver = Pipeline.stage "deliver"
 
 let create engine ~stages ~mtu =
