@@ -376,22 +376,41 @@ let json_arg =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
          ~doc:"Also write the machine-readable report to FILE.")
 
+let fingerprints_arg =
+  Arg.(value & flag & info [ "fingerprints" ]
+         ~doc:"Instead of the report, print the event count and schedule \
+               fingerprint of every world that WORKLOAD (default: every \
+               registry workload) runs; gates are not judged.")
+
 (* One registry workload alone (the CI smoke path) judges only its own
    gates; without one, the full sweep runs over the --jobs pool. *)
-let chaos workload quick seed jobs json_file =
+let chaos workload quick seed jobs json_file fingerprints =
+  let find name =
+    match Chaos.find name with
+    | Some w -> w
+    | None ->
+        Format.eprintf "chaos: unknown workload %s (expected one of: %s)@."
+          name
+          (String.concat ", "
+             (List.map (fun w -> w.Chaos.name) Chaos.workloads));
+        exit 2
+  in
+  if fingerprints then begin
+    let names =
+      match workload with
+      | Some name -> [ (find name).Chaos.name ]
+      | None -> List.map (fun w -> w.Chaos.name) Chaos.workloads
+    in
+    print_string
+      (Parsim.with_pool ~jobs (fun pool ->
+           Chaos.fingerprints pool ~seed ~quick names));
+    exit 0
+  end;
   let text, json, gates =
     match workload with
-    | Some name -> (
-        match Chaos.find name with
-        | Some w ->
-            let r = w.Chaos.run ~seed ~quick in
-            (r.Chaos.line, Chaos.workload_json ~seed name r, r.Chaos.gates)
-        | None ->
-            Format.eprintf "chaos: unknown workload %s (expected one of: %s)@."
-              name
-              (String.concat ", "
-                 (List.map (fun w -> w.Chaos.name) Chaos.workloads));
-            exit 2)
+    | Some name ->
+        let r = (find name).Chaos.run ~seed ~quick in
+        (r.Chaos.line, Chaos.workload_json ~seed name r, r.Chaos.gates)
     | None ->
         let results =
           Parsim.with_pool ~jobs (fun pool -> Chaos.run pool ~seed ~quick)
@@ -435,7 +454,8 @@ let chaos_cmd =
              live topology changes, plus standalone partition and \
              collectives workloads.")
     Term.(
-      const chaos $ workload_arg $ quick_arg $ seed_arg $ jobs_arg $ json_arg)
+      const chaos $ workload_arg $ quick_arg $ seed_arg $ jobs_arg $ json_arg
+      $ fingerprints_arg)
 
 (* -------- figures -------- *)
 

@@ -74,13 +74,27 @@ type row = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Every world below is built on [new_engine], so {!fingerprints} can
+   list the schedule of each engine a workload ran. The record is
+   domain-local (a Parsim job runs on one domain) and [None] outside
+   {!fingerprints}, so an ordinary run keeps no finished world alive. *)
+
+let built : Engine.t list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let new_engine () =
+  let engine = Engine.create () in
+  (match Domain.DLS.get built with Some l -> l := engine :: !l | None -> ());
+  engine
+
+(* ------------------------------------------------------------------ *)
 (* Single-segment TCP worlds with a fault plane attached. *)
 
 (* One Ethernet segment "eth" of [hosts] nodes with a fault plane
    attached; [setup] configures the plane before the TCP stacks attach.
    The nodes and their stacks are indexed by rank. *)
 let one_segment ~seed ~hosts ?window ?(setup = ignore) () =
-  let engine = Engine.create () in
+  let engine = new_engine () in
   let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
   let faults = Faults.create engine ~seed:(Int64.of_int seed) in
   Fabric.set_faults fabric faults;
@@ -314,7 +328,7 @@ let pingpong_faults ~seed ~quick =
    attach; [vchannel] builds the vchannel over the two channels. *)
 
 let two_segment_world ~seed ~a ~b ?(setup = ignore) vchannel =
-  let engine = Engine.create () in
+  let engine = new_engine () in
   let faults = Faults.create engine ~seed:(Int64.of_int seed) in
   let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
   let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
@@ -1835,7 +1849,7 @@ let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
    plane entirely, which is what makes the 1024-rank scaling row
    affordable. *)
 let coll_world ~seed ~clusters ~per ~with_faults =
-  let engine = Engine.create () in
+  let engine = new_engine () in
   let n = clusters * per in
   let faults =
     if with_faults then Some (Faults.create engine ~seed:(Int64.of_int seed))
@@ -2206,6 +2220,36 @@ let run pool ~seed ~quick =
        sweep)
 
 let gates results = List.concat_map (fun (_, r) -> r.gates) results
+
+let fingerprints pool ~seed ~quick names =
+  let schedules name =
+    let w = Option.get (find name) in
+    let worlds = ref [] in
+    Domain.DLS.set built (Some worlds);
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set built None)
+      (fun () -> ignore (w.run ~seed ~quick));
+    List.rev_map
+      (fun e -> (Engine.events_processed e, Engine.fingerprint e))
+      !worlds
+  in
+  let rows =
+    Parsim.run pool
+      (List.map
+         (fun name -> ("fingerprints/" ^ name, fun () -> (name, schedules name)))
+         names)
+  in
+  Printf.sprintf "# chaos schedule fingerprints (seed %d%s)\n" seed
+    (if quick then ", quick" else "")
+  ^ String.concat ""
+      (List.concat_map
+         (fun (name, worlds) ->
+           List.mapi
+             (fun i (events, fp) ->
+               Printf.sprintf "%s world %d: events %d fingerprint %d\n" name i
+                 events fp)
+             worlds)
+         rows)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering. Every figure is simulated, so a report is a pure function

@@ -44,6 +44,16 @@ val run : Parsim.pool -> seed:int -> quick:bool -> (string * result) list
 (** Runs the {!sweep} workloads (one job each) and returns them, named,
     in sweep order. *)
 
+val fingerprints :
+  Parsim.pool -> seed:int -> quick:bool -> string list -> string
+(** [fingerprints pool ~seed ~quick names] runs the named registry
+    workloads (one job each) and lists, in order, the
+    {!Marcel.Engine.events_processed} and {!Marcel.Engine.fingerprint}
+    of every world each one built: one line per world, byte-identical
+    across runs and worker counts. A refactor that must not move the
+    simulated schedule leaves this text unchanged. Every name must be
+    in {!workloads}. *)
+
 val gates : (string * result) list -> (string * bool) list
 (** Every gate of a sweep, in order. *)
 
