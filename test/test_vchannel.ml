@@ -64,6 +64,38 @@ let make_vc ?mtu ?gateway_overhead ?extra_gateway_copy w =
   Vc.create w.session ?mtu ?gateway_overhead ?extra_gateway_copy
     [ w.ch_sci; w.ch_myri ]
 
+(* The text and order of [Vchannel.create]'s plane-dependency
+   rejections. A call that breaks two rules reports the first rule
+   [create] checks, so the order is part of the contract too. *)
+let test_create_rejections () =
+  let w = two_cluster_world () in
+  let faults = Simnet.Faults.create w.engine ~seed:1L in
+  let rejects msg build =
+    Alcotest.check_raises msg (Invalid_argument ("Vchannel.create: " ^ msg))
+      (fun () -> ignore (build [ w.ch_sci; w.ch_myri ]))
+  in
+  let create = Vc.create w.session in
+  rejects "election requires a topology version" (create ~faults ~election:true);
+  rejects "election requires a fault plane" (create ~topology:1 ~election:true);
+  rejects "coordinator without a topology version" (create ~coordinator:0);
+  rejects "topo_quorum requires election"
+    (create ~faults ~topology:1 ~topo_quorum:2);
+  rejects "topo_quorum 0 outside 1..3"
+    (create ~faults ~topology:1 ~election:true ~topo_quorum:0);
+  rejects "topo_quorum 4 outside 1..3"
+    (create ~faults ~topology:1 ~election:true ~topo_quorum:4);
+  rejects "topology version < 0" (create ~topology:(-1));
+  rejects "coordinator 7 not part of the virtual channel"
+    (create ~topology:1 ~coordinator:7);
+  (* Two rules broken at once. *)
+  rejects "coordinator without a topology version"
+    (create ~coordinator:0 ~election:true);
+  rejects "topology version < 0" (create ~topology:(-1) ~election:true);
+  rejects "topo_quorum requires election" (create ~faults ~topo_quorum:9);
+  rejects "election requires a fault plane"
+    (create ~topology:1 ~election:true ~topo_quorum:9);
+  rejects "credits < 1" (create ~credits:0 ~coordinator:0)
+
 let test_routes () =
   let w = two_cluster_world () in
   let vc = make_vc w in
@@ -518,7 +550,11 @@ let test_extra_copy_hurts () =
 let () =
   Alcotest.run "vchannel"
     [
-      ("routing", [ Alcotest.test_case "routes" `Quick test_routes ]);
+      ( "routing",
+        [
+          Alcotest.test_case "routes" `Quick test_routes;
+          Alcotest.test_case "create rejections" `Quick test_create_rejections;
+        ] );
       ( "forwarding",
         [
           Alcotest.test_case "small" `Quick test_forward_small;
