@@ -217,6 +217,36 @@ type pump = {
   pump_buffers : Semaphore.t; (* the two pipeline buffers *)
 }
 
+(* Suppressed membership intents of a partitioned minority, replayed
+   through the winning coordinator once the cut heals. *)
+type intent = P_join of int | P_drain of int
+
+(* Quorum-election plane, present only when the vchannel was created
+   with [~election:true] (clusterfile [election=on]). It is a sub-plane
+   of live topology (it lives in [live.lv_elect]) and holds the fault
+   plane it requires: the sentinels carry both the suspicion verdicts a
+   candidacy rides on and the ballot registries. Candidacy is
+   epoch-numbered: term = current topology epoch + 1, and a commit is
+   [Topology.with_coordinator] — which bumps the epoch to exactly the
+   term — so two candidates can never both commit the same epoch: the
+   loser's re-check ([epoch < term]) fails after the winner's swap.
+   Ballots live in the candidate's {!Sentinel} tagged with the voter's
+   crash epoch, so a restarted voter's stale ballot stops counting
+   without any revocation traffic. *)
+type elect = {
+  el_rel : rel;
+  el_quorum : int option; (* pinned ballot quorum ([?topo_quorum]);
+                             [None] = majority of the current membership *)
+  mutable el_term : int; (* highest term seen locally *)
+  mutable el_elections : int; (* committed elections *)
+  mutable el_attempts : int; (* candidacies started *)
+  mutable el_refusals : int; (* candidacies/epoch bumps refused: no quorum *)
+  mutable el_commits : (int * int) list; (* (epoch, coordinator), newest first *)
+  mutable el_last_latency : Time.span; (* trigger -> commit, last election *)
+  mutable el_running : bool; (* a candidacy is in flight *)
+  mutable el_pending : intent list; (* minority's suppressed intents *)
+}
+
 (* Live-topology plane, present only when the vchannel was created with
    [?topology] (clusterfile [version=]). The snapshot is the current
    epoch's membership; every simulated rank reads the same snapshot, so
@@ -238,32 +268,7 @@ type live = {
   mutable lv_scale_outs : int;
   mutable lv_scale_ins : int;
   lv_waiters : Waiters.t; (* threads parked on the next epoch swap *)
-}
-
-(* Suppressed membership intents of a partitioned minority, replayed
-   through the winning coordinator once the cut heals. *)
-type intent = P_join of int | P_drain of int
-
-(* Quorum-election plane, present only when the vchannel was created
-   with [~election:true] (clusterfile [election=on]). Candidacy is
-   epoch-numbered: term = current topology epoch + 1, and a commit is
-   [Topology.with_coordinator] — which bumps the epoch to exactly the
-   term — so two candidates can never both commit the same epoch: the
-   loser's re-check ([epoch < term]) fails after the winner's swap.
-   Ballots live in the candidate's {!Sentinel} tagged with the voter's
-   crash epoch, so a restarted voter's stale ballot stops counting
-   without any revocation traffic. *)
-type elect = {
-  el_quorum : int option; (* pinned ballot quorum ([?topo_quorum]);
-                             [None] = majority of the current membership *)
-  mutable el_term : int; (* highest term seen locally *)
-  mutable el_elections : int; (* committed elections *)
-  mutable el_attempts : int; (* candidacies started *)
-  mutable el_refusals : int; (* candidacies/epoch bumps refused: no quorum *)
-  mutable el_commits : (int * int) list; (* (epoch, coordinator), newest first *)
-  mutable el_last_latency : Time.span; (* trigger -> commit, last election *)
-  mutable el_running : bool; (* a candidacy is in flight *)
-  mutable el_pending : intent list; (* minority's suppressed intents *)
+  lv_elect : elect option; (* quorum elections (clusterfile election=on) *)
 }
 
 type t = {
@@ -289,18 +294,16 @@ type t = {
       (* per-(src, dst, flow) message serialization *)
   fwd_stats : (int, int ref * int ref) Hashtbl.t; (* node -> packets, bytes *)
   credits : credits option;
-  gw_pool : int; (* forwarding buffers per pump (2 = paper's dual buffer) *)
-  gw_high : int; (* busy slots at which a gateway reports Overloaded *)
+  gw_pool : int;
+      (* forwarding buffers per pump (2 = paper's dual buffer); a gateway
+         whose busy slots reach it reports Overloaded *)
   gw_low : int; (* busy slots at which the report clears (hysteresis) *)
   overload_track : bool; (* watermark machinery on (credits or gw_pool set) *)
   overloaded : (int, unit) Hashtbl.t; (* gateways above their watermark *)
   gw_busy : (int, int ref) Hashtbl.t; (* per-node busy pool slots *)
   overload_gen : (int, int) Hashtbl.t; (* cancels stale hold timers *)
   mutable overload_events : int; (* Overloaded transitions (rising edges) *)
-  mutable on_overload_change : unit -> unit; (* rel: recompute + reemit *)
   live : live option; (* live topology (clusterfile version=) *)
-  elect : elect option; (* quorum elections (clusterfile election=on) *)
-  mutable on_topo_change : unit -> unit; (* epoch swap: recompute + reemit *)
   mutable on_col : me:int -> origin:int -> Bytes.t -> unit;
       (* collective-control packets, delivered to the Collectives layer *)
   mutable on_health_change : unit -> unit;
@@ -325,6 +328,9 @@ let starts t ~me ~origin ~flow =
 let incoming t ~me = memo t.incoming me (fun () -> Mailbox.create ())
 let send_lock t ~src ~dst ~flow = memo t.send_locks (src, dst, flow) Mutex.create
 let ranks t = t.all_ranks
+
+let election t =
+  match t.live with Some { lv_elect = Some _; _ } -> true | _ -> false
 
 let check_ranks t op src dst =
   if not (List.mem src t.all_ranks && List.mem dst t.all_ranks) then
@@ -440,25 +446,22 @@ let compute_routes ?(down = fun _ _ -> false) channels all_ranks =
     all_ranks;
   routes
 
+(* No route from [at] to [dst] on the send path: a partition on a
+   reliable vchannel, whose routes come and go with faults; a usage
+   error on a fault-free one. *)
+let unroutable t ~at ~dst =
+  let msg = Printf.sprintf "Vchannel: no route from %d to %d" at dst in
+  match t.rel with Some _ -> Partitioned msg | None -> Invalid_argument msg
+
 let next_hop t ~at ~dst =
   match Hashtbl.find_opt t.routes (at, dst) with
   | Some (hop :: _) -> hop
-  | Some [] | None -> (
-      match t.rel with
-      | Some _ ->
-          raise
-            (Partitioned
-               (Printf.sprintf "Vchannel: no route from %d to %d" at dst))
-      | None ->
-          invalid_arg (Printf.sprintf "Vchannel: no route from %d to %d" at dst))
+  | Some [] | None -> raise (unroutable t ~at ~dst)
 
-let touch_sentinel t ~rank =
-  match t.rel with
+let touch_sentinel r ~rank =
+  match Hashtbl.find_opt r.sentinels rank with
+  | Some s -> Sentinel.touch s
   | None -> ()
-  | Some r -> (
-      match Hashtbl.find_opt r.sentinels rank with
-      | Some s -> Sentinel.touch s
-      | None -> ())
 
 (* Whether [n] is up; without a fault plane every node always is. *)
 let node_up t n =
@@ -482,8 +485,7 @@ let wait_route t r ~at ~dst =
   let routed () = Hashtbl.mem t.routes (at, dst) in
   let name = "vchannel.route" in
   if not (wait_patiently t r.route_waiters ~name ~until:routed) then
-    raise
-      (Partitioned (Printf.sprintf "Vchannel: no route from %d to %d" at dst))
+    raise (unroutable t ~at ~dst)
 
 (* One hop of a self-described packet: a regular Madeleine message on the
    hop's real channel, EXPRESS header then CHEAPER payload. The hop is
@@ -520,22 +522,22 @@ let send_hop ~at hop ~header ~payload ~payload_len =
    partitioned. *)
 let ship_packet t ~at ~header ~payload ~payload_len =
   let dst = header.Generic_tm.final_dst in
-  touch_sentinel t ~rank:at;
-  let rec go attempts =
-    match next_hop t ~at ~dst with
-    | exception Partitioned _ ->
-        (match t.rel with
-        | None -> raise (no_route "ship_packet" at dst)
-        | Some r -> wait_route t r ~at ~dst);
-        go attempts
-    | hop -> (
-        try send_hop ~at hop ~header ~payload ~payload_len
-        with Config.Peer_unreachable msg ->
-          if t.rel = None then raise (Config.Peer_unreachable msg)
-          else if attempts >= 3 then raise (Partitioned msg)
-          else go (attempts + 1))
-  in
-  go 0
+  match t.rel with
+  | None -> send_hop ~at (next_hop t ~at ~dst) ~header ~payload ~payload_len
+  | Some r ->
+      touch_sentinel r ~rank:at;
+      let rec go attempts =
+        match next_hop t ~at ~dst with
+        | exception Partitioned _ ->
+            wait_route t r ~at ~dst;
+            go attempts
+        | hop -> (
+            try send_hop ~at hop ~header ~payload ~payload_len
+            with Config.Peer_unreachable msg ->
+              if attempts >= 3 then raise (Partitioned msg)
+              else go (attempts + 1))
+      in
+      go 0
 
 (* Ship a control packet from [at] on its own daemon thread. Best-effort:
    each control protocol recovers a lost or unroutable packet itself
@@ -834,10 +836,131 @@ let sentinels_forget t rank =
         (fun me s -> if me <> rank then Sentinel.forget s rank)
         r.sentinels
 
+(* ------------------------------------------------------------------ *)
+(* Route refresh: one path for epoch swaps, Overloaded edges, crashes,
+   restarts and sentinel verdicts. *)
+
+(* The lock that serializes emission for a (src, dst) pair: with a
+   scheduler it is the scheduler's pair lock (aggregates are numbered
+   and shipped under it), without one it is the flow-0 message lock —
+   the only flow that exists. Crash re-emission must hold it so
+   re-emitted packets cannot interleave with a packet being emitted. *)
+let emission_lock t ~src ~dst =
+  match t.sched with
+  | Some sc -> Sched.pair_lock sc ~src ~dst
+  | None -> send_lock t ~src ~dst ~flow:0
+
+(* After a membership change, re-emit every unacknowledged packet of
+   the affected live flows over the recomputed routes ([only] narrows
+   the set — an epoch swap re-emits just the flows whose route actually
+   changed). One daemon per flow; it takes the flow's message lock so
+   re-emitted packets cannot interleave with (and overtake) a message
+   in progress — the receiver's sequence check would then discard the
+   overtaken packets for good. *)
+let reemit_flows ?(only = fun _ _ -> true) t r =
+  Hashtbl.iter
+    (fun (src, dst) q ->
+      if only src dst && Simnet.Faults.node_up r.faults src
+         && not (Queue.is_empty q)
+      then
+        Engine.spawn t.engine ~daemon:true
+          ~name:(Printf.sprintf "vchannel.reemit.%d->%d" src dst)
+          (fun () ->
+            Mutex.lock (emission_lock t ~src ~dst);
+            let snapshot = List.of_seq (Queue.to_seq q) in
+            (try
+               List.iter
+                 (fun (seq, header, payload) ->
+                   (* Skip packets acked while we waited for the lock. *)
+                   if Queue.fold (fun f (s, _, _) -> f || s = seq) false q
+                   then begin
+                     r.reemitted <- r.reemitted + 1;
+                     ship_packet t ~at:src ~header ~payload
+                       ~payload_len:(Bytes.length payload)
+                   end)
+                 snapshot
+             with Partitioned _ | Config.Peer_unreachable _ -> ());
+            Mutex.unlock (emission_lock t ~src ~dst)))
+    r.unacked
+
+(* Whether the hop [viewer -> n] is unusable. Non-members of the
+   current epoch are excluded from routing exactly like crashed nodes:
+   never a relay, never an endpoint. With no live topology every
+   physical rank is a member and the predicate reduces to the
+   crash/suspicion test — routes (and the schedule) are byte-identical
+   to a fixed-topology vchannel. With an election plane suspicion is
+   viewer-relative: the hop exists only when the viewer's own sentinel
+   trusts [n], so under a symmetric partition each side keeps full
+   routes within itself instead of everyone going dark because somebody
+   somewhere suspects them. *)
+let down t =
+  let member n =
+    match t.live with None -> true | Some lv -> Topology.mem lv.lv_snapshot n
+  in
+  match t.rel with
+  | None -> fun _viewer n -> not (member n)
+  | Some r when election t ->
+      fun viewer n ->
+        (not (member n))
+        || (not (Simnet.Faults.node_up r.faults n))
+        || (viewer <> n && Hashtbl.mem r.suspected (viewer, n))
+  | Some r ->
+      fun _viewer n ->
+        (not (member n))
+        || (not (Simnet.Faults.node_up r.faults n))
+        || Hashtbl.mem r.susp_count n
+
+let fresh_routes t = compute_routes ~down:(down t) t.channels t.all_ranks
+
+(* Recompute a reliable vchannel's routes and wake the senders waiting
+   out a route hole. Prefer routes that avoid Overloaded gateways —
+   shifting traffic onto an alternate gateway when one exists — but
+   never at the price of reachability: pairs only connected through an
+   overloaded node keep their direct route. *)
+let recompute t r =
+  let fresh = fresh_routes t in
+  if Hashtbl.length t.overloaded > 0 then begin
+    let down = down t in
+    let down_or_overloaded u n = down u n || Hashtbl.mem t.overloaded n in
+    let strict =
+      compute_routes ~down:down_or_overloaded t.channels t.all_ranks
+    in
+    Hashtbl.iter (fun key hops -> Hashtbl.replace fresh key hops) strict
+  end;
+  t.routes <- fresh;
+  Waiters.wake_all r.route_waiters
+
+let route_sig routes =
+  Hashtbl.fold
+    (fun key hops acc ->
+      (key, List.map (fun h -> (Channel.id h.hop_channel, h.hop_to)) hops)
+      :: acc)
+    routes []
+  |> List.sort compare
+
+(* An epoch swap or an Overloaded edge on a reliable vchannel: recompute
+   the routes, then re-emit ONLY the flows whose route actually changed
+   (switching routes mid-flow can strand packets the destination's
+   sequence check discarded as overtakers), under each flow's emission
+   lock. An edge with no alternate gateway changes no route and
+   re-emits nothing — re-emitting into an already-overloaded path would
+   feed the congestion it is reporting. *)
+let swap_routes t r =
+  let before = route_sig t.routes in
+  recompute t r;
+  let after = route_sig t.routes in
+  if after <> before then
+    reemit_flows t r ~only:(fun src dst ->
+        List.assoc_opt (src, dst) before <> List.assoc_opt (src, dst) after)
+
+(* Without a fault plane an epoch swap only recomputes the routes:
+   nothing is logged for re-emission. *)
 let apply_swap t lv snap =
   lv.lv_snapshot <- snap;
   lv.lv_coordinator <- Topology.coordinator snap;
-  t.on_topo_change ();
+  (match t.rel with
+  | Some r -> swap_routes t r
+  | None -> t.routes <- fresh_routes t);
   t.on_health_change ();
   Waiters.wake_all lv.lv_waiters
 
@@ -868,14 +991,10 @@ let side_has_quorum t lv el ~viewer =
 
 (* Depth of a rank's delivery journals — the watermark a candidacy
    carries so reconciliation debates are auditable on the wire. *)
-let journal_watermark t rank =
-  match t.rel with
-  | None -> 0
-  | Some r ->
-      Hashtbl.fold
-        (fun (me, _) expected acc ->
-          if me = rank then acc + !expected else acc)
-        r.rx_next 0
+let journal_watermark r rank =
+  Hashtbl.fold
+    (fun (me, _) expected acc -> if me = rank then acc + !expected else acc)
+    r.rx_next 0
 
 let handle_top t ~me header payload =
   match t.live with
@@ -890,7 +1009,7 @@ let handle_top t ~me header payload =
            diverge from the majority's membership history. Without an
            election plane the static coordinator always commits. *)
         let may_commit () =
-          match t.elect with
+          match lv.lv_elect with
           | None -> true
           | Some el ->
               let ok = side_has_quorum t lv el ~viewer:me in
@@ -940,8 +1059,9 @@ let handle_top t ~me header payload =
                wins on merge) and grant at most one ballot per term; the
                ack carries our crash epoch so the candidate can discard
                the ballot if we restart before it counts. *)
-            match (t.elect, t.rel) with
-            | Some el, Some r when Topology.mem lv.lv_snapshot me ->
+            match lv.lv_elect with
+            | Some el when Topology.mem lv.lv_snapshot me ->
+                let r = el.el_rel in
                 el.el_term <- max el.el_term term;
                 if committed >= Topology.epoch lv.lv_snapshot then begin
                   match Hashtbl.find_opt r.sentinels me with
@@ -957,15 +1077,15 @@ let handle_top t ~me header payload =
           else if op = top_vote_ack then begin
             (* A ballot granted to this rank: [watermark] is the voter's
                crash epoch at the grant. *)
-            match (t.elect, t.rel) with
-            | Some _, Some r ->
-                (match Hashtbl.find_opt r.sentinels me with
+            match lv.lv_elect with
+            | Some el ->
+                (match Hashtbl.find_opt el.el_rel.sentinels me with
                 | Some s ->
                     Sentinel.record_ballot s ~voter:rank ~term
                       ~voter_epoch:watermark
                 | None -> ());
                 Waiters.wake_all lv.lv_waiters
-            | _ -> ()
+            | None -> ()
           end
           else if op = top_coord then
             (* Commit announcement from the winner; the swap itself
@@ -1068,63 +1188,67 @@ let ship_drain_req t lv rank =
 let elect_candidate t lv ~viewer =
   match side_members t lv ~viewer with c :: _ -> Some c | [] -> None
 
+(* The lowest member of the current epoch that is up: who stands when
+   there is no trust view to ask — the coordinator crashed (the fault
+   plane's word is definitive), or an outsider's join went unanswered. *)
+let lowest_live_member lv el =
+  List.find_opt
+    (fun m -> Simnet.Faults.node_up el.el_rel.faults m)
+    (Topology.ranks lv.lv_snapshot)
+
 let run_election t lv el ~candidate =
-  match t.rel with
-  | None -> ()
-  | Some r ->
-      if el.el_running then
-        (* A candidacy is already in flight; park until it settles so
-           callers retrying a join/drain observe its outcome. *)
-        ignore (topo_wait t lv ~until:(fun () -> not el.el_running))
-      else begin
-        el.el_running <- true;
-        el.el_attempts <- el.el_attempts + 1;
-        let started = Engine.now t.engine in
-        let term = Topology.epoch lv.lv_snapshot + 1 in
-        el.el_term <- max el.el_term term;
-        let committed = Topology.epoch lv.lv_snapshot in
-        (match Hashtbl.find_opt r.sentinels candidate with
-        | None -> el.el_refusals <- el.el_refusals + 1
-        | Some s ->
-            if Sentinel.grant_vote s ~term then
-              Sentinel.record_ballot s ~voter:candidate ~term
-                ~voter_epoch:(Simnet.Faults.epoch r.faults candidate);
-            List.iter
-              (fun peer ->
-                if peer <> candidate && Simnet.Faults.node_up r.faults peer
-                then
-                  send_top t ~src:candidate ~dst:peer
-                    (top_ext_payload ~op:top_vote_req ~rank:candidate ~term
-                       ~committed ~watermark:(journal_watermark t candidate)))
-              (Topology.ranks lv.lv_snapshot);
-            let quorum_now () =
-              List.length (Sentinel.ballots s ~term) >= quorum_needed lv el
-            in
-            let won = topo_wait t lv ~until:quorum_now in
-            if
-              won
-              && Topology.epoch lv.lv_snapshot < term
-              && candidate <> Topology.coordinator lv.lv_snapshot
-            then begin
-              let snap = Topology.with_coordinator lv.lv_snapshot candidate in
-              el.el_elections <- el.el_elections + 1;
-              el.el_commits <-
-                (Topology.epoch snap, candidate) :: el.el_commits;
-              el.el_last_latency <- Time.diff (Engine.now t.engine) started;
-              apply_swap t lv snap;
-              List.iter
-                (fun peer ->
-                  if peer <> candidate then
-                    send_top t ~src:candidate ~dst:peer
-                      (top_ext_payload ~op:top_coord ~rank:candidate ~term
-                         ~committed:(Topology.epoch snap)
-                         ~watermark:(journal_watermark t candidate)))
-                (Topology.ranks lv.lv_snapshot)
-            end
-            else if not won then el.el_refusals <- el.el_refusals + 1);
-        el.el_running <- false;
-        Waiters.wake_all lv.lv_waiters
-      end
+  let r = el.el_rel in
+  if el.el_running then
+    (* A candidacy is already in flight; park until it settles so
+       callers retrying a join/drain observe its outcome. *)
+    ignore (topo_wait t lv ~until:(fun () -> not el.el_running))
+  else begin
+    el.el_running <- true;
+    el.el_attempts <- el.el_attempts + 1;
+    let started = Engine.now t.engine in
+    let term = Topology.epoch lv.lv_snapshot + 1 in
+    el.el_term <- max el.el_term term;
+    let committed = Topology.epoch lv.lv_snapshot in
+    (match Hashtbl.find_opt r.sentinels candidate with
+    | None -> el.el_refusals <- el.el_refusals + 1
+    | Some s ->
+        if Sentinel.grant_vote s ~term then
+          Sentinel.record_ballot s ~voter:candidate ~term
+            ~voter_epoch:(Simnet.Faults.epoch r.faults candidate);
+        List.iter
+          (fun peer ->
+            if peer <> candidate && Simnet.Faults.node_up r.faults peer then
+              send_top t ~src:candidate ~dst:peer
+                (top_ext_payload ~op:top_vote_req ~rank:candidate ~term
+                   ~committed ~watermark:(journal_watermark r candidate)))
+          (Topology.ranks lv.lv_snapshot);
+        let quorum_now () =
+          List.length (Sentinel.ballots s ~term) >= quorum_needed lv el
+        in
+        let won = topo_wait t lv ~until:quorum_now in
+        if
+          won
+          && Topology.epoch lv.lv_snapshot < term
+          && candidate <> Topology.coordinator lv.lv_snapshot
+        then begin
+          let snap = Topology.with_coordinator lv.lv_snapshot candidate in
+          el.el_elections <- el.el_elections + 1;
+          el.el_commits <- (Topology.epoch snap, candidate) :: el.el_commits;
+          el.el_last_latency <- Time.diff (Engine.now t.engine) started;
+          apply_swap t lv snap;
+          List.iter
+            (fun peer ->
+              if peer <> candidate then
+                send_top t ~src:candidate ~dst:peer
+                  (top_ext_payload ~op:top_coord ~rank:candidate ~term
+                     ~committed:(Topology.epoch snap)
+                     ~watermark:(journal_watermark r candidate)))
+            (Topology.ranks lv.lv_snapshot)
+        end
+        else if not won then el.el_refusals <- el.el_refusals + 1);
+    el.el_running <- false;
+    Waiters.wake_all lv.lv_waiters
+  end
 
 (* Post-heal reconciliation: the shared snapshot already embodies the
    majority's history (highest-committed-wins is structural — the
@@ -1177,7 +1301,6 @@ let replay_pending t lv el =
    accept only the expected sequence number (re-emitted duplicates and
    overtaking packets are dropped) and acknowledge cumulatively. *)
 let deliver_local t ~me header payload =
-  touch_sentinel t ~rank:me;
   let accept () =
     let origin = header.Generic_tm.origin in
     if header.Generic_tm.agg then begin
@@ -1222,6 +1345,7 @@ let deliver_local t ~me header payload =
   match t.rel with
   | None -> accept ()
   | Some r ->
+      touch_sentinel r ~rank:me;
       let expected = flow_ref r.rx_next (me, header.Generic_tm.origin) in
       if header.Generic_tm.seq = !expected then begin
         expected := (!expected + 1) land 0xffff;
@@ -1309,7 +1433,7 @@ let set_overload t node flag =
       t.overload_events <- t.overload_events + 1;
       inform_sentinels t node true;
       scale_out t node;
-      t.on_overload_change ();
+      Option.iter (swap_routes t) t.rel;
       t.on_health_change ()
     end
   end
@@ -1317,7 +1441,7 @@ let set_overload t node flag =
     Hashtbl.remove t.overloaded node;
     inform_sentinels t node false;
     scale_in t node;
-    t.on_overload_change ();
+    Option.iter (swap_routes t) t.rel;
     t.on_health_change ()
   end
 
@@ -1352,7 +1476,7 @@ let gw_acquire t ~node p =
        microsecond dip between one forward's release and the next
        packet's acquire. *)
     if !busy > t.gw_low then ignore (bump_overload_gen t node);
-    if !busy >= t.gw_high then set_overload t node true
+    if !busy >= t.gw_pool then set_overload t node true
   end
 
 let gw_release t ~node p =
@@ -1402,19 +1526,14 @@ and spawn_forwarder t ~node p =
            sits between taking the buffer and re-emitting it, where the
            paper's +50 us/step analysis places it (§6.2.2). *)
         Engine.sleep t.gateway_overhead;
-        (match t.rel with
-        | Some r when not (Simnet.Faults.node_up r.faults node) ->
-            (* This gateway crashed with the packet in its pipeline: the
-               in-flight state dies; origins re-emit from their logs. *)
-            ()
-        | Some _ -> (
-            try
-              ship_packet t ~at:node ~header ~payload
-                ~payload_len:(Bytes.length payload)
-            with Partitioned _ -> ())
-        | None ->
-            ship_packet t ~at:node ~header ~payload
-              ~payload_len:(Bytes.length payload));
+        (* A gateway that crashed with the packet in its pipeline drops
+           it: the in-flight state dies; origins re-emit from their logs.
+           So does one left with no route to the packet's destination. *)
+        (if node_up t node then
+           try
+             ship_packet t ~at:node ~header ~payload
+               ~payload_len:(Bytes.length payload)
+           with Partitioned _ -> ());
         gw_release t ~node p
       done)
 
@@ -1657,48 +1776,202 @@ let emit_frames t ~src ~dst frames =
       in
       List.iter (emit_one_aggregate t ~src ~dst) (groups [] [] 0 frames)
 
-(* The lock that serializes emission for a (src, dst) pair: with a
-   scheduler it is the scheduler's pair lock (aggregates are numbered
-   and shipped under it), without one it is the flow-0 message lock —
-   the only flow that exists. Crash re-emission must hold it so
-   re-emitted packets cannot interleave with a packet being emitted. *)
-let emission_lock t ~src ~dst =
-  match t.sched with
-  | Some sc -> Sched.pair_lock sc ~src ~dst
-  | None -> send_lock t ~src ~dst ~flow:0
+(* ------------------------------------------------------------------ *)
+(* A reliable vchannel's reactions to its fault plane and sentinels,
+   registered by [create]. Crashes are handled here, so sentinel
+   transitions on actually-crashed peers change nothing. *)
 
-(* After a membership change, re-emit every unacknowledged packet of
-   the affected live flows over the recomputed routes ([only] narrows
-   the set — an epoch swap re-emits just the flows whose route actually
-   changed). One daemon per flow; it takes the flow's message lock so
-   re-emitted packets cannot interleave with (and overtake) a message
-   in progress — the receiver's sequence check would then discard the
-   overtaken packets for good. *)
-let reemit_flows ?(only = fun _ _ -> true) t r =
-  Hashtbl.iter
-    (fun (src, dst) q ->
-      if only src dst && Simnet.Faults.node_up r.faults src
-         && not (Queue.is_empty q)
-      then
-        Engine.spawn t.engine ~daemon:true
-          ~name:(Printf.sprintf "vchannel.reemit.%d->%d" src dst)
-          (fun () ->
-            Mutex.lock (emission_lock t ~src ~dst);
-            let snapshot = List.of_seq (Queue.to_seq q) in
-            (try
-               List.iter
-                 (fun (seq, header, payload) ->
-                   (* Skip packets acked while we waited for the lock. *)
-                   if Queue.fold (fun f (s, _, _) -> f || s = seq) false q
-                   then begin
-                     r.reemitted <- r.reemitted + 1;
-                     ship_packet t ~at:src ~header ~payload
-                       ~payload_len:(Bytes.length payload)
-                   end)
-                 snapshot
-             with Partitioned _ | Config.Peer_unreachable _ -> ());
-            Mutex.unlock (emission_lock t ~src ~dst)))
-    r.unacked
+let on_crash t r node =
+  if List.mem node t.all_ranks then begin
+    r.reroutes <- r.reroutes + 1;
+    (* The crashed node's send-side session state dies with it: cursors
+       and unacked logs are volatile. Its flows stay blocked
+       ([tx_lost]) until a peer handshake restores the cursor after
+       restart. Receive journals survive. *)
+    Hashtbl.iter
+      (fun (src, dst) sq ->
+        if src = node then begin
+          sq := 0;
+          Hashtbl.replace r.tx_lost (src, dst) ()
+        end)
+      r.tx_seq;
+    Hashtbl.iter (fun (src, _) q -> if src = node then Queue.clear q) r.unacked;
+    (* Credit counters are volatile send-side state too: both ends of
+       the crashed node's flows restart from zero (the receive side
+       mirrors the wiped cursor — leftover pre-crash bytes still
+       buffered at a peer may transiently over-grant by at most one
+       budget, which the restart window absorbs). *)
+    (match t.credits with
+    | None -> ()
+    | Some c ->
+        Hashtbl.iter
+          (fun (src, _) ctx ->
+            if src = node then begin
+              ctx.ctx_shipped <- 0;
+              ctx.ctx_granted <- 0
+            end)
+          c.cr_tx;
+        Hashtbl.iter
+          (fun (_, origin) crx ->
+            if origin = node then begin
+              crx.crx_consumed <- 0;
+              crx.crx_last_grant <- 0
+            end)
+          c.cr_rx);
+    recompute t r;
+    reemit_flows t r;
+    t.on_health_change ();
+    (* A crashed coordinator needs no phi verdict: the fault plane's
+       word is definitive, so stand a candidate at once. *)
+    match t.live with
+    | Some ({ lv_elect = Some el; _ } as lv) when node = lv.lv_coordinator -> (
+        Waiters.wake_all lv.lv_waiters;
+        match lowest_live_member lv el with
+        | Some candidate ->
+            Engine.spawn t.engine ~daemon:true
+              ~name:(Printf.sprintf "vchannel.elect.crash.%d" candidate)
+              (fun () -> run_election t lv el ~candidate)
+        | None -> ())
+    | _ -> ()
+  end
+
+let on_restart t r node =
+  if List.mem node t.all_ranks then begin
+    (* The restarted rank's pre-crash vote grant is void — the epoch
+       bump announces it to everyone — so it may vote afresh, and any
+       ballots it had collected as a candidate are dead. *)
+    (match Hashtbl.find_opt r.sentinels node with
+    | Some s -> Sentinel.reset_election s
+    | None -> ());
+    recompute t r;
+    (* Crash-epoch session handshake: every live peer holding a delivery
+       journal for the restarted origin tells it (over the routed
+       network, so gateways forward it like data) where to resume
+       numbering. *)
+    let epoch = Simnet.Faults.epoch r.faults node in
+    Hashtbl.iter
+      (fun (me, origin) expected ->
+        if origin = node && me <> node && Simnet.Faults.node_up r.faults me
+        then
+          ship_detached t ~kind:"hs" ~at:me
+            { (Generic_tm.header ~origin:me ~final_dst:node ~payload_len:4) with
+              seq = !expected;
+              hs = true;
+            }
+            (int32_payload epoch))
+      r.rx_next;
+    (* Flows to peers holding no journal for this node restart at zero
+       immediately — nobody will send a handshake. *)
+    let fresh =
+      Hashtbl.fold
+        (fun (src, dst) () acc ->
+          if src = node && not (Hashtbl.mem r.rx_next (dst, node)) then
+            (src, dst) :: acc
+          else acc)
+        r.tx_lost []
+    in
+    List.iter (fun key -> Hashtbl.remove r.tx_lost key) fresh;
+    if fresh <> [] then Waiters.wake_all r.hs_waiters;
+    reemit_flows t r;
+    t.on_health_change ()
+  end
+
+(* Healing restores the wire but not the detectors' opinions: touch
+   every sentinel so activity-gated probing re-arms and suspicion drains
+   organically via Up probes, then replay the minority's suppressed
+   join/drain intents once the coordinator's side holds quorum again. *)
+let on_heal t lv el _fabric =
+  Hashtbl.iter (fun _ s -> Sentinel.touch s) el.el_rel.sentinels;
+  Waiters.wake_all lv.lv_waiters;
+  if el.el_pending <> [] then
+    Engine.spawn t.engine ~daemon:true ~name:"vchannel.heal.replay" (fun () ->
+        if
+          topo_wait t lv ~until:(fun () ->
+              side_has_quorum t lv el ~viewer:lv.lv_coordinator)
+        then replay_pending t lv el)
+
+(* [me]'s sentinel changed its verdict on [peer]. Calling a still-live
+   peer Down is a suspicion: routes are recomputed around the suspect
+   and in-flight packets re-emitted, before any send times out on it.
+   With election off the first observer acts for everyone (the by-any
+   view is what routing sees, so later observers change nothing, and
+   the first good probe anywhere rehabilitates the peer for everyone);
+   with it on, every observer's own view shifts, so each one
+   recomputes. *)
+let on_verdict t r ~me peer _from to_ =
+  let elect =
+    match t.live with
+    | Some ({ lv_elect = Some el; _ } as lv) -> Some (lv, el)
+    | _ -> None
+  in
+  match to_ with
+  | Sentinel.Down when Simnet.Faults.node_up r.faults peer ->
+      if not (Hashtbl.mem r.suspected (me, peer)) then begin
+        let was = Hashtbl.mem r.susp_count peer in
+        Hashtbl.replace r.suspected (me, peer) ();
+        Hashtbl.replace r.susp_count peer
+          (1 + Option.value ~default:0 (Hashtbl.find_opt r.susp_count peer));
+        if Option.is_some elect || not was then begin
+          r.reroutes <- r.reroutes + 1;
+          recompute t r;
+          reemit_flows t r;
+          t.on_health_change ()
+        end;
+        match elect with
+        | Some (lv, el) ->
+            Waiters.wake_all lv.lv_waiters;
+            if peer = lv.lv_coordinator then
+              (* The coordinator just went dark for [me]: stand the
+                 side's lowest reachable member (not necessarily [me] —
+                 the observer may not be the side's natural candidate). *)
+              Engine.spawn t.engine ~daemon:true
+                ~name:(Printf.sprintf "vchannel.elect.%d" me)
+                (fun () ->
+                  match elect_candidate t lv ~viewer:me with
+                  | Some candidate -> run_election t lv el ~candidate
+                  | None -> ())
+        | None -> ()
+      end
+  | Sentinel.Up -> (
+      match elect with
+      | Some (lv, _) ->
+          if Hashtbl.mem r.suspected (me, peer) then begin
+            unsuspect r (me, peer);
+            recompute t r;
+            t.on_health_change ();
+            Waiters.wake_all lv.lv_waiters
+          end
+      | None ->
+          if Hashtbl.mem r.susp_count peer then begin
+            Hashtbl.iter
+              (fun (o, p) () ->
+                if p = peer then Hashtbl.remove r.suspected (o, p))
+              (Hashtbl.copy r.suspected);
+            Hashtbl.remove r.susp_count peer;
+            recompute t r;
+            t.on_health_change ()
+          end)
+  | _ -> ()
+
+(* One phi-accrual sentinel per rank, probing its channel neighbours. *)
+let start_sentinel t r me =
+  let neighbours =
+    List.filter (fun p -> p <> me && shares_channel t me p) t.all_ranks
+  in
+  if neighbours <> [] then begin
+    let fabric =
+      List.find_map
+        (fun c ->
+          if List.mem me (Channel.ranks c) then Channel.fabric c else None)
+        t.channels
+    in
+    let s =
+      Sentinel.create t.engine r.faults ~me ~peers:neighbours ?fabric ()
+    in
+    Sentinel.on_transition s (on_verdict t r ~me);
+    Sentinel.start s;
+    Hashtbl.add r.sentinels me s
+  end
 
 let create session ?(mtu = Config.default_vchannel_mtu)
     ?(patience = Config.default_route_patience)
@@ -1714,13 +1987,9 @@ let create session ?(mtu = Config.default_vchannel_mtu)
     match sched with
     | None | Some Sched.Fifo -> None
     | Some (Sched.Aggreg { aggr_max; aggr_flush }) ->
-        let aggr_max =
-          match aggr_max with Some m -> m | None -> mtu
-        in
+        let aggr_max = Option.value aggr_max ~default:mtu in
         let aggr_flush =
-          match aggr_flush with
-          | Some f -> f
-          | None -> Config.default_aggr_flush
+          Option.value aggr_flush ~default:Config.default_aggr_flush
         in
         if aggr_max <= Generic_tm.flow_frame_header_size then
           invalid_arg "Vchannel.create: aggr_max too small";
@@ -1740,164 +2009,112 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   let all_ranks =
     List.concat_map Channel.ranks channels |> List.sort_uniq compare
   in
-  let live_plane =
-    match topology with
-    | None ->
-        (match coordinator with
-        | Some _ ->
-            invalid_arg
-              "Vchannel.create: coordinator without a topology version"
-        | None -> ());
-        None
-    | Some version ->
-        if version < 0 then
-          invalid_arg "Vchannel.create: topology version < 0";
-        let coord =
-          (* [all_ranks] is sorted: default to the lowest rank. *)
-          match coordinator with Some c -> c | None -> List.hd all_ranks
-        in
-        if not (List.mem coord all_ranks) then
-          invalid_arg
-            (Printf.sprintf
-               "Vchannel.create: coordinator %d not part of the virtual \
-                channel"
-               coord);
-        Some
-          {
-            lv_coordinator = coord;
-            lv_snapshot = Topology.make ~epoch:version ~coordinator:coord
-                all_ranks;
-            lv_draining = Hashtbl.create 4;
-            lv_extra = Hashtbl.create 4;
-            lv_extra_peak = Hashtbl.create 4;
-            lv_joins = 0;
-            lv_drains = 0;
-            lv_scale_outs = 0;
-            lv_scale_ins = 0;
-            lv_waiters = Waiters.create ();
-          }
-  in
-  (* Non-members of the current epoch are excluded from routing exactly
-     like crashed nodes: never a relay, never an endpoint. With no live
-     topology every physical rank is a member and the predicate reduces
-     to the crash/suspicion test — routes (and the schedule) are
-     byte-identical to a fixed-topology vchannel. *)
-  let member n =
-    match live_plane with
-    | None -> true
-    | Some lv -> Topology.mem lv.lv_snapshot n
-  in
+  (* [all_ranks] is sorted: the coordinator defaults to the lowest rank. *)
+  let coord = Option.value coordinator ~default:(List.hd all_ranks) in
+  (match topology with
+  | None ->
+      if Option.is_some coordinator then
+        invalid_arg "Vchannel.create: coordinator without a topology version"
+  | Some version ->
+      if version < 0 then invalid_arg "Vchannel.create: topology version < 0";
+      if not (List.mem coord all_ranks) then
+        invalid_arg
+          (Printf.sprintf
+             "Vchannel.create: coordinator %d not part of the virtual channel"
+             coord));
   (* Election wants the whole stack under it: a topology to elect over
      and a fault plane (sentinels carry both the suspicion verdicts the
      candidacy triggers ride and the ballot registries). *)
-  let elect_plane =
-    if not election then begin
-      (match topo_quorum with
-      | Some _ ->
-          invalid_arg "Vchannel.create: topo_quorum requires election"
-      | None -> ());
-      None
-    end
-    else begin
-      (match live_plane with
-      | None ->
-          invalid_arg
-            "Vchannel.create: election requires a topology version"
-      | Some _ -> ());
-      (match faults with
-      | None ->
-          invalid_arg "Vchannel.create: election requires a fault plane"
-      | Some _ -> ());
-      let n = List.length all_ranks in
-      (match topo_quorum with
-      | Some q when q < 1 || q > n ->
-          invalid_arg
-            (Printf.sprintf "Vchannel.create: topo_quorum %d outside 1..%d" q n)
-      | _ -> ());
-      Some
-        {
-          el_quorum = topo_quorum;
-          el_term = 0;
-          el_elections = 0;
-          el_attempts = 0;
-          el_refusals = 0;
-          el_commits = [];
-          el_last_latency = Time.zero;
-          el_running = false;
-          el_pending = [];
-        }
-    end
-  in
+  if not election then begin
+    if Option.is_some topo_quorum then
+      invalid_arg "Vchannel.create: topo_quorum requires election"
+  end
+  else begin
+    if Option.is_none topology then
+      invalid_arg "Vchannel.create: election requires a topology version";
+    if Option.is_none faults then
+      invalid_arg "Vchannel.create: election requires a fault plane";
+    let n = List.length all_ranks in
+    match topo_quorum with
+    | Some q when q < 1 || q > n ->
+        invalid_arg
+          (Printf.sprintf "Vchannel.create: topo_quorum %d outside 1..%d" q n)
+    | _ -> ()
+  end;
   let rel =
-    match faults with
-    | None -> None
-    | Some f ->
-        Some
-          {
-            faults = f;
-            tx_seq = Hashtbl.create 32;
-            rx_next = Hashtbl.create 32;
-            unacked = Hashtbl.create 32;
-            tx_lost = Hashtbl.create 8;
-            sentinels = Hashtbl.create 8;
-            suspected = Hashtbl.create 8;
-            susp_count = Hashtbl.create 8;
-            route_waiters = Waiters.create ();
-            hs_waiters = Waiters.create ();
-            ack_waiters = Waiters.create ();
-            reroutes = 0;
-            reemitted = 0;
-            dup_drops = 0;
-            handshakes = 0;
-          }
+    Option.map
+      (fun f ->
+        {
+          faults = f;
+          tx_seq = Hashtbl.create 32;
+          rx_next = Hashtbl.create 32;
+          unacked = Hashtbl.create 32;
+          tx_lost = Hashtbl.create 8;
+          sentinels = Hashtbl.create 8;
+          suspected = Hashtbl.create 8;
+          susp_count = Hashtbl.create 8;
+          route_waiters = Waiters.create ();
+          hs_waiters = Waiters.create ();
+          ack_waiters = Waiters.create ();
+          reroutes = 0;
+          reemitted = 0;
+          dup_drops = 0;
+          handshakes = 0;
+        })
+      faults
+  in
+  let live =
+    Option.map
+      (fun version ->
+        {
+          lv_coordinator = coord;
+          lv_snapshot = Topology.make ~epoch:version ~coordinator:coord all_ranks;
+          lv_draining = Hashtbl.create 4;
+          lv_extra = Hashtbl.create 4;
+          lv_extra_peak = Hashtbl.create 4;
+          lv_joins = 0;
+          lv_drains = 0;
+          lv_scale_outs = 0;
+          lv_scale_ins = 0;
+          lv_waiters = Waiters.create ();
+          lv_elect =
+            (match rel with
+            | Some r when election ->
+                Some
+                  {
+                    el_rel = r;
+                    el_quorum = topo_quorum;
+                    el_term = 0;
+                    el_elections = 0;
+                    el_attempts = 0;
+                    el_refusals = 0;
+                    el_commits = [];
+                    el_last_latency = Time.zero;
+                    el_running = false;
+                    el_pending = [];
+                  }
+            | _ -> None);
+        })
+      topology
   in
   let credit_plane =
-    match credits with
-    | None -> None
-    | Some budget ->
-        Some
-          {
-            cr_budget = budget;
-            (* Grant every half window: frequent enough that a sender
-               with a consuming receiver never runs fully dry, cheap
-               enough that grants stay a small fraction of the data. *)
-            cr_quantum = max 1 (budget / 2);
-            cr_tx = Hashtbl.create 32;
-            cr_rx = Hashtbl.create 32;
-            cr_grants = 0;
-            cr_probes = 0;
-            cr_stalls = 0;
-          }
+    Option.map
+      (fun budget ->
+        {
+          cr_budget = budget;
+          (* Grant every half window: frequent enough that a sender with
+             a consuming receiver never runs fully dry, cheap enough that
+             grants stay a small fraction of the data. *)
+          cr_quantum = max 1 (budget / 2);
+          cr_tx = Hashtbl.create 32;
+          cr_rx = Hashtbl.create 32;
+          cr_grants = 0;
+          cr_probes = 0;
+          cr_stalls = 0;
+        })
+      credits
   in
-  let pool =
-    match gw_pool with Some p -> p | None -> Config.default_gateway_pool
-  in
-  let election_on = match elect_plane with Some _ -> true | None -> false in
-  let down =
-    match rel with
-    | None -> fun _viewer n -> not (member n)
-    | Some r ->
-        if election_on then
-          (* Viewer-relative suspicion: the hop viewer -> n exists only
-             when the viewer's own sentinel trusts n. Under a symmetric
-             partition each side keeps full routes within itself instead
-             of everyone going dark because somebody somewhere suspects
-             them. *)
-          fun viewer n ->
-            (not (member n))
-            || (not (Simnet.Faults.node_up r.faults n))
-            || (viewer <> n && Hashtbl.mem r.suspected (viewer, n))
-        else
-          fun _viewer n ->
-            (not (member n))
-            || (not (Simnet.Faults.node_up r.faults n))
-            || Hashtbl.mem r.susp_count n
-  in
-  let routes = compute_routes ~down channels all_ranks in
-  let base_hops = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun key hops -> Hashtbl.replace base_hops key (List.length hops))
-    routes;
+  let pool = Option.value gw_pool ~default:Config.default_gateway_pool in
   let t =
     {
       engine = Session.engine session;
@@ -1909,8 +2126,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       next_ingress_slot = Hashtbl.create 16;
       channels;
       all_ranks;
-      routes;
-      base_hops;
+      routes = Hashtbl.create 1; (* computed below: [down] reads [t] *)
+      base_hops = Hashtbl.create 64;
       rel;
       sched = None;
       assemblers = Hashtbl.create 32;
@@ -1921,36 +2138,28 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       fwd_stats = Hashtbl.create 8;
       credits = credit_plane;
       gw_pool = pool;
-      gw_high = pool;
       gw_low = max 1 (pool / 2);
       (* The watermark machinery (and its clear-hold timers) runs only
          when the backpressure plane was asked for; a plain vchannel's
          schedule stays byte-identical to the pre-flow-control library. *)
-      overload_track = credit_plane <> None || gw_pool <> None;
+      overload_track = Option.is_some credits || Option.is_some gw_pool;
       overloaded = Hashtbl.create 4;
       gw_busy = Hashtbl.create 4;
       overload_gen = Hashtbl.create 4;
       overload_events = 0;
-      on_overload_change = (fun () -> ());
-      live = live_plane;
-      elect = elect_plane;
-      on_topo_change = (fun () -> ());
+      live;
       on_col = (fun ~me:_ ~origin:_ _ -> ());
       on_health_change = (fun () -> ());
       asm_depth = Hashtbl.create 32;
       pump_depth = Hashtbl.create 8;
       unacked_peak = Hashtbl.create 32;
-      unacked_cap =
-        (match credits with
-        | Some n -> n
-        | None -> Config.default_unacked_window);
+      unacked_cap = Option.value credits ~default:Config.default_unacked_window;
     }
   in
-  (* Epoch swaps recompute routes even without a reliability plane;
-     with one, the rel section below upgrades this to the selective
-     re-emission path. *)
-  t.on_topo_change <-
-    (fun () -> t.routes <- compute_routes ~down channels all_ranks);
+  t.routes <- fresh_routes t;
+  Hashtbl.iter
+    (fun key hops -> Hashtbl.replace t.base_hops key (List.length hops))
+    t.routes;
   List.iter
     (fun node ->
       Hashtbl.add t.next_ingress_slot node (ref Time.zero);
@@ -1963,267 +2172,13 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   | None -> ()
   | Some r ->
       List.iter Channel.relax_checked channels;
-      let recompute () =
-        let fresh = compute_routes ~down channels all_ranks in
-        (* Prefer routes that avoid Overloaded gateways — shifting
-           traffic onto an alternate gateway when one exists — but never
-           at the price of reachability: pairs only connected through an
-           overloaded node keep their direct route. *)
-        if Hashtbl.length t.overloaded > 0 then begin
-          let down_or_overloaded u n = down u n || Hashtbl.mem t.overloaded n in
-          let strict =
-            compute_routes ~down:down_or_overloaded channels all_ranks
-          in
-          Hashtbl.iter (fun key hops -> Hashtbl.replace fresh key hops) strict
-        end;
-        t.routes <- fresh;
-        Waiters.wake_all r.route_waiters
-      in
-      (* An Overloaded transition recomputes route preferences; packets
-         are re-emitted ONLY if some route actually changed (switching
-         routes mid-flow can strand packets the destination's sequence
-         check discarded as overtakers). When no alternate gateway
-         exists the routes are unchanged and nothing is re-emitted —
-         re-emitting into an already-overloaded path would feed the
-         congestion it is reporting. *)
-      let route_sig routes =
-        Hashtbl.fold
-          (fun key hops acc ->
-            ( key,
-              List.map (fun h -> (Channel.id h.hop_channel, h.hop_to)) hops )
-            :: acc)
-          routes []
-        |> List.sort compare
-      in
-      let swap_routes () =
-        let before = route_sig t.routes in
-        recompute ();
-        let after = route_sig t.routes in
-        if after <> before then
-          reemit_flows t r ~only:(fun src dst ->
-              List.assoc_opt (src, dst) before
-              <> List.assoc_opt (src, dst) after)
-      in
-      t.on_overload_change <- swap_routes;
-      (* A topology epoch swap is the same move as an overload
-         transition: recompute route preferences, then re-emit only the
-         flows whose routes actually changed — under each flow's
-         emission lock, so re-emitted packets never interleave with a
-         message (or aggregate) in progress. *)
-      t.on_topo_change <- swap_routes;
-      Simnet.Faults.on_crash r.faults (fun node ->
-          if List.mem node t.all_ranks then begin
-            r.reroutes <- r.reroutes + 1;
-            (* The crashed node's send-side session state dies with it:
-               cursors and unacked logs are volatile. Its flows stay
-               blocked ([tx_lost]) until a peer handshake restores the
-               cursor after restart. Receive journals survive. *)
-            Hashtbl.iter
-              (fun (src, dst) sq ->
-                if src = node then begin
-                  sq := 0;
-                  Hashtbl.replace r.tx_lost (src, dst) ()
-                end)
-              r.tx_seq;
-            Hashtbl.iter
-              (fun (src, _) q -> if src = node then Queue.clear q)
-              r.unacked;
-            (* Credit counters are volatile send-side state too: both
-               ends of the crashed node's flows restart from zero (the
-               receive side mirrors the wiped cursor — leftover pre-crash
-               bytes still buffered at a peer may transiently over-grant
-               by at most one budget, which the restart window absorbs). *)
-            (match t.credits with
-            | None -> ()
-            | Some c ->
-                Hashtbl.iter
-                  (fun (src, _) ctx ->
-                    if src = node then begin
-                      ctx.ctx_shipped <- 0;
-                      ctx.ctx_granted <- 0
-                    end)
-                  c.cr_tx;
-                Hashtbl.iter
-                  (fun (_, origin) crx ->
-                    if origin = node then begin
-                      crx.crx_consumed <- 0;
-                      crx.crx_last_grant <- 0
-                    end)
-                  c.cr_rx);
-            recompute ();
-            reemit_flows t r;
-            t.on_health_change ();
-            (* A crashed coordinator needs no phi verdict: the fault
-               plane's word is definitive, so stand a candidate at
-               once — the lowest still-live member. *)
-            match (t.elect, t.live) with
-            | Some el, Some lv when node = lv.lv_coordinator -> (
-                Waiters.wake_all lv.lv_waiters;
-                match
-                  List.find_opt
-                    (fun m -> Simnet.Faults.node_up r.faults m)
-                    (Topology.ranks lv.lv_snapshot)
-                with
-                | Some candidate ->
-                    Engine.spawn t.engine ~daemon:true
-                      ~name:
-                        (Printf.sprintf "vchannel.elect.crash.%d" candidate)
-                      (fun () -> run_election t lv el ~candidate)
-                | None -> ())
-            | _ -> ()
-          end);
-      Simnet.Faults.on_restart r.faults (fun node ->
-          if List.mem node t.all_ranks then begin
-            (* The restarted rank's pre-crash vote grant is void — the
-               epoch bump announces it to everyone — so it may vote
-               afresh, and any ballots it had collected as a candidate
-               are dead. *)
-            (match Hashtbl.find_opt r.sentinels node with
-            | Some s -> Sentinel.reset_election s
-            | None -> ());
-            recompute ();
-            (* Crash-epoch session handshake: every live peer holding a
-               delivery journal for the restarted origin tells it (over
-               the routed network, so gateways forward it like data)
-               where to resume numbering. *)
-            let epoch = Simnet.Faults.epoch r.faults node in
-            Hashtbl.iter
-              (fun (me, origin) expected ->
-                if
-                  origin = node && me <> node
-                  && Simnet.Faults.node_up r.faults me
-                then begin
-                  ship_detached t ~kind:"hs" ~at:me
-                    { (Generic_tm.header ~origin:me ~final_dst:node
-                         ~payload_len:4) with
-                      seq = !expected;
-                      hs = true;
-                    }
-                    (int32_payload epoch)
-                end)
-              r.rx_next;
-            (* Flows to peers holding no journal for this node restart
-               at zero immediately — nobody will send a handshake. *)
-            let fresh =
-              Hashtbl.fold
-                (fun (src, dst) () acc ->
-                  if src = node && not (Hashtbl.mem r.rx_next (dst, node))
-                  then (src, dst) :: acc
-                  else acc)
-                r.tx_lost []
-            in
-            List.iter (fun key -> Hashtbl.remove r.tx_lost key) fresh;
-            if fresh <> [] then Waiters.wake_all r.hs_waiters;
-            reemit_flows t r;
-            t.on_health_change ()
-          end);
-      (match (t.elect, t.live) with
-      | Some el, Some lv ->
-          Simnet.Faults.on_heal r.faults (fun _fabric ->
-              (* Healing restores the wire but not the detectors'
-                 opinions: touch every sentinel so activity-gated
-                 probing re-arms and suspicion drains organically via
-                 Up probes, then replay the minority's suppressed
-                 join/drain intents once the coordinator's side holds
-                 quorum again. *)
-              Hashtbl.iter (fun _ s -> Sentinel.touch s) r.sentinels;
-              Waiters.wake_all lv.lv_waiters;
-              if el.el_pending <> [] then
-                Engine.spawn t.engine ~daemon:true
-                  ~name:"vchannel.heal.replay" (fun () ->
-                    if
-                      topo_wait t lv ~until:(fun () ->
-                          side_has_quorum t lv el ~viewer:lv.lv_coordinator)
-                    then replay_pending t lv el))
+      Simnet.Faults.on_crash r.faults (on_crash t r);
+      Simnet.Faults.on_restart r.faults (on_restart t r);
+      (match live with
+      | Some ({ lv_elect = Some el; _ } as lv) ->
+          Simnet.Faults.on_heal r.faults (on_heal t lv el)
       | _ -> ());
-      (* One phi-accrual sentinel per rank, probing its channel
-         neighbours. A sentinel calling a still-live peer Down is a
-         suspicion: routes are recomputed around the suspect and
-         in-flight packets re-emitted, before any send times out on it.
-         Crashes are already handled by the hooks above, so transitions
-         on actually-crashed peers change nothing here. *)
-      List.iter
-        (fun me ->
-          let neighbours =
-            List.filter (fun p -> p <> me && shares_channel t me p) all_ranks
-          in
-          if neighbours <> [] then begin
-            let fabric =
-              List.find_map
-                (fun c ->
-                  if List.mem me (Channel.ranks c) then Channel.fabric c
-                  else None)
-                channels
-            in
-            let s =
-              Sentinel.create t.engine r.faults ~me ~peers:neighbours ?fabric
-                ()
-            in
-            Sentinel.on_transition s (fun peer _from to_ ->
-                match to_ with
-                | Sentinel.Down when Simnet.Faults.node_up r.faults peer ->
-                    if not (Hashtbl.mem r.suspected (me, peer)) then begin
-                      (* With election off the first observer acts for
-                         everyone (the by-any view is what routing sees,
-                         so later observers change nothing); with it on,
-                         every observer's own view shifts, so each one
-                         recomputes. *)
-                      let was = Hashtbl.mem r.susp_count peer in
-                      Hashtbl.replace r.suspected (me, peer) ();
-                      Hashtbl.replace r.susp_count peer
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt r.susp_count peer));
-                      if election_on || not was then begin
-                        r.reroutes <- r.reroutes + 1;
-                        recompute ();
-                        reemit_flows t r;
-                        t.on_health_change ()
-                      end;
-                      match (t.elect, t.live) with
-                      | Some el, Some lv when peer = lv.lv_coordinator ->
-                          (* The coordinator just went dark for [me]:
-                             stand the side's lowest reachable member
-                             (not necessarily [me] — the observer may
-                             not be the side's natural candidate). *)
-                          Waiters.wake_all lv.lv_waiters;
-                          Engine.spawn t.engine ~daemon:true
-                            ~name:(Printf.sprintf "vchannel.elect.%d" me)
-                            (fun () ->
-                              match elect_candidate t lv ~viewer:me with
-                              | Some candidate ->
-                                  run_election t lv el ~candidate
-                              | None -> ())
-                      | Some _, Some lv -> Waiters.wake_all lv.lv_waiters
-                      | _ -> ()
-                    end
-                | Sentinel.Up ->
-                    if election_on then begin
-                      if Hashtbl.mem r.suspected (me, peer) then begin
-                        unsuspect r (me, peer);
-                        recompute ();
-                        t.on_health_change ();
-                        match t.live with
-                        | Some lv -> Waiters.wake_all lv.lv_waiters
-                        | None -> ()
-                      end
-                    end
-                    else if Hashtbl.mem r.susp_count peer then begin
-                      (* By-any semantics: the first good probe anywhere
-                         rehabilitates the peer for everyone. *)
-                      Hashtbl.iter
-                        (fun (o, p) () ->
-                          if p = peer then Hashtbl.remove r.suspected (o, p))
-                        (Hashtbl.copy r.suspected);
-                      Hashtbl.remove r.susp_count peer;
-                      recompute ();
-                      t.on_health_change ()
-                    end
-                | _ -> ());
-            Sentinel.start s;
-            Hashtbl.add r.sentinels me s
-          end)
-        all_ranks);
+      List.iter (start_sentinel t r) all_ranks);
   (match sched_cfg with
   | None -> ()
   | Some (aggr_max, aggr_flush) ->
@@ -2281,12 +2236,8 @@ let begin_packing ?(flow = 0) t ~me ~remote =
       else if not (Topology.mem lv.lv_snapshot remote) then
         refuse remote "not in the current topology epoch"
   | None -> ());
-  if not (Hashtbl.mem t.routes (me, remote)) then (
-    match t.rel with
-    | Some _ -> raise (no_route "begin_packing" me remote)
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Vchannel: no route from %d to %d" me remote));
+  if not (Hashtbl.mem t.routes (me, remote)) then
+    raise (unroutable t ~at:me ~dst:remote);
   Mutex.lock (send_lock t ~src:me ~dst:remote ~flow);
   {
     v = t;
@@ -2436,7 +2387,7 @@ let join t ~rank =
         raise
           (Partitioned (Printf.sprintf "Vchannel.join: rank %d is down" rank));
       let admitted () = Topology.mem lv.lv_snapshot rank in
-      (match t.elect with
+      (match lv.lv_elect with
       | None ->
           ship_join_req t lv rank;
           if not (topo_wait t lv ~until:admitted) then
@@ -2460,17 +2411,10 @@ let join t ~rank =
             && topo_wait t lv ~until:admitted
           in
           if not (attempt ()) && not (admitted ()) then begin
-            (match t.rel with
-            | Some r -> (
-                (* The joiner is an outsider: its trust view is empty,
-                   so stand the lowest live member instead. *)
-                match
-                  List.find_opt
-                    (fun m -> Simnet.Faults.node_up r.faults m)
-                    (Topology.ranks lv.lv_snapshot)
-                with
-                | Some candidate -> run_election t lv el ~candidate
-                | None -> ())
+            (* The joiner is an outsider: its trust view is empty, so
+               stand the lowest live member instead. *)
+            (match lowest_live_member lv el with
+            | Some candidate -> run_election t lv el ~candidate
             | None -> ());
             if not (attempt ()) && not (admitted ()) then begin
               el.el_pending <- P_join rank :: el.el_pending;
@@ -2530,7 +2474,7 @@ let drain t ~rank =
       (* Phase 3 — tell the coordinator; it swaps the epoch, forgets the
          rank in every sentinel, and the recomputed routes drop it. *)
       let departed () = not (Topology.mem lv.lv_snapshot rank) in
-      (match t.elect with
+      (match lv.lv_elect with
       | None ->
           (try ship_drain_req t lv rank
            with Partitioned _ | Config.Peer_unreachable _ ->
@@ -2671,9 +2615,8 @@ let peer_status t ~src ~dst =
          (* With an election plane suspicion is observer-relative (the
             asker's own verdict); without one any observer's verdict
             stands for everybody — the pre-election global semantics. *)
-         (match t.elect with
-         | Some _ -> Hashtbl.mem r.suspected (src, dst)
-         | None -> Hashtbl.mem r.susp_count dst) ->
+         (if election t then Hashtbl.mem r.suspected (src, dst)
+          else Hashtbl.mem r.susp_count dst) ->
       Iface.Down
   | _ -> (
       if src = dst then Iface.Up
@@ -2876,8 +2819,6 @@ let topology_stats t =
           topo_scale_ins = lv.lv_scale_ins;
         }
 
-let election t = match t.elect with Some _ -> true | None -> false
-
 let coordinator t =
   match t.live with Some lv -> Some lv.lv_coordinator | None -> None
 
@@ -2886,9 +2827,10 @@ let coordinator t =
    true without an election plane — quorum is then not a concept the
    channel tracks. *)
 let has_quorum t ~viewer =
-  match (t.elect, t.live, t.rel) with
-  | Some el, Some lv, Some r ->
-      Simnet.Faults.node_up r.faults viewer && side_has_quorum t lv el ~viewer
+  match t.live with
+  | Some ({ lv_elect = Some el; _ } as lv) ->
+      Simnet.Faults.node_up el.el_rel.faults viewer
+      && side_has_quorum t lv el ~viewer
   | _ -> true
 
 type election_stats = {
@@ -2902,15 +2844,11 @@ type election_stats = {
 }
 
 let election_stats t =
-  match t.elect with
-  | None -> None
-  | Some el ->
+  match t.live with
+  | Some ({ lv_elect = Some el; _ } as lv) ->
       Some
         {
-          quorum =
-            (match t.live with
-            | Some lv -> quorum_needed lv el
-            | None -> Option.value el.el_quorum ~default:0);
+          quorum = quorum_needed lv el;
           elections = el.el_elections;
           attempts = el.el_attempts;
           refusals = el.el_refusals;
@@ -2918,6 +2856,7 @@ let election_stats t =
           pending = List.length el.el_pending;
           last_latency_us = Time.to_us el.el_last_latency;
         }
+  | _ -> None
 
 let sentinel t ~rank =
   match t.rel with
@@ -2954,8 +2893,8 @@ let rank_alive t rank =
   | Some r -> (
       Simnet.Faults.node_up r.faults rank
       &&
-      match (t.elect, t.live) with
-      | Some _, Some lv ->
+      match t.live with
+      | Some ({ lv_elect = Some _; _ } as lv) ->
           (* Election on: alive means "in the coordinator's trust
              component" — the committed side's view, so majority trees
              exclude the whole minority, not just directly-suspected
