@@ -433,20 +433,9 @@ let parse_line t lineno line =
       let version = ref None and coordinator = ref None in
       let election = ref false and topo_quorum = ref None in
       let coll = ref None and coll_fanout = ref None and coll_quorum = ref None in
-      let positive_int key v =
-        let n = parse_int lineno key v in
-        if n < 1 then
-          raise
-            (Parse_error (lineno, Printf.sprintf "%s expects an integer >= 1" key));
-        n
-      in
-      let positive_float key v =
-        let f = parse_float lineno key v in
-        if f <= 0.0 then
-          raise
-            (Parse_error (lineno, Printf.sprintf "%s expects a number > 0" key));
-        f
-      in
+      (* Ranges are Vchannel.create's and Collectives.create's to judge
+         ([load] reports their rejections on this line); only the rules
+         stricter than the library's are checked here. *)
       List.iter
         (fun tok ->
           match split_kv lineno tok with
@@ -460,16 +449,17 @@ let parse_line t lineno line =
           | "reliable", v -> reliable := parse_bool lineno "reliable" v
           | "patience_us", v ->
               patience := Some (Time.us (parse_float lineno "patience_us" v))
-          | "credits", v -> credits := Some (positive_int "credits" v)
-          | "gw_pool", v -> gw_pool := Some (positive_int "gw_pool" v)
+          | "credits", v -> credits := Some (parse_int lineno "credits" v)
+          | "gw_pool", v -> gw_pool := Some (parse_int lineno "gw_pool" v)
           | "sched", v -> (
               match v with
               | "fifo" -> sched := Some `Fifo
               | "aggreg" -> sched := Some `Aggreg
               | _ -> raise (Parse_error (lineno, "sched expects fifo|aggreg")))
-          | "aggr_max", v -> aggr_max := Some (positive_int "aggr_max" v)
+          | "aggr_max", v -> aggr_max := Some (parse_int lineno "aggr_max" v)
           | "aggr_flush_us", v ->
-              aggr_flush := Some (Time.us (positive_float "aggr_flush_us" v))
+              aggr_flush :=
+                Some (Time.us (parse_float lineno "aggr_flush_us" v))
           | "version", v ->
               let n = parse_int lineno "version" v in
               if n < 1 then
@@ -485,7 +475,7 @@ let parse_line t lineno line =
               | "off" -> election := false
               | _ -> raise (Parse_error (lineno, "election expects on|off")))
           | "topo_quorum", v ->
-              topo_quorum := Some (positive_int "topo_quorum" v)
+              topo_quorum := Some (parse_int lineno "topo_quorum" v)
           | "coll", v -> (
               match v with
               | "tree" -> coll := Some Madeleine.Collectives.Tree
@@ -498,7 +488,7 @@ let parse_line t lineno line =
                   (Parse_error (lineno, "coll_fanout expects an integer >= 2"));
               coll_fanout := Some n
           | "coll_quorum", v ->
-              coll_quorum := Some (positive_int "coll_quorum" v)
+              coll_quorum := Some (parse_int lineno "coll_quorum" v)
           | k, _ -> raise (Parse_error (lineno, "unknown vchannel option " ^ k)))
         opts;
       if !chans = [] then raise (Parse_error (lineno, "vchannel needs channels="));
