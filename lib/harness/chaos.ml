@@ -2229,27 +2229,19 @@ let fingerprints pool ~seed ~quick names =
     Fun.protect
       ~finally:(fun () -> Domain.DLS.set built None)
       (fun () -> ignore (w.run ~seed ~quick));
-    List.rev_map
-      (fun e -> (Engine.events_processed e, Engine.fingerprint e))
-      !worlds
-  in
-  let rows =
-    Parsim.run pool
-      (List.map
-         (fun name -> ("fingerprints/" ^ name, fun () -> (name, schedules name)))
-         names)
+    List.rev !worlds
+    |> List.mapi (fun i e ->
+           Printf.sprintf "%s world %d: events %d fingerprint %d\n" name i
+             (Engine.events_processed e) (Engine.fingerprint e))
+    |> String.concat ""
   in
   Printf.sprintf "# chaos schedule fingerprints (seed %d%s)\n" seed
     (if quick then ", quick" else "")
   ^ String.concat ""
-      (List.concat_map
-         (fun (name, worlds) ->
-           List.mapi
-             (fun i (events, fp) ->
-               Printf.sprintf "%s world %d: events %d fingerprint %d\n" name i
-                 events fp)
-             worlds)
-         rows)
+      (Parsim.run pool
+         (List.map
+            (fun name -> ("fingerprints/" ^ name, fun () -> schedules name))
+            names))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering. Every figure is simulated, so a report is a pure function
