@@ -171,6 +171,12 @@ val create :
     plane does not exist: suspicion semantics, routes and schedules are
     byte-identical to the static-coordinator library.
 
+    Plane dependencies: [faults], [credits], [gw_pool], [sched],
+    [ingress_cap_mb_s] and [topology] each stand alone. [coordinator]
+    needs [topology]. [election] needs both [topology] and [faults]: it
+    is a sub-plane of live topology and uses the fault plane's
+    sentinels. [topo_quorum] needs [election].
+
     Raises [Invalid_argument] on an empty channel list, an MTU too
     small to carry a buffer sub-header, a negative [topology] version,
     a [coordinator] outside the rank set, a [coordinator] given
