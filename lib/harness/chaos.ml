@@ -322,43 +322,150 @@ let pingpong_faults ~seed ~quick =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Two Ethernet segments with a fault plane on both: ethA over ranks [a]
-   and ethB over ranks [b] (the ranks on both are the gateways), one TCP
-   channel each. [setup] configures the plane before the TCP stacks
-   attach; [vchannel] builds the vchannel over the two channels. *)
+(* Every vchannel world: Ethernet segments, each a (fabric name, ranks)
+   pair carrying one TCP channel over its ranks; a rank on several
+   segments is a gateway. One fault plane is attached to every segment
+   unless [faulty] is false (a detached plane stays inert); [setup]
+   configures it before the TCP stacks attach, and [vchannel] builds
+   the vchannel over the channels, in segment order. *)
 
-let two_segment_world ~seed ~a ~b ?(setup = ignore) vchannel =
+let world ~seed ?(faulty = true) ?(setup = ignore) segments vchannel =
   let engine = new_engine () in
   let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
   let nodes =
     Array.init
-      (1 + List.fold_left max 0 (a @ b))
+      (1 + List.fold_left max 0 (List.concat_map snd segments))
       (fun i -> Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) a;
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) b;
+  let fabrics =
+    List.map
+      (fun (name, ranks) ->
+        let fabric = Fabric.create engine ~name ~link:Netparams.fast_ethernet in
+        if faulty then Fabric.set_faults fabric faults;
+        List.iter (fun i -> Fabric.attach fabric nodes.(i)) ranks;
+        (fabric, ranks))
+      segments
+  in
   setup faults;
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks net ranks =
-    let t = Hashtbl.create 4 in
-    List.iter (fun i -> Hashtbl.add t i (Tcpnet.attach net nodes.(i))) ranks;
-    Hashtbl.find t
-  in
-  let stacks_a = stacks net_a a in
-  let stacks_b = stacks net_b b in
   let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session (Madeleine.Pmm_tcp.driver stacks_a) ~ranks:a ()
+  let channel (fabric, ranks) =
+    let net = Tcpnet.make_net engine fabric in
+    let stacks = Hashtbl.create 16 in
+    List.iter (fun i -> Hashtbl.add stacks i (Tcpnet.attach net nodes.(i))) ranks;
+    Channel.create session
+      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks))
+      ~ranks ()
   in
-  let ch_b =
-    Channel.create session (Madeleine.Pmm_tcp.driver stacks_b) ~ranks:b ()
-  in
-  (engine, faults, vchannel session faults [ ch_a; ch_b ])
+  (engine, faults, vchannel session faults (List.map channel fabrics))
+
+(* Ranks 0 and 3 joined by two redundant gateways (ranks 1 and 2), and
+   ranks 0 and 2 joined by one (rank 1). *)
+let two_gateways = [ ("ethA", [ 0; 1; 2 ]); ("ethB", [ 1; 2; 3 ]) ]
+let one_gateway = [ ("ethA", [ 0; 1 ]); ("ethB", [ 1; 2 ]) ]
+
+(* A reliable vchannel whose membership is a versioned epoch snapshot
+   (coordinator rank 0, epoch 1), so ranks can drain out of and join
+   back into the session while traffic flows; with [election] the
+   coordinator seat is quorum-elected. *)
+let elastic ?election session faults chans =
+  Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0 ?election
+    chans
+
+(* A deadline-bounded condition wait, so a broken invariant trips a
+   gate instead of hanging the harness. *)
+let wait_until engine ?(deadline_us = 200_000.0) cond =
+  let deadline = Time.add (Engine.now engine) (Time.us deadline_us) in
+  while (not (cond ())) && Time.( < ) (Engine.now engine) deadline do
+    Engine.sleep (Time.us 250.0)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* One verified stream: [messages] payloads, each a copy of the
+   stream's base buffer stamped with its index. The receiver checks
+   every delivery's bytes, its position and its per-index count. *)
+
+type stream = {
+  base : Bytes.t;
+  received : int array; (* deliveries per index *)
+  mutable last : int; (* the latest delivered index *)
+  mutable count : int; (* deliveries so far *)
+  mutable ok : bool; (* every delivery so far intact and in order *)
+  mutable partitioned : bool; (* a send failed with [Partitioned] *)
+  mutable finish : Time.t; (* when the latest delivery landed *)
+}
+
+let stream_state ~tag ~size ~messages =
+  {
+    base = Harness.payload size (Int64.of_int tag);
+    received = Array.make messages 0;
+    last = -1;
+    count = 0;
+    ok = true;
+    partitioned = false;
+    finish = Time.zero;
+  }
+
+let stream_payload s k =
+  let p = Bytes.copy s.base in
+  Bytes.set_int32_le p 0 (Int32.of_int k);
+  p
+
+let check_delivery s got =
+  let k = Int32.to_int (Bytes.get_int32_le got 0) in
+  s.count <- s.count + 1;
+  if k < 0 || k >= Array.length s.received then s.ok <- false
+  else begin
+    s.received.(k) <- s.received.(k) + 1;
+    if k <= s.last || not (Bytes.equal got (stream_payload s k)) then
+      s.ok <- false;
+    s.last <- k
+  end
+
+(* Bytes intact, in order, exactly once, and no [Partitioned]. *)
+let verified s =
+  s.ok && (not s.partitioned) && Array.for_all (fun n -> n = 1) s.received
+
+(* Spawns the stream's sender and then its receiver, [src] to [dst] on
+   [flow]; both wait for [start]. [pause] (k, cond) holds the sender
+   before index k until [cond]. A [Partitioned] send marks the stream
+   and skips the message, unless [retry] keeps retrying it (a post-heal
+   flow starts before the suspicion has drained). [on_delivery k] runs
+   in the receiver once delivery k is checked. *)
+let stream engine vc ~tag ~src ~dst ~size ~messages ?flow
+    ?(start = fun () -> true) ?pause ?(retry = false) ?(on_delivery = ignore)
+    () =
+  let s = stream_state ~tag ~size ~messages in
+  let name role = Printf.sprintf "%s-%d-%d" role src dst in
+  Engine.spawn engine ~name:(name "send") (fun () ->
+      wait_until engine start;
+      for k = 0 to messages - 1 do
+        (match pause with
+        | Some (at, cond) when k = at -> wait_until engine cond
+        | _ -> ());
+        let rec send tries =
+          match Vc.begin_packing vc ?flow ~me:src ~remote:dst with
+          | exception Vc.Partitioned _ when retry && tries < 400 ->
+              Engine.sleep (Time.us 500.0);
+              send (tries + 1)
+          | exception Vc.Partitioned _ -> s.partitioned <- true
+          | oc ->
+              Vc.pack oc (stream_payload s k);
+              Vc.end_packing oc
+        in
+        send 0
+      done);
+  Engine.spawn engine ~name:(name "recv") (fun () ->
+      wait_until engine start;
+      let sink = Bytes.create size in
+      for k = 0 to messages - 1 do
+        let ic = Vc.begin_unpacking_from vc ?flow ~me:dst ~remote:src in
+        Vc.unpack ic sink;
+        Vc.end_unpacking ic;
+        check_delivery s sink;
+        s.finish <- Engine.now engine;
+        on_delivery k
+      done);
+  s
 
 (* ------------------------------------------------------------------ *)
 (* Gateway failover: rank 0 talks to rank 3 across two Ethernet
@@ -369,44 +476,33 @@ let two_segment_world ~seed ~a ~b ?(setup = ignore) vchannel =
 
 let failover_run ~seed ~size ~messages =
   let engine, faults, vc =
-    two_segment_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
-      (fun session faults chans -> Vc.create session ~mtu:4096 ~faults chans)
+    world ~seed two_gateways (fun session faults chans ->
+        Vc.create session ~mtu:4096 ~faults chans)
   in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
-  let data = Harness.payload size 11L in
-  let intact = ref true in
   let partitioned = ref false in
   let route_after = ref [] in
-  let finish = ref Time.zero in
-  Engine.spawn engine ~name:"sender" (fun () ->
-      for _ = 1 to messages do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:3 in
-        Vc.pack oc data;
-        Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"receiver" (fun () ->
-      for m = 1 to messages do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:3 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        if not (Bytes.equal sink data) then intact := false;
+  let s =
+    stream engine vc ~tag:11 ~src:0 ~dst:3 ~size ~messages
+      ~on_delivery:(fun k ->
         (* The crash lands while later messages are still in flight. *)
-        if m = 1 then Faults.crash_now faults ~node:gw ()
-      done;
-      finish := Engine.now engine;
-      route_after := Vc.route_via vc ~src:0 ~dst:3;
-      if List.mem gw !route_after then intact := false;
-      Faults.crash_now faults ~node:other_gw ();
-      (match Vc.begin_packing vc ~me:0 ~remote:3 with
-      | exception Vc.Partitioned _ -> partitioned := true
-      | _oc -> ()));
+        if k = 0 then Faults.crash_now faults ~node:gw ();
+        if k = messages - 1 then begin
+          route_after := Vc.route_via vc ~src:0 ~dst:3;
+          Faults.crash_now faults ~node:other_gw ();
+          match Vc.begin_packing vc ~me:0 ~remote:3 with
+          | exception Vc.Partitioned _ -> partitioned := true
+          | _oc -> ()
+        end)
+      ()
+  in
   Engine.run engine;
+  let intact = verified s && not (List.mem gw !route_after) in
   let stats =
     match Vc.rel_stats vc with Some s -> s | None -> assert false
   in
-  let finish_us = Time.to_us !finish in
+  let finish_us = Time.to_us s.finish in
   {
     fields =
       [
@@ -417,7 +513,7 @@ let failover_run ~seed ~size ~messages =
         ("reroutes", Int stats.Vc.reroutes);
         ("reemitted", Int stats.Vc.reemitted);
         ("dup_drops", Int stats.Vc.dup_drops);
-        ("intact", Bool !intact);
+        ("intact", Bool intact);
         ("partitioned_after_second_crash", Bool !partitioned);
         ("finish_us", f2 finish_us);
       ];
@@ -428,12 +524,12 @@ let failover_run ~seed ~size ~messages =
          partitioned after second crash=%s, finish=%.2f us\n"
         messages size gw (ints !route_after) stats.Vc.reroutes
         stats.Vc.reemitted stats.Vc.dup_drops
-        (if !intact then "yes" else "NO")
+        (if intact then "yes" else "NO")
         (if !partitioned then "yes" else "NO")
         finish_us;
     gates =
       [
-        ("failover-intact", !intact);
+        ("failover-intact", intact);
         ("failover-partition-detected", !partitioned);
         ("failover-rerouted", stats.Vc.reroutes >= 1);
       ];
@@ -455,10 +551,7 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
       ()
   in
   let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
-  let payload m =
-    let p = Harness.payload size (Int64.of_int (200 + m)) in
-    p
-  in
+  let payload m = Harness.payload size (Int64.of_int (200 + m)) in
   let intact = ref true in
   let finish = ref Time.zero in
   Engine.spawn engine ~name:"gp-send" (fun () ->
@@ -519,53 +612,22 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
 
 let crash_restart_run ~seed ~size ~messages =
   let engine, faults, vc =
-    two_segment_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
-      (fun session faults chans -> Vc.create session ~mtu:4096 ~faults chans)
+    world ~seed one_gateway (fun session faults chans ->
+        Vc.create session ~mtu:4096 ~faults chans)
   in
   let restart = Time.us 5_000.0 in
-  let total = 2 * messages in
-  let payload_of m =
-    let p = Harness.payload size (Int64.of_int 17) in
-    Bytes.set_int32_le p 0 (Int32.of_int m);
-    p
-  in
-  let received = Array.make total 0 in
-  let intact = ref true in
-  let finish = ref Time.zero in
-  Engine.spawn engine ~name:"cr-sender" (fun () ->
-      for m = 0 to messages - 1 do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:2 in
-        Vc.pack oc (payload_of m);
-        Vc.end_packing oc
-      done;
-      (* The origin is crashed (by the receiver, below) once phase one
-         has fully landed; this thread models the restarted process
+  let s =
+    stream engine vc ~tag:17 ~src:0 ~dst:2 ~size ~messages:(2 * messages)
+      (* The receiver crashes the origin once phase one has fully
+         landed; the paused sender models the restarted process
          resuming the stream after the reboot. *)
-      while Faults.epoch faults 0 = 0 do
-        Engine.sleep (Time.us 250.0)
-      done;
-      for m = messages to total - 1 do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:2 in
-        Vc.pack oc (payload_of m);
-        Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"cr-receiver" (fun () ->
-      for m = 1 to total do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:2 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        let idx = Int32.to_int (Bytes.get_int32_le sink 0) in
-        if idx < 0 || idx >= total then intact := false
-        else begin
-          received.(idx) <- received.(idx) + 1;
-          if not (Bytes.equal sink (payload_of idx)) then intact := false
-        end;
-        if m = 1 then Faults.crash_now faults ~node:1 ~restart_after:restart ();
-        if m = messages then
-          Faults.crash_now faults ~node:0 ~restart_after:(Time.us 2_000.0) ()
-      done;
-      finish := Engine.now engine);
+      ~pause:(messages, fun () -> Faults.epoch faults 0 <> 0)
+      ~on_delivery:(fun k ->
+        if k = 0 then Faults.crash_now faults ~node:1 ~restart_after:restart ();
+        if k = messages - 1 then
+          Faults.crash_now faults ~node:0 ~restart_after:(Time.us 2_000.0) ())
+      ()
+  in
   Engine.run engine;
   let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
   let module S = Madeleine.Sentinel in
@@ -594,9 +656,9 @@ let crash_restart_run ~seed ~size ~messages =
         ])
       (Vc.flow_stats vc)
   in
-  let delivered = Array.fold_left ( + ) 0 received in
-  let exactly_once = !intact && Array.for_all (fun n -> n = 1) received in
-  let finish_us = Time.to_us !finish in
+  let delivered = Array.fold_left ( + ) 0 s.received in
+  let exactly_once = verified s in
+  let finish_us = Time.to_us s.finish in
   {
     fields =
       [
@@ -634,14 +696,8 @@ let crash_restart_run ~seed ~size ~messages =
 
 (* ------------------------------------------------------------------ *)
 (* Live-topology scenarios: the redundant-gateway world of the failover
-   run, but with the membership promoted to a versioned epoch snapshot
-   (coordinator rank 0, epoch 1) so ranks can drain out of and join
-   back into the session while traffic flows. *)
-
-let elastic_world ~seed =
-  two_segment_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
-    (fun session faults chans ->
-      Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0 chans)
+   run on an {!elastic} vchannel, so ranks drain out of and join back
+   into the session while traffic flows. *)
 
 let health_name h = Format.asprintf "%a" Madeleine.Iface.pp_health h
 
@@ -662,64 +718,26 @@ let some_sentinel_watches vc ~ranks ~rank =
     ranks
 
 let rolling_restart_run ~seed ~size ~messages =
-  let engine, faults, vc = elastic_world ~seed in
-  let total = 2 * messages in
-  let payload_of m =
-    let p = Harness.payload size (Int64.of_int 29) in
-    Bytes.set_int32_le p 0 (Int32.of_int m);
-    p
-  in
-  let received = Array.make total 0 in
-  let intact = ref true and partitioned = ref false in
-  let delivered = ref 0 in
+  let engine, faults, vc = world ~seed two_gateways elastic in
+  let partitioned = ref false in
   let phase2_go = ref false in
-  let finish = ref Time.zero in
   let rolled = ref [] in
   let epoch_start = epoch_of vc in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
-  let send_range lo hi =
-    for m = lo to hi do
-      match Vc.begin_packing vc ~me:0 ~remote:3 with
-      | exception Vc.Partitioned _ -> partitioned := true
-      | oc ->
-          Vc.pack oc (payload_of m);
-          Vc.end_packing oc
-    done
+  let s =
+    stream engine vc ~tag:29 ~src:0 ~dst:3 ~size ~messages:(2 * messages)
+      (* The origin is crashed by the controller between phases; the
+         paused sender models the restarted process resuming the
+         stream. *)
+      ~pause:(messages, fun () -> !phase2_go)
+      ()
   in
-  Engine.spawn engine ~name:"rr-sender" (fun () ->
-      send_range 0 (messages - 1);
-      (* The origin is crashed by the controller between phases; this
-         thread models the restarted process resuming the stream. *)
-      while not !phase2_go do
-        Engine.sleep (Time.us 250.0)
-      done;
-      send_range messages (total - 1));
-  Engine.spawn engine ~name:"rr-receiver" (fun () ->
-      for _ = 1 to total do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:3 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        let idx = Int32.to_int (Bytes.get_int32_le sink 0) in
-        (if idx < 0 || idx >= total then intact := false
-         else begin
-           received.(idx) <- received.(idx) + 1;
-           if not (Bytes.equal sink (payload_of idx)) then intact := false
-         end);
-        incr delivered
-      done;
-      finish := Engine.now engine);
   Engine.spawn engine ~name:"rr-controller" (fun () ->
-      let wait_for cond =
-        while not (cond ()) do
-          Engine.sleep (Time.us 250.0)
-        done
-      in
       let restart_of node =
         let before = Faults.epoch faults node in
         Faults.crash_now faults ~node ~restart_after:(Time.us 2_000.0) ();
-        wait_for (fun () -> Faults.epoch faults node > before)
+        wait_until engine (fun () -> Faults.epoch faults node > before)
       in
       let roll rank =
         (match Vc.drain vc ~rank with
@@ -731,14 +749,14 @@ let rolling_restart_run ~seed ~size ~messages =
         | exception Vc.Partitioned _ -> partitioned := true);
         rolled := !rolled @ [ rank ]
       in
-      wait_for (fun () -> !delivered >= 1);
+      wait_until engine (fun () -> s.count >= 1);
       (* The spare gateway first (no route impact), then the on-route
          gateway — the 0 -> 3 flow must reroute mid-stream. *)
       roll other_gw;
       roll gw;
       (* The receiver drains between phases, once its journal is
          covered by cumulative acks. *)
-      wait_for (fun () -> !delivered >= messages);
+      wait_until engine (fun () -> s.count >= messages);
       roll 3;
       (* The coordinator cannot drain itself: a crash-epoch restart,
          repaired by the session handshake, stands in. *)
@@ -752,12 +770,13 @@ let rolling_restart_run ~seed ~size ~messages =
   in
   let queues = Vc.queue_stats vc in
   let bounded = bounded_queues queues in
-  let delivered = Array.fold_left ( + ) 0 received in
+  let delivered = Array.fold_left ( + ) 0 s.received in
   let dup_deliveries =
-    Array.fold_left (fun acc n -> acc + max 0 (n - 1)) 0 received
+    Array.fold_left (fun acc n -> acc + max 0 (n - 1)) 0 s.received
   in
-  let exactly_once = !intact && Array.for_all (fun n -> n = 1) received in
-  let finish_us = Time.to_us !finish in
+  let exactly_once = verified s in
+  let partitioned = !partitioned || s.partitioned in
+  let finish_us = Time.to_us s.finish in
   let epoch_final = topo.Vc.topo_epoch in
   let joins = topo.Vc.topo_joins and drains = topo.Vc.topo_drains in
   {
@@ -776,7 +795,7 @@ let rolling_restart_run ~seed ~size ~messages =
         ("reemitted", Int stats.Vc.reemitted);
         ("dup_drops", Int stats.Vc.dup_drops);
         ("handshakes", Int stats.Vc.handshakes);
-        ("partitioned", Bool !partitioned);
+        ("partitioned", Bool partitioned);
         ("exactly_once", Bool exactly_once);
         ("bounded", Bool bounded);
         ("finish_us", f2 finish_us);
@@ -792,7 +811,7 @@ let rolling_restart_run ~seed ~size ~messages =
         messages size (ints !rolled) epoch_start epoch_final joins drains
         delivered dup_deliveries stats.Vc.reroutes stats.Vc.reemitted
         stats.Vc.handshakes
-        (if !partitioned then "YES" else "no")
+        (if partitioned then "YES" else "no")
         (if exactly_once then "yes" else "NO")
         (if bounded then "yes" else "NO")
         finish_us;
@@ -801,7 +820,7 @@ let rolling_restart_run ~seed ~size ~messages =
         ("rolling-restart-exactly-once", exactly_once);
         ( "rolling-restart-no-dup-deliveries",
           dup_deliveries = 0 && delivered = 2 * messages );
-        ("rolling-restart-no-partition", not !partitioned);
+        ("rolling-restart-no-partition", not partitioned);
         ("rolling-restart-queues-bounded", bounded);
         ( "rolling-restart-epochs-advanced",
           joins >= 3 && drains >= 3 && epoch_final >= epoch_start + 6 );
@@ -845,59 +864,22 @@ let elastic_result ~op ~messages ~size ~rank ~epoch ~routable ~status
   }
 
 let join_load_run ~seed ~size ~messages =
-  let engine, _faults, vc = elastic_world ~seed in
-  let payload m = Harness.payload size (Int64.of_int (400 + m)) in
-  let bg_delivered = ref 0 in
-  let intact = ref true and partitioned = ref false in
+  let engine, _faults, vc = world ~seed two_gateways elastic in
+  let partitioned = ref false in
   let joined = ref false in
-  let finish = ref Time.zero in
   (* Background load 0 -> 1 runs across the epoch swap. *)
-  Engine.spawn engine ~name:"jl-bg-send" (fun () ->
-      for m = 0 to messages - 1 do
-        match Vc.begin_packing vc ~me:0 ~remote:1 with
-        | exception Vc.Partitioned _ -> partitioned := true
-        | oc ->
-            Vc.pack oc (payload m);
-            Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"jl-bg-recv" (fun () ->
-      let sink = Bytes.create size in
-      for m = 0 to messages - 1 do
-        let ic = Vc.begin_unpacking_from vc ~me:1 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        if not (Bytes.equal sink (payload m)) then intact := false;
-        incr bg_delivered
-      done);
+  let bg = stream engine vc ~tag:400 ~src:0 ~dst:1 ~size ~messages () in
   (* Once the joiner is routable, a fresh flow targets it. *)
-  Engine.spawn engine ~name:"jl-fg-send" (fun () ->
-      while not !joined do
-        Engine.sleep (Time.us 250.0)
-      done;
-      for m = 0 to messages - 1 do
-        match Vc.begin_packing vc ~me:0 ~remote:3 with
-        | exception Vc.Partitioned _ -> partitioned := true
-        | oc ->
-            Vc.pack oc (payload (1000 + m));
-            Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"jl-fg-recv" (fun () ->
-      while not !joined do
-        Engine.sleep (Time.us 250.0)
-      done;
-      let sink = Bytes.create size in
-      for m = 0 to messages - 1 do
-        let ic = Vc.begin_unpacking_from vc ~me:3 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        if not (Bytes.equal sink (payload (1000 + m))) then intact := false
-      done;
-      finish := Engine.now engine);
+  let fg =
+    stream engine vc ~tag:1400 ~src:0 ~dst:3 ~size ~messages
+      ~start:(fun () -> !joined)
+      ()
+  in
   Engine.spawn engine ~name:"jl-controller" (fun () ->
       (* Rank 3 leaves before any traffic exists, then rejoins while the
          background stream is mid-flight. *)
       Vc.drain vc ~rank:3;
-      while !bg_delivered < max 1 (messages / 2) do
+      while bg.count < max 1 (messages / 2) do
         Engine.sleep (Time.us 100.0)
       done;
       (match Vc.join vc ~rank:3 with
@@ -914,52 +896,21 @@ let join_load_run ~seed ~size ~messages =
   let status = health_name (Vc.peer_status vc ~src:0 ~dst:3) in
   let watched = some_sentinel_watches vc ~ranks:[ 0; 1; 2 ] ~rank:3 in
   elastic_result ~op:"join" ~messages ~size ~rank:3 ~epoch:(epoch_of vc)
-    ~routable ~status ~watched ~partitioned:!partitioned ~intact:!intact
-    ~finish:!finish
+    ~routable ~status ~watched
+    ~partitioned:(!partitioned || bg.partitioned || fg.partitioned)
+    ~intact:(verified bg && verified fg) ~finish:fg.finish
     ~settled:
       ("join-under-load-routable", routable && status = "up" && watched)
 
 let drain_load_run ~seed ~size ~messages =
-  let engine, _faults, vc = elastic_world ~seed in
-  let payload_of m =
-    let p = Harness.payload size (Int64.of_int 31) in
-    Bytes.set_int32_le p 0 (Int32.of_int m);
-    p
-  in
-  let received = Array.make messages 0 in
-  let delivered = ref 0 in
-  let intact = ref true and partitioned = ref false in
-  let finish = ref Time.zero in
+  let engine, _faults, vc = world ~seed two_gateways elastic in
+  let partitioned = ref false in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
-  Engine.spawn engine ~name:"dl-sender" (fun () ->
-      for m = 0 to messages - 1 do
-        match Vc.begin_packing vc ~me:0 ~remote:3 with
-        | exception Vc.Partitioned _ -> partitioned := true
-        | oc ->
-            Vc.pack oc (payload_of m);
-            Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"dl-receiver" (fun () ->
-      for _ = 1 to messages do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:3 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        let idx = Int32.to_int (Bytes.get_int32_le sink 0) in
-        (if idx < 0 || idx >= messages then intact := false
-         else begin
-           received.(idx) <- received.(idx) + 1;
-           if not (Bytes.equal sink (payload_of idx)) then intact := false
-         end);
-        incr delivered
-      done;
-      finish := Engine.now engine);
+  let s = stream engine vc ~tag:31 ~src:0 ~dst:3 ~size ~messages () in
   Engine.spawn engine ~name:"dl-controller" (fun () ->
       (* The on-route gateway drains mid-stream: the 0 -> 3 flow must
          reroute through the spare with no Partitioned. *)
-      while !delivered < 1 do
-        Engine.sleep (Time.us 250.0)
-      done;
+      wait_until engine (fun () -> s.count >= 1);
       match Vc.drain vc ~rank:gw with
       | () -> ()
       | exception Vc.Partitioned _ -> partitioned := true);
@@ -976,9 +927,9 @@ let drain_load_run ~seed ~size ~messages =
       ~rank:gw
   in
   elastic_result ~op:"drain" ~messages ~size ~rank:gw ~epoch:(epoch_of vc)
-    ~routable:off_route ~status ~watched ~partitioned:!partitioned
-    ~intact:(!intact && Array.for_all (fun n -> n = 1) received)
-    ~finish:!finish
+    ~routable:off_route ~status ~watched
+    ~partitioned:(!partitioned || s.partitioned)
+    ~intact:(verified s) ~finish:s.finish
     ~settled:
       ( "drain-under-load-forgotten",
         off_route && status = "departed" && not watched )
@@ -990,15 +941,6 @@ let drain_load_run ~seed ~size ~messages =
    coordinator ever commits an epoch, the majority side keeps its
    goodput during the cut, the minority surfaces typed errors instead
    of hanging, and post-heal delivery is exactly-once. *)
-
-let election_world ~seed =
-  let engine, faults, _net, _nodes, stacks = one_segment ~seed ~hosts:4 () in
-  let session, ch = session_channel engine stacks in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
-      ~election:true [ ch ]
-  in
-  (engine, faults, vc)
 
 (* Sentinel probing is activity-gated; the streams pause during a cut,
    so keep every detector's grace window open explicitly. *)
@@ -1025,14 +967,6 @@ let election_summary vc =
 let commit_epochs_unique (s : Vc.election_stats) =
   let epochs = List.map fst s.Vc.commits in
   List.sort_uniq compare epochs = List.sort compare epochs
-
-(* A deadline-bounded condition wait, so a broken invariant trips a
-   gate instead of hanging the harness. *)
-let wait_until engine ?(deadline_us = 200_000.0) cond =
-  let deadline = Time.add (Engine.now engine) (Time.us deadline_us) in
-  while (not (cond ())) && Time.( < ) (Engine.now engine) deadline do
-    Engine.sleep (Time.us 250.0)
-  done
 
 (* The shared tail of the partition workloads: the election audit and
    the common gates, plus each workload's own seat/flap gates. *)
@@ -1115,64 +1049,15 @@ let partition_result vc ~workload:w ~messages ~size ~cycles
           ];
   }
 
-(* One exactly-once verified stream: sender/receiver pair with per-index
-   delivery counts. [gate] parks the sender until released; [retry]
-   keeps retrying a [Partitioned] send (a post-heal flow starts before
-   the suspicion has drained). *)
-let pt_stream engine vc ~tag ~src ~dst ~size ~messages ?(gate = ref true)
-    ?(retry = false) ~on_delivery () =
-  let payload_of m =
-    let p = Harness.payload size (Int64.of_int (tag + m)) in
-    Bytes.set_int32_le p 0 (Int32.of_int m);
-    p
-  in
-  let received = Array.make messages 0 in
-  let intact = ref true in
-  Engine.spawn engine ~name:(Printf.sprintf "pt-send-%d-%d" src dst)
-    (fun () ->
-      while not !gate do
-        Engine.sleep (Time.us 250.0)
-      done;
-      for m = 0 to messages - 1 do
-        let rec send tries =
-          match Vc.begin_packing vc ~me:src ~remote:dst with
-          | exception Vc.Partitioned _ when retry && tries < 400 ->
-              Engine.sleep (Time.us 500.0);
-              send (tries + 1)
-          | exception Vc.Partitioned _ -> intact := false
-          | oc ->
-              Vc.pack oc (payload_of m);
-              Vc.end_packing oc
-        in
-        send 0
-      done);
-  Engine.spawn engine ~name:(Printf.sprintf "pt-recv-%d-%d" src dst)
-    (fun () ->
-      while not !gate do
-        Engine.sleep (Time.us 250.0)
-      done;
-      for _ = 1 to messages do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:dst ~remote:src in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        let idx = Int32.to_int (Bytes.get_int32_le sink 0) in
-        (if idx < 0 || idx >= messages then intact := false
-         else begin
-           received.(idx) <- received.(idx) + 1;
-           if not (Bytes.equal sink (payload_of idx)) then intact := false
-         end);
-        on_delivery ()
-      done);
-  fun () -> !intact && Array.for_all (fun n -> n = 1) received
-
 (* The majority keeps working while a non-member host is cut off: rank 3
    drains cleanly, the cut isolates its (now outsider) host, a
    mid-stream 0 -> 1 flow keeps delivering, the cut-side join parks with
    the typed [No_quorum], and the heal replays it — after which a fresh
    0 -> 3 stream must land exactly-once over the revived paths. *)
 let partition_majority_run ~seed ~size ~messages =
-  let engine, faults, vc = election_world ~seed in
+  let engine, faults, vc =
+    world ~seed [ ("eth", [ 0; 1; 2; 3 ]) ] (elastic ~election:true)
+  in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
   let coordinator_before =
@@ -1180,33 +1065,26 @@ let partition_majority_run ~seed ~size ~messages =
   in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
-  let bg_delivered = ref 0 in
-  let bg_half = ref false in
   let minority_typed = ref false in
   let fg_gate = ref false in
   let finish = ref Time.zero in
-  let bg_ok =
-    pt_stream engine vc ~tag:500 ~src:0 ~dst:1 ~size
+  let bg =
+    stream engine vc ~tag:500 ~src:0 ~dst:1 ~size
       ~messages:(2 * messages)
-      ~gate:(ref true)
-      ~on_delivery:(fun () ->
-        incr bg_delivered;
-        if !cut_active then incr cut_delivered;
-        if !bg_delivered = messages then bg_half := true)
+      ~on_delivery:(fun _ -> if !cut_active then incr cut_delivered)
       ()
   in
-  let fg_ok =
-    pt_stream engine vc ~tag:900 ~src:0 ~dst:3 ~size ~messages ~gate:fg_gate
-      ~retry:true
-      ~on_delivery:(fun () -> ())
-      ()
+  let fg =
+    stream engine vc ~tag:900 ~src:0 ~dst:3 ~size ~messages
+      ~start:(fun () -> !fg_gate)
+      ~retry:true ()
   in
   Engine.spawn engine ~name:"pt-controller" (fun () ->
       (* Rank 3 leaves cleanly before any cut exists. *)
       (match Vc.drain vc ~rank:3 with
       | () -> ()
       | exception (Vc.Partitioned _ | Vc.No_quorum _) -> ());
-      wait_until engine (fun () -> !bg_half);
+      wait_until engine (fun () -> bg.count >= messages);
       Faults.partition faults ~fabric:"eth" [ 3 ] [ 0; 1; 2 ];
       cut_active := true;
       Engine.sleep (Time.ms 10.0);
@@ -1216,21 +1094,21 @@ let partition_majority_run ~seed ~size ~messages =
       | (_ : int) -> ()
       | exception Vc.No_quorum _ -> minority_typed := true
       | exception Vc.Partitioned _ -> ());
-      wait_until engine (fun () -> !bg_delivered >= 2 * messages);
+      wait_until engine (fun () -> bg.count >= 2 * messages);
       Faults.heal faults ~fabric:"eth";
       cut_active := false;
       (* The replay must re-admit rank 3 before the fresh stream can
          target it. *)
       wait_until engine (fun () -> List.mem 3 (members_of vc));
       fg_gate := true;
-      wait_until engine ~deadline_us:500_000.0 (fun () -> fg_ok ());
+      wait_until engine ~deadline_us:500_000.0 (fun () -> verified fg);
       Engine.sleep (Time.ms 5.0);
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
   partition_result vc ~workload:"partition-majority" ~messages ~size
     ~cycles:1 ~coordinator_before ~cut_delivered:!cut_delivered
-    ~minority_typed:!minority_typed ~exactly_once:(bg_ok () && fg_ok ())
+    ~minority_typed:!minority_typed ~exactly_once:(verified bg && verified fg)
     ~finish:!finish
 
 (* The coordinator itself is cut off: the majority elects its lowest
@@ -1238,7 +1116,9 @@ let partition_majority_run ~seed ~size ~messages =
    [Partitioned] flows and no quorum, and after the heal it rejoins as
    a plain member — a fresh stream from it must land exactly-once. *)
 let coordinator_loss_run ~seed ~size ~messages =
-  let engine, faults, vc = election_world ~seed in
+  let engine, faults, vc =
+    world ~seed [ ("eth", [ 0; 1; 2; 3 ]) ] (elastic ~election:true)
+  in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
   let coordinator_before =
@@ -1246,29 +1126,22 @@ let coordinator_loss_run ~seed ~size ~messages =
   in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
-  let bg_delivered = ref 0 in
-  let bg_half = ref false in
   let minority_typed = ref false in
   let fg_gate = ref false in
   let finish = ref Time.zero in
-  let bg_ok =
-    pt_stream engine vc ~tag:600 ~src:1 ~dst:3 ~size
+  let bg =
+    stream engine vc ~tag:600 ~src:1 ~dst:3 ~size
       ~messages:(2 * messages)
-      ~gate:(ref true)
-      ~on_delivery:(fun () ->
-        incr bg_delivered;
-        if !cut_active then incr cut_delivered;
-        if !bg_delivered = messages then bg_half := true)
+      ~on_delivery:(fun _ -> if !cut_active then incr cut_delivered)
       ()
   in
-  let fg_ok =
-    pt_stream engine vc ~tag:950 ~src:0 ~dst:3 ~size ~messages ~gate:fg_gate
-      ~retry:true
-      ~on_delivery:(fun () -> ())
-      ()
+  let fg =
+    stream engine vc ~tag:950 ~src:0 ~dst:3 ~size ~messages
+      ~start:(fun () -> !fg_gate)
+      ~retry:true ()
   in
   Engine.spawn engine ~name:"pt-controller" (fun () ->
-      wait_until engine (fun () -> !bg_half);
+      wait_until engine (fun () -> bg.count >= messages);
       Faults.partition faults ~fabric:"eth" [ coordinator_before ]
         (List.filter (fun r -> r <> coordinator_before) [ 0; 1; 2; 3 ]);
       cut_active := true;
@@ -1288,18 +1161,18 @@ let coordinator_loss_run ~seed ~size ~messages =
          match Vc.begin_packing vc ~me:coordinator_before ~remote:1 with
          | exception Vc.Partitioned _ -> true
          | _oc -> false);
-      wait_until engine (fun () -> !bg_delivered >= 2 * messages);
+      wait_until engine (fun () -> bg.count >= 2 * messages);
       Faults.heal faults ~fabric:"eth";
       cut_active := false;
       fg_gate := true;
-      wait_until engine ~deadline_us:500_000.0 (fun () -> fg_ok ());
+      wait_until engine ~deadline_us:500_000.0 (fun () -> verified fg);
       Engine.sleep (Time.ms 5.0);
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
   partition_result vc ~workload:"coordinator-loss" ~messages ~size
     ~cycles:1 ~coordinator_before ~cut_delivered:!cut_delivered
-    ~minority_typed:!minority_typed ~exactly_once:(bg_ok () && fg_ok ())
+    ~minority_typed:!minority_typed ~exactly_once:(verified bg && verified fg)
     ~finish:!finish
 
 (* Repeated cut/heal cycles, each isolating whoever holds the seat: the
@@ -1308,7 +1181,9 @@ let coordinator_loss_run ~seed ~size ~messages =
    and a stream between two never-cut ranks keeps delivering through
    the churn. *)
 let partition_flapping_run ~seed ~size ~messages ~cycles =
-  let engine, faults, vc = election_world ~seed in
+  let engine, faults, vc =
+    world ~seed [ ("eth", [ 0; 1; 2; 3 ]) ] (elastic ~election:true)
+  in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
   let coordinator_before =
@@ -1320,14 +1195,13 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
   let minority_typed = ref true in
   let finish = ref Time.zero in
   let total = messages * cycles in
-  let bg_ok =
-    pt_stream engine vc ~tag:700 ~src:2 ~dst:3 ~size ~messages:total
-      ~gate:(ref true)
-      ~on_delivery:(fun () -> if !cut_active then incr cut_delivered)
+  let bg =
+    stream engine vc ~tag:700 ~src:2 ~dst:3 ~size ~messages:total
+      ~on_delivery:(fun _ -> if !cut_active then incr cut_delivered)
       ()
   in
   Engine.spawn engine ~name:"pt-bg-watch" (fun () ->
-      wait_until engine ~deadline_us:1_000_000.0 (fun () -> bg_ok ());
+      wait_until engine ~deadline_us:1_000_000.0 (fun () -> verified bg);
       bg_done := true);
   Engine.spawn engine ~name:"pt-controller" (fun () ->
       for _ = 1 to cycles do
@@ -1356,7 +1230,7 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
   Engine.run engine;
   partition_result vc ~workload:"partition-flapping" ~messages:total ~size
     ~cycles ~coordinator_before ~cut_delivered:!cut_delivered
-    ~minority_typed:!minority_typed ~exactly_once:(bg_ok ())
+    ~minority_typed:!minority_typed ~exactly_once:(verified bg)
     ~finish:!finish
 
 (* ------------------------------------------------------------------ *)
@@ -1377,27 +1251,10 @@ let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
   in
   let session, channel = session_channel engine stacks in
   let vc = Vc.create session ~mtu ~credits ~faults [ channel ] in
-  let payload_of m = Harness.payload size (Int64.of_int (300 + m)) in
-  let intact = ref true in
-  let finish = ref Time.zero in
-  Engine.spawn engine ~name:"ov-sender" (fun () ->
-      for m = 0 to messages - 1 do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:1 in
-        Vc.pack oc (payload_of m);
-        Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"ov-receiver" (fun () ->
-      for m = 0 to messages - 1 do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:1 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        if not (Bytes.equal sink (payload_of m)) then intact := false
-      done;
-      finish := Engine.now engine);
+  let s = stream engine vc ~tag:300 ~src:0 ~dst:1 ~size ~messages () in
   Engine.run engine;
-  let rate = Time.rate_mb_s ~bytes_count:(size * messages) !finish in
-  (rate, vc, net, !intact, !finish)
+  let rate = Time.rate_mb_s ~bytes_count:(size * messages) s.finish in
+  (rate, vc, net, verified s, s.finish)
 
 let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
   let clean_mb_s, _, _, clean_ok, _ =
@@ -1471,36 +1328,23 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
 
 let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
   let engine, _faults, vc =
-    two_segment_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+    world ~seed one_gateway
       ~setup:(fun faults ->
         Faults.slow_receiver faults ~fabric:"ethB" ~node:2
           ~mb_per_s:rx_cap_mb_s)
       (fun session faults chans ->
         Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans)
   in
-  let payload_of m = Harness.payload size (Int64.of_int (400 + m)) in
-  let intact = ref true in
   let reported = ref false in
-  let finish = ref Time.zero in
-  Engine.spawn engine ~name:"sg-sender" (fun () ->
-      for m = 0 to messages - 1 do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:2 in
-        Vc.pack oc (payload_of m);
-        Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"sg-receiver" (fun () ->
-      for m = 0 to messages - 1 do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:2 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        if not (Bytes.equal sink (payload_of m)) then intact := false;
+  let s =
+    stream engine vc ~tag:400 ~src:0 ~dst:2 ~size ~messages
+      ~on_delivery:(fun _ ->
         (* Sample the flow health mid-stream: while the pool is pinned
            the gateway must be visible as Overloaded end to end. *)
         if Vc.peer_status vc ~src:0 ~dst:2 = Madeleine.Iface.Overloaded then
-          reported := true
-      done;
-      finish := Engine.now engine);
+          reported := true)
+      ()
+  in
   Engine.run engine;
   let sentinel_saw_overload =
     List.exists
@@ -1508,11 +1352,12 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
       (Vc.suspicion_timeline vc)
   in
   let queues = Vc.queue_stats vc in
-  let ingress_mb_s = Time.rate_mb_s ~bytes_count:(size * messages) !finish in
+  let ingress_mb_s = Time.rate_mb_s ~bytes_count:(size * messages) s.finish in
   let events = Vc.overload_events vc in
   let reported = !reported || sentinel_saw_overload in
   let cleared = Vc.overloaded vc = [] in
   let bounded = bounded_queues queues in
+  let intact = verified s in
   {
     fields =
       [
@@ -1525,9 +1370,9 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
         ("overload_events", Int events);
         ("overload_reported", Bool reported);
         ("overload_cleared", Bool cleared);
-        ("intact", Bool !intact);
+        ("intact", Bool intact);
         ("bounded", Bool bounded);
-        ("finish_us", f2 (Time.to_us !finish));
+        ("finish_us", f2 (Time.to_us s.finish));
         ("queues", queue_table queues);
       ];
     line =
@@ -1539,10 +1384,10 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
         (if reported then "yes" else "NO")
         (if cleared then "yes" else "NO")
         (if bounded then "yes" else "NO")
-        (if !intact then "yes" else "NO");
+        (if intact then "yes" else "NO");
     gates =
       [
-        ("slow-gateway-intact", !intact);
+        ("slow-gateway-intact", intact);
         ("slow-gateway-queues-bounded", bounded);
         ("slow-gateway-overload-reported", events >= 1 && reported);
         ("slow-gateway-overload-cleared", cleared);
@@ -1563,48 +1408,36 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
 
 let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
   let engine, _faults, vc =
-    two_segment_world ~seed ~a:[ 0; 1 ] ~b:[ 1; 2 ]
+    world ~seed one_gateway
       ~setup:(fun faults ->
         List.iter
-          (fun i -> Faults.set_drop faults ~fabric:"ethA" ~node:i ~rate:drop)
-          [ 0; 1 ];
-        List.iter
-          (fun i -> Faults.set_drop faults ~fabric:"ethB" ~node:i ~rate:drop)
-          [ 1; 2 ])
+          (fun (fabric, ranks) ->
+            List.iter
+              (fun node -> Faults.set_drop faults ~fabric ~node ~rate:drop)
+              ranks)
+          one_gateway)
       (fun session faults chans ->
         Vc.create session ~mtu:4096 ~faults
           ~sched:(Madeleine.Sched.aggreg ())
           chans)
   in
-  let payload_of flow m =
-    Harness.payload size (Int64.of_int (600 + (flow * 1000) + m))
+  let streams =
+    List.init flows (fun i ->
+        let flow = i + 1 in
+        stream engine vc ~tag:(600 + (flow * 1000)) ~src:0 ~dst:2 ~size
+          ~messages ~flow ())
   in
-  let intact = ref true in
-  let finish = ref Time.zero in
-  let done_flows = ref 0 in
-  for flow = 1 to flows do
-    Engine.spawn engine ~name:(Printf.sprintf "sc-send-%d" flow) (fun () ->
-        for m = 0 to messages - 1 do
-          let oc = Vc.begin_packing vc ~flow ~me:0 ~remote:2 in
-          Vc.pack oc (payload_of flow m);
-          Vc.end_packing oc
-        done);
-    Engine.spawn engine ~name:(Printf.sprintf "sc-recv-%d" flow) (fun () ->
-        let sink = Bytes.create size in
-        for m = 0 to messages - 1 do
-          let ic = Vc.begin_unpacking_from vc ~flow ~me:2 ~remote:0 in
-          Vc.unpack ic sink;
-          Vc.end_unpacking ic;
-          if not (Bytes.equal sink (payload_of flow m)) then intact := false
-        done;
-        incr done_flows;
-        if !done_flows = flows then finish := Engine.now engine)
-  done;
   Engine.run engine;
+  let intact = List.for_all verified streams in
+  let finish =
+    List.fold_left
+      (fun t s -> if Time.( < ) t s.finish then s.finish else t)
+      Time.zero streams
+  in
   let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
   let rs = match Vc.rel_stats vc with Some s -> s | None -> assert false in
   let module S = Madeleine.Sched in
-  let drop_pct = drop *. 100.0 and finish_us = Time.to_us !finish in
+  let drop_pct = drop *. 100.0 and finish_us = Time.to_us finish in
   {
     fields =
       [
@@ -1620,7 +1453,7 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
         ("flush_flow", Int ss.S.sched_flush_flow);
         ("reemitted", Int rs.Vc.reemitted);
         ("dup_drops", Int rs.Vc.dup_drops);
-        ("intact", Bool !intact);
+        ("intact", Bool intact);
         ("finish_us", f2 finish_us);
       ];
     line =
@@ -1632,11 +1465,11 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
         flows messages size drop_pct ss.S.sched_merged ss.S.sched_aggregates
         ss.S.sched_mean_frames ss.S.sched_flush_full ss.S.sched_flush_deadline
         ss.S.sched_flush_flow rs.Vc.reemitted rs.Vc.dup_drops
-        (if !intact then "yes" else "NO")
+        (if intact then "yes" else "NO")
         finish_us;
     gates =
       [
-        ("sched-aggreg-intact", !intact);
+        ("sched-aggreg-intact", intact);
         ("sched-aggreg-merged", ss.S.sched_merged > 0);
       ];
   }
@@ -1741,7 +1574,7 @@ let coll_agree_and_value results covered =
    is answered from the decision journal — then the same cast runs an
    allreduce whose value proves nobody was counted twice. *)
 let coll_crash_barrier_run ~seed =
-  let engine, faults, vc = elastic_world ~seed in
+  let engine, faults, vc = world ~seed two_gateways elastic in
   let coll = Coll.create ~fanout:2 vc in
   let ranks = Vc.ranks vc in
   let n = List.length ranks in
@@ -1784,7 +1617,7 @@ let coll_crash_barrier_run ~seed =
 let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
     ~rx_cap_mb_s =
   let engine, _faults, vc =
-    two_segment_world ~seed ~a:[ 0; 1; 2 ] ~b:[ 1; 2; 3 ]
+    world ~seed two_gateways
       ~setup:(fun faults ->
         Faults.slow_receiver faults ~fabric:"ethB" ~node:3
           ~mb_per_s:rx_cap_mb_s)
@@ -1794,30 +1627,11 @@ let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
   let coll = Coll.create ~fanout:2 vc in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
-  let payload_of m = Harness.payload size (Int64.of_int (500 + m)) in
-  let intact = ref true in
   let barriers = ref 0 and failed = ref 0 in
   let spine = ref [] and overloaded_at_sample = ref [] in
-  let finish = ref Time.zero in
-  Engine.spawn engine ~name:"coll-so-sender" (fun () ->
-      for m = 0 to messages - 1 do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:3 in
-        Vc.pack oc (payload_of m);
-        Vc.end_packing oc
-      done);
-  Engine.spawn engine ~name:"coll-so-receiver" (fun () ->
-      for m = 0 to messages - 1 do
-        let sink = Bytes.create size in
-        let ic = Vc.begin_unpacking_from vc ~me:3 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        if not (Bytes.equal sink (payload_of m)) then intact := false
-      done;
-      finish := Engine.now engine);
+  let s = stream engine vc ~tag:500 ~src:0 ~dst:3 ~size ~messages () in
   Engine.spawn engine ~name:"coll-so-controller" (fun () ->
-      while Vc.overloaded vc = [] do
-        Engine.sleep (Time.us 250.0)
-      done;
+      wait_until engine (fun () -> Vc.overloaded vc <> []);
       overloaded_at_sample := Vc.overloaded vc;
       spine := Coll.tree_spine coll;
       List.iter
@@ -1839,51 +1653,17 @@ let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
          !spine
   in
   coll_result ~workload:"coll-spine-overload" ~ranks:4 ~expected:4
-    ~completed:!barriers ~failed:!failed ~agree:true ~value_ok:!intact
-    ~rejoined:true ~spine_ok st ~finish:!finish
+    ~completed:!barriers ~failed:!failed ~agree:true ~value_ok:(verified s)
+    ~rejoined:true ~spine_ok st ~finish:s.finish
 
-(* A hierarchical cluster-of-clusters world: [clusters] leaf channels
-   of [per] ranks each, bridged by a backbone channel of the gateway
-   ranks (rank [k * per] of each cluster) — the shape the collectives
-   tree is supposed to exploit. Faultless worlds skip the sentinel
-   plane entirely, which is what makes the 1024-rank scaling row
-   affordable. *)
-let coll_world ~seed ~clusters ~per ~with_faults =
-  let engine = new_engine () in
-  let n = clusters * per in
-  let faults =
-    if with_faults then Some (Faults.create engine ~seed:(Int64.of_int seed))
-    else None
-  in
-  let nodes =
-    Array.init n (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  let session = Madeleine.Session.create engine in
-  let channel_on name member_ranks =
-    let fabric =
-      Fabric.create engine ~name ~link:Netparams.fast_ethernet
-    in
-    (match faults with Some f -> Fabric.set_faults fabric f | None -> ());
-    List.iter (fun i -> Fabric.attach fabric nodes.(i)) member_ranks;
-    let net = Tcpnet.make_net engine fabric in
-    let stacks = Hashtbl.create 16 in
-    List.iter
-      (fun i -> Hashtbl.add stacks i (Tcpnet.attach net nodes.(i)))
-      member_ranks;
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks))
-      ~ranks:member_ranks ()
-  in
-  let leaf k = List.init per (fun i -> (k * per) + i) in
-  let backbone = List.init clusters (fun k -> k * per) in
-  let chans =
-    List.init clusters (fun k ->
-        channel_on (Printf.sprintf "leaf%d" k) (leaf k))
-    @ [ channel_on "backbone" backbone ]
-  in
-  let vc = Vc.create session ~mtu:4096 ?faults chans in
-  (engine, faults, vc)
+(* The segments of a hierarchical cluster-of-clusters world: [clusters]
+   leaf segments of [per] ranks each, bridged by a backbone segment of
+   the gateway ranks (rank [k * per] of each cluster) — the shape the
+   collectives tree is supposed to exploit. *)
+let hierarchy ~clusters ~per =
+  List.init clusters (fun k ->
+      (Printf.sprintf "leaf%d" k, List.init per (fun i -> (k * per) + i)))
+  @ [ ("backbone", List.init clusters (fun k -> k * per)) ]
 
 (* Rolling restarts during one allreduce: a leaf rank and then a whole
    gateway (cutting its cluster off) crash and come back while the
@@ -1891,8 +1671,10 @@ let coll_world ~seed ~clusters ~per ~with_faults =
    bytes, and the decided value must equal the sum over exactly the
    covered set — the no-double-count property under repair. *)
 let coll_rolling_allreduce_run ~seed ~clusters ~per =
-  let engine, faults, vc = coll_world ~seed ~clusters ~per ~with_faults:true in
-  let faults = match faults with Some f -> f | None -> assert false in
+  let engine, faults, vc =
+    world ~seed (hierarchy ~clusters ~per) (fun session faults chans ->
+        Vc.create session ~mtu:4096 ~faults chans)
+  in
   let coll = Coll.create ~fanout:4 vc in
   let n = clusters * per in
   let completed = ref 0 and failed = ref 0 in
@@ -1927,7 +1709,12 @@ let coll_rolling_allreduce_run ~seed ~clusters ~per =
     ~rejoined:(st.Coll.journal_answers >= 1) ~spine_ok:true st ~finish:!finish
 
 let coll_barrier_once ~seed ~clusters ~per ~algo ~fanout =
-  let engine, _faults, vc = coll_world ~seed ~clusters ~per ~with_faults:false in
+  (* Faultless worlds skip the sentinel plane entirely, which is what
+     makes the 1024-rank scaling row affordable. *)
+  let engine, _faults, vc =
+    world ~seed ~faulty:false (hierarchy ~clusters ~per)
+      (fun session _ chans -> Vc.create session ~mtu:4096 chans)
+  in
   (* The world is faultless, so the repair patience is pure slack — but
      it must exceed the barrier itself or the participants declare a
      stall and abandon their partial aggregates mid-cascade. The flat
