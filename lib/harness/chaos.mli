@@ -32,6 +32,29 @@ type workload = {
       (** [quick] trims the workload to its CI size *)
 }
 
+type stream
+(** The receiver's record of one verified stream. Each payload is the
+    stream's base buffer stamped with its index (the first 4 bytes,
+    little-endian), and each delivery is checked for its bytes, its
+    position and its count. *)
+
+val stream_state : tag:int -> size:int -> messages:int -> stream
+(** A record for [messages] payloads of [size] (at least 4) bytes, the
+    base buffer seeded by [tag]. *)
+
+val stream_payload : stream -> int -> Bytes.t
+(** [stream_payload s k] is payload [k]: the base buffer stamped with
+    [k]. *)
+
+val check_delivery : stream -> Bytes.t -> unit
+(** Records one delivery. It is intact and in order if it carries an
+    index in range, later than every earlier delivery's, and exactly
+    the bytes of that index's payload. *)
+
+val verified : stream -> bool
+(** Every delivery intact and in order, every index delivered exactly
+    once, and no send failed with [Partitioned]. *)
+
 val workloads : workload list
 (** Every chaos workload, with its parameters. *)
 

@@ -68,6 +68,29 @@ let test_gateway_crash_failover () =
   Alcotest.(check bool) "losing the last gateway partitions" true
     (gate f "failover-partition-detected")
 
+(* The receiver's per-delivery check must reject each way a stream can
+   go wrong, not only pass the clean case every gate sees. *)
+let test_stream_check () =
+  let messages = 4 in
+  let judge ?flip order =
+    let s = Chaos.stream_state ~tag:5 ~size:64 ~messages in
+    List.iter
+      (fun k ->
+        let p = Chaos.stream_payload s k in
+        if flip = Some k then
+          Bytes.set p 40 (Char.chr (Char.code (Bytes.get p 40) lxor 1));
+        Chaos.check_delivery s p)
+      order;
+    Chaos.verified s
+  in
+  Alcotest.(check bool) "clean sequence" true (judge [ 0; 1; 2; 3 ]);
+  Alcotest.(check bool) "duplicate" false (judge [ 0; 1; 1; 2; 3 ]);
+  Alcotest.(check bool) "skipped index" false (judge [ 0; 1; 3 ]);
+  Alcotest.(check bool) "swapped pair" false (judge [ 0; 2; 1; 3 ]);
+  Alcotest.(check bool) "out-of-range index" false
+    (judge [ 0; 1; 2; 3; messages ]);
+  Alcotest.(check bool) "flipped byte" false (judge ~flip:2 [ 0; 1; 2; 3 ])
+
 let test_single_channel_reliable_then_partitioned () =
   let engine, faults, vc = single_channel_world () in
   let data = payload 12288 21L in
@@ -627,6 +650,8 @@ let () =
         [
           Alcotest.test_case "gateway crash mid-stream" `Quick
             test_gateway_crash_failover;
+          Alcotest.test_case "stream check rejects bad deliveries" `Quick
+            test_stream_check;
           Alcotest.test_case "single-channel partition" `Quick
             test_single_channel_reliable_then_partitioned;
           Alcotest.test_case "route queries: Partitioned" `Quick
