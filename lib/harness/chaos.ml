@@ -427,7 +427,7 @@ let verified s =
 
 (* Spawns the stream's sender and then its receiver, [src] to [dst] on
    [flow]; both wait for [start]. [pause] (k, cond) holds the sender
-   before index k until [cond]. A [Partitioned] send marks the stream
+   before index k until [cond]. Both waits are {!wait_until}s. A [Partitioned] send marks the stream
    and skips the message, unless [retry] keeps retrying it (a post-heal
    flow starts before the suspicion has drained). [on_delivery k] runs
    in the receiver once delivery k is checked. *)
@@ -551,7 +551,10 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
       ()
   in
   let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
-  let payload m = Harness.payload size (Int64.of_int (200 + m)) in
+  let payload m =
+    let p = Harness.payload size (Int64.of_int (200 + m)) in
+    p
+  in
   let intact = ref true in
   let finish = ref Time.zero in
   Engine.spawn engine ~name:"gp-send" (fun () ->
