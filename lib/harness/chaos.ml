@@ -8,13 +8,11 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Node = Simnet.Node
-module Fabric = Simnet.Fabric
-module Netparams = Simnet.Netparams
 module Faults = Simnet.Faults
 module Channel = Madeleine.Channel
 module Mad = Madeleine.Api
 module Vc = Madeleine.Vchannel
+module Cf = Clusterfile
 
 open Json
 
@@ -74,83 +72,96 @@ type row = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Every world below is built on [new_engine], so {!fingerprints} can
-   list the schedule of each engine a workload ran. The record is
-   domain-local (a Parsim job runs on one domain) and [None] outside
-   {!fingerprints}, so an ordinary run keeps no finished world alive. *)
+(* Every world is Clusterfile text: Ethernet segments, each a (fabric
+   name, ranks) pair carrying one tcp network and one channel "c-NAME"
+   over its ranks, on nodes n0..nK; a rank on several segments is a
+   gateway. The plane of a [faults] line covers every segment unless
+   [faulty] is false; [faults] adds [fault] lines and [vchannel] the
+   options of a vchannel "vc" over every channel, in segment order.
+
+   {!fingerprints} lists the schedule of every world a workload built.
+   The record is domain-local (a Parsim job runs on one domain) and
+   [None] outside {!fingerprints}, so an ordinary run keeps no finished
+   world alive. *)
 
 let built : Engine.t list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let new_engine () =
-  let engine = Engine.create () in
-  (match Domain.DLS.get built with Some l -> l := engine :: !l | None -> ());
-  engine
-
-(* ------------------------------------------------------------------ *)
-(* Single-segment TCP worlds with a fault plane attached. *)
-
-(* One Ethernet segment "eth" of [hosts] nodes with a fault plane
-   attached; [setup] configures the plane before the TCP stacks attach.
-   The nodes and their stacks are indexed by rank. *)
-let one_segment ~seed ~hosts ?window ?(setup = ignore) () =
-  let engine = new_engine () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init hosts (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
+let world ~seed ?(faulty = true) ?window ?(faults = []) ?vchannel segments =
+  let hosts = 1 + List.fold_left max 0 (List.concat_map snd segments) in
+  let names ranks = String.concat "," (List.map (Printf.sprintf "n%d") ranks) in
+  let lines =
+    (if faulty then [ Printf.sprintf "faults seed=%d" seed ] else [])
+    @ List.map
+        (fun (name, _) ->
+          Printf.sprintf "network %s type=tcp%s" name
+            (match window with
+            | Some w -> Printf.sprintf " window=%d" w
+            | None -> ""))
+        segments
+    @ List.init hosts (fun i ->
+          Printf.sprintf "node n%d nets=%s" i
+            (String.concat ","
+               (List.filter_map
+                  (fun (name, ranks) ->
+                    if List.mem i ranks then Some name else None)
+                  segments)))
+    @ faults
+    @ List.map
+        (fun (name, ranks) ->
+          Printf.sprintf "channel c-%s net=%s nodes=%s" name name (names ranks))
+        segments
+    @
+    match vchannel with
+    | Some opts ->
+        [
+          Printf.sprintf "vchannel vc channels=%s %s"
+            (String.concat ","
+               (List.map (fun (name, _) -> "c-" ^ name) segments))
+            opts;
+        ]
+    | None -> []
   in
-  setup faults;
-  let net = Tcpnet.make_net ?window engine fabric in
-  (engine, faults, net, nodes, Array.map (Tcpnet.attach net) nodes)
+  let w = Cf.load (String.concat "\n" lines) in
+  (match Domain.DLS.get built with
+  | Some l -> l := Cf.engine w :: !l
+  | None -> ());
+  w
 
-(* A session with one TCP channel over every stack. *)
-let session_channel engine stacks =
-  let session = Madeleine.Session.create engine in
-  ( session,
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Array.get stacks))
-      ~ranks:(List.init (Array.length stacks) Fun.id)
-      () )
+(* A world's engine, fault plane and vchannel. *)
+let parts w = (Cf.engine w, Option.get (Cf.faults w), Cf.vchannel w "vc")
 
-type tcp_world = {
-  fw_engine : Engine.t;
-  fw_faults : Faults.t;
-  fw_net : Tcpnet.net;
-  fw_channel : Channel.t;
-  fw_nodes : Node.t array;
-}
+(* [fault KIND] lines at [rate] on every link of [segments]; none at a
+   zero rate. Rates print with 17 digits, so they parse back exactly. *)
+let link_faults kind rate segments =
+  if rate > 0.0 then
+    List.concat_map
+      (fun (name, ranks) ->
+        List.map
+          (fun i ->
+            Printf.sprintf "fault %s net=%s node=n%d rate=%.17g" kind name i
+              rate)
+          ranks)
+      segments
+  else []
 
-let faulty_tcp_world ~seed ~drop ~corrupt =
-  let engine, faults, net, nodes, stacks =
-    one_segment ~seed ~hosts:2
-      ~setup:(fun faults ->
-        for i = 0 to 1 do
-          if drop > 0.0 then
-            Faults.set_drop faults ~fabric:"eth" ~node:i ~rate:drop;
-          if corrupt > 0.0 then
-            Faults.set_corrupt faults ~fabric:"eth" ~node:i ~rate:corrupt
-        done)
-      ()
-  in
-  let _session, channel = session_channel engine stacks in
-  { fw_engine = engine; fw_faults = faults; fw_net = net;
-    fw_channel = channel; fw_nodes = nodes }
+let slow ~net ~node mb_s =
+  Printf.sprintf "fault slow net=%s node=n%d mb_s=%.17g" net node mb_s
+
+(* One segment "eth" of two hosts. *)
+let eth = [ ("eth", [ 0; 1 ]) ]
 
 (* Ping-pong with end-to-end integrity verification: both directions
    compare the unpacked bytes against the packed payload. *)
 let verified_pingpong w ~size ~iters =
-  let ep0 = Channel.endpoint w.fw_channel ~rank:0 in
-  let ep1 = Channel.endpoint w.fw_channel ~rank:1 in
+  let engine = Cf.engine w and channel = Cf.channel w "c-eth" in
+  let ep0 = Channel.endpoint channel ~rank:0 in
+  let ep1 = Channel.endpoint channel ~rank:1 in
   let data = Harness.payload size 9L in
   let intact = ref true in
   let started = ref Time.zero and finished = ref Time.zero in
-  Engine.spawn w.fw_engine ~name:"ping" (fun () ->
-      started := Engine.now w.fw_engine;
+  Engine.spawn engine ~name:"ping" (fun () ->
+      started := Engine.now engine;
       for _ = 1 to iters do
         let oc = Mad.begin_packing ep0 ~remote:1 in
         Mad.pack oc data;
@@ -161,8 +172,8 @@ let verified_pingpong w ~size ~iters =
         Mad.end_unpacking ic;
         if not (Bytes.equal sink data) then intact := false
       done;
-      finished := Engine.now w.fw_engine);
-  Engine.spawn w.fw_engine ~name:"pong" (fun () ->
+      finished := Engine.now engine);
+  Engine.spawn engine ~name:"pong" (fun () ->
       for _ = 1 to iters do
         let sink = Bytes.create size in
         let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
@@ -173,14 +184,14 @@ let verified_pingpong w ~size ~iters =
         Mad.pack oc sink;
         Mad.end_packing oc
       done);
-  Engine.run w.fw_engine;
+  Engine.run engine;
   (Time.diff !finished !started / (2 * iters), !intact)
 
 let iters_for size = if size <= 4096 then 6 else 4
 
 let finish_row ~scenario ~drop ~size w (span, intact) =
-  let st = Faults.stats w.fw_faults in
-  let retransmissions, crc_rejects = Tcpnet.net_stats w.fw_net in
+  let st = Faults.stats (Option.get (Cf.faults w)) in
+  let retransmissions, crc_rejects = Tcpnet.net_stats (Cf.tcp_net w "eth") in
   {
     scenario;
     size;
@@ -197,20 +208,20 @@ let finish_row ~scenario ~drop ~size w (span, intact) =
   }
 
 let drop_row ~seed ~drop ~size =
-  let w = faulty_tcp_world ~seed ~drop ~corrupt:0.0 in
+  let w = world ~seed eth ~faults:(link_faults "drop" drop eth) in
   finish_row ~scenario:"drop" ~drop ~size w
     (verified_pingpong w ~size ~iters:(iters_for size))
 
 let corrupt_row ~seed ~rate ~size =
-  let w = faulty_tcp_world ~seed ~drop:0.0 ~corrupt:rate in
+  let w = world ~seed eth ~faults:(link_faults "corrupt" rate eth) in
   finish_row ~scenario:"corrupt" ~drop:rate ~size w
     (verified_pingpong w ~size ~iters:(iters_for size))
 
 (* A link flap in the middle of the exchange: everything delivered while
    the link is down is lost and must be retransmitted after it heals. *)
 let flap_row ~seed ~size =
-  let w = faulty_tcp_world ~seed ~drop:0.0 ~corrupt:0.0 in
-  Faults.flap_link w.fw_faults ~fabric:"eth" ~node:0
+  let w = world ~seed eth in
+  Faults.flap_link (Option.get (Cf.faults w)) ~fabric:"eth" ~node:0
     ~at:(Time.add Time.zero (Time.us 4_000.0))
     ~duration:(Time.us 5_000.0);
   finish_row ~scenario:"flap" ~drop:0.0 ~size w
@@ -220,11 +231,12 @@ let flap_row ~seed ~size =
    go-back-N sequence check must discard the duplicates and the
    retransmission path must repair the holes the overtaking leaves. *)
 let reorder_row ~seed ~size =
-  let w = faulty_tcp_world ~seed ~drop:0.0 ~corrupt:0.0 in
+  let w = world ~seed eth in
+  let faults = Option.get (Cf.faults w) in
   for i = 0 to 1 do
-    Faults.set_reorder w.fw_faults ~fabric:"eth" ~node:i ~rate:0.05
+    Faults.set_reorder faults ~fabric:"eth" ~node:i ~rate:0.05
       ~jitter:(Time.us 300.0);
-    Faults.set_duplicate w.fw_faults ~fabric:"eth" ~node:i ~rate:0.03
+    Faults.set_duplicate faults ~fabric:"eth" ~node:i ~rate:0.03
   done;
   finish_row ~scenario:"reorder" ~drop:0.0 ~size w
     (verified_pingpong w ~size ~iters:(iters_for size))
@@ -232,8 +244,8 @@ let reorder_row ~seed ~size =
 (* A rogue device monopolizes one host's PCI bus mid-transfer: no loss,
    but every PIO/DMA on that host crawls for the duration. *)
 let stall_row ~seed ~size =
-  let w = faulty_tcp_world ~seed ~drop:0.0 ~corrupt:0.0 in
-  Faults.stall_pci w.fw_faults w.fw_nodes.(1)
+  let w = world ~seed eth in
+  Faults.stall_pci (Option.get (Cf.faults w)) (Cf.node w "n1")
     ~at:(Time.add Time.zero (Time.us 2_000.0))
     ~duration:(Time.us 4_000.0);
   finish_row ~scenario:"pci-stall" ~drop:0.0 ~size w
@@ -322,42 +334,6 @@ let pingpong_faults ~seed ~quick =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Every vchannel world: Ethernet segments, each a (fabric name, ranks)
-   pair carrying one TCP channel over its ranks; a rank on several
-   segments is a gateway. One fault plane is attached to every segment
-   unless [faulty] is false (a detached plane stays inert); [setup]
-   configures it before the TCP stacks attach, and [vchannel] builds
-   the vchannel over the channels, in segment order. *)
-
-let world ~seed ?(faulty = true) ?(setup = ignore) segments vchannel =
-  let engine = new_engine () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let nodes =
-    Array.init
-      (1 + List.fold_left max 0 (List.concat_map snd segments))
-      (fun i -> Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  let fabrics =
-    List.map
-      (fun (name, ranks) ->
-        let fabric = Fabric.create engine ~name ~link:Netparams.fast_ethernet in
-        if faulty then Fabric.set_faults fabric faults;
-        List.iter (fun i -> Fabric.attach fabric nodes.(i)) ranks;
-        (fabric, ranks))
-      segments
-  in
-  setup faults;
-  let session = Madeleine.Session.create engine in
-  let channel (fabric, ranks) =
-    let net = Tcpnet.make_net engine fabric in
-    let stacks = Hashtbl.create 16 in
-    List.iter (fun i -> Hashtbl.add stacks i (Tcpnet.attach net nodes.(i))) ranks;
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks))
-      ~ranks ()
-  in
-  (engine, faults, vchannel session faults (List.map channel fabrics))
-
 (* Ranks 0 and 3 joined by two redundant gateways (ranks 1 and 2), and
    ranks 0 and 2 joined by one (rank 1). *)
 let two_gateways = [ ("ethA", [ 0; 1; 2 ]); ("ethB", [ 1; 2; 3 ]) ]
@@ -365,11 +341,9 @@ let one_gateway = [ ("ethA", [ 0; 1 ]); ("ethB", [ 1; 2 ]) ]
 
 (* A reliable vchannel whose membership is a versioned epoch snapshot
    (coordinator rank 0, epoch 1), so ranks can drain out of and join
-   back into the session while traffic flows; with [election] the
+   back into the session while traffic flows; with [election=on] the
    coordinator seat is quorum-elected. *)
-let elastic ?election session faults chans =
-  Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0 ?election
-    chans
+let elastic = "mtu=4096 reliable=true version=1 coordinator=n0"
 
 (* A deadline-bounded condition wait, so a broken invariant trips a
    gate instead of hanging the harness. *)
@@ -476,8 +450,7 @@ let stream engine vc ~tag ~src ~dst ~size ~messages ?flow
 
 let failover_run ~seed ~size ~messages =
   let engine, faults, vc =
-    world ~seed two_gateways (fun session faults chans ->
-        Vc.create session ~mtu:4096 ~faults chans)
+    parts (world ~seed two_gateways ~vchannel:"mtu=4096 reliable=true")
   in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
@@ -541,16 +514,9 @@ let failover_run ~seed ~size ~messages =
    go-back-N window against the same net degraded to stop-and-wait. *)
 
 let goodput_one ~seed ~size ~messages ~window ~drop =
-  let engine, _faults, _net, _nodes, stacks =
-    one_segment ~seed ~hosts:2 ~window
-      ~setup:(fun faults ->
-        for i = 0 to 1 do
-          if drop > 0.0 then
-            Faults.set_drop faults ~fabric:"eth" ~node:i ~rate:drop
-        done)
-      ()
-  in
-  let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
+  let w = world ~seed eth ~window ~faults:(link_faults "drop" drop eth) in
+  let engine = Cf.engine w and stack = Cf.tcp_stack w ~net:"eth" in
+  let c0, c1 = Tcpnet.socketpair (stack "n0") (stack "n1") in
   let payload m =
     let p = Harness.payload size (Int64.of_int (200 + m)) in
     p
@@ -615,8 +581,7 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
 
 let crash_restart_run ~seed ~size ~messages =
   let engine, faults, vc =
-    world ~seed one_gateway (fun session faults chans ->
-        Vc.create session ~mtu:4096 ~faults chans)
+    parts (world ~seed one_gateway ~vchannel:"mtu=4096 reliable=true")
   in
   let restart = Time.us 5_000.0 in
   let s =
@@ -721,7 +686,7 @@ let some_sentinel_watches vc ~ranks ~rank =
     ranks
 
 let rolling_restart_run ~seed ~size ~messages =
-  let engine, faults, vc = world ~seed two_gateways elastic in
+  let engine, faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
   let partitioned = ref false in
   let phase2_go = ref false in
   let rolled = ref [] in
@@ -867,7 +832,7 @@ let elastic_result ~op ~messages ~size ~rank ~epoch ~routable ~status
   }
 
 let join_load_run ~seed ~size ~messages =
-  let engine, _faults, vc = world ~seed two_gateways elastic in
+  let engine, _faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
   let partitioned = ref false in
   let joined = ref false in
   (* Background load 0 -> 1 runs across the epoch swap. *)
@@ -906,7 +871,7 @@ let join_load_run ~seed ~size ~messages =
       ("join-under-load-routable", routable && status = "up" && watched)
 
 let drain_load_run ~seed ~size ~messages =
-  let engine, _faults, vc = world ~seed two_gateways elastic in
+  let engine, _faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
   let partitioned = ref false in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let s = stream engine vc ~tag:31 ~src:0 ~dst:3 ~size ~messages () in
@@ -1059,7 +1024,10 @@ let partition_result vc ~workload:w ~messages ~size ~cycles
    0 -> 3 stream must land exactly-once over the revived paths. *)
 let partition_majority_run ~seed ~size ~messages =
   let engine, faults, vc =
-    world ~seed [ ("eth", [ 0; 1; 2; 3 ]) ] (elastic ~election:true)
+    parts
+      (world ~seed
+         [ ("eth", [ 0; 1; 2; 3 ]) ]
+         ~vchannel:(elastic ^ " election=on"))
   in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
@@ -1120,7 +1088,10 @@ let partition_majority_run ~seed ~size ~messages =
    a plain member — a fresh stream from it must land exactly-once. *)
 let coordinator_loss_run ~seed ~size ~messages =
   let engine, faults, vc =
-    world ~seed [ ("eth", [ 0; 1; 2; 3 ]) ] (elastic ~election:true)
+    parts
+      (world ~seed
+         [ ("eth", [ 0; 1; 2; 3 ]) ]
+         ~vchannel:(elastic ^ " election=on"))
   in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
@@ -1185,7 +1156,10 @@ let coordinator_loss_run ~seed ~size ~messages =
    the churn. *)
 let partition_flapping_run ~seed ~size ~messages ~cycles =
   let engine, faults, vc =
-    world ~seed [ ("eth", [ 0; 1; 2; 3 ]) ] (elastic ~election:true)
+    parts
+      (world ~seed
+         [ ("eth", [ 0; 1; 2; 3 ]) ]
+         ~vchannel:(elastic ^ " election=on"))
   in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
@@ -1243,21 +1217,17 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
    once throttled for the backpressure assertions. *)
 
 let overload_one ~seed ~size ~messages ~credits ~mtu ~rx_cap =
-  let engine, faults, net, _nodes, stacks =
-    one_segment ~seed ~hosts:2
-      ~setup:(fun faults ->
-        match rx_cap with
-        | Some cap ->
-            Faults.slow_receiver faults ~fabric:"eth" ~node:1 ~mb_per_s:cap
-        | None -> ())
-      ()
+  let w =
+    world ~seed eth
+      ~faults:(Option.to_list (Option.map (slow ~net:"eth" ~node:1) rx_cap))
+      ~vchannel:
+        (Printf.sprintf "mtu=%d credits=%d reliable=true" mtu credits)
   in
-  let session, channel = session_channel engine stacks in
-  let vc = Vc.create session ~mtu ~credits ~faults [ channel ] in
+  let engine, _faults, vc = parts w in
   let s = stream engine vc ~tag:300 ~src:0 ~dst:1 ~size ~messages () in
   Engine.run engine;
   let rate = Time.rate_mb_s ~bytes_count:(size * messages) s.finish in
-  (rate, vc, net, verified s, s.finish)
+  (rate, vc, Cf.tcp_net w "eth", verified s, s.finish)
 
 let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
   let clean_mb_s, _, _, clean_ok, _ =
@@ -1331,12 +1301,12 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
 
 let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
   let engine, _faults, vc =
-    world ~seed one_gateway
-      ~setup:(fun faults ->
-        Faults.slow_receiver faults ~fabric:"ethB" ~node:2
-          ~mb_per_s:rx_cap_mb_s)
-      (fun session faults chans ->
-        Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans)
+    parts
+      (world ~seed one_gateway
+         ~faults:[ slow ~net:"ethB" ~node:2 rx_cap_mb_s ]
+         ~vchannel:
+           (Printf.sprintf "mtu=4096 credits=%d gw_pool=%d reliable=true"
+              credits gw_pool))
   in
   let reported = ref false in
   let s =
@@ -1411,18 +1381,10 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
 
 let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
   let engine, _faults, vc =
-    world ~seed one_gateway
-      ~setup:(fun faults ->
-        List.iter
-          (fun (fabric, ranks) ->
-            List.iter
-              (fun node -> Faults.set_drop faults ~fabric ~node ~rate:drop)
-              ranks)
-          one_gateway)
-      (fun session faults chans ->
-        Vc.create session ~mtu:4096 ~faults
-          ~sched:(Madeleine.Sched.aggreg ())
-          chans)
+    parts
+      (world ~seed one_gateway
+         ~faults:(link_faults "drop" drop one_gateway)
+         ~vchannel:"mtu=4096 reliable=true sched=aggreg")
   in
   let streams =
     List.init flows (fun i ->
@@ -1577,7 +1539,7 @@ let coll_agree_and_value results covered =
    is answered from the decision journal — then the same cast runs an
    allreduce whose value proves nobody was counted twice. *)
 let coll_crash_barrier_run ~seed =
-  let engine, faults, vc = world ~seed two_gateways elastic in
+  let engine, faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
   let coll = Coll.create ~fanout:2 vc in
   let ranks = Vc.ranks vc in
   let n = List.length ranks in
@@ -1620,12 +1582,12 @@ let coll_crash_barrier_run ~seed =
 let coll_spine_overload_run ~seed ~size ~messages ~credits ~gw_pool
     ~rx_cap_mb_s =
   let engine, _faults, vc =
-    world ~seed two_gateways
-      ~setup:(fun faults ->
-        Faults.slow_receiver faults ~fabric:"ethB" ~node:3
-          ~mb_per_s:rx_cap_mb_s)
-      (fun session faults chans ->
-        Vc.create session ~mtu:4096 ~credits ~gw_pool ~faults chans)
+    parts
+      (world ~seed two_gateways
+         ~faults:[ slow ~net:"ethB" ~node:3 rx_cap_mb_s ]
+         ~vchannel:
+           (Printf.sprintf "mtu=4096 credits=%d gw_pool=%d reliable=true"
+              credits gw_pool))
   in
   let coll = Coll.create ~fanout:2 vc in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
@@ -1675,8 +1637,9 @@ let hierarchy ~clusters ~per =
    covered set — the no-double-count property under repair. *)
 let coll_rolling_allreduce_run ~seed ~clusters ~per =
   let engine, faults, vc =
-    world ~seed (hierarchy ~clusters ~per) (fun session faults chans ->
-        Vc.create session ~mtu:4096 ~faults chans)
+    parts
+      (world ~seed (hierarchy ~clusters ~per)
+         ~vchannel:"mtu=4096 reliable=true")
   in
   let coll = Coll.create ~fanout:4 vc in
   let n = clusters * per in
@@ -1714,10 +1677,10 @@ let coll_rolling_allreduce_run ~seed ~clusters ~per =
 let coll_barrier_once ~seed ~clusters ~per ~algo ~fanout =
   (* Faultless worlds skip the sentinel plane entirely, which is what
      makes the 1024-rank scaling row affordable. *)
-  let engine, _faults, vc =
-    world ~seed ~faulty:false (hierarchy ~clusters ~per)
-      (fun session _ chans -> Vc.create session ~mtu:4096 chans)
+  let w =
+    world ~seed ~faulty:false (hierarchy ~clusters ~per) ~vchannel:"mtu=4096"
   in
+  let engine = Cf.engine w and vc = Cf.vchannel w "vc" in
   (* The world is faultless, so the repair patience is pure slack — but
      it must exceed the barrier itself or the participants declare a
      stall and abandon their partial aggregates mid-cascade. The flat
@@ -2105,10 +2068,9 @@ let clean_path_engines () =
    stop-and-wait — to catch the window/session machinery taxing the
    fault-free fast path. *)
 let inert_window_engine ~window =
-  let engine, _faults, _net, _nodes, stacks =
-    one_segment ~seed:42 ~hosts:2 ~window ()
-  in
-  let c0, c1 = Tcpnet.socketpair stacks.(0) stacks.(1) in
+  let w = world ~seed:42 eth ~window in
+  let engine = Cf.engine w and stack = Cf.tcp_stack w ~net:"eth" in
+  let c0, c1 = Tcpnet.socketpair (stack "n0") (stack "n1") in
   (* Enough messages that the wall clock is tens of milliseconds — the
      20%-tolerance gate would be pure scheduler noise on a smaller
      sample. *)

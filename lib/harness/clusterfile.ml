@@ -11,12 +11,14 @@ exception Parse_error of int * string
 type net_kind = Sisci_k | Bip_k | Tcp_k | Via_k | Sbp_k
 
 (* A network: its fabric plus the per-rank protocol endpoint factory,
-   built lazily as nodes join. *)
+   built lazily as nodes join. A tcp network also keeps its net and
+   per-rank stacks, for workloads that use raw TCP. *)
 type network = {
   kind : net_kind;
   fabric : Fabric.t;
-  mutable attach_node : Node.t -> unit;
-  mutable driver_of : unit -> Madeleine.Driver.t;
+  attach_node : Node.t -> unit;
+  driver_of : unit -> Madeleine.Driver.t;
+  tcp : (Tcpnet.net * (int, Tcpnet.t) Hashtbl.t) option;
 }
 
 type t = {
@@ -47,6 +49,14 @@ let channel t name = Hashtbl.find t.chan_tbl name
 let vchannel t name = Hashtbl.find t.vchan_tbl name
 let collectives t name = Hashtbl.find_opt t.coll_tbl name
 
+let tcp t name =
+  match (Hashtbl.find t.nets name).tcp with
+  | Some tcp -> tcp
+  | None -> invalid_arg (Printf.sprintf "Clusterfile: %s is not a tcp network" name)
+
+let tcp_net t name = fst (tcp t name)
+let tcp_stack t ~net name = Hashtbl.find (snd (tcp t net)) (rank_of t name)
+
 (* ------------------------------------------------------------------ *)
 (* Per-kind glue: how to attach a node and build a driver. *)
 
@@ -58,68 +68,38 @@ let make_network engine ?window ?max_retries ?credits kind name =
     | Tcp_k | Via_k | Sbp_k -> Netparams.fast_ethernet
   in
   let fabric = Fabric.create engine ~name ~link in
+  (* One protocol's glue: its net over the fabric, an endpoint per
+     attached node, and the PMM driver over those endpoints. *)
+  let glue make_net attach driver =
+    let net = make_net engine fabric in
+    let eps = Hashtbl.create 8 in
+    ( {
+        kind;
+        fabric;
+        attach_node =
+          (fun n ->
+            Fabric.attach fabric n;
+            Hashtbl.add eps n.Node.id (attach net n));
+        driver_of = (fun () -> driver (Hashtbl.find eps));
+        tcp = None;
+      },
+      net,
+      eps )
+  in
+  let plain (network, _, _) = network in
   match kind with
-  | Sisci_k ->
-      let net = Sisci.make_net engine fabric in
-      let eps = Hashtbl.create 8 in
-      {
-        kind;
-        fabric;
-        attach_node =
-          (fun n ->
-            Fabric.attach fabric n;
-            Hashtbl.add eps n.Node.id (Sisci.attach net n));
-        driver_of =
-          (fun () -> Madeleine.Pmm_sisci.driver (Hashtbl.find eps));
-      }
+  | Sisci_k -> plain (glue Sisci.make_net Sisci.attach Madeleine.Pmm_sisci.driver)
   | Bip_k ->
-      let net = Bip.make_net ?credits engine fabric in
-      let eps = Hashtbl.create 8 in
-      {
-        kind;
-        fabric;
-        attach_node =
-          (fun n ->
-            Fabric.attach fabric n;
-            Hashtbl.add eps n.Node.id (Bip.attach net n));
-        driver_of = (fun () -> Madeleine.Pmm_bip.driver (Hashtbl.find eps));
-      }
+      plain (glue (Bip.make_net ?credits) Bip.attach Madeleine.Pmm_bip.driver)
   | Tcp_k ->
-      let net = Tcpnet.make_net ?window ?max_retries engine fabric in
-      let eps = Hashtbl.create 8 in
-      {
-        kind;
-        fabric;
-        attach_node =
-          (fun n ->
-            Fabric.attach fabric n;
-            Hashtbl.add eps n.Node.id (Tcpnet.attach net n));
-        driver_of = (fun () -> Madeleine.Pmm_tcp.driver (Hashtbl.find eps));
-      }
-  | Via_k ->
-      let net = Via.make_net engine fabric in
-      let eps = Hashtbl.create 8 in
-      {
-        kind;
-        fabric;
-        attach_node =
-          (fun n ->
-            Fabric.attach fabric n;
-            Hashtbl.add eps n.Node.id (Via.attach net n));
-        driver_of = (fun () -> Madeleine.Pmm_via.driver (Hashtbl.find eps));
-      }
-  | Sbp_k ->
-      let net = Sbp.make_net engine fabric in
-      let eps = Hashtbl.create 8 in
-      {
-        kind;
-        fabric;
-        attach_node =
-          (fun n ->
-            Fabric.attach fabric n;
-            Hashtbl.add eps n.Node.id (Sbp.attach net n));
-        driver_of = (fun () -> Madeleine.Pmm_sbp.driver (Hashtbl.find eps));
-      }
+      let network, net, stacks =
+        glue
+          (Tcpnet.make_net ?window ?max_retries)
+          Tcpnet.attach Madeleine.Pmm_tcp.driver
+      in
+      { network with tcp = Some (net, stacks) }
+  | Via_k -> plain (glue Via.make_net Via.attach Madeleine.Pmm_via.driver)
+  | Sbp_k -> plain (glue Sbp.make_net Sbp.attach Madeleine.Pmm_sbp.driver)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
@@ -148,8 +128,11 @@ let parse_int lineno key v =
 
 let parse_float lineno key v =
   match float_of_string_opt v with
-  | Some f -> f
-  | None -> raise (Parse_error (lineno, Printf.sprintf "%s expects a number, got %S" key v))
+  | Some f when Float.is_finite f -> f
+  | _ ->
+      raise
+        (Parse_error
+           (lineno, Printf.sprintf "%s expects a finite number, got %S" key v))
 
 let comma v = String.split_on_char ',' v |> List.filter (fun s -> s <> "")
 
@@ -172,6 +155,15 @@ let find_or lineno table what name =
   match Hashtbl.find_opt table name with
   | Some v -> v
   | None -> raise (Parse_error (lineno, Printf.sprintf "unknown %s %S" what name))
+
+(* A node named on a network must be attached to it. *)
+let check_on lineno net node =
+  if not (Fabric.attached net.fabric node) then
+    raise
+      (Parse_error
+         (lineno,
+          Printf.sprintf "node %S is not on network %S" node.Node.name
+            (Fabric.name net.fabric)))
 
 let declare lineno table what name v =
   if Hashtbl.mem table name then
@@ -263,16 +255,15 @@ let parse_line t lineno line =
                  (lineno, "fault requires a prior faults seed=N declaration"))
       in
       let net = ref None and who = ref None in
-      let rate = ref None and at = ref None in
+      let rate = ref None and at = ref None and mb_s = ref None in
       let dur = ref None and restart = ref None in
       List.iter
         (fun tok ->
           match split_kv lineno tok with
-          | "net", v ->
-              ignore (find_or lineno t.nets "network" v);
-              net := Some v
+          | "net", v -> net := Some (find_or lineno t.nets "network" v)
           | "node", v -> who := Some (find_or lineno t.node_tbl "node" v)
           | "rate", v -> rate := Some (parse_float lineno "rate" v)
+          | "mb_s", v -> mb_s := Some (parse_float lineno "mb_s" v)
           | "at_us", v -> at := Some (parse_float lineno "at_us" v)
           | "for_us", v -> dur := Some (parse_float lineno "for_us" v)
           | "restart_after_us", v ->
@@ -288,18 +279,27 @@ let parse_line t lineno line =
       in
       let node () = need "node" !who in
       let rank () = (node ()).Node.id in
+      (* A link fault names a network and one of its nodes. *)
+      let link () =
+        let net = need "net" !net in
+        check_on lineno net (node ());
+        Fabric.name net.fabric
+      in
       let at_time () = Time.add Time.zero (Time.us (need "at_us" !at)) in
       let duration () = Time.us (need "for_us" !dur) in
       (match kind with
       | "drop" ->
-          Simnet.Faults.set_drop plane ~fabric:(need "net" !net)
-            ~node:(rank ()) ~rate:(need "rate" !rate)
+          Simnet.Faults.set_drop plane ~fabric:(link ()) ~node:(rank ())
+            ~rate:(need "rate" !rate)
       | "corrupt" ->
-          Simnet.Faults.set_corrupt plane ~fabric:(need "net" !net)
-            ~node:(rank ()) ~rate:(need "rate" !rate)
+          Simnet.Faults.set_corrupt plane ~fabric:(link ()) ~node:(rank ())
+            ~rate:(need "rate" !rate)
       | "flap" ->
-          Simnet.Faults.flap_link plane ~fabric:(need "net" !net)
-            ~node:(rank ()) ~at:(at_time ()) ~duration:(duration ())
+          Simnet.Faults.flap_link plane ~fabric:(link ()) ~node:(rank ())
+            ~at:(at_time ()) ~duration:(duration ())
+      | "slow" ->
+          Simnet.Faults.slow_receiver plane ~fabric:(link ()) ~node:(rank ())
+            ~mb_per_s:(need "mb_s" !mb_s)
       | "crash" ->
           Simnet.Faults.crash_node plane ~node:(rank ()) ~at:(at_time ())
             ?restart_after:(Option.map Time.us !restart) ()
@@ -311,7 +311,7 @@ let parse_line t lineno line =
             (Parse_error
                (lineno,
                 Printf.sprintf
-                  "unknown fault kind %S (drop|corrupt|flap|crash|stall)" other)))
+                  "unknown fault kind %S (drop|corrupt|flap|slow|crash|stall)" other)))
   | "node" :: name :: opts ->
       let nets = ref [] in
       List.iter
@@ -416,7 +416,12 @@ let parse_line t lineno line =
                       in %s (run: madbench crossover)"
                      fabric Crossover.default_file)));
       let ranks =
-        List.map (fun node_name -> rank_of t node_name) !members
+        List.map
+          (fun node_name ->
+            let node = find_or lineno t.node_tbl "node" node_name in
+            check_on lineno net node;
+            node.Node.id)
+          !members
       in
       if ranks = [] then raise (Parse_error (lineno, "channel needs nodes="));
       let chan =
@@ -575,9 +580,4 @@ let load text =
          with Invalid_argument msg -> raise (Parse_error (i + 1, msg)));
   t
 
-let load_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let buf = really_input_string ic n in
-  close_in ic;
-  load buf
+let load_file path = load (In_channel.with_open_bin path In_channel.input_all)

@@ -62,7 +62,10 @@
     {!Madeleine.Vchannel.create}). [#] starts a comment. Declarations
     must appear in dependency order (networks, then nodes, then
     channels, then virtual channels). Node ranks are assigned in
-    declaration order.
+    declaration order. A node named on a network (a channel's
+    [nodes=], a link fault's [node=]) must be attached to it by its
+    [nets=]. Every number must be finite: [nan] and [inf] are
+    rejected.
 
     Every rejection raises {!Parse_error} with the line of the offending
     declaration: unknown keywords, options or names, malformed values,
@@ -83,9 +86,12 @@
     fault drop    net=NET node=NAME rate=R        # per-fragment loss
     fault corrupt net=NET node=NAME rate=R        # per-fragment bit flip
     fault flap    net=NET node=NAME at_us=T for_us=D
+    fault slow    net=NET node=NAME mb_s=R        # receive-rate cap
     fault crash   node=NAME at_us=T [restart_after_us=D]
     fault stall   node=NAME at_us=T for_us=D      # PCI-bus hog
     v}
+    [fault slow] caps the rate at which the node drains frames arriving
+    on the network ({!Simnet.Faults.slow_receiver}).
     [reliable=true] on a vchannel enables sequence-numbered delivery
     with origin logging and gateway failover against the declared
     plane (see {!Madeleine.Vchannel.create}). *)
@@ -123,3 +129,13 @@ val collectives : t -> string -> Madeleine.Collectives.t option
 (** The collectives layer of a [coll=] vchannel declaration, by
     vchannel name; [None] when the vchannel was declared without
     [coll=] (unknown names also yield [None]). *)
+
+val tcp_net : t -> string -> Tcpnet.net
+(** The protocol net of a [type=tcp] network, by network name, for
+    workloads that drive raw TCP or read its counters. Raises
+    [Invalid_argument] for a network of another type. *)
+
+val tcp_stack : t -> net:string -> string -> Tcpnet.t
+(** [tcp_stack t ~net node] is the TCP stack of [node] on the [type=tcp]
+    network [net]. Raises [Invalid_argument] for a network of another
+    type. *)

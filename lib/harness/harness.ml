@@ -286,36 +286,23 @@ type nexus_proto = Nexus_mad_sisci | Nexus_mad_tcp
 type nexus_world = { nx_engine : Engine.t; nx_world : Nexus.world }
 
 let make_nexus_world ~n proto =
-  let engine = Engine.create () in
-  let channel =
+  let net, kind =
     match proto with
-    | Nexus_mad_sisci ->
-        let fabric = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
-        let net = Sisci.make_net engine fabric in
-        let adapters =
-          Array.init n (fun i ->
-              let node = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-              Fabric.attach fabric node;
-              Sisci.attach net node)
-        in
-        let driver = Madeleine.Pmm_sisci.driver (fun r -> adapters.(r)) in
-        Channel.create (Madeleine.Session.create engine) driver
-          ~ranks:(List.init n Fun.id) ()
-    | Nexus_mad_tcp ->
-        let fabric =
-          Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet
-        in
-        let net = Tcpnet.make_net engine fabric in
-        let stacks =
-          Array.init n (fun i ->
-              let node = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-              Fabric.attach fabric node;
-              Tcpnet.attach net node)
-        in
-        let driver = Madeleine.Pmm_tcp.driver (fun r -> stacks.(r)) in
-        Channel.create (Madeleine.Session.create engine) driver
-          ~ranks:(List.init n Fun.id) ()
+    | Nexus_mad_sisci -> ("sci", "sisci")
+    | Nexus_mad_tcp -> ("eth", "tcp")
   in
+  let nodes = List.init n (Printf.sprintf "n%d") in
+  let cf =
+    Clusterfile.load
+      (String.concat "\n"
+         ((Printf.sprintf "network %s type=%s" net kind
+          :: List.map (fun node -> Printf.sprintf "node %s nets=%s" node net) nodes)
+         @ [
+             Printf.sprintf "channel c net=%s nodes=%s" net
+               (String.concat "," nodes);
+           ]))
+  in
+  let engine = Clusterfile.engine cf and channel = Clusterfile.channel cf "c" in
   let transports = Array.init n (fun rank -> Nexus.mad_transport channel ~rank) in
   { nx_engine = engine; nx_world = Nexus.create_world engine ~transports }
 

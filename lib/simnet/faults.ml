@@ -98,7 +98,8 @@ let link_state t key =
       l
 
 let check_rate what rate =
-  if rate < 0.0 || rate > 1.0 then
+  (* Written so that NaN fails too. *)
+  if not (rate >= 0.0 && rate <= 1.0) then
     invalid_arg (Printf.sprintf "Faults.%s: rate %g outside [0, 1]" what rate)
 
 let set_drop t ~fabric ~node ~rate =
@@ -128,7 +129,7 @@ let flap_link t ~fabric ~node ~at ~duration =
       if Time.( < ) l.down_until until then l.down_until <- until)
 
 let slow_receiver t ~fabric ~node ~mb_per_s =
-  if mb_per_s <= 0.0 then
+  if not (mb_per_s > 0.0) then
     invalid_arg
       (Printf.sprintf "Faults.slow_receiver: rate %g must be positive"
          mb_per_s);

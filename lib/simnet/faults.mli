@@ -37,7 +37,8 @@ val engine : t -> Marcel.Engine.t
     model NIC/switch replay and queueing rather than wire noise. A link
     is identified by the fabric's name and the node id of its NIC; a
     frame is subject to the faults of both its source and destination
-    links. *)
+    links. A rate outside [\[0, 1\]], NaN included, raises
+    [Invalid_argument]. *)
 
 val set_drop : t -> fabric:string -> node:int -> rate:float -> unit
 val set_corrupt : t -> fabric:string -> node:int -> rate:float -> unit
@@ -59,8 +60,8 @@ val slow_receiver : t -> fabric:string -> node:int -> mb_per_s:float -> unit
     reliable transports at the delivery point: frames queue behind a
     pacing cursor, so acknowledgments (and therefore the sender's window
     and any credit grants) slow down with the receiver. Raises
-    [Invalid_argument] on a non-positive rate. Consumes no randomness —
-    a throttled run is still deterministic. *)
+    [Invalid_argument] on a non-positive or NaN rate. Consumes no
+    randomness — a throttled run is still deterministic. *)
 
 val clear_slow_receiver : t -> fabric:string -> node:int -> unit
 

@@ -82,6 +82,58 @@ let test_load_file () =
   Sys.remove path;
   Alcotest.(check (list string)) "nodes" [ "a"; "gw"; "b" ] (Cf.nodes t)
 
+(* Loading a directory fails on the read; the channel opened for it must
+   be closed all the same. *)
+let test_load_file_error_closes () =
+  let dir = Filename.get_temp_dir_name () in
+  let load () =
+    match Cf.load_file dir with
+    | _ -> Alcotest.fail "loaded a directory"
+    | exception Sys_error _ -> ()
+  in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let before = open_fds () in
+    for _ = 1 to 100 do
+      load ()
+    done;
+    Alcotest.(check int) "open descriptors" before (open_fds ())
+  end
+  else load ()
+
+(* The same 1 MB forwarding run over the section 6.2 world as the
+   example Clusterfile describes it and as Harness wires it by hand:
+   the two must be the same world, event for event. *)
+let test_two_cluster_matches_harness () =
+  let forward engine vc =
+    let bytes_count = 1 lsl 20 in
+    let data = Harness.payload bytes_count 8L in
+    let sink = Bytes.create bytes_count in
+    let finish = ref Marcel.Time.zero in
+    Engine.spawn engine ~name:"sender" (fun () ->
+        let oc = Madeleine.Vchannel.begin_packing vc ~me:0 ~remote:2 in
+        Madeleine.Vchannel.pack oc data;
+        Madeleine.Vchannel.end_packing oc);
+    Engine.spawn engine ~name:"receiver" (fun () ->
+        let ic = Madeleine.Vchannel.begin_unpacking_from vc ~me:2 ~remote:0 in
+        Madeleine.Vchannel.unpack ic sink;
+        Madeleine.Vchannel.end_unpacking ic;
+        finish := Engine.now engine);
+    Engine.run engine;
+    Alcotest.(check bool) "delivered intact" true (Bytes.equal data sink);
+    (Marcel.Time.rate_mb_s ~bytes_count !finish, Engine.fingerprint engine)
+  in
+  let t = Cf.load_file "../examples/clusters/two_cluster.cfg" in
+  let cf_bw, cf_fp = forward (Cf.engine t) (Cf.vchannel t "wan") in
+  let w = Harness.two_cluster_world () in
+  let hw_bw, hw_fp =
+    forward w.Harness.cw_engine
+      (Madeleine.Vchannel.create w.Harness.cw_session ~mtu:16384
+         [ w.Harness.ch_sci; w.Harness.ch_myri ])
+  in
+  Alcotest.(check (float 0.0)) "bandwidth" hw_bw cf_bw;
+  Alcotest.(check int) "fingerprint" hw_fp cf_fp
+
 let test_channel_options_parsed () =
   let t =
     Cf.load
@@ -556,6 +608,50 @@ let test_library_rejections_line_numbered () =
       "fault crash node=a at_us=-3";
     ]
 
+let test_fault_slow_and_tcp_access () =
+  let t =
+    Cf.load
+      {|
+faults seed=1
+network s type=tcp
+network m type=sisci
+node a nets=s,m
+node b nets=s
+fault slow net=s node=b mb_s=0.5
+|}
+  in
+  Alcotest.(check (option (float 0.0))) "receive cap" (Some 0.5)
+    (Simnet.Faults.rx_cap (Option.get (Cf.faults t)) ~fabric:"s"
+       ~node:(Cf.rank_of t "b"));
+  Alcotest.(check string) "stack of b" "b"
+    (Tcpnet.node (Cf.tcp_stack t ~net:"s" "b")).Simnet.Node.name;
+  Alcotest.(check (pair int int)) "fresh net counters" (0, 0)
+    (Tcpnet.net_stats (Cf.tcp_net t "s"));
+  match Cf.tcp_net t "m" with
+  | _ -> Alcotest.fail "a sisci network has no tcp net"
+  | exception Invalid_argument _ -> ()
+
+(* nan and inf parse as floats; every numeric option rejects them. *)
+let test_non_finite_rejected () =
+  let world =
+    "faults seed=3\nnetwork s type=tcp\nnode a nets=s\nnode b nets=s\n"
+  in
+  List.iter
+    (fun line -> expect_parse_error ~line:5 (world ^ line))
+    [
+      "fault drop net=s node=a rate=nan";
+      "fault corrupt net=s node=a rate=-nan";
+      "fault crash node=a at_us=inf";
+      "fault stall node=a at_us=10 for_us=infinity";
+      "fault slow net=s node=a mb_s=inf";
+      "channel c net=s nodes=a,b connect_timeout_us=nan";
+    ];
+  List.iter
+    (fun opts ->
+      expect_parse_error ~line:6
+        (world ^ "channel c net=s nodes=a,b\nvchannel v channels=c " ^ opts))
+    [ "patience_us=nan"; "ingress_cap=inf"; "gateway_overhead_us=-inf" ]
+
 let test_parse_errors () =
   expect_parse_error ~line:1 "network foo type=quantum";
   expect_parse_error ~line:1 "node lonely nets=nowhere";
@@ -566,7 +662,25 @@ let test_parse_errors () =
   expect_parse_error ~line:1 "network x type=sisci bogus";
   expect_parse_error ~line:4
     "network sci type=sisci\nnode a nets=sci\nnode b nets=sci\n\
-     channel c net=sci nodes=a,b slots=two"
+     channel c net=sci nodes=a,b slots=two";
+  (* A node named on a network must be attached to it: a channel
+     member, and the node of every link fault. *)
+  let split = "network sci type=sisci\nnetwork myri type=bip\n" in
+  expect_parse_error ~line:5
+    (split ^ "node a nets=sci\nnode b nets=myri\nchannel c net=sci nodes=a,b");
+  expect_parse_error ~line:4
+    (split ^ "node a nets=sci\nchannel c net=sci nodes=a,ghost");
+  List.iter
+    (fun fault ->
+      expect_parse_error ~line:6
+        ("faults seed=1\n" ^ split ^ "node a nets=sci\nnode b nets=myri\n"
+       ^ fault))
+    [
+      "fault drop net=myri node=a rate=0.1";
+      "fault corrupt node=a net=myri rate=0.1";
+      "fault flap net=myri node=a at_us=1 for_us=1";
+      "fault slow net=myri node=a mb_s=1";
+    ]
 
 let () =
   Alcotest.run "clusterfile"
@@ -579,6 +693,10 @@ let () =
           Alcotest.test_case "vchannel forwards" `Quick
             test_config_built_vchannel_forwards;
           Alcotest.test_case "load from file" `Quick test_load_file;
+          Alcotest.test_case "load error closes the file" `Quick
+            test_load_file_error_closes;
+          Alcotest.test_case "two-cluster text matches Harness" `Quick
+            test_two_cluster_matches_harness;
           Alcotest.test_case "channel options" `Quick
             test_channel_options_parsed;
           Alcotest.test_case "flow-control options" `Quick
@@ -611,6 +729,10 @@ let () =
             test_coll_option_errors;
           Alcotest.test_case "library rejections line-numbered" `Quick
             test_library_rejections_line_numbered;
+          Alcotest.test_case "fault slow and tcp access" `Quick
+            test_fault_slow_and_tcp_access;
+          Alcotest.test_case "non-finite numbers rejected" `Quick
+            test_non_finite_rejected;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
         ] );
     ]

@@ -4,11 +4,7 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Node = Simnet.Node
-module Fabric = Simnet.Fabric
-module Netparams = Simnet.Netparams
 module Faults = Simnet.Faults
-module Channel = Madeleine.Channel
 module Vc = Madeleine.Vchannel
 module Coll = Madeleine.Collectives
 
@@ -30,40 +26,26 @@ let sum_over ranks = List.fold_left (fun acc r -> acc + r + 1) 0 ranks
    spans 1,2,3 — ranks 1 and 2 are gateways, ranks 0 and 3 only ever
    reach each other through one of them. *)
 let coll_world ~seed =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:(Int64.of_int seed) in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  let cf =
+    Clusterfile.load
+      (Printf.sprintf
+         {|
+faults  seed=%d
+network ethA type=tcp
+network ethB type=tcp
+node n0 nets=ethA
+node n1 nets=ethA,ethB
+node n2 nets=ethA,ethB
+node n3 nets=ethB
+channel  c-a net=ethA nodes=n0,n1,n2
+channel  c-b net=ethB nodes=n1,n2,n3
+vchannel vc  channels=c-a,c-b mtu=4096 reliable=true
+|}
+         seed)
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 ~faults [ ch_a; ch_b ] in
-  (engine, faults, vc)
+  ( Clusterfile.engine cf,
+    Option.get (Clusterfile.faults cf),
+    Clusterfile.vchannel cf "vc" )
 
 let check_gates what gates =
   List.iter

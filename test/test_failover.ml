@@ -4,11 +4,7 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Node = Simnet.Node
-module Fabric = Simnet.Fabric
-module Netparams = Simnet.Netparams
 module Faults = Simnet.Faults
-module Channel = Madeleine.Channel
 module Vc = Madeleine.Vchannel
 
 let payload n seed = Simnet.Rng.bytes (Simnet.Rng.create ~seed) n
@@ -18,29 +14,26 @@ let contains msg sub =
   let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
   go 0
 
+(* A world from Clusterfile text: its engine, its fault plane and its
+   vchannel "vc". *)
+let built text =
+  let cf = Clusterfile.load text in
+  ( Clusterfile.engine cf,
+    Option.get (Clusterfile.faults cf),
+    Clusterfile.vchannel cf "vc" )
+
 (* A reliable vchannel over a single two-node TCP channel: no gateways,
    so a peer crash is immediately a partition. *)
 let single_channel_world () =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed:3L in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 2 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
-  in
-  let net = Tcpnet.make_net engine fabric in
-  let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
-  let session = Madeleine.Session.create engine in
-  let ch =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (function 0 -> s0 | _ -> s1))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 ~faults [ ch ] in
-  (engine, faults, vc)
+  built
+    {|
+faults  seed=3
+network eth type=tcp
+node n0 nets=eth
+node n1 nets=eth
+channel  c  net=eth nodes=n0,n1
+vchannel vc channels=c mtu=4096 reliable=true
+|}
 
 (* Registry workloads at their CI size, judged through their named gates
    and fields. *)
@@ -185,40 +178,20 @@ let test_window_beats_stop_and_wait () =
    ethA joins 0,1,2 and ethB joins 1,2,3, so ranks 1 and 2 are
    interchangeable gateways for the 0 <-> 3 flows. *)
 
-let live_world ?(seed = 7L) () =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
-  in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let sa = Hashtbl.create 4 and sb = Hashtbl.create 4 in
-  List.iter (fun i -> Hashtbl.add sa i (Tcpnet.attach net_a nodes.(i))) [ 0; 1; 2 ];
-  List.iter (fun i -> Hashtbl.add sb i (Tcpnet.attach net_b nodes.(i))) [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find sa))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find sb))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
-      [ ch_a; ch_b ]
-  in
-  (engine, faults, vc)
+let live_world () =
+  built
+    {|
+faults  seed=7
+network ethA type=tcp
+network ethB type=tcp
+node n0 nets=ethA
+node n1 nets=ethA,ethB
+node n2 nets=ethA,ethB
+node n3 nets=ethB
+channel  c-a net=ethA nodes=n0,n1,n2
+channel  c-b net=ethB nodes=n1,n2,n3
+vchannel vc  channels=c-a,c-b mtu=4096 reliable=true version=1 coordinator=n0
+|}
 
 (* Two concurrent flows, one epoch swap mid-stream. [drain_spare]
    drains the gateway NOT on the 0 -> 3 route (no flow's route changes:
@@ -437,30 +410,18 @@ let prop_join_drain_converges =
    Partitions are injected at the fault plane, so detection, candidacy
    and commit all ride the normal sentinel/control-plane machinery. *)
 
-let election_world ?(seed = 11L) ?topo_quorum () =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
-  let faults = Faults.create engine ~seed in
-  Fabric.set_faults fabric faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric n;
-        n)
-  in
-  let net = Tcpnet.make_net engine fabric in
-  let stacks = Array.map (Tcpnet.attach net) nodes in
-  let session = Madeleine.Session.create engine in
-  let ch =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (fun i -> stacks.(i)))
-      ~ranks:[ 0; 1; 2; 3 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults ~topology:1 ~coordinator:0
-      ~election:true ?topo_quorum [ ch ]
-  in
-  (engine, faults, vc)
+let election_world () =
+  built
+    {|
+faults  seed=11
+network eth type=tcp
+node n0 nets=eth
+node n1 nets=eth
+node n2 nets=eth
+node n3 nets=eth
+channel  c  net=eth nodes=n0,n1,n2,n3
+vchannel vc channels=c mtu=4096 reliable=true version=1 coordinator=n0 election=on
+|}
 
 (* Sentinel probing is activity-gated; keep every detector's grace
    window open while a scenario runs, as real traffic would. *)

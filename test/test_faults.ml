@@ -537,6 +537,22 @@ let test_partition_validation () =
   | () -> Alcotest.fail "overlapping sides accepted"
   | exception Invalid_argument _ -> ()
 
+(* Both range comparisons are false for NaN, so the rate checks are
+   written to fail it. *)
+let test_nan_rates_rejected () =
+  let faults = Faults.create (Engine.create ()) ~seed:1L in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: NaN accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "set_drop" (fun () ->
+      Faults.set_drop faults ~fabric:"eth" ~node:0 ~rate:Float.nan);
+  rejects "set_corrupt" (fun () ->
+      Faults.set_corrupt faults ~fabric:"eth" ~node:0 ~rate:Float.nan);
+  rejects "slow_receiver" (fun () ->
+      Faults.slow_receiver faults ~fabric:"eth" ~node:0 ~mb_per_s:Float.nan)
+
 let test_partition_heal_revives_dead_tcp () =
   (* A cut long enough for the retransmitter to exhaust max_retries
      declares the connection dead — and since nobody's crash epoch
@@ -669,6 +685,8 @@ let () =
             test_zero_rate_plane_changes_nothing;
           Alcotest.test_case "seeded run reproducible" `Quick
             test_seeded_run_is_reproducible;
+          Alcotest.test_case "NaN rates rejected" `Quick
+            test_nan_rates_rejected;
         ] );
       ( "reliable-tcp",
         [

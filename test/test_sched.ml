@@ -5,11 +5,7 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Node = Simnet.Node
-module Fabric = Simnet.Fabric
-module Netparams = Simnet.Netparams
 module Faults = Simnet.Faults
-module Channel = Madeleine.Channel
 module Sched = Madeleine.Sched
 module Vc = Madeleine.Vchannel
 
@@ -173,43 +169,23 @@ let test_barrier_flush () =
    unacked aggregates are re-emitted whole over the surviving gateway;
    delivery must stay exactly-once and bit-identical on every flow. *)
 let test_gateway_crash_reemits_aggregates () =
-  let engine = Engine.create () in
-  let faults = Faults.create engine ~seed:11L in
-  let fab_a = Fabric.create engine ~name:"ethA" ~link:Netparams.fast_ethernet in
-  let fab_b = Fabric.create engine ~name:"ethB" ~link:Netparams.fast_ethernet in
-  Fabric.set_faults fab_a faults;
-  Fabric.set_faults fab_b faults;
-  let nodes =
-    Array.init 4 (fun i ->
-        Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i)
+  let cf =
+    Clusterfile.load
+      {|
+faults  seed=11
+network ethA type=tcp
+network ethB type=tcp
+node n0 nets=ethA
+node n1 nets=ethA,ethB
+node n2 nets=ethA,ethB
+node n3 nets=ethB
+channel  c-a net=ethA nodes=n0,n1,n2
+channel  c-b net=ethB nodes=n1,n2,n3
+vchannel vc  channels=c-a,c-b mtu=4096 reliable=true sched=aggreg
+|}
   in
-  List.iter (fun i -> Fabric.attach fab_a nodes.(i)) [ 0; 1; 2 ];
-  List.iter (fun i -> Fabric.attach fab_b nodes.(i)) [ 1; 2; 3 ];
-  let net_a = Tcpnet.make_net engine fab_a in
-  let net_b = Tcpnet.make_net engine fab_b in
-  let stacks_a = Hashtbl.create 4 and stacks_b = Hashtbl.create 4 in
-  List.iter
-    (fun i -> Hashtbl.add stacks_a i (Tcpnet.attach net_a nodes.(i)))
-    [ 0; 1; 2 ];
-  List.iter
-    (fun i -> Hashtbl.add stacks_b i (Tcpnet.attach net_b nodes.(i)))
-    [ 1; 2; 3 ];
-  let session = Madeleine.Session.create engine in
-  let ch_a =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_a))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
-  let ch_b =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (Hashtbl.find stacks_b))
-      ~ranks:[ 1; 2; 3 ] ()
-  in
-  let vc =
-    Vc.create session ~mtu:4096 ~faults
-      ~sched:(Sched.aggreg ())
-      [ ch_a; ch_b ]
-  in
+  let engine = Clusterfile.engine cf and vc = Clusterfile.vchannel cf "vc" in
+  let faults = Option.get (Clusterfile.faults cf) in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let flows = 4 and messages = 4 and size = 256 in
   let received = Hashtbl.create 16 in

@@ -3,10 +3,6 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Node = Simnet.Node
-module Fabric = Simnet.Fabric
-module Netparams = Simnet.Netparams
-module Channel = Madeleine.Channel
 module Config = Madeleine.Config
 module Iface = Madeleine.Iface
 module Vc = Madeleine.Vchannel
@@ -19,62 +15,21 @@ let in_range ?(lo = 0.0) ~hi what v =
     true
     (v >= lo && v <= hi)
 
-(* The paper's two-cluster testbed: node 0 on SCI, node 2 on Myrinet,
-   node 1 the gateway carrying both NICs. *)
-type world = {
-  engine : Engine.t;
-  session : Madeleine.Session.t;
-  ch_sci : Channel.t;
-  ch_myri : Channel.t;
-}
-
-let two_cluster_world () =
-  let engine = Engine.create () in
-  let sci_fab = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
-  let myri_fab = Fabric.create engine ~name:"myri" ~link:Netparams.myrinet in
-  let n0 = Node.create engine ~name:"a" ~id:0 in
-  let gw = Node.create engine ~name:"gw" ~id:1 in
-  let n2 = Node.create engine ~name:"b" ~id:2 in
-  Fabric.attach sci_fab n0;
-  Fabric.attach sci_fab gw;
-  Fabric.attach myri_fab gw;
-  Fabric.attach myri_fab n2;
-  let sci_net = Sisci.make_net engine sci_fab in
-  let s0 = Sisci.attach sci_net n0 and s1 = Sisci.attach sci_net gw in
-  let bip_net = Bip.make_net engine myri_fab in
-  let b1 = Bip.attach bip_net gw and b2 = Bip.attach bip_net n2 in
-  let sisci_driver =
-    Madeleine.Pmm_sisci.driver (function
-      | 0 -> s0
-      | 1 -> s1
-      | r -> invalid_arg (string_of_int r))
-  in
-  let bip_driver =
-    Madeleine.Pmm_bip.driver (function
-      | 1 -> b1
-      | 2 -> b2
-      | r -> invalid_arg (string_of_int r))
-  in
-  let session = Madeleine.Session.create engine in
-  let ch_sci = Channel.create session sisci_driver ~ranks:[ 0; 1 ] () in
-  let ch_myri = Channel.create session bip_driver ~ranks:[ 1; 2 ] () in
-  { engine; session; ch_sci; ch_myri }
-
 let make_vc ?mtu ?gateway_overhead ?extra_gateway_copy w =
-  Vc.create w.session ?mtu ?gateway_overhead ?extra_gateway_copy
-    [ w.ch_sci; w.ch_myri ]
+  Vc.create w.Harness.cw_session ?mtu ?gateway_overhead ?extra_gateway_copy
+    [ w.Harness.ch_sci; w.Harness.ch_myri ]
 
 (* The text and order of [Vchannel.create]'s plane-dependency
    rejections. A call that breaks two rules reports the first rule
    [create] checks, so the order is part of the contract too. *)
 let test_create_rejections () =
-  let w = two_cluster_world () in
-  let faults = Simnet.Faults.create w.engine ~seed:1L in
+  let w = Harness.two_cluster_world () in
+  let faults = Simnet.Faults.create w.Harness.cw_engine ~seed:1L in
   let rejects msg build =
     Alcotest.check_raises msg (Invalid_argument ("Vchannel.create: " ^ msg))
-      (fun () -> ignore (build [ w.ch_sci; w.ch_myri ]))
+      (fun () -> ignore (build [ w.Harness.ch_sci; w.Harness.ch_myri ]))
   in
-  let create = Vc.create w.session in
+  let create = Vc.create w.Harness.cw_session in
   rejects "election requires a topology version" (create ~faults ~election:true);
   rejects "election requires a fault plane" (create ~topology:1 ~election:true);
   rejects "coordinator without a topology version" (create ~coordinator:0);
@@ -97,7 +52,7 @@ let test_create_rejections () =
   rejects "credits < 1" (create ~credits:0 ~coordinator:0)
 
 let test_routes () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc w in
   Alcotest.(check (list int)) "ranks" [ 0; 1; 2 ] (Vc.ranks vc);
   Alcotest.(check int) "0->1 direct" 1 (Vc.route_length vc ~src:0 ~dst:1);
@@ -122,16 +77,16 @@ let cheaper = (Iface.Send_cheaper, Iface.Receive_cheaper)
 let express = (Iface.Send_cheaper, Iface.Receive_express)
 
 let forward_roundtrip ?mtu ~src ~dst fields modes =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc ?mtu w in
   let sinks = List.map (fun f -> Bytes.create (Bytes.length f)) fields in
   let finished = ref Time.zero in
-  Engine.spawn w.engine ~name:"sender" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
       send_fields vc ~me:src ~remote:dst fields modes);
-  Engine.spawn w.engine ~name:"receiver" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
       recv_fields vc ~me:dst ~remote:src sinks modes;
-      finished := Engine.now w.engine);
-  Engine.run w.engine;
+      finished := Engine.now w.Harness.cw_engine);
+  Engine.run w.Harness.cw_engine;
   List.iter2
     (fun expect got -> Alcotest.(check bytes) "content" expect got)
     fields sinks;
@@ -141,13 +96,13 @@ let test_forward_small () =
   ignore (forward_roundtrip ~src:0 ~dst:2 [ payload 100 1L ] [ cheaper ])
 
 let test_forward_counters () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc ~mtu:8192 w in
-  Engine.spawn w.engine ~name:"s" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"s" (fun () ->
       send_fields vc ~me:0 ~remote:2 [ payload 20_000 19L ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"r" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"r" (fun () ->
       recv_fields vc ~me:2 ~remote:0 [ Bytes.create 20_000 ] [ cheaper ]);
-  Engine.run w.engine;
+  Engine.run w.Harness.cw_engine;
   match Madeleine.Vchannel.forwarded vc with
   | [ (1, packets, bytes) ] ->
       (* 20008 stream bytes in 8 kB packets = 3 packets. *)
@@ -189,15 +144,18 @@ let test_multi_pack_straddles_mtu () =
   in
   List.iter
     (fun sched ->
-      let w = two_cluster_world () in
-      let vc = Vc.create w.session ~mtu ?sched [ w.ch_sci; w.ch_myri ] in
+      let w = Harness.two_cluster_world () in
+      let vc =
+        Vc.create w.Harness.cw_session ~mtu ?sched
+          [ w.Harness.ch_sci; w.Harness.ch_myri ]
+      in
       let got = ref [] in
       let modes fields = List.map (fun _ -> cheaper) fields in
-      Engine.spawn w.engine ~name:"sender" (fun () ->
+      Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
           List.iter
             (fun fields -> send_fields vc ~me:0 ~remote:2 fields (modes fields))
             messages);
-      Engine.spawn w.engine ~name:"receiver" (fun () ->
+      Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
           List.iter
             (fun fields ->
               let sinks =
@@ -206,7 +164,7 @@ let test_multi_pack_straddles_mtu () =
               recv_fields vc ~me:2 ~remote:0 sinks (modes fields);
               got := sinks :: !got)
             messages);
-      Engine.run w.engine;
+      Engine.run w.Harness.cw_engine;
       List.iter2
         (List.iter2 (fun expect got ->
              Alcotest.(check bytes) "content" expect got))
@@ -218,34 +176,34 @@ let test_single_hop_vchannel () =
   ignore (forward_roundtrip ~src:0 ~dst:1 [ payload 30_000 7L ] [ cheaper ])
 
 let test_message_sequence_through_gateway () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc ~mtu:4096 w in
   let got = ref [] in
-  Engine.spawn w.engine ~name:"sender" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
       for i = 1 to 5 do
         let b = Bytes.create 2000 in
         Bytes.set_int64_le b 0 (Int64.of_int i);
         send_fields vc ~me:0 ~remote:2 [ b ] [ cheaper ]
       done);
-  Engine.spawn w.engine ~name:"receiver" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
       for _ = 1 to 5 do
         let b = Bytes.create 2000 in
         recv_fields vc ~me:2 ~remote:0 [ b ] [ cheaper ];
         got := Int64.to_int (Bytes.get_int64_le b 0) :: !got
       done);
-  Engine.run w.engine;
+  Engine.run w.Harness.cw_engine;
   Alcotest.(check (list int)) "order" [ 1; 2; 3; 4; 5 ] (List.rev !got)
 
 let test_any_source_through_gateway () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc w in
   let seen = ref [] in
-  Engine.spawn w.engine ~name:"sender0" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"sender0" (fun () ->
       Engine.sleep (Time.us 300.0);
       send_fields vc ~me:0 ~remote:2 [ Bytes.make 8 'a' ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"sender1" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"sender1" (fun () ->
       send_fields vc ~me:1 ~remote:2 [ Bytes.make 8 'g' ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"receiver" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
       for _ = 1 to 2 do
         let ic = Vc.begin_unpacking vc ~me:2 in
         let b = Bytes.create 8 in
@@ -253,85 +211,65 @@ let test_any_source_through_gateway () =
         Vc.end_unpacking ic;
         seen := (Vc.remote_rank ic, Bytes.get b 0) :: !seen
       done);
-  Engine.run w.engine;
+  Engine.run w.Harness.cw_engine;
   Alcotest.(check (list (pair int char)))
     "arrival order" [ (1, 'g'); (0, 'a') ] (List.rev !seen)
 
 let test_self_description_catches_asymmetry () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc w in
-  Engine.spawn w.engine ~name:"sender" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
       send_fields vc ~me:0 ~remote:2 [ Bytes.create 64 ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"receiver" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
       let ic = Vc.begin_unpacking_from vc ~me:2 ~remote:0 in
       match Vc.unpack ic (Bytes.create 32) with
       | () -> Alcotest.fail "expected Symmetry_violation"
       | exception Config.Symmetry_violation _ -> ());
-  Engine.run w.engine
+  Engine.run w.Harness.cw_engine
 
 let test_unconsumed_data_detected () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc w in
-  Engine.spawn w.engine ~name:"sender" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
       send_fields vc ~me:0 ~remote:2
         [ Bytes.create 64; Bytes.create 64 ]
         [ cheaper; cheaper ]);
-  Engine.spawn w.engine ~name:"receiver" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
       let ic = Vc.begin_unpacking_from vc ~me:2 ~remote:0 in
       Vc.unpack ic (Bytes.create 64);
       match Vc.end_unpacking ic with
       | () -> Alcotest.fail "expected Symmetry_violation"
       | exception Config.Symmetry_violation _ -> ());
-  Engine.run w.engine
+  Engine.run w.Harness.cw_engine
 
 (* ------------------------------------------------------------------ *)
 (* Longer chains and other network mixes *)
 
 (* Three clusters in a chain: SCI {0,1}, Myrinet {1,2}, TCP {2,3} —
    two gateways, three different interfaces. *)
-let three_cluster_world () =
-  let engine = Engine.create () in
-  let sci_fab = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
-  let myri_fab = Fabric.create engine ~name:"myri" ~link:Netparams.myrinet in
-  let eth_fab =
-    Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet
+let three_cluster_world ~mtu =
+  let cf =
+    Clusterfile.load
+      (Printf.sprintf
+         {|
+network sci  type=sisci
+network myri type=bip
+network eth  type=tcp
+node n0 nets=sci
+node n1 nets=sci,myri
+node n2 nets=myri,eth
+node n3 nets=eth
+channel  c-sci  net=sci  nodes=n0,n1
+channel  c-myri net=myri nodes=n1,n2
+channel  c-eth  net=eth  nodes=n2,n3
+vchannel vc channels=c-sci,c-myri,c-eth mtu=%d
+|}
+         mtu)
   in
-  let node i = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-  let n0 = node 0 and n1 = node 1 and n2 = node 2 and n3 = node 3 in
-  Fabric.attach sci_fab n0;
-  Fabric.attach sci_fab n1;
-  Fabric.attach myri_fab n1;
-  Fabric.attach myri_fab n2;
-  Fabric.attach eth_fab n2;
-  Fabric.attach eth_fab n3;
-  let sci_net = Sisci.make_net engine sci_fab in
-  let s0 = Sisci.attach sci_net n0 and s1 = Sisci.attach sci_net n1 in
-  let bip_net = Bip.make_net engine myri_fab in
-  let b1 = Bip.attach bip_net n1 and b2 = Bip.attach bip_net n2 in
-  let tcp_net = Tcpnet.make_net engine eth_fab in
-  let t2 = Tcpnet.attach tcp_net n2 and t3 = Tcpnet.attach tcp_net n3 in
-  let session = Madeleine.Session.create engine in
-  let pick table r = List.assoc r table in
-  let ch_sci =
-    Channel.create session
-      (Madeleine.Pmm_sisci.driver (pick [ (0, s0); (1, s1) ]))
-      ~ranks:[ 0; 1 ] ()
-  in
-  let ch_myri =
-    Channel.create session
-      (Madeleine.Pmm_bip.driver (pick [ (1, b1); (2, b2) ]))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let ch_eth =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (pick [ (2, t2); (3, t3) ]))
-      ~ranks:[ 2; 3 ] ()
-  in
-  (engine, session, [ ch_sci; ch_myri; ch_eth ])
+  (Clusterfile.engine cf, Clusterfile.vchannel cf "vc")
 
 let test_two_gateway_chain () =
-  let engine, session, channels = three_cluster_world () in
-  let vc = Vc.create session ~mtu:8192 channels in
+  let engine, vc = three_cluster_world ~mtu:8192 in
   Alcotest.(check int) "0->3 is three hops" 3 (Vc.route_length vc ~src:0 ~dst:3);
   let data = payload 50_000 21L in
   let sink = Bytes.create 50_000 in
@@ -347,8 +285,7 @@ let test_two_gateway_chain () =
   Alcotest.(check bytes) "content across two gateways" data sink
 
 let test_two_gateway_chain_reverse_and_middle () =
-  let engine, session, channels = three_cluster_world () in
-  let vc = Vc.create session ~mtu:4096 channels in
+  let engine, vc = three_cluster_world ~mtu:4096 in
   let d30 = payload 9_000 22L and d12 = payload 3_000 23L in
   let s30 = Bytes.create 9_000 and s12 = Bytes.create 3_000 in
   Engine.spawn engine ~name:"s3" (fun () ->
@@ -373,32 +310,20 @@ let test_two_gateway_chain_reverse_and_middle () =
 
 (* Both networks static-buffered (SBP and VIA): the §6.1 worst case. *)
 let test_static_static_gateway () =
-  let engine = Engine.create () in
-  let eth_a = Fabric.create engine ~name:"eth-a" ~link:Netparams.fast_ethernet in
-  let eth_b = Fabric.create engine ~name:"eth-b" ~link:Netparams.fast_ethernet in
-  let node i = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-  let n0 = node 0 and n1 = node 1 and n2 = node 2 in
-  Fabric.attach eth_a n0;
-  Fabric.attach eth_a n1;
-  Fabric.attach eth_b n1;
-  Fabric.attach eth_b n2;
-  let sbp_net = Sbp.make_net engine eth_a in
-  let p0 = Sbp.attach sbp_net n0 and p1 = Sbp.attach sbp_net n1 in
-  let via_net = Via.make_net engine eth_b in
-  let v1 = Via.attach via_net n1 and v2 = Via.attach via_net n2 in
-  let session = Madeleine.Session.create engine in
-  let pick table r = List.assoc r table in
-  let ch_sbp =
-    Channel.create session
-      (Madeleine.Pmm_sbp.driver (pick [ (0, p0); (1, p1) ]))
-      ~ranks:[ 0; 1 ] ()
+  let cf =
+    Clusterfile.load
+      {|
+network eth-a type=sbp
+network eth-b type=via
+node n0 nets=eth-a
+node n1 nets=eth-a,eth-b
+node n2 nets=eth-b
+channel  c-sbp net=eth-a nodes=n0,n1
+channel  c-via net=eth-b nodes=n1,n2
+vchannel vc channels=c-sbp,c-via mtu=4096
+|}
   in
-  let ch_via =
-    Channel.create session
-      (Madeleine.Pmm_via.driver (pick [ (1, v1); (2, v2) ]))
-      ~ranks:[ 1; 2 ] ()
-  in
-  let vc = Vc.create session ~mtu:4096 [ ch_sbp; ch_via ] in
+  let engine = Clusterfile.engine cf and vc = Clusterfile.vchannel cf "vc" in
   let data = payload 20_000 24L in
   let sink = Bytes.create 20_000 in
   Engine.spawn engine ~name:"sender" (fun () ->
@@ -417,18 +342,18 @@ let test_static_static_gateway () =
 
 let forwarding_bandwidth ?gateway_overhead ?extra_gateway_copy ~mtu ~src ~dst
     ~bytes_count () =
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc ~mtu ?gateway_overhead ?extra_gateway_copy w in
   let data = payload bytes_count 8L in
   let t0 = ref Time.zero and t1 = ref Time.zero in
-  Engine.spawn w.engine ~name:"sender" (fun () ->
-      t0 := Engine.now w.engine;
+  Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
+      t0 := Engine.now w.Harness.cw_engine;
       send_fields vc ~me:src ~remote:dst [ data ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"receiver" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
       let sink = Bytes.create bytes_count in
       recv_fields vc ~me:dst ~remote:src [ sink ] [ cheaper ];
-      t1 := Engine.now w.engine);
-  Engine.run w.engine;
+      t1 := Engine.now w.Harness.cw_engine);
+  Engine.run w.Harness.cw_engine;
   Time.rate_mb_s ~bytes_count (Time.diff !t1 !t0)
 
 let test_fig10_sci_to_myrinet_shape () =
@@ -481,24 +406,26 @@ let test_bidirectional_forwarding () =
   (* Both directions stream 512 kB through the same gateway at once: the
      pump's shared buffers must not deadlock, and both payloads arrive
      intact. *)
-  let w = two_cluster_world () in
+  let w = Harness.two_cluster_world () in
   let vc = make_vc ~mtu:16384 w in
   let n = 1 lsl 19 in
   let d02 = payload n 61L and d20 = payload n 62L in
   let s02 = Bytes.create n and s20 = Bytes.create n in
-  Engine.spawn w.engine ~name:"s0" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"s0" (fun () ->
       send_fields vc ~me:0 ~remote:2 [ d02 ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"s2" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"s2" (fun () ->
       send_fields vc ~me:2 ~remote:0 [ d20 ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"r2" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"r2" (fun () ->
       recv_fields vc ~me:2 ~remote:0 [ s02 ] [ cheaper ]);
-  Engine.spawn w.engine ~name:"r0" (fun () ->
+  Engine.spawn w.Harness.cw_engine ~name:"r0" (fun () ->
       recv_fields vc ~me:0 ~remote:2 [ s20 ] [ cheaper ]);
-  Engine.run w.engine;
+  Engine.run w.Harness.cw_engine;
   Alcotest.(check bytes) "0->2 intact" d02 s02;
   Alcotest.(check bytes) "2->0 intact" d20 s20;
   (* Aggregate must stay under the gateway bus's contended capacity. *)
-  let agg = Time.rate_mb_s ~bytes_count:(2 * n) (Engine.now w.engine) in
+  let agg =
+    Time.rate_mb_s ~bytes_count:(2 * n) (Engine.now w.Harness.cw_engine)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "aggregate %.1f MB/s under bus capacity" agg)
     true (agg < 101.0)
@@ -511,21 +438,21 @@ let test_ingress_regulation_helps_reverse_direction () =
     forwarding_bandwidth ~mtu:32768 ~src:2 ~dst:0 ~bytes_count:(1 lsl 20) ()
   in
   let regulated =
-    let w = two_cluster_world () in
+    let w = Harness.two_cluster_world () in
     let vc =
-      Vc.create w.session ~mtu:32768 ~ingress_cap_mb_s:45.0
-        [ w.ch_sci; w.ch_myri ]
+      Vc.create w.Harness.cw_session ~mtu:32768 ~ingress_cap_mb_s:45.0
+        [ w.Harness.ch_sci; w.Harness.ch_myri ]
     in
     let data = payload (1 lsl 20) 8L in
     let t0 = ref Time.zero and t1 = ref Time.zero in
-    Engine.spawn w.engine ~name:"sender" (fun () ->
-        t0 := Engine.now w.engine;
+    Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
+        t0 := Engine.now w.Harness.cw_engine;
         send_fields vc ~me:2 ~remote:0 [ data ] [ cheaper ]);
-    Engine.spawn w.engine ~name:"receiver" (fun () ->
+    Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
         let sink = Bytes.create (1 lsl 20) in
         recv_fields vc ~me:0 ~remote:2 [ sink ] [ cheaper ];
-        t1 := Engine.now w.engine);
-    Engine.run w.engine;
+        t1 := Engine.now w.Harness.cw_engine);
+    Engine.run w.Harness.cw_engine;
     Time.rate_mb_s ~bytes_count:(1 lsl 20) (Time.diff !t1 !t0)
   in
   Alcotest.(check bool)
