@@ -90,37 +90,32 @@ let built : Engine.t list ref option Domain.DLS.key =
 let world ~seed ?(faulty = true) ?window ?(faults = []) ?vchannel segments =
   let hosts = 1 + List.fold_left max 0 (List.concat_map snd segments) in
   let names ranks = String.concat "," (List.map (Printf.sprintf "n%d") ranks) in
+  let nets_of i =
+    List.filter_map
+      (fun (net, ranks) -> if List.mem i ranks then Some net else None)
+      segments
+  in
+  let window =
+    Option.fold window ~none:"" ~some:(Printf.sprintf " window=%d")
+  in
   let lines =
     (if faulty then [ Printf.sprintf "faults seed=%d" seed ] else [])
     @ List.map
-        (fun (name, _) ->
-          Printf.sprintf "network %s type=tcp%s" name
-            (match window with
-            | Some w -> Printf.sprintf " window=%d" w
-            | None -> ""))
+        (fun (net, _) -> Printf.sprintf "network %s type=tcp%s" net window)
         segments
     @ List.init hosts (fun i ->
-          Printf.sprintf "node n%d nets=%s" i
-            (String.concat ","
-               (List.filter_map
-                  (fun (name, ranks) ->
-                    if List.mem i ranks then Some name else None)
-                  segments)))
+          Printf.sprintf "node n%d nets=%s" i (String.concat "," (nets_of i)))
     @ faults
     @ List.map
-        (fun (name, ranks) ->
-          Printf.sprintf "channel c-%s net=%s nodes=%s" name name (names ranks))
+        (fun (net, ranks) ->
+          Printf.sprintf "channel c-%s net=%s nodes=%s" net net (names ranks))
         segments
-    @
-    match vchannel with
-    | Some opts ->
-        [
-          Printf.sprintf "vchannel vc channels=%s %s"
-            (String.concat ","
-               (List.map (fun (name, _) -> "c-" ^ name) segments))
-            opts;
-        ]
-    | None -> []
+    @ Option.to_list
+        (Option.map
+           (Printf.sprintf "vchannel vc channels=%s %s"
+              (String.concat ","
+                 (List.map (fun (net, _) -> "c-" ^ net) segments)))
+           vchannel)
   in
   let w = Cf.load (String.concat "\n" lines) in
   (match Domain.DLS.get built with
@@ -128,8 +123,9 @@ let world ~seed ?(faulty = true) ?window ?(faults = []) ?vchannel segments =
   | None -> ());
   w
 
-(* A world's engine, fault plane and vchannel. *)
-let parts w = (Cf.engine w, Option.get (Cf.faults w), Cf.vchannel w "vc")
+(* A world's fault plane, and its engine, fault plane and vchannel. *)
+let plane w = Option.get (Cf.faults w)
+let parts w = (Cf.engine w, plane w, Cf.vchannel w "vc")
 
 (* [fault KIND] lines at [rate] on every link of [segments]; none at a
    zero rate. Rates print with 17 digits, so they parse back exactly. *)
@@ -148,7 +144,7 @@ let link_faults kind rate segments =
 let slow ~net ~node mb_s =
   Printf.sprintf "fault slow net=%s node=n%d mb_s=%.17g" net node mb_s
 
-(* One segment "eth" of two hosts. *)
+(* Two hosts on one segment, for the raw-TCP and ping-pong workloads. *)
 let eth = [ ("eth", [ 0; 1 ]) ]
 
 (* Ping-pong with end-to-end integrity verification: both directions
@@ -190,7 +186,7 @@ let verified_pingpong w ~size ~iters =
 let iters_for size = if size <= 4096 then 6 else 4
 
 let finish_row ~scenario ~drop ~size w (span, intact) =
-  let st = Faults.stats (Option.get (Cf.faults w)) in
+  let st = Faults.stats (plane w) in
   let retransmissions, crc_rejects = Tcpnet.net_stats (Cf.tcp_net w "eth") in
   {
     scenario;
@@ -221,7 +217,7 @@ let corrupt_row ~seed ~rate ~size =
    the link is down is lost and must be retransmitted after it heals. *)
 let flap_row ~seed ~size =
   let w = world ~seed eth in
-  Faults.flap_link (Option.get (Cf.faults w)) ~fabric:"eth" ~node:0
+  Faults.flap_link (plane w) ~fabric:"eth" ~node:0
     ~at:(Time.add Time.zero (Time.us 4_000.0))
     ~duration:(Time.us 5_000.0);
   finish_row ~scenario:"flap" ~drop:0.0 ~size w
@@ -232,7 +228,7 @@ let flap_row ~seed ~size =
    retransmission path must repair the holes the overtaking leaves. *)
 let reorder_row ~seed ~size =
   let w = world ~seed eth in
-  let faults = Option.get (Cf.faults w) in
+  let faults = plane w in
   for i = 0 to 1 do
     Faults.set_reorder faults ~fabric:"eth" ~node:i ~rate:0.05
       ~jitter:(Time.us 300.0);
@@ -245,7 +241,7 @@ let reorder_row ~seed ~size =
    but every PIO/DMA on that host crawls for the duration. *)
 let stall_row ~seed ~size =
   let w = world ~seed eth in
-  Faults.stall_pci (Option.get (Cf.faults w)) (Cf.node w "n1")
+  Faults.stall_pci (plane w) (Cf.node w "n1")
     ~at:(Time.add Time.zero (Time.us 2_000.0))
     ~duration:(Time.us 4_000.0);
   finish_row ~scenario:"pci-stall" ~drop:0.0 ~size w
@@ -338,6 +334,9 @@ let pingpong_faults ~seed ~quick =
    ranks 0 and 2 joined by one (rank 1). *)
 let two_gateways = [ ("ethA", [ 0; 1; 2 ]); ("ethB", [ 1; 2; 3 ]) ]
 let one_gateway = [ ("ethA", [ 0; 1 ]); ("ethB", [ 1; 2 ]) ]
+
+(* Four ranks on one segment, for the partition workloads. *)
+let four_hosts = [ ("eth", [ 0; 1; 2; 3 ]) ]
 
 (* A reliable vchannel whose membership is a versioned epoch snapshot
    (coordinator rank 0, epoch 1), so ranks can drain out of and join
@@ -686,7 +685,9 @@ let some_sentinel_watches vc ~ranks ~rank =
     ranks
 
 let rolling_restart_run ~seed ~size ~messages =
-  let engine, faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
+  let engine, faults, vc =
+    parts (world ~seed two_gateways ~vchannel:elastic)
+  in
   let partitioned = ref false in
   let phase2_go = ref false in
   let rolled = ref [] in
@@ -832,7 +833,9 @@ let elastic_result ~op ~messages ~size ~rank ~epoch ~routable ~status
   }
 
 let join_load_run ~seed ~size ~messages =
-  let engine, _faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
+  let engine, _faults, vc =
+    parts (world ~seed two_gateways ~vchannel:elastic)
+  in
   let partitioned = ref false in
   let joined = ref false in
   (* Background load 0 -> 1 runs across the epoch swap. *)
@@ -871,7 +874,9 @@ let join_load_run ~seed ~size ~messages =
       ("join-under-load-routable", routable && status = "up" && watched)
 
 let drain_load_run ~seed ~size ~messages =
-  let engine, _faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
+  let engine, _faults, vc =
+    parts (world ~seed two_gateways ~vchannel:elastic)
+  in
   let partitioned = ref false in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let s = stream engine vc ~tag:31 ~src:0 ~dst:3 ~size ~messages () in
@@ -1024,10 +1029,7 @@ let partition_result vc ~workload:w ~messages ~size ~cycles
    0 -> 3 stream must land exactly-once over the revived paths. *)
 let partition_majority_run ~seed ~size ~messages =
   let engine, faults, vc =
-    parts
-      (world ~seed
-         [ ("eth", [ 0; 1; 2; 3 ]) ]
-         ~vchannel:(elastic ^ " election=on"))
+    parts (world ~seed four_hosts ~vchannel:(elastic ^ " election=on"))
   in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
@@ -1088,10 +1090,7 @@ let partition_majority_run ~seed ~size ~messages =
    a plain member — a fresh stream from it must land exactly-once. *)
 let coordinator_loss_run ~seed ~size ~messages =
   let engine, faults, vc =
-    parts
-      (world ~seed
-         [ ("eth", [ 0; 1; 2; 3 ]) ]
-         ~vchannel:(elastic ^ " election=on"))
+    parts (world ~seed four_hosts ~vchannel:(elastic ^ " election=on"))
   in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
@@ -1156,10 +1155,7 @@ let coordinator_loss_run ~seed ~size ~messages =
    the churn. *)
 let partition_flapping_run ~seed ~size ~messages ~cycles =
   let engine, faults, vc =
-    parts
-      (world ~seed
-         [ ("eth", [ 0; 1; 2; 3 ]) ]
-         ~vchannel:(elastic ^ " election=on"))
+    parts (world ~seed four_hosts ~vchannel:(elastic ^ " election=on"))
   in
   let stop = ref false in
   spawn_probe_loop engine vc ~stop;
@@ -1539,7 +1535,9 @@ let coll_agree_and_value results covered =
    is answered from the decision journal — then the same cast runs an
    allreduce whose value proves nobody was counted twice. *)
 let coll_crash_barrier_run ~seed =
-  let engine, faults, vc = parts (world ~seed two_gateways ~vchannel:elastic) in
+  let engine, faults, vc =
+    parts (world ~seed two_gateways ~vchannel:elastic)
+  in
   let coll = Coll.create ~fanout:2 vc in
   let ranks = Vc.ranks vc in
   let n = List.length ranks in

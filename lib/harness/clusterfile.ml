@@ -52,7 +52,8 @@ let collectives t name = Hashtbl.find_opt t.coll_tbl name
 let tcp t name =
   match (Hashtbl.find t.nets name).tcp with
   | Some tcp -> tcp
-  | None -> invalid_arg (Printf.sprintf "Clusterfile: %s is not a tcp network" name)
+  | None ->
+      invalid_arg (Printf.sprintf "Clusterfile: %s is not a tcp network" name)
 
 let tcp_net t name = fst (tcp t name)
 let tcp_stack t ~net name = Hashtbl.find (snd (tcp t net)) (rank_of t name)
@@ -69,37 +70,32 @@ let make_network engine ?window ?max_retries ?credits kind name =
   in
   let fabric = Fabric.create engine ~name ~link in
   (* One protocol's glue: its net over the fabric, an endpoint per
-     attached node, and the PMM driver over those endpoints. *)
-  let glue make_net attach driver =
+     attached node, and the PMM driver over those endpoints; [tcp]
+     keeps the net and endpoints of a tcp network. *)
+  let glue ?(tcp = fun _ _ -> None) make_net attach driver =
     let net = make_net engine fabric in
     let eps = Hashtbl.create 8 in
-    ( {
-        kind;
-        fabric;
-        attach_node =
-          (fun n ->
-            Fabric.attach fabric n;
-            Hashtbl.add eps n.Node.id (attach net n));
-        driver_of = (fun () -> driver (Hashtbl.find eps));
-        tcp = None;
-      },
-      net,
-      eps )
+    {
+      kind;
+      fabric;
+      attach_node =
+        (fun n ->
+          Fabric.attach fabric n;
+          Hashtbl.add eps n.Node.id (attach net n));
+      driver_of = (fun () -> driver (Hashtbl.find eps));
+      tcp = tcp net eps;
+    }
   in
-  let plain (network, _, _) = network in
   match kind with
-  | Sisci_k -> plain (glue Sisci.make_net Sisci.attach Madeleine.Pmm_sisci.driver)
-  | Bip_k ->
-      plain (glue (Bip.make_net ?credits) Bip.attach Madeleine.Pmm_bip.driver)
+  | Sisci_k -> glue Sisci.make_net Sisci.attach Madeleine.Pmm_sisci.driver
+  | Bip_k -> glue (Bip.make_net ?credits) Bip.attach Madeleine.Pmm_bip.driver
   | Tcp_k ->
-      let network, net, stacks =
-        glue
-          (Tcpnet.make_net ?window ?max_retries)
-          Tcpnet.attach Madeleine.Pmm_tcp.driver
-      in
-      { network with tcp = Some (net, stacks) }
-  | Via_k -> plain (glue Via.make_net Via.attach Madeleine.Pmm_via.driver)
-  | Sbp_k -> plain (glue Sbp.make_net Sbp.attach Madeleine.Pmm_sbp.driver)
+      glue
+        ~tcp:(fun net stacks -> Some (net, stacks))
+        (Tcpnet.make_net ?window ?max_retries)
+        Tcpnet.attach Madeleine.Pmm_tcp.driver
+  | Via_k -> glue Via.make_net Via.attach Madeleine.Pmm_via.driver
+  | Sbp_k -> glue Sbp.make_net Sbp.attach Madeleine.Pmm_sbp.driver
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
@@ -311,7 +307,8 @@ let parse_line t lineno line =
             (Parse_error
                (lineno,
                 Printf.sprintf
-                  "unknown fault kind %S (drop|corrupt|flap|slow|crash|stall)" other)))
+                  "unknown fault kind %S (drop|corrupt|flap|slow|crash|stall)"
+                  other)))
   | "node" :: name :: opts ->
       let nets = ref [] in
       List.iter

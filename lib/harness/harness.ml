@@ -292,11 +292,11 @@ let make_nexus_world ~n proto =
     | Nexus_mad_tcp -> ("eth", "tcp")
   in
   let nodes = List.init n (Printf.sprintf "n%d") in
+  let node name = Printf.sprintf "node %s nets=%s" name net in
   let cf =
     Clusterfile.load
       (String.concat "\n"
-         ((Printf.sprintf "network %s type=%s" net kind
-          :: List.map (fun node -> Printf.sprintf "node %s nets=%s" node net) nodes)
+         ((Printf.sprintf "network %s type=%s" net kind :: List.map node nodes)
          @ [
              Printf.sprintf "channel c net=%s nodes=%s" net
                (String.concat "," nodes);
