@@ -1,9 +1,9 @@
 #!/bin/sh
 # Host-speed regression gate: re-measure simulator event throughput and
 # fail if it regressed more than 20% below the committed baseline, or if
-# any scenario's event count or schedule fingerprint differs from the
-# baseline's (both replay a deterministic schedule, so a difference
-# means the simulation itself changed).
+# any scenario's event count, schedule fingerprint or delivery
+# fingerprint differs from the baseline's (all replay a deterministic
+# schedule, so a difference means the simulation itself changed).
 # Also gates the parallel sweep scenarios: the "pooled" sweep runs on
 # min(4, cores) domains and must reach at least 2.5x the serial sweep's
 # aggregate events/s at 4 domains, 1.5x at 2-3 domains (the floor is

@@ -462,42 +462,64 @@ let chaos_cmd =
 (* The paper's evaluation (§5-§6) section by section, then the
    ablations and the judged replication report; every number is
    simulated, so the output is byte-identical for any --jobs. *)
+type section = Figure of Sweeps.figure | Text of (Parsim.pool -> unit)
+
 let figure_sections =
-  let fig f pool = print_string (f pool) in
   [
-    ("fig4", fig Sweeps.fig4);
-    ("fig5", fig Sweeps.fig5);
-    ("fig6", fig Sweeps.fig6);
-    ("fig7", fig Sweeps.fig7);
-    ("eq16k", fig Sweeps.eq16k);
-    ("fig10", fig Sweeps.fig10);
-    ("fig11", fig Sweeps.fig11);
-    ("ablations", Ablations.run);
+    ("fig4", Figure Sweeps.fig4);
+    ("fig5", Figure Sweeps.fig5);
+    ("fig6", Figure Sweeps.fig6);
+    ("fig7", Figure Sweeps.fig7);
+    ("eq16k", Figure Sweeps.eq16k);
+    ("fig10", Figure Sweeps.fig10);
+    ("fig11", Figure Sweeps.fig11);
+    ("ablations", Text Ablations.run);
     ( "report",
-      fun _pool ->
-        print_string
-          (Sweeps.section "Replication report -- paper vs measured, judged" "");
-        ignore (Report.run ()) );
+      Text
+        (fun _pool ->
+          print_string
+            (Sweeps.section "Replication report -- paper vs measured, judged"
+               "");
+          ignore (Report.run ())) );
   ]
 
-let figures sections jobs =
+let figures sections jobs fingerprints =
   let sections =
-    if sections = [] then List.map snd figure_sections else sections
+    if sections = [] then figure_sections
+    else List.map (fun name -> (name, List.assoc name figure_sections)) sections
   in
-  Parsim.with_pool ~jobs (fun pool -> List.iter (fun f -> f pool) sections);
-  print_string "\nbench: all requested sections completed.\n"
+  Parsim.with_pool ~jobs (fun pool ->
+      List.iter
+        (fun (name, section) ->
+          match (section, fingerprints) with
+          | Figure f, false -> print_string (Sweeps.run pool f)
+          | Text f, false -> f pool
+          | Figure f, true -> print_string (Sweeps.fingerprints pool f)
+          | Text _, true -> Printf.printf "# %s: no figure points\n" name)
+        sections);
+  if not fingerprints then
+    print_string "\nbench: all requested sections completed.\n"
 
 let sections_arg =
-  Arg.(value & pos_all (enum figure_sections) [] & info [] ~docv:"SECTION"
+  Arg.(value
+       & pos_all (enum (List.map (fun (name, _) -> (name, name)) figure_sections)) []
+       & info [] ~docv:"SECTION"
          ~doc:("Sections to run, in order (default: all): "
               ^ String.concat " " (List.map fst figure_sections) ^ "."))
+
+let figure_fingerprints_arg =
+  Arg.(value & flag & info [ "fingerprints" ]
+         ~doc:"Instead of the sections, print the event count, schedule \
+               fingerprint, delivery count and delivery fingerprint of \
+               every world each figure point builds, one line per world \
+               labelled by the point.")
 
 let figures_cmd =
   Cmd.v
     (Cmd.info "figures"
        ~doc:"Regenerate the paper's figures, the ablations and the \
              replication report.")
-    Term.(const figures $ sections_arg $ jobs_arg)
+    Term.(const figures $ sections_arg $ jobs_arg $ figure_fingerprints_arg)
 
 (* -------- simspeed -------- *)
 

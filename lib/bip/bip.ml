@@ -259,8 +259,12 @@ let recv_long t ~src ~tag buf ~off ~len =
    symmetry guarantees the receiver knows each packet's length). *)
 let recv t ~src ~tag ?off ?len buf =
   let off, len = slice "Bip.recv" ?off ?len buf in
-  if len < Netparams.bip_short_max then recv_short t ~src ~tag buf ~off ~len
-  else recv_long t ~src ~tag buf ~off ~len
+  let got =
+    if len < Netparams.bip_short_max then recv_short t ~src ~tag buf ~off ~len
+    else recv_long t ~src ~tag buf ~off ~len
+  in
+  Engine.note_delivery t.net.engine ~src ~dst:(rank t) ~bytes:got;
+  got
 
 let short_credits_available t ~dst =
   Semaphore.available (credits t.net ~src:(rank t) ~dst)

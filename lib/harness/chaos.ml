@@ -77,15 +77,7 @@ type row = {
    over its ranks, on nodes n0..nK; a rank on several segments is a
    gateway. The plane of a [faults] line covers every segment unless
    [faulty] is false; [faults] adds [fault] lines and [vchannel] the
-   options of a vchannel "vc" over every channel, in segment order.
-
-   {!fingerprints} lists the schedule of every world a workload built.
-   The record is domain-local (a Parsim job runs on one domain) and
-   [None] outside {!fingerprints}, so an ordinary run keeps no finished
-   world alive. *)
-
-let built : Engine.t list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+   options of a vchannel "vc" over every channel, in segment order. *)
 
 let world ~seed ?(faulty = true) ?window ?(faults = []) ?vchannel segments =
   let hosts = 1 + List.fold_left max 0 (List.concat_map snd segments) in
@@ -117,11 +109,7 @@ let world ~seed ?(faulty = true) ?window ?(faults = []) ?vchannel segments =
                  (List.map (fun (net, _) -> "c-" ^ net) segments)))
            vchannel)
   in
-  let w = Cf.load (String.concat "\n" lines) in
-  (match Domain.DLS.get built with
-  | Some l -> l := Cf.engine w :: !l
-  | None -> ());
-  w
+  Cf.load (String.concat "\n" lines)
 
 (* A world's fault plane, and its engine, fault plane and vchannel. *)
 let plane w = Option.get (Cf.faults w)
@@ -1975,16 +1963,7 @@ let gates results = List.concat_map (fun (_, r) -> r.gates) results
 let fingerprints pool ~seed ~quick names =
   let schedules name =
     let w = Option.get (find name) in
-    let worlds = ref [] in
-    Domain.DLS.set built (Some worlds);
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set built None)
-      (fun () -> ignore (w.run ~seed ~quick));
-    List.rev !worlds
-    |> List.mapi (fun i e ->
-           Printf.sprintf "%s world %d: events %d fingerprint %d\n" name i
-             (Engine.events_processed e) (Engine.fingerprint e))
-    |> String.concat ""
+    Worlds.lines name (snd (Worlds.recording (fun () -> w.run ~seed ~quick)))
   in
   Printf.sprintf "# chaos schedule fingerprints (seed %d%s)\n" seed
     (if quick then ", quick" else "")

@@ -70,12 +70,13 @@ val run : Parsim.pool -> seed:int -> quick:bool -> (string * result) list
 val fingerprints :
   Parsim.pool -> seed:int -> quick:bool -> string list -> string
 (** [fingerprints pool ~seed ~quick names] runs the named registry
-    workloads (one job each) and lists, in order, the
-    {!Marcel.Engine.events_processed} and {!Marcel.Engine.fingerprint}
-    of every world each one built: one line per world, byte-identical
-    across runs and worker counts. A refactor that must not move the
-    simulated schedule leaves this text unchanged. Every name must be
-    in {!workloads}. *)
+    workloads (one job each) and lists, in order, the schedule and
+    delivery fingerprints ({!Worlds.lines}) of every world each one
+    built: one line per world, byte-identical across runs and worker
+    counts. A refactor that must not move the simulated schedule leaves
+    this text unchanged; one that may move events but not simulated
+    instants leaves the [deliveries] and [delivery_fp] fields unchanged.
+    Every name must be in {!workloads}. *)
 
 val gates : (string * result) list -> (string * bool) list
 (** Every gate of a sweep, in order. *)

@@ -547,7 +547,7 @@ let parse_line t lineno line =
       raise (Parse_error (lineno, Printf.sprintf "unknown declaration %S" keyword))
 
 let load text =
-  let cf_engine = Engine.create () in
+  let cf_engine = Worlds.engine () in
   let t =
     {
       cf_engine;

@@ -23,7 +23,7 @@ type world = {
 }
 
 let make_world ?config ~n driver_of_nodes link =
-  let engine = Engine.create () in
+  let engine = Worlds.engine () in
   let fabric = Fabric.create engine ~name:"net" ~link in
   let nodes =
     List.init n (fun i ->
@@ -106,7 +106,7 @@ let mad_pingpong w ~bytes_count ~iters =
 
 (* Raw-interface ping-pongs, for the "raw BIP" baseline of Fig. 5. *)
 let raw_bip_pingpong ~bytes_count ~iters =
-  let engine = Engine.create () in
+  let engine = Worlds.engine () in
   let fabric = Fabric.create engine ~name:"myri" ~link:Netparams.myrinet in
   let n0 = Node.create engine ~name:"n0" ~id:0 in
   let n1 = Node.create engine ~name:"n1" ~id:1 in
@@ -142,7 +142,7 @@ type cluster_world = {
 }
 
 let two_cluster_world ?config () =
-  let engine = Engine.create () in
+  let engine = Worlds.engine () in
   let sci_fab = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
   let myri_fab = Fabric.create engine ~name:"myri" ~link:Netparams.myrinet in
   let n0 = Node.create engine ~name:"a" ~id:0 in
@@ -226,7 +226,7 @@ type mpi_device_kind =
 type mpi_world = { mpi_engine : Engine.t; mpi_world : Mpilite.Mpi.world }
 
 let make_mpi_world ~n device_kind =
-  let engine = Engine.create () in
+  let engine = Worlds.engine () in
   let fabric = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
   let nodes =
     List.init n (fun i ->

@@ -13,25 +13,28 @@ type row = {
   scenario : string;
   events : int;
   fingerprint : int;
+  delivery_fp : int;
   events_per_s : float;
 }
 
 (* What one scenario run leaves behind: its event count and the
-   combined schedule fingerprint of the worlds it ran. *)
-type tally = { t_events : int; t_fingerprint : int }
+   combined schedule and delivery fingerprints of the worlds it ran. *)
+type tally = { t_events : int; t_fingerprint : int; t_delivery_fp : int }
 
-let no_tally = { t_events = 0; t_fingerprint = 0 }
+let no_tally = { t_events = 0; t_fingerprint = 0; t_delivery_fp = 0 }
 
 let add_tally a b =
   {
     t_events = a.t_events + b.t_events;
     t_fingerprint = (a.t_fingerprint * 1_000_003) + b.t_fingerprint;
+    t_delivery_fp = (a.t_delivery_fp * 1_000_003) + b.t_delivery_fp;
   }
 
 let tally_of engine =
   {
     t_events = Marcel.Engine.events_processed engine;
     t_fingerprint = Marcel.Engine.fingerprint engine;
+    t_delivery_fp = Marcel.Engine.delivery_fingerprint engine;
   }
 
 let reps = 6
@@ -264,6 +267,7 @@ let read_baseline file =
             scenario = Json.to_str (Json.member "scenario" r);
             events = Json.to_int (Json.member "events" r);
             fingerprint = Json.to_int (Json.member "fingerprint" r);
+            delivery_fp = Json.to_int (Json.member "delivery_fp" r);
             events_per_s = Json.to_number (Json.member "events_per_s" r);
           })
         (Json.to_list (Json.member "simspeed" doc)))
@@ -274,7 +278,8 @@ let verdict ok text =
 
 (* One verdict per measured row. Event counts and fingerprints replay a
    deterministic schedule, so any difference means the simulation
-   itself changed. A baseline that matches none of the rows compares
+   itself changed; a different delivery fingerprint means a simulated
+   delivery instant moved. A baseline that matches none of the rows compares
    nothing, so it fails the gate rather than passing it vacuously. *)
 let check_baseline ~baseline rows =
   let base_of row =
@@ -287,8 +292,9 @@ let check_baseline ~baseline rows =
     | Some base ->
         let ratio = row.events_per_s /. Float.max 1e-9 base.events_per_s in
         let same_schedule = row.fingerprint = base.fingerprint in
+        let same_deliveries = row.delivery_fp = base.delivery_fp in
         verdict
-          (row.events = base.events && same_schedule
+          (row.events = base.events && same_schedule && same_deliveries
           && ratio >= 1.0 -. tolerance)
           (Printf.sprintf
              "%-34s %8.2f Mev/s vs baseline %8.2f Mev/s (%.0f%% of baseline, \
@@ -300,13 +306,19 @@ let check_baseline ~baseline rows =
                 Printf.sprintf
                   "; %d events vs baseline %d (the simulated schedule changed)"
                   row.events base.events)
+             ^ (if same_schedule then ""
+                else
+                  Printf.sprintf
+                    "; fingerprint %d vs baseline %d (the simulated schedule \
+                     changed)"
+                    row.fingerprint base.fingerprint)
              ^
-             if same_schedule then ""
+             if same_deliveries then ""
              else
                Printf.sprintf
-                 "; fingerprint %d vs baseline %d (the simulated schedule \
-                  changed)"
-                 row.fingerprint base.fingerprint)
+                 "; delivery_fp %d vs baseline %d (a simulated delivery \
+                  moved)"
+                 row.delivery_fp base.delivery_fp)
   in
   List.map check rows
   @
@@ -343,6 +355,7 @@ let run ~json ~baseline =
                     scenario = label;
                     events;
                     fingerprint = tally.t_fingerprint;
+                    delivery_fp = tally.t_delivery_fp;
                     events_per_s = rate;
                   },
                   wall ))
@@ -401,6 +414,7 @@ let run ~json ~baseline =
                ("scenario", Json.Str r.scenario);
                ("events", Json.Int r.events);
                ("fingerprint", Json.Int r.fingerprint);
+               ("delivery_fp", Json.Int r.delivery_fp);
                ("wall_s", Json.Float (wall, 6));
                ("events_per_s", Json.Float (r.events_per_s, 1));
              ]

@@ -7,6 +7,8 @@ type row = {
   events : int;
   fingerprint : int;
       (** combined {!Marcel.Engine.fingerprint} of the scenario's worlds *)
+  delivery_fp : int;
+      (** combined {!Marcel.Engine.delivery_fingerprint} of its worlds *)
   events_per_s : float;
 }
 (** One scenario of a run or of a baseline. *)
@@ -17,9 +19,9 @@ val read_baseline : string -> row list
 
 val check_baseline : baseline:row list -> row list -> (string * bool) list
 (** One verdict line per measured row, with its outcome. A row fails
-    if its event count or its schedule fingerprint differs from the
-    baseline's (both replay a deterministic schedule, so any difference
-    means the simulation changed) or if its events/s falls below 80% of
+    if its event count, its schedule fingerprint or its delivery
+    fingerprint differs from the baseline's (all replay a deterministic
+    schedule, so any difference means the simulation changed) or if its events/s falls below 80% of
     the baseline's. A
     scenario the baseline lacks passes with a warning, but if the
     baseline holds none of the measured scenarios (an empty one

@@ -16,6 +16,7 @@ type in_connection = {
   ic_from : int;
   ic_link : Link.receiver;
   mutable ic_tm : int;
+  mutable ic_bytes : int; (* unpacked so far, for the delivery record *)
   mutable ic_closed : bool;
 }
 
@@ -71,6 +72,7 @@ let make_in ep ~from link =
     ic_from = from;
     ic_link = link;
     ic_tm = -1;
+    ic_bytes = 0;
     ic_closed = false;
   }
 
@@ -97,6 +99,7 @@ let unpack ic ?(s_mode = Iface.Send_cheaper) ?(r_mode = Iface.Receive_cheaper)
      change checks the previous BMM out before touching the new stream. *)
   if ic.ic_tm >= 0 && ic.ic_tm <> tm then bmms.(ic.ic_tm).Bmm.checkout ();
   ic.ic_tm <- tm;
+  ic.ic_bytes <- ic.ic_bytes + Buf.length buf;
   bmms.(tm).Bmm.extract buf s_mode r_mode
 
 let end_unpacking ic =
@@ -104,6 +107,8 @@ let end_unpacking ic =
   Engine.sleep Config.end_overhead;
   if ic.ic_tm >= 0 then ic.ic_link.Link.r_bmms.(ic.ic_tm).Bmm.checkout ();
   ic.ic_closed <- true;
+  Engine.note_delivery (Channel.engine ic.ic_channel) ~src:ic.ic_from
+    ~dst:ic.ic_me ~bytes:ic.ic_bytes;
   Mutex.unlock ic.ic_link.Link.r_mutex
 
 (* For a receiver abandoning a message whose tail can no longer arrive

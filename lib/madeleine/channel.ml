@@ -2,6 +2,7 @@ module Engine = Marcel.Engine
 module Mutex = Marcel.Mutex
 
 type t = {
+  chan_engine : Engine.t;
   chan_id : int;
   mutable chan_config : Config.t;
   chan_ranks : int list;
@@ -31,6 +32,7 @@ let create session driver ?(config = Config.default) ~ranks () =
   let inst = driver.Driver.instantiate ~channel_id:chan_id ~config ~ranks:sorted in
   let t =
     {
+      chan_engine = Session.engine session;
       chan_id;
       chan_config = config;
       chan_ranks = sorted;
@@ -62,6 +64,7 @@ let config t = t.chan_config
 let relax_checked t = t.chan_config <- { t.chan_config with Config.checked = false }
 let ranks t = t.chan_ranks
 let id t = t.chan_id
+let engine t = t.chan_engine
 let fabric t = t.inst.Driver.inst_fabric
 
 let endpoint t ~rank =

@@ -21,6 +21,7 @@ val create :
 val config : t -> Config.t
 val ranks : t -> int list
 val id : t -> int
+val engine : t -> Marcel.Engine.t
 
 val fabric : t -> string option
 (** The simulated fabric the channel's driver sends over, when known

@@ -2535,6 +2535,7 @@ type in_connection = {
   ic_origin : int;
   ic_flow : int;
   asmb : Assembler.t;
+  mutable ic_bytes : int; (* unpacked so far, for the delivery record *)
   mutable ic_closed : bool;
 }
 
@@ -2547,6 +2548,7 @@ let begin_unpacking_from ?(flow = 0) t ~me ~remote =
     ic_origin = remote;
     ic_flow = flow;
     asmb = assembler t ~me ~origin:remote ~flow;
+    ic_bytes = 0;
     ic_closed = false;
   }
 
@@ -2560,6 +2562,7 @@ let begin_unpacking t ~me =
     ic_origin = origin;
     ic_flow = flow;
     asmb = assembler t ~me ~origin ~flow;
+    ic_bytes = 0;
     ic_closed = false;
   }
 
@@ -2585,13 +2588,16 @@ let unpack ic ?(s_mode = Iface.Send_cheaper) ?(r_mode = Iface.Receive_cheaper)
             r_mode));
   (* The payload bytes were already extracted (and their copy paid) by
      the dispatcher; this read is bookkeeping. *)
-  Assembler.read_exact ic.asmb buf.Buf.data ~off:buf.Buf.off ~len:buf.Buf.len
+  Assembler.read_exact ic.asmb buf.Buf.data ~off:buf.Buf.off ~len:buf.Buf.len;
+  ic.ic_bytes <- ic.ic_bytes + buf.Buf.len
 
 let end_unpacking ic =
   if ic.ic_closed then invalid_arg "Vchannel.end_unpacking: connection closed";
   Engine.sleep Config.end_overhead;
   Assembler.finish_message ic.asmb;
-  ic.ic_closed <- true
+  ic.ic_closed <- true;
+  Engine.note_delivery ic.iv.engine ~src:ic.ic_origin ~dst:ic.ic_me
+    ~bytes:ic.ic_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Health and reliability statistics *)

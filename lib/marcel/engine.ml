@@ -14,6 +14,8 @@ type t = {
   mutable failure : exn option;
   mutable processed : int;
   mutable fingerprint : int; (* running hash of processed (clock, seq) *)
+  mutable deliveries : int;
+  mutable delivery_fp : int; (* running hash of (clock, src, dst, bytes) *)
   owner : int; (* id of the domain that created the engine *)
 }
 
@@ -40,6 +42,8 @@ let create () =
     failure = None;
     processed = 0;
     fingerprint = 0;
+    deliveries = 0;
+    delivery_fp = 0;
     owner = (Domain.self () :> int);
   }
 
@@ -66,6 +70,13 @@ let mix h x = (h lxor x) * fnv_prime
 let note_event t q =
   t.fingerprint <- mix (mix t.fingerprint t.clock) (Eventq.min_seq q);
   t.processed <- t.processed + 1
+
+let note_delivery t ~src ~dst ~bytes =
+  t.delivery_fp <- mix (mix (mix (mix t.delivery_fp t.clock) src) dst) bytes;
+  t.deliveries <- t.deliveries + 1
+
+let deliveries t = t.deliveries
+let delivery_fingerprint t = t.delivery_fp
 
 let schedule t time action =
   if Time.( < ) time t.clock then invalid_arg "Engine: scheduling in the past";

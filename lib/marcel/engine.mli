@@ -40,6 +40,24 @@ val fingerprint : t -> int
     equal {!events_processed}) executed the same schedule; a host-side
     change that moves, adds or drops a single event changes it. *)
 
+val note_delivery : t -> src:int -> dst:int -> bytes:int -> unit
+(** Records that a message of [bytes] bytes from rank [src] was handed
+    to the application at rank [dst] at the current instant. Called by
+    the receive paths that complete a message ([Madeleine.Api] and
+    [Madeleine.Vchannel] [end_unpacking], [Tcpnet.recv], [Bip.recv],
+    MPI receive completion). *)
+
+val deliveries : t -> int
+(** Messages recorded by {!note_delivery} so far. *)
+
+val delivery_fingerprint : t -> int
+(** Running FNV-1a hash of the [(time, src, dst, bytes)] of every
+    delivery recorded so far, in order. Unlike {!fingerprint} it does
+    not see how many events a delivery took: two runs with equal
+    delivery fingerprints handed the same messages to the application
+    at the same instants in the same order, even if their schedules
+    differ event for event. *)
+
 val spawn : t -> ?daemon:bool -> name:string -> (unit -> unit) -> unit
 (** [spawn t ~name f] creates a thread running [f]. The thread starts at
     the current virtual instant, after already-scheduled events. A

@@ -60,6 +60,12 @@ let matches ~src ~tag ~context (env : Device.envelope) =
 
 let memcpy_sleep = Simnet.Cost.memcpy
 
+(* Receive completion: the message is the application's from here. *)
+let complete c done_ status =
+  Engine.note_delivery c.c_engine ~src:status.status_src ~dst:c.c_rank
+    ~bytes:status.status_len;
+  Ivar.fill done_ status
+
 (* The per-rank progress engine: matches each incoming envelope against
    the posted-receive queue; expected payloads extract directly into the
    user buffer, unexpected ones stage into a temporary. *)
@@ -88,7 +94,7 @@ let progress_loop c () =
     match find_posted [] c.posted with
     | Some p ->
         extract p.p_buf ~off:0;
-        Ivar.fill p.p_done status
+        complete c p.p_done status
     | None ->
         let tmp = Bytes.create env.Device.env_len in
         extract tmp ~off:0;
@@ -102,7 +108,7 @@ let progress_loop c () =
               invalid_arg "Mpi: matched receive buffer too small";
             memcpy_sleep env.Device.env_len;
             Bytes.blit tmp 0 p.p_buf 0 env.Device.env_len;
-            Ivar.fill p.p_done status
+            complete c p.p_done status
         | None ->
             Queue.push { u_env = env; u_data = tmp } c.unexpected;
             let ws = c.probe_waiters in
@@ -190,7 +196,7 @@ let irecv_ctx c ~src ~tag ~context buf =
       (* Unexpected path: the staging copy is a real memcpy. *)
       memcpy_sleep len;
       Bytes.blit u.u_data 0 buf 0 len;
-      Ivar.fill done_
+      complete c done_
         {
           status_src = u.u_env.Device.env_src;
           status_tag = u.u_env.Device.env_tag;

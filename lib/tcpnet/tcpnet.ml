@@ -862,6 +862,12 @@ let recv_raw ?deadline conn buf ~off ~len =
     end
   done
 
+(* A completed read is handed to the application: record it. *)
+let note_delivery conn ~bytes =
+  let src = match conn.peer with Some p -> p.stack.host.Node.id | None -> -1 in
+  Engine.note_delivery conn.stack.net.engine ~src ~dst:conn.stack.host.Node.id
+    ~bytes
+
 let recv ?timeout conn buf ~off ~len =
   let deadline =
     match timeout with
@@ -869,8 +875,11 @@ let recv ?timeout conn buf ~off ~len =
     | Some span -> Some (Time.add (Engine.now conn.stack.net.engine) span)
   in
   recv_raw ?deadline conn buf ~off ~len;
-  Engine.sleep Netparams.tcp_recv_overhead
+  Engine.sleep Netparams.tcp_recv_overhead;
+  note_delivery conn ~bytes:len
 
 let recv_group conn slices =
   List.iter (fun (buf, off, len) -> recv_raw conn buf ~off ~len) slices;
-  Engine.sleep Netparams.tcp_recv_overhead
+  Engine.sleep Netparams.tcp_recv_overhead;
+  note_delivery conn
+    ~bytes:(List.fold_left (fun acc (_, _, len) -> acc + len) 0 slices)

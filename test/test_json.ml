@@ -146,8 +146,8 @@ let test_committed_baselines_decode () =
 (* ---------------- simspeed baseline comparison ---------------- *)
 
 let test_simspeed_check () =
-  let row ?(fingerprint = 7) scenario events events_per_s =
-    { Simspeed.scenario; events; fingerprint; events_per_s }
+  let row ?(fingerprint = 7) ?(delivery_fp = 3) scenario events events_per_s =
+    { Simspeed.scenario; events; fingerprint; delivery_fp; events_per_s }
   in
   let baseline = [ row "a" 1000 1e6; row "b" 2000 2e6 ] in
   let verdicts rows = List.map snd (Simspeed.check_baseline ~baseline rows) in
@@ -161,6 +161,10 @@ let test_simspeed_check () =
   Alcotest.(check (list bool))
     "a different fingerprint fails, whatever the count and rate" [ false ]
     (verdicts [ row ~fingerprint:8 "b" 2000 9e6 ]);
+  Alcotest.(check (list bool))
+    "a different delivery fingerprint fails, whatever the count and rate"
+    [ false ]
+    (verdicts [ row ~delivery_fp:4 "b" 2000 9e6 ]);
   Alcotest.(check (list bool))
     "a scenario the baseline lacks only warns" [ true; true ]
     (verdicts [ row "a" 1000 1e6; row "c" 5 1. ]);

@@ -77,6 +77,27 @@ let test_sleep_advances_clock () =
   let d = run_timed (fun _ -> Engine.sleep (Time.us 10.0)) in
   check_i64 "clock" (Time.us 10.0) d
 
+(* The delivery fingerprint sees when, between whom and how much, not
+   how many events it took: an extra same-instant hop leaves it alone,
+   a moved instant or a different size does not. *)
+let test_delivery_fingerprint () =
+  let run ?(hop = false) ?(at = 5) ?(bytes = 64) () =
+    let e = Engine.create () in
+    let deliver () = Engine.note_delivery e ~src:0 ~dst:1 ~bytes in
+    Engine.at e at (fun () ->
+        if hop then Engine.at e (Engine.now e) deliver else deliver ());
+    Engine.at e 9 (fun () -> Engine.note_delivery e ~src:1 ~dst:0 ~bytes:4);
+    Engine.run e;
+    Alcotest.(check int) "deliveries" 2 (Engine.deliveries e);
+    (Engine.events_processed e, Engine.delivery_fingerprint e)
+  in
+  let events, fp = run () in
+  let hop_events, hop_fp = run ~hop:true () in
+  Alcotest.(check int) "one more event" (events + 1) hop_events;
+  Alcotest.(check int) "same deliveries, same fingerprint" fp hop_fp;
+  Alcotest.(check bool) "moved instant" true (snd (run ~at:6 ()) <> fp);
+  Alcotest.(check bool) "other size" true (snd (run ~bytes:65 ()) <> fp)
+
 let test_fifo_same_instant () =
   (* Threads spawned at the same instant run in spawn order. *)
   let order = ref [] in
@@ -520,6 +541,8 @@ let () =
           Alcotest.test_case "sleep advances clock" `Quick
             test_sleep_advances_clock;
           Alcotest.test_case "fifo same instant" `Quick test_fifo_same_instant;
+          Alcotest.test_case "delivery fingerprint" `Quick
+            test_delivery_fingerprint;
           Alcotest.test_case "sleep interleaving" `Quick
             test_sleep_interleaving;
           Alcotest.test_case "exception propagates" `Quick

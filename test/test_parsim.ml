@@ -134,8 +134,9 @@ let test_engine_foreign_domain () =
 (* One figure's job set, serial vs 4 domains: the rendered section must
    be byte-identical (the acceptance oracle for parallel sweeps). *)
 let test_sweep_byte_identical () =
-  let serial = Parsim.with_pool ~jobs:1 Sweeps.fig4 in
-  let parallel = Parsim.with_pool ~jobs:4 Sweeps.fig4 in
+  let fig4 pool = Sweeps.run pool Sweeps.fig4 in
+  let serial = Parsim.with_pool ~jobs:1 fig4 in
+  let parallel = Parsim.with_pool ~jobs:4 fig4 in
   Alcotest.(check string) "fig4 --jobs 1 vs --jobs 4" serial parallel;
   Alcotest.(check bool) "section is non-trivial" true
     (String.length serial > 200)
