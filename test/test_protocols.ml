@@ -396,6 +396,100 @@ let test_sisci_pio_dma_share_fifo () =
   Alcotest.(check (list string)) "fifo across engines" [ "pio"; "dma" ]
     (List.rev !order)
 
+(* The instants of one write, relative to its call: when the writer
+   thread resumes and when the data lands in the remote segment. Pinned
+   at the values of the sender loop that suspended once per 512 B chunk;
+   a rewrite of the loop must reproduce them to the nanosecond. *)
+let sisci_write_instants write len =
+  let e, s0, s1 = sisci_world () in
+  let seg = Sisci.create_segment s1 ~segment_id:1 ~size:(max 1 len) in
+  let started = ref Time.zero and resumed = ref Time.zero in
+  let landed = ref Time.zero in
+  Sisci.set_data_hook seg (fun () -> landed := Engine.now e);
+  Engine.spawn e ~name:"writer" (fun () ->
+      let rs = Sisci.connect s0 ~node_id:1 ~segment_id:1 in
+      let go = write s0 rs (payload len 5L) in
+      started := Engine.now e;
+      go ();
+      resumed := Engine.now e);
+  Engine.run e;
+  (Time.diff !resumed !started, Time.diff !landed !started)
+
+let check_write_instants what ?(sizes = [ 0; 1; 512; 513; 1 lsl 20 ]) write
+    expected =
+  Alcotest.(check (list (pair int (pair int int))))
+    (what ^ " (size, (resumed, landed)) ns")
+    expected
+    (List.map (fun len -> (len, sisci_write_instants write len)) sizes)
+
+let test_sisci_pio_write_instants () =
+  check_write_instants "pio"
+    (fun _ rs data () -> Sisci.pio_write rs ~off:0 data)
+    [
+      (0, (550, 900));
+      (1, (562, 926));
+      (512, (6646, 13588));
+      (513, (6658, 13596));
+      (1048576, (12485158, 12492100));
+    ]
+
+let test_sisci_dma_write_instants () =
+  check_write_instants "dma"
+    (fun _ rs data () -> Sisci.dma_write rs ~off:0 data)
+    [
+      (0, (4000, 4350));
+      (1, (4029, 4393));
+      (512, (18629, 25571));
+      (513, (18658, 25579));
+      (1048576, (29964192, 29971134));
+    ]
+
+(* The registration happens before the clock starts; a zero-length
+   RDMA write is rejected. *)
+let test_sisci_rdma_write_instants () =
+  check_write_instants "rdma" ~sizes:[ 1; 512; 513; 1 lsl 20 ]
+    (fun s0 rs data ->
+      let len = Bytes.length data in
+      let region = Sisci.register s0 data ~pos:0 ~len in
+      fun () -> Sisci.rdma_write_direct rs ~off:0 region ~pos:0 ~len)
+    [
+      (1, (4372, 4372));
+      (512, (14974, 14974));
+      (513, (14982, 14982));
+      (1048576, (8268478, 8268478));
+    ];
+  let e, s0, s1 = sisci_world () in
+  ignore (Sisci.create_segment s1 ~segment_id:1 ~size:16);
+  Engine.spawn e ~name:"writer" (fun () ->
+      let rs = Sisci.connect s0 ~node_id:1 ~segment_id:1 in
+      let region = Sisci.register s0 (Bytes.create 8) ~pos:0 ~len:8 in
+      Alcotest.check_raises "empty rdma"
+        (Invalid_argument "Sisci.rdma_write_direct: range outside region")
+        (fun () -> Sisci.rdma_write_direct rs ~off:0 region ~pos:0 ~len:0));
+  Engine.run e
+
+(* A BIP long send (rendezvous) with the receive posted first: the
+   sender's resume instant and the receiver's completion, pinned like
+   the SISCI writes above. 4096 B is one NIC chunk, 4097 B two. *)
+let test_bip_long_send_instants () =
+  let instants len =
+    let e, b0, b1 = bip_world () in
+    let resumed = ref Time.zero and received = ref Time.zero in
+    Engine.spawn e ~name:"receiver" (fun () ->
+        let got = Bip.recv b1 ~src:0 ~tag:0 (Bytes.create len) in
+        Alcotest.(check int) "length" len got;
+        received := Engine.now e);
+    Engine.spawn e ~name:"sender" (fun () ->
+        Bip.send b0 ~dst:1 ~tag:0 (payload len 6L);
+        resumed := Engine.now e);
+    Engine.run e;
+    (len, (!resumed, !received))
+  in
+  Alcotest.(check (list (pair int (pair int int))))
+    "(size, (sender resumed, received)) ns"
+    [ (4096, (39852, 124204)); (4097, (39860, 124212)) ]
+    (List.map instants [ 4096; 4097 ])
+
 (* ------------------------------------------------------------------ *)
 (* TCP *)
 
@@ -657,6 +751,8 @@ let () =
           Alcotest.test_case "probe and hook" `Quick test_bip_probe_and_hook;
           Alcotest.test_case "send to self" `Quick
             test_bip_send_to_self_rejected;
+          Alcotest.test_case "long send instants" `Quick
+            test_bip_long_send_instants;
         ] );
       ( "sisci",
         [
@@ -675,6 +771,12 @@ let () =
           Alcotest.test_case "connect missing" `Quick test_sisci_connect_missing;
           Alcotest.test_case "wait modes" `Quick test_sisci_wait_modes;
           Alcotest.test_case "pio/dma fifo" `Quick test_sisci_pio_dma_share_fifo;
+          Alcotest.test_case "pio write instants" `Quick
+            test_sisci_pio_write_instants;
+          Alcotest.test_case "dma write instants" `Quick
+            test_sisci_dma_write_instants;
+          Alcotest.test_case "rdma write instants" `Quick
+            test_sisci_rdma_write_instants;
         ] );
       ( "tcp",
         [

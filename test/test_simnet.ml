@@ -479,6 +479,59 @@ let test_pipeline_per_fragment_schedule () =
   check_schedule e ~events:100 ~fingerprint:(-1010651500189754071) !times
     [ ("0", 2000); ("2048", 94248); ("5000", 136349) ]
 
+(* Two streams whose first stages share one fluid, fed at the same
+   instant from two engine actions (not threads): the shared fluid's
+   water-filling sees both transfers join at once. The delivery instants
+   and their order are pinned at the thread-per-stage schedule; no event
+   count is, so a schedule that drops same-instant hops must still
+   reproduce every line. *)
+let test_same_instant_contention () =
+  let e = Engine.create () in
+  let shared = Fluid.create e ~name:"shared" ~capacity_mb_s:100.0 () in
+  let own1 = Fluid.create e ~name:"own1" ~capacity_mb_s:150.0 () in
+  let own2 = Fluid.create e ~name:"own2" ~capacity_mb_s:60.0 () in
+  let s1 =
+    Simnet.Stream.create e
+      ~stages:
+        [
+          Pipeline.stage ~use:(wire shared) ~prop:(Time.us 0.5) "shared";
+          Pipeline.stage ~use:(wire own1) "own1";
+        ]
+      ~mtu:512
+  and s2 =
+    Simnet.Stream.create e
+      ~stages:
+        [
+          Pipeline.stage ~use:(wire ~weight:2.0 shared) "shared";
+          Pipeline.stage ~use:(wire ~rate_cap:40.0 own2) ~prop:(Time.us 1.0)
+            "own2";
+        ]
+      ~mtu:512
+  in
+  let order = ref [] in
+  let push st label bytes_count =
+    Simnet.Stream.push st ~bytes_count ~on_delivered:(fun () ->
+        order := (label, Engine.now e) :: !order)
+  in
+  let at = Time.us 3.0 in
+  Engine.at e at (fun () ->
+      push s1 "s1:1500" 1500;
+      push s1 "s1:1" 1);
+  Engine.at e at (fun () ->
+      push s2 "s2:1024" 1024;
+      push s2 "s2:0" 0;
+      push s2 "s2:700" 700);
+  Engine.run e;
+  Alcotest.(check (list (pair string int))) "delivery order and instants"
+    [
+      ("s2:1024", 37280);
+      ("s2:0", 37280);
+      ("s1:1500", 38914);
+      ("s1:1", 38921);
+      ("s2:700", 54780);
+    ]
+    (List.rev !order)
+
 let test_fabric_attach () =
   let e = Engine.create () in
   let fab =
@@ -668,6 +721,8 @@ let () =
             test_stream_mixed_sizes_schedule;
           Alcotest.test_case "shared fluid schedule" `Quick
             test_streams_share_fluid_schedule;
+          Alcotest.test_case "same-instant contention" `Quick
+            test_same_instant_contention;
         ] );
       ("fabric", [ Alcotest.test_case "attach" `Quick test_fabric_attach ]);
       ( "pipeline",
