@@ -2,12 +2,12 @@ type t = { data : Bytes.t; off : int; len : int }
 
 let make ?(off = 0) ?len data =
   let len = Option.value len ~default:(Bytes.length data - off) in
-  if off < 0 || len < 0 || off + len > Bytes.length data then
+  if off < 0 || len < 0 || off > Bytes.length data - len then
     invalid_arg "Buf.make: slice out of bounds";
   { data; off; len }
 
 let sub t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then
+  if pos < 0 || len < 0 || pos > t.len - len then
     invalid_arg "Buf.sub: slice out of bounds";
   { data = t.data; off = t.off + pos; len }
 

@@ -99,7 +99,7 @@ let shrink t =
 let touch t e = t.lru <- e :: List.filter (fun x -> x != e) t.lru
 
 let acquire t mem ~pos ~len =
-  if pos < 0 || len <= 0 || pos + len > Bytes.length mem then
+  if pos < 0 || len <= 0 || pos > Bytes.length mem - len then
     invalid_arg "Regcache.acquire: bad range";
   if t.capacity = 0 then begin
     (* Degenerate cache: register-per-send, release deregisters. *)

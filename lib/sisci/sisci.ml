@@ -81,7 +81,7 @@ let segment_size seg = Bytes.length seg.mem
 let remote_size rs = Bytes.length rs.remote.mem
 
 let check_bounds mem ~off ~len op =
-  if off < 0 || len < 0 || off + len > Bytes.length mem then
+  if off < 0 || len < 0 || off > Bytes.length mem - len then
     invalid_arg (op ^ ": out of segment bounds")
 
 (* Posted writes snapshot their payload so the sender may reuse its
@@ -154,7 +154,7 @@ let stream rs =
    snapshot for the asynchronous delivery doubles as the only host copy:
    callers may hand a sub-range of a reusable staging buffer. *)
 let remote_write rs ~off data ~pos ~len ~src_use ~setup =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then
     invalid_arg "Sisci.remote_write: bad source range";
   check_bounds rs.remote.mem ~off ~len "Sisci.pio_write";
   Engine.sleep setup;
@@ -224,7 +224,7 @@ type region = {
 }
 
 let register t data ~pos ~len =
-  if pos < 0 || len <= 0 || pos + len > Bytes.length data then
+  if pos < 0 || len <= 0 || pos > Bytes.length data - len then
     invalid_arg "Sisci.register: bad range";
   Simnet.Cost.pin len;
   { r_adapter = t; r_mem = data; r_pos = pos; r_len = len; r_active = true }
@@ -275,7 +275,7 @@ let rdma_write_direct rs ~off region ~pos ~len =
   if not region.r_active then
     invalid_arg "Sisci.rdma_write_direct: inactive region";
   if
-    pos < region.r_pos || len <= 0 || pos + len > region.r_pos + region.r_len
+    pos < region.r_pos || len <= 0 || pos - region.r_pos > region.r_len - len
   then invalid_arg "Sisci.rdma_write_direct: range outside region";
   check_bounds rs.remote.mem ~off ~len "Sisci.rdma_write_direct";
   Engine.sleep Netparams.sisci_dma_setup;

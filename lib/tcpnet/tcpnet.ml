@@ -824,7 +824,7 @@ let queue_peaks net =
 let available conn = Bytequeue.length conn.inbox
 
 let recv_raw ?deadline conn buf ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Tcpnet.recv: out of bounds";
   let engine = conn.stack.net.engine in
   let got = ref 0 in

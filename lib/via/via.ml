@@ -110,7 +110,7 @@ let recv_wait vi =
 (* --- Zero-copy RDMA: registered user buffers -------------------------- *)
 
 let register t data ~pos ~len =
-  if pos < 0 || len <= 0 || pos + len > Bytes.length data then
+  if pos < 0 || len <= 0 || pos > Bytes.length data - len then
     invalid_arg "Via.register: bad range";
   Simnet.Cost.pin len;
   { v_host = t; v_mem = data; v_pos = pos; v_len = len; v_active = true }
@@ -150,7 +150,7 @@ let rdma_write vi region ~pos ~len ~cookie =
   in
   if not region.v_active then invalid_arg "Via.rdma_write: inactive region";
   if
-    pos < region.v_pos || len <= 0 || pos + len > region.v_pos + region.v_len
+    pos < region.v_pos || len <= 0 || pos - region.v_pos > region.v_len - len
   then invalid_arg "Via.rdma_write: range outside region";
   let target =
     match Hashtbl.find_opt peer.owner.exposed cookie with

@@ -86,6 +86,20 @@ let test_buf_slice_validation () =
   Alcotest.check_raises "sub" (Invalid_argument "Buf.sub: slice out of bounds")
     (fun () -> ignore (Buf.sub v ~pos:4 ~len:5))
 
+(* Slices whose end overflows [max_int]: [off + len] wraps negative. *)
+let test_buf_slice_overflow () =
+  let module Buf = Madeleine.Buf in
+  let v = Buf.make (Bytes.create 16) in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises "make"
+        (Invalid_argument "Buf.make: slice out of bounds") (fun () ->
+          ignore (Buf.make ~off ~len (Bytes.create 16)));
+      Alcotest.check_raises "sub"
+        (Invalid_argument "Buf.sub: slice out of bounds") (fun () ->
+          ignore (Buf.sub v ~pos:off ~len)))
+    [ (1, max_int); (max_int, 1) ]
+
 let test_mode_wire_codes_roundtrip () =
   List.iter
     (fun m ->
@@ -429,6 +443,7 @@ let () =
           Alcotest.test_case "channel validation" `Quick
             test_channel_creation_validation;
           Alcotest.test_case "buf slices" `Quick test_buf_slice_validation;
+          Alcotest.test_case "buf slice overflow" `Quick test_buf_slice_overflow;
           Alcotest.test_case "mode wire codes" `Quick
             test_mode_wire_codes_roundtrip;
           Alcotest.test_case "generic tm headers" `Quick

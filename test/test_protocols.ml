@@ -367,6 +367,49 @@ let test_sisci_wait_modes () =
   in_range ~lo:10.0 ~hi:14.0 "adaptive cold = interrupt cost" a_slow_cost;
   in_range ~lo:49.0 ~hi:51.0 "adaptive cold spin bounded" a_slow_spun
 
+(* Ranges whose end overflows [max_int]: [off + len] wraps negative,
+   so each check must compare without adding. *)
+let overflowing = [ (1, max_int); (max_int, 1) ]
+
+let test_sisci_bounds_overflow () =
+  let e, s0, s1 = sisci_world () in
+  let seg = Sisci.create_segment s1 ~segment_id:1 ~size:16 in
+  let oob = Invalid_argument "Sisci.read: out of segment bounds" in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises "read" oob (fun () ->
+          ignore (Sisci.read seg ~off ~len)))
+    overflowing;
+  Alcotest.check_raises "get"
+    (Invalid_argument "Sisci.get: out of segment bounds") (fun () ->
+      ignore (Sisci.get seg ~off:max_int));
+  Alcotest.check_raises "set"
+    (Invalid_argument "Sisci.set: out of segment bounds") (fun () ->
+      Sisci.set seg ~off:max_int 'x');
+  Engine.spawn e ~name:"writer" (fun () ->
+      let rs = Sisci.connect s0 ~node_id:1 ~segment_id:1 in
+      let data = Bytes.create 8 in
+      List.iter
+        (fun (pos, len) ->
+          Alcotest.check_raises "source range"
+            (Invalid_argument "Sisci.remote_write: bad source range")
+            (fun () -> Sisci.pio_write_sub rs ~off:0 data ~pos ~len);
+          Alcotest.check_raises "register"
+            (Invalid_argument "Sisci.register: bad range") (fun () ->
+              ignore (Sisci.register s0 data ~pos ~len)))
+        overflowing;
+      Alcotest.check_raises "target range"
+        (Invalid_argument "Sisci.pio_write: out of segment bounds") (fun () ->
+          Sisci.pio_write rs ~off:max_int (Bytes.create 1));
+      let region = Sisci.register s0 data ~pos:0 ~len:8 in
+      List.iter
+        (fun (pos, len) ->
+          Alcotest.check_raises "rdma range"
+            (Invalid_argument "Sisci.rdma_write_direct: range outside region")
+            (fun () -> Sisci.rdma_write_direct rs ~off:0 region ~pos ~len))
+        overflowing);
+  Engine.run e
+
 let test_sisci_connect_missing () =
   let e, s0, _s1 = sisci_world () in
   ignore e;
@@ -589,6 +632,21 @@ let test_tcp_connect_errors () =
           ignore (Tcpnet.connect t0 ~node_id:9 ~port:80)));
   Engine.run e
 
+let test_tcp_recv_bounds_overflow () =
+  let e, t0, t1 = tcp_world () in
+  Tcpnet.listen t1 ~port:80;
+  Engine.spawn e ~name:"client" (fun () ->
+      ignore (Tcpnet.connect t0 ~node_id:1 ~port:80));
+  Engine.spawn e ~name:"server" (fun () ->
+      let c = Tcpnet.accept t1 ~port:80 in
+      List.iter
+        (fun (off, len) ->
+          Alcotest.check_raises "recv"
+            (Invalid_argument "Tcpnet.recv: out of bounds") (fun () ->
+              Tcpnet.recv c (Bytes.create 8) ~off ~len))
+        overflowing);
+  Engine.run e
+
 (* ------------------------------------------------------------------ *)
 (* VIA *)
 
@@ -635,6 +693,29 @@ let test_via_descriptor_limit () =
         (Invalid_argument "Via.send: exceeds descriptor max") (fun () ->
           Via.send v0 (Bytes.create (Via.max_transfer + 1))
             ~len:(Via.max_transfer + 1)));
+  Engine.run e
+
+let test_via_bounds_overflow () =
+  let e, fab, n0, n1 = world Netparams.fast_ethernet in
+  let net = Via.make_net e fab in
+  let h0 = Via.attach net n0 in
+  let v0 = Via.create_vi h0 and v1 = Via.create_vi (Via.attach net n1) in
+  Via.vi_connect v0 v1;
+  let data = Bytes.create 8 in
+  Engine.spawn e ~name:"sender" (fun () ->
+      List.iter
+        (fun (pos, len) ->
+          Alcotest.check_raises "register"
+            (Invalid_argument "Via.register: bad range") (fun () ->
+              ignore (Via.register h0 data ~pos ~len)))
+        overflowing;
+      let region = Via.register h0 data ~pos:0 ~len:8 in
+      List.iter
+        (fun (pos, len) ->
+          Alcotest.check_raises "rdma range"
+            (Invalid_argument "Via.rdma_write: range outside region")
+            (fun () -> Via.rdma_write v0 region ~pos ~len ~cookie:0))
+        overflowing);
   Engine.run e
 
 let test_via_reposted_descriptor_reused () =
@@ -769,6 +850,7 @@ let () =
             test_sisci_write_order_preserved;
           Alcotest.test_case "bounds checked" `Quick test_sisci_bounds_checked;
           Alcotest.test_case "connect missing" `Quick test_sisci_connect_missing;
+          Alcotest.test_case "bounds overflow" `Quick test_sisci_bounds_overflow;
           Alcotest.test_case "wait modes" `Quick test_sisci_wait_modes;
           Alcotest.test_case "pio/dma fifo" `Quick test_sisci_pio_dma_share_fifo;
           Alcotest.test_case "pio write instants" `Quick
@@ -788,6 +870,8 @@ let () =
           Alcotest.test_case "recv_group spans sends" `Quick
             test_tcp_recv_group_across_sends;
           Alcotest.test_case "connect errors" `Quick test_tcp_connect_errors;
+          Alcotest.test_case "recv bounds overflow" `Quick
+            test_tcp_recv_bounds_overflow;
         ] );
       ( "via",
         [
@@ -796,6 +880,7 @@ let () =
           Alcotest.test_case "sender blocks without descriptor" `Quick
             test_via_sender_blocks_without_descriptor;
           Alcotest.test_case "descriptor limit" `Quick test_via_descriptor_limit;
+          Alcotest.test_case "bounds overflow" `Quick test_via_bounds_overflow;
           Alcotest.test_case "fifo completion order" `Quick
             test_via_fifo_completion_order;
           Alcotest.test_case "descriptor reuse" `Quick

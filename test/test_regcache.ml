@@ -38,6 +38,17 @@ let use cache mem ~pos ~len =
   Regcache.release cache e;
   id
 
+(* Ranges whose end overflows [max_int] are rejected, not wrapped. *)
+let test_acquire_overflow () =
+  let _, register, deregister = mock () in
+  let cache = Regcache.create ~entries:2 ~register ~deregister () in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises "acquire"
+        (Invalid_argument "Regcache.acquire: bad range") (fun () ->
+          ignore (Regcache.acquire cache (Bytes.create 16) ~pos ~len)))
+    [ (1, max_int); (max_int, 1) ]
+
 let test_lru_eviction_order () =
   let log, register, deregister = mock () in
   let cache = Regcache.create ~entries:2 ~register ~deregister () in
@@ -313,6 +324,7 @@ let () =
         [
           Alcotest.test_case "LRU eviction order" `Quick
             test_lru_eviction_order;
+          Alcotest.test_case "acquire overflow" `Quick test_acquire_overflow;
           Alcotest.test_case "overlap hit and merge" `Quick
             test_overlap_hit_and_merge;
           Alcotest.test_case "capacity 0 = register per send" `Quick
