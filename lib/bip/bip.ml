@@ -193,21 +193,15 @@ let send_long t ~dst ~tag payload ~off ~len =
      receiver's posted buffer in order. This snapshot is the message's
      only host copy: it lands straight in the posted slice. *)
   let snapshot = Bytes.sub payload off len in
-  let grain = (Fabric.link net.fabric).Netparams.hw_mtu in
-  let stream = nic_stream net ~src ~dst in
-  let rec inject sent =
-    let chunk = min grain (req.req_len - sent) in
-    let last = sent + chunk >= req.req_len in
-    Simnet.Node.pci_dma t.endpoint_node ~bytes_count:chunk;
-    Simnet.Stream.push stream ~bytes_count:chunk
-      ~on_delivered:
-        (if last then fun () ->
-           Bytes.blit snapshot 0 buf buf_off req.req_len;
-           Ivar.fill completion req.req_len
-         else fun () -> ());
-    if not last then inject (sent + chunk)
-  in
-  if req.req_len = 0 then Ivar.fill completion 0 else inject 0
+  if req.req_len = 0 then Ivar.fill completion 0
+  else
+    Engine.suspend ~name:"bip.send" (fun wake ->
+        Simnet.Stream.inject (nic_stream net ~src ~dst)
+          ~use:(Simnet.Xfer.pci_use t.endpoint_node Simnet.Xfer.Dma)
+          ~grain:(Fabric.link net.fabric).Netparams.hw_mtu
+          ~bytes_count:req.req_len ~on_crossed:wake ~on_delivered:(fun () ->
+            Bytes.blit snapshot 0 buf buf_off req.req_len;
+            Ivar.fill completion req.req_len))
 
 (* The [off]/[len] slice of [buf] named by a send or receive; [len]
    defaults to the rest of the buffer. *)

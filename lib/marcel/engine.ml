@@ -14,6 +14,7 @@ type t = {
   mutable failure : exn option;
   mutable processed : int;
   mutable fingerprint : int; (* running hash of processed (clock, seq) *)
+  mutable horizon : int; (* seq a batch of hand-offs was made at; -1 *)
   mutable deliveries : int;
   mutable delivery_fp : int; (* running hash of (clock, src, dst, bytes) *)
   owner : int; (* id of the domain that created the engine *)
@@ -42,6 +43,7 @@ let create () =
     failure = None;
     processed = 0;
     fingerprint = 0;
+    horizon = -1;
     deliveries = 0;
     delivery_fp = 0;
     owner = (Domain.self () :> int);
@@ -59,6 +61,25 @@ let check_owner t =
        (engines must never cross domains; see docs/MODEL.md)"
 
 let now t = t.clock
+
+(* An event queued at the current instant precedes a zero-delay event
+   scheduled now; inside [batch], only if it was queued before the
+   batch began. *)
+let pending_now t =
+  (not (Eventq.is_empty t.events))
+  && Eventq.min_time_ns t.events <= t.clock
+  && (t.horizon < 0 || Eventq.min_seq t.events <= t.horizon)
+
+let batch t f =
+  if t.horizon >= 0 then f ()
+  else begin
+    t.horizon <- t.seq;
+    match f () with
+    | () -> t.horizon <- -1
+    | exception e ->
+        t.horizon <- -1;
+        raise e
+  end
 let events_processed t = t.processed
 let fingerprint t = t.fingerprint
 

@@ -29,6 +29,22 @@ val create : unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
+val pending_now : t -> bool
+(** Whether an event queued at the current instant would run before a
+    zero-delay event scheduled now. Work that a thread model resumes
+    with such an event (a same-instant hand-off) may run inline instead
+    only when this is false: otherwise the queued event must still run
+    first, so the hand-off stays an event. Inside {!batch} the events
+    the batch itself scheduled do not count. *)
+
+val batch : t -> (unit -> unit) -> unit
+(** [batch t f] runs [f], whose same-instant hand-offs a thread model
+    would schedule together, as consecutive zero-delay events, before
+    any of them runs (the transfers one fluid completion finishes).
+    While [f] runs, {!pending_now} ignores the events [f] schedules:
+    they would follow the whole batch. Nested batches count as the
+    outermost one. *)
+
 val events_processed : t -> int
 (** Total events executed so far — thread resumptions, timer callbacks;
     the discrete-event engine's unit of work, for simulator-throughput

@@ -176,20 +176,26 @@ and schedule_completion t generation next =
     (Time.add (Engine.now t.engine) delay)
     (fun () -> if t.generation = generation then complete t)
 
+(* The finished transfers' [on_done] run after [reschedule]: a
+   continuation that starts a new transfer on this fluid reschedules it
+   again, and rescheduling first leaves no stale completion event
+   behind. Transfers that finish together hand off as one
+   {!Engine.batch}. *)
 and complete t =
   advance t;
-  (match t.active with
+  match t.active with
   | [ x ] when x.fl.remaining <= finish_epsilon ->
       t.active <- [];
+      reschedule t;
       x.on_done ()
-  | [ _ ] -> ()
+  | [ _ ] -> reschedule t
   | active ->
       let finished, still =
         List.partition (fun x -> x.fl.remaining <= finish_epsilon) active
       in
       t.active <- still;
-      List.iter (fun x -> x.on_done ()) finished);
-  reschedule t
+      reschedule t;
+      Engine.batch t.engine (fun () -> List.iter (fun x -> x.on_done ()) finished)
 
 let check_args fn ~bytes_count ~weight rate_cap =
   if bytes_count < 0 then invalid_arg (fn ^ ": negative size");

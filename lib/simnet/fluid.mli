@@ -66,10 +66,12 @@ val start :
   unit
 (** Non-blocking form of {!transfer}: joins the fair-share schedule now
     and returns; [on_done] runs inside the engine event at which the
-    last byte has moved. It runs in event context, so it must not
-    block — to resume work, schedule it with {!Marcel.Engine.at}. A
-    zero-byte transfer calls [on_done] before [start] returns. Usable
-    from threads and from raw engine callbacks alike. *)
+    last byte has moved, after the fluid has rescheduled the transfers
+    still active, so it may start the next transfer on the same fluid
+    directly. It runs in event context, so it must not block — to
+    resume a thread, wake it. A zero-byte transfer calls [on_done]
+    before [start] returns. Usable from threads and from raw engine
+    callbacks alike. *)
 
 val total_bytes : t -> float
 (** Total bytes moved through this resource since creation. *)

@@ -14,15 +14,14 @@ type stage = {
 let stage ?use ?(per_fragment = 0) ?(prop = 0) label =
   { label; use; per_fragment; prop }
 
-(* One running stage. It moves through exactly the states of a thread
-   looping on a mailbox — take a fragment, sleep [per_fragment], cross
-   the fluid, hand the fragment on after [prop] — and must schedule the
-   engine events such a thread would: [idle] is "blocked in take", so a
-   fragment fed to an idle stage costs one [Engine.at now] wake-up, a
-   queued one is picked up with no event, and a fluid completion costs
-   one [Engine.at now] resumption. That keeps the schedule, event for
-   event, the one-thread-per-stage model of docs/MODEL.md, which the
-   goldens and the simspeed fingerprints pin. *)
+(* One running stage: take a fragment, sleep [per_fragment], cross the
+   fluid, hand the fragment on after [prop]. The instants are those of
+   one thread per stage looping on a mailbox (docs/MODEL.md), whose
+   wake-up on a fragment fed to an idle stage, and resumption after a
+   fluid crossing, are zero-delay events. Here both run inline in the
+   action that makes them ready unless another event is already queued
+   at the instant ({!Engine.pending_now}): that event would have run
+   first, so then the hand-off stays an event. *)
 type 'a runner = {
   engine : Engine.t;
   spec : stage;
@@ -45,7 +44,9 @@ and cross r frag =
   | Some { fluid; weight; rate_cap; cls } when bytes_count > 0 ->
       Fluid.start fluid ~bytes_count ~weight ?rate_cap ~cls
         ~on_done:(fun () ->
-          Engine.at r.engine (Engine.now r.engine) (fun () -> leave r frag))
+          if Engine.pending_now r.engine then
+            Engine.at r.engine (Engine.now r.engine) (fun () -> leave r frag)
+          else leave r frag)
         ()
   | Some _ | None -> leave r frag
 
@@ -63,7 +64,9 @@ and pick r =
 let feed r frag =
   if r.idle then begin
     r.idle <- false;
-    Engine.at r.engine (Engine.now r.engine) (fun () -> serve r frag)
+    if Engine.pending_now r.engine then
+      Engine.at r.engine (Engine.now r.engine) (fun () -> serve r frag)
+    else serve r frag
   end
   else Queue.push frag r.queue
 

@@ -48,14 +48,19 @@ val chain :
     is then passed to [sink]. Fragments never overtake each other.
 
     The stages are a state machine driven by engine callbacks, not
-    threads, but they schedule exactly the events one thread per stage
-    looping on a mailbox would: one event per stage at creation (its
-    start), one when a fragment reaches an idle stage (its wake-up),
-    one per [per_fragment] sleep, one when a fluid crossing completes
-    (its resumption) and one per non-zero [prop]. Feeding never blocks
-    and may happen from a thread or an event. [sink] runs in event
-    context, so it must not block. {!run} and {!Stream} are built on
-    it. Raises [Invalid_argument] if [stages] is empty. *)
+    threads. Every fragment reaches every instant one thread per stage
+    looping on a mailbox would give it, but only the timed steps are
+    always engine events: one per stage at creation (its start), one
+    per [per_fragment] sleep, the fluid's completion event and one per
+    non-zero [prop]. A fragment fed to an idle stage is served inside
+    the feeder's action, and a fragment whose fluid crossing completes
+    leaves the stage inside the fluid's completion event, unless
+    another event is queued at that instant
+    ({!Marcel.Engine.pending_now}); then the hand-off is a zero-delay
+    event, as a thread's wake-up would be. Feeding never blocks and may
+    happen from a thread or an event. [sink] runs in event context, so
+    it must not block. {!run} and {!Stream} are built on it. Raises
+    [Invalid_argument] if [stages] is empty. *)
 
 val run :
   Marcel.Engine.t -> stages:stage list -> bytes_count:int -> mtu:int -> unit

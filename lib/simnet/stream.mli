@@ -29,3 +29,25 @@ val push : t -> bytes_count:int -> on_delivered:(unit -> unit) -> unit
     {!Marcel.Engine.at} are fine, and anything longer belongs in a
     thread it wakes. A zero-byte message still traverses the pipeline
     as one empty fragment. *)
+
+val inject :
+  t ->
+  use:Pipeline.fluid_use ->
+  grain:int ->
+  bytes_count:int ->
+  on_crossed:(unit -> unit) ->
+  on_delivered:(unit -> unit) ->
+  unit
+(** A message that must first cross a local fluid (the sender's PCI
+    bus) before it enters the stream, as a NIC forwards a write as the
+    bridge emits it: the [bytes_count] bytes cross [use] in chunks of at
+    most [grain] bytes, one {!Fluid.start} after the other, and each
+    chunk is pushed into the stream as its crossing completes (inside
+    the completion event unless another event is queued at that
+    instant, see {!Pipeline.chain}), so delivery overlaps the rest of
+    the crossing. Never blocks. [on_crossed] runs once the last chunk has crossed and
+    [on_delivered] once it has been delivered; both run in event
+    context, under the rules of {!push}. A sending thread that waits
+    for [on_crossed] suspends once per message, not once per chunk.
+    Raises [Invalid_argument] unless [bytes_count] and [grain] are
+    positive. *)

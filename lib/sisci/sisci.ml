@@ -4,7 +4,6 @@ module Node = Simnet.Node
 module Fabric = Simnet.Fabric
 module Netparams = Simnet.Netparams
 module Pipeline = Simnet.Pipeline
-module Fluid = Simnet.Fluid
 
 type local_segment = {
   owner : t;
@@ -118,7 +117,9 @@ let commit_write rs ~off data =
 let set_data_hook seg hook = seg.data_hooks <- hook :: seg.data_hooks
 
 let wire_use fluid = { Pipeline.fluid; weight = 1.0; rate_cap = None; cls = 0 }
-let nothing () = ()
+
+(* Writes cross the local PCI bus and enter the SCI stream by packet. *)
+let grain net = (Fabric.link net.fabric).Netparams.hw_mtu
 
 (* The SCI stream between two adapters: a persistent FIFO pipeline
    carrying posted writes from the sender's NIC to the receiver's memory
@@ -158,29 +159,22 @@ let remote_write rs ~off data ~pos ~len ~src_use ~setup =
     invalid_arg "Sisci.remote_write: bad source range";
   check_bounds rs.remote.mem ~off ~len "Sisci.pio_write";
   Engine.sleep setup;
-  let { Pipeline.fluid; weight; rate_cap; cls } = src_use in
   let net = rs.local_end.net in
   let staged = spool_get net len in
   Bytes.blit data pos staged 0 len;
   let st = stream rs in
-  let total = len in
-  let grain = (Fabric.link rs.local_end.net.fabric).Netparams.hw_mtu in
-  (* Interleave the local PCI crossing with stream injection at packet
-     grain: SCI forwards data as the bridge emits it, so remote delivery
-     overlaps the issuing CPU's stores instead of trailing them. *)
   let deliver () =
     commit_write rs ~off staged;
     spool_put net staged
   in
-  let rec go sent =
-    let chunk = min grain (total - sent) in
-    let last = sent + chunk >= total in
-    Fluid.transfer fluid ~bytes_count:chunk ~weight ?rate_cap ~cls ();
-    Simnet.Stream.push st ~bytes_count:chunk
-      ~on_delivered:(if last then deliver else nothing);
-    if not last then go (sent + chunk)
-  in
-  go 0
+  (* Interleave the local PCI crossing with stream injection at packet
+     grain: SCI forwards data as the bridge emits it, so remote delivery
+     overlaps the issuing CPU's stores instead of trailing them. *)
+  if len = 0 then Simnet.Stream.push st ~bytes_count:0 ~on_delivered:deliver
+  else
+    Engine.suspend ~name:"sisci.write" (fun wake ->
+        Simnet.Stream.inject st ~use:src_use ~grain:(grain net)
+          ~bytes_count:len ~on_crossed:wake ~on_delivered:deliver)
 
 let pio_use rs = Simnet.Xfer.pci_use rs.local_end.adapter_node Simnet.Xfer.Pio
 
@@ -279,27 +273,12 @@ let rdma_write_direct rs ~off region ~pos ~len =
   then invalid_arg "Sisci.rdma_write_direct: range outside region";
   check_bounds rs.remote.mem ~off ~len "Sisci.rdma_write_direct";
   Engine.sleep Netparams.sisci_dma_setup;
-  let { Pipeline.fluid; weight; rate_cap; cls } = rdma_use rs in
   let st = stream rs in
-  let grain = (Fabric.link rs.local_end.net.fabric).Netparams.hw_mtu in
-  let delivered = ref false in
-  let waiter = ref None in
-  let deliver () =
-    commit_blit rs ~off region.r_mem ~pos ~len;
-    delivered := true;
-    match !waiter with Some wake -> wake () | None -> ()
-  in
-  let rec go sent =
-    let chunk = min grain (len - sent) in
-    let last = sent + chunk >= len in
-    Fluid.transfer fluid ~bytes_count:chunk ~weight ?rate_cap ~cls ();
-    Simnet.Stream.push st ~bytes_count:chunk
-      ~on_delivered:(if last then deliver else nothing);
-    if not last then go (sent + chunk)
-  in
-  go 0;
-  if not !delivered then
-    Engine.suspend ~name:"sisci.rdma" (fun wake -> waiter := Some (fun () -> wake ()))
+  Engine.suspend ~name:"sisci.rdma" (fun wake ->
+      Simnet.Stream.inject st ~use:(rdma_use rs) ~grain:(grain rs.local_end.net)
+        ~bytes_count:len ~on_crossed:ignore ~on_delivered:(fun () ->
+          commit_blit rs ~off region.r_mem ~pos ~len;
+          wake ()))
 
 let read seg ~off ~len =
   check_bounds seg.mem ~off ~len "Sisci.read";

@@ -98,6 +98,35 @@ let test_delivery_fingerprint () =
   Alcotest.(check bool) "moved instant" true (snd (run ~at:6 ()) <> fp);
   Alcotest.(check bool) "other size" true (snd (run ~bytes:65 ()) <> fp)
 
+(* [pending_now] sees events queued at the current instant; inside a
+   batch, only those queued before the batch began. *)
+let test_pending_now () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  let note what = seen := (what, Engine.pending_now e) :: !seen in
+  Engine.at e 5 (fun () ->
+      note "alone";
+      Engine.at e 6 ignore;
+      note "later event";
+      Engine.batch e (fun () ->
+          Engine.at e 5 ignore;
+          note "batch after its own");
+      note "after batch");
+  Engine.at e 7 (fun () ->
+      Engine.at e 7 ignore;
+      Engine.batch e (fun () -> note "batch after earlier"));
+  Engine.run e;
+  Alcotest.(check (list (pair string bool)))
+    "pending"
+    [
+      ("alone", false);
+      ("later event", false);
+      ("batch after its own", false);
+      ("after batch", true);
+      ("batch after earlier", true);
+    ]
+    (List.rev !seen)
+
 let test_fifo_same_instant () =
   (* Threads spawned at the same instant run in spawn order. *)
   let order = ref [] in
@@ -543,6 +572,7 @@ let () =
           Alcotest.test_case "fifo same instant" `Quick test_fifo_same_instant;
           Alcotest.test_case "delivery fingerprint" `Quick
             test_delivery_fingerprint;
+          Alcotest.test_case "pending now" `Quick test_pending_now;
           Alcotest.test_case "sleep interleaving" `Quick
             test_sleep_interleaving;
           Alcotest.test_case "exception propagates" `Quick
