@@ -441,8 +441,8 @@ let test_sisci_pio_dma_share_fifo () =
 
 (* The instants of one write, relative to its call: when the writer
    thread resumes and when the data lands in the remote segment. Pinned
-   at the values of the sender loop that suspended once per 512 B chunk;
-   a rewrite of the loop must reproduce them to the nanosecond. *)
+   to the nanosecond, whatever number of engine events the sender loop
+   takes. *)
 let sisci_write_instants write len =
   let e, s0, s1 = sisci_world () in
   let seg = Sisci.create_segment s1 ~segment_id:1 ~size:(max 1 len) in

@@ -484,9 +484,8 @@ let test_pipeline_per_fragment_schedule () =
 (* Two streams whose first stages share one fluid, fed at the same
    instant from two engine actions (not threads): the shared fluid's
    water-filling sees both transfers join at once. The delivery instants
-   and their order are pinned at the thread-per-stage schedule; no event
-   count is, so a schedule that drops same-instant hops must still
-   reproduce every line. *)
+   and their order are pinned; no event count is, so a schedule with
+   fewer same-instant events must still reproduce every line. *)
 let test_same_instant_contention () =
   let e = Engine.create () in
   let shared = Fluid.create e ~name:"shared" ~capacity_mb_s:100.0 () in
