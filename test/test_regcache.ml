@@ -324,7 +324,6 @@ let () =
         [
           Alcotest.test_case "LRU eviction order" `Quick
             test_lru_eviction_order;
-          Alcotest.test_case "acquire overflow" `Quick test_acquire_overflow;
           Alcotest.test_case "overlap hit and merge" `Quick
             test_overlap_hit_and_merge;
           Alcotest.test_case "capacity 0 = register per send" `Quick
@@ -333,6 +332,7 @@ let () =
             test_eviction_accounting;
           Alcotest.test_case "busy entries survive pressure" `Quick
             test_busy_entries_survive_pressure;
+          Alcotest.test_case "acquire overflow" `Quick test_acquire_overflow;
         ] );
       ( "rendezvous",
         [
