@@ -55,6 +55,30 @@ val verified : stream -> bool
 (** Every delivery intact and in order, every index delivered exactly
     once, and no send failed with [Partitioned]. *)
 
+val stream :
+  Marcel.Engine.t ->
+  Madeleine.Vchannel.t ->
+  tag:int ->
+  src:int ->
+  dst:int ->
+  size:int ->
+  messages:int ->
+  ?flow:int ->
+  ?start:(unit -> bool) ->
+  ?pause:int * (unit -> bool) ->
+  ?retry:bool ->
+  ?on_delivery:(int -> unit) ->
+  unit ->
+  stream
+(** [stream engine vc ~tag ~src ~dst ~size ~messages ()] spawns a
+    sender of {!stream_payload}s from [src] to [dst] (on [flow]) and a
+    receiver that checks each delivery, and returns the receiver's
+    record. Both wait for [start]; [pause] [(k, cond)] holds the sender
+    before payload [k] until [cond]. A send that fails with
+    [Partitioned] marks the stream and skips the payload, unless
+    [retry] keeps retrying it. [on_delivery k] runs in the receiver once
+    delivery [k] is checked. *)
+
 val workloads : workload list
 (** Every chaos workload, with its parameters. *)
 

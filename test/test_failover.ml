@@ -165,6 +165,80 @@ let test_crash_restart_exactly_once () =
         flows
   | _ -> Alcotest.fail "flows"
 
+(* Crash-epoch sessions under credit flow control: rank 0 streams to
+   rank 2 through the only gateway (rank 1) on a credits=4 reliable
+   vchannel. Once phase one has landed the origin crashes and restarts
+   (the paused sender resumes after the reboot); the first phase-two
+   delivery then crashes and restarts the gateway with the rest of
+   phase two in flight. Every counter the crash paths touch is pinned,
+   so a rewrite of the per-flow state must reproduce them exactly. *)
+let test_credit_crash_restart_pinned () =
+  let engine, faults, vc =
+    built
+      {|
+faults  seed=5
+network ethA type=tcp
+network ethB type=tcp
+node n0 nets=ethA
+node n1 nets=ethA,ethB
+node n2 nets=ethB
+channel  c-a net=ethA nodes=n0,n1
+channel  c-b net=ethB nodes=n1,n2
+vchannel vc  channels=c-a,c-b mtu=4096 credits=4 reliable=true
+|}
+  in
+  let phase = 6 in
+  let finish = ref Time.zero in
+  let s =
+    Chaos.stream engine vc ~tag:23 ~src:0 ~dst:2 ~size:8000
+      ~messages:(2 * phase)
+      ~pause:(phase, fun () -> Faults.epoch faults 0 <> 0)
+      ~on_delivery:(fun k ->
+        if k = phase - 1 then
+          Faults.crash_now faults ~node:0 ~restart_after:(Time.us 2_000.0) ();
+        if k = phase then
+          Faults.crash_now faults ~node:1 ~restart_after:(Time.us 5_000.0) ();
+        finish := Engine.now engine)
+      ()
+  in
+  Engine.run engine;
+  Alcotest.(check bool) "delivered exactly once, bit-identical" true
+    (Chaos.verified s);
+  let cs = Option.get (Vc.credit_stats vc)
+  and rs = Option.get (Vc.rel_stats vc) in
+  let lines =
+    [
+      Printf.sprintf "credits budget=%d grants=%d probes=%d stalls=%d"
+        cs.Vc.credit_budget cs.Vc.grants cs.Vc.probes cs.Vc.stalls;
+      Printf.sprintf "rel reroutes=%d reemitted=%d dup_drops=%d handshakes=%d"
+        rs.Vc.reroutes rs.Vc.reemitted rs.Vc.dup_drops rs.Vc.handshakes;
+    ]
+    @ List.map
+        (fun f ->
+          Printf.sprintf "flow %d->%d sent=%d unacked=%d delivered=%d"
+            f.Vc.flow_src f.Vc.flow_dst f.Vc.sent f.Vc.unacked f.Vc.delivered)
+        (Vc.flow_stats vc)
+    @ List.map
+        (fun q ->
+          Printf.sprintf "queue %s %d/%d peak=%d bound=%s" q.Vc.q_point
+            q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
+            (Option.fold ~none:"-" ~some:string_of_int q.Vc.q_bound))
+        (Vc.queue_stats vc)
+    @ [ Printf.sprintf "finish=%.3f us" (Time.to_us !finish) ]
+  in
+  Alcotest.(check (list string))
+    "pinned counters"
+    [
+      "credits budget=4 grants=13 probes=1 stalls=4";
+      "rel reroutes=2 reemitted=8 dup_drops=5 handshakes=1";
+      "flow 0->2 sent=24 unacked=0 delivered=24";
+      "queue assembler_bytes 2/0 peak=4096 bound=16384";
+      "queue gateway_pool_slots 1/-1 peak=4 bound=4";
+      "queue unacked_packets 0/2 peak=4 bound=4";
+      "finish=21694.702 us";
+    ]
+    lines
+
 let test_window_beats_stop_and_wait () =
   let g = chaos_workload "goodput" in
   Alcotest.(check bool) "both streams intact" true
@@ -623,6 +697,8 @@ let () =
             test_crash_restart_exactly_once;
           Alcotest.test_case "window beats stop-and-wait" `Quick
             test_window_beats_stop_and_wait;
+          Alcotest.test_case "credit crash-restart: pinned counters" `Quick
+            test_credit_crash_restart_pinned;
         ] );
       ( "live-topology",
         [
