@@ -112,31 +112,83 @@ exception Partitioned of string
 
 exception No_quorum of string
 
-(* End-to-end reliability state, present only when the vchannel was
-   created with a fault plane. Sequence numbers are per (origin, final
-   destination) flow, 16 bits, carried in the packet header; every
-   accepted packet is answered by a cumulative ack so the origin can
-   trim its unacknowledged-packet log, from which packets are re-emitted
-   after a gateway crash.
+(* Peak-tracking occupancy counter for one buffering point. *)
+type probe_point = { mutable pp_cur : int; mutable pp_peak : int }
+
+let pp_make () = { pp_cur = 0; pp_peak = 0 }
+
+let pp_add p n =
+  p.pp_cur <- p.pp_cur + n;
+  if p.pp_cur > p.pp_peak then p.pp_peak <- p.pp_cur
+
+let pp_sub p n = p.pp_cur <- p.pp_cur - n
+
+(* Send-side state of one (src, dst) pair, made on the pair's first
+   emission. Re-emission daemons spawn in the table's order, which is
+   thus part of the schedule. The reliability fields are used only with a fault plane:
+   sequence numbers are per (origin, final destination) pair, 16 bits,
+   carried in the packet header; every accepted packet is answered by a
+   cumulative ack so the origin can trim its log of unacknowledged
+   packets, from which packets are re-emitted after a gateway crash.
+   The credit fields are used only with [?credits] (see [credits]).
 
    Crash-epoch sessions: a crash wipes the crashed node's send-side
-   state (cursors, unacked logs) and marks those flows [tx_lost].
-   Receive cursors survive a restart — they model a delivery journal the
-   session layer keeps on stable storage, which is what makes
-   exactly-once possible at all. When the node comes back, every live
-   peer that has delivered data from it sends a session-handshake packet
-   ([hs] flag) carrying its expected sequence number, so the restarted
-   origin resumes numbering where the receiver left off instead of
-   colliding with its own pre-crash packets. *)
+   state (cursors, logs, credit counters) and marks its pairs
+   [tx_lost]. Receive cursors ([rx_next]) survive a restart — they
+   model a delivery journal the session layer keeps on stable storage,
+   which is what makes exactly-once possible at all. When the node
+   comes back, every live peer that has delivered data from it sends a
+   session-handshake packet ([hs] flag) carrying its expected sequence
+   number, so the restarted origin resumes numbering where the receiver
+   left off instead of colliding with its own pre-crash packets. *)
+type tx = {
+  mutable tx_seq : int; (* next sequence number *)
+  tx_log : (int * Generic_tm.packet_header * Bytes.t) Queue.t;
+      (* unacknowledged packets, in emission order *)
+  mutable tx_log_peak : int;
+  mutable tx_lost : bool;
+      (* the origin crashed: sends block until the peer's session
+         handshake restores the cursor *)
+  tx_mu : Mutex.t;
+  tx_cond : Condition.t; (* credit-blocked senders wait here *)
+  mutable tx_shipped : int;
+  mutable tx_granted : int; (* receiver's consumed count, as last heard *)
+}
+
+(* Receive-side state of one (me, origin) pair: the delivery journal,
+   the consumption count credits are granted from, and the bytes
+   buffered in the pair's assemblers. Crash handshakes go out in the
+   table's order and to every pair in it, so a record is made only by
+   the pair's first delivery or grant, never by a receiver waiting for
+   a message. *)
+type rx = {
+  mutable rx_next : int; (* next expected sequence number *)
+  mutable rx_consumed : int; (* data packets drained by user unpacks *)
+  mutable rx_last_grant : int; (* consumed count when we last granted *)
+  rx_asm : probe_point; (* assembler bytes, across the pair's flows *)
+  rx_pop : int -> unit; (* the pair's assembler consumption hook *)
+}
+
+(* One receive endpoint per (me, origin, flow): logical flows have
+   independent byte streams and message starts. *)
+type endpoint = { ep_starts : unit Mailbox.t; ep_asm : Assembler.t }
+
+(* Forwarding state of one node, made for every rank at creation. *)
+type gateway = {
+  gw_slots : probe_point;
+      (* busy forwarding-pool slots across the node's pumps; counted only
+         when the watermark machinery is on *)
+  mutable gw_gen : int; (* cancels stale overload-clear timers *)
+  mutable gw_packets : int; (* forwarded *)
+  mutable gw_bytes : int;
+  mutable gw_next_ingress : Time.t; (* ingress pacing slot *)
+}
+
+(* End-to-end reliability state, present only when the vchannel was
+   created with a fault plane; the per-pair cursors and logs live in
+   [tx] and [rx]. *)
 type rel = {
   faults : Simnet.Faults.t;
-  tx_seq : (int * int, int ref) Hashtbl.t; (* (origin, dst) -> next seq *)
-  rx_next : (int * int, int ref) Hashtbl.t; (* (me, origin) -> expected *)
-  unacked :
-    (int * int, (int * Generic_tm.packet_header * Bytes.t) Queue.t) Hashtbl.t;
-  tx_lost : (int * int, unit) Hashtbl.t;
-      (* flows whose origin crashed: sends block until the peer's
-         session handshake restores the cursor *)
   sentinels : (int, Sentinel.t) Hashtbl.t; (* per-rank failure detectors *)
   suspected : (int * int, unit) Hashtbl.t;
       (* (observer, peer): observer's sentinel currently calls the
@@ -159,10 +211,11 @@ type rel = {
 }
 
 (* End-to-end credit-based flow control, present only when the vchannel
-   was created with [?credits]. Receiver-granted: each (src, dst) flow
-   may have at most [cr_budget] unconsumed data packets in the network
-   or buffered at the destination, so every buffering point on the path
-   holds at most budget * MTU bytes of the flow. The sender counts
+   was created with [?credits]; the per-pair counters live in [tx] and
+   [rx]. Receiver-granted: each (src, dst) flow may have at most
+   [cr_budget] unconsumed data packets in the network or buffered at the
+   destination, so every buffering point on the path holds at most
+   budget * MTU bytes of the flow. The sender counts
    packets shipped; the receiver counts packets *consumed* by user
    unpacks (arrival is not consumption — a paused receiver must block
    the sender, not let it fill the assembler) and replenishes by sending
@@ -172,38 +225,13 @@ type rel = {
    every {!Config.credit_probe_interval} while blocked makes a lost
    grant (crash paths) unable to wedge the flow. All counters are plain
    cumulative ints — only the data-packet sequence number wraps. *)
-type credit_tx = {
-  ctx_mu : Mutex.t;
-  ctx_cond : Condition.t;
-  mutable ctx_shipped : int;
-  mutable ctx_granted : int; (* receiver's consumed count, as last heard *)
-}
-
-type credit_rx = {
-  mutable crx_consumed : int;
-  mutable crx_last_grant : int; (* consumed count when we last granted *)
-}
-
 type credits = {
   cr_budget : int;
   cr_quantum : int;
-  cr_tx : (int * int, credit_tx) Hashtbl.t; (* (src, dst) *)
-  cr_rx : (int * int, credit_rx) Hashtbl.t; (* (me, origin) *)
   mutable cr_grants : int;
   mutable cr_probes : int;
   mutable cr_stalls : int;
 }
-
-(* Peak-tracking occupancy counter for one buffering point. *)
-type probe_point = { mutable pp_cur : int; mutable pp_peak : int }
-
-let pp_make () = { pp_cur = 0; pp_peak = 0 }
-
-let pp_add p n =
-  p.pp_cur <- p.pp_cur + n;
-  if p.pp_cur > p.pp_peak then p.pp_peak <- p.pp_cur
-
-let pp_sub p n = p.pp_cur <- p.pp_cur - n
 
 (* One forwarding pump per (gateway node, outgoing link): the paper's
    per-direction dual-buffer pipeline (Fig. 9). Keeping the pumps
@@ -261,12 +289,8 @@ type live = {
   mutable lv_snapshot : Topology.t;
   lv_draining : (int, unit) Hashtbl.t;
       (* ranks mid-drain: still routable, but accept no new flows *)
-  lv_extra : (int, int) Hashtbl.t; (* current extra pool slots per gateway *)
-  lv_extra_peak : (int, int) Hashtbl.t; (* high-water extra, for bounds *)
   mutable lv_joins : int;
   mutable lv_drains : int;
-  mutable lv_scale_outs : int;
-  mutable lv_scale_ins : int;
   lv_waiters : Waiters.t; (* threads parked on the next epoch swap *)
   lv_elect : elect option; (* quorum elections (clusterfile election=on) *)
 }
@@ -278,21 +302,21 @@ type t = {
   gateway_overhead : Time.span;
   extra_gateway_copy : bool;
   ingress_cap_mb_s : float option;
-  next_ingress_slot : (int, Time.t ref) Hashtbl.t; (* per-gateway pacing *)
   channels : Channel.t list;
   all_ranks : int list;
   mutable routes : (int * int, hop list) Hashtbl.t;
   base_hops : (int * int, int) Hashtbl.t; (* route lengths at creation *)
   rel : rel option;
   mutable sched : Sched.t option; (* aggregating scheduler (sched=aggreg) *)
-  assemblers : (int * int * int, Assembler.t) Hashtbl.t; (* (me, origin, flow) *)
-  starts : (int * int * int, unit Mailbox.t) Hashtbl.t; (* message-start events *)
+  tx : (int * int, tx) Hashtbl.t; (* (src, dst) *)
+  rx : (int * int, rx) Hashtbl.t; (* (me, origin) *)
+  endpoints : (int * int * int, endpoint) Hashtbl.t; (* (me, origin, flow) *)
+  gateways : (int, gateway) Hashtbl.t;
   incoming : (int, (int * int) Mailbox.t) Hashtbl.t;
       (* any-source: (origin, flow) queue *)
   pumps : (int * int * int, pump) Hashtbl.t; (* (node, out chan id, out dst) *)
   send_locks : (int * int * int, Mutex.t) Hashtbl.t;
       (* per-(src, dst, flow) message serialization *)
-  fwd_stats : (int, int ref * int ref) Hashtbl.t; (* node -> packets, bytes *)
   credits : credits option;
   gw_pool : int;
       (* forwarding buffers per pump (2 = paper's dual buffer); a gateway
@@ -300,17 +324,12 @@ type t = {
   gw_low : int; (* busy slots at which the report clears (hysteresis) *)
   overload_track : bool; (* watermark machinery on (credits or gw_pool set) *)
   overloaded : (int, unit) Hashtbl.t; (* gateways above their watermark *)
-  gw_busy : (int, int ref) Hashtbl.t; (* per-node busy pool slots *)
-  overload_gen : (int, int) Hashtbl.t; (* cancels stale hold timers *)
   mutable overload_events : int; (* Overloaded transitions (rising edges) *)
   live : live option; (* live topology (clusterfile version=) *)
   mutable on_col : me:int -> origin:int -> Bytes.t -> unit;
       (* collective-control packets, delivered to the Collectives layer *)
   mutable on_health_change : unit -> unit;
       (* any liveness/overload/epoch transition; Collectives repair hook *)
-  asm_depth : (int * int, probe_point) Hashtbl.t; (* (me, origin) -> bytes *)
-  pump_depth : (int, probe_point) Hashtbl.t; (* node -> busy pool slots *)
-  unacked_peak : (int * int, int ref) Hashtbl.t; (* flow -> log peak *)
   unacked_cap : int; (* bound on the origin re-emission log, in packets *)
 }
 
@@ -322,9 +341,24 @@ let memo table key mk =
       Hashtbl.add table key v;
       v
 
-let starts t ~me ~origin ~flow =
-  memo t.starts (me, origin, flow) (fun () -> Mailbox.create ())
+let endpoint t ~me ~origin ~flow =
+  memo t.endpoints (me, origin, flow) (fun () ->
+      { ep_starts = Mailbox.create (); ep_asm = Assembler.create () })
 
+let tx_state t ~src ~dst =
+  memo t.tx (src, dst) (fun () ->
+      {
+        tx_seq = 0;
+        tx_log = Queue.create ();
+        tx_log_peak = 0;
+        tx_lost = false;
+        tx_mu = Mutex.create ();
+        tx_cond = Condition.create ();
+        tx_shipped = 0;
+        tx_granted = 0;
+      })
+
+let gateway t node = Hashtbl.find t.gateways node
 let incoming t ~me = memo t.incoming me (fun () -> Mailbox.create ())
 let send_lock t ~src ~dst ~flow = memo t.send_locks (src, dst, flow) Mutex.create
 let ranks t = t.all_ranks
@@ -358,20 +392,12 @@ let route_via t ~src ~dst =
   | Some hops -> List.map (fun h -> h.hop_to) hops
   | None -> raise (no_route "route_via" src dst)
 
-let record_forward t ~node ~bytes_count =
-  let packets, bytes =
-    match Hashtbl.find_opt t.fwd_stats node with
-    | Some entry -> entry
-    | None ->
-        let entry = (ref 0, ref 0) in
-        Hashtbl.add t.fwd_stats node entry;
-        entry
-  in
-  incr packets;
-  bytes := !bytes + bytes_count
-
 let forwarded t =
-  Hashtbl.fold (fun node (p, b) acc -> (node, !p, !b) :: acc) t.fwd_stats []
+  Hashtbl.fold
+    (fun node gw acc ->
+      if gw.gw_packets > 0 then (node, gw.gw_packets, gw.gw_bytes) :: acc
+      else acc)
+    t.gateways []
   |> List.sort compare
 
 (* Fewest-channel-hops routing over the channel membership graph:
@@ -552,9 +578,6 @@ let ship_detached t ~kind ~at header payload =
           ~payload_len:header.Generic_tm.payload_len
       with Partitioned _ | Config.Peer_unreachable _ -> ())
 
-let flow_ref table key = memo table key (fun () -> ref 0)
-let unacked_q r key = memo r.unacked key (fun () -> Queue.create ())
-
 (* A 4-byte little-endian count: the payload of grants and handshakes. *)
 let int32_payload n =
   let b = Bytes.create 4 in
@@ -570,11 +593,12 @@ let int32_payload n =
    The log is capped at the flow-control window, which keeps every live
    entry well inside the half-space and makes a stale ack unable to eat
    unacked packets. Senders blocked on a full log are woken. *)
-let handle_ack r header =
+let handle_ack t r header =
   let key = (header.Generic_tm.final_dst, header.Generic_tm.origin) in
-  (match Hashtbl.find_opt r.unacked key with
+  (match Hashtbl.find_opt t.tx key with
   | None -> ()
-  | Some q ->
+  | Some tx ->
+      let q = tx.tx_log in
       let acked = header.Generic_tm.seq in
       let at_or_before s = (acked - s) land 0xffff < 0x8000 in
       let continue = ref true in
@@ -587,18 +611,6 @@ let handle_ack r header =
 (* ------------------------------------------------------------------ *)
 (* Credit plane *)
 
-let credit_tx_state c key =
-  memo c.cr_tx key (fun () ->
-      {
-        ctx_mu = Mutex.create ();
-        ctx_cond = Condition.create ();
-        ctx_shipped = 0;
-        ctx_granted = 0;
-      })
-
-let credit_rx_state c key =
-  memo c.cr_rx key (fun () -> { crx_consumed = 0; crx_last_grant = 0 })
-
 (* Cumulative grant from the consumer [me] back to the flow's origin: a
    [crd] packet whose 4-byte payload is the number of data packets
    consumed so far. On reliable vchannels it piggybacks the flow's
@@ -606,16 +618,13 @@ let credit_rx_state c key =
    origin's re-emission log. Rides the normal routed path — gateways
    forward it like data. Best-effort: a lost grant is recovered by the
    sender's zero-window probe. *)
-let send_grant t c ~me ~origin =
-  let crx = credit_rx_state c (me, origin) in
-  crx.crx_last_grant <- crx.crx_consumed;
+let send_grant t c rx ~me ~origin =
+  rx.rx_last_grant <- rx.rx_consumed;
   c.cr_grants <- c.cr_grants + 1;
   let ack, seq =
     match t.rel with
-    | Some r ->
-        let expected = !(flow_ref r.rx_next (me, origin)) in
-        if expected > 0 then (true, (expected - 1) land 0xffff) else (false, 0)
-    | None -> (false, 0)
+    | Some _ when rx.rx_next > 0 -> (true, (rx.rx_next - 1) land 0xffff)
+    | _ -> (false, 0)
   in
   ship_detached t ~kind:"grant" ~at:me
     { (Generic_tm.header ~origin:me ~final_dst:origin ~payload_len:4) with
@@ -623,7 +632,7 @@ let send_grant t c ~me ~origin =
       ack;
       crd = true;
     }
-    (int32_payload crx.crx_consumed)
+    (int32_payload rx.rx_consumed)
 
 (* Zero-window probe from a credit-blocked sender: an empty [crd] packet
    the receiver answers with a fresh grant. Covers grants lost to crash
@@ -640,60 +649,62 @@ let send_probe t c ~src ~dst =
 (* One user unpack drained a whole packet payload at [me]: account the
    buffered bytes away and replenish the origin's credits once a grant
    quantum's worth has been consumed. *)
-let note_consumed t ~me ~origin chunk_len =
-  (match Hashtbl.find_opt t.asm_depth (me, origin) with
-  | Some pp -> pp_sub pp chunk_len
-  | None -> ());
+let note_consumed t rx ~me ~origin chunk_len =
+  pp_sub rx.rx_asm chunk_len;
   match t.credits with
   | None -> ()
   | Some c ->
-      let crx = credit_rx_state c (me, origin) in
-      crx.crx_consumed <- crx.crx_consumed + 1;
-      if crx.crx_consumed - crx.crx_last_grant >= c.cr_quantum then
-        send_grant t c ~me ~origin
+      rx.rx_consumed <- rx.rx_consumed + 1;
+      if rx.rx_consumed - rx.rx_last_grant >= c.cr_quantum then
+        send_grant t c rx ~me ~origin
 
-(* One assembler per (me, origin, flow): logical flows have independent
-   byte streams. Consumption accounting stays per (me, origin) — credits
-   meter the pair, whichever flows the bytes belong to. *)
-let assembler t ~me ~origin ~flow =
-  memo t.assemblers (me, origin, flow) (fun () ->
-      let a = Assembler.create () in
-      a.Assembler.on_pop <- (fun n -> note_consumed t ~me ~origin n);
-      a)
-
-let asm_pp t ~me ~origin = memo t.asm_depth (me, origin) pp_make
+(* Consumption accounting is per (me, origin) — credits meter the pair,
+   whichever flows the bytes belong to — so every assembler of the pair
+   hooks [rx_pop]. *)
+let rx_state t ~me ~origin =
+  memo t.rx (me, origin) (fun () ->
+      let rec rx =
+        {
+          rx_next = 0;
+          rx_consumed = 0;
+          rx_last_grant = 0;
+          rx_asm = pp_make ();
+          rx_pop = (fun n -> note_consumed t rx ~me ~origin n);
+        }
+      in
+      rx)
 
 (* A grant (or probe answer) reached the flow's origin [me]. Grants are
    cumulative, so reordered or duplicated ones apply monotonically. *)
 let handle_crd t ~me header payload =
+  let origin = header.Generic_tm.origin in
   (match (t.rel, header.Generic_tm.ack) with
-  | Some r, true -> handle_ack r header
+  | Some r, true -> handle_ack t r header
   | _ -> ());
   match t.credits with
   | None -> () (* stray credit packet on a credit-less vchannel *)
   | Some c ->
       if header.Generic_tm.payload_len >= 4 then begin
         let consumed = Int32.to_int (Bytes.get_int32_le payload 0) in
-        let ctx = credit_tx_state c (me, header.Generic_tm.origin) in
-        if consumed > ctx.ctx_granted then begin
-          ctx.ctx_granted <- consumed;
-          Condition.broadcast ctx.ctx_cond
+        let tx = tx_state t ~src:me ~dst:origin in
+        if consumed > tx.tx_granted then begin
+          tx.tx_granted <- consumed;
+          Condition.broadcast tx.tx_cond
         end
       end
       else if node_up t me then
         (* Zero-window probe: answer with the current consumed count,
            unless this host is down. *)
-        send_grant t c ~me ~origin:header.Generic_tm.origin
+        send_grant t c (rx_state t ~me ~origin) ~me ~origin
 
 (* Cumulative ack from [me] back to the flow's origin, riding the normal
    routed path as a zero-payload packet. Best-effort: a lost or
    unroutable ack only delays trimming of the origin's log. *)
-let send_ack t r ~me ~origin =
-  let expected = !(flow_ref r.rx_next (me, origin)) in
-  if expected > 0 then
+let send_ack t rx ~me ~origin =
+  if rx.rx_next > 0 then
     ship_detached t ~kind:"ack" ~at:me
       { (Generic_tm.header ~origin:me ~final_dst:origin ~payload_len:0) with
-        seq = (expected - 1) land 0xffff;
+        seq = (rx.rx_next - 1) land 0xffff;
         ack = true;
       }
       Bytes.empty
@@ -705,17 +716,16 @@ let send_ack t r ~me ~origin =
    it like any other packet). We resume our send cursor at the highest
    such expectation and unblock sends that were waiting on the lost
    cursor. A handshake for a previous epoch is stale and ignored. *)
-let handle_hs r ~me header payload =
+let handle_hs t r ~me header payload =
   let peer = header.Generic_tm.origin in
   let epoch =
     if Bytes.length payload >= 4 then Int32.to_int (Bytes.get_int32_le payload 0)
     else -1
   in
   if epoch = Simnet.Faults.epoch r.faults me then begin
-    let resume = header.Generic_tm.seq in
-    let sq = flow_ref r.tx_seq (me, peer) in
-    if resume > !sq then sq := resume;
-    Hashtbl.remove r.tx_lost (me, peer);
+    let tx = tx_state t ~src:me ~dst:peer in
+    tx.tx_seq <- max tx.tx_seq header.Generic_tm.seq;
+    tx.tx_lost <- false;
     r.handshakes <- r.handshakes + 1;
     Waiters.wake_all r.hs_waiters
   end
@@ -723,8 +733,8 @@ let handle_hs r ~me header payload =
 (* Block a send on a flow whose cursor was lost to a crash until the
    peer's handshake restores it — or patience runs out (peer never comes
    back, or never held any of our data so no handshake will come). *)
-let wait_handshake t r ~src ~dst =
-  let restored () = not (Hashtbl.mem r.tx_lost (src, dst)) in
+let wait_handshake t r tx ~src ~dst =
+  let restored () = not tx.tx_lost in
   let name = "vchannel.handshake" in
   if not (wait_patiently t r.hs_waiters ~name ~until:restored) then
     raise
@@ -859,7 +869,7 @@ let emission_lock t ~src ~dst =
    overtaken packets for good. *)
 let reemit_flows ?(only = fun _ _ -> true) t r =
   Hashtbl.iter
-    (fun (src, dst) q ->
+    (fun (src, dst) { tx_log = q; _ } ->
       if only src dst && Simnet.Faults.node_up r.faults src
          && not (Queue.is_empty q)
       then
@@ -881,7 +891,7 @@ let reemit_flows ?(only = fun _ _ -> true) t r =
                  snapshot
              with Partitioned _ | Config.Peer_unreachable _ -> ());
             Mutex.unlock (emission_lock t ~src ~dst)))
-    r.unacked
+    t.tx
 
 (* Whether the hop [viewer -> n] is unusable. Non-members of the
    current epoch are excluded from routing exactly like crashed nodes:
@@ -991,10 +1001,10 @@ let side_has_quorum t lv el ~viewer =
 
 (* Depth of a rank's delivery journals — the watermark a candidacy
    carries so reconciliation debates are auditable on the wire. *)
-let journal_watermark r rank =
+let journal_watermark t rank =
   Hashtbl.fold
-    (fun (me, _) expected acc -> if me = rank then acc + !expected else acc)
-    r.rx_next 0
+    (fun (me, _) rx acc -> if me = rank then acc + rx.rx_next else acc)
+    t.rx 0
 
 let handle_top t ~me header payload =
   match t.live with
@@ -1220,7 +1230,7 @@ let run_election t lv el ~candidate =
             if peer <> candidate && Simnet.Faults.node_up r.faults peer then
               send_top t ~src:candidate ~dst:peer
                 (top_ext_payload ~op:top_vote_req ~rank:candidate ~term
-                   ~committed ~watermark:(journal_watermark r candidate)))
+                   ~committed ~watermark:(journal_watermark t candidate)))
           (Topology.ranks lv.lv_snapshot);
         let quorum_now () =
           List.length (Sentinel.ballots s ~term) >= quorum_needed lv el
@@ -1242,7 +1252,7 @@ let run_election t lv el ~candidate =
                 send_top t ~src:candidate ~dst:peer
                   (top_ext_payload ~op:top_coord ~rank:candidate ~term
                      ~committed:(Topology.epoch snap)
-                     ~watermark:(journal_watermark r candidate)))
+                     ~watermark:(journal_watermark t candidate)))
             (Topology.ranks lv.lv_snapshot)
         end
         else if not won then el.el_refusals <- el.el_refusals + 1);
@@ -1301,8 +1311,27 @@ let replay_pending t lv el =
    accept only the expected sequence number (re-emitted duplicates and
    overtaking packets are dropped) and acknowledge cumulatively. *)
 let deliver_local t ~me header payload =
+  let origin = header.Generic_tm.origin in
+  let rx = rx_state t ~me ~origin in
+  (* One frame of [flow]. A message start hooks the flow's assembler to
+     the pair's consumption accounting before announcing itself: a
+     receiver blocked in [begin_unpacking_from] may have made the
+     endpoint before the pair's first packet, and only a receiver that
+     took a start drains the assembler. *)
+  let frame ~flow ~first ~last chunk =
+    let ep = endpoint t ~me ~origin ~flow in
+    if first then begin
+      ep.ep_asm.Assembler.on_pop <- rx.rx_pop;
+      Mailbox.put ep.ep_starts ();
+      Mailbox.put (incoming t ~me) (origin, flow)
+    end;
+    if Bytes.length chunk > 0 then begin
+      pp_add rx.rx_asm (Bytes.length chunk);
+      Assembler.push ep.ep_asm (Assembler.Data chunk)
+    end;
+    if last then Assembler.push ep.ep_asm Assembler.End_of_message
+  in
   let accept () =
-    let origin = header.Generic_tm.origin in
     if header.Generic_tm.agg then begin
       (* Aggregate: split the train back into per-flow frames. Each
          frame is one Data chunk in its flow's assembler, so the
@@ -1315,59 +1344,27 @@ let deliver_local t ~me header payload =
           Generic_tm.decode_flow_frame_header payload !off
         in
         off := !off + Generic_tm.flow_frame_header_size;
-        let asmb = assembler t ~me ~origin ~flow in
-        if first then begin
-          Mailbox.put (starts t ~me ~origin ~flow) ();
-          Mailbox.put (incoming t ~me) (origin, flow)
-        end;
-        if len > 0 then begin
-          let chunk = Bytes.sub payload !off len in
-          off := !off + len;
-          pp_add (asm_pp t ~me ~origin) len;
-          Assembler.push asmb (Assembler.Data chunk)
-        end;
-        if last then Assembler.push asmb Assembler.End_of_message
+        frame ~flow ~first ~last (Bytes.sub payload !off len);
+        off := !off + len
       done
     end
-    else begin
-      let asmb = assembler t ~me ~origin ~flow:0 in
-      if header.Generic_tm.first then begin
-        Mailbox.put (starts t ~me ~origin ~flow:0) ();
-        Mailbox.put (incoming t ~me) (origin, 0)
-      end;
-      if Bytes.length payload > 0 then begin
-        pp_add (asm_pp t ~me ~origin) (Bytes.length payload);
-        Assembler.push asmb (Assembler.Data payload)
-      end;
-      if header.Generic_tm.last then Assembler.push asmb Assembler.End_of_message
-    end
+    else
+      frame ~flow:0 ~first:header.Generic_tm.first ~last:header.Generic_tm.last
+        payload
   in
   match t.rel with
   | None -> accept ()
   | Some r ->
       touch_sentinel r ~rank:me;
-      let expected = flow_ref r.rx_next (me, header.Generic_tm.origin) in
-      if header.Generic_tm.seq = !expected then begin
-        expected := (!expected + 1) land 0xffff;
+      if header.Generic_tm.seq = rx.rx_next then begin
+        rx.rx_next <- (rx.rx_next + 1) land 0xffff;
         accept ()
       end
       else r.dup_drops <- r.dup_drops + 1;
-      send_ack t r ~me ~origin:header.Generic_tm.origin
+      send_ack t rx ~me ~origin
 
 (* ------------------------------------------------------------------ *)
 (* Gateway watermarks: Overloaded load reports with hysteresis *)
-
-let gw_busy_ref t node = memo t.gw_busy node (fun () -> ref 0)
-let pump_pp t node = memo t.pump_depth node pp_make
-
-let bump_overload_gen t node =
-  let gen =
-    match Hashtbl.find_opt t.overload_gen node with
-    | Some g -> g + 1
-    | None -> 1
-  in
-  Hashtbl.replace t.overload_gen node gen;
-  gen
 
 let inform_sentinels t node flag =
   match t.rel with
@@ -1377,62 +1374,12 @@ let inform_sentinels t node flag =
         (fun me s -> if me <> node then Sentinel.set_overloaded s ~peer:node flag)
         r.sentinels
 
-(* Elastic gateway capacity (live-topology vchannels only): a rising
-   Overloaded edge grows the node's forwarding pools by one slot, up to
-   double the configured pool; the clear edge reclaims the extra slots.
-   Scale-out is a plain [Semaphore.release] per pump — an extra permit
-   with no waiter just raises the pool ceiling; scale-in acquires the
-   permits back from a daemon, so it completes only as traffic drains
-   and never strands a packet already holding a buffer. *)
-let scale_out t node =
-  match t.live with
-  | None -> ()
-  | Some lv ->
-      let cur =
-        match Hashtbl.find_opt lv.lv_extra node with Some n -> n | None -> 0
-      in
-      if cur < t.gw_pool then begin
-        Hashtbl.replace lv.lv_extra node (cur + 1);
-        let peak =
-          match Hashtbl.find_opt lv.lv_extra_peak node with
-          | Some n -> n
-          | None -> 0
-        in
-        if cur + 1 > peak then Hashtbl.replace lv.lv_extra_peak node (cur + 1);
-        lv.lv_scale_outs <- lv.lv_scale_outs + 1;
-        Hashtbl.iter
-          (fun (n, _, _) p ->
-            if n = node then Semaphore.release p.pump_buffers)
-          t.pumps
-      end
-
-let scale_in t node =
-  match t.live with
-  | None -> ()
-  | Some lv -> (
-      match Hashtbl.find_opt lv.lv_extra node with
-      | None | Some 0 -> ()
-      | Some cur ->
-          Hashtbl.replace lv.lv_extra node 0;
-          lv.lv_scale_ins <- lv.lv_scale_ins + 1;
-          Hashtbl.iter
-            (fun (n, _, _) p ->
-              if n = node then
-                Engine.spawn t.engine ~daemon:true
-                  ~name:(Printf.sprintf "vchannel.scalein.%d" node)
-                  (fun () ->
-                    for _ = 1 to cur do
-                      Semaphore.acquire p.pump_buffers
-                    done))
-            t.pumps)
-
 let set_overload t node flag =
   if flag then begin
     if not (Hashtbl.mem t.overloaded node) then begin
       Hashtbl.replace t.overloaded node ();
       t.overload_events <- t.overload_events + 1;
       inform_sentinels t node true;
-      scale_out t node;
       Option.iter (swap_routes t) t.rel;
       t.on_health_change ()
     end
@@ -1440,7 +1387,6 @@ let set_overload t node flag =
   else if Hashtbl.mem t.overloaded node then begin
     Hashtbl.remove t.overloaded node;
     inform_sentinels t node false;
-    scale_in t node;
     Option.iter (swap_routes t) t.rel;
     t.on_health_change ()
   end
@@ -1449,15 +1395,14 @@ let set_overload t node flag =
    slot below full at line rate must not flap its status (and, on
    reliable vchannels, thrash route recomputations). The generation
    counter cancels a pending clear when the pool fills again. *)
-let maybe_clear_overload t node =
-  let gen = bump_overload_gen t node in
+let maybe_clear_overload t node gw =
+  gw.gw_gen <- gw.gw_gen + 1;
+  let gen = gw.gw_gen in
   Engine.at t.engine
     (Time.add (Engine.now t.engine) Config.overload_hold)
     (fun () ->
-      if
-        Hashtbl.find_opt t.overload_gen node = Some gen
-        && !(gw_busy_ref t node) <= t.gw_low
-      then set_overload t node false)
+      if gw.gw_gen = gen && gw.gw_slots.pp_cur <= t.gw_low then
+        set_overload t node false)
 
 (* Taking / returning a forwarding buffer. The acquire blocking on a
    full pool IS the hop-by-hop backpressure: a dispatcher that cannot
@@ -1467,25 +1412,23 @@ let maybe_clear_overload t node =
 let gw_acquire t ~node p =
   Semaphore.acquire p.pump_buffers;
   if t.overload_track then begin
-    let busy = gw_busy_ref t node in
-    incr busy;
-    pp_add (pump_pp t node) 1;
+    let gw = gateway t node in
+    pp_add gw.gw_slots 1;
     (* Refilling past the low watermark cancels any pending clear: the
        status drops back to Up only if the pool *stayed* drained for the
        whole hold, not if the timer happened to fire during the
        microsecond dip between one forward's release and the next
        packet's acquire. *)
-    if !busy > t.gw_low then ignore (bump_overload_gen t node);
-    if !busy >= t.gw_pool then set_overload t node true
+    if gw.gw_slots.pp_cur > t.gw_low then gw.gw_gen <- gw.gw_gen + 1;
+    if gw.gw_slots.pp_cur >= t.gw_pool then set_overload t node true
   end
 
 let gw_release t ~node p =
   if t.overload_track then begin
-    let busy = gw_busy_ref t node in
-    decr busy;
-    pp_sub (pump_pp t node) 1;
-    if !busy <= t.gw_low && Hashtbl.mem t.overloaded node then
-      maybe_clear_overload t node
+    let gw = gateway t node in
+    pp_sub gw.gw_slots 1;
+    if gw.gw_slots.pp_cur <= t.gw_low && Hashtbl.mem t.overloaded node then
+      maybe_clear_overload t node gw
   end;
   Semaphore.release p.pump_buffers
 
@@ -1501,27 +1444,18 @@ let rec pump_for t ~node (hop : hop) =
         }
       in
       Hashtbl.add t.pumps key p;
-      (* A pump created while its node is scaled out starts with the
-         extra slots its siblings already received. *)
-      (match t.live with
-      | Some lv -> (
-          match Hashtbl.find_opt lv.lv_extra node with
-          | Some extra ->
-              for _ = 1 to extra do
-                Semaphore.release p.pump_buffers
-              done
-          | None -> ())
-      | None -> ());
       spawn_forwarder t ~node p;
       p
 
 and spawn_forwarder t ~node p =
+  let gw = gateway t node in
   Engine.spawn t.engine ~daemon:true
     ~name:(Printf.sprintf "vchannel.forward.%d" node)
     (fun () ->
       while true do
         let header, payload = Mailbox.take p.pump_q in
-        record_forward t ~node ~bytes_count:(Bytes.length payload);
+        gw.gw_packets <- gw.gw_packets + 1;
+        gw.gw_bytes <- gw.gw_bytes + Bytes.length payload;
         (* The per-step software cost (buffer exchange, thread hand-off)
            sits between taking the buffer and re-emitting it, where the
            paper's +50 us/step analysis places it (§6.2.2). *)
@@ -1571,9 +1505,9 @@ let spawn_dispatcher t ~node channel =
             match t.rel with
             | _ when col -> handle_col t ~me:node header payload
             | _ when top -> handle_top t ~me:node header payload
-            | Some r when hs -> handle_hs r ~me:node header payload
+            | Some r when hs -> handle_hs t r ~me:node header payload
             | _ when crd -> handle_crd t ~me:node header payload
-            | Some r when ack -> handle_ack r header
+            | Some r when ack -> handle_ack t r header
             | _ when not (node_up t node) ->
                 (* The destination host is down: the data dies with it;
                    the origin's log re-emits once it comes back. *)
@@ -1593,16 +1527,17 @@ let spawn_dispatcher t ~node channel =
                 (match t.ingress_cap_mb_s with
                 | None -> ()
                 | Some cap ->
-                    let slot = Hashtbl.find t.next_ingress_slot node in
+                    let gw = gateway t node in
                     let now = Engine.now t.engine in
-                    if Time.( < ) now !slot then
-                      Engine.sleep (Time.diff !slot now);
+                    if Time.( < ) now gw.gw_next_ingress then
+                      Engine.sleep (Time.diff gw.gw_next_ingress now);
                     let budget =
                       Time.bytes_at_rate
                         ~bytes_count:(len + Generic_tm.header_size)
                         ~mb_per_s:cap
                     in
-                    slot := Time.add (Engine.now t.engine) budget);
+                    gw.gw_next_ingress <-
+                      Time.add (Engine.now t.engine) budget);
                 (* Take one of the outgoing direction's two pipeline
                    buffers before extracting, then hand the packet to the
                    send side of that pump (Fig. 9). *)
@@ -1634,31 +1569,30 @@ let spawn_dispatcher t ~node channel =
    to crash paths), and on a reliable vchannel it rides out route holes
    with the usual patience — a flow whose destination never comes back
    surfaces as [Partitioned] here exactly as it would in [ship_packet]. *)
-let wait_credit t c ~src ~dst =
-  let ctx = credit_tx_state c (src, dst) in
-  if ctx.ctx_shipped - ctx.ctx_granted >= c.cr_budget then begin
+let wait_credit t c tx ~src ~dst =
+  if tx.tx_shipped - tx.tx_granted >= c.cr_budget then begin
     c.cr_stalls <- c.cr_stalls + 1;
-    while ctx.ctx_shipped - ctx.ctx_granted >= c.cr_budget do
+    while tx.tx_shipped - tx.tx_granted >= c.cr_budget do
       (match t.rel with
       | Some r when not (Hashtbl.mem t.routes (src, dst)) ->
           wait_route t r ~at:src ~dst
       | _ -> ());
-      if ctx.ctx_shipped - ctx.ctx_granted >= c.cr_budget then begin
+      if tx.tx_shipped - tx.tx_granted >= c.cr_budget then begin
         let wake_at =
           Time.add (Engine.now t.engine) Config.credit_probe_interval
         in
-        Engine.at t.engine wake_at (fun () -> Condition.broadcast ctx.ctx_cond);
-        Mutex.lock ctx.ctx_mu;
-        Condition.wait ctx.ctx_cond ctx.ctx_mu;
-        Mutex.unlock ctx.ctx_mu;
+        Engine.at t.engine wake_at (fun () -> Condition.broadcast tx.tx_cond);
+        Mutex.lock tx.tx_mu;
+        Condition.wait tx.tx_cond tx.tx_mu;
+        Mutex.unlock tx.tx_mu;
         if
-          ctx.ctx_shipped - ctx.ctx_granted >= c.cr_budget
+          tx.tx_shipped - tx.tx_granted >= c.cr_budget
           && Time.( <= ) wake_at (Engine.now t.engine)
         then send_probe t c ~src ~dst
       end
     done
   end;
-  ctx.ctx_shipped <- ctx.ctx_shipped + 1
+  tx.tx_shipped <- tx.tx_shipped + 1
 
 (* A reliable sender whose re-emission log is full parks until acks trim
    it: reliable mode obeys the same memory budget as every other point
@@ -1693,27 +1627,29 @@ let wait_unacked t r ~src ~dst q =
 let emit_data t ~charge header payload =
   let src = header.Generic_tm.origin and dst = header.Generic_tm.final_dst in
   let payload_len = header.Generic_tm.payload_len in
-  (match t.credits with
-  | Some c ->
-      for _ = 1 to charge do
-        wait_credit t c ~src ~dst
-      done
-  | None -> ());
   let header =
-    match t.rel with
-    | None -> header
-    | Some r ->
-        wait_handshake t r ~src ~dst;
-        let sq = flow_ref r.tx_seq (src, dst) in
-        let seq = !sq in
-        sq := (seq + 1) land 0xffff;
-        let header = { header with seq } in
-        let q = unacked_q r (src, dst) in
-        wait_unacked t r ~src ~dst q;
-        Queue.push (seq, header, Bytes.sub payload 0 payload_len) q;
-        let peak = flow_ref t.unacked_peak (src, dst) in
-        if Queue.length q > !peak then peak := Queue.length q;
-        header
+    match (t.credits, t.rel) with
+    | None, None -> header
+    | credits, rel -> (
+        let tx = tx_state t ~src ~dst in
+        Option.iter
+          (fun c ->
+            for _ = 1 to charge do
+              wait_credit t c tx ~src ~dst
+            done)
+          credits;
+        match rel with
+        | None -> header
+        | Some r ->
+            wait_handshake t r tx ~src ~dst;
+            let seq = tx.tx_seq in
+            tx.tx_seq <- (seq + 1) land 0xffff;
+            let header = { header with seq } in
+            let q = tx.tx_log in
+            wait_unacked t r ~src ~dst q;
+            Queue.push (seq, header, Bytes.sub payload 0 payload_len) q;
+            tx.tx_log_peak <- max tx.tx_log_peak (Queue.length q);
+            header)
   in
   ship_packet t ~at:src ~header ~payload ~payload_len
 
@@ -1784,40 +1720,31 @@ let emit_frames t ~src ~dst frames =
 let on_crash t r node =
   if List.mem node t.all_ranks then begin
     r.reroutes <- r.reroutes + 1;
-    (* The crashed node's send-side session state dies with it: cursors
-       and unacked logs are volatile. Its flows stay blocked
-       ([tx_lost]) until a peer handshake restores the cursor after
-       restart. Receive journals survive. *)
+    (* The crashed node's send-side session state dies with it: cursors,
+       unacked logs and credit counters are volatile. Its flows stay
+       blocked ([tx_lost]) until a peer handshake restores the cursor
+       after restart. Receive journals survive, but the receive-side
+       credit counters mirror the wiped ones and restart from zero too
+       (leftover pre-crash bytes still buffered at a peer may
+       transiently over-grant by at most one budget, which the restart
+       window absorbs). *)
     Hashtbl.iter
-      (fun (src, dst) sq ->
+      (fun (src, _) tx ->
         if src = node then begin
-          sq := 0;
-          Hashtbl.replace r.tx_lost (src, dst) ()
+          tx.tx_seq <- 0;
+          tx.tx_lost <- true;
+          Queue.clear tx.tx_log;
+          tx.tx_shipped <- 0;
+          tx.tx_granted <- 0
         end)
-      r.tx_seq;
-    Hashtbl.iter (fun (src, _) q -> if src = node then Queue.clear q) r.unacked;
-    (* Credit counters are volatile send-side state too: both ends of
-       the crashed node's flows restart from zero (the receive side
-       mirrors the wiped cursor — leftover pre-crash bytes still
-       buffered at a peer may transiently over-grant by at most one
-       budget, which the restart window absorbs). *)
-    (match t.credits with
-    | None -> ()
-    | Some c ->
-        Hashtbl.iter
-          (fun (src, _) ctx ->
-            if src = node then begin
-              ctx.ctx_shipped <- 0;
-              ctx.ctx_granted <- 0
-            end)
-          c.cr_tx;
-        Hashtbl.iter
-          (fun (_, origin) crx ->
-            if origin = node then begin
-              crx.crx_consumed <- 0;
-              crx.crx_last_grant <- 0
-            end)
-          c.cr_rx);
+      t.tx;
+    Hashtbl.iter
+      (fun (_, origin) rx ->
+        if origin = node then begin
+          rx.rx_consumed <- 0;
+          rx.rx_last_grant <- 0
+        end)
+      t.rx;
     recompute t r;
     reemit_flows t r;
     t.on_health_change ();
@@ -1850,28 +1777,28 @@ let on_restart t r node =
        numbering. *)
     let epoch = Simnet.Faults.epoch r.faults node in
     Hashtbl.iter
-      (fun (me, origin) expected ->
+      (fun (me, origin) rx ->
         if origin = node && me <> node && Simnet.Faults.node_up r.faults me
         then
           ship_detached t ~kind:"hs" ~at:me
             { (Generic_tm.header ~origin:me ~final_dst:node ~payload_len:4) with
-              seq = !expected;
+              seq = rx.rx_next;
               hs = true;
             }
             (int32_payload epoch))
-      r.rx_next;
+      t.rx;
     (* Flows to peers holding no journal for this node restart at zero
        immediately — nobody will send a handshake. *)
-    let fresh =
-      Hashtbl.fold
-        (fun (src, dst) () acc ->
-          if src = node && not (Hashtbl.mem r.rx_next (dst, node)) then
-            (src, dst) :: acc
-          else acc)
-        r.tx_lost []
-    in
-    List.iter (fun key -> Hashtbl.remove r.tx_lost key) fresh;
-    if fresh <> [] then Waiters.wake_all r.hs_waiters;
+    let fresh = ref false in
+    Hashtbl.iter
+      (fun (src, dst) tx ->
+        if src = node && tx.tx_lost && not (Hashtbl.mem t.rx (dst, node))
+        then begin
+          tx.tx_lost <- false;
+          fresh := true
+        end)
+      t.tx;
+    if !fresh then Waiters.wake_all r.hs_waiters;
     reemit_flows t r;
     t.on_health_change ()
   end
@@ -2046,10 +1973,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       (fun f ->
         {
           faults = f;
-          tx_seq = Hashtbl.create 32;
-          rx_next = Hashtbl.create 32;
-          unacked = Hashtbl.create 32;
-          tx_lost = Hashtbl.create 8;
           sentinels = Hashtbl.create 8;
           suspected = Hashtbl.create 8;
           susp_count = Hashtbl.create 8;
@@ -2070,12 +1993,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
           lv_coordinator = coord;
           lv_snapshot = Topology.make ~epoch:version ~coordinator:coord all_ranks;
           lv_draining = Hashtbl.create 4;
-          lv_extra = Hashtbl.create 4;
-          lv_extra_peak = Hashtbl.create 4;
           lv_joins = 0;
           lv_drains = 0;
-          lv_scale_outs = 0;
-          lv_scale_ins = 0;
           lv_waiters = Waiters.create ();
           lv_elect =
             (match rel with
@@ -2106,8 +2025,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
              a consuming receiver never runs fully dry, cheap enough that
              grants stay a small fraction of the data. *)
           cr_quantum = max 1 (budget / 2);
-          cr_tx = Hashtbl.create 32;
-          cr_rx = Hashtbl.create 32;
           cr_grants = 0;
           cr_probes = 0;
           cr_stalls = 0;
@@ -2123,19 +2040,19 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       gateway_overhead;
       extra_gateway_copy;
       ingress_cap_mb_s;
-      next_ingress_slot = Hashtbl.create 16;
       channels;
       all_ranks;
       routes = Hashtbl.create 1; (* computed below: [down] reads [t] *)
       base_hops = Hashtbl.create 64;
       rel;
       sched = None;
-      assemblers = Hashtbl.create 32;
-      starts = Hashtbl.create 32;
+      tx = Hashtbl.create 32;
+      rx = Hashtbl.create 32;
+      endpoints = Hashtbl.create 32;
+      gateways = Hashtbl.create 16;
       incoming = Hashtbl.create 16;
       pumps = Hashtbl.create 16;
       send_locks = Hashtbl.create 32;
-      fwd_stats = Hashtbl.create 8;
       credits = credit_plane;
       gw_pool = pool;
       gw_low = max 1 (pool / 2);
@@ -2144,15 +2061,10 @@ let create session ?(mtu = Config.default_vchannel_mtu)
          schedule stays byte-identical to the pre-flow-control library. *)
       overload_track = Option.is_some credits || Option.is_some gw_pool;
       overloaded = Hashtbl.create 4;
-      gw_busy = Hashtbl.create 4;
-      overload_gen = Hashtbl.create 4;
       overload_events = 0;
       live;
       on_col = (fun ~me:_ ~origin:_ _ -> ());
       on_health_change = (fun () -> ());
-      asm_depth = Hashtbl.create 32;
-      pump_depth = Hashtbl.create 8;
-      unacked_peak = Hashtbl.create 32;
       unacked_cap = Option.value credits ~default:Config.default_unacked_window;
     }
   in
@@ -2162,7 +2074,14 @@ let create session ?(mtu = Config.default_vchannel_mtu)
     t.routes;
   List.iter
     (fun node ->
-      Hashtbl.add t.next_ingress_slot node (ref Time.zero);
+      Hashtbl.add t.gateways node
+        {
+          gw_slots = pp_make ();
+          gw_gen = 0;
+          gw_packets = 0;
+          gw_bytes = 0;
+          gw_next_ingress = Time.zero;
+        };
       List.iter
         (fun c ->
           if List.mem node (Channel.ranks c) then spawn_dispatcher t ~node c)
@@ -2444,19 +2363,11 @@ let drain t ~rank =
          entry the rank originated or is owed, and its forwarding pools
          must be idle, so nothing in flight dies with its departure. *)
       let quiet () =
-        let logs_drained =
-          match t.rel with
-          | None -> true
-          | Some r ->
-              Hashtbl.fold
-                (fun (s, d) q acc ->
-                  acc && ((s <> rank && d <> rank) || Queue.is_empty q))
-                r.unacked true
-        in
-        logs_drained
-        && (match Hashtbl.find_opt t.gw_busy rank with
-           | Some busy -> !busy = 0
-           | None -> true)
+        Hashtbl.fold
+          (fun (s, d) tx acc ->
+            acc && ((s <> rank && d <> rank) || Queue.is_empty tx.tx_log))
+          t.tx true
+        && (gateway t rank).gw_slots.pp_cur = 0
       in
       let deadline = Time.add (Engine.now t.engine) t.patience in
       while (not (quiet ())) && Time.( < ) (Engine.now t.engine) deadline do
@@ -2539,32 +2450,27 @@ type in_connection = {
   mutable ic_closed : bool;
 }
 
-let begin_unpacking_from ?(flow = 0) t ~me ~remote =
-  Mailbox.take (starts t ~me ~origin:remote ~flow);
-  Engine.sleep Config.begin_overhead;
-  {
-    iv = t;
-    ic_me = me;
-    ic_origin = remote;
-    ic_flow = flow;
-    asmb = assembler t ~me ~origin:remote ~flow;
-    ic_bytes = 0;
-    ic_closed = false;
-  }
-
-let begin_unpacking t ~me =
-  let origin, flow = Mailbox.take (incoming t ~me) in
-  Mailbox.take (starts t ~me ~origin ~flow);
+(* Open the next message from [origin] on [flow], once it starts. *)
+let open_message t ~me ~origin ~flow =
+  let ep = endpoint t ~me ~origin ~flow in
+  Mailbox.take ep.ep_starts;
   Engine.sleep Config.begin_overhead;
   {
     iv = t;
     ic_me = me;
     ic_origin = origin;
     ic_flow = flow;
-    asmb = assembler t ~me ~origin ~flow;
+    asmb = ep.ep_asm;
     ic_bytes = 0;
     ic_closed = false;
   }
+
+let begin_unpacking_from ?(flow = 0) t ~me ~remote =
+  open_message t ~me ~origin:remote ~flow
+
+let begin_unpacking t ~me =
+  let origin, flow = Mailbox.take (incoming t ~me) in
+  open_message t ~me ~origin ~flow
 
 let remote_rank ic = ic.ic_origin
 let remote_flow ic = ic.ic_flow
@@ -2674,33 +2580,26 @@ type flow_stat = {
   delivered : int;
 }
 
+(* Every pair either end of which holds reliability state. *)
 let flow_stats t =
   match t.rel with
   | None -> []
-  | Some r ->
-      let keys = Hashtbl.create 16 in
-      Hashtbl.iter (fun (s, d) _ -> Hashtbl.replace keys (s, d) ()) r.tx_seq;
-      Hashtbl.iter (fun (me, o) _ -> Hashtbl.replace keys (o, me) ()) r.rx_next;
-      Hashtbl.fold
-        (fun (s, d) () acc ->
-          let deref table key =
-            match Hashtbl.find_opt table key with Some x -> !x | None -> 0
-          in
-          let unacked =
-            match Hashtbl.find_opt r.unacked (s, d) with
-            | Some q -> Queue.length q
-            | None -> 0
-          in
-          {
-            flow_src = s;
-            flow_dst = d;
-            sent = deref r.tx_seq (s, d);
-            unacked;
-            delivered = deref r.rx_next (d, s);
-          }
-          :: acc)
-        keys []
-      |> List.sort compare
+  | Some _ ->
+      Hashtbl.fold (fun (me, o) _ acc -> (o, me) :: acc) t.rx
+        (Hashtbl.fold (fun key _ acc -> key :: acc) t.tx [])
+      |> List.sort_uniq compare
+      |> List.map (fun (s, d) ->
+             let sent, unacked =
+               match Hashtbl.find_opt t.tx (s, d) with
+               | Some tx -> (tx.tx_seq, Queue.length tx.tx_log)
+               | None -> (0, 0)
+             in
+             let delivered =
+               match Hashtbl.find_opt t.rx (d, s) with
+               | Some rx -> rx.rx_next
+               | None -> 0
+             in
+             { flow_src = s; flow_dst = d; sent; unacked; delivered })
 
 type credit_stats = {
   credit_budget : int;
@@ -2738,67 +2637,40 @@ type queue_stat = {
   q_bound : int option;
 }
 
-(* Every instrumented buffering point with its observed peak and, when
-   the backpressure plane bounds it, the configured bound. Peaks are
-   tracked unconditionally (plain counter updates); bounds exist for
-   assemblers and unacked logs only when the relevant plane is on. *)
+(* Every instrumented buffering point that has held something, with
+   its observed peak and, when the backpressure plane bounds it, the
+   configured bound. Assembler and unacked-log peaks are plain counter
+   updates, tracked whenever their plane runs; gateway pool peaks only
+   when [?credits] or [?gw_pool] armed the watermark machinery. *)
 let queue_stats t =
-  let acc = ref [] in
+  let rows = ref [] in
+  let row q_point q_node q_peer q_peak q_bound =
+    if q_peak > 0 then
+      rows := { q_point; q_node; q_peer; q_peak; q_bound } :: !rows
+  in
   let asm_bound =
     match t.credits with Some c -> Some (c.cr_budget * t.mtu) | None -> None
   in
   Hashtbl.iter
-    (fun (me, origin) pp ->
-      acc :=
-        {
-          q_point = "assembler_bytes";
-          q_node = me;
-          q_peer = origin;
-          q_peak = pp.pp_peak;
-          q_bound = asm_bound;
-        }
-        :: !acc)
-    t.asm_depth;
+    (fun (me, origin) rx ->
+      row "assembler_bytes" me origin rx.rx_asm.pp_peak asm_bound)
+    t.rx;
   Hashtbl.iter
-    (fun node pp ->
-      acc :=
-        {
-          q_point = "gateway_pool_slots";
-          q_node = node;
-          q_peer = -1;
-          q_peak = pp.pp_peak;
-          (* one pool per outgoing link; elastic scale-out raises the
-             per-pool ceiling by the node's high-water extra slots *)
-          q_bound =
-            (let extra =
-               match t.live with
-               | Some lv -> (
-                   match Hashtbl.find_opt lv.lv_extra_peak node with
-                   | Some n -> n
-                   | None -> 0)
-               | None -> 0
-             in
-             Some
-               ((t.gw_pool + extra)
-               * Hashtbl.fold
-                   (fun (n, _, _) _ k -> if n = node then k + 1 else k)
-                   t.pumps 0));
-        }
-        :: !acc)
-    t.pump_depth;
+    (fun node gw ->
+      (* one pool per outgoing link *)
+      let pumps =
+        Hashtbl.fold
+          (fun (n, _, _) _ k -> if n = node then k + 1 else k)
+          t.pumps 0
+      in
+      row "gateway_pool_slots" node (-1) gw.gw_slots.pp_peak
+        (Some (t.gw_pool * pumps)))
+    t.gateways;
   Hashtbl.iter
-    (fun (src, dst) peak ->
-      acc :=
-        {
-          q_point = "unacked_packets";
-          q_node = src;
-          q_peer = dst;
-          q_peak = !peak;
-          q_bound = Some t.unacked_cap;
-        }
-        :: !acc)
-    t.unacked_peak;
-  List.sort compare !acc
+    (fun (src, dst) tx ->
+      row "unacked_packets" src dst tx.tx_log_peak (Some t.unacked_cap))
+    t.tx;
+  List.sort compare !rows
 
 type topology_stats = {
   topo_epoch : int;
@@ -2806,8 +2678,6 @@ type topology_stats = {
   topo_coordinator : int;
   topo_joins : int;
   topo_drains : int;
-  topo_scale_outs : int;
-  topo_scale_ins : int;
 }
 
 let topology_stats t =
@@ -2821,8 +2691,6 @@ let topology_stats t =
           topo_coordinator = lv.lv_coordinator;
           topo_joins = lv.lv_joins;
           topo_drains = lv.lv_drains;
-          topo_scale_outs = lv.lv_scale_outs;
-          topo_scale_ins = lv.lv_scale_ins;
         }
 
 let coordinator t =

@@ -139,12 +139,10 @@ val create :
     arbitrating membership. Ranks can then {!drain} out of and {!join}
     back into the session at runtime, under traffic: an epoch swap
     recomputes routes and re-emits only the flows whose routes actually
-    changed (under their emission locks), the sentinels learn/forget
-    ranks as epochs advance, and a gateway reported Overloaded scales
-    its forwarding pools out by one slot per rising edge (up to double
-    [gw_pool]) and back in when the report clears. Unset (the default)
-    none of this machinery exists, [coordinator] is rejected, and routes
-    and schedules are byte-identical to the fixed-topology library.
+    changed (under their emission locks), and the sentinels learn/forget
+    ranks as epochs advance. Unset (the default) none of this machinery
+    exists, [coordinator] is rejected, and routes and schedules are
+    byte-identical to the fixed-topology library.
 
     [election] (the clusterfile's [election=on] key; requires both
     [topology] and [faults]) replaces the static coordinator with a
@@ -253,8 +251,6 @@ type topology_stats = {
   topo_coordinator : int;
   topo_joins : int;  (** epoch swaps that admitted a rank *)
   topo_drains : int;  (** epoch swaps that removed a rank *)
-  topo_scale_outs : int;  (** gateway pool slots added on Overloaded *)
-  topo_scale_ins : int;  (** pool reclaims when the report cleared *)
 }
 
 val topology_stats : t -> topology_stats option
