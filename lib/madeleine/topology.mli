@@ -31,7 +31,6 @@ val ranks : t -> int list
 
 val coordinator : t -> int
 val mem : t -> int -> bool
-val cardinal : t -> int
 
 val join : t -> int -> t
 (** Next epoch with [rank] added. Raises [Invalid_argument] if it is

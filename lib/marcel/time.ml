@@ -38,7 +38,6 @@ let span_scale d f = of_float_ns (float_of_int d *. f)
 
 let to_ns t = t
 let to_us t = float_of_int t /. 1e3
-let to_ms t = float_of_int t /. 1e6
 let to_s t = float_of_int t /. 1e9
 
 let bytes_at_rate ~bytes_count ~mb_per_s =

@@ -37,7 +37,6 @@ val span_scale : span -> float -> span
 
 val to_ns : t -> int
 val to_us : t -> float
-val to_ms : t -> float
 val to_s : t -> float
 
 val bytes_at_rate : bytes_count:int -> mb_per_s:float -> span

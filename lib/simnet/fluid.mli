@@ -37,7 +37,6 @@ val create :
     SCI PIO sends. *)
 
 val name : t -> string
-val active_count : t -> int
 
 val transfer :
   t ->

@@ -51,7 +51,6 @@ let sisci_pio_overhead = Time.us 0.55
 let sisci_poll_overhead = Time.us 0.75
 let sisci_dma_setup = Time.us 4.0
 let sisci_dma_rate_cap_mb_s = 35.0
-let sisci_segment_copy_rate_mb_s = 84.0
 
 (* Linux 2.2 TCP stack: tens of microseconds per end. *)
 let tcp_send_overhead = Time.us 28.0

@@ -129,7 +129,6 @@ let make_net ?(window = 8) ?(max_retries = 12) engine fabric =
 
 let net_stats net = (net.net_retransmissions, net.net_crc_rejects)
 let net_handshakes net = net.net_handshakes
-let net_window net = net.window
 
 let attach net node =
   if Hashtbl.mem net.stacks node.Node.id then
@@ -811,8 +810,6 @@ let is_dead conn = conn.dead
 let retries conn = conn.retries
 let consecutive_failures conn = conn.consec_fail
 let duplicate_frames conn = conn.dup_frames
-let in_flight conn = Queue.length conn.sendq
-let srtt_us conn = if conn.have_rtt then Some conn.srtt else None
 let inbox_peak conn = conn.peak_inbox
 let sendq_peak conn = conn.peak_sendq
 

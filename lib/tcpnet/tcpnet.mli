@@ -55,8 +55,6 @@ val net_stats : net -> int * int
 val net_handshakes : net -> int
 (** Crash-epoch session handshakes performed across the net. *)
 
-val net_window : net -> int
-
 val listen : t -> port:int -> unit
 (** Opens a passive socket. Raises [Invalid_argument] if the port is
     already bound on this host. *)
@@ -131,13 +129,6 @@ val consecutive_failures : conn -> int
 val duplicate_frames : conn -> int
 (** Frames this end received but discarded as duplicate or out of
     order (go-back-N accepts only the next expected sequence). *)
-
-val in_flight : conn -> int
-(** Frames currently unacknowledged in this end's send window. *)
-
-val srtt_us : conn -> float option
-(** Smoothed RTT estimate in microseconds, once at least one clean
-    (non-retransmitted) sample has been taken. *)
 
 (** {1 Queue instrumentation} — peak occupancy of the stack's two
     buffering points, for backpressure invariant checks. A receiver
