@@ -125,12 +125,13 @@ let pp_sub p n = p.pp_cur <- p.pp_cur - n
 
 (* Send-side state of one (src, dst) pair, made on the pair's first
    emission. Re-emission daemons spawn in the table's order, which is
-   thus part of the schedule. The reliability fields are used only with a fault plane:
-   sequence numbers are per (origin, final destination) pair, 16 bits,
-   carried in the packet header; every accepted packet is answered by a
-   cumulative ack so the origin can trim its log of unacknowledged
-   packets, from which packets are re-emitted after a gateway crash.
-   The credit fields are used only with [?credits] (see [credits]).
+   thus part of the schedule. The reliability fields are used only with
+   a fault plane: sequence numbers are per (origin, final destination)
+   pair, 16 bits, carried in the packet header; every accepted packet
+   is answered by a cumulative ack so the origin can trim its log of
+   unacknowledged packets, from which packets are re-emitted after a
+   gateway crash. The credit fields are used only with [?credits] (see
+   [credits]).
 
    Crash-epoch sessions: a crash wipes the crashed node's send-side
    state (cursors, logs, credit counters) and marks its pairs
