@@ -212,8 +212,9 @@ let flap_row ~seed ~size =
     (verified_pingpong w ~size ~iters:8)
 
 (* Duplication and reordering on both endpoints: the receiver's
-   go-back-N sequence check must discard the duplicates and the
-   retransmission path must repair the holes the overtaking leaves. *)
+   sequence check must discard the duplicates and hold the frames that
+   overtake, and the retransmission path must repair any hole that
+   outlives the overtaking. *)
 let reorder_row ~seed ~size =
   let w = world ~seed eth in
   let faults = plane w in
@@ -498,7 +499,9 @@ let failover_run ~seed ~size ~messages =
 (* ------------------------------------------------------------------ *)
 (* Sliding-window goodput: a one-way TCP stream under per-link loss,
    measured end to end (last byte verified at the receiver), with the
-   go-back-N window against the same net degraded to stop-and-wait. *)
+   selective-repeat window against the same net degraded to
+   stop-and-wait. Each run also reports its dropped frames and its
+   retransmissions. *)
 
 let goodput_one ~seed ~size ~messages ~window ~drop =
   let w = world ~seed eth ~window ~faults:(link_faults "drop" drop eth) in
@@ -522,11 +525,19 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
       done;
       finish := Engine.now engine);
   Engine.run engine;
-  (Time.rate_mb_s ~bytes_count:(size * messages) !finish, !intact)
+  let retransmissions, _ = Tcpnet.net_stats (Cf.tcp_net w "eth") in
+  ( Time.rate_mb_s ~bytes_count:(size * messages) !finish,
+    !intact,
+    (Faults.stats (plane w)).Faults.frames_dropped,
+    retransmissions )
 
 let goodput_run ~seed ~size ~messages ~window ~drop =
-  let window_mb_s, ok_w = goodput_one ~seed ~size ~messages ~window ~drop in
-  let stopwait_mb_s, ok_s = goodput_one ~seed ~size ~messages ~window:1 ~drop in
+  let window_mb_s, ok_w, drops_w, rexmit_w =
+    goodput_one ~seed ~size ~messages ~window ~drop
+  in
+  let stopwait_mb_s, ok_s, drops_s, rexmit_s =
+    goodput_one ~seed ~size ~messages ~window:1 ~drop
+  in
   let speedup =
     if stopwait_mb_s > 0.0 then window_mb_s /. stopwait_mb_s else 0.0
   in
@@ -539,15 +550,21 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
         ("drop_pct", f2 (drop *. 100.0));
         ("window", Int window);
         ("window_mb_s", f2 window_mb_s);
+        ("window_drops", Int drops_w);
+        ("window_retransmissions", Int rexmit_w);
         ("stopwait_mb_s", f2 stopwait_mb_s);
+        ("stopwait_drops", Int drops_s);
+        ("stopwait_retransmissions", Int rexmit_s);
         ("speedup", f2 speedup);
         ("intact", Bool intact);
       ];
     line =
       Printf.sprintf
-        "goodput:  %d x %d B at %.1f%% drop: window=%d %.2f MB/s vs \
-         stop-and-wait %.2f MB/s -> %.2fx, intact=%s\n"
-        messages size (drop *. 100.0) window window_mb_s stopwait_mb_s speedup
+        "goodput:  %d x %d B at %.1f%% drop: window=%d %.2f MB/s (%d \
+         drop(s), %d retrans) vs stop-and-wait %.2f MB/s (%d drop(s), %d \
+         retrans) -> %.2fx, intact=%s\n"
+        messages size (drop *. 100.0) window window_mb_s drops_w rexmit_w
+        stopwait_mb_s drops_s rexmit_s speedup
         (if intact then "yes" else "NO");
     gates =
       [
@@ -1357,11 +1374,12 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
 (* ------------------------------------------------------------------ *)
 (* Scheduled aggregation under loss: many concurrent logical flows of
    small messages cross a gateway on a reliable sched=aggreg vchannel
-   while both segments drop frames. Aggregates ride the go-back-N
-   window as single units, so TCP retransmission plus the vchannel's
-   sequence checks must still deliver every flow bit-identical and in
-   per-flow order — and the scheduler must actually have merged
-   something, or the scenario is not testing aggregation at all. *)
+   while both segments drop frames. Aggregates ride the TCP
+   selective-repeat window as single frames, so TCP retransmission plus
+   the vchannel's sequence checks must still deliver every flow
+   bit-identical and in per-flow order — and the scheduler must
+   actually have merged something, or the scenario is not testing
+   aggregation at all. *)
 
 let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
   let engine, _faults, vc =
@@ -1800,7 +1818,9 @@ let workloads =
     };
     {
       name = "goodput";
-      doc = "go-back-N against stop-and-wait on one TCP stream at 1% drop";
+      doc =
+        "selective repeat against stop-and-wait on one TCP stream at 1% \
+         drop, with each run's drops and retransmissions";
       run =
         (fun ~seed ~quick ->
           goodput_run ~seed ~size:1024
@@ -2041,9 +2061,9 @@ let clean_path_engines () =
 
 (* The windowed-protocol control: the reliable TCP stream with a fault
    plane attached but inert (no fault configured). Simspeed tracks its
-   host events/s — once with the go-back-N window and once degraded to
-   stop-and-wait — to catch the window/session machinery taxing the
-   fault-free fast path. *)
+   host events/s — once with the selective-repeat window and once
+   degraded to stop-and-wait — to catch the window/session machinery
+   taxing the fault-free fast path. *)
 let inert_window_engine ~window =
   let w = world ~seed:42 eth ~window in
   let engine = Cf.engine w and stack = Cf.tcp_stack w ~net:"eth" in

@@ -125,6 +125,6 @@ val clean_path_engines : unit -> Marcel.Engine.t list
 val inert_window_engine : window:int -> Marcel.Engine.t
 (** The finished world of a one-way reliable TCP stream (1024 x 4 kB)
     with a fault plane attached but inert — the simspeed control
-    guarding the fault-free fast path of the go-back-N protocol. Run it
+    guarding the fault-free fast path of the selective-repeat protocol. Run it
     at the default window and at [window:1] (stop-and-wait) to compare
     the window machinery's overhead. *)

@@ -53,7 +53,7 @@
     requires [coll=]) is the live-rank minimum below which a collective
     fails typed; with [coll=] unset no layer is created and the
     vchannel behaves exactly as before. Network types: [sisci], [bip], [tcp], [via], [sbp]; [tcp] networks
-    additionally accept [window=FRAMES] (go-back-N sender window) and
+    additionally accept [window=FRAMES] (selective-repeat window) and
     [max_retries=N] (consecutive RTO expiries before a connection is
     declared dead) — see {!Tcpnet.make_net} — and [bip] networks
     [credits=N] (short-message send window, {!Bip.make_net}). On a

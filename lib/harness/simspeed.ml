@@ -200,7 +200,7 @@ let scenarios sim : (string * (unit -> tally)) list =
           (fun acc e -> add_tally acc (tally_of e))
           no_tally (Chaos.clean_path_engines ()) );
     (* The windowed reliable protocol with a fault plane attached but
-       inert: guards the fault-free fast path of the go-back-N sender
+       inert: guards the fault-free fast path of the selective-repeat sender
        (sequencing, ack bookkeeping, RTO arming) — and, next to the
        stop-and-wait line, shows what the window machinery itself
        costs when nothing is ever retransmitted. *)

@@ -22,7 +22,7 @@
 
     The module owns only classification, queueing and flush policy; the
     vchannel supplies [emit], which charges credits per constituent
-    frame, numbers the aggregate (one go-back-N window slot per wire
+    frame, numbers the aggregate (one TCP window slot per wire
     packet) and ships it. Emission for one pair is serialized by
     {!pair_lock} so aggregates leave in a well-defined order —
     re-emission after a crash takes the same lock. *)
@@ -72,7 +72,7 @@ val create :
   emit:(src:int -> dst:int -> frame list -> unit) ->
   t
 (** [emit] is called with {!pair_lock} held and the frames in submission
-    order; it may block (credits, go-back-N window, route holes) and may
+    order; it may block (credits, TCP send window, route holes) and may
     raise — a raise drops the batch and propagates to whoever forced the
     flush (deadline flushes run in daemons that swallow terminal
     delivery errors, mirroring the ack/grant daemons). *)

@@ -128,7 +128,7 @@ val create :
     [begin_unpacking_from ~flow] carry thousands of independent
     channels over the same physical connections, distinguished by a
     per-frame flow id in the aggregate payload. Composition: an
-    aggregate takes one go-back-N sequence number and one re-emission
+    aggregate takes one sequence number and one re-emission
     log slot (reliable vchannels re-emit it as a unit), credits are
     charged per constituent frame, and gateways forward aggregates
     without unpacking them.

@@ -46,7 +46,7 @@ end
 exception Timeout of { msg : string; attempts : int }
 
 (* One reliable-mode frame in flight: payload, integrity check and the
-   retransmission bookkeeping the go-back-N sender needs. *)
+   retransmission bookkeeping the selective-repeat sender needs. *)
 type frame = {
   f_seq : int;
   f_data : Bytes.t;
@@ -56,6 +56,7 @@ type frame = {
   mutable f_sent_at : Time.t; (* last (re)transmission instant *)
   mutable f_floor : Time.span; (* serialization lower bound for the RTO *)
   mutable f_rexmit : bool; (* retransmitted at least once (Karn's rule) *)
+  mutable f_sacked : bool; (* the receiver reported it held: never resent *)
 }
 
 type conn = {
@@ -71,8 +72,14 @@ type conn = {
      of these fields is ever touched. *)
   mutable tx_seq : int; (* next frame sequence number to send *)
   mutable rx_next : int; (* next frame sequence number to accept *)
+  mutable held : (int * Bytes.t) list;
+      (* frames received past a hole, ascending seq, at most window - 1 *)
   mutable acked : int; (* highest cumulatively acked sent seq *)
   sendq : frame Queue.t; (* in-flight window, oldest first *)
+  mutable dupacks : int; (* duplicate acks since the last ack progress *)
+  mutable recover : int; (* highest seq of the recovery episode, or -1 *)
+  mutable high_rxt : int; (* highest seq resent in this recovery episode *)
+  mutable holes_due : bool; (* the ack path asks the daemon to resend *)
   mutable inflight_bytes : int;
   mutable srtt : float; (* smoothed RTT, microseconds *)
   mutable rttvar : float; (* RTT mean deviation, microseconds *)
@@ -102,7 +109,7 @@ and net = {
   engine : Engine.t;
   fabric : Fabric.t;
   stacks : (int, t) Hashtbl.t;
-  window : int; (* go-back-N sender window, in frames *)
+  window : int; (* selective-repeat window, in frames *)
   max_retries : int; (* RTO expiries before a conn is declared dead *)
   mutable conns : conn list; (* every end ever created on this net *)
   mutable fault_hooks : bool; (* crash/restart listeners installed *)
@@ -164,8 +171,13 @@ let fresh_conn stack =
     out_stream = None;
     tx_seq = 0;
     rx_next = 0;
+    held = [];
     acked = -1;
     sendq = Queue.create ();
+    dupacks = 0;
+    recover = -1;
+    high_rxt = -1;
+    holes_due = false;
     inflight_bytes = 0;
     srtt = 0.0;
     rttvar = 0.0;
@@ -301,9 +313,10 @@ let fast_transmit conn remote data =
 let host_id conn = conn.stack.host.Node.id
 
 (* ------------------------------------------------------------------ *)
-(* Reliable mode: go-back-N sliding window with adaptive RTO and       *)
-(* crash-epoch session resync. Only runs when a fault plane is         *)
-(* attached to the fabric; the fast path above is never touched.       *)
+(* Reliable mode: selective-repeat window (SACK, fast retransmit,     *)
+(* hole-only resends) with adaptive RTO and crash-epoch session       *)
+(* resync. Only runs when a fault plane is attached to the fabric;    *)
+(* the fast path above is never touched.                              *)
 (* ------------------------------------------------------------------ *)
 
 let wake_acked conn =
@@ -353,8 +366,12 @@ let conn_unreachable conn =
 let reset_socket conn remote =
   let purge c =
     Queue.clear c.sendq;
+    c.held <- [];
     c.inflight_bytes <- 0;
     c.acked <- c.tx_seq - 1;
+    c.dupacks <- 0;
+    c.recover <- -1;
+    c.holes_due <- false;
     c.have_rtt <- false;
     c.backoff <- 0;
     c.consec_fail <- 0;
@@ -432,8 +449,8 @@ let install_fault_hooks net faults =
    receiver's drain rate ({!Simnet.Faults.slow_receiver}), the capped
    drain is one more serial stage after the wire, so the floor adds the
    backlog at the capped rate on top — otherwise a
-   throttled-but-lossless receiver looks like a dead one and go-back-N
-   storms it. Without a cap the floor is unchanged. *)
+   throttled-but-lossless receiver looks like a dead one and the
+   retransmitter storms it. Without a cap the floor is unchanged. *)
 let frame_floor net ~rx_cap ~queued_bytes =
   let qb = max queued_bytes 1 in
   let base =
@@ -480,7 +497,42 @@ let cur_rto conn f =
   let base = max f.f_floor adaptive in
   Time.span_mul base (1 lsl min conn.backoff 10)
 
-let rec apply_ack conn ack_upto =
+(* Inserts a frame into the ascending held list. *)
+let rec hold seq data = function
+  | ((s, _) as h) :: rest when s < seq -> h :: hold seq data rest
+  | l -> (seq, data) :: l
+
+(* The hole at [rx_next] filled: held frames that now continue the
+   sequence move to the inbox in order. *)
+let rec drain_held c =
+  match c.held with
+  | (s, data) :: rest when s = c.rx_next ->
+      c.held <- rest;
+      c.rx_next <- s + 1;
+      push_inbox c data;
+      drain_held c
+  | _ -> ()
+
+(* Duplicate acks that trigger a fast retransmit with [outstanding]
+   frames in flight: 3, or outstanding - 1 below four frames (early
+   retransmit); 0, never, for a single frame. *)
+let dupack_threshold outstanding =
+  if outstanding >= 4 then 3 else outstanding - 1
+
+(* An ack moves the cumulative point and marks the frames the receiver
+   reported held (SACK). Resends never run here — this is an event
+   callback and [push_wire] sleeps — so the ack path only raises
+   [holes_due] and wakes the retransmitter: on the duplicate ack that
+   reaches the threshold (fast retransmit, which opens a recovery
+   episode up to the highest seq sent) and on a partial ack inside an
+   episode. An ack at or past the recovery point ends the episode. An
+   ack with an empty held set reports no hole (it answers a duplicate
+   frame), so it never counts as a duplicate ack. *)
+let rec apply_ack conn ack_upto sacks =
+  if sacks <> [] then
+    Queue.iter
+      (fun f -> if List.mem f.f_seq sacks then f.f_sacked <- true)
+      conn.sendq;
   if ack_upto > conn.acked then begin
     let now = Engine.now conn.stack.net.engine in
     conn.acked <- ack_upto;
@@ -495,11 +547,25 @@ let rec apply_ack conn ack_upto =
     done;
     conn.backoff <- 0;
     conn.consec_fail <- 0;
+    conn.dupacks <- 0;
+    if conn.recover >= 0 then
+      if ack_upto >= conn.recover then conn.recover <- -1
+      else conn.holes_due <- true;
     wake_acked conn;
     wake_rtx conn
   end
+  else if ack_upto = conn.acked && sacks <> [] && conn.recover < 0 then begin
+    conn.dupacks <- conn.dupacks + 1;
+    let threshold = dupack_threshold (Queue.length conn.sendq) in
+    if threshold > 0 && conn.dupacks >= threshold then begin
+      conn.recover <- conn.tx_seq - 1;
+      conn.high_rxt <- conn.acked;
+      conn.holes_due <- true;
+      wake_rtx conn
+    end
+  end
 
-(* Cumulative ack (including dup-acks for out-of-order frames): rides
+(* Cumulative ack plus the receiver's held set, snapshotted now: rides
    the reverse link one hop later and is itself subject to the plane. *)
 and schedule_ack conn remote faults =
   let net = conn.stack.net in
@@ -507,6 +573,7 @@ and schedule_ack conn remote faults =
   let fabric_name = Fabric.name net.fabric in
   let src = host_id conn and dst = host_id remote in
   let ack_upto = remote.rx_next - 1 in
+  let sacks = List.map fst remote.held in
   Engine.at engine
     (Time.add (Engine.now engine) (hop_latency net))
     (fun () ->
@@ -515,15 +582,16 @@ and schedule_ack conn remote faults =
           ~dst:src ~fragments:1
       with
       | Simnet.Faults.Deliver | Simnet.Faults.Duplicate ->
-          apply_ack conn ack_upto
+          apply_ack conn ack_upto sacks
       | Simnet.Faults.Delay span ->
           Engine.at engine
             (Time.add (Engine.now engine) span)
-            (fun () -> apply_ack conn ack_upto)
+            (fun () -> apply_ack conn ack_upto sacks)
       | Simnet.Faults.Drop | Simnet.Faults.Corrupt -> ())
 
 (* Ship one frame toward the peer; the receiver-side fate (verdict, CRC
-   check, in-order delivery, cumulative ack) runs at delivery time. *)
+   check, in-order delivery or hold, cumulative ack with the held set)
+   runs at delivery time. *)
 and push_wire conn remote faults f =
   let net = conn.stack.net in
   let engine = net.engine in
@@ -541,11 +609,18 @@ and push_wire conn remote faults f =
           net.net_crc_rejects <- net.net_crc_rejects + 1
         end
         else begin
-          if f.f_seq = remote.rx_next then begin
-            remote.rx_next <- f.f_seq + 1;
+          let next = remote.rx_next in
+          if f.f_seq = next then begin
+            remote.rx_next <- next + 1;
             push_inbox remote data;
+            drain_held remote;
             wake_readers remote
           end
+          else if
+            f.f_seq > next
+            && f.f_seq < next + net.window
+            && not (List.mem_assoc f.f_seq remote.held)
+          then remote.held <- hold f.f_seq data remote.held
           else remote.dup_frames <- remote.dup_frames + 1;
           schedule_ack conn remote faults
         end
@@ -634,9 +709,50 @@ let session_resync conn remote faults =
     end
   end
 
+(* Resends [frames], oldest first, on the retransmitter's own thread. *)
+let resend conn remote faults frames =
+  let net = conn.stack.net in
+  let rx_cap = rx_cap_of net remote in
+  (* A capped receiver drains the original copies too: the resent
+     duplicates queue behind everything still unacked, so their floors
+     must cover the whole in-flight backlog or the spurious expiry
+     repeats until backoff catches up. *)
+  let backlog = match rx_cap with Some _ -> conn.inflight_bytes | None -> 0 in
+  let cum = ref 0 in
+  List.iter
+    (fun f ->
+      (* Acks may land between resends; skip what they covered. *)
+      if f.f_seq > conn.acked && (not f.f_sacked) && not conn.dead then begin
+        cum := !cum + f.f_len;
+        f.f_floor <- frame_floor net ~rx_cap ~queued_bytes:(backlog + !cum);
+        f.f_rexmit <- true;
+        if f.f_seq > conn.high_rxt then conn.high_rxt <- f.f_seq;
+        conn.retries <- conn.retries + 1;
+        net.net_retransmissions <- net.net_retransmissions + 1;
+        push_wire conn remote faults f
+      end)
+    frames
+
+(* Fast retransmit and partial acks: resend the holes not yet resent in
+   this episode — the unmarked frames below the highest marked one, or
+   the head when no frame is marked. *)
+let resend_holes conn remote faults =
+  let frames = List.of_seq (Queue.to_seq conn.sendq) in
+  let top =
+    List.fold_left (fun m f -> if f.f_sacked then f.f_seq else m) (-1) frames
+  in
+  let holes =
+    if top < 0 then match frames with head :: _ -> [ head ] | [] -> []
+    else List.filter (fun f -> (not f.f_sacked) && f.f_seq < top) frames
+  in
+  resend conn remote faults
+    (List.filter (fun f -> f.f_seq > conn.high_rxt) holes)
+
 (* One RTO expiry on the oldest in-flight frame: resync if an epoch
    moved, fail fast if a host is down, give up past the retry budget,
-   otherwise go-back-N — retransmit the whole window, oldest first. *)
+   otherwise resend every frame the receiver has not reported held,
+   oldest first, and open a recovery episode up to the highest seq
+   sent, as a fast retransmit does. *)
 let on_expiry conn remote faults =
   let net = conn.stack.net in
   session_resync conn remote faults;
@@ -650,29 +766,11 @@ let on_expiry conn remote faults =
       if conn.consec_fail >= net.max_retries then mark_dead conn remote
       else begin
         conn.backoff <- min (conn.backoff + 1) 10;
-        let frames = List.of_seq (Queue.to_seq conn.sendq) in
-        let rx_cap = rx_cap_of net remote in
-        (* A capped receiver drains the original copies too: the resent
-           duplicates queue behind everything still unacked, so their
-           floors must cover the whole in-flight backlog or the spurious
-           expiry repeats until backoff catches up. *)
-        let backlog =
-          match rx_cap with Some _ -> conn.inflight_bytes | None -> 0
-        in
-        let cum = ref 0 in
-        List.iter
-          (fun f ->
-            (* Acks may land between resends; skip what they covered. *)
-            if f.f_seq > conn.acked && not conn.dead then begin
-              cum := !cum + f.f_len;
-              f.f_floor <-
-                frame_floor net ~rx_cap ~queued_bytes:(backlog + !cum);
-              f.f_rexmit <- true;
-              conn.retries <- conn.retries + 1;
-              net.net_retransmissions <- net.net_retransmissions + 1;
-              push_wire conn remote faults f
-            end)
-          frames
+        conn.dupacks <- 0;
+        conn.recover <- conn.tx_seq - 1;
+        conn.high_rxt <- conn.acked;
+        conn.holes_due <- false;
+        resend conn remote faults (List.of_seq (Queue.to_seq conn.sendq))
       end
     end
   end
@@ -680,7 +778,8 @@ let on_expiry conn remote faults =
 (* Per-conn retransmitter: a daemon thread that owns the RTO clock. It
    parks (suspended, no pending timer) whenever nothing is in flight so
    the event queue can drain and the engine can quiesce; senders re-arm
-   it via [wake_rtx] when they enqueue. Daemons must not raise, so
+   it via [wake_rtx] when they enqueue, and acks when they flag holes
+   to resend ([holes_due]). Daemons must not raise, so
    giving up marks the conn dead and wakes the blocked senders, which
    raise [Timeout] from their own context. *)
 let rec rtx_loop conn remote faults =
@@ -688,6 +787,11 @@ let rec rtx_loop conn remote faults =
   if Queue.is_empty conn.sendq || conn.dead then begin
     Engine.suspend ~name:"tcp.rtx.park" (fun wake -> conn.rtx_wake <- Some wake);
     conn.rtx_wake <- None;
+    rtx_loop conn remote faults
+  end
+  else if conn.holes_due then begin
+    conn.holes_due <- false;
+    resend_holes conn remote faults;
     rtx_loop conn remote faults
   end
   else begin
@@ -761,6 +865,7 @@ let reliable_send conn remote faults data =
         frame_floor net ~rx_cap:(rx_cap_of net remote)
           ~queued_bytes:conn.inflight_bytes;
       f_rexmit = false;
+      f_sacked = false;
     }
   in
   Queue.push f conn.sendq;

@@ -9,16 +9,23 @@
 
     When the underlying fabric has a fault plane attached
     ({!Simnet.Fabric.set_faults}), every [send] becomes one checksummed,
-    sequence-numbered frame in a go-back-N sliding window: up to
-    [window] frames ride the wire at once, acknowledgements are
-    cumulative, the retransmission timer adapts to the measured RTT
+    sequence-numbered frame in a selective-repeat sliding window: up to
+    [window] frames ride the wire at once. The receiver holds frames
+    that arrive past a hole and drains them in order once it fills;
+    every ack carries the cumulative point plus the held set (SACK), and
+    the sender never resends a frame reported held. Duplicate acks
+    trigger a fast retransmit of the holes (threshold 3, or one less
+    than the frames in flight below four: early retransmit) and open a
+    recovery episode in which each partial ack resends the next holes
+    at once. The retransmission timer adapts to the measured RTT
     (Jacobson/Karel SRTT/RTTVAR on the simulated clock, Karn's rule on
-    retransmits) and corruption is detected by CRC-32 and treated as
-    loss. A peer the plane reports crashed fails sends fast with
-    {!Timeout}; if it later restarts with a bumped epoch, the next send
-    (or pending retransmission) performs a session handshake that
-    resynchronizes both ends' cursors and replays the survivor's unacked
-    frames. Without a fault plane (the default) the original fault-free
+    retransmits); its expiry resends only the frames not reported held.
+    Corruption is detected by CRC-32 on every accepted frame, held ones
+    included, and treated as loss. A peer the plane reports crashed
+    fails sends fast with {!Timeout}; if it later restarts with a bumped
+    epoch, the next send (or pending retransmission) performs a session
+    handshake that resynchronizes both ends' cursors and replays the
+    survivor's unacked frames. Without a fault plane (the default) the original fault-free
     path runs, bit for bit. *)
 
 exception Timeout of { msg : string; attempts : int }
@@ -35,7 +42,10 @@ type conn
 
 val make_net :
   ?window:int -> ?max_retries:int -> Marcel.Engine.t -> Simnet.Fabric.t -> net
-(** [window] (default 8, >= 1) is the go-back-N sender window in frames;
+(** [window] (default 8, >= 1) is the selective-repeat window in frames:
+    the sender keeps at most [window] frames in flight and the receiver
+    holds at most [window - 1] past a hole ([window = 1] is
+    stop-and-wait);
     [max_retries] (default 12, >= 1) is the number of consecutive RTO
     expiries after which a connection is declared dead. Both only matter
     under a fault plane. *)
@@ -127,8 +137,9 @@ val consecutive_failures : conn -> int
     driver maps this to a [Degraded] peer-health report. *)
 
 val duplicate_frames : conn -> int
-(** Frames this end received but discarded as duplicate or out of
-    order (go-back-N accepts only the next expected sequence). *)
+(** Frames this end received but discarded as duplicates of a frame
+    already delivered or held, or as beyond the window. A frame past a
+    hole is held, not counted. *)
 
 (** {1 Queue instrumentation} — peak occupancy of the stack's two
     buffering points, for backpressure invariant checks. A receiver
@@ -144,8 +155,9 @@ val inbox_peak : conn -> int
     this end. *)
 
 val sendq_peak : conn -> int
-(** Highest go-back-N window occupancy (frames) ever reached by this
-    end — never exceeds the net's [window]. *)
+(** Highest send-window occupancy (frames in flight, held-at-receiver
+    ones included) ever reached by this end — never exceeds the net's
+    [window]. *)
 
 val queue_peaks : net -> int * int
 (** [(inbox bytes, sendq frames)] — the maxima of the two peaks above

@@ -243,7 +243,7 @@ let test_window_beats_stop_and_wait () =
   let g = chaos_workload "goodput" in
   Alcotest.(check bool) "both streams intact" true
     (gate g "goodput-intact");
-  Alcotest.(check bool) "go-back-N >= 2x stop-and-wait at 1% drop" true
+  Alcotest.(check bool) "selective repeat >= 2x stop-and-wait at 1% drop" true
     (gate g "goodput-window-speedup")
 
 (* ------------------------------------------------------------------ *)

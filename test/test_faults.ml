@@ -309,22 +309,225 @@ let test_recv_timeout () =
 
 let test_window_survives_reorder_dup_loss () =
   (* Under a fault plane each send is one frame, so many small messages
-     (plus their acks) give the dup/reorder draws enough frames to bite. *)
-  let w = faulty_world ~seed:13L ~drop:0.02 () in
-  for i = 0 to 1 do
-    Faults.set_reorder w.faults ~fabric:"eth" ~node:i ~rate:0.2
-      ~jitter:(Time.us 300.0);
-    Faults.set_duplicate w.faults ~fabric:"eth" ~node:i ~rate:0.15
+     (plus their acks) give the dup/reorder draws enough frames to bite.
+     Every seed must deliver each message exactly once, in order. *)
+  let duplicated = ref 0 and delayed = ref 0 and discarded = ref 0 in
+  for seed = 1 to 16 do
+    let w = faulty_world ~seed:(Int64.of_int seed) ~drop:0.02 () in
+    for i = 0 to 1 do
+      Faults.set_reorder w.faults ~fabric:"eth" ~node:i ~rate:0.2
+        ~jitter:(Time.us 300.0);
+      Faults.set_duplicate w.faults ~fabric:"eth" ~node:i ~rate:0.15
+    done;
+    let ok, _ = faulty_transfer w ~size:2048 ~msgs:40 in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: in-order delivery" seed)
+      true ok;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: nothing delivered twice" seed)
+      0 (Tcpnet.available w.c1);
+    let st = Faults.stats w.faults in
+    duplicated := !duplicated + st.Faults.frames_duplicated;
+    delayed := !delayed + st.Faults.frames_delayed;
+    discarded := !discarded + Tcpnet.duplicate_frames w.c1
   done;
-  let ok, _ = faulty_transfer w ~size:2048 ~msgs:40 in
-  Alcotest.(check bool) "in-order, exactly-once delivery" true ok;
-  let st = Faults.stats w.faults in
   Alcotest.(check bool) "frames were actually duplicated" true
-    (st.Faults.frames_duplicated > 0);
-  Alcotest.(check bool) "frames were actually held back" true
-    (st.Faults.frames_delayed > 0);
-  Alcotest.(check bool) "receiver discarded dup/out-of-order frames" true
-    (Tcpnet.duplicate_frames w.c1 > 0)
+    (!duplicated > 0);
+  Alcotest.(check bool) "frames were actually held back" true (!delayed > 0);
+  Alcotest.(check bool) "receiver discarded duplicate frames" true
+    (!discarded > 0)
+
+(* Selective-repeat recovery, with the losses scripted rather than
+   drawn: a burst of eight 1 kB sends (one frame each, the whole
+   window) crosses a clean link, and each lost frame is the one whose
+   delivery verdict falls in a 2 us window of 100 % drop, placed at that
+   frame's delivery instant in a loss-free run. Frames arrive about
+   90 us apart and acks take 61 us, so no ack falls in a window. The
+   finish instant and [Tcpnet.consecutive_failures] at every in-order
+   delivery tell a fast retransmit from an RTO expiry: an expiry counts
+   a failure that only the next ack progress clears, after the resent
+   frame has been delivered. *)
+let burst_size = 1024
+let burst_frames = 8
+
+(* 100 % drop on the receiver's link for 2 us around each instant. *)
+let drop_near w instants =
+  List.iter
+    (fun at ->
+      let set rate () = Faults.set_drop w.faults ~fabric:"eth" ~node:1 ~rate in
+      let near dt = Time.add Time.zero (Time.us (Time.to_us at +. dt)) in
+      Engine.at w.engine (near (-1.0)) (set 1.0);
+      Engine.at w.engine (near 1.0) (set 0.0))
+    instants
+
+let burst_run ?(frames = burst_frames) ~lost () =
+  let w = faulty_world () in
+  let datas =
+    List.init frames (fun i -> payload burst_size (Int64.of_int (500 + i)))
+  in
+  let delivered = ref [] and failures = ref 0 in
+  Tcpnet.set_data_hook w.c1 (fun () ->
+      delivered := Engine.now w.engine :: !delivered;
+      failures := max !failures (Tcpnet.consecutive_failures w.c0));
+  drop_near w lost;
+  let sink = Bytes.create (burst_size * frames) in
+  let finish = ref Time.zero in
+  Engine.spawn w.engine ~name:"send" (fun () ->
+      List.iter (fun d -> Tcpnet.send w.c0 d) datas);
+  Engine.spawn w.engine ~name:"recv" (fun () ->
+      Tcpnet.recv w.c1 sink ~off:0 ~len:(Bytes.length sink);
+      finish := Engine.now w.engine);
+  Engine.run w.engine;
+  Alcotest.(check bool) "in-order, bit-identical bytes" true
+    (Bytes.equal sink (Bytes.concat Bytes.empty datas));
+  Alcotest.(check int) "nothing delivered twice" 0 (Tcpnet.available w.c1);
+  (w, !finish, List.rev !delivered, !failures)
+
+(* Delivery instants of the burst's frames on a loss-free link. *)
+let burst_clean_instants ?(frames = burst_frames) () =
+  let _, _, delivered, _ = burst_run ~frames ~lost:[] () in
+  Alcotest.(check int) "one delivery per frame" frames (List.length delivered);
+  Array.of_list delivered
+
+let test_sr_one_hole () =
+  let clean = burst_clean_instants () in
+  let w, finish, _, failures = burst_run ~lost:[ clean.(3) ] () in
+  Alcotest.(check int) "one frame dropped" 1
+    (Faults.stats w.faults).Faults.frames_dropped;
+  Alcotest.(check (pair int int)) "exactly the hole resent" (1, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "frames past the hole held, not discarded" 0
+    (Tcpnet.duplicate_frames w.c1);
+  Alcotest.(check int) "fast retransmit, no RTO expiry" 0 failures;
+  (* The go-back-N window that selective repeat replaced discarded
+     frames 4-7, waited out the RTO and resent frames 3-7: it finished
+     this run at 1679.390 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1077.692 (Time.to_us finish)
+
+let test_sr_two_holes () =
+  let clean = burst_clean_instants () in
+  let w, finish, _, failures = burst_run ~lost:[ clean.(2); clean.(5) ] () in
+  Alcotest.(check int) "two frames dropped" 2
+    (Faults.stats w.faults).Faults.frames_dropped;
+  Alcotest.(check (pair int int)) "exactly the two holes resent" (2, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "no RTO expiry" 0 failures;
+  (* Go-back-N resent six frames after an RTO expiry and finished at
+     1612.434 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1166.736 (Time.to_us finish)
+
+let test_sr_partial_ack () =
+  (* Frames 2 and 7 lost: the duplicate acks of frames 3-5 reveal only
+     the first hole. The ack of its resend stops short of the recovery
+     point — a partial ack — and resends frame 7 at once, where an
+     episode that ignored partial acks would wait for the RTO. *)
+  let clean = burst_clean_instants () in
+  let w, finish, _, failures =
+    burst_run ~lost:[ clean.(2); clean.(burst_frames - 1) ] ()
+  in
+  Alcotest.(check (pair int int)) "each hole resent once" (2, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "no RTO expiry" 0 failures;
+  (* Go-back-N resent frames 2-7 after an RTO expiry: 1612.434 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1276.862 (Time.to_us finish)
+
+let test_sr_hole_lost_twice () =
+  (* The fast retransmit of frame 3 is lost too: the RTO resends that
+     hole alone, never the frames the receiver reported held. *)
+  let clean = burst_clean_instants () in
+  let _, _, once, _ = burst_run ~lost:[ clean.(3) ] () in
+  let resent = List.nth once 3 in
+  let w, finish, _, failures = burst_run ~lost:[ clean.(3); resent ] () in
+  Alcotest.(check (pair int int)) "the hole resent twice, nothing else"
+    (2, 0) (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "no held frame resent" 0
+    (Tcpnet.duplicate_frames w.c1);
+  Alcotest.(check int) "the second resend was an RTO's" 1 failures;
+  (* Go-back-N, under the same two drop windows, finished at
+     3177.656 us after 10 retransmissions and two RTO expiries. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1840.825 (Time.to_us finish)
+
+let test_sr_early_retransmit () =
+  (* Three frames, the middle one lost: the last one's duplicate ack is
+     the only one that can come, and with two frames in flight it is
+     enough (early retransmit). *)
+  let clean = burst_clean_instants ~frames:3 () in
+  let w, finish, _, failures = burst_run ~frames:3 ~lost:[ clean.(1) ] () in
+  Alcotest.(check (pair int int)) "the hole resent once" (1, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "no RTO expiry" 0 failures;
+  (* Go-back-N discarded frame 2, waited out the RTO and resent both:
+     1180.900 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 721.516 (Time.to_us finish)
+
+(* The receiver crashes holding frames 4-7 past a lost frame 3 and
+   restarts 5 ms later, which resets the socket. A second burst, with
+   its own lost frame 3, must then drain in order: a held frame of the
+   old epoch would sit below the new cursor for good and block it.
+   Returns the world and the instants of the second burst's
+   deliveries. *)
+let reset_run ~lost =
+  let w = faulty_world () in
+  let burst base =
+    List.init burst_frames (fun i ->
+        payload burst_size (Int64.of_int (base + i)))
+  in
+  let first = burst 600 and second = burst 700 in
+  let clean = burst_clean_instants () in
+  let crash_at = Time.add clean.(burst_frames - 1) (Time.us 5.0) in
+  let restart_after = Time.us 5_000.0 in
+  Faults.crash_node w.faults ~node:1 ~at:crash_at ~restart_after ();
+  drop_near w (clean.(3) :: lost);
+  let resumed = Time.us 10_000.0 in
+  let delivered = ref [] in
+  Tcpnet.set_data_hook w.c1 (fun () ->
+      let now = Engine.now w.engine in
+      if Time.(Time.add Time.zero resumed < now) then
+        delivered := now :: !delivered);
+  let sink = Bytes.create (burst_size * burst_frames) in
+  let intact = ref false in
+  Engine.spawn w.engine ~name:"send" (fun () ->
+      List.iter (fun d -> Tcpnet.send w.c0 d) first;
+      Engine.sleep resumed;
+      List.iter (fun d -> Tcpnet.send w.c0 d) second);
+  Engine.spawn w.engine ~name:"recv" (fun () ->
+      (match Tcpnet.recv w.c1 sink ~off:0 ~len:(Bytes.length sink) with
+      | () -> Alcotest.fail "the first burst cannot complete"
+      | exception Tcpnet.Timeout _ -> ());
+      Engine.sleep resumed;
+      Tcpnet.recv w.c1 sink ~off:0 ~len:(Bytes.length sink);
+      intact := Bytes.equal sink (Bytes.concat Bytes.empty second));
+  Engine.run w.engine;
+  Alcotest.(check bool) "second burst in order, bit-identical" true !intact;
+  Alcotest.(check int) "nothing delivered twice" 0 (Tcpnet.available w.c1);
+  (w, Array.of_list (List.rev !delivered))
+
+let test_sr_reset_discards_held () =
+  let _, second = reset_run ~lost:[] in
+  Alcotest.(check int) "one delivery per frame" burst_frames
+    (Array.length second);
+  let w, _ = reset_run ~lost:[ second.(3) ] in
+  (* The first burst's fast retransmit died with the crash; the second
+     burst's is the other one. *)
+  Alcotest.(check (pair int int)) "one resend per burst" (2, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "frames past each hole held" 0
+    (Tcpnet.duplicate_frames w.c1)
+
+let test_sr_tail_loss () =
+  let clean = burst_clean_instants () in
+  let w, finish, _, failures =
+    burst_run ~lost:[ clean.(burst_frames - 1) ] ()
+  in
+  Alcotest.(check (pair int int)) "the lost frame alone resent" (1, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "no held frame to discard" 0
+    (Tcpnet.duplicate_frames w.c1);
+  (* Nothing follows the last frame, so no duplicate ack: only the
+     retransmission timer can recover it. *)
+  Alcotest.(check int) "recovered by one RTO expiry" 1 failures;
+  (* With one frame to resend, go-back-N did the same: 1947.214 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1947.214 (Time.to_us finish)
 
 let test_max_retries_gives_up_with_attempt_count () =
   let engine = Engine.create () in
@@ -711,6 +914,20 @@ let () =
             test_one_copy_reliable;
           Alcotest.test_case "send_group rejects bad slices" `Quick
             test_send_group_rejects_bad_slice;
+          Alcotest.test_case "selective repeat: one hole" `Quick
+            test_sr_one_hole;
+          Alcotest.test_case "selective repeat: two holes" `Quick
+            test_sr_two_holes;
+          Alcotest.test_case "selective repeat: tail loss" `Quick
+            test_sr_tail_loss;
+          Alcotest.test_case "selective repeat: partial ack" `Quick
+            test_sr_partial_ack;
+          Alcotest.test_case "selective repeat: hole lost twice" `Quick
+            test_sr_hole_lost_twice;
+          Alcotest.test_case "selective repeat: early retransmit" `Quick
+            test_sr_early_retransmit;
+          Alcotest.test_case "selective repeat: reset drops held" `Quick
+            test_sr_reset_discards_held;
         ] );
       ( "partitions",
         [

@@ -1,6 +1,6 @@
 (* Tests for the pluggable packet scheduler (Sched) and its integration
    with virtual channels: per-flow FIFO under aggregation, the aggr_max
-   wire budget, composition with credits and go-back-N reliability, and
+   wire budget, composition with credits and TCP reliability, and
    the inertness of Fifo/unset. *)
 
 module Engine = Marcel.Engine
