@@ -462,21 +462,21 @@ let chaos_cmd =
 (* The paper's evaluation (§5-§6) section by section, then the
    ablations and the judged replication report; every number is
    simulated, so the output is byte-identical for any --jobs. *)
-type section = Figure of Sweeps.figure | Text of (Parsim.pool -> unit)
+type section = Figures of Sweeps.figure list | Text of (unit -> unit)
 
 let figure_sections =
   [
-    ("fig4", Figure Sweeps.fig4);
-    ("fig5", Figure Sweeps.fig5);
-    ("fig6", Figure Sweeps.fig6);
-    ("fig7", Figure Sweeps.fig7);
-    ("eq16k", Figure Sweeps.eq16k);
-    ("fig10", Figure Sweeps.fig10);
-    ("fig11", Figure Sweeps.fig11);
-    ("ablations", Text Ablations.run);
+    ("fig4", Figures [ Sweeps.fig4 ]);
+    ("fig5", Figures [ Sweeps.fig5 ]);
+    ("fig6", Figures [ Sweeps.fig6 ]);
+    ("fig7", Figures [ Sweeps.fig7 ]);
+    ("eq16k", Figures [ Sweeps.eq16k ]);
+    ("fig10", Figures [ Sweeps.fig10 ]);
+    ("fig11", Figures [ Sweeps.fig11 ]);
+    ("ablations", Figures Ablations.figures);
     ( "report",
       Text
-        (fun _pool ->
+        (fun () ->
           print_string
             (Sweeps.section "Replication report -- paper vs measured, judged"
                "");
@@ -492,9 +492,11 @@ let figures sections jobs fingerprints =
       List.iter
         (fun (name, section) ->
           match (section, fingerprints) with
-          | Figure f, false -> print_string (Sweeps.run pool f)
-          | Text f, false -> f pool
-          | Figure f, true -> print_string (Sweeps.fingerprints pool f)
+          | Figures fs, false ->
+              List.iter (fun f -> print_string (Sweeps.run pool f)) fs
+          | Text f, false -> f ()
+          | Figures fs, true ->
+              List.iter (fun f -> print_string (Sweeps.fingerprints pool f)) fs
           | Text _, true -> Printf.printf "# %s: no figure points\n" name)
         sections);
   if not fingerprints then

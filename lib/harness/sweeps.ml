@@ -24,6 +24,7 @@ let bw n span = Time.rate_mb_s ~bytes_count:n span
 type figure =
   | Figure : (string * (unit -> 'a)) list * ('a list -> string) -> figure
 
+let figure points render = Figure (points, render)
 let run pool (Figure (points, render)) = render (Parsim.run pool points)
 
 let fingerprints pool (Figure (points, _)) =

@@ -16,6 +16,11 @@ type figure
 (** One figure: its measured points, each a labelled job, and the
     renderer of their rows. *)
 
+val figure : (string * (unit -> 'a)) list -> ('a list -> string) -> figure
+(** [figure points render]: the labelled jobs [points] and the renderer
+    of their rows, in point order. A figure with no points renders
+    [render []] and builds no world. *)
+
 val run : Parsim.pool -> figure -> string
 (** Measures every point on the pool and renders the complete section
     (header included). *)
