@@ -39,13 +39,27 @@ let net_arg =
   Arg.(value & opt net_conv Sisci_net & info [ "net" ] ~docv:"NET"
          ~doc:"Network interface: sisci, bip, tcp, via or sbp.")
 
+(* An integer converter that rejects values below [least], so a bad
+   count is a usage error rather than an exception mid-run. *)
+let int_at_least least =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < least ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+               least))
+    | result -> result
+  in
+  Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
+
 let size_arg =
-  Arg.(value & opt int 4 & info [ "size" ] ~docv:"BYTES"
-         ~doc:"Message payload size in bytes.")
+  Arg.(value & opt (int_at_least 0) 4 & info [ "size" ] ~docv:"BYTES"
+         ~doc:"Message payload size in bytes (0 or more).")
 
 let iters_arg =
-  Arg.(value & opt int 10 & info [ "iters" ] ~docv:"N"
-         ~doc:"Ping-pong iterations to average over.")
+  Arg.(value & opt (int_at_least 1) 10 & info [ "iters" ] ~docv:"N"
+         ~doc:"Ping-pong iterations to average over (1 or more).")
 
 let net_name = function
   | Sisci_net -> "madeleine/sisci"
