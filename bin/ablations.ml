@@ -49,20 +49,18 @@ let tcp_one_way ?config ?r_mode fields =
   let module Mad = Madeleine.Api in
   let ep0 = Madeleine.Channel.endpoint w.H.channel ~rank:0 in
   let ep1 = Madeleine.Channel.endpoint w.H.channel ~rank:1 in
-  let finish = ref Time.zero in
-  Marcel.Engine.spawn w.H.engine ~name:"s" (fun () ->
-      let oc = Mad.begin_packing ep0 ~remote:1 in
-      List.iter (Mad.pack oc ?r_mode) fields;
-      Mad.end_packing oc);
-  Marcel.Engine.spawn w.H.engine ~name:"r" (fun () ->
-      let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
-      List.iter
-        (fun f -> Mad.unpack ic ?r_mode (Bytes.create (Bytes.length f)))
-        fields;
-      Mad.end_unpacking ic;
-      finish := Marcel.Engine.now w.H.engine);
-  Marcel.Engine.run w.H.engine;
-  Time.to_us !finish
+  Time.to_us
+    (H.one_way w.H.engine ~messages:1
+       ~send:(fun _ ->
+         let oc = Mad.begin_packing ep0 ~remote:1 in
+         List.iter (Mad.pack oc ?r_mode) fields;
+         Mad.end_packing oc)
+       ~recv:(fun _ ->
+         let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
+         List.iter
+           (fun f -> Mad.unpack ic ?r_mode (Bytes.create (Bytes.length f)))
+           fields;
+         Mad.end_unpacking ic))
 
 (* 3. Aggregation in the dynamic BMMs, over TCP's expensive syscalls. *)
 let a3 =
@@ -152,32 +150,31 @@ let rx_run rx_interaction ~gap_us =
   let module Mad = Madeleine.Api in
   let ep0 = Madeleine.Channel.endpoint w.H.channel ~rank:0 in
   let ep1 = Madeleine.Channel.endpoint w.H.channel ~rank:1 in
+  let send ep ~remote =
+    let oc = Mad.begin_packing ep ~remote in
+    Mad.pack oc ~r_mode:Madeleine.Iface.Receive_express (Bytes.create 4);
+    Mad.end_packing oc
+  and recv ep ~remote =
+    let ic = Mad.begin_unpacking_from ep ~remote in
+    Mad.unpack ic ~r_mode:Madeleine.Iface.Receive_express (Bytes.create 4);
+    Mad.end_unpacking ic
+  in
   let iters = 20 in
+  (* Only the round trips count, not the think time between them. *)
   let lat = ref 0 in
-  Marcel.Engine.spawn w.H.engine ~name:"s" (fun () ->
-      for _ = 1 to iters do
-        (* The receiver is already waiting when the message leaves:
-           idle gaps between messages are where polling burns CPU. *)
-        Marcel.Engine.sleep (Time.us gap_us);
-        let t0 = Marcel.Engine.now w.H.engine in
-        let oc = Mad.begin_packing ep0 ~remote:1 in
-        Mad.pack oc ~r_mode:Madeleine.Iface.Receive_express (Bytes.create 4);
-        Mad.end_packing oc;
-        let ic = Mad.begin_unpacking_from ep0 ~remote:1 in
-        Mad.unpack ic ~r_mode:Madeleine.Iface.Receive_express (Bytes.create 4);
-        Mad.end_unpacking ic;
-        lat := !lat + Time.diff (Marcel.Engine.now w.H.engine) t0
-      done);
-  Marcel.Engine.spawn w.H.engine ~name:"r" (fun () ->
-      for _ = 1 to iters do
-        let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
-        Mad.unpack ic ~r_mode:Madeleine.Iface.Receive_express (Bytes.create 4);
-        Mad.end_unpacking ic;
-        let oc = Mad.begin_packing ep1 ~remote:0 in
-        Mad.pack oc ~r_mode:Madeleine.Iface.Receive_express (Bytes.create 4);
-        Mad.end_packing oc
-      done);
-  Marcel.Engine.run w.H.engine;
+  ignore
+    (H.pingpong w.H.engine ~iters
+       ~ping:(fun () ->
+         (* The receiver is already waiting when the message leaves:
+            idle gaps between messages are where polling burns CPU. *)
+         Marcel.Engine.sleep (Time.us gap_us);
+         let t0 = Marcel.Engine.now w.H.engine in
+         send ep0 ~remote:1;
+         recv ep0 ~remote:1;
+         lat := !lat + Time.diff (Marcel.Engine.now w.H.engine) t0)
+       ~pong:(fun () ->
+         recv ep1 ~remote:0;
+         send ep1 ~remote:0));
   Time.to_us (!lat / (2 * iters))
 
 let a8 =
@@ -198,7 +195,6 @@ let a8 =
    two Myrinet rails. The node's single 33 MHz PCI bus, not the wire,
    is the ceiling — so on this hardware a second rail does not pay. *)
 let dual_rail_bw rails =
-  let module Mad = Madeleine.Api in
   let module Channel = Madeleine.Channel in
   let engine = Worlds.engine () in
   let fabrics =
@@ -228,16 +224,13 @@ let dual_rail_bw rails =
   let per_rail = 1 lsl 20 / rails in
   List.iter
     (fun chan ->
-      Marcel.Engine.spawn engine ~name:"s" (fun () ->
-          let oc = Mad.begin_packing (Channel.endpoint chan ~rank:0) ~remote:1 in
-          Mad.pack oc (Bytes.create per_rail);
-          Mad.end_packing oc);
-      Marcel.Engine.spawn engine ~name:"r" (fun () ->
-          let ic =
-            Mad.begin_unpacking_from (Channel.endpoint chan ~rank:1) ~remote:0
-          in
-          Mad.unpack ic (Bytes.create per_rail);
-          Mad.end_unpacking ic))
+      H.spawn_one_way engine ~messages:1
+        ~send:(fun _ ->
+          H.mad_send (Channel.endpoint chan ~rank:0) ~remote:1
+            (Bytes.create per_rail))
+        ~recv:(fun _ ->
+          H.mad_recv (Channel.endpoint chan ~rank:1) ~remote:0
+            (Bytes.create per_rail)))
     channels;
   Marcel.Engine.run engine;
   Time.rate_mb_s ~bytes_count:(1 lsl 20) (Marcel.Engine.now engine)

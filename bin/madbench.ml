@@ -604,64 +604,34 @@ let describe_cmd =
 
 let config_pingpong config chan_name from_name to_name size iters =
   let module Cf = Clusterfile in
-  let module Mad = Madeleine.Api in
   let t = Cf.load_file config in
   let src = Cf.rank_of t from_name and dst = Cf.rank_of t to_name in
-  let run_pingpong ~send_one ~recv_one =
-    let t0 = ref Marcel.Time.zero and t1 = ref Marcel.Time.zero in
-    Marcel.Engine.spawn (Cf.engine t) ~name:"ping" (fun () ->
-        t0 := Marcel.Engine.now (Cf.engine t);
-        for _ = 1 to iters do
-          send_one ~me:src ~peer:dst;
-          recv_one ~me:src ~peer:dst
-        done;
-        t1 := Marcel.Engine.now (Cf.engine t));
-    Marcel.Engine.spawn (Cf.engine t) ~name:"pong" (fun () ->
-        for _ = 1 to iters do
-          recv_one ~me:dst ~peer:src;
-          send_one ~me:dst ~peer:src
-        done);
-    Marcel.Engine.run (Cf.engine t);
-    Marcel.Time.diff !t1 !t0 / (2 * iters)
-  in
-  let span =
+  (* [send me peer] and [recv me peer] move one [size]-byte message. *)
+  let send, recv =
     match
       (List.mem chan_name (Cf.channels t), List.mem chan_name (Cf.vchannels t))
     with
     | true, _ ->
         let chan = Cf.channel t chan_name in
-        run_pingpong
-          ~send_one:(fun ~me ~peer ->
-            let oc =
-              Mad.begin_packing (Madeleine.Channel.endpoint chan ~rank:me)
-                ~remote:peer
-            in
-            Mad.pack oc (Bytes.create size);
-            Mad.end_packing oc)
-          ~recv_one:(fun ~me ~peer ->
-            let ic =
-              Mad.begin_unpacking_from
-                (Madeleine.Channel.endpoint chan ~rank:me)
-                ~remote:peer
-            in
-            Mad.unpack ic (Bytes.create size);
-            Mad.end_unpacking ic)
+        let ep me = Madeleine.Channel.endpoint chan ~rank:me in
+        ( (fun me peer -> H.mad_send (ep me) ~remote:peer (Bytes.create size)),
+          fun me peer -> H.mad_recv (ep me) ~remote:peer (Bytes.create size) )
     | false, true ->
         let vc = Cf.vchannel t chan_name in
-        run_pingpong
-          ~send_one:(fun ~me ~peer ->
-            let oc = Madeleine.Vchannel.begin_packing vc ~me ~remote:peer in
-            Madeleine.Vchannel.pack oc (Bytes.create size);
-            Madeleine.Vchannel.end_packing oc)
-          ~recv_one:(fun ~me ~peer ->
-            let ic =
-              Madeleine.Vchannel.begin_unpacking_from vc ~me ~remote:peer
-            in
-            Madeleine.Vchannel.unpack ic (Bytes.create size);
-            Madeleine.Vchannel.end_unpacking ic)
+        ( (fun me peer -> H.vc_send vc ~me ~remote:peer (Bytes.create size)),
+          fun me peer -> H.vc_recv vc ~me ~remote:peer (Bytes.create size) )
     | false, false ->
         Format.eprintf "no channel or vchannel named %S@." chan_name;
         exit 2
+  in
+  let span =
+    H.pingpong (Cf.engine t) ~iters
+      ~ping:(fun () ->
+        send src dst;
+        recv src dst)
+      ~pong:(fun () ->
+        recv dst src;
+        send dst src)
   in
   report
     ~what:(Printf.sprintf "%s %s->%s" chan_name from_name to_name)

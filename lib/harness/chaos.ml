@@ -10,7 +10,6 @@ module Engine = Marcel.Engine
 module Time = Marcel.Time
 module Faults = Simnet.Faults
 module Channel = Madeleine.Channel
-module Mad = Madeleine.Api
 module Vc = Madeleine.Vchannel
 module Cf = Clusterfile
 
@@ -143,33 +142,20 @@ let verified_pingpong w ~size ~iters =
   let ep1 = Channel.endpoint channel ~rank:1 in
   let data = Harness.payload size 9L in
   let intact = ref true in
-  let started = ref Time.zero and finished = ref Time.zero in
-  Engine.spawn engine ~name:"ping" (fun () ->
-      started := Engine.now engine;
-      for _ = 1 to iters do
-        let oc = Mad.begin_packing ep0 ~remote:1 in
-        Mad.pack oc data;
-        Mad.end_packing oc;
-        let sink = Bytes.create size in
-        let ic = Mad.begin_unpacking_from ep0 ~remote:1 in
-        Mad.unpack ic sink;
-        Mad.end_unpacking ic;
-        if not (Bytes.equal sink data) then intact := false
-      done;
-      finished := Engine.now engine);
-  Engine.spawn engine ~name:"pong" (fun () ->
-      for _ = 1 to iters do
-        let sink = Bytes.create size in
-        let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
-        Mad.unpack ic sink;
-        Mad.end_unpacking ic;
-        if not (Bytes.equal sink data) then intact := false;
-        let oc = Mad.begin_packing ep1 ~remote:0 in
-        Mad.pack oc sink;
-        Mad.end_packing oc
-      done);
-  Engine.run engine;
-  (Time.diff !finished !started / (2 * iters), !intact)
+  let receive ep ~remote =
+    let sink = Bytes.create size in
+    Harness.mad_recv ep ~remote sink;
+    if not (Bytes.equal sink data) then intact := false;
+    sink
+  in
+  let span =
+    Harness.pingpong engine ~iters
+      ~ping:(fun () ->
+        Harness.mad_send ep0 ~remote:1 data;
+        ignore (receive ep0 ~remote:1))
+      ~pong:(fun () -> Harness.mad_send ep1 ~remote:0 (receive ep1 ~remote:0))
+  in
+  (span, !intact)
 
 let iters_for size = if size <= 4096 then 6 else 4
 
@@ -204,10 +190,10 @@ let corrupt_row ~seed ~rate ~size =
 (* A link flap in the middle of the exchange: everything delivered while
    the link is down is lost and must be retransmitted after it heals. *)
 let flap_row ~seed ~size =
-  let w = world ~seed eth in
-  Faults.flap_link (plane w) ~fabric:"eth" ~node:0
-    ~at:(Time.add Time.zero (Time.us 4_000.0))
-    ~duration:(Time.us 5_000.0);
+  let w =
+    world ~seed eth
+      ~faults:[ "fault flap net=eth node=n0 at_us=4000 for_us=5000" ]
+  in
   finish_row ~scenario:"flap" ~drop:0.0 ~size w
     (verified_pingpong w ~size ~iters:8)
 
@@ -229,10 +215,9 @@ let reorder_row ~seed ~size =
 (* A rogue device monopolizes one host's PCI bus mid-transfer: no loss,
    but every PIO/DMA on that host crawls for the duration. *)
 let stall_row ~seed ~size =
-  let w = world ~seed eth in
-  Faults.stall_pci (plane w) (Cf.node w "n1")
-    ~at:(Time.add Time.zero (Time.us 2_000.0))
-    ~duration:(Time.us 4_000.0);
+  let w =
+    world ~seed eth ~faults:[ "fault stall node=n1 at_us=2000 for_us=4000" ]
+  in
   finish_row ~scenario:"pci-stall" ~drop:0.0 ~size w
     (verified_pingpong w ~size ~iters:4)
 
@@ -397,36 +382,30 @@ let stream engine vc ~tag ~src ~dst ~size ~messages ?flow
     ?(start = fun () -> true) ?pause ?(retry = false) ?(on_delivery = ignore)
     () =
   let s = stream_state ~tag ~size ~messages in
-  let name role = Printf.sprintf "%s-%d-%d" role src dst in
-  Engine.spawn engine ~name:(name "send") (fun () ->
-      wait_until engine start;
-      for k = 0 to messages - 1 do
-        (match pause with
-        | Some (at, cond) when k = at -> wait_until engine cond
-        | _ -> ());
-        let rec send tries =
-          match Vc.begin_packing vc ?flow ~me:src ~remote:dst with
-          | exception Vc.Partitioned _ when retry && tries < 400 ->
-              Engine.sleep (Time.us 500.0);
-              send (tries + 1)
-          | exception Vc.Partitioned _ -> s.partitioned <- true
-          | oc ->
-              Vc.pack oc (stream_payload s k);
-              Vc.end_packing oc
-        in
-        send 0
-      done);
-  Engine.spawn engine ~name:(name "recv") (fun () ->
-      wait_until engine start;
-      let sink = Bytes.create size in
-      for k = 0 to messages - 1 do
-        let ic = Vc.begin_unpacking_from vc ?flow ~me:dst ~remote:src in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        check_delivery s sink;
-        s.finish <- Engine.now engine;
-        on_delivery k
-      done);
+  let sink = Bytes.create size in
+  Harness.spawn_one_way engine ~messages
+    ~send:(fun k ->
+      if k = 0 then wait_until engine start;
+      (match pause with
+      | Some (at, cond) when k = at -> wait_until engine cond
+      | _ -> ());
+      let rec send tries =
+        match Vc.begin_packing vc ?flow ~me:src ~remote:dst with
+        | exception Vc.Partitioned _ when retry && tries < 400 ->
+            Engine.sleep (Time.us 500.0);
+            send (tries + 1)
+        | exception Vc.Partitioned _ -> s.partitioned <- true
+        | oc ->
+            Vc.pack oc (stream_payload s k);
+            Vc.end_packing oc
+      in
+      send 0)
+    ~recv:(fun k ->
+      if k = 0 then wait_until engine start;
+      Harness.vc_recv vc ?flow ~me:dst ~remote:src sink;
+      check_delivery s sink;
+      s.finish <- Engine.now engine;
+      on_delivery k);
   s
 
 (* ------------------------------------------------------------------ *)
@@ -507,26 +486,18 @@ let goodput_one ~seed ~size ~messages ~window ~drop =
   let w = world ~seed eth ~window ~faults:(link_faults "drop" drop eth) in
   let engine = Cf.engine w and stack = Cf.tcp_stack w ~net:"eth" in
   let c0, c1 = Tcpnet.socketpair (stack "n0") (stack "n1") in
-  let payload m =
-    let p = Harness.payload size (Int64.of_int (200 + m)) in
-    p
-  in
+  let payload m = Harness.payload size (Int64.of_int (200 + m)) in
   let intact = ref true in
-  let finish = ref Time.zero in
-  Engine.spawn engine ~name:"gp-send" (fun () ->
-      for m = 0 to messages - 1 do
-        Tcpnet.send c0 (payload m)
-      done);
-  Engine.spawn engine ~name:"gp-recv" (fun () ->
-      let buf = Bytes.create size in
-      for m = 0 to messages - 1 do
+  let buf = Bytes.create size in
+  let finish =
+    Harness.one_way engine ~messages
+      ~send:(fun m -> Tcpnet.send c0 (payload m))
+      ~recv:(fun m ->
         Tcpnet.recv c1 buf ~off:0 ~len:size;
-        if not (Bytes.equal buf (payload m)) then intact := false
-      done;
-      finish := Engine.now engine);
-  Engine.run engine;
+        if not (Bytes.equal buf (payload m)) then intact := false)
+  in
   let retransmissions, _ = Tcpnet.net_stats (Cf.tcp_net w "eth") in
-  ( Time.rate_mb_s ~bytes_count:(size * messages) !finish,
+  ( Time.rate_mb_s ~bytes_count:(size * messages) finish,
     !intact,
     (Faults.stats (plane w)).Faults.frames_dropped,
     retransmissions )
@@ -2072,15 +2043,9 @@ let inert_window_engine ~window =
      20%-tolerance gate would be pure scheduler noise on a smaller
      sample. *)
   let size = 4096 and messages = 1024 in
-  let data = Harness.payload size 23L in
-  Engine.spawn engine ~name:"iw-send" (fun () ->
-      for _ = 1 to messages do
-        Tcpnet.send c0 data
-      done);
-  Engine.spawn engine ~name:"iw-recv" (fun () ->
-      let buf = Bytes.create size in
-      for _ = 1 to messages do
-        Tcpnet.recv c1 buf ~off:0 ~len:size
-      done);
-  Engine.run engine;
+  let data = Harness.payload size 23L and buf = Bytes.create size in
+  ignore
+    (Harness.one_way engine ~messages
+       ~send:(fun _ -> Tcpnet.send c0 data)
+       ~recv:(fun _ -> Tcpnet.recv c1 buf ~off:0 ~len:size));
   engine

@@ -1,6 +1,8 @@
 (* Shared world-building and measurement helpers for the benchmark
    harness and integration tests: the simulated testbeds mirroring the
-   paper's clusters, and the ping-pong measurement methodology of §5. *)
+   paper's clusters, and the measurement methodology of §5 (a ping-pong
+   whose averaged round trip is halved, or a one-way transfer timed to
+   its last receive), written once as two traffic drivers. *)
 
 
 module Engine = Marcel.Engine
@@ -15,6 +17,63 @@ module Iface = Madeleine.Iface
 module Vc = Madeleine.Vchannel
 
 let payload n seed = Simnet.Rng.bytes (Simnet.Rng.create ~seed) n
+
+(* ------------------------------------------------------------------ *)
+(* The §5 traffic skeleton *)
+
+let pingpong engine ~iters ~ping ~pong =
+  if iters < 1 then invalid_arg "Harness.pingpong: iters < 1";
+  let started = ref Time.zero and finished = ref Time.zero in
+  Engine.spawn engine ~name:"ping" (fun () ->
+      started := Engine.now engine;
+      for _ = 1 to iters do
+        ping ()
+      done;
+      finished := Engine.now engine);
+  Engine.spawn engine ~name:"pong" (fun () ->
+      for _ = 1 to iters do
+        pong ()
+      done);
+  Engine.run engine;
+  Time.diff !finished !started / (2 * iters)
+
+let spawn_one_way engine ~messages ~send ~recv =
+  Engine.spawn engine ~name:"send" (fun () ->
+      for k = 0 to messages - 1 do
+        send k
+      done);
+  Engine.spawn engine ~name:"recv" (fun () ->
+      for k = 0 to messages - 1 do
+        recv k
+      done)
+
+let one_way engine ~messages ~send ~recv =
+  let last = ref Time.zero in
+  spawn_one_way engine ~messages ~send ~recv:(fun k ->
+      recv k;
+      last := Engine.now engine);
+  Engine.run engine;
+  !last
+
+let mad_send ep ~remote buf =
+  let oc = Mad.begin_packing ep ~remote in
+  Mad.pack oc buf;
+  Mad.end_packing oc
+
+let mad_recv ep ~remote buf =
+  let ic = Mad.begin_unpacking_from ep ~remote in
+  Mad.unpack ic buf;
+  Mad.end_unpacking ic
+
+let vc_send vc ~me ~remote buf =
+  let oc = Vc.begin_packing vc ~me ~remote in
+  Vc.pack oc buf;
+  Vc.end_packing oc
+
+let vc_recv ?flow vc ~me ~remote buf =
+  let ic = Vc.begin_unpacking_from vc ?flow ~me ~remote in
+  Vc.unpack ic buf;
+  Vc.end_unpacking ic
 
 type world = {
   engine : Engine.t;
@@ -78,31 +137,14 @@ let sbp_world ?config () =
 let mad_pingpong w ~bytes_count ~iters =
   let ep0 = Channel.endpoint w.channel ~rank:0 in
   let ep1 = Channel.endpoint w.channel ~rank:1 in
-  let data = payload bytes_count 9L in
-  let started = ref Time.zero and finished = ref Time.zero in
-  Engine.spawn w.engine ~name:"ping" (fun () ->
-      started := Engine.now w.engine;
-      for _ = 1 to iters do
-        let oc = Mad.begin_packing ep0 ~remote:1 in
-        Mad.pack oc data;
-        Mad.end_packing oc;
-        let ic = Mad.begin_unpacking_from ep0 ~remote:1 in
-        Mad.unpack ic data;
-        Mad.end_unpacking ic
-      done;
-      finished := Engine.now w.engine);
-  Engine.spawn w.engine ~name:"pong" (fun () ->
-      let sink = Bytes.create bytes_count in
-      for _ = 1 to iters do
-        let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
-        Mad.unpack ic sink;
-        Mad.end_unpacking ic;
-        let oc = Mad.begin_packing ep1 ~remote:0 in
-        Mad.pack oc sink;
-        Mad.end_packing oc
-      done);
-  Engine.run w.engine;
-  Time.diff !finished !started / (2 * iters)
+  let data = payload bytes_count 9L and sink = Bytes.create bytes_count in
+  pingpong w.engine ~iters
+    ~ping:(fun () ->
+      mad_send ep0 ~remote:1 data;
+      mad_recv ep0 ~remote:1 data)
+    ~pong:(fun () ->
+      mad_recv ep1 ~remote:0 sink;
+      mad_send ep1 ~remote:0 sink)
 
 (* Raw-interface ping-pongs, for the "raw BIP" baseline of Fig. 5. *)
 let raw_bip_pingpong ~bytes_count ~iters =
@@ -114,23 +156,14 @@ let raw_bip_pingpong ~bytes_count ~iters =
   Fabric.attach fabric n1;
   let net = Bip.make_net engine fabric in
   let b0 = Bip.attach net n0 and b1 = Bip.attach net n1 in
-  let data = payload bytes_count 7L in
-  let started = ref Time.zero and finished = ref Time.zero in
-  Engine.spawn engine ~name:"ping" (fun () ->
-      started := Engine.now engine;
-      for _ = 1 to iters do
-        Bip.send b0 ~dst:1 ~tag:0 data;
-        ignore (Bip.recv b0 ~src:1 ~tag:0 ~len:bytes_count data)
-      done;
-      finished := Engine.now engine);
-  Engine.spawn engine ~name:"pong" (fun () ->
-      let sink = Bytes.create bytes_count in
-      for _ = 1 to iters do
-        ignore (Bip.recv b1 ~src:0 ~tag:0 ~len:bytes_count sink);
-        Bip.send b1 ~dst:0 ~tag:0 sink
-      done);
-  Engine.run engine;
-  Time.diff !finished !started / (2 * iters)
+  let data = payload bytes_count 7L and sink = Bytes.create bytes_count in
+  pingpong engine ~iters
+    ~ping:(fun () ->
+      Bip.send b0 ~dst:1 ~tag:0 data;
+      ignore (Bip.recv b0 ~src:1 ~tag:0 ~len:bytes_count data))
+    ~pong:(fun () ->
+      ignore (Bip.recv b1 ~src:0 ~tag:0 ~len:bytes_count sink);
+      Bip.send b1 ~dst:0 ~tag:0 sink)
 
 (* The two-cluster testbed of §6.2 with its gateway node. *)
 type cluster_world = {
@@ -183,21 +216,14 @@ let forwarding_run ?gateway_overhead ?extra_gateway_copy ?ingress_cap_mb_s
     Vc.create w.cw_session ~mtu ?gateway_overhead ?extra_gateway_copy
       ?ingress_cap_mb_s [ w.ch_sci; w.ch_myri ]
   in
-  let data = payload bytes_count 8L in
-  let t0 = ref Time.zero and t1 = ref Time.zero in
-  Engine.spawn w.cw_engine ~name:"sender" (fun () ->
-      t0 := Engine.now w.cw_engine;
-      let oc = Vc.begin_packing vc ~me:src ~remote:dst in
-      Vc.pack oc data;
-      Vc.end_packing oc);
-  Engine.spawn w.cw_engine ~name:"receiver" (fun () ->
-      let sink = Bytes.create bytes_count in
-      let ic = Vc.begin_unpacking_from vc ~me:dst ~remote:src in
-      Vc.unpack ic sink;
-      Vc.end_unpacking ic;
-      t1 := Engine.now w.cw_engine);
-  Engine.run w.cw_engine;
-  let bw = Time.rate_mb_s ~bytes_count (Time.diff !t1 !t0) in
+  let data = payload bytes_count 8L and sink = Bytes.create bytes_count in
+  (* The sender starts at instant zero, so the last receive is the span. *)
+  let last =
+    one_way w.cw_engine ~messages:1
+      ~send:(fun _ -> vc_send vc ~me:src ~remote:dst data)
+      ~recv:(fun _ -> vc_recv vc ~me:dst ~remote:src sink)
+  in
+  let bw = Time.rate_mb_s ~bytes_count last in
   let util =
     Simnet.Fluid.utilization w.cw_gateway.Node.pci ~now:(Engine.now w.cw_engine)
   in
@@ -258,25 +284,15 @@ let make_mpi_world ~n device_kind =
 let mpi_pingpong kind ~bytes_count ~iters =
   let module Mpi = Mpilite.Mpi in
   let w = make_mpi_world ~n:2 kind in
-  let data = payload bytes_count 9L in
-  let t0 = ref Time.zero and t1 = ref Time.zero in
-  Engine.spawn w.mpi_engine ~name:"ping" (fun () ->
-      let c = Mpi.ctx w.mpi_world ~rank:0 in
-      t0 := Engine.now w.mpi_engine;
-      for _ = 1 to iters do
-        Mpi.send c ~dst:1 ~tag:0 data;
-        ignore (Mpi.recv c ~src:1 ~tag:0 data)
-      done;
-      t1 := Engine.now w.mpi_engine);
-  Engine.spawn w.mpi_engine ~name:"pong" (fun () ->
-      let c = Mpi.ctx w.mpi_world ~rank:1 in
-      let buf = Bytes.create bytes_count in
-      for _ = 1 to iters do
-        ignore (Mpi.recv c ~src:0 ~tag:0 buf);
-        Mpi.send c ~dst:0 ~tag:0 buf
-      done);
-  Engine.run w.mpi_engine;
-  Time.diff !t1 !t0 / (2 * iters)
+  let c0 = Mpi.ctx w.mpi_world ~rank:0 and c1 = Mpi.ctx w.mpi_world ~rank:1 in
+  let data = payload bytes_count 9L and buf = Bytes.create bytes_count in
+  pingpong w.mpi_engine ~iters
+    ~ping:(fun () ->
+      Mpi.send c0 ~dst:1 ~tag:0 data;
+      ignore (Mpi.recv c0 ~src:1 ~tag:0 data))
+    ~pong:(fun () ->
+      ignore (Mpi.recv c1 ~src:0 ~tag:0 buf);
+      Mpi.send c1 ~dst:0 ~tag:0 buf)
 
 (* ------------------------------------------------------------------ *)
 (* Nexus worlds and the RSR round trip (Fig. 7) *)

@@ -3,11 +3,68 @@
     Both the integration/property tests and the benchmark harness build
     their worlds here: two-node single-network clusters for the §5
     micro-benchmarks, the §6.2 two-cluster + gateway configuration, and
-    the MPI/Nexus stacks of §5.3. All measurements follow the paper:
-    one-way times from ping-pong averages. *)
+    the MPI/Nexus stacks of §5.3. All measurements follow the paper's
+    §5 method, written once as two traffic drivers: {!pingpong} (the
+    one-way time is the averaged round trip halved) and {!one_way} (a
+    transfer timed to its last receive). The harness's measurements,
+    the chaos streams and the bench's ablations run on them, except the
+    Nexus echo (its reply runs in an RSR handler, not a thread) and the
+    N-to-1 shapes; the single-field send/receive helpers are their
+    usual closures. *)
 
 val payload : int -> int64 -> Bytes.t
 (** Deterministic pseudo-random payload (seeded). *)
+
+(** {1 The §5 traffic skeleton} *)
+
+val pingpong :
+  Marcel.Engine.t ->
+  iters:int ->
+  ping:(unit -> unit) ->
+  pong:(unit -> unit) ->
+  Marcel.Time.span
+(** [pingpong engine ~iters ~ping ~pong] spawns a thread ["ping"] and
+    then a thread ["pong"]. ["ping"] records the start instant, runs
+    [ping ()] [iters] times and records the end instant; ["pong"] runs
+    [pong ()] [iters] times. It runs the engine and returns
+    (end − start) / (2 · [iters]), the one-way time. Raises
+    [Invalid_argument] when [iters < 1]. *)
+
+val spawn_one_way :
+  Marcel.Engine.t ->
+  messages:int ->
+  send:(int -> unit) ->
+  recv:(int -> unit) ->
+  unit
+(** [spawn_one_way engine ~messages ~send ~recv] spawns a sender running
+    [send k] and then a receiver running [recv k], for k = 0 …
+    [messages] − 1, without running the engine: several pairs (or other
+    threads) can share one world. *)
+
+val one_way :
+  Marcel.Engine.t ->
+  messages:int ->
+  send:(int -> unit) ->
+  recv:(int -> unit) ->
+  Marcel.Time.t
+(** {!spawn_one_way}, then runs the engine and returns the instant of the
+    last receive. *)
+
+val mad_send : Madeleine.Channel.endpoint -> remote:int -> Bytes.t -> unit
+(** One message of one field from a channel endpoint: begin, pack with
+    the default modes, end. *)
+
+val mad_recv : Madeleine.Channel.endpoint -> remote:int -> Bytes.t -> unit
+(** One message of one field from [remote], unpacked into the buffer
+    with the default modes. *)
+
+val vc_send :
+  Madeleine.Vchannel.t -> me:int -> remote:int -> Bytes.t -> unit
+(** {!mad_send} over a virtual channel, from rank [me]. *)
+
+val vc_recv :
+  ?flow:int -> Madeleine.Vchannel.t -> me:int -> remote:int -> Bytes.t -> unit
+(** {!mad_recv} over a virtual channel, at rank [me], on [flow]. *)
 
 (** {1 Single-network Madeleine worlds} *)
 

@@ -156,25 +156,12 @@ let gateway_stream_events ?credits ?gw_pool () =
     Vc.create w.H.cw_session ~mtu:16384 ?credits ?gw_pool
       [ w.H.ch_sci; w.H.ch_myri ]
   in
-  let msgs = 4 in
-  let fin = ref 0 in
   let out = Bytes.create (1 lsl 20) in
   let sink = Bytes.create (1 lsl 20) in
-  Marcel.Engine.spawn w.H.cw_engine ~name:"s" (fun () ->
-      for _ = 1 to msgs do
-        let oc = Vc.begin_packing vc ~me:0 ~remote:2 in
-        Vc.pack oc out;
-        Vc.end_packing oc
-      done);
-  Marcel.Engine.spawn w.H.cw_engine ~name:"r" (fun () ->
-      for _ = 1 to msgs do
-        let ic = Vc.begin_unpacking_from vc ~me:2 ~remote:0 in
-        Vc.unpack ic sink;
-        Vc.end_unpacking ic;
-        incr fin
-      done);
-  Marcel.Engine.run w.H.cw_engine;
-  assert (!fin = msgs);
+  ignore
+    (H.one_way w.H.cw_engine ~messages:4
+       ~send:(fun _ -> H.vc_send vc ~me:0 ~remote:2 out)
+       ~recv:(fun _ -> H.vc_recv vc ~me:2 ~remote:0 sink));
   tally_of w.H.cw_engine
 
 let scenarios sim : (string * (unit -> tally)) list =
@@ -220,28 +207,15 @@ let scenarios sim : (string * (unit -> tally)) list =
         let vc =
           Vc.create w.H.cw_session ~mtu:16384 ~credits:64 [ w.H.ch_sci ]
         in
-        let iters = 48 in
-        let ball = Bytes.create 16384 in
-        Marcel.Engine.spawn w.H.cw_engine ~name:"s" (fun () ->
-            for _ = 1 to iters do
-              let oc = Vc.begin_packing vc ~me:0 ~remote:1 in
-              Vc.pack oc ball;
-              Vc.end_packing oc;
-              let ic = Vc.begin_unpacking_from vc ~me:0 ~remote:1 in
-              Vc.unpack ic ball;
-              Vc.end_unpacking ic
-            done);
-        Marcel.Engine.spawn w.H.cw_engine ~name:"r" (fun () ->
-            let pong = Bytes.create 16384 in
-            for _ = 1 to iters do
-              let ic = Vc.begin_unpacking_from vc ~me:1 ~remote:0 in
-              Vc.unpack ic pong;
-              Vc.end_unpacking ic;
-              let oc = Vc.begin_packing vc ~me:1 ~remote:0 in
-              Vc.pack oc pong;
-              Vc.end_packing oc
-            done);
-        Marcel.Engine.run w.H.cw_engine;
+        let ball = Bytes.create 16384 and pong = Bytes.create 16384 in
+        ignore
+          (H.pingpong w.H.cw_engine ~iters:48
+             ~ping:(fun () ->
+               H.vc_send vc ~me:0 ~remote:1 ball;
+               H.vc_recv vc ~me:0 ~remote:1 ball)
+             ~pong:(fun () ->
+               H.vc_recv vc ~me:1 ~remote:0 pong;
+               H.vc_send vc ~me:1 ~remote:0 pong));
         tally_of w.H.cw_engine );
     ( "inert-credit gateway forwarding",
       fun () -> gateway_stream_events ~credits:256 ~gw_pool:64 () );
