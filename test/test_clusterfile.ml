@@ -1,7 +1,6 @@
 (* Tests for the declarative cluster-description loader. *)
 
 module Engine = Marcel.Engine
-module Mad = Madeleine.Api
 module Cf = Clusterfile
 
 let two_cluster_cfg =
@@ -37,21 +36,11 @@ let test_config_built_channel_works () =
   let chan = Cf.channel t "c-sci" in
   let data = Harness.payload 5000 81L in
   let sink = Bytes.create 5000 in
-  Engine.spawn (Cf.engine t) ~name:"s" (fun () ->
-      let oc =
-        Mad.begin_packing (Madeleine.Channel.endpoint chan ~rank:0) ~remote:1
-      in
-      Mad.pack oc data;
-      Mad.end_packing oc);
-  Engine.spawn (Cf.engine t) ~name:"r" (fun () ->
-      let ic =
-        Mad.begin_unpacking_from
-          (Madeleine.Channel.endpoint chan ~rank:1)
-          ~remote:0
-      in
-      Mad.unpack ic sink;
-      Mad.end_unpacking ic);
-  Engine.run (Cf.engine t);
+  let ep rank = Madeleine.Channel.endpoint chan ~rank in
+  ignore
+    (Harness.one_way (Cf.engine t) ~messages:1
+       ~send:(fun _ -> Harness.mad_send (ep 0) ~remote:1 data)
+       ~recv:(fun _ -> Harness.mad_recv (ep 1) ~remote:0 sink));
   Alcotest.(check bytes) "content" data sink
 
 let test_config_built_vchannel_forwards () =
@@ -62,15 +51,10 @@ let test_config_built_vchannel_forwards () =
        ~dst:(Cf.rank_of t "b"));
   let data = Harness.payload 40_000 82L in
   let sink = Bytes.create 40_000 in
-  Engine.spawn (Cf.engine t) ~name:"s" (fun () ->
-      let oc = Madeleine.Vchannel.begin_packing vc ~me:0 ~remote:2 in
-      Madeleine.Vchannel.pack oc data;
-      Madeleine.Vchannel.end_packing oc);
-  Engine.spawn (Cf.engine t) ~name:"r" (fun () ->
-      let ic = Madeleine.Vchannel.begin_unpacking_from vc ~me:2 ~remote:0 in
-      Madeleine.Vchannel.unpack ic sink;
-      Madeleine.Vchannel.end_unpacking ic);
-  Engine.run (Cf.engine t);
+  ignore
+    (Harness.one_way (Cf.engine t) ~messages:1
+       ~send:(fun _ -> Harness.vc_send vc ~me:0 ~remote:2 data)
+       ~recv:(fun _ -> Harness.vc_recv vc ~me:2 ~remote:0 sink));
   Alcotest.(check bytes) "content through config-built gateway" data sink
 
 let test_load_file () =
@@ -109,19 +93,13 @@ let test_two_cluster_matches_harness () =
     let bytes_count = 1 lsl 20 in
     let data = Harness.payload bytes_count 8L in
     let sink = Bytes.create bytes_count in
-    let finish = ref Marcel.Time.zero in
-    Engine.spawn engine ~name:"sender" (fun () ->
-        let oc = Madeleine.Vchannel.begin_packing vc ~me:0 ~remote:2 in
-        Madeleine.Vchannel.pack oc data;
-        Madeleine.Vchannel.end_packing oc);
-    Engine.spawn engine ~name:"receiver" (fun () ->
-        let ic = Madeleine.Vchannel.begin_unpacking_from vc ~me:2 ~remote:0 in
-        Madeleine.Vchannel.unpack ic sink;
-        Madeleine.Vchannel.end_unpacking ic;
-        finish := Engine.now engine);
-    Engine.run engine;
+    let finish =
+      Harness.one_way engine ~messages:1
+        ~send:(fun _ -> Harness.vc_send vc ~me:0 ~remote:2 data)
+        ~recv:(fun _ -> Harness.vc_recv vc ~me:2 ~remote:0 sink)
+    in
     Alcotest.(check bool) "delivered intact" true (Bytes.equal data sink);
-    (Marcel.Time.rate_mb_s ~bytes_count !finish, Engine.fingerprint engine)
+    (Marcel.Time.rate_mb_s ~bytes_count finish, Engine.fingerprint engine)
   in
   let t = Cf.load_file "../examples/clusters/two_cluster.cfg" in
   let cf_bw, cf_fp = forward (Cf.engine t) (Cf.vchannel t "wan") in

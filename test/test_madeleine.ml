@@ -34,6 +34,7 @@ let sisci_world = Harness.sisci_world
 let tcp_world = Harness.tcp_world
 let via_world () = Harness.via_world ()
 let sbp_world () = Harness.sbp_world ()
+let pingpong = Harness.mad_pingpong
 
 (* One message 0 -> 1 carrying [fields]; checks content. Returns arrival
    time of full message. *)
@@ -351,37 +352,6 @@ let test_bidirectional_simultaneous () =
 (* ------------------------------------------------------------------ *)
 (* Ping-pong calibration: the paper's headline numbers *)
 
-let pingpong w ~bytes_count ~iters =
-  let ep0 = Channel.endpoint w.channel ~rank:0 in
-  let ep1 = Channel.endpoint w.channel ~rank:1 in
-  let data = payload bytes_count 9L in
-  let started = ref Time.zero and finished = ref Time.zero in
-  Engine.spawn w.engine ~name:"ping" (fun () ->
-      started := Engine.now w.engine;
-      for _ = 1 to iters do
-        let oc = Mad.begin_packing ep0 ~remote:1 in
-        Mad.pack oc data;
-        Mad.end_packing oc;
-        let ic = Mad.begin_unpacking_from ep0 ~remote:1 in
-        Mad.unpack ic data;
-        Mad.end_unpacking ic
-      done;
-      finished := Engine.now w.engine);
-  Engine.spawn w.engine ~name:"pong" (fun () ->
-      for _ = 1 to iters do
-        let ic = Mad.begin_unpacking_from ep1 ~remote:0 in
-        let sink = Bytes.create bytes_count in
-        Mad.unpack ic sink;
-        Mad.end_unpacking ic;
-        let oc = Mad.begin_packing ep1 ~remote:0 in
-        Mad.pack oc sink;
-        Mad.end_packing oc
-      done);
-  Engine.run w.engine;
-  let total = Time.diff !finished !started in
-  (* One-way time. *)
-  total / (2 * iters)
-
 let test_sisci_latency_calibration () =
   (* Paper Fig. 4: minimal latency 3.9 us over SISCI/SCI. *)
   let one_way = pingpong (sisci_world ()) ~bytes_count:4 ~iters:50 in
@@ -474,6 +444,49 @@ let test_tcp_bandwidth_sane () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* The §5 traffic drivers every measurement runs on, on a bare engine
+   whose closures only count, log and sleep. *)
+
+let test_pingpong_rejects_no_iterations () =
+  Alcotest.check_raises "iters 0"
+    (Invalid_argument "Harness.pingpong: iters < 1") (fun () ->
+      ignore
+        (Harness.pingpong (Engine.create ()) ~iters:0 ~ping:ignore ~pong:ignore))
+
+let test_pingpong_runs_each_side_iters_times () =
+  let pings = ref 0 and pongs = ref 0 in
+  let span =
+    Harness.pingpong (Engine.create ()) ~iters:5
+      ~ping:(fun () ->
+        incr pings;
+        Engine.sleep (Time.us 2.0))
+      ~pong:(fun () -> incr pongs)
+  in
+  Alcotest.(check int) "ping closure runs" 5 !pings;
+  Alcotest.(check int) "pong closure runs" 5 !pongs;
+  (* Five 2 us round trips, halved and averaged. *)
+  Alcotest.(check int) "one-way span (ns)" 1000 (Time.to_ns span)
+
+let test_one_way_order_and_last_receive () =
+  let engine = Engine.create () in
+  let log = ref [] and last = ref Time.zero in
+  let finish =
+    Harness.one_way engine ~messages:4
+      ~send:(fun k -> log := Printf.sprintf "send %d" k :: !log)
+      ~recv:(fun k ->
+        log := Printf.sprintf "recv %d" k :: !log;
+        Engine.sleep (Time.us (float_of_int (k + 1)));
+        last := Engine.now engine)
+  in
+  Alcotest.(check (list string))
+    "sender spawned first, both in index order"
+    [ "send 0"; "send 1"; "send 2"; "send 3";
+      "recv 0"; "recv 1"; "recv 2"; "recv 3" ]
+    (List.rev !log);
+  Alcotest.(check int) "returns the last receive instant" !last finish;
+  Alcotest.(check int) "1+2+3+4 us" 10_000 (Time.to_ns finish)
+
 let () =
   Alcotest.run "madeleine"
     [
@@ -529,5 +542,14 @@ let () =
             test_rx_interrupt_mode_costs_latency;
           Alcotest.test_case "tcp latency" `Quick test_tcp_latency_sane;
           Alcotest.test_case "tcp bandwidth" `Quick test_tcp_bandwidth_sane;
+        ] );
+      ( "drivers",
+        [
+          Alcotest.test_case "pingpong iters 0" `Quick
+            test_pingpong_rejects_no_iterations;
+          Alcotest.test_case "pingpong closure counts" `Quick
+            test_pingpong_runs_each_side_iters_times;
+          Alcotest.test_case "one-way order" `Quick
+            test_one_way_order_and_last_receive;
         ] );
     ]

@@ -3,10 +3,11 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Node = Simnet.Node
-module Fabric = Simnet.Fabric
-module Netparams = Simnet.Netparams
 module Mpi = Mpilite.Mpi
+
+(* Worlds and the Fig. 6 ping-pong are Harness's, shared with the
+   benchmark. *)
+module H = Harness
 
 let payload n seed = Simnet.Rng.bytes (Simnet.Rng.create ~seed) n
 
@@ -16,47 +17,14 @@ let in_range ?(lo = 0.0) ~hi what v =
     true
     (v >= lo && v <= hi)
 
-type mpi_world = { engine : Engine.t; world : Mpi.world }
-
-(* n ranks over SCI, with the chosen MPI device. *)
-let make_mpi_world ~n device_kind =
-  let engine = Engine.create () in
-  let fabric = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
-  let nodes =
-    List.init n (fun i ->
-        let node = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Fabric.attach fabric node;
-        node)
-  in
-  let net = Sisci.make_net engine fabric in
-  let adapters = Array.of_list (List.map (Sisci.attach net) nodes) in
-  let ranks = List.init n Fun.id in
-  let devices =
-    match device_kind with
-    | `Chmad ->
-        let driver = Madeleine.Pmm_sisci.driver (fun r -> adapters.(r)) in
-        let session = Madeleine.Session.create engine in
-        let channel = Madeleine.Channel.create session driver ~ranks () in
-        Array.init n (fun rank -> Mpilite.Dev_chmad.make channel ~rank)
-    | `Profile profile ->
-        let states =
-          Mpilite.Dev_scidirect.make_states profile (fun r -> adapters.(r)) ranks
-        in
-        Array.init n (fun rank ->
-            Mpilite.Dev_scidirect.make profile
-              ~adapters:(fun r -> adapters.(r))
-              ~ranks ~states ~rank)
-  in
-  { engine; world = Mpi.create_world engine ~devices }
-
-let spawn_rank w name f = Engine.spawn w.engine ~name f
-let rank_ctx w r = Mpi.ctx w.world ~rank:r
+let spawn_rank w name f = Engine.spawn w.H.mpi_engine ~name f
+let rank_ctx w r = Mpi.ctx w.H.mpi_world ~rank:r
 
 (* ------------------------------------------------------------------ *)
 (* Point-to-point semantics (over ch_mad) *)
 
 let test_send_recv_roundtrip () =
-  let w = make_mpi_world ~n:2 `Chmad in
+  let w = H.make_mpi_world ~n:2 H.Chmad in
   let data = payload 5000 1L in
   spawn_rank w "r0" (fun () ->
       Mpi.send (rank_ctx w 0) ~dst:1 ~tag:42 data);
@@ -67,10 +35,10 @@ let test_send_recv_roundtrip () =
       Alcotest.(check int) "src" 0 st.Mpi.status_src;
       Alcotest.(check int) "tag" 42 st.Mpi.status_tag;
       Alcotest.(check bytes) "content" data buf);
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_any_source_any_tag () =
-  let w = make_mpi_world ~n:3 `Chmad in
+  let w = H.make_mpi_world ~n:3 H.Chmad in
   spawn_rank w "r1" (fun () ->
       Engine.sleep (Time.us 50.0);
       Mpi.send (rank_ctx w 1) ~dst:0 ~tag:7 (Bytes.make 4 'x'));
@@ -82,10 +50,10 @@ let test_any_source_any_tag () =
       Alcotest.(check int) "first from 2" 2 st1.Mpi.status_src;
       let st2 = Mpi.recv (rank_ctx w 0) ~src:Mpi.any_source ~tag:Mpi.any_tag buf in
       Alcotest.(check int) "then from 1" 1 st2.Mpi.status_src);
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_unexpected_messages_buffered () =
-  let w = make_mpi_world ~n:2 `Chmad in
+  let w = H.make_mpi_world ~n:2 H.Chmad in
   let data = payload 300 2L in
   spawn_rank w "r0" (fun () ->
       Mpi.send (rank_ctx w 0) ~dst:1 ~tag:1 data;
@@ -98,10 +66,10 @@ let test_unexpected_messages_buffered () =
       ignore (Mpi.recv (rank_ctx w 1) ~src:0 ~tag:1 b1);
       Alcotest.(check bytes) "tag1 content" data b1;
       Alcotest.(check bytes) "tag2 content" (Bytes.make 8 'b') b2);
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_tag_order_preserved_same_tag () =
-  let w = make_mpi_world ~n:2 `Chmad in
+  let w = H.make_mpi_world ~n:2 H.Chmad in
   spawn_rank w "r0" (fun () ->
       for i = 1 to 5 do
         let b = Bytes.create 8 in
@@ -114,10 +82,10 @@ let test_tag_order_preserved_same_tag () =
         ignore (Mpi.recv (rank_ctx w 1) ~src:0 ~tag:3 b);
         Alcotest.(check int) "fifo" i (Int64.to_int (Bytes.get_int64_le b 0))
       done);
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_isend_irecv_waitall () =
-  let w = make_mpi_world ~n:2 `Chmad in
+  let w = H.make_mpi_world ~n:2 H.Chmad in
   spawn_rank w "r0" (fun () ->
       let reqs =
         List.init 4 (fun i ->
@@ -134,10 +102,10 @@ let test_isend_irecv_waitall () =
         (fun i b ->
           Alcotest.(check char) "content" (Char.chr (65 + i)) (Bytes.get b 0))
         bufs);
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_probe () =
-  let w = make_mpi_world ~n:2 `Chmad in
+  let w = H.make_mpi_world ~n:2 H.Chmad in
   spawn_rank w "r0" (fun () ->
       Engine.sleep (Time.us 30.0);
       Mpi.send (rank_ctx w 0) ~dst:1 ~tag:5 (Bytes.create 64));
@@ -148,10 +116,10 @@ let test_probe () =
       Alcotest.(check int) "probe len" 64 st.Mpi.status_len;
       let buf = Bytes.create 64 in
       ignore (Mpi.recv c ~src:0 ~tag:5 buf));
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_message_too_large_rejected () =
-  let w = make_mpi_world ~n:2 `Chmad in
+  let w = H.make_mpi_world ~n:2 H.Chmad in
   spawn_rank w "r0" (fun () ->
       Mpi.send (rank_ctx w 0) ~dst:1 ~tag:0 (Bytes.create 128));
   spawn_rank w "r1" (fun () ->
@@ -159,32 +127,32 @@ let test_message_too_large_rejected () =
       Alcotest.check_raises "too large"
         (Invalid_argument "Mpi.recv: message larger than buffer") (fun () ->
           ignore (Mpi.recv (rank_ctx w 1) ~src:0 ~tag:0 (Bytes.create 16))));
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 (* ------------------------------------------------------------------ *)
 (* Collectives (5 ranks: exercises non-power-of-two trees) *)
 
 let run_collective n f =
-  let w = make_mpi_world ~n `Chmad in
+  let w = H.make_mpi_world ~n H.Chmad in
   for r = 0 to n - 1 do
     spawn_rank w (Printf.sprintf "r%d" r) (fun () -> f (rank_ctx w r) r)
   done;
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_barrier_synchronizes () =
   let n = 5 in
   let release = ref Time.zero in
-  let w = make_mpi_world ~n `Chmad in
+  let w = H.make_mpi_world ~n H.Chmad in
   for r = 0 to n - 1 do
     spawn_rank w (Printf.sprintf "r%d" r) (fun () ->
         Engine.sleep (Time.us (float_of_int (r * 100)));
         Mpi.barrier (rank_ctx w r);
         (* Nobody exits before the slowest entered at 400us. *)
-        if Time.compare (Engine.now w.engine) (Time.us 400.0) < 0 then
+        if Time.compare (Engine.now w.H.mpi_engine) (Time.us 400.0) < 0 then
           Alcotest.failf "rank %d left the barrier early" r;
-        if r = 0 then release := Engine.now w.engine)
+        if r = 0 then release := Engine.now w.H.mpi_engine)
   done;
-  Engine.run w.engine;
+  Engine.run w.H.mpi_engine;
   Alcotest.(check bool) "released" true (Time.compare !release Time.zero > 0)
 
 let test_bcast_delivers_to_all () =
@@ -362,40 +330,18 @@ let test_comm_bcast_subgroup () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: the device comparison *)
 
-let mpi_pingpong kind ~bytes_count ~iters =
-  let w = make_mpi_world ~n:2 kind in
-  let data = payload bytes_count 9L in
-  let t0 = ref Time.zero and t1 = ref Time.zero in
-  spawn_rank w "ping" (fun () ->
-      let c = rank_ctx w 0 in
-      t0 := Engine.now w.engine;
-      for _ = 1 to iters do
-        Mpi.send c ~dst:1 ~tag:0 data;
-        ignore (Mpi.recv c ~src:1 ~tag:0 data)
-      done;
-      t1 := Engine.now w.engine);
-  spawn_rank w "pong" (fun () ->
-      let c = rank_ctx w 1 in
-      let buf = Bytes.create bytes_count in
-      for _ = 1 to iters do
-        ignore (Mpi.recv c ~src:0 ~tag:0 buf);
-        Mpi.send c ~dst:0 ~tag:0 buf
-      done);
-  Engine.run w.engine;
-  Time.diff !t1 !t0 / (2 * iters)
-
 let test_fig6_latencies () =
   (* Paper: MPICH/Madeleine latency "does not compare favorably" to the
      direct MPI implementations. *)
-  let chmad = Time.to_us (mpi_pingpong `Chmad ~bytes_count:4 ~iters:30) in
+  let chmad = Time.to_us (H.mpi_pingpong H.Chmad ~bytes_count:4 ~iters:30) in
   let scimpich =
     Time.to_us
-      (mpi_pingpong (`Profile Mpilite.Dev_scidirect.sci_mpich) ~bytes_count:4
+      (H.mpi_pingpong (H.Scidirect Mpilite.Dev_scidirect.sci_mpich) ~bytes_count:4
          ~iters:30)
   in
   let scampi =
     Time.to_us
-      (mpi_pingpong (`Profile Mpilite.Dev_scidirect.scampi) ~bytes_count:4
+      (H.mpi_pingpong (H.Scidirect Mpilite.Dev_scidirect.scampi) ~bytes_count:4
          ~iters:30)
   in
   in_range ~lo:6.0 ~hi:12.0 "chmad latency" chmad;
@@ -411,12 +357,12 @@ let test_fig6_bandwidth_crossover () =
   (* Paper: the ch_mad module provides the best bandwidth for messages of
      32 kB and above, approaching raw Madeleine. *)
   let bw kind n =
-    Time.rate_mb_s ~bytes_count:n (mpi_pingpong kind ~bytes_count:n ~iters:4)
+    Time.rate_mb_s ~bytes_count:n (H.mpi_pingpong kind ~bytes_count:n ~iters:4)
   in
   let large = 1 lsl 20 in
-  let chmad = bw `Chmad large in
-  let scimpich = bw (`Profile Mpilite.Dev_scidirect.sci_mpich) large in
-  let scampi = bw (`Profile Mpilite.Dev_scidirect.scampi) large in
+  let chmad = bw H.Chmad large in
+  let scimpich = bw (H.Scidirect Mpilite.Dev_scidirect.sci_mpich) large in
+  let scampi = bw (H.Scidirect Mpilite.Dev_scidirect.scampi) large in
   in_range ~lo:72.0 ~hi:84.0 "chmad 1MB" chmad;
   Alcotest.(check bool)
     (Printf.sprintf "chmad best at 1MB: %.1f > %.1f, %.1f" chmad scampi scimpich)
@@ -424,8 +370,8 @@ let test_fig6_bandwidth_crossover () =
     (chmad > scampi && chmad > scimpich);
   (* And at small-mid sizes the direct implementations still lead. *)
   let small = 4096 in
-  let chmad_s = bw `Chmad small in
-  let scampi_s = bw (`Profile Mpilite.Dev_scidirect.scampi) small in
+  let chmad_s = bw H.Chmad small in
+  let scampi_s = bw (H.Scidirect Mpilite.Dev_scidirect.scampi) small in
   Alcotest.(check bool)
     (Printf.sprintf "scampi leads at 4kB: %.1f > %.1f" scampi_s chmad_s)
     true (scampi_s > chmad_s)
@@ -434,9 +380,9 @@ let test_fig6_bandwidth_crossover () =
 (* Madeleine on top of MPI (paper §5.3 / §7): the stack turned around. *)
 
 let make_mad_over_mpi_world () =
-  let w = make_mpi_world ~n:2 (`Profile Mpilite.Dev_scidirect.scampi) in
+  let w = H.make_mpi_world ~n:2 (H.Scidirect Mpilite.Dev_scidirect.scampi) in
   let session =
-    Madeleine.Session.create w.engine
+    Madeleine.Session.create w.H.mpi_engine
   in
   let driver = Mpilite.Pmm_mpi.driver (fun r -> rank_ctx w r) in
   let channel = Madeleine.Channel.create session driver ~ranks:[ 0; 1 ] () in
@@ -462,7 +408,7 @@ let test_madeleine_over_mpi_roundtrip () =
       Alcotest.(check bytes) "hdr" hdr h;
       Alcotest.(check bytes) "body" body b;
       Alcotest.(check int) "source" 0 (Mad.remote_rank ic));
-  Engine.run w.engine
+  Engine.run w.H.mpi_engine
 
 let test_madeleine_over_mpi_sequence () =
   let w, channel = make_mad_over_mpi_world () in
@@ -486,7 +432,7 @@ let test_madeleine_over_mpi_sequence () =
         Mad.end_unpacking ic;
         got := Int64.to_int (Bytes.get_int64_le b 0) :: !got
       done);
-  Engine.run w.engine;
+  Engine.run w.H.mpi_engine;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
@@ -540,7 +486,7 @@ let test_hetero_mpi_allreduce () =
    it was waiting on (binomial fan-in at n=4: 0 waits on 1, 2 waits
    on 3). *)
 let test_collective_failure_typed () =
-  let w = make_mpi_world ~n:4 `Chmad in
+  let w = H.make_mpi_world ~n:4 H.Chmad in
   let alive r = r <> 1 && r <> 3 in
   let failures = ref [] in
   List.iter
@@ -553,7 +499,7 @@ let test_collective_failure_typed () =
           | exception Mpi.Collective_failed msg ->
               failures := (r, msg) :: !failures))
     [ 0; 2 ];
-  Engine.run w.engine;
+  Engine.run w.H.mpi_engine;
   let msg_of r = List.assoc r !failures in
   Alcotest.(check int) "both survivors failed" 2 (List.length !failures);
   let names_dead ~dead msg =

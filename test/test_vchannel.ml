@@ -340,21 +340,7 @@ vchannel vc channels=c-sbp,c-via mtu=4096
 (* ------------------------------------------------------------------ *)
 (* Forwarding bandwidth (Figs. 10 and 11) *)
 
-let forwarding_bandwidth ?gateway_overhead ?extra_gateway_copy ~mtu ~src ~dst
-    ~bytes_count () =
-  let w = Harness.two_cluster_world () in
-  let vc = make_vc ~mtu ?gateway_overhead ?extra_gateway_copy w in
-  let data = payload bytes_count 8L in
-  let t0 = ref Time.zero and t1 = ref Time.zero in
-  Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
-      t0 := Engine.now w.Harness.cw_engine;
-      send_fields vc ~me:src ~remote:dst [ data ] [ cheaper ]);
-  Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
-      let sink = Bytes.create bytes_count in
-      recv_fields vc ~me:dst ~remote:src [ sink ] [ cheaper ];
-      t1 := Engine.now w.Harness.cw_engine);
-  Engine.run w.Harness.cw_engine;
-  Time.rate_mb_s ~bytes_count (Time.diff !t1 !t0)
+let forwarding_bandwidth = Harness.forwarding_bandwidth
 
 let test_fig10_sci_to_myrinet_shape () =
   (* Fig. 10: 36.5 MB/s at 8 kB packets, rising toward ~49.5 at 128 kB. *)
@@ -438,22 +424,8 @@ let test_ingress_regulation_helps_reverse_direction () =
     forwarding_bandwidth ~mtu:32768 ~src:2 ~dst:0 ~bytes_count:(1 lsl 20) ()
   in
   let regulated =
-    let w = Harness.two_cluster_world () in
-    let vc =
-      Vc.create w.Harness.cw_session ~mtu:32768 ~ingress_cap_mb_s:45.0
-        [ w.Harness.ch_sci; w.Harness.ch_myri ]
-    in
-    let data = payload (1 lsl 20) 8L in
-    let t0 = ref Time.zero and t1 = ref Time.zero in
-    Engine.spawn w.Harness.cw_engine ~name:"sender" (fun () ->
-        t0 := Engine.now w.Harness.cw_engine;
-        send_fields vc ~me:2 ~remote:0 [ data ] [ cheaper ]);
-    Engine.spawn w.Harness.cw_engine ~name:"receiver" (fun () ->
-        let sink = Bytes.create (1 lsl 20) in
-        recv_fields vc ~me:0 ~remote:2 [ sink ] [ cheaper ];
-        t1 := Engine.now w.Harness.cw_engine);
-    Engine.run w.Harness.cw_engine;
-    Time.rate_mb_s ~bytes_count:(1 lsl 20) (Time.diff !t1 !t0)
+    forwarding_bandwidth ~ingress_cap_mb_s:45.0 ~mtu:32768 ~src:2 ~dst:0
+      ~bytes_count:(1 lsl 20) ()
   in
   Alcotest.(check bool)
     (Printf.sprintf "regulated %.1f > unregulated %.1f MB/s" regulated
