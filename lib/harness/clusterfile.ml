@@ -43,8 +43,7 @@ let networks t = List.rev t.net_order
 let nodes t = List.rev t.node_order
 let channels t = List.rev t.chan_order
 let vchannels t = List.rev t.vchan_order
-let node t name = Hashtbl.find t.node_tbl name
-let rank_of t name = (node t name).Node.id
+let rank_of t name = (Hashtbl.find t.node_tbl name).Node.id
 let channel t name = Hashtbl.find t.chan_tbl name
 let vchannel t name = Hashtbl.find t.vchan_tbl name
 let collectives t name = Hashtbl.find_opt t.coll_tbl name

@@ -118,10 +118,9 @@ val nodes : t -> string list
 val channels : t -> string list
 val vchannels : t -> string list
 
-val node : t -> string -> Simnet.Node.t
+val rank_of : t -> string -> int
 (** Raises [Not_found] for unknown names, as do the lookups below. *)
 
-val rank_of : t -> string -> int
 val channel : t -> string -> Madeleine.Channel.t
 val vchannel : t -> string -> Madeleine.Vchannel.t
 
