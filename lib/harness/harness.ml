@@ -217,7 +217,6 @@ let forwarding_run ?gateway_overhead ?extra_gateway_copy ?ingress_cap_mb_s
       ?ingress_cap_mb_s [ w.ch_sci; w.ch_myri ]
   in
   let data = payload bytes_count 8L and sink = Bytes.create bytes_count in
-  (* The sender starts at instant zero, so the last receive is the span. *)
   let last =
     one_way w.cw_engine ~messages:1
       ~send:(fun _ -> vc_send vc ~me:src ~remote:dst data)

@@ -48,7 +48,9 @@ val one_way :
   recv:(int -> unit) ->
   Marcel.Time.t
 (** {!spawn_one_way}, then runs the engine and returns the instant of the
-    last receive. *)
+    last receive. In a world whose engine has not run yet, the sender
+    starts at instant zero, so that instant is also the transfer's
+    span. *)
 
 val mad_send : Madeleine.Channel.endpoint -> remote:int -> Bytes.t -> unit
 (** One message of one field from a channel endpoint: begin, pack with
