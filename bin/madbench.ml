@@ -39,19 +39,30 @@ let net_arg =
   Arg.(value & opt net_conv Sisci_net & info [ "net" ] ~docv:"NET"
          ~doc:"Network interface: sisci, bip, tcp, via or sbp.")
 
-(* An integer converter that rejects values below [least], so a bad
-   count is a usage error rather than an exception mid-run. *)
-let int_at_least least =
+(* Numeric converters that reject values out of range, so a bad count
+   or duration is a usage error (exit 124) rather than an exception
+   mid-run. *)
+let checked conv ~docv ~expected ok =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < least ->
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
         Error
-          (`Msg
-            (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
-               least))
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | result -> result
   in
-  Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
+  Arg.conv ~docv (parse, Arg.conv_printer conv)
+
+let int_at_least least =
+  checked Arg.int ~docv:"INT"
+    ~expected:(Printf.sprintf "an integer >= %d" least)
+    (fun n -> n >= least)
+
+let float_at_least ?(strict = false) least =
+  checked Arg.float ~docv:"NUM"
+    ~expected:
+      (Printf.sprintf "a finite number %s %g" (if strict then ">" else ">=")
+         least)
+    (fun x -> Float.is_finite x && if strict then x > least else x >= least)
 
 let size_arg =
   Arg.(value & opt (int_at_least 0) 4 & info [ "size" ] ~docv:"BYTES"
@@ -89,7 +100,7 @@ let pingpong_cmd =
 (* -------- sweep -------- *)
 
 let jobs_arg =
-  Arg.(value & opt int (Domain.recommended_domain_count ())
+  Arg.(value & opt (int_at_least 1) (Domain.recommended_domain_count ())
        & info [ "jobs" ] ~docv:"N"
            ~absent:"the machine's recommended domain count"
            ~doc:"Worker domains to fan independent jobs over (1 = serial). \
@@ -130,17 +141,23 @@ let dir_arg =
          ~doc:"Forwarding direction: sci-to-myri or myri-to-sci.")
 
 let mtu_arg =
-  Arg.(value & opt int 16384 & info [ "mtu" ] ~docv:"BYTES"
-         ~doc:"Generic-TM packet size used along the route.")
+  Arg.(value
+       & opt (int_at_least (Madeleine.Generic_tm.sub_header_size + 1)) 16384
+       & info [ "mtu" ] ~docv:"BYTES"
+           ~doc:"Generic-TM packet size used along the route (larger than \
+                 a buffer sub-header).")
 
 let ovh_arg =
-  Arg.(value & opt float 50.0 & info [ "gateway-overhead" ] ~docv:"US"
-         ~doc:"Per-packet gateway software overhead in microseconds.")
+  Arg.(value & opt (float_at_least 0.0) 50.0
+       & info [ "gateway-overhead" ] ~docv:"US"
+           ~doc:"Per-packet gateway software overhead in microseconds (0 or \
+                 more).")
 
 let cap_arg =
-  Arg.(value & opt (some float) None & info [ "ingress-cap" ] ~docv:"MB/S"
-         ~doc:"Gateway ingress bandwidth regulation (the paper's \
-               future-work mechanism); unset = unregulated.")
+  Arg.(value & opt (some (float_at_least ~strict:true 0.0)) None
+       & info [ "ingress-cap" ] ~docv:"MB/S"
+           ~doc:"Gateway ingress bandwidth regulation (the paper's \
+                 future-work mechanism), above 0; unset = unregulated.")
 
 let forward direction mtu ovh cap =
   let src, dst, label =
@@ -565,9 +582,30 @@ let config_arg =
          ~doc:"Cluster description file (see docs and \
                examples/clusters/two_cluster.cfg).")
 
+(* A cluster file or a name in it that a command cannot use: one line on
+   stderr and exit 2. *)
+let input_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      exit 2)
+    fmt
+
+(* Load a cluster file; a parse error is reported as FILE:LINE: message. *)
+let load_config config =
+  try Clusterfile.load_file config
+  with Clusterfile.Parse_error (line, msg) ->
+    input_error "%s:%d: %s" config line msg
+
+let input_exits =
+  Cmd.Exit.info 2
+    ~doc:"when the cluster file does not parse (reported as FILE:LINE: \
+          message) or does not declare a name given on the command line."
+  :: Cmd.Exit.defaults
+
 let describe config =
   let module Cf = Clusterfile in
-  let t = Cf.load_file config in
+  let t = load_config config in
   Format.printf "networks: %s@." (String.concat ", " (Cf.networks t));
   Format.printf "nodes:   ";
   List.iter
@@ -599,31 +637,49 @@ let describe config =
 
 let describe_cmd =
   Cmd.v
-    (Cmd.info "describe" ~doc:"Print the inventory and routes of a cluster file.")
+    (Cmd.info "describe" ~exits:input_exits
+       ~doc:"Print the inventory and routes of a cluster file.")
     Term.(const describe $ config_arg)
 
 let config_pingpong config chan_name from_name to_name size iters =
   let module Cf = Clusterfile in
-  let t = Cf.load_file config in
-  let src = Cf.rank_of t from_name and dst = Cf.rank_of t to_name in
-  (* [send me peer] and [recv me peer] move one [size]-byte message. *)
-  let send, recv =
+  if from_name = to_name then begin
+    Format.eprintf
+      "madbench: config-pingpong: --from and --to both name node %S@."
+      from_name;
+    exit Cmd.Exit.cli_error
+  end;
+  let t = load_config config in
+  let rank name =
+    if List.mem name (Cf.nodes t) then Cf.rank_of t name
+    else input_error "%s: no node named %S" config name
+  in
+  let src = rank from_name and dst = rank to_name in
+  (* [send me peer] and [recv me peer] move one [size]-byte message over
+     a channel spanning [ranks]. *)
+  let ranks, send, recv =
     match
       (List.mem chan_name (Cf.channels t), List.mem chan_name (Cf.vchannels t))
     with
     | true, _ ->
         let chan = Cf.channel t chan_name in
         let ep me = Madeleine.Channel.endpoint chan ~rank:me in
-        ( (fun me peer -> H.mad_send (ep me) ~remote:peer (Bytes.create size)),
+        ( Madeleine.Channel.ranks chan,
+          (fun me peer -> H.mad_send (ep me) ~remote:peer (Bytes.create size)),
           fun me peer -> H.mad_recv (ep me) ~remote:peer (Bytes.create size) )
     | false, true ->
         let vc = Cf.vchannel t chan_name in
-        ( (fun me peer -> H.vc_send vc ~me ~remote:peer (Bytes.create size)),
+        ( Madeleine.Vchannel.ranks vc,
+          (fun me peer -> H.vc_send vc ~me ~remote:peer (Bytes.create size)),
           fun me peer -> H.vc_recv vc ~me ~remote:peer (Bytes.create size) )
     | false, false ->
-        Format.eprintf "no channel or vchannel named %S@." chan_name;
-        exit 2
+        input_error "%s: no channel or vchannel named %S" config chan_name
   in
+  List.iter
+    (fun (name, r) ->
+      if not (List.mem r ranks) then
+        input_error "%s: node %S is not on %S" config name chan_name)
+    [ (from_name, src); (to_name, dst) ];
   let span =
     H.pingpong (Cf.engine t) ~iters
       ~ping:(fun () ->
@@ -651,7 +707,7 @@ let to_arg =
 
 let config_pingpong_cmd =
   Cmd.v
-    (Cmd.info "config-pingpong"
+    (Cmd.info "config-pingpong" ~exits:input_exits
        ~doc:"Ping-pong over a channel of a cluster-file world.")
     Term.(const config_pingpong $ config_arg $ chan_arg $ from_arg $ to_arg
           $ size_arg $ iters_arg)

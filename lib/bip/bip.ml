@@ -260,9 +260,6 @@ let recv t ~src ~tag ?off ?len buf =
   Engine.note_delivery t.net.engine ~src ~dst:(rank t) ~bytes:got;
   got
 
-let short_credits_available t ~dst =
-  Semaphore.available (credits t.net ~src:(rank t) ~dst)
-
 let probe t ~src ~tag =
   let short_ready =
     match Hashtbl.find_opt t.short_queues (src, tag) with

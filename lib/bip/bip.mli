@@ -62,10 +62,6 @@ val recv :
     out of the preallocated buffer; long messages land directly in the
     slice, with no intermediate buffer. *)
 
-val short_credits_available : t -> dst:int -> int
-(** Remaining send window toward [dst] (for tests and flow-control
-    instrumentation). *)
-
 val probe : t -> src:int -> tag:int -> bool
 (** True if a message from [src] with [tag] could be received without
     blocking: a short message is buffered, or a long-message rendezvous

@@ -91,15 +91,6 @@ val bip_driver :
 val sisci_driver :
   Marcel.Engine.t -> Simnet.Fabric.t -> Simnet.Node.t list -> Madeleine.Driver.t
 
-val tcp_driver :
-  Marcel.Engine.t -> Simnet.Fabric.t -> Simnet.Node.t list -> Madeleine.Driver.t
-
-val via_driver :
-  Marcel.Engine.t -> Simnet.Fabric.t -> Simnet.Node.t list -> Madeleine.Driver.t
-
-val sbp_driver :
-  Marcel.Engine.t -> Simnet.Fabric.t -> Simnet.Node.t list -> Madeleine.Driver.t
-
 val bip_world : ?config:Madeleine.Config.t -> unit -> world
 (** Two nodes on Myrinet with BIP. *)
 

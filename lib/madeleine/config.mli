@@ -93,9 +93,6 @@ val default_sisci_slot_payload : int
 val default_sisci_dma_threshold : int
 (** Default for {!type-t.sisci_dma_threshold}. *)
 
-val default_regcache_entries : int
-(** Default for {!type-t.regcache_entries}. *)
-
 val default_adaptive_window : Marcel.Time.span
 (** Polling window suggested for {!Rx_adaptive}: a bit above the
     network's round-trip scale, so hot exchanges never take interrupts. *)

@@ -6,13 +6,6 @@
     receiver-acknowledged rendezvous (dynamic buffers). The Switch
     routes at BIP's 1 kB threshold. *)
 
-val short_tag : int -> int
-(** BIP tag used by a channel's short-message TM. *)
-
-val long_tag : int -> int
-val short_capacity : int
-(** Aggregation capacity of one short-message slot. *)
-
 val select : len:int -> transit:bool -> Iface.send_mode -> Iface.recv_mode -> int
 (** The Switch query: 0 (short TM) below BIP's threshold, else 1. *)
 

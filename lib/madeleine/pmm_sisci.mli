@@ -8,12 +8,6 @@
     tops out at 35 MB/s. Rings live in receiver-owned segments with a
     4-byte length + 4-byte valid-flag header per slot. *)
 
-type ring_geometry = { slots : int; payload : int }
-
-val short_geometry : ring_geometry
-val regular_geometry : Config.t -> ring_geometry
-val dma_geometry : ring_geometry
-
 val seg_id : channel_id:int -> src:int -> kind:int -> int
 (** Segment-id naming scheme (kind 0 = short, 1 = regular, 2 = DMA). *)
 

@@ -16,7 +16,7 @@
     per (source, destination) pair and flushes a merged aggregate when
     the [aggr_max] byte budget fills, when the oldest buffered frame
     reaches the [aggr_flush] deadline, on an explicit barrier
-    ({!flush_pair}/{!flush_all}), or when per-flow FIFO requires it (a
+    ({!flush_all}), or when per-flow FIFO requires it (a
     bulk packet on a flow with buffered small frames must not overtake
     its own flow).
 
@@ -57,7 +57,7 @@ type stats = {
   sched_mean_frames : float;  (** mean frames per wire packet *)
   sched_flush_full : int;  (** flushes forced by the [aggr_max] budget *)
   sched_flush_deadline : int;  (** flushes forced by the [aggr_flush] age *)
-  sched_flush_barrier : int;  (** explicit {!flush_pair}/{!flush_all} *)
+  sched_flush_barrier : int;  (** explicit {!flush_all} *)
   sched_flush_flow : int;
       (** flushes forced by per-flow FIFO: a bulk frame arrived on a
           flow that still had buffered small frames *)
@@ -86,9 +86,6 @@ val submit : t -> src:int -> dst:int -> bulk:bool -> frame -> unit
     adding the frame would overflow [aggr_max], the pending batch is
     flushed first (synchronously, so the caller feels the
     backpressure). *)
-
-val flush_pair : t -> src:int -> dst:int -> unit
-(** Barrier flush of one pair's pending frames. No-op when empty. *)
 
 val flush_all : t -> src:int -> unit
 (** Barrier flush of every pair originating at [src]. *)

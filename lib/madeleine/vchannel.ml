@@ -123,9 +123,39 @@ let pp_add p n =
 
 let pp_sub p n = p.pp_cur <- p.pp_cur - n
 
+(* State per ordered rank pair, indexed [a].(b). Row [a] is allocated
+   by its first entry, so a world pays only for the ranks that hold
+   pair state. *)
+module Pairs = struct
+  type 'a t = 'a option array array
+
+  let create n : 'a t = Array.make n [||]
+
+  let find (m : 'a t) a b =
+    match m.(a) with [||] -> None | row -> row.(b)
+
+  (* Store [v] at (a, b) and return it. *)
+  let add (m : 'a t) a b v =
+    if Array.length m.(a) = 0 then m.(a) <- Array.make (Array.length m) None;
+    m.(a).(b) <- Some v;
+    v
+
+  (* The entry at (a, b), made by [mk] on first use. *)
+  let get m a b mk =
+    match find m a b with Some v -> v | None -> add m a b (mk ())
+
+  (* The entries of row [a], in ascending [b] order; every entry, in
+     ascending (a, b) order. *)
+  let iter_row f (m : 'a t) a = Array.iteri (fun b -> Option.iter (f b)) m.(a)
+  let iter f (m : 'a t) = Array.iteri (fun a _ -> iter_row (f a) m a) m
+
+  (* The entries (a, b) of column [b], in ascending [a] order. *)
+  let iter_col f (m : 'a t) b =
+    Array.iteri (fun a _ -> Option.iter (f a) (find m a b)) m
+end
+
 (* Send-side state of one (src, dst) pair, made on the pair's first
-   emission. Re-emission daemons spawn in the table's order, which is
-   thus part of the schedule. The reliability fields are used only with
+   emission. The reliability fields are used only with
    a fault plane: sequence numbers are per (origin, final destination)
    pair, 16 bits, carried in the packet header; every accepted packet
    is answered by a cumulative ack so the origin can trim its log of
@@ -158,10 +188,9 @@ type tx = {
 
 (* Receive-side state of one (me, origin) pair: the delivery journal,
    the consumption count credits are granted from, and the bytes
-   buffered in the pair's assemblers. Crash handshakes go out in the
-   table's order and to every pair in it, so a record is made only by
-   the pair's first delivery or grant, never by a receiver waiting for
-   a message. *)
+   buffered in the pair's assemblers. Crash handshakes go to every pair
+   that holds a record, so a record is made only by the pair's first
+   delivery or grant, never by a receiver waiting for a message. *)
 type rx = {
   mutable rx_next : int; (* next expected sequence number *)
   mutable rx_consumed : int; (* data packets drained by user unpacks *)
@@ -190,14 +219,14 @@ type gateway = {
    [tx] and [rx]. *)
 type rel = {
   faults : Simnet.Faults.t;
-  sentinels : (int, Sentinel.t) Hashtbl.t; (* per-rank failure detectors *)
-  suspected : (int * int, unit) Hashtbl.t;
-      (* (observer, peer): observer's sentinel currently calls the
+  sentinels : Sentinel.t option array; (* per-rank failure detectors *)
+  suspected : bool array array;
+      (* [observer].(peer): observer's sentinel currently calls the
          still-live peer Down. Under a partition the two sides suspect
          each other, so suspicion is meaningful only relative to who is
          looking — a global "someone suspects it" bit would take every
          rank down at once. *)
-  susp_count : (int, int) Hashtbl.t;
+  susp_count : int array;
       (* peer -> number of observers suspecting it; the O(1)
          "suspected by anyone" view used when no election plane makes
          suspicion viewer-relative *)
@@ -288,7 +317,7 @@ type live = {
       (* follows the snapshot's coordinator; mutable because a quorum
          election can move it away from the clusterfile's choice *)
   mutable lv_snapshot : Topology.t;
-  lv_draining : (int, unit) Hashtbl.t;
+  lv_draining : bool array;
       (* ranks mid-drain: still routable, but accept no new flows *)
   mutable lv_joins : int;
   mutable lv_drains : int;
@@ -296,6 +325,14 @@ type live = {
   lv_elect : elect option; (* quorum elections (clusterfile election=on) *)
 }
 
+(* Per-rank and per-pair state is held in arrays indexed by rank, sized
+   by the highest rank of [all_ranks]; that set is fixed at [create]
+   ([join] only re-admits ranks already in it). Every walk over this
+   state visits ranks in ascending order, and pairs in ascending
+   (first rank, second rank) order: crash, restart, re-emission, drain,
+   suspicion, the sentinel hooks, route comparison and the stats views.
+   Re-emission daemons and crash handshakes spawn in that order, so it
+   is part of the simulated schedule. *)
 type t = {
   engine : Engine.t;
   mtu : int;
@@ -304,27 +341,30 @@ type t = {
   extra_gateway_copy : bool;
   ingress_cap_mb_s : float option;
   channels : Channel.t list;
-  all_ranks : int list;
-  mutable routes : (int * int, hop list) Hashtbl.t;
-  base_hops : (int * int, int) Hashtbl.t; (* route lengths at creation *)
+  all_ranks : int list; (* ascending *)
+  member : bool array; (* [member.(r)]: [r] is in [all_ranks] *)
+  mutable routes : hop list array array;
+      (* [src].(dst); [] when [dst = src] or no route reaches [dst] *)
+  base_routes : hop list array array; (* the routes at creation *)
   rel : rel option;
   mutable sched : Sched.t option; (* aggregating scheduler (sched=aggreg) *)
-  tx : (int * int, tx) Hashtbl.t; (* (src, dst) *)
-  rx : (int * int, rx) Hashtbl.t; (* (me, origin) *)
-  endpoints : (int * int * int, endpoint) Hashtbl.t; (* (me, origin, flow) *)
-  gateways : (int, gateway) Hashtbl.t;
-  incoming : (int, (int * int) Mailbox.t) Hashtbl.t;
+  tx : tx Pairs.t; (* [src].(dst) *)
+  rx : rx Pairs.t; (* [me].(origin) *)
+  endpoints : (int, endpoint) Hashtbl.t Pairs.t; (* [me].(origin), by flow *)
+  gateways : gateway array;
+  incoming : (int * int) Mailbox.t array;
       (* any-source: (origin, flow) queue *)
-  pumps : (int * int * int, pump) Hashtbl.t; (* (node, out chan id, out dst) *)
-  send_locks : (int * int * int, Mutex.t) Hashtbl.t;
-      (* per-(src, dst, flow) message serialization *)
+  pumps : (int, pump) Hashtbl.t Pairs.t;
+      (* [node].(out dst), by out channel id *)
+  send_locks : (int, Mutex.t) Hashtbl.t Pairs.t;
+      (* [src].(dst), by flow: message serialization *)
   credits : credits option;
   gw_pool : int;
       (* forwarding buffers per pump (2 = paper's dual buffer); a gateway
          whose busy slots reach it reports Overloaded *)
   gw_low : int; (* busy slots at which the report clears (hysteresis) *)
   overload_track : bool; (* watermark machinery on (credits or gw_pool set) *)
-  overloaded : (int, unit) Hashtbl.t; (* gateways above their watermark *)
+  overloaded : bool array; (* gateways above their watermark *)
   mutable overload_events : int; (* Overloaded transitions (rising edges) *)
   live : live option; (* live topology (clusterfile version=) *)
   mutable on_col : me:int -> origin:int -> Bytes.t -> unit;
@@ -334,20 +374,23 @@ type t = {
   unacked_cap : int; (* bound on the origin re-emission log, in packets *)
 }
 
-let memo table key mk =
-  match Hashtbl.find_opt table key with
+(* The entry for [key] in a pair slot's sparse table (keyed by flow or
+   channel id), made by [mk] on first use. *)
+let slot_entry m a b key mk =
+  let tbl = Pairs.get m a b (fun () -> Hashtbl.create 1) in
+  match Hashtbl.find_opt tbl key with
   | Some v -> v
   | None ->
       let v = mk () in
-      Hashtbl.add table key v;
+      Hashtbl.add tbl key v;
       v
 
 let endpoint t ~me ~origin ~flow =
-  memo t.endpoints (me, origin, flow) (fun () ->
+  slot_entry t.endpoints me origin flow (fun () ->
       { ep_starts = Mailbox.create (); ep_asm = Assembler.create () })
 
 let tx_state t ~src ~dst =
-  memo t.tx (src, dst) (fun () ->
+  Pairs.get t.tx src dst (fun () ->
       {
         tx_seq = 0;
         tx_log = Queue.create ();
@@ -359,26 +402,35 @@ let tx_state t ~src ~dst =
         tx_granted = 0;
       })
 
-let gateway t node = Hashtbl.find t.gateways node
-let incoming t ~me = memo t.incoming me (fun () -> Mailbox.create ())
-let send_lock t ~src ~dst ~flow = memo t.send_locks (src, dst, flow) Mutex.create
+let send_lock t ~src ~dst ~flow =
+  slot_entry t.send_locks src dst flow Mutex.create
+
 let ranks t = t.all_ranks
+let mem t r = r >= 0 && r < Array.length t.member && t.member.(r)
+
+(* Whether a route leads from [a] to [b] ([a <> b]). *)
+let routed t a b = match t.routes.(a).(b) with [] -> false | _ -> true
 
 let election t =
   match t.live with Some { lv_elect = Some _; _ } -> true | _ -> false
 
+let not_in_channel t op ranks =
+  invalid_arg
+    (Printf.sprintf "Vchannel.%s: %s not part of the virtual channel (ranks %s)"
+       op ranks
+       (String.concat "," (List.map string_of_int t.all_ranks)))
+
+let check_rank t op r =
+  if not (mem t r) then not_in_channel t op (Printf.sprintf "rank %d" r)
+
 let check_ranks t op src dst =
-  if not (List.mem src t.all_ranks && List.mem dst t.all_ranks) then
-    invalid_arg
-      (Printf.sprintf "Vchannel.%s: rank %d or %d not part of the virtual \
-                       channel (ranks %s)"
-         op src dst
-         (String.concat "," (List.map string_of_int t.all_ranks)))
+  if not (mem t src && mem t dst) then
+    not_in_channel t op (Printf.sprintf "rank %d or %d" src dst)
 
 let find_route t op ~src ~dst =
   check_ranks t op src dst;
   if src = dst then Some []
-  else Hashtbl.find_opt t.routes (src, dst)
+  else match t.routes.(src).(dst) with [] -> None | hops -> Some hops
 
 let no_route op src dst =
   Partitioned (Printf.sprintf "Vchannel.%s: no route from %d to %d" op src dst)
@@ -394,52 +446,35 @@ let route_via t ~src ~dst =
   | None -> raise (no_route "route_via" src dst)
 
 let forwarded t =
-  Hashtbl.fold
-    (fun node gw acc ->
-      if gw.gw_packets > 0 then (node, gw.gw_packets, gw.gw_bytes) :: acc
-      else acc)
-    t.gateways []
-  |> List.sort compare
+  List.filter_map
+    (fun node ->
+      let gw = t.gateways.(node) in
+      if gw.gw_packets > 0 then Some (node, gw.gw_packets, gw.gw_bytes)
+      else None)
+    t.all_ranks
 
 (* Fewest-channel-hops routing over the channel membership graph:
-   breadth-first search keeping (node -> predecessor node * hop).
-   [down u v] excludes the hop u -> v: crashed or departed nodes are
-   down for every u, and viewer-relative suspicion (quorum-election
-   vchannels) makes the predicate genuinely edge-shaped — a hop exists
-   only when its sender trusts its receiver, so a route never enters a
-   region its own relays would refuse to forward into. With a
-   viewer-blind predicate this reduces exactly to the old node
-   exclusion. *)
-let compute_routes ?(down = fun _ _ -> false) channels all_ranks =
-  let routes = Hashtbl.create 64 in
-  (* Per-node adjacency, built once per call: for each node, the channels
-     containing it (in channel-list order) with their member lists. The
-     BFS below visits exactly the nodes the naive per-pop channel rescan
-     visited, in the same order — routes are unchanged; only the
-     O(channels × members) scan per frontier pop goes away, which
-     dominates route computation beyond a few hundred ranks. *)
-  let adj : (int, (Channel.t * int list) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
+   breadth-first search, where a node's route is its discoverer's plus
+   one hop. [down u v] excludes the hop u -> v: crashed or departed
+   nodes are down for every u, and viewer-relative suspicion
+   (quorum-election vchannels) makes the predicate genuinely
+   edge-shaped — a hop exists only when its sender trusts its receiver,
+   so a route never enters a region its own relays would refuse to
+   forward into. [adj] holds each node's channels (in channel-list
+   order) with their members, so a frontier pop rescans no channel. *)
+let compute_routes ~down ~n channels all_ranks =
+  let routes = Array.make_matrix n n [] in
+  let adj = Array.make n [] in
   List.iter
     (fun c ->
       let members = Channel.ranks c in
-      List.iter
-        (fun u ->
-          match Hashtbl.find_opt adj u with
-          | Some cell -> cell := (c, members) :: !cell
-          | None -> Hashtbl.add adj u (ref [ (c, members) ]))
-        members)
-    channels;
-  let adj_of u =
-    match Hashtbl.find_opt adj u with Some cell -> List.rev !cell | None -> []
-  in
+      List.iter (fun u -> adj.(u) <- (c, members) :: adj.(u)) members)
+    (List.rev channels);
   List.iter
     (fun src ->
       if not (down src src) then begin
-        let pred : (int, int * hop) Hashtbl.t = Hashtbl.create 16 in
-        let visited = Hashtbl.create 16 in
-        Hashtbl.add visited src ();
+        let row = routes.(src) in
+        let reached v = v = src || match row.(v) with [] -> false | _ -> true in
         let frontier = Queue.create () in
         Queue.push src frontier;
         while not (Queue.is_empty frontier) do
@@ -448,27 +483,13 @@ let compute_routes ?(down = fun _ _ -> false) channels all_ranks =
             (fun (c, members) ->
               List.iter
                 (fun v ->
-                  if v <> u && (not (down u v)) && not (Hashtbl.mem visited v)
-                  then begin
-                    Hashtbl.add visited v ();
-                    Hashtbl.add pred v (u, { hop_channel = c; hop_to = v });
+                  if v <> u && (not (down u v)) && not (reached v) then begin
+                    row.(v) <- row.(u) @ [ { hop_channel = c; hop_to = v } ];
                     Queue.push v frontier
                   end)
                 members)
-            (adj_of u)
-        done;
-        List.iter
-          (fun dst ->
-            if dst <> src && Hashtbl.mem pred dst then begin
-              let rec path v acc =
-                if v = src then acc
-                else
-                  let u, hop = Hashtbl.find pred v in
-                  path u (hop :: acc)
-              in
-              Hashtbl.add routes (src, dst) (path dst [])
-            end)
-          all_ranks
+            adj.(u)
+        done
       end)
     all_ranks;
   routes
@@ -481,14 +502,11 @@ let unroutable t ~at ~dst =
   match t.rel with Some _ -> Partitioned msg | None -> Invalid_argument msg
 
 let next_hop t ~at ~dst =
-  match Hashtbl.find_opt t.routes (at, dst) with
-  | Some (hop :: _) -> hop
-  | Some [] | None -> raise (unroutable t ~at ~dst)
+  match t.routes.(at).(dst) with
+  | hop :: _ -> hop
+  | [] -> raise (unroutable t ~at ~dst)
 
-let touch_sentinel r ~rank =
-  match Hashtbl.find_opt r.sentinels rank with
-  | Some s -> Sentinel.touch s
-  | None -> ()
+let touch_sentinel r ~rank = Option.iter Sentinel.touch r.sentinels.(rank)
 
 (* Whether [n] is up; without a fault plane every node always is. *)
 let node_up t n =
@@ -509,7 +527,7 @@ let wait_patiently t w ~name ~until =
    in-flight flows survive a crash-restart instead of dying on the
    transient hole. *)
 let wait_route t r ~at ~dst =
-  let routed () = Hashtbl.mem t.routes (at, dst) in
+  let routed () = routed t at dst in
   let name = "vchannel.route" in
   if not (wait_patiently t r.route_waiters ~name ~until:routed) then
     raise (unroutable t ~at ~dst)
@@ -595,8 +613,8 @@ let int32_payload n =
    entry well inside the half-space and makes a stale ack unable to eat
    unacked packets. Senders blocked on a full log are woken. *)
 let handle_ack t r header =
-  let key = (header.Generic_tm.final_dst, header.Generic_tm.origin) in
-  (match Hashtbl.find_opt t.tx key with
+  let origin = header.Generic_tm.origin in
+  (match Pairs.find t.tx header.Generic_tm.final_dst origin with
   | None -> ()
   | Some tx ->
       let q = tx.tx_log in
@@ -663,7 +681,9 @@ let note_consumed t rx ~me ~origin chunk_len =
    whichever flows the bytes belong to — so every assembler of the pair
    hooks [rx_pop]. *)
 let rx_state t ~me ~origin =
-  memo t.rx (me, origin) (fun () ->
+  match Pairs.find t.rx me origin with
+  | Some rx -> rx
+  | None ->
       let rec rx =
         {
           rx_next = 0;
@@ -673,7 +693,7 @@ let rx_state t ~me ~origin =
           rx_pop = (fun n -> note_consumed t rx ~me ~origin n);
         }
       in
-      rx)
+      Pairs.add t.rx me origin rx
 
 (* A grant (or probe answer) reached the flow's origin [me]. Grants are
    cumulative, so reordered or duplicated ones apply monotonically. *)
@@ -805,33 +825,33 @@ let shares_channel t a b =
     (fun c -> List.mem a (Channel.ranks c) && List.mem b (Channel.ranks c))
     t.channels
 
-(* Withdraw one observer's suspicion, keeping the by-any count in step. *)
-let unsuspect r ((_, p) as key) =
-  Hashtbl.remove r.suspected key;
-  match Hashtbl.find_opt r.susp_count p with
-  | Some n when n <= 1 -> Hashtbl.remove r.susp_count p
-  | Some n -> Hashtbl.replace r.susp_count p (n - 1)
-  | None -> ()
+(* Withdraw [o]'s suspicion of [p], keeping the by-any count in step. *)
+let unsuspect r o p =
+  if r.suspected.(o).(p) then begin
+    r.suspected.(o).(p) <- false;
+    r.susp_count.(p) <- r.susp_count.(p) - 1
+  end
 
 (* Drop every suspicion record involving [rank] — as the suspect (any
    observer's entry) and as an observer (its own verdicts die with its
    departure). *)
 let unsuspect_all r rank =
-  Hashtbl.fold
-    (fun ((o, p) as key) () acc ->
-      if o = rank || p = rank then key :: acc else acc)
-    r.suspected []
-  |> List.iter (unsuspect r)
+  Array.iteri
+    (fun o _ ->
+      unsuspect r o rank;
+      unsuspect r rank o)
+    r.susp_count
+
+(* Call [f me s] for every rank's sentinel, in ascending rank order. *)
+let iter_sentinels r f = Array.iteri (fun me -> Option.iter (f me)) r.sentinels
 
 let sentinels_learn t rank =
   match t.rel with
   | None -> ()
   | Some r ->
       unsuspect_all r rank;
-      Hashtbl.iter
-        (fun me s ->
+      iter_sentinels r (fun me s ->
           if me <> rank && shares_channel t me rank then Sentinel.learn s rank)
-        r.sentinels
 
 (* Dropping a departed rank from every detector is what keeps a
    long-lived elastic session's phi-accrual state from growing without
@@ -843,9 +863,7 @@ let sentinels_forget t rank =
   | None -> ()
   | Some r ->
       unsuspect_all r rank;
-      Hashtbl.iter
-        (fun me s -> if me <> rank then Sentinel.forget s rank)
-        r.sentinels
+      iter_sentinels r (fun me s -> if me <> rank then Sentinel.forget s rank)
 
 (* ------------------------------------------------------------------ *)
 (* Route refresh: one path for epoch swaps, Overloaded edges, crashes,
@@ -869,8 +887,8 @@ let emission_lock t ~src ~dst =
    in progress — the receiver's sequence check would then discard the
    overtaken packets for good. *)
 let reemit_flows ?(only = fun _ _ -> true) t r =
-  Hashtbl.iter
-    (fun (src, dst) { tx_log = q; _ } ->
+  Pairs.iter
+    (fun src dst { tx_log = q; _ } ->
       if only src dst && Simnet.Faults.node_up r.faults src
          && not (Queue.is_empty q)
       then
@@ -904,24 +922,27 @@ let reemit_flows ?(only = fun _ _ -> true) t r =
    trusts [n], so under a symmetric partition each side keeps full
    routes within itself instead of everyone going dark because somebody
    somewhere suspects them. *)
-let down t =
+let down ~live ~rel =
   let member n =
-    match t.live with None -> true | Some lv -> Topology.mem lv.lv_snapshot n
+    match live with None -> true | Some lv -> Topology.mem lv.lv_snapshot n
   in
-  match t.rel with
-  | None -> fun _viewer n -> not (member n)
-  | Some r when election t ->
+  match (rel, live) with
+  | None, _ -> fun _viewer n -> not (member n)
+  | Some r, Some { lv_elect = Some _; _ } ->
       fun viewer n ->
         (not (member n))
         || (not (Simnet.Faults.node_up r.faults n))
-        || (viewer <> n && Hashtbl.mem r.suspected (viewer, n))
-  | Some r ->
+        || (viewer <> n && r.suspected.(viewer).(n))
+  | Some r, _ ->
       fun _viewer n ->
         (not (member n))
         || (not (Simnet.Faults.node_up r.faults n))
-        || Hashtbl.mem r.susp_count n
+        || r.susp_count.(n) > 0
 
-let fresh_routes t = compute_routes ~down:(down t) t.channels t.all_ranks
+let routes_avoiding t down =
+  compute_routes ~down ~n:(Array.length t.member) t.channels t.all_ranks
+
+let fresh_routes t = routes_avoiding t (down ~live:t.live ~rel:t.rel)
 
 (* Recompute a reliable vchannel's routes and wake the senders waiting
    out a route hole. Prefer routes that avoid Overloaded gateways —
@@ -930,24 +951,25 @@ let fresh_routes t = compute_routes ~down:(down t) t.channels t.all_ranks
    overloaded node keep their direct route. *)
 let recompute t r =
   let fresh = fresh_routes t in
-  if Hashtbl.length t.overloaded > 0 then begin
-    let down = down t in
-    let down_or_overloaded u n = down u n || Hashtbl.mem t.overloaded n in
-    let strict =
-      compute_routes ~down:down_or_overloaded t.channels t.all_ranks
-    in
-    Hashtbl.iter (fun key hops -> Hashtbl.replace fresh key hops) strict
+  if Array.exists Fun.id t.overloaded then begin
+    let down = down ~live:t.live ~rel:t.rel in
+    let strict = routes_avoiding t (fun u n -> down u n || t.overloaded.(n)) in
+    Array.iteri
+      (fun src ->
+        Array.iteri (fun dst -> function
+          | [] -> ()
+          | hops -> fresh.(src).(dst) <- hops))
+      strict
   end;
   t.routes <- fresh;
   Waiters.wake_all r.route_waiters
 
-let route_sig routes =
-  Hashtbl.fold
-    (fun key hops acc ->
-      (key, List.map (fun h -> (Channel.id h.hop_channel, h.hop_to)) hops)
-      :: acc)
-    routes []
-  |> List.sort compare
+let same_route a b =
+  List.equal
+    (fun h g ->
+      h.hop_to = g.hop_to
+      && Channel.id h.hop_channel = Channel.id g.hop_channel)
+    a b
 
 (* An epoch swap or an Overloaded edge on a reliable vchannel: recompute
    the routes, then re-emit ONLY the flows whose route actually changed
@@ -957,12 +979,11 @@ let route_sig routes =
    re-emits nothing — re-emitting into an already-overloaded path would
    feed the congestion it is reporting. *)
 let swap_routes t r =
-  let before = route_sig t.routes in
+  let before = t.routes in
   recompute t r;
-  let after = route_sig t.routes in
-  if after <> before then
-    reemit_flows t r ~only:(fun src dst ->
-        List.assoc_opt (src, dst) before <> List.assoc_opt (src, dst) after)
+  let after = t.routes in
+  reemit_flows t r ~only:(fun src dst ->
+      not (same_route before.(src).(dst) after.(src).(dst)))
 
 (* Without a fault plane an epoch swap only recomputes the routes:
    nothing is logged for re-emission. *)
@@ -984,7 +1005,7 @@ let side_members t lv ~viewer =
   List.filter
     (fun m ->
       node_up t m
-      && (m = viewer || Hashtbl.mem t.routes (viewer, m)))
+      && (m = viewer || routed t viewer m))
     (Topology.ranks lv.lv_snapshot)
 
 (* The ballot quorum in force right now. Unpinned, it is a majority of
@@ -1003,9 +1024,9 @@ let side_has_quorum t lv el ~viewer =
 (* Depth of a rank's delivery journals — the watermark a candidacy
    carries so reconciliation debates are auditable on the wire. *)
 let journal_watermark t rank =
-  Hashtbl.fold
-    (fun (me, _) rx acc -> if me = rank then acc + rx.rx_next else acc)
-    t.rx 0
+  let depth = ref 0 in
+  Pairs.iter_row (fun _ rx -> depth := !depth + rx.rx_next) t.rx rank;
+  !depth
 
 let handle_top t ~me header payload =
   match t.live with
@@ -1035,7 +1056,7 @@ let handle_top t ~me header payload =
           then begin
             let snap = Topology.join lv.lv_snapshot rank in
             lv.lv_joins <- lv.lv_joins + 1;
-            Hashtbl.remove lv.lv_draining rank;
+            lv.lv_draining.(rank) <- false;
             sentinels_learn t rank;
             apply_swap t lv snap;
             (* The swap above made the joiner routable; the ack rides
@@ -1054,8 +1075,8 @@ let handle_top t ~me header payload =
           then begin
             let snap = Topology.drain lv.lv_snapshot rank in
             lv.lv_drains <- lv.lv_drains + 1;
-            Hashtbl.remove lv.lv_draining rank;
-            Hashtbl.remove t.overloaded rank;
+            lv.lv_draining.(rank) <- false;
+            t.overloaded.(rank) <- false;
             sentinels_forget t rank;
             apply_swap t lv snap
           end
@@ -1075,7 +1096,7 @@ let handle_top t ~me header payload =
                 let r = el.el_rel in
                 el.el_term <- max el.el_term term;
                 if committed >= Topology.epoch lv.lv_snapshot then begin
-                  match Hashtbl.find_opt r.sentinels me with
+                  match r.sentinels.(me) with
                   | Some s when Sentinel.grant_vote s ~term ->
                       send_top t ~src:me ~dst:rank
                         (top_ext_payload ~op:top_vote_ack ~rank:me ~term
@@ -1090,11 +1111,11 @@ let handle_top t ~me header payload =
                crash epoch at the grant. *)
             match lv.lv_elect with
             | Some el ->
-                (match Hashtbl.find_opt el.el_rel.sentinels me with
-                | Some s ->
+                Option.iter
+                  (fun s ->
                     Sentinel.record_ballot s ~voter:rank ~term
-                      ~voter_epoch:watermark
-                | None -> ());
+                      ~voter_epoch:watermark)
+                  el.el_rel.sentinels.(me);
                 Waiters.wake_all lv.lv_waiters
             | None -> ()
           end
@@ -1135,7 +1156,7 @@ let handle_col t ~me header payload =
    layer builds its spanning trees over this graph, so every tree edge
    is a single fabric link and interior nodes are genuine gateways. *)
 let neighbours t rank =
-  let seen = Hashtbl.create 8 in
+  let seen = Array.make (Array.length t.member) false in
   let out = ref [] in
   List.iter
     (fun c ->
@@ -1143,8 +1164,8 @@ let neighbours t rank =
       if List.mem rank members then
         List.iter
           (fun v ->
-            if v <> rank && not (Hashtbl.mem seen v) then begin
-              Hashtbl.add seen v ();
+            if v <> rank && not seen.(v) then begin
+              seen.(v) <- true;
               out := v :: !out
             end)
           members)
@@ -1157,14 +1178,13 @@ let neighbours t rank =
    routed path like any transit packet. *)
 let ship_top_physical t ~at ~dst payload =
   let down _viewer n = not (node_up t n) in
-  let phys = compute_routes ~down t.channels t.all_ranks in
-  match Hashtbl.find_opt phys (at, dst) with
-  | Some (hop :: _) -> (
+  match (routes_avoiding t down).(at).(dst) with
+  | hop :: _ -> (
       try
         send_hop ~at hop ~header:(top_header ~src:at ~dst payload) ~payload
           ~payload_len:(Bytes.length payload)
       with Config.Peer_unreachable msg -> raise (Partitioned msg))
-  | Some [] | None ->
+  | [] ->
       raise
         (Partitioned
            (Printf.sprintf
@@ -1220,7 +1240,7 @@ let run_election t lv el ~candidate =
     let term = Topology.epoch lv.lv_snapshot + 1 in
     el.el_term <- max el.el_term term;
     let committed = Topology.epoch lv.lv_snapshot in
-    (match Hashtbl.find_opt r.sentinels candidate with
+    (match r.sentinels.(candidate) with
     | None -> el.el_refusals <- el.el_refusals + 1
     | Some s ->
         if Sentinel.grant_vote s ~term then
@@ -1296,7 +1316,7 @@ let replay_pending t lv el =
                once, then the intent goes back on the pending list). *)
             ignore
               (topo_wait t lv ~until:(fun () ->
-                   Hashtbl.mem t.routes (rank, lv.lv_coordinator)));
+                   routed t rank lv.lv_coordinator));
             let attempt () =
               (try ship_drain_req t lv rank
                with Partitioned _ | Config.Peer_unreachable _ -> ());
@@ -1324,7 +1344,7 @@ let deliver_local t ~me header payload =
     if first then begin
       ep.ep_asm.Assembler.on_pop <- rx.rx_pop;
       Mailbox.put ep.ep_starts ();
-      Mailbox.put (incoming t ~me) (origin, flow)
+      Mailbox.put t.incoming.(me) (origin, flow)
     end;
     if Bytes.length chunk > 0 then begin
       pp_add rx.rx_asm (Bytes.length chunk);
@@ -1371,22 +1391,21 @@ let inform_sentinels t node flag =
   match t.rel with
   | None -> ()
   | Some r ->
-      Hashtbl.iter
-        (fun me s -> if me <> node then Sentinel.set_overloaded s ~peer:node flag)
-        r.sentinels
+      iter_sentinels r (fun me s ->
+          if me <> node then Sentinel.set_overloaded s ~peer:node flag)
 
 let set_overload t node flag =
   if flag then begin
-    if not (Hashtbl.mem t.overloaded node) then begin
-      Hashtbl.replace t.overloaded node ();
+    if not t.overloaded.(node) then begin
+      t.overloaded.(node) <- true;
       t.overload_events <- t.overload_events + 1;
       inform_sentinels t node true;
       Option.iter (swap_routes t) t.rel;
       t.on_health_change ()
     end
   end
-  else if Hashtbl.mem t.overloaded node then begin
-    Hashtbl.remove t.overloaded node;
+  else if t.overloaded.(node) then begin
+    t.overloaded.(node) <- false;
     inform_sentinels t node false;
     Option.iter (swap_routes t) t.rel;
     t.on_health_change ()
@@ -1413,7 +1432,7 @@ let maybe_clear_overload t node gw =
 let gw_acquire t ~node p =
   Semaphore.acquire p.pump_buffers;
   if t.overload_track then begin
-    let gw = gateway t node in
+    let gw = t.gateways.(node) in
     pp_add gw.gw_slots 1;
     (* Refilling past the low watermark cancels any pending clear: the
        status drops back to Up only if the pool *stayed* drained for the
@@ -1426,30 +1445,26 @@ let gw_acquire t ~node p =
 
 let gw_release t ~node p =
   if t.overload_track then begin
-    let gw = gateway t node in
+    let gw = t.gateways.(node) in
     pp_sub gw.gw_slots 1;
-    if gw.gw_slots.pp_cur <= t.gw_low && Hashtbl.mem t.overloaded node then
+    if gw.gw_slots.pp_cur <= t.gw_low && t.overloaded.(node) then
       maybe_clear_overload t node gw
   end;
   Semaphore.release p.pump_buffers
 
 let rec pump_for t ~node (hop : hop) =
-  let key = (node, Channel.id hop.hop_channel, hop.hop_to) in
-  match Hashtbl.find_opt t.pumps key with
-  | Some p -> p
-  | None ->
+  slot_entry t.pumps node hop.hop_to (Channel.id hop.hop_channel) (fun () ->
       let p =
         {
           pump_q = Mailbox.create ();
           pump_buffers = Semaphore.create t.gw_pool;
         }
       in
-      Hashtbl.add t.pumps key p;
       spawn_forwarder t ~node p;
-      p
+      p)
 
 and spawn_forwarder t ~node p =
-  let gw = gateway t node in
+  let gw = t.gateways.(node) in
   Engine.spawn t.engine ~daemon:true
     ~name:(Printf.sprintf "vchannel.forward.%d" node)
     (fun () ->
@@ -1528,7 +1543,7 @@ let spawn_dispatcher t ~node channel =
                 (match t.ingress_cap_mb_s with
                 | None -> ()
                 | Some cap ->
-                    let gw = gateway t node in
+                    let gw = t.gateways.(node) in
                     let now = Engine.now t.engine in
                     if Time.( < ) now gw.gw_next_ingress then
                       Engine.sleep (Time.diff gw.gw_next_ingress now);
@@ -1575,7 +1590,7 @@ let wait_credit t c tx ~src ~dst =
     c.cr_stalls <- c.cr_stalls + 1;
     while tx.tx_shipped - tx.tx_granted >= c.cr_budget do
       (match t.rel with
-      | Some r when not (Hashtbl.mem t.routes (src, dst)) ->
+      | Some r when not (routed t src dst) ->
           wait_route t r ~at:src ~dst
       | _ -> ());
       if tx.tx_shipped - tx.tx_granted >= c.cr_budget then begin
@@ -1603,7 +1618,7 @@ let wait_credit t c tx ~src ~dst =
    stops it, and that surfaces as [Partitioned] below. *)
 let wait_unacked t r ~src ~dst q =
   while Queue.length q >= t.unacked_cap do
-    if not (Hashtbl.mem t.routes (src, dst)) then wait_route t r ~at:src ~dst;
+    if not (routed t src dst) then wait_route t r ~at:src ~dst;
     if Queue.length q >= t.unacked_cap then begin
       Waiters.park r.ack_waiters ~name:"vchannel.unacked"
         ~deadline:(t.engine, Time.add (Engine.now t.engine) t.patience);
@@ -1719,7 +1734,7 @@ let emit_frames t ~src ~dst frames =
    transitions on actually-crashed peers change nothing. *)
 
 let on_crash t r node =
-  if List.mem node t.all_ranks then begin
+  if mem t node then begin
     r.reroutes <- r.reroutes + 1;
     (* The crashed node's send-side session state dies with it: cursors,
        unacked logs and credit counters are volatile. Its flows stay
@@ -1729,23 +1744,19 @@ let on_crash t r node =
        (leftover pre-crash bytes still buffered at a peer may
        transiently over-grant by at most one budget, which the restart
        window absorbs). *)
-    Hashtbl.iter
-      (fun (src, _) tx ->
-        if src = node then begin
-          tx.tx_seq <- 0;
-          tx.tx_lost <- true;
-          Queue.clear tx.tx_log;
-          tx.tx_shipped <- 0;
-          tx.tx_granted <- 0
-        end)
-      t.tx;
-    Hashtbl.iter
-      (fun (_, origin) rx ->
-        if origin = node then begin
-          rx.rx_consumed <- 0;
-          rx.rx_last_grant <- 0
-        end)
-      t.rx;
+    Pairs.iter_row
+      (fun _ tx ->
+        tx.tx_seq <- 0;
+        tx.tx_lost <- true;
+        Queue.clear tx.tx_log;
+        tx.tx_shipped <- 0;
+        tx.tx_granted <- 0)
+      t.tx node;
+    Pairs.iter_col
+      (fun _ rx ->
+        rx.rx_consumed <- 0;
+        rx.rx_last_grant <- 0)
+      t.rx node;
     recompute t r;
     reemit_flows t r;
     t.on_health_change ();
@@ -1764,41 +1775,37 @@ let on_crash t r node =
   end
 
 let on_restart t r node =
-  if List.mem node t.all_ranks then begin
+  if mem t node then begin
     (* The restarted rank's pre-crash vote grant is void — the epoch
        bump announces it to everyone — so it may vote afresh, and any
        ballots it had collected as a candidate are dead. *)
-    (match Hashtbl.find_opt r.sentinels node with
-    | Some s -> Sentinel.reset_election s
-    | None -> ());
+    Option.iter Sentinel.reset_election r.sentinels.(node);
     recompute t r;
     (* Crash-epoch session handshake: every live peer holding a delivery
        journal for the restarted origin tells it (over the routed
        network, so gateways forward it like data) where to resume
        numbering. *)
     let epoch = Simnet.Faults.epoch r.faults node in
-    Hashtbl.iter
-      (fun (me, origin) rx ->
-        if origin = node && me <> node && Simnet.Faults.node_up r.faults me
-        then
+    Pairs.iter_col
+      (fun me rx ->
+        if me <> node && Simnet.Faults.node_up r.faults me then
           ship_detached t ~kind:"hs" ~at:me
             { (Generic_tm.header ~origin:me ~final_dst:node ~payload_len:4) with
               seq = rx.rx_next;
               hs = true;
             }
             (int32_payload epoch))
-      t.rx;
+      t.rx node;
     (* Flows to peers holding no journal for this node restart at zero
        immediately — nobody will send a handshake. *)
     let fresh = ref false in
-    Hashtbl.iter
-      (fun (src, dst) tx ->
-        if src = node && tx.tx_lost && not (Hashtbl.mem t.rx (dst, node))
-        then begin
+    Pairs.iter_row
+      (fun dst tx ->
+        if tx.tx_lost && Option.is_none (Pairs.find t.rx dst node) then begin
           tx.tx_lost <- false;
           fresh := true
         end)
-      t.tx;
+      t.tx node;
     if !fresh then Waiters.wake_all r.hs_waiters;
     reemit_flows t r;
     t.on_health_change ()
@@ -1809,7 +1816,7 @@ let on_restart t r node =
    organically via Up probes, then replay the minority's suppressed
    join/drain intents once the coordinator's side holds quorum again. *)
 let on_heal t lv el _fabric =
-  Hashtbl.iter (fun _ s -> Sentinel.touch s) el.el_rel.sentinels;
+  iter_sentinels el.el_rel (fun _ s -> Sentinel.touch s);
   Waiters.wake_all lv.lv_waiters;
   if el.el_pending <> [] then
     Engine.spawn t.engine ~daemon:true ~name:"vchannel.heal.replay" (fun () ->
@@ -1834,11 +1841,10 @@ let on_verdict t r ~me peer _from to_ =
   in
   match to_ with
   | Sentinel.Down when Simnet.Faults.node_up r.faults peer ->
-      if not (Hashtbl.mem r.suspected (me, peer)) then begin
-        let was = Hashtbl.mem r.susp_count peer in
-        Hashtbl.replace r.suspected (me, peer) ();
-        Hashtbl.replace r.susp_count peer
-          (1 + Option.value ~default:0 (Hashtbl.find_opt r.susp_count peer));
+      if not r.suspected.(me).(peer) then begin
+        let was = r.susp_count.(peer) > 0 in
+        r.suspected.(me).(peer) <- true;
+        r.susp_count.(peer) <- r.susp_count.(peer) + 1;
         if Option.is_some elect || not was then begin
           r.reroutes <- r.reroutes + 1;
           recompute t r;
@@ -1863,19 +1869,16 @@ let on_verdict t r ~me peer _from to_ =
   | Sentinel.Up -> (
       match elect with
       | Some (lv, _) ->
-          if Hashtbl.mem r.suspected (me, peer) then begin
-            unsuspect r (me, peer);
+          if r.suspected.(me).(peer) then begin
+            unsuspect r me peer;
             recompute t r;
             t.on_health_change ();
             Waiters.wake_all lv.lv_waiters
           end
       | None ->
-          if Hashtbl.mem r.susp_count peer then begin
-            Hashtbl.iter
-              (fun (o, p) () ->
-                if p = peer then Hashtbl.remove r.suspected (o, p))
-              (Hashtbl.copy r.suspected);
-            Hashtbl.remove r.susp_count peer;
+          if r.susp_count.(peer) > 0 then begin
+            Array.iter (fun row -> row.(peer) <- false) r.suspected;
+            r.susp_count.(peer) <- 0;
             recompute t r;
             t.on_health_change ()
           end)
@@ -1898,7 +1901,7 @@ let start_sentinel t r me =
     in
     Sentinel.on_transition s (on_verdict t r ~me);
     Sentinel.start s;
-    Hashtbl.add r.sentinels me s
+    r.sentinels.(me) <- Some s
   end
 
 let create session ?(mtu = Config.default_vchannel_mtu)
@@ -1937,7 +1940,11 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   let all_ranks =
     List.concat_map Channel.ranks channels |> List.sort_uniq compare
   in
-  (* [all_ranks] is sorted: the coordinator defaults to the lowest rank. *)
+  (* [all_ranks] is sorted: the coordinator defaults to the lowest rank,
+     and the highest one sizes the rank-indexed state. *)
+  let n = 1 + List.fold_left max 0 all_ranks in
+  let member = Array.make n false in
+  List.iter (fun r -> member.(r) <- true) all_ranks;
   let coord = Option.value coordinator ~default:(List.hd all_ranks) in
   (match topology with
   | None ->
@@ -1974,9 +1981,9 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       (fun f ->
         {
           faults = f;
-          sentinels = Hashtbl.create 8;
-          suspected = Hashtbl.create 8;
-          susp_count = Hashtbl.create 8;
+          sentinels = Array.make n None;
+          suspected = Array.make_matrix n n false;
+          susp_count = Array.make n 0;
           route_waiters = Waiters.create ();
           hs_waiters = Waiters.create ();
           ack_waiters = Waiters.create ();
@@ -1993,7 +2000,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
         {
           lv_coordinator = coord;
           lv_snapshot = Topology.make ~epoch:version ~coordinator:coord all_ranks;
-          lv_draining = Hashtbl.create 4;
+          lv_draining = Array.make n false;
           lv_joins = 0;
           lv_drains = 0;
           lv_waiters = Waiters.create ();
@@ -2033,6 +2040,9 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       credits
   in
   let pool = Option.value gw_pool ~default:Config.default_gateway_pool in
+  let routes =
+    compute_routes ~down:(down ~live ~rel) ~n channels all_ranks
+  in
   let t =
     {
       engine = Session.engine session;
@@ -2043,17 +2053,26 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       ingress_cap_mb_s;
       channels;
       all_ranks;
-      routes = Hashtbl.create 1; (* computed below: [down] reads [t] *)
-      base_hops = Hashtbl.create 64;
+      member;
+      routes;
+      base_routes = routes;
       rel;
       sched = None;
-      tx = Hashtbl.create 32;
-      rx = Hashtbl.create 32;
-      endpoints = Hashtbl.create 32;
-      gateways = Hashtbl.create 16;
-      incoming = Hashtbl.create 16;
-      pumps = Hashtbl.create 16;
-      send_locks = Hashtbl.create 32;
+      tx = Pairs.create n;
+      rx = Pairs.create n;
+      endpoints = Pairs.create n;
+      gateways =
+        Array.init n (fun _ ->
+            {
+              gw_slots = pp_make ();
+              gw_gen = 0;
+              gw_packets = 0;
+              gw_bytes = 0;
+              gw_next_ingress = Time.zero;
+            });
+      incoming = Array.init n (fun _ -> Mailbox.create ());
+      pumps = Pairs.create n;
+      send_locks = Pairs.create n;
       credits = credit_plane;
       gw_pool = pool;
       gw_low = max 1 (pool / 2);
@@ -2061,7 +2080,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
          when the backpressure plane was asked for; a plain vchannel's
          schedule stays byte-identical to the pre-flow-control library. *)
       overload_track = Option.is_some credits || Option.is_some gw_pool;
-      overloaded = Hashtbl.create 4;
+      overloaded = Array.make n false;
       overload_events = 0;
       live;
       on_col = (fun ~me:_ ~origin:_ _ -> ());
@@ -2069,20 +2088,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       unacked_cap = Option.value credits ~default:Config.default_unacked_window;
     }
   in
-  t.routes <- fresh_routes t;
-  Hashtbl.iter
-    (fun key hops -> Hashtbl.replace t.base_hops key (List.length hops))
-    t.routes;
   List.iter
     (fun node ->
-      Hashtbl.add t.gateways node
-        {
-          gw_slots = pp_make ();
-          gw_gen = 0;
-          gw_packets = 0;
-          gw_bytes = 0;
-          gw_next_ingress = Time.zero;
-        };
       List.iter
         (fun c ->
           if List.mem node (Channel.ranks c) then spawn_dispatcher t ~node c)
@@ -2117,6 +2124,7 @@ type out_connection = {
   oc_src : int;
   oc_dst : int;
   oc_flow : int;
+  oc_lock : Mutex.t; (* the message lock, held until [end_packing] *)
   mutable staging : Bytes.t;
       (* sized by the first pack, grown up to the MTU on demand *)
   mutable fill : int;
@@ -2149,18 +2157,19 @@ let begin_packing ?(flow = 0) t ~me ~remote =
           (Partitioned
              (Printf.sprintf "Vchannel.begin_packing: rank %d is %s" r reason))
       in
-      if Hashtbl.mem lv.lv_draining me then refuse me "draining"
-      else if Hashtbl.mem lv.lv_draining remote then refuse remote "draining"
+      if lv.lv_draining.(me) then refuse me "draining"
+      else if lv.lv_draining.(remote) then refuse remote "draining"
       else if not (Topology.mem lv.lv_snapshot me) then
         refuse me "not in the current topology epoch"
       else if not (Topology.mem lv.lv_snapshot remote) then
         refuse remote "not in the current topology epoch"
   | None -> ());
-  if not (Hashtbl.mem t.routes (me, remote)) then
-    raise (unroutable t ~at:me ~dst:remote);
-  Mutex.lock (send_lock t ~src:me ~dst:remote ~flow);
+  if not (routed t me remote) then raise (unroutable t ~at:me ~dst:remote);
+  let lock = send_lock t ~src:me ~dst:remote ~flow in
+  Mutex.lock lock;
   {
     v = t;
+    oc_lock = lock;
     oc_src = me;
     oc_dst = remote;
     oc_flow = flow;
@@ -2188,7 +2197,7 @@ let ship oc ~last =
      surfaces as [Partitioned], not a deadlock. *)
   let fail_with e =
     oc.oc_closed <- true;
-    Mutex.unlock (send_lock t ~src:oc.oc_src ~dst:oc.oc_dst ~flow:oc.oc_flow);
+    Mutex.unlock oc.oc_lock;
     raise e
   in
   (try
@@ -2277,7 +2286,7 @@ let end_packing oc =
   Engine.sleep Config.end_overhead;
   ship oc ~last:true;
   oc.oc_closed <- true;
-  Mutex.unlock (send_lock oc.v ~src:oc.oc_src ~dst:oc.oc_dst ~flow:oc.oc_flow)
+  Mutex.unlock oc.oc_lock
 
 (* Barrier flush: push every aggregate still buffered at [me] to the
    wire now, instead of waiting for budgets or deadlines — the hook for
@@ -2296,7 +2305,7 @@ let join t ~rank =
   match t.live with
   | None -> invalid_arg "Vchannel.join: no live topology (version= unset)"
   | Some lv ->
-      if not (List.mem rank t.all_ranks) then
+      if not (mem t rank) then
         invalid_arg
           (Printf.sprintf
              "Vchannel.join: rank %d not part of the virtual channel" rank);
@@ -2359,23 +2368,23 @@ let drain t ~rank =
         invalid_arg
           (Printf.sprintf "Vchannel.drain: rank %d is the coordinator" rank);
       (* Phase 1 — stop accepting new flows involving this rank. *)
-      Hashtbl.replace lv.lv_draining rank ();
+      lv.lv_draining.(rank) <- true;
       (* Phase 2 — quiesce: cumulative acks must cover every journal
          entry the rank originated or is owed, and its forwarding pools
          must be idle, so nothing in flight dies with its departure. *)
       let quiet () =
-        Hashtbl.fold
-          (fun (s, d) tx acc ->
-            acc && ((s <> rank && d <> rank) || Queue.is_empty tx.tx_log))
-          t.tx true
-        && (gateway t rank).gw_slots.pp_cur = 0
+        let idle = ref (t.gateways.(rank).gw_slots.pp_cur = 0) in
+        let check _ tx = if not (Queue.is_empty tx.tx_log) then idle := false in
+        Pairs.iter_row check t.tx rank;
+        Pairs.iter_col check t.tx rank;
+        !idle
       in
       let deadline = Time.add (Engine.now t.engine) t.patience in
       while (not (quiet ())) && Time.( < ) (Engine.now t.engine) deadline do
         Engine.sleep (Time.us 50.0)
       done;
       if not (quiet ()) then begin
-        Hashtbl.remove lv.lv_draining rank;
+        lv.lv_draining.(rank) <- false;
         raise
           (Partitioned
              (Printf.sprintf
@@ -2390,13 +2399,13 @@ let drain t ~rank =
       | None ->
           (try ship_drain_req t lv rank
            with Partitioned _ | Config.Peer_unreachable _ ->
-             Hashtbl.remove lv.lv_draining rank;
+             lv.lv_draining.(rank) <- false;
              raise
                (Partitioned
                   (Printf.sprintf "Vchannel.drain: coordinator %d unreachable"
                      lv.lv_coordinator)));
           if not (topo_wait t lv ~until:departed) then begin
-            Hashtbl.remove lv.lv_draining rank;
+            lv.lv_draining.(rank) <- false;
             raise
               (Partitioned
                  (Printf.sprintf
@@ -2427,7 +2436,7 @@ let drain t ~rank =
               (* Minority side: withdraw the drain mark (the rank stays
                  a member until the majority hears about it) and park
                  the intent for the post-heal replay. *)
-              Hashtbl.remove lv.lv_draining rank;
+              lv.lv_draining.(rank) <- false;
               el.el_pending <- P_drain rank :: el.el_pending;
               raise
                 (No_quorum
@@ -2467,10 +2476,12 @@ let open_message t ~me ~origin ~flow =
   }
 
 let begin_unpacking_from ?(flow = 0) t ~me ~remote =
+  check_ranks t "begin_unpacking_from" me remote;
   open_message t ~me ~origin:remote ~flow
 
 let begin_unpacking t ~me =
-  let origin, flow = Mailbox.take (incoming t ~me) in
+  check_rank t "begin_unpacking" me;
+  let origin, flow = Mailbox.take t.incoming.(me) in
   open_message t ~me ~origin ~flow
 
 let remote_rank ic = ic.ic_origin
@@ -2528,28 +2539,28 @@ let peer_status t ~src ~dst =
          (* With an election plane suspicion is observer-relative (the
             asker's own verdict); without one any observer's verdict
             stands for everybody — the pre-election global semantics. *)
-         (if election t then Hashtbl.mem r.suspected (src, dst)
-          else Hashtbl.mem r.susp_count dst) ->
+         (if election t then r.suspected.(src).(dst)
+          else r.susp_count.(dst) > 0) ->
       Iface.Down
   | _ -> (
       if src = dst then Iface.Up
       else
-        match Hashtbl.find_opt t.routes (src, dst) with
-        | None -> Iface.Down
-        | Some hops ->
+        match t.routes.(src).(dst) with
+        | [] -> Iface.Down
+        | hops ->
             let n = List.length hops in
             let base =
-              match Hashtbl.find_opt t.base_hops (src, dst) with
-              | Some b -> b
-              | None -> n
+              match t.base_routes.(src).(dst) with
+              | [] -> n
+              | base -> List.length base
             in
             (* Overload shedding on the current path (destination or any
                relay above its watermark) outranks mere route
                lengthening: after rerouting away from an overloaded
                gateway the flow reports Degraded like any failover. *)
             if
-              Hashtbl.mem t.overloaded dst
-              || List.exists (fun h -> Hashtbl.mem t.overloaded h.hop_to) hops
+              t.overloaded.(dst)
+              || List.exists (fun h -> t.overloaded.(h.hop_to)) hops
             then Iface.Overloaded
             else if n > base then Iface.Degraded (n - base)
             else Iface.Up))
@@ -2586,21 +2597,24 @@ let flow_stats t =
   match t.rel with
   | None -> []
   | Some _ ->
-      Hashtbl.fold (fun (me, o) _ acc -> (o, me) :: acc) t.rx
-        (Hashtbl.fold (fun key _ acc -> key :: acc) t.tx [])
-      |> List.sort_uniq compare
-      |> List.map (fun (s, d) ->
-             let sent, unacked =
-               match Hashtbl.find_opt t.tx (s, d) with
-               | Some tx -> (tx.tx_seq, Queue.length tx.tx_log)
-               | None -> (0, 0)
-             in
-             let delivered =
-               match Hashtbl.find_opt t.rx (d, s) with
-               | Some rx -> rx.rx_next
-               | None -> 0
-             in
-             { flow_src = s; flow_dst = d; sent; unacked; delivered })
+      let count f = Option.fold ~none:0 ~some:f in
+      List.concat_map
+        (fun s ->
+          List.filter_map
+            (fun d ->
+              match (Pairs.find t.tx s d, Pairs.find t.rx d s) with
+              | None, None -> None
+              | tx, rx ->
+                  Some
+                    {
+                      flow_src = s;
+                      flow_dst = d;
+                      sent = count (fun tx -> tx.tx_seq) tx;
+                      unacked = count (fun tx -> Queue.length tx.tx_log) tx;
+                      delivered = count (fun rx -> rx.rx_next) rx;
+                    })
+            t.all_ranks)
+        t.all_ranks
 
 type credit_stats = {
   credit_budget : int;
@@ -2624,9 +2638,7 @@ let credit_stats t =
 let sched_stats t =
   match t.sched with None -> None | Some sc -> Some (Sched.stats sc)
 
-let overloaded t =
-  Hashtbl.fold (fun node () acc -> node :: acc) t.overloaded []
-  |> List.sort compare
+let overloaded t = List.filter (fun node -> t.overloaded.(node)) t.all_ranks
 
 let overload_events t = t.overload_events
 
@@ -2640,9 +2652,10 @@ type queue_stat = {
 
 (* Every instrumented buffering point that has held something, with
    its observed peak and, when the backpressure plane bounds it, the
-   configured bound. Assembler and unacked-log peaks are plain counter
-   updates, tracked whenever their plane runs; gateway pool peaks only
-   when [?credits] or [?gw_pool] armed the watermark machinery. *)
+   configured bound, by point name and then ascending ranks. Assembler
+   and unacked-log peaks are plain counter updates, tracked whenever
+   their plane runs; gateway pool peaks only when [?credits] or
+   [?gw_pool] armed the watermark machinery. *)
 let queue_stats t =
   let rows = ref [] in
   let row q_point q_node q_peer q_peak q_bound =
@@ -2652,26 +2665,25 @@ let queue_stats t =
   let asm_bound =
     match t.credits with Some c -> Some (c.cr_budget * t.mtu) | None -> None
   in
-  Hashtbl.iter
-    (fun (me, origin) rx ->
+  Pairs.iter
+    (fun me origin rx ->
       row "assembler_bytes" me origin rx.rx_asm.pp_peak asm_bound)
     t.rx;
-  Hashtbl.iter
+  Array.iteri
     (fun node gw ->
       (* one pool per outgoing link *)
-      let pumps =
-        Hashtbl.fold
-          (fun (n, _, _) _ k -> if n = node then k + 1 else k)
-          t.pumps 0
-      in
+      let pumps = ref 0 in
+      Pairs.iter_row
+        (fun _ p -> pumps := !pumps + Hashtbl.length p)
+        t.pumps node;
       row "gateway_pool_slots" node (-1) gw.gw_slots.pp_peak
-        (Some (t.gw_pool * pumps)))
+        (Some (t.gw_pool * !pumps)))
     t.gateways;
-  Hashtbl.iter
-    (fun (src, dst) tx ->
+  Pairs.iter
+    (fun src dst tx ->
       row "unacked_packets" src dst tx.tx_log_peak (Some t.unacked_cap))
     t.tx;
-  List.sort compare !rows
+  List.rev !rows
 
 type topology_stats = {
   topo_epoch : int;
@@ -2704,7 +2716,8 @@ let coordinator t =
 let has_quorum t ~viewer =
   match t.live with
   | Some ({ lv_elect = Some el; _ } as lv) ->
-      Simnet.Faults.node_up el.el_rel.faults viewer
+      mem t viewer
+      && Simnet.Faults.node_up el.el_rel.faults viewer
       && side_has_quorum t lv el ~viewer
   | _ -> true
 
@@ -2736,17 +2749,18 @@ let election_stats t =
 let sentinel t ~rank =
   match t.rel with
   | None -> None
-  | Some r -> Hashtbl.find_opt r.sentinels rank
+  | Some r -> if mem t rank then r.sentinels.(rank) else None
 
 let suspicion_timeline t =
   match t.rel with
   | None -> []
   | Some r ->
-      Hashtbl.fold
-        (fun me s acc ->
-          List.map (fun ev -> (me, ev)) (Sentinel.timeline s) @ acc)
-        r.sentinels []
-      |> List.sort (fun (_, a) (_, b) ->
+      let events = ref [] in
+      iter_sentinels r (fun me s ->
+          let mine = List.map (fun ev -> (me, ev)) (Sentinel.timeline s) in
+          events := mine :: !events);
+      List.concat (List.rev !events)
+      |> List.stable_sort (fun (_, a) (_, b) ->
              compare a.Sentinel.ev_at b.Sentinel.ev_at)
 
 let engine t = t.engine
@@ -2757,11 +2771,10 @@ let engine t = t.engine
    suspicion — the same predicate routing uses, so a tree built over
    live ranks is also routable. *)
 let rank_alive t rank =
-  List.mem rank t.all_ranks
+  mem t rank
   && (match t.live with
      | Some lv ->
-         Topology.mem lv.lv_snapshot rank
-         && not (Hashtbl.mem lv.lv_draining rank)
+         Topology.mem lv.lv_snapshot rank && not lv.lv_draining.(rank)
      | None -> true)
   &&
   match t.rel with
@@ -2775,8 +2788,8 @@ let rank_alive t rank =
              exclude the whole minority, not just directly-suspected
              neighbours. Route presence is the trust-path closure. *)
           rank = lv.lv_coordinator
-          || Hashtbl.mem t.routes (lv.lv_coordinator, rank)
-      | _ -> not (Hashtbl.mem r.susp_count rank))
+          || routed t lv.lv_coordinator rank
+      | _ -> r.susp_count.(rank) = 0)
   | None -> true
 
-let rank_overloaded t rank = Hashtbl.mem t.overloaded rank
+let rank_overloaded t rank = mem t rank && t.overloaded.(rank)

@@ -109,7 +109,10 @@ val create :
     after a node restarts with a new fault-plane epoch, peers holding a
     delivery journal for it send back their expected sequence numbers,
     the restarted node resumes numbering there, and end-to-end delivery
-    stays exactly-once across the restart. [patience] (default
+    stays exactly-once across the restart. Crash, restart, drain and
+    re-emission visit the per-pair state in ascending rank order, so
+    re-emitted packets and handshakes leave in ascending pair order;
+    that order is part of the simulated schedule. [patience] (default
     {!Config.default_route_patience}) bounds how long a send waits for
     a route or a handshake to come back before raising {!Partitioned}.
     Without [faults] (the default) none of this machinery exists and
@@ -411,8 +414,9 @@ val queue_stats : t -> queue_stat list
     destination assemblers (bytes; bounded by [credits * mtu]), gateway
     forwarding pools (busy buffers; bounded by [gw_pool] per outgoing
     link) and origin re-emission logs (packets; bounded by [credits],
-    or {!Config.default_unacked_window} without credits). The chaos
-    harness asserts [q_peak <= q_bound] under overload. *)
+    or {!Config.default_unacked_window} without credits), sorted by
+    point, node and peer. The chaos harness asserts [q_peak <= q_bound]
+    under overload. *)
 
 val sentinel : t -> rank:int -> Sentinel.t option
 (** The rank's failure detector — [None] without [?faults] or when the
@@ -420,7 +424,7 @@ val sentinel : t -> rank:int -> Sentinel.t option
 
 val suspicion_timeline : t -> (int * Sentinel.event) list
 (** Every sentinel state transition observed so far, as
-    [(observer rank, event)] sorted by time. *)
+    [(observer rank, event)] sorted by time, then by observer rank. *)
 
 (** {1 The packing interface, lifted to virtual channels} *)
 
@@ -456,12 +460,14 @@ val flush : t -> me:int -> unit
 val begin_unpacking : t -> me:int -> in_connection
 (** Any-source (and any-flow) receive. Within one process, do not mix
     any-source and {!begin_unpacking_from} receives on the same virtual
-    channel. *)
+    channel. Raises [Invalid_argument] when [me] is not part of the
+    virtual channel. *)
 
 val begin_unpacking_from :
   ?flow:int -> t -> me:int -> remote:int -> in_connection
 (** Matched receive: blocks for the next message from [remote] on
-    logical flow [flow] (default [0]). *)
+    logical flow [flow] (default [0]). Raises [Invalid_argument] when
+    either rank is not part of the virtual channel. *)
 
 val remote_rank : in_connection -> int
 

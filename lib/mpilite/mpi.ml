@@ -151,7 +151,6 @@ let create_world engine ~devices =
 let ctx w ~rank = w.ctxs.(rank)
 let rank c = c.c_rank
 let size c = c.c_size
-let wtime c = Time.to_s (Engine.now c.c_engine)
 let set_liveness c pred = c.liveness <- pred
 
 let use_collectives w coll =

@@ -34,9 +34,6 @@ val ctx : world -> rank:int -> ctx
 val rank : ctx -> int
 val size : ctx -> int
 
-val wtime : ctx -> float
-(** Virtual wall-clock seconds since simulation start (MPI_Wtime). *)
-
 val set_liveness : ctx -> (int -> bool) option -> unit
 (** Install (or clear) a per-rank liveness predicate, e.g.
     [Madeleine.Vchannel.rank_alive vc]. [None] — the default — keeps
@@ -101,9 +98,6 @@ val crecv : comm -> src:int -> tag:int -> Bytes.t -> status
 
 val cbarrier : comm -> unit
 val cbcast : comm -> root:int -> Bytes.t -> unit
-
-val creduce :
-  comm -> root:int -> op:(Bytes.t -> Bytes.t -> Bytes.t) -> Bytes.t -> Bytes.t
 
 val callreduce :
   comm -> op:(Bytes.t -> Bytes.t -> Bytes.t) -> Bytes.t -> Bytes.t

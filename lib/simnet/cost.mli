@@ -5,10 +5,6 @@ val memcpy : int -> unit
 (** Charges the calling thread the time to copy [n] bytes through main
     memory at {!Netparams.memcpy_rate_mb_s}. Zero bytes cost nothing. *)
 
-val pages_of : int -> int
-(** Number of {!Netparams.page_size} pages spanned by [n] bytes (zero
-    for non-positive [n]). *)
-
 val pin : int -> unit
 (** Charges the calling thread the registration (pin-down) cost for a
     buffer of [n] bytes: {!Netparams.reg_base} plus

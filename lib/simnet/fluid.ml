@@ -67,7 +67,6 @@ let create engine ~name ~capacity_mb_s ?(contention_factor = 1.0)
 
 let name t = t.fluid_name
 let total_bytes t = t.moved.fv
-let busy_time t = t.busy_ns
 
 let utilization t ~now =
   if Time.equal now Time.zero then 0.0

@@ -75,9 +75,5 @@ val start :
 val total_bytes : t -> float
 (** Total bytes moved through this resource since creation. *)
 
-val busy_time : t -> Marcel.Time.span
-(** Cumulative virtual time during which at least one transfer was
-    active — [busy_time / elapsed] is the resource's utilization. *)
-
 val utilization : t -> now:Marcel.Time.t -> float
 (** Busy fraction of the interval [0, now]. *)

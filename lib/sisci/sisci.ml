@@ -77,7 +77,6 @@ let connect t ~node_id ~segment_id =
       | Some seg -> { local_end = t; remote = seg })
 
 let segment_size seg = Bytes.length seg.mem
-let remote_size rs = Bytes.length rs.remote.mem
 
 let check_bounds mem ~off ~len op =
   if off < 0 || len < 0 || off > Bytes.length mem - len then
@@ -228,7 +227,6 @@ let deregister r =
   r.r_active <- false;
   Simnet.Cost.unpin r.r_len
 
-let region_base r = r.r_pos
 let region_length r = r.r_len
 
 (* Expose a registered region as a connectable segment: the receiver side

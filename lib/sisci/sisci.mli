@@ -35,7 +35,6 @@ val connect : t -> node_id:int -> segment_id:int -> remote_segment
 (** Maps a peer's segment. Raises [Not_found] if it does not exist. *)
 
 val segment_size : local_segment -> int
-val remote_size : remote_segment -> int
 
 val pio_write : remote_segment -> off:int -> Bytes.t -> unit
 (** CPU store sequence into the mapped window. Blocks the calling thread
@@ -75,18 +74,15 @@ val deregister : region -> unit
 (** Unpins the region, charging {!Simnet.Cost.unpin}. The region becomes
     unusable; raises [Invalid_argument] if already deregistered. *)
 
-val region_base : region -> int
-(** Absolute offset of the region's first byte in its buffer. *)
-
 val region_length : region -> int
 
 val expose_region : t -> segment_id:int -> region -> local_segment
 (** Exposes a registered region as a connectable segment whose memory
     {e is} the underlying user buffer — remote writes land directly in
-    user memory (offsets are absolute buffer offsets; pass
-    {!region_base} to the writer). Free beyond the pin already charged
-    by {!register}. Raises [Invalid_argument] if the region is inactive,
-    belongs to another adapter, or the id is in use. *)
+    user memory (offsets are absolute buffer offsets). Free beyond the
+    pin already charged by {!register}. Raises [Invalid_argument] if the
+    region is inactive, belongs to another adapter, or the id is in
+    use. *)
 
 val retract_segment : local_segment -> unit
 (** Removes a segment from its adapter's table so the id can be reused.

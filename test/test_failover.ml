@@ -239,6 +239,94 @@ vchannel vc  channels=c-a,c-b mtu=4096 credits=4 reliable=true
     ]
     lines
 
+(* The stated walk order: a vchannel walks its per-pair state in
+   ascending rank order, and re-emission daemons and crash handshakes
+   spawn in that order. Source s (rank 0) sends one message to each of
+   d3, d4 and d5 through gateway g1 (rank 1), in descending order; g1
+   also sends one message to each. g1 crashes while all six pairs hold
+   unacked packets: the origin s re-emits over g2 in ascending
+   destination order, on its one connection to g2, so the re-emitted
+   messages land in that order. When g1 restarts, d3, d4 and d5
+   handshake in ascending order, and g1's second messages, each waiting
+   on its pair's handshake, land in that order too. Every message is
+   delivered exactly once. *)
+let test_walks_ascend () =
+  let engine, faults, vc =
+    built
+      {|
+faults  seed=1
+network ethA type=tcp
+network ethB type=tcp
+node s  nets=ethA
+node g1 nets=ethA,ethB
+node g2 nets=ethA,ethB
+node d3 nets=ethB
+node d4 nets=ethB
+node d5 nets=ethB
+channel c-a net=ethA nodes=s,g1,g2
+channel c-b net=ethB nodes=g1,g2,d3,d4,d5
+vchannel vc channels=c-a,c-b mtu=4096 reliable=true
+|}
+  in
+  let dsts = [ 3; 4; 5 ] and crash_at = Time.us 500.0 in
+  let restarted = Time.add (Time.add Time.zero crash_at) (Time.us 5_001.0) in
+  Alcotest.(check (list int)) "g1 carries s's traffic" [ 1; 3 ]
+    (Vc.route_via vc ~src:0 ~dst:3);
+  let msg ~src ~dst k =
+    payload 1000 (Int64.of_int ((100 * src) + (10 * dst) + k))
+  in
+  let arrivals = ref [] in
+  let recv ~src ~dst k =
+    let b = Bytes.create 1000 in
+    Harness.vc_recv vc ~me:dst ~remote:src b;
+    Alcotest.(check bool) "payload intact" true
+      (Bytes.equal b (msg ~src ~dst k));
+    arrivals := (Time.to_ns (Engine.now engine), src, dst, k) :: !arrivals
+  in
+  List.iter
+    (fun dst ->
+      Engine.spawn engine ~name:"s" (fun () ->
+          Harness.vc_send vc ~me:0 ~remote:dst (msg ~src:0 ~dst 0));
+      Engine.spawn engine ~name:"g1" (fun () ->
+          Harness.vc_send vc ~me:1 ~remote:dst (msg ~src:1 ~dst 0);
+          Engine.sleep (Time.diff restarted (Engine.now engine));
+          Harness.vc_send vc ~me:1 ~remote:dst (msg ~src:1 ~dst 1)))
+    (List.rev dsts);
+  List.iter
+    (fun dst ->
+      Engine.spawn engine ~name:"from s" (fun () -> recv ~src:0 ~dst 0);
+      Engine.spawn engine ~name:"from g1" (fun () ->
+          recv ~src:1 ~dst 0;
+          recv ~src:1 ~dst 1))
+    dsts;
+  let unacked_at_crash = ref [] in
+  Engine.at engine (Time.add Time.zero crash_at) (fun () ->
+      unacked_at_crash :=
+        List.filter_map
+          (fun f ->
+            if f.Vc.unacked > 0 then Some (f.Vc.flow_src, f.Vc.flow_dst)
+            else None)
+          (Vc.flow_stats vc);
+      Faults.crash_now faults ~node:1 ~restart_after:(Time.us 5_000.0) ());
+  Engine.run engine;
+  Alcotest.(check (list (pair int int))) "six pairs unacked at the crash"
+    [ (0, 3); (0, 4); (0, 5); (1, 3); (1, 4); (1, 5) ]
+    !unacked_at_crash;
+  let order src k =
+    List.sort compare !arrivals
+    |> List.filter_map (fun (_, s, d, k') ->
+           if s = src && k' = k then Some d else None)
+  in
+  Alcotest.(check (list int)) "re-emitted in ascending pair order" dsts
+    (order 0 0);
+  Alcotest.(check (list int)) "handshakes in ascending pair order" dsts
+    (order 1 1);
+  Alcotest.(check int) "every message delivered once" 9
+    (List.length !arrivals);
+  let rs = Option.get (Vc.rel_stats vc) in
+  Alcotest.(check (list int)) "re-emitted, dropped, handshakes" [ 3; 0; 3 ]
+    [ rs.Vc.reemitted; rs.Vc.dup_drops; rs.Vc.handshakes ]
+
 let test_window_beats_stop_and_wait () =
   let g = chaos_workload "goodput" in
   Alcotest.(check bool) "both streams intact" true
@@ -699,6 +787,8 @@ let () =
             test_window_beats_stop_and_wait;
           Alcotest.test_case "credit crash-restart: pinned counters" `Quick
             test_credit_crash_restart_pinned;
+          Alcotest.test_case "crash walks go in ascending pair order" `Quick
+            test_walks_ascend;
         ] );
       ( "live-topology",
         [

@@ -446,6 +446,56 @@ let test_extra_copy_hurts () =
     (Printf.sprintf "copy hurts: %.1f > %.1f" zero_copy one_copy)
     true (zero_copy > one_copy)
 
+(* Ranks outside the channel, whether a hole below its highest rank, a
+   rank above it or a negative one, get the typed errors of the rank
+   checks, never an array bounds error. *)
+let test_ranks_outside_channel () =
+  let cf =
+    Clusterfile.load
+      {|
+faults  seed=1
+network eth type=tcp
+node n0 nets=eth
+node n1 nets=eth
+node n2 nets=eth
+channel  c  net=eth nodes=n0,n2
+vchannel vc channels=c reliable=true version=1
+|}
+  in
+  let vc = Clusterfile.vchannel cf "vc" in
+  Alcotest.(check (list int)) "ranks" [ 0; 2 ] (Vc.ranks vc);
+  Alcotest.check_raises "route_length names both ranks"
+    (Invalid_argument
+       "Vchannel.route_length: rank 0 or 1 not part of the virtual channel \
+        (ranks 0,2)")
+    (fun () -> ignore (Vc.route_length vc ~src:0 ~dst:1));
+  let rejected what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) (what ^ " names the channel") true
+          (String.starts_with ~prefix:"Vchannel." msg)
+  in
+  List.iter
+    (fun r ->
+      rejected "route_via" (fun () -> ignore (Vc.route_via vc ~src:r ~dst:0));
+      rejected "peer_status" (fun () ->
+          ignore (Vc.peer_status vc ~src:0 ~dst:r));
+      rejected "begin_packing" (fun () ->
+          ignore (Vc.begin_packing vc ~me:0 ~remote:r));
+      rejected "begin_unpacking" (fun () ->
+          ignore (Vc.begin_unpacking vc ~me:r));
+      rejected "begin_unpacking_from" (fun () ->
+          ignore (Vc.begin_unpacking_from vc ~me:0 ~remote:r));
+      rejected "send_col" (fun () -> Vc.send_col vc ~src:r ~dst:0 Bytes.empty);
+      rejected "join" (fun () -> ignore (Vc.join vc ~rank:r));
+      Alcotest.(check bool) "not alive" false (Vc.rank_alive vc r);
+      Alcotest.(check bool) "not overloaded" false (Vc.rank_overloaded vc r);
+      Alcotest.(check bool) "no sentinel" true (Vc.sentinel vc ~rank:r = None);
+      Alcotest.(check bool) "quorum without elections" true
+        (Vc.has_quorum vc ~viewer:r))
+    [ 1; 3; -1 ]
+
 let () =
   Alcotest.run "vchannel"
     [
@@ -453,6 +503,8 @@ let () =
         [
           Alcotest.test_case "routes" `Quick test_routes;
           Alcotest.test_case "create rejections" `Quick test_create_rejections;
+          Alcotest.test_case "ranks outside the channel" `Quick
+            test_ranks_outside_channel;
         ] );
       ( "forwarding",
         [
