@@ -11,6 +11,7 @@ module Time = Marcel.Time
 module Faults = Simnet.Faults
 module Channel = Madeleine.Channel
 module Vc = Madeleine.Vchannel
+module Mb = Madeleine.Membership
 module Cf = Clusterfile
 
 open Json
@@ -110,9 +111,11 @@ let world ~seed ?(faulty = true) ?window ?(faults = []) ?vchannel segments =
   in
   Cf.load (String.concat "\n" lines)
 
-(* A world's fault plane, and its engine, fault plane and vchannel. *)
+(* A world's fault plane, and its engine, fault plane and vchannel;
+   the membership layer of a [version=] world. *)
 let plane w = Option.get (Cf.faults w)
 let parts w = (Cf.engine w, plane w, Cf.vchannel w "vc")
+let membership w = Option.get (Cf.membership w "vc")
 
 (* [fault KIND] lines at [rate] on every link of [segments]; none at a
    zero rate. Rates print with 17 digits, so they parse back exactly. *)
@@ -442,9 +445,7 @@ let failover_run ~seed ~size ~messages =
   in
   Engine.run engine;
   let intact = verified s && not (List.mem gw !route_after) in
-  let stats =
-    match Vc.rel_stats vc with Some s -> s | None -> assert false
-  in
+  let stats = Option.get (Vc.rel_stats vc) in
   let finish_us = Time.to_us s.finish in
   {
     fields =
@@ -575,7 +576,7 @@ let crash_restart_run ~seed ~size ~messages =
       ()
   in
   Engine.run engine;
-  let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let stats = Option.get (Vc.rel_stats vc) in
   let module S = Madeleine.Sentinel in
   let suspicions =
     List.map
@@ -647,10 +648,7 @@ let crash_restart_run ~seed ~size ~messages =
 
 let health_name h = Format.asprintf "%a" Madeleine.Iface.pp_health h
 
-let epoch_of vc =
-  match Vc.topology vc with
-  | Some snap -> Madeleine.Topology.epoch snap
-  | None -> -1
+let epoch_of m = Madeleine.Topology.epoch (Mb.topology m)
 
 (* Does any member rank's sentinel still probe [rank]? *)
 let some_sentinel_watches vc ~ranks ~rank =
@@ -664,13 +662,12 @@ let some_sentinel_watches vc ~ranks ~rank =
     ranks
 
 let rolling_restart_run ~seed ~size ~messages =
-  let engine, faults, vc =
-    parts (world ~seed two_gateways ~vchannel:elastic)
-  in
+  let w = world ~seed two_gateways ~vchannel:elastic in
+  let engine, faults, vc = parts w and m = membership w in
   let partitioned = ref false in
   let phase2_go = ref false in
   let rolled = ref [] in
-  let epoch_start = epoch_of vc in
+  let epoch_start = epoch_of m in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let other_gw = if gw = 1 then 2 else 1 in
   let s =
@@ -688,11 +685,11 @@ let rolling_restart_run ~seed ~size ~messages =
         wait_until engine (fun () -> Faults.epoch faults node > before)
       in
       let roll rank =
-        (match Vc.drain vc ~rank with
+        (match Mb.drain m ~rank with
         | () -> ()
         | exception Vc.Partitioned _ -> partitioned := true);
         restart_of rank;
-        (match Vc.join vc ~rank with
+        (match Mb.join m ~rank with
         | (_ : int) -> ()
         | exception Vc.Partitioned _ -> partitioned := true);
         rolled := !rolled @ [ rank ]
@@ -712,10 +709,8 @@ let rolling_restart_run ~seed ~size ~messages =
       rolled := !rolled @ [ 0 ];
       phase2_go := true);
   Engine.run engine;
-  let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  let topo =
-    match Vc.topology_stats vc with Some s -> s | None -> assert false
-  in
+  let stats = Option.get (Vc.rel_stats vc) in
+  let topo = Mb.topology_stats m in
   let queues = Vc.queue_stats vc in
   let bounded = bounded_queues queues in
   let delivered = Array.fold_left ( + ) 0 s.received in
@@ -725,8 +720,8 @@ let rolling_restart_run ~seed ~size ~messages =
   let exactly_once = verified s in
   let partitioned = !partitioned || s.partitioned in
   let finish_us = Time.to_us s.finish in
-  let epoch_final = topo.Vc.topo_epoch in
-  let joins = topo.Vc.topo_joins and drains = topo.Vc.topo_drains in
+  let epoch_final = topo.Mb.topo_epoch in
+  let joins = topo.Mb.topo_joins and drains = topo.Mb.topo_drains in
   {
     fields =
       [
@@ -812,9 +807,8 @@ let elastic_result ~op ~messages ~size ~rank ~epoch ~routable ~status
   }
 
 let join_load_run ~seed ~size ~messages =
-  let engine, _faults, vc =
-    parts (world ~seed two_gateways ~vchannel:elastic)
-  in
+  let w = world ~seed two_gateways ~vchannel:elastic in
+  let engine, _faults, vc = parts w and m = membership w in
   let partitioned = ref false in
   let joined = ref false in
   (* Background load 0 -> 1 runs across the epoch swap. *)
@@ -828,11 +822,11 @@ let join_load_run ~seed ~size ~messages =
   Engine.spawn engine ~name:"jl-controller" (fun () ->
       (* Rank 3 leaves before any traffic exists, then rejoins while the
          background stream is mid-flight. *)
-      Vc.drain vc ~rank:3;
+      Mb.drain m ~rank:3;
       while bg.count < max 1 (messages / 2) do
         Engine.sleep (Time.us 100.0)
       done;
-      (match Vc.join vc ~rank:3 with
+      (match Mb.join m ~rank:3 with
       | (_ : int) -> ()
       | exception Vc.Partitioned _ -> partitioned := true);
       joined := true);
@@ -845,7 +839,7 @@ let join_load_run ~seed ~size ~messages =
   in
   let status = health_name (Vc.peer_status vc ~src:0 ~dst:3) in
   let watched = some_sentinel_watches vc ~ranks:[ 0; 1; 2 ] ~rank:3 in
-  elastic_result ~op:"join" ~messages ~size ~rank:3 ~epoch:(epoch_of vc)
+  elastic_result ~op:"join" ~messages ~size ~rank:3 ~epoch:(epoch_of m)
     ~routable ~status ~watched
     ~partitioned:(!partitioned || bg.partitioned || fg.partitioned)
     ~intact:(verified bg && verified fg) ~finish:fg.finish
@@ -853,9 +847,8 @@ let join_load_run ~seed ~size ~messages =
       ("join-under-load-routable", routable && status = "up" && watched)
 
 let drain_load_run ~seed ~size ~messages =
-  let engine, _faults, vc =
-    parts (world ~seed two_gateways ~vchannel:elastic)
-  in
+  let w = world ~seed two_gateways ~vchannel:elastic in
+  let engine, _faults, vc = parts w and m = membership w in
   let partitioned = ref false in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let s = stream engine vc ~tag:31 ~src:0 ~dst:3 ~size ~messages () in
@@ -863,7 +856,7 @@ let drain_load_run ~seed ~size ~messages =
       (* The on-route gateway drains mid-stream: the 0 -> 3 flow must
          reroute through the spare with no Partitioned. *)
       wait_until engine (fun () -> s.count >= 1);
-      match Vc.drain vc ~rank:gw with
+      match Mb.drain m ~rank:gw with
       | () -> ()
       | exception Vc.Partitioned _ -> partitioned := true);
   Engine.run engine;
@@ -878,7 +871,7 @@ let drain_load_run ~seed ~size ~messages =
       ~ranks:(List.filter (fun r -> r <> gw) [ 0; 1; 2; 3 ])
       ~rank:gw
   in
-  elastic_result ~op:"drain" ~messages ~size ~rank:gw ~epoch:(epoch_of vc)
+  elastic_result ~op:"drain" ~messages ~size ~rank:gw ~epoch:(epoch_of m)
     ~routable:off_route ~status ~watched
     ~partitioned:(!partitioned || s.partitioned)
     ~intact:(verified s) ~finish:s.finish
@@ -908,33 +901,34 @@ let spawn_probe_loop engine vc ~stop =
         Engine.sleep (Time.us 400.0)
       done)
 
-let members_of vc =
-  match Vc.topology vc with
-  | Some snap -> List.sort compare (Madeleine.Topology.ranks snap)
-  | None -> []
+(* The four hosts with the coordinator seat quorum-elected, and the
+   flag that stops their prober. *)
+let partition_world ~seed =
+  let w = world ~seed four_hosts ~vchannel:(elastic ^ " election=on") in
+  let engine, faults, vc = parts w in
+  let stop = ref false in
+  spawn_probe_loop engine vc ~stop;
+  (engine, faults, vc, membership w, stop)
 
-let election_summary vc =
-  match Vc.election_stats vc with Some s -> s | None -> assert false
+let members_of m = Madeleine.Topology.ranks (Mb.topology m)
 
-let commit_epochs_unique (s : Vc.election_stats) =
-  let epochs = List.map fst s.Vc.commits in
+let commit_epochs_unique (s : Mb.election_stats) =
+  let epochs = List.map fst s.Mb.commits in
   List.sort_uniq compare epochs = List.sort compare epochs
 
 (* The shared tail of the partition workloads: the election audit and
    the common gates, plus each workload's own seat/flap gates. *)
-let partition_result vc ~workload:w ~messages ~size ~cycles
+let partition_result vc m ~workload:w ~messages ~size ~cycles
     ~coordinator_before ~cut_delivered ~minority_typed ~exactly_once ~finish
     =
-  let stats = election_summary vc in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
-  let coordinator_after =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
-  let elections = stats.Vc.elections in
+  let stats = Mb.election_stats m in
+  let rel = Option.get (Vc.rel_stats vc) in
+  let coordinator_after = Mb.coordinator m in
+  let elections = stats.Mb.elections in
   let epochs_unique = commit_epochs_unique stats in
-  let latency_us = stats.Vc.last_latency_us in
-  let pending = stats.Vc.pending in
-  let members = members_of vc in
+  let latency_us = stats.Mb.last_latency_us in
+  let pending = stats.Mb.pending in
+  let members = members_of m in
   let finish_us = Time.to_us finish in
   {
     fields =
@@ -1007,14 +1001,8 @@ let partition_result vc ~workload:w ~messages ~size ~cycles
    the typed [No_quorum], and the heal replays it — after which a fresh
    0 -> 3 stream must land exactly-once over the revived paths. *)
 let partition_majority_run ~seed ~size ~messages =
-  let engine, faults, vc =
-    parts (world ~seed four_hosts ~vchannel:(elastic ^ " election=on"))
-  in
-  let stop = ref false in
-  spawn_probe_loop engine vc ~stop;
-  let coordinator_before =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
+  let engine, faults, vc, m, stop = partition_world ~seed in
+  let coordinator_before = Mb.coordinator m in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
   let minority_typed = ref false in
@@ -1033,32 +1021,32 @@ let partition_majority_run ~seed ~size ~messages =
   in
   Engine.spawn engine ~name:"pt-controller" (fun () ->
       (* Rank 3 leaves cleanly before any cut exists. *)
-      (match Vc.drain vc ~rank:3 with
+      (match Mb.drain m ~rank:3 with
       | () -> ()
-      | exception (Vc.Partitioned _ | Vc.No_quorum _) -> ());
+      | exception (Vc.Partitioned _ | Mb.No_quorum _) -> ());
       wait_until engine (fun () -> bg.count >= messages);
       Faults.partition faults ~fabric:"eth" [ 3 ] [ 0; 1; 2 ];
       cut_active := true;
       Engine.sleep (Time.ms 10.0);
       (* The cut-side host asks back in: its request cannot reach the
          coordinator, so the intent parks with the typed error. *)
-      (match Vc.join vc ~rank:3 with
+      (match Mb.join m ~rank:3 with
       | (_ : int) -> ()
-      | exception Vc.No_quorum _ -> minority_typed := true
+      | exception Mb.No_quorum _ -> minority_typed := true
       | exception Vc.Partitioned _ -> ());
       wait_until engine (fun () -> bg.count >= 2 * messages);
       Faults.heal faults ~fabric:"eth";
       cut_active := false;
       (* The replay must re-admit rank 3 before the fresh stream can
          target it. *)
-      wait_until engine (fun () -> List.mem 3 (members_of vc));
+      wait_until engine (fun () -> List.mem 3 (members_of m));
       fg_gate := true;
       wait_until engine ~deadline_us:500_000.0 (fun () -> verified fg);
       Engine.sleep (Time.ms 5.0);
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  partition_result vc ~workload:"partition-majority" ~messages ~size
+  partition_result vc m ~workload:"partition-majority" ~messages ~size
     ~cycles:1 ~coordinator_before ~cut_delivered:!cut_delivered
     ~minority_typed:!minority_typed ~exactly_once:(verified bg && verified fg)
     ~finish:!finish
@@ -1068,14 +1056,8 @@ let partition_majority_run ~seed ~size ~messages =
    [Partitioned] flows and no quorum, and after the heal it rejoins as
    a plain member — a fresh stream from it must land exactly-once. *)
 let coordinator_loss_run ~seed ~size ~messages =
-  let engine, faults, vc =
-    parts (world ~seed four_hosts ~vchannel:(elastic ^ " election=on"))
-  in
-  let stop = ref false in
-  spawn_probe_loop engine vc ~stop;
-  let coordinator_before =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
+  let engine, faults, vc, m, stop = partition_world ~seed in
+  let coordinator_before = Mb.coordinator m in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
   let minority_typed = ref false in
@@ -1098,10 +1080,7 @@ let coordinator_loss_run ~seed ~size ~messages =
         (List.filter (fun r -> r <> coordinator_before) [ 0; 1; 2; 3 ]);
       cut_active := true;
       (* The majority stands its lowest member for the vacated seat. *)
-      wait_until engine (fun () ->
-          match Vc.coordinator vc with
-          | Some c -> c <> coordinator_before
-          | None -> false);
+      wait_until engine (fun () -> Mb.coordinator m <> coordinator_before);
       (* The deposed side: once its own detectors caught up, it has no
          quorum and a new flow fails with the typed error immediately
          instead of hanging on re-emission. *)
@@ -1122,7 +1101,7 @@ let coordinator_loss_run ~seed ~size ~messages =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  partition_result vc ~workload:"coordinator-loss" ~messages ~size
+  partition_result vc m ~workload:"coordinator-loss" ~messages ~size
     ~cycles:1 ~coordinator_before ~cut_delivered:!cut_delivered
     ~minority_typed:!minority_typed ~exactly_once:(verified bg && verified fg)
     ~finish:!finish
@@ -1133,14 +1112,8 @@ let coordinator_loss_run ~seed ~size ~messages =
    and a stream between two never-cut ranks keeps delivering through
    the churn. *)
 let partition_flapping_run ~seed ~size ~messages ~cycles =
-  let engine, faults, vc =
-    parts (world ~seed four_hosts ~vchannel:(elastic ^ " election=on"))
-  in
-  let stop = ref false in
-  spawn_probe_loop engine vc ~stop;
-  let coordinator_before =
-    match Vc.coordinator vc with Some c -> c | None -> -1
-  in
+  let engine, faults, vc, m, stop = partition_world ~seed in
+  let coordinator_before = Mb.coordinator m in
   let cut_active = ref false in
   let cut_delivered = ref 0 in
   let bg_done = ref false in
@@ -1157,16 +1130,11 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
       bg_done := true);
   Engine.spawn engine ~name:"pt-controller" (fun () ->
       for _ = 1 to cycles do
-        let seat =
-          match Vc.coordinator vc with Some c -> c | None -> 0
-        in
+        let seat = Mb.coordinator m in
         Faults.partition faults ~fabric:"eth" [ seat ]
           (List.filter (fun r -> r <> seat) [ 0; 1; 2; 3 ]);
         cut_active := true;
-        wait_until engine (fun () ->
-            match Vc.coordinator vc with
-            | Some c -> c <> seat
-            | None -> false);
+        wait_until engine (fun () -> Mb.coordinator m <> seat);
         (* The isolated old seat must know it lost quorum. *)
         if Vc.has_quorum vc ~viewer:seat then minority_typed := false;
         Faults.heal faults ~fabric:"eth";
@@ -1180,7 +1148,7 @@ let partition_flapping_run ~seed ~size ~messages ~cycles =
       finish := Engine.now engine;
       stop := true);
   Engine.run engine;
-  partition_result vc ~workload:"partition-flapping" ~messages:total ~size
+  partition_result vc m ~workload:"partition-flapping" ~messages:total ~size
     ~cycles ~coordinator_before ~cut_delivered:!cut_delivered
     ~minority_typed:!minority_typed ~exactly_once:(verified bg)
     ~finish:!finish
@@ -1212,9 +1180,7 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
     overload_one ~seed ~size ~messages ~credits ~mtu
       ~rx_cap:(Some rx_cap_mb_s)
   in
-  let cs =
-    match Vc.credit_stats vc with Some s -> s | None -> assert false
-  in
+  let cs = Option.get (Vc.credit_stats vc) in
   let queues = Vc.queue_stats vc in
   let inbox_peak, sendq_peak = Tcpnet.queue_peaks net in
   let intact = ok && clean_ok and bounded = bounded_queues queues in
@@ -1375,8 +1341,8 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
       (fun t s -> if Time.( < ) t s.finish then s.finish else t)
       Time.zero streams
   in
-  let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
-  let rs = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let ss = Option.get (Vc.sched_stats vc) in
+  let rs = Option.get (Vc.rel_stats vc) in
   let module S = Madeleine.Sched in
   let drop_pct = drop *. 100.0 and finish_us = Time.to_us finish in
   {

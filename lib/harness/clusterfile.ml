@@ -32,6 +32,7 @@ type t = {
   mutable chan_order : string list;
   vchan_tbl : (string, Madeleine.Vchannel.t) Hashtbl.t;
   mutable vchan_order : string list;
+  memb_tbl : (string, Madeleine.Membership.t) Hashtbl.t;
   coll_tbl : (string, Madeleine.Collectives.t) Hashtbl.t;
   mutable net_order : string list;
 }
@@ -46,6 +47,7 @@ let vchannels t = List.rev t.vchan_order
 let rank_of t name = (Hashtbl.find t.node_tbl name).Node.id
 let channel t name = Hashtbl.find t.chan_tbl name
 let vchannel t name = Hashtbl.find t.vchan_tbl name
+let membership t name = Hashtbl.find_opt t.memb_tbl name
 let collectives t name = Hashtbl.find_opt t.coll_tbl name
 
 let tcp t name =
@@ -434,9 +436,10 @@ let parse_line t lineno line =
       let version = ref None and coordinator = ref None in
       let election = ref false and topo_quorum = ref None in
       let coll = ref None and coll_fanout = ref None and coll_quorum = ref None in
-      (* Ranges are Vchannel.create's and Collectives.create's to judge
-         ([load] reports their rejections on this line); only the rules
-         stricter than the library's are checked here. *)
+      (* Ranges and cross-option rules are Vchannel.create's,
+         Membership.create's and Collectives.create's to judge ([load]
+         reports their rejections on this line); only the prerequisites
+         that decide which of them runs are checked here. *)
       List.iter
         (fun tok ->
           match split_kv lineno tok with
@@ -461,12 +464,7 @@ let parse_line t lineno line =
           | "aggr_flush_us", v ->
               aggr_flush :=
                 Some (Time.us (parse_float lineno "aggr_flush_us" v))
-          | "version", v ->
-              let n = parse_int lineno "version" v in
-              if n < 1 then
-                raise
-                  (Parse_error (lineno, "version expects an integer >= 1"));
-              version := Some n
+          | "version", v -> version := Some (parse_int lineno "version" v)
           | "coordinator", v ->
               coordinator :=
                 Some (find_or lineno t.node_tbl "node" v).Node.id
@@ -483,11 +481,7 @@ let parse_line t lineno line =
               | "flat" -> coll := Some Madeleine.Collectives.Flat
               | _ -> raise (Parse_error (lineno, "coll expects tree|flat")))
           | "coll_fanout", v ->
-              let n = parse_int lineno "coll_fanout" v in
-              if n < 2 then
-                raise
-                  (Parse_error (lineno, "coll_fanout expects an integer >= 2"));
-              coll_fanout := Some n
+              coll_fanout := Some (parse_int lineno "coll_fanout" v)
           | "coll_quorum", v ->
               coll_quorum := Some (parse_int lineno "coll_quorum" v)
           | k, _ -> raise (Parse_error (lineno, "unknown vchannel option " ^ k)))
@@ -499,6 +493,14 @@ let parse_line t lineno line =
           raise (Parse_error (lineno, "aggr_max= requires sched=aggreg"))
       | _, _, Some _ ->
           raise (Parse_error (lineno, "aggr_flush_us= requires sched=aggreg")));
+      if
+        Option.is_none !version
+        && (Option.is_some !coordinator || !election
+           || Option.is_some !topo_quorum)
+      then
+        raise
+          (Parse_error
+             (lineno, "coordinator=, election=on and topo_quorum= need version="));
       (match (!coll, !coll_fanout) with
       | Some Madeleine.Collectives.Tree, _ | _, None -> ()
       | _, Some _ ->
@@ -531,10 +533,15 @@ let parse_line t lineno line =
         Madeleine.Vchannel.create t.cf_session ?mtu:!mtu ?patience:!patience
           ?gateway_overhead:!overhead ?ingress_cap_mb_s:!cap
           ?credits:!credits ?gw_pool:!gw_pool ?faults:vc_faults ?sched:vc_sched
-          ?topology:!version ?coordinator:!coordinator ~election:!election
-          ?topo_quorum:!topo_quorum !chans
+          !chans
       in
       declare lineno t.vchan_tbl "vchannel" name vc;
+      Option.iter
+        (fun version ->
+          Hashtbl.replace t.memb_tbl name
+            (Madeleine.Membership.create ?coordinator:!coordinator
+               ~election:!election ?topo_quorum:!topo_quorum ~version vc))
+        !version;
       (match !coll with
       | None -> ()
       | Some algo ->
@@ -559,6 +566,7 @@ let load text =
       chan_order = [];
       vchan_tbl = Hashtbl.create 4;
       vchan_order = [];
+      memb_tbl = Hashtbl.create 4;
       coll_tbl = Hashtbl.create 4;
       net_order = [];
     }

@@ -35,19 +35,20 @@
     from {!Crossover.default_file}, written by [madbench crossover],
     and fails when no measurement exists), [regcache=N] (>= 0 cached
     registrations; 0 = register per send) and [regcache_bytes=BYTES]
-    (pinned-byte budget of the cache). A vchannel additionally accepts [version=N] (>= 1;
-    arms the live-topology plane with the clusterfile's membership as
-    epoch [N], see {!Madeleine.Vchannel.topology}) and
-    [coordinator=NODE] (a declared node that arbitrates joins and
-    drains; requires [version=], defaults to the lowest rank).
-    [election=on|off] (default [off]) replaces the static coordinator
-    with a quorum-elected one
-    ({!Madeleine.Vchannel.election_stats}); it requires [version=] and
-    [reliable=true], and [coordinator=] then merely seats the initial
-    incumbent. [topo_quorum=N] (>= 1) pins the election's ballot
-    quorum (default: a majority of the current membership) and
-    requires [election=on]. [coll=tree|flat] attaches a fault-tolerant
-    collectives layer ({!Madeleine.Collectives}, retrieved with
+    (pinned-byte budget of the cache). A vchannel additionally accepts
+    [version=N] (>= 1), which attaches a live-topology layer
+    ({!Madeleine.Membership}, retrieved with {!membership}) whose
+    epoch [N] is the clusterfile's membership, and [coordinator=NODE]
+    (a declared node that arbitrates joins and drains; requires
+    [version=], defaults to the lowest rank). [election=on|off]
+    (default [off]) replaces the static coordinator with a
+    quorum-elected one ({!Madeleine.Membership.election_stats}); it
+    requires [version=] and [reliable=true], and [coordinator=] then
+    merely seats the initial incumbent. [topo_quorum=N] (>= 1) pins
+    the election's ballot quorum (default: a majority of the current
+    membership) and requires [election=on]. With [version=] unset no
+    layer is created and the vchannel keeps its fixed membership.
+    [coll=tree|flat] attaches a fault-tolerant collectives layer ({!Madeleine.Collectives}, retrieved with
     {!collectives}); [coll_fanout=N] (>= 2, requires [coll=tree]) caps
     the children per spanning-tree node and [coll_quorum=N] (>= 1,
     requires [coll=]) is the live-rank minimum below which a collective
@@ -71,9 +72,10 @@
     declaration: unknown keywords, options or names, malformed values,
     options on a declaration or network kind that does not take them,
     unmet prerequisites between options, and values the library itself
-    refuses ({!Madeleine.Vchannel.create}, {!Madeleine.Channel.create},
-    {!Simnet.Faults}; for instance [coordinator=] without [version=], or
-    a [topo_quorum=] larger than the vchannel).
+    refuses ({!Madeleine.Vchannel.create},
+    {!Madeleine.Membership.create}, {!Madeleine.Collectives.create},
+    {!Madeleine.Channel.create}, {!Simnet.Faults}; for instance
+    [version=0], or a [topo_quorum=] larger than the vchannel).
 
     {2 Fault injection}
 
@@ -123,6 +125,11 @@ val rank_of : t -> string -> int
 
 val channel : t -> string -> Madeleine.Channel.t
 val vchannel : t -> string -> Madeleine.Vchannel.t
+
+val membership : t -> string -> Madeleine.Membership.t option
+(** The live-topology layer of a [version=] vchannel declaration, by
+    vchannel name; [None] when the vchannel was declared without
+    [version=] (unknown names also yield [None]). *)
 
 val collectives : t -> string -> Madeleine.Collectives.t option
 (** The collectives layer of a [coll=] vchannel declaration, by

@@ -737,7 +737,7 @@ let alltoall t ~me blocks =
 (* ------------------------------------------------------------------ *)
 
 let create ?(algo = Tree) ?(fanout = 4) ?(quorum = 1) ?patience vc =
-  if fanout < 1 then invalid_arg "Collectives.create: fanout must be >= 1";
+  if fanout < 2 then invalid_arg "Collectives.create: fanout must be >= 2";
   if quorum < 1 then invalid_arg "Collectives.create: quorum must be >= 1";
   let patience =
     match patience with

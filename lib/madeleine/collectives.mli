@@ -59,7 +59,7 @@ val create :
     packet moves until a collective is called, so a vchannel without a
     layer (clusterfile [coll=] unset) behaves byte-identically to one
     that never had the code. Raises [Invalid_argument] when [fanout]
-    or [quorum] is less than 1. *)
+    is less than 2 or [quorum] less than 1. *)
 
 val barrier : t -> me:int -> unit
 (** Synchronize the live ranks: returns once the decision of a

@@ -7,8 +7,7 @@
 
    Epochs are strictly increasing: every membership change produces a
    fresh snapshot with [epoch + 1]. Two snapshots are comparable with
-   {!diff}, which is what the vchannel uses to re-emit only the flows
-   whose routes could actually have changed. *)
+   {!diff}: the ranks whose sentinels an epoch swap learns or forgets. *)
 
 type t = { epoch : int; ranks : int list; coordinator : int }
 type change = { joined : int list; departed : int list }
@@ -56,8 +55,3 @@ let diff a b =
     joined = List.filter (fun r -> not (mem a r)) b.ranks;
     departed = List.filter (fun r -> not (mem b r)) a.ranks;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "epoch %d: {%s} coord %d" t.epoch
-    (String.concat "," (List.map string_of_int t.ranks))
-    t.coordinator

@@ -6,8 +6,8 @@
     Snapshots are immutable; {!join} and {!drain} return a fresh
     snapshot with the epoch advanced by one, so holders of an old
     snapshot keep a consistent view until they pick up the new one.
-    {!diff} compares two snapshots, which lets the vchannel re-emit only
-    the flows whose endpoints or relays actually changed.
+    {!diff} compares two snapshots: it is the change {!Membership}
+    hands the vchannel core at an epoch swap.
 
     The physical world (nodes, channels, fabrics) is fixed at
     {!Vchannel.create} time; the topology restricts which of those
@@ -50,4 +50,3 @@ val diff : t -> t -> change
 (** [diff old new_] lists the ranks that joined and departed going from
     [old] to [new_]. *)
 
-val pp : Format.formatter -> t -> unit

@@ -5,28 +5,6 @@ module Mutex = Marcel.Mutex
 module Condition = Marcel.Condition
 module Semaphore = Marcel.Semaphore
 
-(* Threads parked on a state change, released together by [wake_all].
-   [Engine.suspend]'s wake ignores repeat calls, so a parked thread may
-   sit both on the list and behind a deadline timer without a guard. *)
-module Waiters = struct
-  type t = { mutable parked : (unit -> unit) list }
-
-  let create () = { parked = [] }
-
-  (* Park until the next [wake_all], or until [deadline] on [engine]. *)
-  let park ?deadline w ~name =
-    Engine.suspend ~name (fun wake ->
-        w.parked <- wake :: w.parked;
-        match deadline with
-        | Some (engine, at) -> Engine.at engine at wake
-        | None -> ())
-
-  let wake_all w =
-    let parked = w.parked in
-    w.parked <- [];
-    List.iter (fun wake -> wake ()) parked
-end
-
 (* Byte stream with blocking reads and message-end markers, fed by the
    dispatcher threads and drained by user unpacks. *)
 module Assembler = struct
@@ -109,8 +87,6 @@ end
 type hop = { hop_channel : Channel.t; hop_to : int }
 
 exception Partitioned of string
-
-exception No_quorum of string
 
 (* Peak-tracking occupancy counter for one buffering point. *)
 type probe_point = { mutable pp_cur : int; mutable pp_peak : int }
@@ -275,64 +251,29 @@ type pump = {
   pump_buffers : Semaphore.t; (* the two pipeline buffers *)
 }
 
-(* Suppressed membership intents of a partitioned minority, replayed
-   through the winning coordinator once the cut heals. *)
-type intent = P_join of int | P_drain of int
-
-(* Quorum-election plane, present only when the vchannel was created
-   with [~election:true] (clusterfile [election=on]). It is a sub-plane
-   of live topology (it lives in [live.lv_elect]) and holds the fault
-   plane it requires: the sentinels carry both the suspicion verdicts a
-   candidacy rides on and the ballot registries. Candidacy is
-   epoch-numbered: term = current topology epoch + 1, and a commit is
-   [Topology.with_coordinator] — which bumps the epoch to exactly the
-   term — so two candidates can never both commit the same epoch: the
-   loser's re-check ([epoch < term]) fails after the winner's swap.
-   Ballots live in the candidate's {!Sentinel} tagged with the voter's
-   crash epoch, so a restarted voter's stale ballot stops counting
-   without any revocation traffic. *)
-type elect = {
-  el_rel : rel;
-  el_quorum : int option; (* pinned ballot quorum ([?topo_quorum]);
-                             [None] = majority of the current membership *)
-  mutable el_term : int; (* highest term seen locally *)
-  mutable el_elections : int; (* committed elections *)
-  mutable el_attempts : int; (* candidacies started *)
-  mutable el_refusals : int; (* candidacies/epoch bumps refused: no quorum *)
-  mutable el_commits : (int * int) list; (* (epoch, coordinator), newest first *)
-  mutable el_last_latency : Time.span; (* trigger -> commit, last election *)
-  mutable el_running : bool; (* a candidacy is in flight *)
-  mutable el_pending : intent list; (* minority's suppressed intents *)
-}
-
-(* Live-topology plane, present only when the vchannel was created with
-   [?topology] (clusterfile [version=]). The snapshot is the current
-   epoch's membership; every simulated rank reads the same snapshot, so
-   an epoch swap is one pointer assignment at the coordinator followed
-   by a route recomputation. Joins and drains travel as [top] control
-   packets over the data path, so they cross gateways, cost network
-   time, and interleave with live traffic like any other packet. *)
-type live = {
-  mutable lv_coordinator : int;
-      (* follows the snapshot's coordinator; mutable because a quorum
-         election can move it away from the clusterfile's choice *)
-  mutable lv_snapshot : Topology.t;
-  lv_draining : bool array;
-      (* ranks mid-drain: still routable, but accept no new flows *)
-  mutable lv_joins : int;
-  mutable lv_drains : int;
-  lv_waiters : Waiters.t; (* threads parked on the next epoch swap *)
-  lv_elect : elect option; (* quorum elections (clusterfile election=on) *)
+(* What the membership plane tells the core. [create] installs the
+   fixed topology of the paper's §6 (every rank a member, nobody
+   draining, suspicion global); {!Membership} replaces it. *)
+type view = {
+  member : int -> bool;
+  draining : int -> bool;
+  relative : bool;
+  trusted : int -> bool;
+  has_quorum : int -> bool;
+  on_top : me:int -> Bytes.t -> unit;
+  on_crash : int -> unit;
+  on_verdict : me:int -> int -> Sentinel.state -> unit;
 }
 
 (* Per-rank and per-pair state is held in arrays indexed by rank, sized
    by the highest rank of [all_ranks]; that set is fixed at [create]
-   ([join] only re-admits ranks already in it). Every walk over this
-   state visits ranks in ascending order, and pairs in ascending
-   (first rank, second rank) order: crash, restart, re-emission, drain,
-   suspicion, the sentinel hooks, route comparison and the stats views.
-   Re-emission daemons and crash handshakes spawn in that order, so it
-   is part of the simulated schedule. *)
+   (a membership join only re-admits ranks already in it). Every walk
+   over this state visits ranks in ascending order, and pairs in
+   ascending (first rank, second rank) order: crash, restart,
+   re-emission, quiescence, suspicion, the sentinel hooks, route
+   comparison and the stats views. Re-emission daemons and crash
+   handshakes spawn in that order, so it is part of the simulated
+   schedule. *)
 type t = {
   engine : Engine.t;
   mtu : int;
@@ -366,7 +307,7 @@ type t = {
   overload_track : bool; (* watermark machinery on (credits or gw_pool set) *)
   overloaded : bool array; (* gateways above their watermark *)
   mutable overload_events : int; (* Overloaded transitions (rising edges) *)
-  live : live option; (* live topology (clusterfile version=) *)
+  mutable view : view;
   mutable on_col : me:int -> origin:int -> Bytes.t -> unit;
       (* collective-control packets, delivered to the Collectives layer *)
   mutable on_health_change : unit -> unit;
@@ -410,9 +351,6 @@ let mem t r = r >= 0 && r < Array.length t.member && t.member.(r)
 
 (* Whether a route leads from [a] to [b] ([a <> b]). *)
 let routed t a b = match t.routes.(a).(b) with [] -> false | _ -> true
-
-let election t =
-  match t.live with Some { lv_elect = Some _; _ } -> true | _ -> false
 
 let not_in_channel t op ranks =
   invalid_arg
@@ -512,15 +450,6 @@ let touch_sentinel r ~rank = Option.iter Sentinel.touch r.sentinels.(rank)
 let node_up t n =
   match t.rel with Some r -> Simnet.Faults.node_up r.faults n | None -> true
 
-(* Park on [w] until [until ()] holds or the vchannel's patience runs
-   out; returns whether [until ()] was reached. *)
-let wait_patiently t w ~name ~until =
-  let deadline = Time.add (Engine.now t.engine) t.patience in
-  while (not (until ())) && Time.( < ) (Engine.now t.engine) deadline do
-    Waiters.park w ~name ~deadline:(t.engine, deadline)
-  done;
-  until ()
-
 (* Wait out a route hole from [at] to [dst] until a route recomputation
    restores a path. A node restarting with a new epoch is unroutable for
    the length of its restart window; waiting it out here is what lets
@@ -528,9 +457,11 @@ let wait_patiently t w ~name ~until =
    transient hole. *)
 let wait_route t r ~at ~dst =
   let routed () = routed t at dst in
-  let name = "vchannel.route" in
-  if not (wait_patiently t r.route_waiters ~name ~until:routed) then
-    raise (unroutable t ~at ~dst)
+  if
+    not
+      (Waiters.await r.route_waiters t.engine ~patience:t.patience
+         ~name:"vchannel.route" ~until:routed)
+  then raise (unroutable t ~at ~dst)
 
 (* One hop of a self-described packet: a regular Madeleine message on the
    hop's real channel, EXPRESS header then CHEAPER payload. The hop is
@@ -756,69 +687,17 @@ let handle_hs t r ~me header payload =
    back, or never held any of our data so no handshake will come). *)
 let wait_handshake t r tx ~src ~dst =
   let restored () = not tx.tx_lost in
-  let name = "vchannel.handshake" in
-  if not (wait_patiently t r.hs_waiters ~name ~until:restored) then
+  if
+    not
+      (Waiters.await r.hs_waiters t.engine ~patience:t.patience
+         ~name:"vchannel.handshake" ~until:restored)
+  then
     raise
       (Partitioned
          (Printf.sprintf
             "Vchannel: flow %d->%d lost its session to a crash and no \
              handshake restored it"
             src dst))
-
-(* ------------------------------------------------------------------ *)
-(* Live topology: the join/drain control plane. Membership changes are
-   arbitrated by the coordinator; requests and acknowledgments travel
-   as [top] packets on the data path (gateways forward them like data),
-   and the epoch swap itself is [apply_swap]: publish the new snapshot,
-   recompute routes, re-emit only the flows whose routes changed. *)
-
-let top_join_req = 1
-let top_join_ack = 2
-let top_drain_req = 3
-
-(* Election ops ride the same [top] control plane. Their payload is the
-   9-byte membership layout extended by two fields: the sender's highest
-   committed epoch and a watermark — the candidate's delivery-journal
-   depth on a vote request (the audit surface for highest-committed-wins
-   reconciliation), the voter's crash epoch on a vote ack (what lets the
-   candidate discard ballots from voters that have since restarted). *)
-let top_vote_req = 4
-let top_vote_ack = 5
-let top_coord = 6
-let top_payload_size = 9
-let top_ext_payload_size = 17
-
-let top_payload ~op ~rank ~epoch =
-  let b = Bytes.create top_payload_size in
-  Bytes.set b 0 (Char.chr op);
-  Bytes.set_int32_le b 1 (Int32.of_int rank);
-  Bytes.set_int32_le b 5 (Int32.of_int epoch);
-  b
-
-let top_ext_payload ~op ~rank ~term ~committed ~watermark =
-  let b = Bytes.create top_ext_payload_size in
-  Bytes.set b 0 (Char.chr op);
-  Bytes.set_int32_le b 1 (Int32.of_int rank);
-  Bytes.set_int32_le b 5 (Int32.of_int term);
-  Bytes.set_int32_le b 9 (Int32.of_int committed);
-  Bytes.set_int32_le b 13 (Int32.of_int watermark);
-  b
-
-(* A [top] control packet's header; the length is the payload's. *)
-let top_header ~src ~dst payload =
-  { (Generic_tm.header ~origin:src ~final_dst:dst
-       ~payload_len:(Bytes.length payload)) with
-    top = true;
-  }
-
-(* Fire-and-forget [top] packet. *)
-let send_top t ~src ~dst payload =
-  ship_detached t ~kind:"top" ~at:src (top_header ~src ~dst payload) payload
-
-(* Park until [until ()] holds or patience runs out; epoch swaps wake
-   every parked thread. Returns whether the condition was reached. *)
-let topo_wait t lv ~until =
-  wait_patiently t lv.lv_waiters ~name:"vchannel.topology" ~until
 
 let shares_channel t a b =
   List.exists
@@ -845,25 +724,19 @@ let unsuspect_all r rank =
 (* Call [f me s] for every rank's sentinel, in ascending rank order. *)
 let iter_sentinels r f = Array.iteri (fun me -> Option.iter (f me)) r.sentinels
 
-let sentinels_learn t rank =
-  match t.rel with
-  | None -> ()
-  | Some r ->
-      unsuspect_all r rank;
-      iter_sentinels r (fun me s ->
-          if me <> rank && shares_channel t me rank then Sentinel.learn s rank)
+let sentinels_learn t r rank =
+  unsuspect_all r rank;
+  iter_sentinels r (fun me s ->
+      if me <> rank && shares_channel t me rank then Sentinel.learn s rank)
 
 (* Dropping a departed rank from every detector is what keeps a
    long-lived elastic session's phi-accrual state from growing without
    bound — and what stops a sentinel from suspecting a rank that left
    gracefully. Sentinel.forget also voids the rank's recorded ballots,
    so a drained rank stops counting toward any quorum. *)
-let sentinels_forget t rank =
-  match t.rel with
-  | None -> ()
-  | Some r ->
-      unsuspect_all r rank;
-      iter_sentinels r (fun me s -> if me <> rank then Sentinel.forget s rank)
+let sentinels_forget r rank =
+  unsuspect_all r rank;
+  iter_sentinels r (fun me s -> if me <> rank then Sentinel.forget s rank)
 
 (* ------------------------------------------------------------------ *)
 (* Route refresh: one path for epoch swaps, Overloaded edges, crashes,
@@ -912,37 +785,47 @@ let reemit_flows ?(only = fun _ _ -> true) t r =
             Mutex.unlock (emission_lock t ~src ~dst)))
     t.tx
 
+(* The paper's fixed topology (§6: the real channels are set at
+   channel-configuration time): every rank a member, nobody draining,
+   suspicion global, no membership traffic. *)
+let fixed_view =
+  {
+    member = (fun _ -> true);
+    draining = (fun _ -> false);
+    relative = false;
+    trusted = (fun _ -> true);
+    has_quorum = (fun _ -> true);
+    on_top = (fun ~me:_ _ -> ());
+    on_crash = ignore;
+    on_verdict = (fun ~me:_ _ _ -> ());
+  }
+
+(* Whether [viewer] distrusts the live rank [n]: with relative suspicion
+   (quorum elections) its own sentinel's verdict, so under a symmetric
+   partition each side keeps full routes within itself instead of
+   everyone going dark because somebody somewhere suspects them;
+   otherwise any observer's verdict, standing for everybody. *)
+let suspects (view : view) r ~viewer n =
+  if view.relative then r.suspected.(viewer).(n) else r.susp_count.(n) > 0
+
 (* Whether the hop [viewer -> n] is unusable. Non-members of the
    current epoch are excluded from routing exactly like crashed nodes:
-   never a relay, never an endpoint. With no live topology every
+   never a relay, never an endpoint. Under the fixed view every
    physical rank is a member and the predicate reduces to the
-   crash/suspicion test — routes (and the schedule) are byte-identical
-   to a fixed-topology vchannel. With an election plane suspicion is
-   viewer-relative: the hop exists only when the viewer's own sentinel
-   trusts [n], so under a symmetric partition each side keeps full
-   routes within itself instead of everyone going dark because somebody
-   somewhere suspects them. *)
-let down ~live ~rel =
-  let member n =
-    match live with None -> true | Some lv -> Topology.mem lv.lv_snapshot n
-  in
-  match (rel, live) with
-  | None, _ -> fun _viewer n -> not (member n)
-  | Some r, Some { lv_elect = Some _; _ } ->
+   crash/suspicion test. *)
+let down (view : view) rel =
+  match rel with
+  | None -> fun _viewer n -> not (view.member n)
+  | Some r ->
       fun viewer n ->
-        (not (member n))
+        (not (view.member n))
         || (not (Simnet.Faults.node_up r.faults n))
-        || (viewer <> n && r.suspected.(viewer).(n))
-  | Some r, _ ->
-      fun _viewer n ->
-        (not (member n))
-        || (not (Simnet.Faults.node_up r.faults n))
-        || r.susp_count.(n) > 0
+        || suspects view r ~viewer n
 
 let routes_avoiding t down =
   compute_routes ~down ~n:(Array.length t.member) t.channels t.all_ranks
 
-let fresh_routes t = routes_avoiding t (down ~live:t.live ~rel:t.rel)
+let fresh_routes t = routes_avoiding t (down t.view t.rel)
 
 (* Recompute a reliable vchannel's routes and wake the senders waiting
    out a route hole. Prefer routes that avoid Overloaded gateways —
@@ -952,7 +835,7 @@ let fresh_routes t = routes_avoiding t (down ~live:t.live ~rel:t.rel)
 let recompute t r =
   let fresh = fresh_routes t in
   if Array.exists Fun.id t.overloaded then begin
-    let down = down ~live:t.live ~rel:t.rel in
+    let down = down t.view t.rel in
     let strict = routes_avoiding t (fun u n -> down u n || t.overloaded.(n)) in
     Array.iteri
       (fun src ->
@@ -984,149 +867,6 @@ let swap_routes t r =
   let after = t.routes in
   reemit_flows t r ~only:(fun src dst ->
       not (same_route before.(src).(dst) after.(src).(dst)))
-
-(* Without a fault plane an epoch swap only recomputes the routes:
-   nothing is logged for re-emission. *)
-let apply_swap t lv snap =
-  lv.lv_snapshot <- snap;
-  lv.lv_coordinator <- Topology.coordinator snap;
-  (match t.rel with
-  | Some r -> swap_routes t r
-  | None -> t.routes <- fresh_routes t);
-  t.on_health_change ();
-  Waiters.wake_all lv.lv_waiters
-
-(* The members of [viewer]'s side of the world: reachable over hops
-   whose sender trusts the receiver (the routes are computed with the
-   edge-shaped [down] predicate, so presence of a route IS trust-path
-   reachability), plus [viewer] itself. Under no partition this is the
-   whole live membership. *)
-let side_members t lv ~viewer =
-  List.filter
-    (fun m ->
-      node_up t m
-      && (m = viewer || routed t viewer m))
-    (Topology.ranks lv.lv_snapshot)
-
-(* The ballot quorum in force right now. Unpinned, it is a majority of
-   the CURRENT committed membership, not of the founding one — so a
-   legitimately shrunk topology (drains below the founding majority)
-   keeps its liveness, while two disjoint partition sides still can
-   never both hold a majority of the same membership. *)
-let quorum_needed lv el =
-  match el.el_quorum with
-  | Some q -> q
-  | None -> (List.length (Topology.ranks lv.lv_snapshot) / 2) + 1
-
-let side_has_quorum t lv el ~viewer =
-  List.length (side_members t lv ~viewer) >= quorum_needed lv el
-
-(* Depth of a rank's delivery journals — the watermark a candidacy
-   carries so reconciliation debates are auditable on the wire. *)
-let journal_watermark t rank =
-  let depth = ref 0 in
-  Pairs.iter_row (fun _ rx -> depth := !depth + rx.rx_next) t.rx rank;
-  !depth
-
-let handle_top t ~me header payload =
-  match t.live with
-  | None -> () (* stray control packet on a fixed-topology vchannel *)
-  | Some lv ->
-      if node_up t me && Bytes.length payload >= top_payload_size then begin
-        let op = Char.code (Bytes.get payload 0) in
-        let rank = Int32.to_int (Bytes.get_int32_le payload 1) in
-        ignore header;
-        (* A coordinator that cannot see a quorum refuses to bump the
-           epoch: a partitioned minority must surface typed errors, not
-           diverge from the majority's membership history. Without an
-           election plane the static coordinator always commits. *)
-        let may_commit () =
-          match lv.lv_elect with
-          | None -> true
-          | Some el ->
-              let ok = side_has_quorum t lv el ~viewer:me in
-              if not ok then el.el_refusals <- el.el_refusals + 1;
-              ok
-        in
-        if op = top_join_req then begin
-          if
-            me = lv.lv_coordinator
-            && (not (Topology.mem lv.lv_snapshot rank))
-            && may_commit ()
-          then begin
-            let snap = Topology.join lv.lv_snapshot rank in
-            lv.lv_joins <- lv.lv_joins + 1;
-            lv.lv_draining.(rank) <- false;
-            sentinels_learn t rank;
-            apply_swap t lv snap;
-            (* The swap above made the joiner routable; the ack rides
-               the recomputed routes and carries the epoch it joined. *)
-            send_top t ~src:me ~dst:rank
-              (top_payload ~op:top_join_ack ~rank ~epoch:(Topology.epoch snap))
-          end
-        end
-        else if op = top_join_ack then Waiters.wake_all lv.lv_waiters
-        else if op = top_drain_req then begin
-          if
-            me = lv.lv_coordinator
-            && Topology.mem lv.lv_snapshot rank
-            && rank <> lv.lv_coordinator
-            && may_commit ()
-          then begin
-            let snap = Topology.drain lv.lv_snapshot rank in
-            lv.lv_drains <- lv.lv_drains + 1;
-            lv.lv_draining.(rank) <- false;
-            t.overloaded.(rank) <- false;
-            sentinels_forget t rank;
-            apply_swap t lv snap
-          end
-        end
-        else if Bytes.length payload >= top_ext_payload_size then begin
-          let term = Int32.to_int (Bytes.get_int32_le payload 5) in
-          let committed = Int32.to_int (Bytes.get_int32_le payload 9) in
-          let watermark = Int32.to_int (Bytes.get_int32_le payload 13) in
-          if op = top_vote_req then begin
-            (* [rank] asks for this rank's ballot in [term]. Refuse
-               candidates behind our committed epoch (highest-committed
-               wins on merge) and grant at most one ballot per term; the
-               ack carries our crash epoch so the candidate can discard
-               the ballot if we restart before it counts. *)
-            match lv.lv_elect with
-            | Some el when Topology.mem lv.lv_snapshot me ->
-                let r = el.el_rel in
-                el.el_term <- max el.el_term term;
-                if committed >= Topology.epoch lv.lv_snapshot then begin
-                  match r.sentinels.(me) with
-                  | Some s when Sentinel.grant_vote s ~term ->
-                      send_top t ~src:me ~dst:rank
-                        (top_ext_payload ~op:top_vote_ack ~rank:me ~term
-                           ~committed:(Topology.epoch lv.lv_snapshot)
-                           ~watermark:(Simnet.Faults.epoch r.faults me))
-                  | _ -> ()
-                end
-            | _ -> ()
-          end
-          else if op = top_vote_ack then begin
-            (* A ballot granted to this rank: [watermark] is the voter's
-               crash epoch at the grant. *)
-            match lv.lv_elect with
-            | Some el ->
-                Option.iter
-                  (fun s ->
-                    Sentinel.record_ballot s ~voter:rank ~term
-                      ~voter_epoch:watermark)
-                  el.el_rel.sentinels.(me);
-                Waiters.wake_all lv.lv_waiters
-            | None -> ()
-          end
-          else if op = top_coord then
-            (* Commit announcement from the winner; the swap itself
-               already happened at the electorate's shared snapshot —
-               this packet is what makes the result observable on the
-               wire and wakes anyone parked on the old coordinator. *)
-            Waiters.wake_all lv.lv_waiters
-        end
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Collective control plane. The Collectives layer (see collectives.ml)
@@ -1172,161 +912,70 @@ let neighbours t rank =
     t.channels;
   List.rev !out
 
-(* A joining rank is not yet routable (routes exclude non-members), so
-   its join request takes one membership-blind physical hop toward the
-   coordinator; from that member node on, the packet rides the normal
-   routed path like any transit packet. *)
-let ship_top_physical t ~at ~dst payload =
-  let down _viewer n = not (node_up t n) in
-  match (routes_avoiding t down).(at).(dst) with
-  | hop :: _ -> (
-      try
-        send_hop ~at hop ~header:(top_header ~src:at ~dst payload) ~payload
-          ~payload_len:(Bytes.length payload)
-      with Config.Peer_unreachable msg -> raise (Partitioned msg))
-  | [] ->
-      raise
-        (Partitioned
-           (Printf.sprintf
-              "Vchannel.join: no physical path from %d to coordinator %d" at
-              dst))
-
-(* [rank]'s membership requests to the coordinator: a join takes the
-   physical first hop above, a drain notice the routed path. *)
-let ship_join_req t lv rank =
-  ship_top_physical t ~at:rank ~dst:lv.lv_coordinator
-    (top_payload ~op:top_join_req ~rank ~epoch:(Topology.epoch lv.lv_snapshot))
-
-let ship_drain_req t lv rank =
-  let payload =
-    top_payload ~op:top_drain_req ~rank ~epoch:(Topology.epoch lv.lv_snapshot)
-  in
-  ship_packet t ~at:rank
-    ~header:(top_header ~src:rank ~dst:lv.lv_coordinator payload)
-    ~payload ~payload_len:top_payload_size
-
 (* ------------------------------------------------------------------ *)
-(* Quorum elections. A candidacy is one epoch-numbered round: term =
-   current epoch + 1, a self-vote plus vote requests to every live
-   member, then a patience-bounded wait for [el_quorum] countable
-   ballots. The commit is [Topology.with_coordinator], which advances
-   the epoch to exactly the term — and is guarded by a lost-race
-   re-check, so of two concurrent candidacies in the same term at most
-   one ever commits that epoch. A minority side's candidacy simply
-   never reaches quorum and is recorded as a refusal. *)
+(* Membership hooks. The {!Membership} layer installs its view here and
+   drives epoch swaps; its [top] packets ride the forwarding path like
+   [col] ones, and their payloads go to the view's [on_top]. *)
 
-(* The lowest live member of [viewer]'s side — who should stand. *)
-let elect_candidate t lv ~viewer =
-  match side_members t lv ~viewer with c :: _ -> Some c | [] -> None
+let view t = t.view
+let set_view t v = t.view <- v
+let faults t = Option.map (fun r -> r.faults) t.rel
+let patience t = t.patience
+let reachable t ~src ~dst = mem t src && mem t dst && routed t src dst
 
-(* The lowest member of the current epoch that is up: who stands when
-   there is no trust view to ask — the coordinator crashed (the fault
-   plane's word is definitive), or an outsider's join went unanswered. *)
-let lowest_live_member lv el =
-  List.find_opt
-    (fun m -> Simnet.Faults.node_up el.el_rel.faults m)
-    (Topology.ranks lv.lv_snapshot)
+(* An epoch swap the view has already published: every sentinel learns
+   the joined ranks and forgets the departed ones, then the routes are
+   recomputed — on a reliable vchannel, re-emitting only the flows
+   whose route changed. *)
+let swap_epoch t { Topology.joined; departed } =
+  List.iter (fun rank -> t.overloaded.(rank) <- false) departed;
+  (match t.rel with
+  | Some r ->
+      List.iter (sentinels_learn t r) joined;
+      List.iter (sentinels_forget r) departed;
+      swap_routes t r
+  | None -> t.routes <- fresh_routes t);
+  t.on_health_change ()
 
-let run_election t lv el ~candidate =
-  let r = el.el_rel in
-  if el.el_running then
-    (* A candidacy is already in flight; park until it settles so
-       callers retrying a join/drain observe its outcome. *)
-    ignore (topo_wait t lv ~until:(fun () -> not el.el_running))
-  else begin
-    el.el_running <- true;
-    el.el_attempts <- el.el_attempts + 1;
-    let started = Engine.now t.engine in
-    let term = Topology.epoch lv.lv_snapshot + 1 in
-    el.el_term <- max el.el_term term;
-    let committed = Topology.epoch lv.lv_snapshot in
-    (match r.sentinels.(candidate) with
-    | None -> el.el_refusals <- el.el_refusals + 1
-    | Some s ->
-        if Sentinel.grant_vote s ~term then
-          Sentinel.record_ballot s ~voter:candidate ~term
-            ~voter_epoch:(Simnet.Faults.epoch r.faults candidate);
-        List.iter
-          (fun peer ->
-            if peer <> candidate && Simnet.Faults.node_up r.faults peer then
-              send_top t ~src:candidate ~dst:peer
-                (top_ext_payload ~op:top_vote_req ~rank:candidate ~term
-                   ~committed ~watermark:(journal_watermark t candidate)))
-          (Topology.ranks lv.lv_snapshot);
-        let quorum_now () =
-          List.length (Sentinel.ballots s ~term) >= quorum_needed lv el
-        in
-        let won = topo_wait t lv ~until:quorum_now in
-        if
-          won
-          && Topology.epoch lv.lv_snapshot < term
-          && candidate <> Topology.coordinator lv.lv_snapshot
-        then begin
-          let snap = Topology.with_coordinator lv.lv_snapshot candidate in
-          el.el_elections <- el.el_elections + 1;
-          el.el_commits <- (Topology.epoch snap, candidate) :: el.el_commits;
-          el.el_last_latency <- Time.diff (Engine.now t.engine) started;
-          apply_swap t lv snap;
-          List.iter
-            (fun peer ->
-              if peer <> candidate then
-                send_top t ~src:candidate ~dst:peer
-                  (top_ext_payload ~op:top_coord ~rank:candidate ~term
-                     ~committed:(Topology.epoch snap)
-                     ~watermark:(journal_watermark t candidate)))
-            (Topology.ranks lv.lv_snapshot)
-        end
-        else if not won then el.el_refusals <- el.el_refusals + 1);
-    el.el_running <- false;
-    Waiters.wake_all lv.lv_waiters
-  end
+(* Whether [rank] holds nothing in flight: cumulative acks cover every
+   re-emission-log entry it originated or is owed, and its forwarding
+   pools are idle. *)
+let quiescent t rank =
+  check_rank t "quiescent" rank;
+  let idle = ref (t.gateways.(rank).gw_slots.pp_cur = 0) in
+  let check _ tx = if not (Queue.is_empty tx.tx_log) then idle := false in
+  Pairs.iter_row check t.tx rank;
+  Pairs.iter_col check t.tx rank;
+  !idle
 
-(* Post-heal reconciliation: the shared snapshot already embodies the
-   majority's history (highest-committed-wins is structural — the
-   minority was refused every bump), so merging is replaying the
-   loser's suppressed join/drain intents through the winning
-   coordinator. Idempotent against the coordinator's membership guards;
-   intents that still cannot get through go back on the pending list
-   for the next heal. *)
-let replay_pending t lv el =
-  let pend = List.rev el.el_pending in
-  el.el_pending <- [];
-  List.iter
-    (fun intent ->
-      match intent with
-      | P_join rank ->
-          if not (Topology.mem lv.lv_snapshot rank) then begin
-            let attempt () =
-              (try ship_join_req t lv rank
-               with Partitioned _ | Config.Peer_unreachable _ -> ());
-              topo_wait t lv ~until:(fun () ->
-                  Topology.mem lv.lv_snapshot rank)
-            in
-            if not (attempt () || attempt ()) then
-              el.el_pending <- P_join rank :: el.el_pending
-          end
-      | P_drain rank ->
-          if
-            Topology.mem lv.lv_snapshot rank && rank <> lv.lv_coordinator
-          then begin
-            (* The routed drain notification needs the trust paths back
-               first: suspicion drains via Up probes shortly after the
-               heal, so wait for the rank-to-coordinator route before
-               shipping (patience-bounded; a failed ship is retried
-               once, then the intent goes back on the pending list). *)
-            ignore
-              (topo_wait t lv ~until:(fun () ->
-                   routed t rank lv.lv_coordinator));
-            let attempt () =
-              (try ship_drain_req t lv rank
-               with Partitioned _ | Config.Peer_unreachable _ -> ());
-              topo_wait t lv ~until:(fun () ->
-                  not (Topology.mem lv.lv_snapshot rank))
-            in
-            if not (attempt () || attempt ()) then
-              el.el_pending <- P_drain rank :: el.el_pending
-          end)
-    pend
+let top_header ~src ~dst payload =
+  { (Generic_tm.header ~origin:src ~final_dst:dst
+       ~payload_len:(Bytes.length payload)) with
+    top = true;
+  }
+
+let send_top t ~src ~dst payload =
+  check_ranks t "send_top" src dst;
+  ship_detached t ~kind:"top" ~at:src (top_header ~src ~dst payload) payload
+
+(* A physical first hop ignores membership and suspicion: it is how a
+   rank outside the current epoch reaches the member network. From the
+   next node on, the packet rides the routes like any transit packet. *)
+let ship_top ?(physical = false) t ~src ~dst payload =
+  check_ranks t "ship_top" src dst;
+  let header = top_header ~src ~dst payload in
+  let payload_len = Bytes.length payload in
+  if not physical then ship_packet t ~at:src ~header ~payload ~payload_len
+  else
+    match (routes_avoiding t (fun _ n -> not (node_up t n))).(src).(dst) with
+    | hop :: _ -> (
+        try send_hop ~at:src hop ~header ~payload ~payload_len
+        with Config.Peer_unreachable msg -> raise (Partitioned msg))
+    | [] ->
+        raise
+          (Partitioned
+             (Printf.sprintf "Vchannel.ship_top: no physical path from %d to %d"
+                src dst))
 
 (* Deliver a packet that reached its final node. Reliable vchannels
    accept only the expected sequence number (re-emitted duplicates and
@@ -1520,7 +1169,7 @@ let spawn_dispatcher t ~node channel =
             let { Generic_tm.col; top; hs; crd; ack; _ } = header in
             match t.rel with
             | _ when col -> handle_col t ~me:node header payload
-            | _ when top -> handle_top t ~me:node header payload
+            | _ when top -> t.view.on_top ~me:node payload
             | Some r when hs -> handle_hs t r ~me:node header payload
             | _ when crd -> handle_crd t ~me:node header payload
             | Some r when ack -> handle_ack t r header
@@ -1760,18 +1409,7 @@ let on_crash t r node =
     recompute t r;
     reemit_flows t r;
     t.on_health_change ();
-    (* A crashed coordinator needs no phi verdict: the fault plane's
-       word is definitive, so stand a candidate at once. *)
-    match t.live with
-    | Some ({ lv_elect = Some el; _ } as lv) when node = lv.lv_coordinator -> (
-        Waiters.wake_all lv.lv_waiters;
-        match lowest_live_member lv el with
-        | Some candidate ->
-            Engine.spawn t.engine ~daemon:true
-              ~name:(Printf.sprintf "vchannel.elect.crash.%d" candidate)
-              (fun () -> run_election t lv el ~candidate)
-        | None -> ())
-    | _ -> ()
+    t.view.on_crash node
   end
 
 let on_restart t r node =
@@ -1811,77 +1449,44 @@ let on_restart t r node =
     t.on_health_change ()
   end
 
-(* Healing restores the wire but not the detectors' opinions: touch
-   every sentinel so activity-gated probing re-arms and suspicion drains
-   organically via Up probes, then replay the minority's suppressed
-   join/drain intents once the coordinator's side holds quorum again. *)
-let on_heal t lv el _fabric =
-  iter_sentinels el.el_rel (fun _ s -> Sentinel.touch s);
-  Waiters.wake_all lv.lv_waiters;
-  if el.el_pending <> [] then
-    Engine.spawn t.engine ~daemon:true ~name:"vchannel.heal.replay" (fun () ->
-        if
-          topo_wait t lv ~until:(fun () ->
-              side_has_quorum t lv el ~viewer:lv.lv_coordinator)
-        then replay_pending t lv el)
-
 (* [me]'s sentinel changed its verdict on [peer]. Calling a still-live
    peer Down is a suspicion: routes are recomputed around the suspect
    and in-flight packets re-emitted, before any send times out on it.
-   With election off the first observer acts for everyone (the by-any
-   view is what routing sees, so later observers change nothing, and
-   the first good probe anywhere rehabilitates the peer for everyone);
-   with it on, every observer's own view shifts, so each one
-   recomputes. *)
+   With global suspicion the first observer acts for everyone (the
+   by-any view is what routing sees, so later observers change
+   nothing, and the first good probe anywhere rehabilitates the peer
+   for everyone); with relative suspicion every observer's own view
+   shifts, so each one recomputes. The membership view hears of every
+   verdict the core acted on. *)
 let on_verdict t r ~me peer _from to_ =
-  let elect =
-    match t.live with
-    | Some ({ lv_elect = Some el; _ } as lv) -> Some (lv, el)
-    | _ -> None
-  in
   match to_ with
   | Sentinel.Down when Simnet.Faults.node_up r.faults peer ->
       if not r.suspected.(me).(peer) then begin
         let was = r.susp_count.(peer) > 0 in
         r.suspected.(me).(peer) <- true;
         r.susp_count.(peer) <- r.susp_count.(peer) + 1;
-        if Option.is_some elect || not was then begin
+        if t.view.relative || not was then begin
           r.reroutes <- r.reroutes + 1;
           recompute t r;
           reemit_flows t r;
           t.on_health_change ()
         end;
-        match elect with
-        | Some (lv, el) ->
-            Waiters.wake_all lv.lv_waiters;
-            if peer = lv.lv_coordinator then
-              (* The coordinator just went dark for [me]: stand the
-                 side's lowest reachable member (not necessarily [me] —
-                 the observer may not be the side's natural candidate). *)
-              Engine.spawn t.engine ~daemon:true
-                ~name:(Printf.sprintf "vchannel.elect.%d" me)
-                (fun () ->
-                  match elect_candidate t lv ~viewer:me with
-                  | Some candidate -> run_election t lv el ~candidate
-                  | None -> ())
-        | None -> ()
+        t.view.on_verdict ~me peer to_
       end
-  | Sentinel.Up -> (
-      match elect with
-      | Some (lv, _) ->
-          if r.suspected.(me).(peer) then begin
-            unsuspect r me peer;
-            recompute t r;
-            t.on_health_change ();
-            Waiters.wake_all lv.lv_waiters
-          end
-      | None ->
-          if r.susp_count.(peer) > 0 then begin
-            Array.iter (fun row -> row.(peer) <- false) r.suspected;
-            r.susp_count.(peer) <- 0;
-            recompute t r;
-            t.on_health_change ()
-          end)
+  | Sentinel.Up when t.view.relative ->
+      if r.suspected.(me).(peer) then begin
+        unsuspect r me peer;
+        recompute t r;
+        t.on_health_change ();
+        t.view.on_verdict ~me peer to_
+      end
+  | Sentinel.Up ->
+      if r.susp_count.(peer) > 0 then begin
+        Array.iter (fun row -> row.(peer) <- false) r.suspected;
+        r.susp_count.(peer) <- 0;
+        recompute t r;
+        t.on_health_change ()
+      end
   | _ -> ()
 
 (* One phi-accrual sentinel per rank, probing its channel neighbours. *)
@@ -1908,7 +1513,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
     ?(patience = Config.default_route_patience)
     ?(gateway_overhead = Config.gateway_packet_overhead)
     ?(extra_gateway_copy = false) ?ingress_cap_mb_s ?credits ?gw_pool ?faults
-    ?sched ?topology ?coordinator ?(election = false) ?topo_quorum channels =
+    ?sched channels =
   if channels = [] then invalid_arg "Vchannel.create: no channels";
   if mtu <= Generic_tm.sub_header_size then
     invalid_arg "Vchannel.create: mtu too small";
@@ -1940,42 +1545,11 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   let all_ranks =
     List.concat_map Channel.ranks channels |> List.sort_uniq compare
   in
-  (* [all_ranks] is sorted: the coordinator defaults to the lowest rank,
-     and the highest one sizes the rank-indexed state. *)
+  (* [all_ranks] is sorted: the highest rank sizes the rank-indexed
+     state. *)
   let n = 1 + List.fold_left max 0 all_ranks in
   let member = Array.make n false in
   List.iter (fun r -> member.(r) <- true) all_ranks;
-  let coord = Option.value coordinator ~default:(List.hd all_ranks) in
-  (match topology with
-  | None ->
-      if Option.is_some coordinator then
-        invalid_arg "Vchannel.create: coordinator without a topology version"
-  | Some version ->
-      if version < 0 then invalid_arg "Vchannel.create: topology version < 0";
-      if not (List.mem coord all_ranks) then
-        invalid_arg
-          (Printf.sprintf
-             "Vchannel.create: coordinator %d not part of the virtual channel"
-             coord));
-  (* Election wants the whole stack under it: a topology to elect over
-     and a fault plane (sentinels carry both the suspicion verdicts the
-     candidacy triggers ride and the ballot registries). *)
-  if not election then begin
-    if Option.is_some topo_quorum then
-      invalid_arg "Vchannel.create: topo_quorum requires election"
-  end
-  else begin
-    if Option.is_none topology then
-      invalid_arg "Vchannel.create: election requires a topology version";
-    if Option.is_none faults then
-      invalid_arg "Vchannel.create: election requires a fault plane";
-    let n = List.length all_ranks in
-    match topo_quorum with
-    | Some q when q < 1 || q > n ->
-        invalid_arg
-          (Printf.sprintf "Vchannel.create: topo_quorum %d outside 1..%d" q n)
-    | _ -> ()
-  end;
   let rel =
     Option.map
       (fun f ->
@@ -1994,36 +1568,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
         })
       faults
   in
-  let live =
-    Option.map
-      (fun version ->
-        {
-          lv_coordinator = coord;
-          lv_snapshot = Topology.make ~epoch:version ~coordinator:coord all_ranks;
-          lv_draining = Array.make n false;
-          lv_joins = 0;
-          lv_drains = 0;
-          lv_waiters = Waiters.create ();
-          lv_elect =
-            (match rel with
-            | Some r when election ->
-                Some
-                  {
-                    el_rel = r;
-                    el_quorum = topo_quorum;
-                    el_term = 0;
-                    el_elections = 0;
-                    el_attempts = 0;
-                    el_refusals = 0;
-                    el_commits = [];
-                    el_last_latency = Time.zero;
-                    el_running = false;
-                    el_pending = [];
-                  }
-            | _ -> None);
-        })
-      topology
-  in
   let credit_plane =
     Option.map
       (fun budget ->
@@ -2041,7 +1585,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   in
   let pool = Option.value gw_pool ~default:Config.default_gateway_pool in
   let routes =
-    compute_routes ~down:(down ~live ~rel) ~n channels all_ranks
+    compute_routes ~down:(down fixed_view rel) ~n channels all_ranks
   in
   let t =
     {
@@ -2082,7 +1626,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       overload_track = Option.is_some credits || Option.is_some gw_pool;
       overloaded = Array.make n false;
       overload_events = 0;
-      live;
+      view = fixed_view;
       on_col = (fun ~me:_ ~origin:_ _ -> ());
       on_health_change = (fun () -> ());
       unacked_cap = Option.value credits ~default:Config.default_unacked_window;
@@ -2101,10 +1645,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       List.iter Channel.relax_checked channels;
       Simnet.Faults.on_crash r.faults (on_crash t r);
       Simnet.Faults.on_restart r.faults (on_restart t r);
-      (match live with
-      | Some ({ lv_elect = Some el; _ } as lv) ->
-          Simnet.Faults.on_heal r.faults (on_heal t lv el)
-      | _ -> ());
       List.iter (start_sentinel t r) all_ranks);
   (match sched_cfg with
   | None -> ()
@@ -2148,22 +1688,18 @@ let begin_packing ?(flow = 0) t ~me ~remote =
          (sched=aggreg)");
   (* A draining rank stays routable (its in-flight flows must finish)
      but accepts no NEW flows — that is what lets its journals drain. A
-     departed rank is simply unroutable, caught by the route check
-     below like any partition. *)
-  (match t.live with
-  | Some lv ->
-      let refuse r reason =
-        raise
-          (Partitioned
-             (Printf.sprintf "Vchannel.begin_packing: rank %d is %s" r reason))
-      in
-      if lv.lv_draining.(me) then refuse me "draining"
-      else if lv.lv_draining.(remote) then refuse remote "draining"
-      else if not (Topology.mem lv.lv_snapshot me) then
-        refuse me "not in the current topology epoch"
-      else if not (Topology.mem lv.lv_snapshot remote) then
-        refuse remote "not in the current topology epoch"
-  | None -> ());
+     rank outside the current epoch is refused the same way. *)
+  let refuse r reason =
+    raise
+      (Partitioned
+         (Printf.sprintf "Vchannel.begin_packing: rank %d is %s" r reason))
+  in
+  let v = t.view in
+  if v.draining me then refuse me "draining"
+  else if v.draining remote then refuse remote "draining"
+  else if not (v.member me) then refuse me "not in the current topology epoch"
+  else if not (v.member remote) then
+    refuse remote "not in the current topology epoch";
   if not (routed t me remote) then raise (unroutable t ~at:me ~dst:remote);
   let lock = send_lock t ~src:me ~dst:remote ~flow in
   Mutex.lock lock;
@@ -2296,158 +1832,6 @@ let flush t ~me =
   match t.sched with None -> () | Some sc -> Sched.flush_all sc ~src:me
 
 (* ------------------------------------------------------------------ *)
-(* Live topology: the public membership verbs *)
-
-let topology t =
-  match t.live with Some lv -> Some lv.lv_snapshot | None -> None
-
-let join t ~rank =
-  match t.live with
-  | None -> invalid_arg "Vchannel.join: no live topology (version= unset)"
-  | Some lv ->
-      if not (mem t rank) then
-        invalid_arg
-          (Printf.sprintf
-             "Vchannel.join: rank %d not part of the virtual channel" rank);
-      if Topology.mem lv.lv_snapshot rank then
-        invalid_arg
-          (Printf.sprintf "Vchannel.join: rank %d is already a member" rank);
-      if not (node_up t rank) then
-        raise
-          (Partitioned (Printf.sprintf "Vchannel.join: rank %d is down" rank));
-      let admitted () = Topology.mem lv.lv_snapshot rank in
-      (match lv.lv_elect with
-      | None ->
-          ship_join_req t lv rank;
-          if not (topo_wait t lv ~until:admitted) then
-            raise
-              (Partitioned
-                 (Printf.sprintf
-                    "Vchannel.join: coordinator %d did not admit rank %d \
-                     within patience"
-                    lv.lv_coordinator rank))
-      | Some el ->
-          (* Transparently re-targeted join: if the coordinator does not
-             answer, stand a replacement and retry against whoever holds
-             the (possibly new) post-election coordinator seat. A joiner
-             that still cannot get through is on a minority side — park
-             the intent for post-heal replay and surface a typed error. *)
-          let attempt () =
-            (try
-               ship_join_req t lv rank;
-               true
-             with Partitioned _ | Config.Peer_unreachable _ -> false)
-            && topo_wait t lv ~until:admitted
-          in
-          if not (attempt ()) && not (admitted ()) then begin
-            (* The joiner is an outsider: its trust view is empty, so
-               stand the lowest live member instead. *)
-            (match lowest_live_member lv el with
-            | Some candidate -> run_election t lv el ~candidate
-            | None -> ());
-            if not (attempt ()) && not (admitted ()) then begin
-              el.el_pending <- P_join rank :: el.el_pending;
-              raise
-                (No_quorum
-                   (Printf.sprintf
-                      "Vchannel.join: no quorum reachable to admit rank %d \
-                       (intent parked for post-heal replay)"
-                      rank))
-            end
-          end);
-      Topology.epoch lv.lv_snapshot
-
-let drain t ~rank =
-  match t.live with
-  | None -> invalid_arg "Vchannel.drain: no live topology (version= unset)"
-  | Some lv ->
-      if not (Topology.mem lv.lv_snapshot rank) then
-        invalid_arg
-          (Printf.sprintf "Vchannel.drain: rank %d is not a member" rank);
-      if rank = lv.lv_coordinator then
-        invalid_arg
-          (Printf.sprintf "Vchannel.drain: rank %d is the coordinator" rank);
-      (* Phase 1 — stop accepting new flows involving this rank. *)
-      lv.lv_draining.(rank) <- true;
-      (* Phase 2 — quiesce: cumulative acks must cover every journal
-         entry the rank originated or is owed, and its forwarding pools
-         must be idle, so nothing in flight dies with its departure. *)
-      let quiet () =
-        let idle = ref (t.gateways.(rank).gw_slots.pp_cur = 0) in
-        let check _ tx = if not (Queue.is_empty tx.tx_log) then idle := false in
-        Pairs.iter_row check t.tx rank;
-        Pairs.iter_col check t.tx rank;
-        !idle
-      in
-      let deadline = Time.add (Engine.now t.engine) t.patience in
-      while (not (quiet ())) && Time.( < ) (Engine.now t.engine) deadline do
-        Engine.sleep (Time.us 50.0)
-      done;
-      if not (quiet ()) then begin
-        lv.lv_draining.(rank) <- false;
-        raise
-          (Partitioned
-             (Printf.sprintf
-                "Vchannel.drain: rank %d could not flush its journals within \
-                 patience"
-                rank))
-      end;
-      (* Phase 3 — tell the coordinator; it swaps the epoch, forgets the
-         rank in every sentinel, and the recomputed routes drop it. *)
-      let departed () = not (Topology.mem lv.lv_snapshot rank) in
-      (match lv.lv_elect with
-      | None ->
-          (try ship_drain_req t lv rank
-           with Partitioned _ | Config.Peer_unreachable _ ->
-             lv.lv_draining.(rank) <- false;
-             raise
-               (Partitioned
-                  (Printf.sprintf "Vchannel.drain: coordinator %d unreachable"
-                     lv.lv_coordinator)));
-          if not (topo_wait t lv ~until:departed) then begin
-            lv.lv_draining.(rank) <- false;
-            raise
-              (Partitioned
-                 (Printf.sprintf
-                    "Vchannel.drain: coordinator %d did not confirm the \
-                     departure of rank %d within patience"
-                    lv.lv_coordinator rank))
-          end
-      | Some el ->
-          let attempt () =
-            (try
-               ship_drain_req t lv rank;
-               true
-             with Partitioned _ | Config.Peer_unreachable _ -> false)
-            && topo_wait t lv ~until:departed
-          in
-          if not (attempt ()) && not (departed ()) then begin
-            (* A rank on its way out must not stand itself: pick the
-               side's lowest member other than the drainer. *)
-            (match
-               List.filter (fun m -> m <> rank) (side_members t lv ~viewer:rank)
-             with
-            | candidate :: _ -> run_election t lv el ~candidate
-            | [] -> ());
-            if
-              (rank <> lv.lv_coordinator && not (attempt ()))
-              && not (departed ())
-            then begin
-              (* Minority side: withdraw the drain mark (the rank stays
-                 a member until the majority hears about it) and park
-                 the intent for the post-heal replay. *)
-              lv.lv_draining.(rank) <- false;
-              el.el_pending <- P_drain rank :: el.el_pending;
-              raise
-                (No_quorum
-                   (Printf.sprintf
-                      "Vchannel.drain: no quorum reachable to retire rank %d \
-                       (intent parked for post-heal replay)"
-                      rank))
-            end
-          end)
-
-(* ------------------------------------------------------------------ *)
 (* Reception *)
 
 type in_connection = {
@@ -2526,21 +1910,12 @@ let peer_status t ~src ~dst =
      departed rank is a typed verdict, not a lookup failure — and not
      [Down], which failover would keep trying to route around. The
      routes already exclude it, so nothing ever reroutes *to* it. *)
-  match t.live with
-  | Some lv
-    when (not (Topology.mem lv.lv_snapshot dst))
-         || not (Topology.mem lv.lv_snapshot src) ->
-      Iface.Departed
-  | _ -> (
+  if not (t.view.member dst && t.view.member src) then Iface.Departed
+  else
   match t.rel with
   | Some r
     when (not (Simnet.Faults.node_up r.faults dst))
-         ||
-         (* With an election plane suspicion is observer-relative (the
-            asker's own verdict); without one any observer's verdict
-            stands for everybody — the pre-election global semantics. *)
-         (if election t then r.suspected.(src).(dst)
-          else r.susp_count.(dst) > 0) ->
+         || suspects t.view r ~viewer:src dst ->
       Iface.Down
   | _ -> (
       if src = dst then Iface.Up
@@ -2563,7 +1938,7 @@ let peer_status t ~src ~dst =
               || List.exists (fun h -> t.overloaded.(h.hop_to)) hops
             then Iface.Overloaded
             else if n > base then Iface.Degraded (n - base)
-            else Iface.Up))
+            else Iface.Up)
 
 type rel_stats = {
   reroutes : int;
@@ -2685,66 +2060,10 @@ let queue_stats t =
     t.tx;
   List.rev !rows
 
-type topology_stats = {
-  topo_epoch : int;
-  topo_members : int list;
-  topo_coordinator : int;
-  topo_joins : int;
-  topo_drains : int;
-}
-
-let topology_stats t =
-  match t.live with
-  | None -> None
-  | Some lv ->
-      Some
-        {
-          topo_epoch = Topology.epoch lv.lv_snapshot;
-          topo_members = Topology.ranks lv.lv_snapshot;
-          topo_coordinator = lv.lv_coordinator;
-          topo_joins = lv.lv_joins;
-          topo_drains = lv.lv_drains;
-        }
-
-let coordinator t =
-  match t.live with Some lv -> Some lv.lv_coordinator | None -> None
-
-(* The collectives' fail-fast oracle: can [viewer] currently see a
-   quorum of members on its own side of whatever cuts exist? Always
-   true without an election plane — quorum is then not a concept the
-   channel tracks. *)
-let has_quorum t ~viewer =
-  match t.live with
-  | Some ({ lv_elect = Some el; _ } as lv) ->
-      mem t viewer
-      && Simnet.Faults.node_up el.el_rel.faults viewer
-      && side_has_quorum t lv el ~viewer
-  | _ -> true
-
-type election_stats = {
-  quorum : int;
-  elections : int;  (** committed coordinator changes *)
-  attempts : int;  (** candidacies started *)
-  refusals : int;  (** quorum refusals: failed candidacies + vetoed bumps *)
-  commits : (int * int) list;  (** (epoch, coordinator), oldest first *)
-  pending : int;  (** parked minority intents awaiting a heal *)
-  last_latency_us : float;
-}
-
-let election_stats t =
-  match t.live with
-  | Some ({ lv_elect = Some el; _ } as lv) ->
-      Some
-        {
-          quorum = quorum_needed lv el;
-          elections = el.el_elections;
-          attempts = el.el_attempts;
-          refusals = el.el_refusals;
-          commits = List.rev el.el_commits;
-          pending = List.length el.el_pending;
-          last_latency_us = Time.to_us el.el_last_latency;
-        }
-  | _ -> None
+(* The collectives' fail-fast oracle, answered by the membership
+   view: always true under the fixed view, where quorum is not a
+   concept the channel tracks. *)
+let has_quorum t ~viewer = t.view.has_quorum viewer
 
 let sentinel t ~rank =
   match t.rel with
@@ -2769,27 +2088,16 @@ let engine t = t.engine
    collective iff it is part of the vchannel, a member of the current
    topology epoch (and not mid-drain), actually up, and not under
    suspicion — the same predicate routing uses, so a tree built over
-   live ranks is also routable. *)
+   live ranks is also routable. Under relative suspicion the view says
+   who is trusted. *)
 let rank_alive t rank =
-  mem t rank
-  && (match t.live with
-     | Some lv ->
-         Topology.mem lv.lv_snapshot rank && not lv.lv_draining.(rank)
-     | None -> true)
+  mem t rank && t.view.member rank
+  && (not (t.view.draining rank))
   &&
   match t.rel with
-  | Some r -> (
+  | Some r ->
       Simnet.Faults.node_up r.faults rank
-      &&
-      match t.live with
-      | Some ({ lv_elect = Some _; _ } as lv) ->
-          (* Election on: alive means "in the coordinator's trust
-             component" — the committed side's view, so majority trees
-             exclude the whole minority, not just directly-suspected
-             neighbours. Route presence is the trust-path closure. *)
-          rank = lv.lv_coordinator
-          || routed t lv.lv_coordinator rank
-      | _ -> r.susp_count.(rank) = 0)
+      && if t.view.relative then t.view.trusted rank else r.susp_count.(rank) = 0
   | None -> true
 
 let rank_overloaded t rank = mem t rank && t.overloaded.(rank)

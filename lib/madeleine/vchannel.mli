@@ -21,7 +21,13 @@
     node, packet payloads are extracted by the dispatcher as they arrive
     (a progress engine), so the user-facing [unpack] pays no further
     modelled copy. [Send_later] buffers are read eagerly at [pack] — the
-    generic TM cannot defer across gateways. *)
+    generic TM cannot defer across gateways.
+
+    The rank set is fixed at [create], as in the paper (§6: the real
+    channels are set at channel-configuration time). Live membership —
+    epochs, joins, drains and quorum-elected coordinators — is the
+    {!Membership} layer, which sits on top of a vchannel the way
+    {!Collectives} does and replaces the core's fixed {!view}. *)
 
 type t
 
@@ -31,12 +37,6 @@ exception Partitioned of string
     it is raised by [begin_packing]/[pack]/[end_packing] once every
     gateway path to the destination is gone, and by the route queries
     below when two ranks are disconnected. *)
-
-exception No_quorum of string
-(** On an election-enabled vchannel, the caller's side of a partition
-    cannot assemble a membership quorum: minority-side {!join}/{!drain}
-    raise this (after parking the intent for post-heal replay) instead
-    of hanging or silently diverging from the majority's history. *)
 
 val create :
   Session.t ->
@@ -49,10 +49,6 @@ val create :
   ?gw_pool:int ->
   ?faults:Simnet.Faults.t ->
   ?sched:Sched.strategy ->
-  ?topology:int ->
-  ?coordinator:int ->
-  ?election:bool ->
-  ?topo_quorum:int ->
   Channel.t list ->
   t
 (** [mtu] defaults to {!Config.default_vchannel_mtu}; it is the payload
@@ -109,7 +105,7 @@ val create :
     after a node restarts with a new fault-plane epoch, peers holding a
     delivery journal for it send back their expected sequence numbers,
     the restarted node resumes numbering there, and end-to-end delivery
-    stays exactly-once across the restart. Crash, restart, drain and
+    stays exactly-once across the restart. Crash, restart, quiescence and
     re-emission visit the per-pair state in ascending rank order, so
     re-emitted packets and handshakes leave in ascending pair order;
     that order is part of the simulated schedule. [patience] (default
@@ -136,53 +132,13 @@ val create :
     charged per constituent frame, and gateways forward aggregates
     without unpacking them.
 
-    [topology] (the clusterfile's [version=] key) arms the live-topology
-    plane: the rank set becomes a versioned {!Topology} snapshot starting
-    at epoch [topology], with [coordinator] (default: the lowest rank)
-    arbitrating membership. Ranks can then {!drain} out of and {!join}
-    back into the session at runtime, under traffic: an epoch swap
-    recomputes routes and re-emits only the flows whose routes actually
-    changed (under their emission locks), and the sentinels learn/forget
-    ranks as epochs advance. Unset (the default) none of this machinery
-    exists, [coordinator] is rejected, and routes and schedules are
-    byte-identical to the fixed-topology library.
-
-    [election] (the clusterfile's [election=on] key; requires both
-    [topology] and [faults]) replaces the static coordinator with a
-    quorum-elected one. Suspicion becomes observer-relative and routes
-    follow trust paths — an edge is usable only if its sender trusts
-    the next hop — so each side of a partition keeps routing among
-    itself. When a rank observes the coordinator dark (sentinel Down or
-    a crash), its side's lowest reachable member stands for term
-    [epoch + 1]: one ballot per rank per term (ballots are voided by
-    the voter's crash-epoch restart — see {!Sentinel.reset_election}),
-    and a candidacy commits the epoch bump only with [topo_quorum]
-    countable ballots (unpinned, a majority of the {e current}
-    committed membership, so a legitimately shrunk topology keeps its
-    liveness; two disjoint partition sides still can never both hold
-    a majority of the same membership) — so of two concurrent
-    candidacies at most one ever commits a given
-    epoch, and a minority side can neither elect nor commit membership
-    changes: its coordinator refuses epoch bumps ({e refusals} in
-    {!election_stats}) and its {!join}/{!drain} raise {!No_quorum}
-    after parking the intent. On heal, reconciliation is
-    highest-committed-wins (structural: the minority never advanced)
-    and parked intents replay through the winning coordinator once it
-    holds quorum again, exactly once. Unset (the default) the election
-    plane does not exist: suspicion semantics, routes and schedules are
-    byte-identical to the static-coordinator library.
-
-    Plane dependencies: [faults], [credits], [gw_pool], [sched],
-    [ingress_cap_mb_s] and [topology] each stand alone. [coordinator]
-    needs [topology]. [election] needs both [topology] and [faults]: it
-    is a sub-plane of live topology and uses the fault plane's
-    sentinels. [topo_quorum] needs [election].
+    Plane dependencies: [faults], [credits], [gw_pool], [sched] and
+    [ingress_cap_mb_s] each stand alone.
 
     Raises [Invalid_argument] on an empty channel list, an MTU too
-    small to carry a buffer sub-header, a negative [topology] version,
-    a [coordinator] outside the rank set, a [coordinator] given
-    without [topology], [election] without [topology] or [faults], or
-    [topo_quorum] outside [1..n] or given without [election]. *)
+    small to carry a buffer sub-header, a non-positive ingress cap,
+    [credits] or [gw_pool] below 1, or an aggregation budget or flush
+    deadline out of range. *)
 
 val ranks : t -> int list
 (** All nodes reachable through the virtual channel. *)
@@ -200,102 +156,13 @@ val route_via : t -> src:int -> dst:int -> int list
 
 val peer_status : t -> src:int -> dst:int -> Iface.health
 (** Health of the [src -> dst] flow: [Departed] when either rank is
-    absent from the current topology epoch of a live-topology vchannel
-    (a typed verdict, not a lookup failure — failover treats it like
-    [Down] but never reroutes to it), [Down] when the destination is
+    absent from the current topology epoch (see {!Membership}; a typed
+    verdict, not a lookup failure — failover treats it like [Down] but
+    never reroutes to it), [Down] when the destination is
     crashed or unroutable, [Overloaded] when the destination or a relay
     on the current route is shedding load above its watermark,
     [Degraded n] when failover lengthened the route by [n] hops over
     the original, [Up] otherwise. *)
-
-(** {1 Live topology}
-
-    Available only on vchannels created with [?topology]; every verb
-    below raises [Invalid_argument] otherwise. *)
-
-val topology : t -> Topology.t option
-(** The current epoch snapshot — [None] without [?topology]. *)
-
-val join : t -> rank:int -> int
-(** Re-admit a drained rank, called from the joining rank's context. The
-    join request takes one membership-blind physical hop toward the
-    coordinator (the joiner is not yet routable), the coordinator swaps
-    in the next epoch — making the joiner routable without quiescing any
-    existing flow — and acknowledges over the recomputed routes. Returns
-    the epoch joined. Raises [Invalid_argument] if [rank] is already a
-    member or not physically part of the channel, and {!Partitioned} if
-    the rank is down, no physical path reaches the coordinator, or the
-    coordinator does not answer within [patience]. On an
-    election-enabled vchannel an unanswered join instead stands a
-    replacement coordinator and retries against the election winner
-    transparently; if no quorum is reachable it parks the intent for
-    post-heal replay and raises {!No_quorum}. *)
-
-val drain : t -> rank:int -> unit
-(** Gracefully remove a member rank, called from that rank's context.
-    Three phases: the rank stops accepting new flows (its
-    {!begin_packing} raises {!Partitioned} while draining); it quiesces —
-    waits until cumulative acks cover every re-emission-log entry it
-    originated or is owed and its forwarding pools are idle; then it
-    notifies the coordinator, which swaps in the next epoch, drops the
-    rank from every sentinel ({!Sentinel.forget}), and recomputes routes
-    without it. Raises [Invalid_argument] on a non-member or the
-    coordinator itself, and {!Partitioned} (aborting the drain) if the
-    journals cannot flush or the coordinator cannot confirm within
-    [patience]. On an election-enabled vchannel an unconfirmed phase-3
-    notification stands a replacement coordinator (never the draining
-    rank itself) and retries; with no quorum reachable the drain mark
-    is withdrawn, the intent parked for post-heal replay, and
-    {!No_quorum} raised. *)
-
-type topology_stats = {
-  topo_epoch : int;
-  topo_members : int list;
-  topo_coordinator : int;
-  topo_joins : int;  (** epoch swaps that admitted a rank *)
-  topo_drains : int;  (** epoch swaps that removed a rank *)
-}
-
-val topology_stats : t -> topology_stats option
-(** Live-topology counters — [None] without [?topology]. *)
-
-(** {1 Quorum elections}
-
-    Available only on vchannels created with [?election] (see
-    {!create}); without it the queries below degenerate as noted. *)
-
-val election : t -> bool
-(** Whether the election plane is armed. *)
-
-val coordinator : t -> int option
-(** The currently committed coordinator — [None] without [?topology]. *)
-
-val has_quorum : t -> viewer:int -> bool
-(** Whether [viewer]'s side of whatever cuts exist currently holds a
-    membership quorum, judged over [viewer]'s trust-path reachability.
-    Always [true] without an election plane. The Collectives layer uses
-    this to fail minority-side collectives fast instead of retrying
-    into a partition. *)
-
-type election_stats = {
-  quorum : int;
-      (** ballots needed to commit right now — [topo_quorum] when
-          pinned, else a majority of the current membership *)
-  elections : int;  (** committed coordinator changes *)
-  attempts : int;  (** candidacies started *)
-  refusals : int;
-      (** failed candidacies plus minority-coordinator epoch-bump
-          vetoes *)
-  commits : (int * int) list;
-      (** every committed [(epoch, coordinator)], oldest first — the
-          split-brain audit trail: at most one entry per epoch *)
-  pending : int;  (** parked minority intents awaiting a heal *)
-  last_latency_us : float;
-      (** candidacy-start to commit of the latest election *)
-}
-
-val election_stats : t -> election_stats option
-(** Election counters — [None] without [?election]. *)
 
 (** {1 Collective control plane}
 
@@ -334,15 +201,78 @@ val neighbours : t -> int -> int list
 val rank_alive : t -> int -> bool
 (** Whether a rank can take part in a collective right now: part of the
     vchannel, a member of the current topology epoch (not mid-drain),
-    up, and not suspected — the predicate routing itself uses. With an
-    election plane, "not suspected" becomes "inside the committed
-    coordinator's trust component", so majority-side trees exclude an
-    entire partitioned minority, not just directly-suspected
-    neighbours. *)
+    up, and not suspected — the predicate routing itself uses. Under
+    relative suspicion, "not suspected" is the view's [trusted]. *)
+
+val has_quorum : t -> viewer:int -> bool
+(** Whether [viewer]'s side of whatever cuts exist currently holds a
+    membership quorum — the view's answer; always [true] under the fixed
+    view. The Collectives layer uses this to fail minority-side
+    collectives fast instead of retrying into a partition. *)
 
 val rank_overloaded : t -> int -> bool
 (** Whether the rank is currently reporting Overloaded (see
     {!overloaded}). *)
+
+(** {1 Membership hooks}
+
+    What the {!Membership} layer needs from the core. Its [top] packets
+    ride the forwarding path like [col] ones and go to the view's
+    [on_top] at their destination. *)
+
+type view = {
+  member : int -> bool;  (** in the current epoch *)
+  draining : int -> bool;  (** routable, but opens no new flows *)
+  relative : bool;
+      (** suspicion is observer-relative: a hop exists only when its
+          sender trusts its receiver, so each side of a partition keeps
+          routing among itself; otherwise one observer's suspicion
+          stands for everybody *)
+  trusted : int -> bool;  (** {!rank_alive}'s test under [relative] *)
+  has_quorum : int -> bool;  (** {!has_quorum}'s answer *)
+  on_top : me:int -> Bytes.t -> unit;
+  on_crash : int -> unit;  (** after the core rerouted around a crash *)
+  on_verdict : me:int -> int -> Sentinel.state -> unit;
+      (** after the core acted on [me]'s new [Down] or, under
+          [relative], [Up] verdict on a live peer *)
+}
+(** The membership view the core consults. {!create} installs the fixed
+    view: every rank a member, none draining, suspicion global, quorum
+    always held, every hook a no-op. *)
+
+val view : t -> view
+
+val set_view : t -> view -> unit
+(** Install a view before the engine runs, admitting every rank (the
+    routes computed at {!create} stay in force). *)
+
+val faults : t -> Simnet.Faults.t option
+val patience : t -> Marcel.Time.span
+
+val reachable : t -> src:int -> dst:int -> bool
+(** Whether a route leads from [src] to [dst] now; [false] for
+    [src = dst] and ranks outside the vchannel. *)
+
+val swap_epoch : t -> Topology.change -> unit
+(** After the view published an epoch swap: sentinels learn the joined
+    ranks and forget the departed ones (who also lose any Overloaded
+    report), routes are recomputed — re-emitting only the flows whose
+    route changed — and the health hook fires. *)
+
+val quiescent : t -> int -> bool
+(** Whether the rank holds nothing in flight: acks cover every
+    re-emission-log entry it originated or is owed, and its forwarding
+    pools are idle. *)
+
+val send_top : t -> src:int -> dst:int -> Bytes.t -> unit
+(** Asynchronous and unreliable, like {!send_col}. *)
+
+val ship_top : ?physical:bool -> t -> src:int -> dst:int -> Bytes.t -> unit
+(** From the caller's thread, raising {!Partitioned} (or
+    {!Config.Peer_unreachable}) when the payload cannot leave.
+    [physical] takes the first hop over any live link, ignoring
+    membership and suspicion: how a rank outside the current epoch
+    reaches the members. *)
 
 val engine : t -> Marcel.Engine.t
 (** The engine the vchannel runs on. *)

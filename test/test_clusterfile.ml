@@ -374,10 +374,10 @@ channel c-myri net=myri nodes=gw,b
 vchannel wan channels=c-sci,c-myri mtu=4096 version=3 coordinator=gw
 |}
   in
-  let vc = Cf.vchannel t "wan" in
-  (match Madeleine.Vchannel.topology vc with
+  (match Cf.membership t "wan" with
   | None -> Alcotest.fail "live plane not armed"
-  | Some snap ->
+  | Some m ->
+      let snap = Madeleine.Membership.topology m in
       Alcotest.(check int) "epoch" 3 (Madeleine.Topology.epoch snap);
       Alcotest.(check int) "coordinator" (Cf.rank_of t "gw")
         (Madeleine.Topology.coordinator snap);
@@ -394,15 +394,15 @@ channel c net=s nodes=a,b
 vchannel v channels=c version=1
 |}
   in
-  (match Madeleine.Vchannel.topology (Cf.vchannel t2 "v") with
+  (match Cf.membership t2 "v" with
   | None -> Alcotest.fail "live plane not armed"
-  | Some snap ->
+  | Some m ->
       Alcotest.(check int) "default coordinator" 0
-        (Madeleine.Topology.coordinator snap));
+        (Madeleine.Membership.coordinator m));
   (* Without the keys the plane stays off. *)
   let t3 = Cf.load two_cluster_cfg in
   Alcotest.(check bool) "inert without version=" true
-    (Madeleine.Vchannel.topology (Cf.vchannel t3 "wan") = None)
+    (Cf.membership t3 "wan" = None)
 
 let test_topology_option_errors () =
   let vc_line opts =
@@ -436,17 +436,14 @@ channel x net=s nodes=a,b,c
 vchannel v channels=x reliable=true version=1 election=on topo_quorum=3
 |}
   in
-  let vc = Cf.vchannel t "v" in
-  Alcotest.(check bool) "election armed" true (Madeleine.Vchannel.election vc);
-  (match Madeleine.Vchannel.election_stats vc with
-  | None -> Alcotest.fail "election stats missing"
-  | Some es ->
-      Alcotest.(check int) "topo_quorum honoured" 3
-        es.Madeleine.Vchannel.quorum;
-      Alcotest.(check int) "no election yet" 0
-        es.Madeleine.Vchannel.elections);
-  Alcotest.(check (option int)) "initial coordinator seated" (Some 0)
-    (Madeleine.Vchannel.coordinator vc);
+  let m = Option.get (Cf.membership t "v") in
+  Alcotest.(check bool) "election armed" true (Madeleine.Membership.election m);
+  let es = Madeleine.Membership.election_stats m in
+  Alcotest.(check int) "topo_quorum honoured" 3
+    es.Madeleine.Membership.quorum;
+  Alcotest.(check int) "no election yet" 0 es.Madeleine.Membership.elections;
+  Alcotest.(check int) "initial coordinator seated" 0
+    (Madeleine.Membership.coordinator m);
   (* election=off (and unset) leave the plane off entirely. *)
   let t2 =
     Cf.load
@@ -459,10 +456,11 @@ channel x net=s nodes=a,b
 vchannel v channels=x reliable=true version=1 election=off
 |}
   in
+  let m2 = Option.get (Cf.membership t2 "v") in
   Alcotest.(check bool) "election=off is inert" false
-    (Madeleine.Vchannel.election (Cf.vchannel t2 "v"));
-  Alcotest.(check bool) "no stats when off" true
-    (Madeleine.Vchannel.election_stats (Cf.vchannel t2 "v") = None)
+    (Madeleine.Membership.election m2);
+  Alcotest.(check int) "no candidacies when off" 0
+    (Madeleine.Membership.election_stats m2).Madeleine.Membership.attempts
 
 let test_election_option_errors () =
   let base =
@@ -558,8 +556,8 @@ let test_coll_option_errors () =
      channel c net=s nodes=a,b coll_fanout=2"
 
 let test_library_rejections_line_numbered () =
-  (* Values only the library judges (Vchannel.create, Channel.create,
-     Faults, Time) are rejected as Parse_error on the declaration's
+  (* Values only the library judges (Vchannel.create, Membership.create,
+     Channel.create, Faults, Time) are rejected as Parse_error on the declaration's
      line, never as a bare Invalid_argument. *)
   let world =
     "faults seed=3\nnetwork s type=tcp\nnode a nets=s\nnode b nets=s\n"

@@ -6,6 +6,7 @@ module Engine = Marcel.Engine
 module Time = Marcel.Time
 module Faults = Simnet.Faults
 module Vc = Madeleine.Vchannel
+module Mb = Madeleine.Membership
 
 let payload n seed = Simnet.Rng.bytes (Simnet.Rng.create ~seed) n
 
@@ -16,11 +17,18 @@ let contains msg sub =
 
 (* A world from Clusterfile text: its engine, its fault plane and its
    vchannel "vc". *)
-let built text =
-  let cf = Clusterfile.load text in
+let parts cf =
   ( Clusterfile.engine cf,
     Option.get (Clusterfile.faults cf),
     Clusterfile.vchannel cf "vc" )
+
+let built text = parts (Clusterfile.load text)
+
+(* [built] plus the membership layer of a [version=] world. *)
+let built_elastic text =
+  let cf = Clusterfile.load text in
+  let engine, faults, vc = parts cf in
+  (engine, faults, vc, Option.get (Clusterfile.membership cf "vc"))
 
 (* A reliable vchannel over a single two-node TCP channel: no gateways,
    so a peer crash is immediately a partition. *)
@@ -341,7 +349,7 @@ let test_window_beats_stop_and_wait () =
    interchangeable gateways for the 0 <-> 3 flows. *)
 
 let live_world () =
-  built
+  built_elastic
     {|
 faults  seed=7
 network ethA type=tcp
@@ -361,7 +369,7 @@ vchannel vc  channels=c-a,c-b mtu=4096 reliable=true version=1 coordinator=n0
    (the 0 -> 3 flow reroutes and only its unacked packets re-emit).
    Either way both flows must land exactly-once, bit-identical. *)
 let run_topology_swap ~drain_spare =
-  let engine, _faults, vc = live_world () in
+  let engine, _faults, vc, m = live_world () in
   let messages = 6 and size = 8192 in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   let spare = if gw = 1 then 2 else 1 in
@@ -410,7 +418,7 @@ let run_topology_swap ~drain_spare =
       while !delivered < 2 do
         Engine.sleep (Time.us 200.0)
       done;
-      match Vc.drain vc ~rank:target with
+      match Mb.drain m ~rank:target with
       | () -> ()
       | exception Vc.Partitioned _ -> partitioned := true);
   Engine.run engine;
@@ -444,10 +452,10 @@ let test_topology_swap_reemits_only_changed () =
   Alcotest.(check int) "unchanged flows not re-emitted" 0 stats2.Vc.reemitted
 
 let test_departed_peer_status () =
-  let engine, _faults, vc = live_world () in
+  let engine, _faults, vc, m = live_world () in
   let gw = List.hd (Vc.route_via vc ~src:0 ~dst:3) in
   Engine.spawn engine ~name:"drainer" (fun () ->
-      Vc.drain vc ~rank:gw;
+      Mb.drain m ~rank:gw;
       (* A departed rank gets the typed verdict, in both directions. *)
       (match Vc.peer_status vc ~src:0 ~dst:gw with
       | Madeleine.Iface.Departed -> ()
@@ -509,32 +517,26 @@ let prop_join_drain_converges =
   QCheck.Test.make ~name:"random join/drain sequences converge" ~count:30
     QCheck.(list_of_size Gen.(int_range 1 10) (pair (int_range 1 3) bool))
     (fun ops ->
-      let engine, _faults, vc = live_world () in
+      let engine, _faults, vc, m = live_world () in
       let applied = ref 0 in
       Engine.spawn engine ~name:"ops" (fun () ->
           List.iter
             (fun (rank, is_drain) ->
-              let members =
-                match Vc.topology vc with
-                | Some s -> Madeleine.Topology.ranks s
-                | None -> assert false
-              in
+              let members = Madeleine.Topology.ranks (Mb.topology m) in
               let mem = List.mem rank members in
               if is_drain && mem then (
                 (* May legitimately abort when the drain request cannot
                    reach the coordinator through the remaining members. *)
-                match Vc.drain vc ~rank with
+                match Mb.drain m ~rank with
                 | () -> incr applied
                 | exception Vc.Partitioned _ -> ())
               else if (not is_drain) && not mem then (
-                match Vc.join vc ~rank with
+                match Mb.join m ~rank with
                 | (_ : int) -> incr applied
                 | exception Vc.Partitioned _ -> ()))
             ops);
       Engine.run engine;
-      let snap =
-        match Vc.topology vc with Some s -> s | None -> assert false
-      in
+      let snap = Mb.topology m in
       let members = Madeleine.Topology.ranks snap in
       (* Every applied op advanced the epoch exactly once. *)
       let epoch_ok = Madeleine.Topology.epoch snap = 1 + !applied in
@@ -573,7 +575,7 @@ let prop_join_drain_converges =
    and commit all ride the normal sentinel/control-plane machinery. *)
 
 let election_world () =
-  built
+  built_elastic
     {|
 faults  seed=11
 network eth type=tcp
@@ -599,56 +601,49 @@ let spawn_prober engine vc ~stop =
         Engine.sleep (Time.us 400.0)
       done)
 
-let vc_members vc =
-  match Vc.topology vc with
-  | Some s -> List.sort compare (Madeleine.Topology.ranks s)
-  | None -> assert false
+let members m = Madeleine.Topology.ranks (Mb.topology m)
 
 let epochs_unique stats =
-  let epochs = List.map fst stats.Vc.commits in
+  let epochs = List.map fst stats.Mb.commits in
   List.sort_uniq compare epochs = List.sort compare epochs
 
 (* Cut the coordinator off: the majority elects its lowest member, the
    minority loses quorum and its drain parks with the typed error, and
    the heal replays the parked intent exactly once. *)
 let test_partition_elects_majority_coordinator () =
-  let engine, faults, vc = election_world () in
+  let engine, faults, vc, m = election_world () in
   let stop = ref false in
   spawn_prober engine vc ~stop;
-  let mid_coord = ref None in
+  let mid_coord = ref (-1) in
   let minority_quorum = ref true and majority_quorum = ref false in
   let minority_verdict = ref "none" in
   Engine.spawn engine ~name:"script" (fun () ->
       Engine.sleep (Time.ms 2.0);
       Faults.partition faults ~fabric:"eth" [ 0 ] [ 1; 2; 3 ];
       Engine.sleep (Time.ms 60.0);
-      mid_coord := Vc.coordinator vc;
+      mid_coord := Mb.coordinator m;
       minority_quorum := Vc.has_quorum vc ~viewer:0;
       majority_quorum := Vc.has_quorum vc ~viewer:1;
       (* Rank 0 lost the seat to the majority's election, so draining
          it is legal — but its own side cannot reach a quorum. *)
-      (match Vc.drain vc ~rank:0 with
+      (match Mb.drain m ~rank:0 with
       | () -> minority_verdict := "applied"
-      | exception Vc.No_quorum _ -> minority_verdict := "no-quorum"
+      | exception Mb.No_quorum _ -> minority_verdict := "no-quorum"
       | exception Vc.Partitioned _ -> minority_verdict := "partitioned"
       | exception Invalid_argument _ -> minority_verdict := "invalid");
       Faults.heal faults ~fabric:"eth";
       Engine.sleep (Time.ms 100.0);
       stop := true);
   Engine.run engine;
-  let stats =
-    match Vc.election_stats vc with Some s -> s | None -> assert false
-  in
-  Alcotest.(check bool) "majority elected a new coordinator" true
-    (!mid_coord = Some 1);
+  let stats = Mb.election_stats m in
+  Alcotest.(check int) "majority elected a new coordinator" 1 !mid_coord;
   Alcotest.(check bool) "minority side lost quorum" false !minority_quorum;
   Alcotest.(check bool) "majority side kept quorum" true !majority_quorum;
   Alcotest.(check string) "minority drain surfaced the typed error"
     "no-quorum" !minority_verdict;
   Alcotest.(check (list int)) "heal replayed the parked drain" [ 1; 2; 3 ]
-    (vc_members vc);
-  Alcotest.(check bool) "coordinator survived the heal" true
-    (Vc.coordinator vc = Some 1);
+    (members m);
+  Alcotest.(check int) "coordinator survived the heal" 1 (Mb.coordinator m);
   (match Vc.peer_status vc ~src:1 ~dst:0 with
   | Madeleine.Iface.Departed -> ()
   | h ->
@@ -657,12 +652,12 @@ let test_partition_elects_majority_coordinator () =
   (* The replayed drain shrank the membership to 3, so the unpinned
      quorum follows it down to 2. *)
   Alcotest.(check int) "quorum tracks the current membership" 2
-    stats.Vc.quorum;
+    stats.Mb.quorum;
   Alcotest.(check bool) "at least one committed election" true
-    (stats.Vc.elections >= 1);
+    (stats.Mb.elections >= 1);
   Alcotest.(check bool) "commit latency measured" true
-    (stats.Vc.last_latency_us > 0.0);
-  Alcotest.(check int) "no intent left parked" 0 stats.Vc.pending;
+    (stats.Mb.last_latency_us > 0.0);
+  Alcotest.(check int) "no intent left parked" 0 stats.Mb.pending;
   Alcotest.(check bool) "at most one coordinator per epoch" true
     (epochs_unique stats)
 
@@ -679,7 +674,7 @@ let prop_split_brain_safe =
     ~count:12
     QCheck.(list_of_size Gen.(int_range 1 8) (pair (int_range 0 4) (int_range 0 3)))
     (fun ops ->
-      let engine, faults, vc = election_world () in
+      let engine, faults, vc, m = election_world () in
       let stop = ref false in
       spawn_prober engine vc ~stop;
       let expected = ref [ 0; 1; 2; 3 ] in
@@ -699,32 +694,31 @@ let prop_split_brain_safe =
                     Faults.heal faults ~fabric:"eth";
                     cut := false
                   end
-              | 2 -> (
-                  match Vc.coordinator vc with
-                  | Some c when Simnet.Faults.node_up faults c ->
-                      Faults.crash_now faults ~node:c
-                        ~restart_after:(Time.ms 3.0) ()
-                  | _ -> ())
+              | 2 ->
+                  let c = Mb.coordinator m in
+                  if Simnet.Faults.node_up faults c then
+                    Faults.crash_now faults ~node:c
+                      ~restart_after:(Time.ms 3.0) ()
               | 3 ->
                   let rank = 2 + (rank land 1) in
                   if
-                    List.mem rank (vc_members vc)
-                    && Vc.coordinator vc <> Some rank
+                    List.mem rank (members m)
+                    && Mb.coordinator m <> rank
                     && Simnet.Faults.node_up faults rank
                   then (
-                    match Vc.drain vc ~rank with
-                    | () | (exception Vc.No_quorum _) ->
+                    match Mb.drain m ~rank with
+                    | () | (exception Mb.No_quorum _) ->
                         expected :=
                           List.filter (fun r -> r <> rank) !expected
                     | exception (Vc.Partitioned _ | Invalid_argument _) -> ())
               | _ ->
                   let rank = 2 + (rank land 1) in
                   if
-                    (not (List.mem rank (vc_members vc)))
+                    (not (List.mem rank (members m)))
                     && Simnet.Faults.node_up faults rank
                   then (
-                    match Vc.join vc ~rank with
-                    | (_ : int) | (exception Vc.No_quorum _) ->
+                    match Mb.join m ~rank with
+                    | (_ : int) | (exception Mb.No_quorum _) ->
                         expected := List.sort_uniq compare (rank :: !expected)
                     | exception (Vc.Partitioned _ | Invalid_argument _) -> ()));
               Engine.sleep (Time.ms 8.0))
@@ -735,27 +729,19 @@ let prop_split_brain_safe =
           (* A replay can be interrupted by a cut or crash landing in
              its patience window; it re-parks and waits for the next
              heal. Kick one more heal cycle if anything is left. *)
-          (match Vc.election_stats vc with
-          | Some s when s.Vc.pending > 0 ->
-              Faults.partition faults ~fabric:"eth" [ 0 ] [ 1 ];
-              Faults.heal faults ~fabric:"eth";
-              Engine.sleep (Time.ms 120.0)
-          | _ -> ());
+          if (Mb.election_stats m).Mb.pending > 0 then begin
+            Faults.partition faults ~fabric:"eth" [ 0 ] [ 1 ];
+            Faults.heal faults ~fabric:"eth";
+            Engine.sleep (Time.ms 120.0)
+          end;
           stop := true);
       Engine.run engine;
-      let stats =
-        match Vc.election_stats vc with Some s -> s | None -> assert false
-      in
-      let members = vc_members vc in
-      let coordinator_live =
-        match Vc.coordinator vc with
-        | Some c -> List.mem c members
-        | None -> false
-      in
+      let stats = Mb.election_stats m in
+      let members = members m in
       epochs_unique stats
       && members = List.sort compare !expected
-      && stats.Vc.pending = 0
-      && coordinator_live)
+      && stats.Mb.pending = 0
+      && List.mem (Mb.coordinator m) members)
 
 let test_chaos_report_reproducible () =
   let report () =

@@ -6,6 +6,7 @@ module Time = Marcel.Time
 module Config = Madeleine.Config
 module Iface = Madeleine.Iface
 module Vc = Madeleine.Vchannel
+module Mb = Madeleine.Membership
 
 let payload n seed = Simnet.Rng.bytes (Simnet.Rng.create ~seed) n
 
@@ -19,37 +20,58 @@ let make_vc ?mtu ?gateway_overhead ?extra_gateway_copy w =
   Vc.create w.Harness.cw_session ?mtu ?gateway_overhead ?extra_gateway_copy
     [ w.Harness.ch_sci; w.Harness.ch_myri ]
 
-(* The text and order of [Vchannel.create]'s plane-dependency
-   rejections. A call that breaks two rules reports the first rule
-   [create] checks, so the order is part of the contract too. *)
+(* The text and order of [Vchannel.create]'s rejections. A call that
+   breaks two rules reports the first rule [create] checks, so the
+   order is part of the contract too. *)
 let test_create_rejections () =
   let w = Harness.two_cluster_world () in
-  let faults = Simnet.Faults.create w.Harness.cw_engine ~seed:1L in
   let rejects msg build =
     Alcotest.check_raises msg (Invalid_argument ("Vchannel.create: " ^ msg))
       (fun () -> ignore (build [ w.Harness.ch_sci; w.Harness.ch_myri ]))
   in
   let create = Vc.create w.Harness.cw_session in
-  rejects "election requires a topology version" (create ~faults ~election:true);
-  rejects "election requires a fault plane" (create ~topology:1 ~election:true);
-  rejects "coordinator without a topology version" (create ~coordinator:0);
-  rejects "topo_quorum requires election"
-    (create ~faults ~topology:1 ~topo_quorum:2);
-  rejects "topo_quorum 0 outside 1..3"
-    (create ~faults ~topology:1 ~election:true ~topo_quorum:0);
-  rejects "topo_quorum 4 outside 1..3"
-    (create ~faults ~topology:1 ~election:true ~topo_quorum:4);
-  rejects "topology version < 0" (create ~topology:(-1));
-  rejects "coordinator 7 not part of the virtual channel"
-    (create ~topology:1 ~coordinator:7);
+  rejects "credits < 1" (create ~credits:0);
+  rejects "gw_pool < 1" (create ~gw_pool:0);
   (* Two rules broken at once. *)
-  rejects "coordinator without a topology version"
-    (create ~coordinator:0 ~election:true);
-  rejects "topology version < 0" (create ~topology:(-1) ~election:true);
-  rejects "topo_quorum requires election" (create ~faults ~topo_quorum:9);
+  rejects "credits < 1" (create ~credits:0 ~gw_pool:0)
+
+(* The text and order of [Membership.create]'s rejections, the
+   membership rules [Vchannel.create] used to check, in the same order:
+   a version below 1, a coordinator outside the rank set, a quorum
+   without elections, elections without a fault plane and a quorum out
+   of range. *)
+let test_membership_create_rejections () =
+  let w = Harness.two_cluster_world () in
+  let faults = Simnet.Faults.create w.Harness.cw_engine ~seed:1L in
+  let channels = [ w.Harness.ch_sci; w.Harness.ch_myri ] in
+  let reliable = Vc.create w.Harness.cw_session ~faults channels in
+  let plain = Vc.create w.Harness.cw_session channels in
+  let rejects msg create =
+    Alcotest.check_raises msg
+      (Invalid_argument ("Membership.create: " ^ msg))
+      (fun () -> ignore (create ()))
+  in
+  let create ?coordinator ?election ?topo_quorum ~version vc () =
+    Mb.create ?coordinator ?election ?topo_quorum ~version vc
+  in
   rejects "election requires a fault plane"
-    (create ~topology:1 ~election:true ~topo_quorum:9);
-  rejects "credits < 1" (create ~credits:0 ~coordinator:0)
+    (create ~version:1 ~election:true plain);
+  rejects "topo_quorum requires election"
+    (create ~version:1 ~topo_quorum:2 reliable);
+  rejects "topo_quorum 0 outside 1..3"
+    (create ~version:1 ~election:true ~topo_quorum:0 reliable);
+  rejects "topo_quorum 4 outside 1..3"
+    (create ~version:1 ~election:true ~topo_quorum:4 reliable);
+  rejects "topology version < 1" (create ~version:0 plain);
+  rejects "coordinator 7 not part of the virtual channel"
+    (create ~version:1 ~coordinator:7 plain);
+  (* Two rules broken at once. *)
+  rejects "topology version < 1" (create ~version:0 ~coordinator:7 plain);
+  rejects "topology version < 1" (create ~version:0 ~election:true plain);
+  rejects "topo_quorum requires election"
+    (create ~version:1 ~topo_quorum:9 reliable);
+  rejects "election requires a fault plane"
+    (create ~version:1 ~election:true ~topo_quorum:9 plain)
 
 let test_routes () =
   let w = Harness.two_cluster_world () in
@@ -463,18 +485,19 @@ vchannel vc channels=c reliable=true version=1
 |}
   in
   let vc = Clusterfile.vchannel cf "vc" in
+  let m = Option.get (Clusterfile.membership cf "vc") in
   Alcotest.(check (list int)) "ranks" [ 0; 2 ] (Vc.ranks vc);
   Alcotest.check_raises "route_length names both ranks"
     (Invalid_argument
        "Vchannel.route_length: rank 0 or 1 not part of the virtual channel \
         (ranks 0,2)")
     (fun () -> ignore (Vc.route_length vc ~src:0 ~dst:1));
-  let rejected what f =
+  let rejected ?(prefix = "Vchannel.") what f =
     match f () with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" what
     | exception Invalid_argument msg ->
-        Alcotest.(check bool) (what ^ " names the channel") true
-          (String.starts_with ~prefix:"Vchannel." msg)
+        Alcotest.(check bool) (what ^ " names the module") true
+          (String.starts_with ~prefix msg)
   in
   List.iter
     (fun r ->
@@ -488,7 +511,8 @@ vchannel vc channels=c reliable=true version=1
       rejected "begin_unpacking_from" (fun () ->
           ignore (Vc.begin_unpacking_from vc ~me:0 ~remote:r));
       rejected "send_col" (fun () -> Vc.send_col vc ~src:r ~dst:0 Bytes.empty);
-      rejected "join" (fun () -> ignore (Vc.join vc ~rank:r));
+      rejected ~prefix:"Membership." "join" (fun () ->
+          ignore (Mb.join m ~rank:r));
       Alcotest.(check bool) "not alive" false (Vc.rank_alive vc r);
       Alcotest.(check bool) "not overloaded" false (Vc.rank_overloaded vc r);
       Alcotest.(check bool) "no sentinel" true (Vc.sentinel vc ~rank:r = None);
@@ -503,6 +527,8 @@ let () =
         [
           Alcotest.test_case "routes" `Quick test_routes;
           Alcotest.test_case "create rejections" `Quick test_create_rejections;
+          Alcotest.test_case "membership create rejections" `Quick
+            test_membership_create_rejections;
           Alcotest.test_case "ranks outside the channel" `Quick
             test_ranks_outside_channel;
         ] );
