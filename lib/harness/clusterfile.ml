@@ -436,10 +436,9 @@ let parse_line t lineno line =
       let version = ref None and coordinator = ref None in
       let election = ref false and topo_quorum = ref None in
       let coll = ref None and coll_fanout = ref None and coll_quorum = ref None in
-      (* Ranges and cross-option rules are Vchannel.create's,
-         Membership.create's and Collectives.create's to judge ([load]
-         reports their rejections on this line); only the prerequisites
-         that decide which of them runs are checked here. *)
+      (* Ranges are Vchannel.create's, Membership.create's and
+         Collectives.create's to judge ([load] reports their rejections
+         on this line); only the prerequisites between options are here. *)
       List.iter
         (fun tok ->
           match split_kv lineno tok with
@@ -493,14 +492,6 @@ let parse_line t lineno line =
           raise (Parse_error (lineno, "aggr_max= requires sched=aggreg"))
       | _, _, Some _ ->
           raise (Parse_error (lineno, "aggr_flush_us= requires sched=aggreg")));
-      if
-        Option.is_none !version
-        && (Option.is_some !coordinator || !election
-           || Option.is_some !topo_quorum)
-      then
-        raise
-          (Parse_error
-             (lineno, "coordinator=, election=on and topo_quorum= need version="));
       (match (!coll, !coll_fanout) with
       | Some Madeleine.Collectives.Tree, _ | _, None -> ()
       | _, Some _ ->
@@ -536,12 +527,16 @@ let parse_line t lineno line =
           !chans
       in
       declare lineno t.vchan_tbl "vchannel" name vc;
-      Option.iter
-        (fun version ->
+      (match !version with
+      | Some version ->
           Hashtbl.replace t.memb_tbl name
             (Madeleine.Membership.create ?coordinator:!coordinator
-               ~election:!election ?topo_quorum:!topo_quorum ~version vc))
-        !version;
+               ~election:!election ?topo_quorum:!topo_quorum ~version vc)
+      | None when !election || !coordinator <> None || !topo_quorum <> None ->
+          raise
+            (Parse_error
+               (lineno, "coordinator=, election=on, topo_quorum= need version="))
+      | None -> ());
       (match !coll with
       | None -> ()
       | Some algo ->

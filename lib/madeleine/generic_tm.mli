@@ -61,7 +61,7 @@ type packet_header = {
       (** Topology-control packet for live-topology vchannels (clusterfile
           [version=] set): a join request / join acknowledgment / drain
           notice addressed to the coordinator or to a member (see
-          {!Vchannel.join} / {!Vchannel.drain}). The payload carries an
+          {!Membership.join} / {!Membership.drain}). The payload carries an
           opcode byte, the subject rank, and the epoch, all little-endian;
           gateways forward it like data. Never set without a live
           topology — the wire format is then unchanged. *)

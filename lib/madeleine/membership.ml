@@ -1,11 +1,7 @@
-(* Live topology and quorum elections over a virtual channel. The
-   snapshot is the current epoch's membership; every simulated rank
-   reads the same snapshot, so an epoch swap is one pointer assignment
-   at the coordinator followed by the core's route recomputation
-   ({!Vchannel.swap_epoch}). Joins, drains and election ops travel as
-   [top] control packets over the data path, so they cross gateways,
-   cost network time, and interleave with live traffic like any other
-   packet. The layer reaches the core only through {!Vchannel.view}. *)
+(* Live topology and quorum elections over a virtual channel. Every
+   simulated rank reads the same snapshot, so an epoch swap is one
+   pointer assignment at the coordinator followed by the core's route
+   recomputation ({!Vchannel.swap_epoch}). *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -132,8 +128,6 @@ let journal_watermark m rank =
       else depth)
     0 (Vchannel.flow_stats m.vc)
 
-let send_top m ~src ~dst payload = Vchannel.send_top m.vc ~src ~dst payload
-
 (* A [top] payload reached [me]. *)
 let on_top m ~me payload =
   if m.up me && Bytes.length payload >= top_payload_size then begin
@@ -161,7 +155,7 @@ let on_top m ~me payload =
         apply_swap m (Topology.join m.snapshot rank);
         (* The swap made the joiner routable; the ack rides the
            recomputed routes and carries the epoch it joined. *)
-        send_top m ~src:me ~dst:rank
+        Vchannel.send_top m.vc ~src:me ~dst:rank
           (top_payload ~op:top_join_ack ~rank
              ~epoch:(Topology.epoch m.snapshot))
       end
@@ -195,7 +189,7 @@ let on_top m ~me payload =
         then
           match Vchannel.sentinel m.vc ~rank:me with
           | Some s when Sentinel.grant_vote s ~term ->
-              send_top m ~src:me ~dst:rank
+              Vchannel.send_top m.vc ~src:me ~dst:rank
                 (top_ext_payload ~op:top_vote_ack ~rank:me ~term
                    ~committed:(Topology.epoch m.snapshot)
                    ~watermark:(m.crash_epoch me))
@@ -242,13 +236,10 @@ let arbitrate ?(persist = false) m ~ship settled =
       if persist then wait m ~until:settled else settled ()
 
 (* ------------------------------------------------------------------ *)
-(* Quorum elections. A candidacy is one epoch-numbered round: a
-   self-vote plus vote requests to every live member, then a
-   patience-bounded wait for [quorum_needed] countable ballots. The
-   commit is guarded by a lost-race re-check, so of two concurrent
-   candidacies in the same term at most one ever commits that epoch. A
-   minority side's candidacy never reaches quorum and is recorded as a
-   refusal. *)
+(* Quorum elections. A candidacy is one round: a self-vote plus vote
+   requests to every live member, then a patience-bounded wait for
+   [quorum_needed] countable ballots. A minority side's candidacy never
+   reaches quorum and is recorded as a refusal. *)
 
 (* The lowest member of the current epoch that is up: who stands when
    there is no trust view to ask — the coordinator crashed (the fault
@@ -275,7 +266,7 @@ let run_election m ~candidate =
         List.iter
           (fun peer ->
             if peer <> candidate && m.up peer then
-              send_top m ~src:candidate ~dst:peer
+              Vchannel.send_top m.vc ~src:candidate ~dst:peer
                 (top_ext_payload ~op:top_vote_req ~rank:candidate ~term
                    ~committed ~watermark:(journal_watermark m candidate)))
           (Topology.ranks m.snapshot);
@@ -296,7 +287,7 @@ let run_election m ~candidate =
           List.iter
             (fun peer ->
               if peer <> candidate then
-                send_top m ~src:candidate ~dst:peer
+                Vchannel.send_top m.vc ~src:candidate ~dst:peer
                   (top_ext_payload ~op:top_coord ~rank:candidate ~term
                      ~committed:(Topology.epoch snap)
                      ~watermark:(journal_watermark m candidate)))

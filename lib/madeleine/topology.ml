@@ -55,3 +55,8 @@ let diff a b =
     joined = List.filter (fun r -> not (mem a r)) b.ranks;
     departed = List.filter (fun r -> not (mem b r)) a.ranks;
   }
+
+let pp ppf t =
+  Format.fprintf ppf "epoch %d: {%s} coord %d" t.epoch
+    (String.concat "," (List.map string_of_int t.ranks))
+    t.coordinator

@@ -50,3 +50,4 @@ val diff : t -> t -> change
 (** [diff old new_] lists the ranks that joined and departed going from
     [old] to [new_]. *)
 
+val pp : Format.formatter -> t -> unit

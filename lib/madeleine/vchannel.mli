@@ -132,9 +132,6 @@ val create :
     charged per constituent frame, and gateways forward aggregates
     without unpacking them.
 
-    Plane dependencies: [faults], [credits], [gw_pool], [sched] and
-    [ingress_cap_mb_s] each stand alone.
-
     Raises [Invalid_argument] on an empty channel list, an MTU too
     small to carry a buffer sub-header, a non-positive ingress cap,
     [credits] or [gw_pool] below 1, or an aggregation budget or flush
