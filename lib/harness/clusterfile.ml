@@ -535,7 +535,8 @@ let parse_line t lineno line =
       | None when !election || !coordinator <> None || !topo_quorum <> None ->
           raise
             (Parse_error
-               (lineno, "coordinator=, election=on, topo_quorum= need version="))
+               ( lineno,
+                 "coordinator=, election=on, topo_quorum= need version=" ))
       | None -> ());
       (match !coll with
       | None -> ()

@@ -48,8 +48,9 @@
     the election's ballot quorum (default: a majority of the current
     membership) and requires [election=on]. With [version=] unset no
     layer is created and the vchannel keeps its fixed membership.
-    [coll=tree|flat] attaches a fault-tolerant collectives layer ({!Madeleine.Collectives}, retrieved with
-    {!collectives}); [coll_fanout=N] (>= 2, requires [coll=tree]) caps
+    [coll=tree|flat] attaches a fault-tolerant collectives layer
+    ({!Madeleine.Collectives}, retrieved with {!collectives});
+    [coll_fanout=N] (>= 2, requires [coll=tree]) caps
     the children per spanning-tree node and [coll_quorum=N] (>= 1,
     requires [coll=]) is the live-rank minimum below which a collective
     fails typed; with [coll=] unset no layer is created and the

@@ -103,7 +103,8 @@ let apply_swap m snap =
    no partition this is the whole live membership. *)
 let side_members m ~viewer =
   List.filter
-    (fun r -> m.up r && (r = viewer || Vchannel.reachable m.vc ~src:viewer ~dst:r))
+    (fun r ->
+      m.up r && (r = viewer || Vchannel.reachable m.vc ~src:viewer ~dst:r))
     (Topology.ranks m.snapshot)
 
 (* The ballot quorum in force right now. Unpinned, it is a majority of
@@ -213,24 +214,19 @@ let on_top m ~me payload =
     end
   end
 
-(* [rank]'s membership requests to the coordinator: a join is not yet
-   routable, so it takes a physical first hop; a drain notice rides the
-   routes. *)
-let ship_join_req m rank =
-  Vchannel.ship_top ~physical:true m.vc ~src:rank ~dst:m.coordinator
-    (top_payload ~op:top_join_req ~rank ~epoch:(Topology.epoch m.snapshot))
-
-let ship_drain_req m rank =
-  Vchannel.ship_top m.vc ~src:rank ~dst:m.coordinator
-    (top_payload ~op:top_drain_req ~rank ~epoch:(Topology.epoch m.snapshot))
-
-(* The arbitration every membership change goes through: ship the
-   request toward the coordinator, then wait out the patience for the
-   epoch swap that settles it; returns whether [settled ()] holds. A
-   request that cannot leave fails at once — unless [persist], which a
-   post-heal replay uses to back off a whole patience before retrying. *)
-let arbitrate ?(persist = false) m ~ship settled =
-  match ship () with
+(* The arbitration every membership change goes through: [rank]'s
+   request ships toward the coordinator — a join is not yet routable,
+   so it takes a physical first hop; a drain notice rides the routes —
+   then waits out the patience for the epoch swap that settles it;
+   returns whether [settled ()] holds. A request that cannot leave
+   fails at once, unless [persist], which a post-heal replay uses to
+   back off a whole patience before retrying. *)
+let arbitrate ?(persist = false) m ~op rank settled =
+  let payload = top_payload ~op ~rank ~epoch:(Topology.epoch m.snapshot) in
+  match
+    Vchannel.ship_top ~physical:(op = top_join_req) m.vc ~src:rank
+      ~dst:m.coordinator payload
+  with
   | () -> wait m ~until:settled
   | exception (Vchannel.Partitioned _ | Config.Peer_unreachable _) ->
       if persist then wait m ~until:settled else settled ()
@@ -308,17 +304,16 @@ let run_election m ~candidate =
 let replay_pending m =
   let pend = List.rev m.pending in
   m.pending <- [];
-  let replay intent ~ship settled =
-    let attempt () = arbitrate ~persist:true m ~ship settled in
+  let replay intent ~op rank settled =
+    let attempt () = arbitrate ~persist:true m ~op rank settled in
     if not (attempt () || attempt ()) then m.pending <- intent :: m.pending
   in
   List.iter
     (function
       | P_join rank as intent ->
           if not (Topology.mem m.snapshot rank) then
-            replay intent
-              ~ship:(fun () -> ship_join_req m rank)
-              (fun () -> Topology.mem m.snapshot rank)
+            replay intent ~op:top_join_req rank (fun () ->
+                Topology.mem m.snapshot rank)
       | P_drain rank as intent ->
           if Topology.mem m.snapshot rank && rank <> m.coordinator then begin
             (* The routed drain notice needs the trust paths back first:
@@ -327,9 +322,8 @@ let replay_pending m =
             ignore
               (wait m ~until:(fun () ->
                    Vchannel.reachable m.vc ~src:rank ~dst:m.coordinator));
-            replay intent
-              ~ship:(fun () -> ship_drain_req m rank)
-              (fun () -> not (Topology.mem m.snapshot rank))
+            replay intent ~op:top_drain_req rank (fun () ->
+                not (Topology.mem m.snapshot rank))
           end)
     pend
 
@@ -469,10 +463,11 @@ let join m ~rank =
   let invalid fmt = Printf.ksprintf invalid_arg ("Membership.join: " ^^ fmt) in
   if not (List.mem rank (Vchannel.ranks m.vc)) then
     invalid "rank %d not part of the virtual channel" rank;
-  if Topology.mem m.snapshot rank then invalid "rank %d is already a member" rank;
+  if Topology.mem m.snapshot rank then
+    invalid "rank %d is already a member" rank;
   if not (m.up rank) then partitioned "Membership.join: rank %d is down" rank;
   let admitted () = Topology.mem m.snapshot rank in
-  let attempt () = arbitrate m ~ship:(fun () -> ship_join_req m rank) admitted in
+  let attempt () = arbitrate m ~op:top_join_req rank admitted in
   if not (attempt ()) then begin
     if not m.election then
       partitioned
@@ -498,7 +493,8 @@ let join m ~rank =
 
 let drain m ~rank =
   let invalid fmt = Printf.ksprintf invalid_arg ("Membership.drain: " ^^ fmt) in
-  if not (Topology.mem m.snapshot rank) then invalid "rank %d is not a member" rank;
+  if not (Topology.mem m.snapshot rank) then
+    invalid "rank %d is not a member" rank;
   if rank = m.coordinator then invalid "rank %d is the coordinator" rank;
   (* Abandoning the drain withdraws its mark. *)
   let abort exn fmt =
@@ -522,9 +518,7 @@ let drain m ~rank =
   (* Phase 3 — tell the coordinator; its epoch swap forgets the rank in
      every sentinel, and the recomputed routes drop it. *)
   let departed () = not (Topology.mem m.snapshot rank) in
-  let attempt () =
-    arbitrate m ~ship:(fun () -> ship_drain_req m rank) departed
-  in
+  let attempt () = arbitrate m ~op:top_drain_req rank departed in
   if not (attempt ()) then begin
     if not m.election then
       partitioned

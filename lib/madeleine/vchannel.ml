@@ -450,6 +450,11 @@ let touch_sentinel r ~rank = Option.iter Sentinel.touch r.sentinels.(rank)
 let node_up t n =
   match t.rel with Some r -> Simnet.Faults.node_up r.faults n | None -> true
 
+(* Park on [w] until [until ()] holds or the vchannel's patience runs
+   out; returns whether [until ()] was reached. *)
+let wait_patiently t w ~name ~until =
+  Waiters.await w t.engine ~patience:t.patience ~name ~until
+
 (* Wait out a route hole from [at] to [dst] until a route recomputation
    restores a path. A node restarting with a new epoch is unroutable for
    the length of its restart window; waiting it out here is what lets
@@ -457,11 +462,9 @@ let node_up t n =
    transient hole. *)
 let wait_route t r ~at ~dst =
   let routed () = routed t at dst in
-  if
-    not
-      (Waiters.await r.route_waiters t.engine ~patience:t.patience
-         ~name:"vchannel.route" ~until:routed)
-  then raise (unroutable t ~at ~dst)
+  let name = "vchannel.route" in
+  if not (wait_patiently t r.route_waiters ~name ~until:routed) then
+    raise (unroutable t ~at ~dst)
 
 (* One hop of a self-described packet: a regular Madeleine message on the
    hop's real channel, EXPRESS header then CHEAPER payload. The hop is
@@ -687,11 +690,8 @@ let handle_hs t r ~me header payload =
    back, or never held any of our data so no handshake will come). *)
 let wait_handshake t r tx ~src ~dst =
   let restored () = not tx.tx_lost in
-  if
-    not
-      (Waiters.await r.hs_waiters t.engine ~patience:t.patience
-         ~name:"vchannel.handshake" ~until:restored)
-  then
+  let name = "vchannel.handshake" in
+  if not (wait_patiently t r.hs_waiters ~name ~until:restored) then
     raise
       (Partitioned
          (Printf.sprintf
@@ -785,9 +785,6 @@ let reemit_flows ?(only = fun _ _ -> true) t r =
             Mutex.unlock (emission_lock t ~src ~dst)))
     t.tx
 
-(* The paper's fixed topology (§6: the real channels are set at
-   channel-configuration time): every rank a member, nobody draining,
-   suspicion global, no membership traffic. *)
 let fixed_view =
   {
     member = (fun _ -> true);
@@ -2097,7 +2094,9 @@ let rank_alive t rank =
   match t.rel with
   | Some r ->
       Simnet.Faults.node_up r.faults rank
-      && if t.view.relative then t.view.trusted rank else r.susp_count.(rank) = 0
+      &&
+      if t.view.relative then t.view.trusted rank
+      else r.susp_count.(rank) = 0
   | None -> true
 
 let rank_overloaded t rank = mem t rank && t.overloaded.(rank)

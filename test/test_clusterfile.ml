@@ -557,8 +557,8 @@ let test_coll_option_errors () =
 
 let test_library_rejections_line_numbered () =
   (* Values only the library judges (Vchannel.create, Membership.create,
-     Channel.create, Faults, Time) are rejected as Parse_error on the declaration's
-     line, never as a bare Invalid_argument. *)
+     Channel.create, Faults, Time) are rejected as Parse_error on the
+     declaration's line, never as a bare Invalid_argument. *)
   let world =
     "faults seed=3\nnetwork s type=tcp\nnode a nets=s\nnode b nets=s\n"
   in

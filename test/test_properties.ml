@@ -599,7 +599,9 @@ let apply_mutation lines = function
             |> String.concat " ")
         lines
   | Drop i -> List.filteri (fun k _ -> k <> i) lines
-  | Duplicate i -> List.concat (List.mapi (fun k l -> if k = i then [ l; l ] else [ l ]) lines)
+  | Duplicate i ->
+      List.concat_map (fun (k, l) -> if k = i then [ l; l ] else [ l ])
+        (List.mapi (fun k l -> (k, l)) lines)
   | Append (at, key, v) ->
       List.mapi
         (fun k line ->
