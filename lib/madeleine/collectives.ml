@@ -134,19 +134,10 @@ let build_tree t ~root =
      root's slots with same-channel leaves and leaving every other
      cluster to the forced-attach path — which would chain the
      gateways into an O(clusters)-deep spine. *)
-  let degree = Hashtbl.create 16 in
   let neighbours_by_degree u =
-    let deg r =
-      match Hashtbl.find_opt degree r with
-      | Some d -> d
-      | None ->
-          let d = List.length (Vchannel.neighbours vc r) in
-          Hashtbl.replace degree r d;
-          d
-    in
-    List.stable_sort
-      (fun a b -> compare (-deg a, a) (-deg b, b))
-      (Vchannel.neighbours vc u)
+    Vchannel.neighbours vc u
+    |> List.map (fun r -> (-List.length (Vchannel.neighbours vc r), r))
+    |> List.sort compare |> List.map snd
   in
   let add_child u v =
     Hashtbl.replace children u (kids u @ [ v ]);

@@ -84,8 +84,6 @@ module Assembler = struct
         t.head_off <- 0
 end
 
-type hop = { hop_channel : Channel.t; hop_to : int }
-
 exception Partitioned of string
 
 (* Peak-tracking occupancy counter for one buffering point. *)
@@ -281,12 +279,8 @@ type t = {
   gateway_overhead : Time.span;
   extra_gateway_copy : bool;
   ingress_cap_mb_s : float option;
-  channels : Channel.t list;
   all_ranks : int list; (* ascending *)
-  member : bool array; (* [member.(r)]: [r] is in [all_ranks] *)
-  mutable routes : hop list array array;
-      (* [src].(dst); [] when [dst = src] or no route reaches [dst] *)
-  base_routes : hop list array array; (* the routes at creation *)
+  routing : Channel.t Routing.t;
   rel : rel option;
   mutable sched : Sched.t option; (* aggregating scheduler (sched=aggreg) *)
   tx : tx Pairs.t; (* [src].(dst) *)
@@ -347,10 +341,9 @@ let send_lock t ~src ~dst ~flow =
   slot_entry t.send_locks src dst flow Mutex.create
 
 let ranks t = t.all_ranks
-let mem t r = r >= 0 && r < Array.length t.member && t.member.(r)
+let mem t r = Routing.mem t.routing r
 
-(* Whether a route leads from [a] to [b] ([a <> b]). *)
-let routed t a b = match t.routes.(a).(b) with [] -> false | _ -> true
+let routed t a b = Routing.routed t.routing a b
 
 let not_in_channel t op ranks =
   invalid_arg
@@ -365,23 +358,19 @@ let check_ranks t op src dst =
   if not (mem t src && mem t dst) then
     not_in_channel t op (Printf.sprintf "rank %d or %d" src dst)
 
-let find_route t op ~src ~dst =
+let route_via_op t op ~src ~dst =
   check_ranks t op src dst;
-  if src = dst then Some []
-  else match t.routes.(src).(dst) with [] -> None | hops -> Some hops
-
-let no_route op src dst =
-  Partitioned (Printf.sprintf "Vchannel.%s: no route from %d to %d" op src dst)
+  match Routing.via t.routing ~src ~dst with
+  | [] when src <> dst ->
+      raise
+        (Partitioned
+           (Printf.sprintf "Vchannel.%s: no route from %d to %d" op src dst))
+  | via -> via
 
 let route_length t ~src ~dst =
-  match find_route t "route_length" ~src ~dst with
-  | Some hops -> List.length hops
-  | None -> raise (no_route "route_length" src dst)
+  List.length (route_via_op t "route_length" ~src ~dst)
 
-let route_via t ~src ~dst =
-  match find_route t "route_via" ~src ~dst with
-  | Some hops -> List.map (fun h -> h.hop_to) hops
-  | None -> raise (no_route "route_via" src dst)
+let route_via t ~src ~dst = route_via_op t "route_via" ~src ~dst
 
 let forwarded t =
   List.filter_map
@@ -391,47 +380,6 @@ let forwarded t =
       else None)
     t.all_ranks
 
-(* Fewest-channel-hops routing over the channel membership graph:
-   breadth-first search, where a node's route is its discoverer's plus
-   one hop. [down u v] excludes the hop u -> v: crashed or departed
-   nodes are down for every u, and viewer-relative suspicion
-   (quorum-election vchannels) makes the predicate genuinely
-   edge-shaped — a hop exists only when its sender trusts its receiver,
-   so a route never enters a region its own relays would refuse to
-   forward into. [adj] holds each node's channels (in channel-list
-   order) with their members, so a frontier pop rescans no channel. *)
-let compute_routes ~down ~n channels all_ranks =
-  let routes = Array.make_matrix n n [] in
-  let adj = Array.make n [] in
-  List.iter
-    (fun c ->
-      let members = Channel.ranks c in
-      List.iter (fun u -> adj.(u) <- (c, members) :: adj.(u)) members)
-    (List.rev channels);
-  List.iter
-    (fun src ->
-      if not (down src src) then begin
-        let row = routes.(src) in
-        let reached v = v = src || match row.(v) with [] -> false | _ -> true in
-        let frontier = Queue.create () in
-        Queue.push src frontier;
-        while not (Queue.is_empty frontier) do
-          let u = Queue.pop frontier in
-          List.iter
-            (fun (c, members) ->
-              List.iter
-                (fun v ->
-                  if v <> u && (not (down u v)) && not (reached v) then begin
-                    row.(v) <- row.(u) @ [ { hop_channel = c; hop_to = v } ];
-                    Queue.push v frontier
-                  end)
-                members)
-            adj.(u)
-        done
-      end)
-    all_ranks;
-  routes
-
 (* No route from [at] to [dst] on the send path: a partition on a
    reliable vchannel, whose routes come and go with faults; a usage
    error on a fault-free one. *)
@@ -440,9 +388,8 @@ let unroutable t ~at ~dst =
   match t.rel with Some _ -> Partitioned msg | None -> Invalid_argument msg
 
 let next_hop t ~at ~dst =
-  match t.routes.(at).(dst) with
-  | hop :: _ -> hop
-  | [] -> raise (unroutable t ~at ~dst)
+  try Routing.next_hop t.routing ~src:at ~dst
+  with Not_found -> raise (unroutable t ~at ~dst)
 
 let touch_sentinel r ~rank = Option.iter Sentinel.touch r.sentinels.(rank)
 
@@ -477,7 +424,8 @@ let wait_route t r ~at ~dst =
    [Config.Peer_unreachable]. *)
 let send_hop ~at hop ~header ~payload ~payload_len =
   let transit =
-    at <> header.Generic_tm.origin || hop.hop_to <> header.Generic_tm.final_dst
+    at <> header.Generic_tm.origin
+    || hop.Routing.hop_to <> header.Generic_tm.final_dst
   in
   let oc =
     Api.begin_packing (Channel.endpoint hop.hop_channel ~rank:at)
@@ -699,11 +647,6 @@ let wait_handshake t r tx ~src ~dst =
              handshake restored it"
             src dst))
 
-let shares_channel t a b =
-  List.exists
-    (fun c -> List.mem a (Channel.ranks c) && List.mem b (Channel.ranks c))
-    t.channels
-
 (* Withdraw [o]'s suspicion of [p], keeping the by-any count in step. *)
 let unsuspect r o p =
   if r.suspected.(o).(p) then begin
@@ -727,7 +670,8 @@ let iter_sentinels r f = Array.iteri (fun me -> Option.iter (f me)) r.sentinels
 let sentinels_learn t r rank =
   unsuspect_all r rank;
   iter_sentinels r (fun me s ->
-      if me <> rank && shares_channel t me rank then Sentinel.learn s rank)
+      if me <> rank && Routing.same_channel t.routing me rank then
+        Sentinel.learn s rank)
 
 (* Dropping a departed rank from every detector is what keeps a
    long-lived elastic session's phi-accrual state from growing without
@@ -819,37 +763,12 @@ let down (view : view) rel =
         || (not (Simnet.Faults.node_up r.faults n))
         || suspects view r ~viewer n
 
-let routes_avoiding t down =
-  compute_routes ~down ~n:(Array.length t.member) t.channels t.all_ranks
-
-let fresh_routes t = routes_avoiding t (down t.view t.rel)
-
-(* Recompute a reliable vchannel's routes and wake the senders waiting
-   out a route hole. Prefer routes that avoid Overloaded gateways —
-   shifting traffic onto an alternate gateway when one exists — but
-   never at the price of reachability: pairs only connected through an
-   overloaded node keep their direct route. *)
+(* Recompute a reliable vchannel's routes, preferring those around
+   Overloaded gateways, and wake the senders waiting out a route hole. *)
 let recompute t r =
-  let fresh = fresh_routes t in
-  if Array.exists Fun.id t.overloaded then begin
-    let down = down t.view t.rel in
-    let strict = routes_avoiding t (fun u n -> down u n || t.overloaded.(n)) in
-    Array.iteri
-      (fun src ->
-        Array.iteri (fun dst -> function
-          | [] -> ()
-          | hops -> fresh.(src).(dst) <- hops))
-      strict
-  end;
-  t.routes <- fresh;
+  Routing.recompute t.routing ~down:(down t.view t.rel)
+    ~overloaded:t.overloaded;
   Waiters.wake_all r.route_waiters
-
-let same_route a b =
-  List.equal
-    (fun h g ->
-      h.hop_to = g.hop_to
-      && Channel.id h.hop_channel = Channel.id g.hop_channel)
-    a b
 
 (* An epoch swap or an Overloaded edge on a reliable vchannel: recompute
    the routes, then re-emit ONLY the flows whose route actually changed
@@ -859,11 +778,9 @@ let same_route a b =
    re-emits nothing — re-emitting into an already-overloaded path would
    feed the congestion it is reporting. *)
 let swap_routes t r =
-  let before = t.routes in
+  let before = Routing.routes t.routing in
   recompute t r;
-  let after = t.routes in
-  reemit_flows t r ~only:(fun src dst ->
-      not (same_route before.(src).(dst) after.(src).(dst)))
+  reemit_flows t r ~only:(Routing.changed t.routing ~before)
 
 (* ------------------------------------------------------------------ *)
 (* Collective control plane. The Collectives layer (see collectives.ml)
@@ -893,21 +810,7 @@ let handle_col t ~me header payload =
    layer builds its spanning trees over this graph, so every tree edge
    is a single fabric link and interior nodes are genuine gateways. *)
 let neighbours t rank =
-  let seen = Array.make (Array.length t.member) false in
-  let out = ref [] in
-  List.iter
-    (fun c ->
-      let members = Channel.ranks c in
-      if List.mem rank members then
-        List.iter
-          (fun v ->
-            if v <> rank && not seen.(v) then begin
-              seen.(v) <- true;
-              out := v :: !out
-            end)
-          members)
-    t.channels;
-  List.rev !out
+  if mem t rank then Routing.neighbours t.routing rank else []
 
 (* ------------------------------------------------------------------ *)
 (* Membership hooks. The {!Membership} layer installs its view here and
@@ -931,7 +834,7 @@ let swap_epoch t { Topology.joined; departed } =
       List.iter (sentinels_learn t r) joined;
       List.iter (sentinels_forget r) departed;
       swap_routes t r
-  | None -> t.routes <- fresh_routes t);
+  | None -> Routing.recompute t.routing ~down:(down t.view t.rel));
   t.on_health_change ()
 
 (* Whether [rank] holds nothing in flight: cumulative acks cover every
@@ -964,11 +867,12 @@ let ship_top ?(physical = false) t ~src ~dst payload =
   let payload_len = Bytes.length payload in
   if not physical then ship_packet t ~at:src ~header ~payload ~payload_len
   else
-    match (routes_avoiding t (fun _ n -> not (node_up t n))).(src).(dst) with
-    | hop :: _ -> (
+    let down _ n = not (node_up t n) in
+    match Routing.first_hop t.routing ~down ~src ~dst with
+    | Some hop -> (
         try send_hop ~at:src hop ~header ~payload ~payload_len
         with Config.Peer_unreachable msg -> raise (Partitioned msg))
-    | [] ->
+    | None ->
         raise
           (Partitioned
              (Printf.sprintf "Vchannel.ship_top: no physical path from %d to %d"
@@ -1098,7 +1002,7 @@ let gw_release t ~node p =
   end;
   Semaphore.release p.pump_buffers
 
-let rec pump_for t ~node (hop : hop) =
+let rec pump_for t ~node (hop : Channel.t Routing.hop) =
   slot_entry t.pumps node hop.hop_to (Channel.id hop.hop_channel) (fun () ->
       let p =
         {
@@ -1488,15 +1392,10 @@ let on_verdict t r ~me peer _from to_ =
 
 (* One phi-accrual sentinel per rank, probing its channel neighbours. *)
 let start_sentinel t r me =
-  let neighbours =
-    List.filter (fun p -> p <> me && shares_channel t me p) t.all_ranks
-  in
+  let neighbours = List.sort compare (Routing.neighbours t.routing me) in
   if neighbours <> [] then begin
     let fabric =
-      List.find_map
-        (fun c ->
-          if List.mem me (Channel.ranks c) then Channel.fabric c else None)
-        t.channels
+      List.find_map Channel.fabric (Routing.channels_of t.routing me)
     in
     let s =
       Sentinel.create t.engine r.faults ~me ~peers:neighbours ?fabric ()
@@ -1545,8 +1444,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   (* [all_ranks] is sorted: the highest rank sizes the rank-indexed
      state. *)
   let n = 1 + List.fold_left max 0 all_ranks in
-  let member = Array.make n false in
-  List.iter (fun r -> member.(r) <- true) all_ranks;
   let rel =
     Option.map
       (fun f ->
@@ -1581,8 +1478,10 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       credits
   in
   let pool = Option.value gw_pool ~default:Config.default_gateway_pool in
-  let routes =
-    compute_routes ~down:(down fixed_view rel) ~n channels all_ranks
+  let routing =
+    Routing.create ~n
+      (List.map (fun c -> (c, Channel.ranks c)) channels)
+      ~down:(down fixed_view rel)
   in
   let t =
     {
@@ -1592,11 +1491,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       gateway_overhead;
       extra_gateway_copy;
       ingress_cap_mb_s;
-      channels;
       all_ranks;
-      member;
-      routes;
-      base_routes = routes;
+      routing;
       rel;
       sched = None;
       tx = Pairs.create n;
@@ -1631,10 +1527,7 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   in
   List.iter
     (fun node ->
-      List.iter
-        (fun c ->
-          if List.mem node (Channel.ranks c) then spawn_dispatcher t ~node c)
-        channels)
+      List.iter (spawn_dispatcher t ~node) (Routing.channels_of routing node))
     all_ranks;
   (match rel with
   | None -> ()
@@ -1917,24 +1810,20 @@ let peer_status t ~src ~dst =
   | _ -> (
       if src = dst then Iface.Up
       else
-        match t.routes.(src).(dst) with
+        match Routing.via t.routing ~src ~dst with
         | [] -> Iface.Down
-        | hops ->
-            let n = List.length hops in
-            let base =
-              match t.base_routes.(src).(dst) with
-              | [] -> n
-              | base -> List.length base
-            in
+        | via ->
+            let n = List.length via in
+            let base = Routing.base_length t.routing ~src ~dst in
             (* Overload shedding on the current path (destination or any
                relay above its watermark) outranks mere route
                lengthening: after rerouting away from an overloaded
                gateway the flow reports Degraded like any failover. *)
             if
               t.overloaded.(dst)
-              || List.exists (fun h -> t.overloaded.(h.hop_to)) hops
+              || List.exists (fun h -> t.overloaded.(h)) via
             then Iface.Overloaded
-            else if n > base then Iface.Degraded (n - base)
+            else if base > 0 && n > base then Iface.Degraded (n - base)
             else Iface.Up)
 
 type rel_stats = {

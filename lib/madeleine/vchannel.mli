@@ -10,9 +10,9 @@
     outgoing one, with exactly two pipeline buffers providing the
     overlap.
 
-    Packets between any two nodes follow the route computed over the
-    channel membership graph (breadth-first, so the fewest gateway
-    crossings). The real channels handed to a virtual channel become
+    Packets between any two nodes follow the route {!Routing} computes
+    over the channel membership graph (breadth-first, so the fewest
+    gateway crossings). The real channels handed to a virtual channel become
     dedicated to it: all their incoming traffic is consumed by the
     forwarding dispatchers.
 

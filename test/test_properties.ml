@@ -553,78 +553,13 @@ let prop_determinism =
 
 (* Clusterfile fuzzing: mutants of the example cluster files either
    load or raise [Parse_error] naming a line inside the file, never
-   another exception. The mutations replace values with 0, -1,
-   2^62 - 1, 1.5 or a name, drop or duplicate lines, append keys to
-   any line and to the vchannel line — the membership keys among them —
-   and may declare a fault plane, so that reliable and election
-   vchannels get past the loader's prerequisites into the library's
-   own checks (values of 1 help them get that far). *)
-type mutation =
-  | Replace of int * int * string (* line, token, new value *)
-  | Drop of int
-  | Duplicate of int
-  | Append of int option * string * string
-      (* line ([None]: the vchannel line), key, value *)
-  | Faults
-
+   another exception. Clusterfile_mutants (test/mutants) describes
+   the mutations. *)
 let example_cfgs =
   [
     "../examples/clusters/two_cluster.cfg";
     "../examples/clusters/three_cluster.cfg";
   ]
-
-let mutant_values =
-  [ "0"; "-1"; "4611686018427387903"; "1.5"; "1"; "ghost"; "a"; "gw";
-    "alpha"; "gw1"; "on"; "true"; "tree"; "aggreg" ]
-
-let mutant_keys =
-  [ "version"; "coordinator"; "election"; "topo_quorum"; "mtu"; "credits";
-    "gw_pool"; "reliable"; "patience_us"; "coll"; "coll_fanout";
-    "coll_quorum"; "sched"; "aggr_max" ]
-
-let is_vchannel line = String.starts_with ~prefix:"vchannel" line
-
-let apply_mutation lines = function
-  | Replace (i, j, v) ->
-      List.mapi
-        (fun k line ->
-          if k <> i then line
-          else
-            String.split_on_char ' ' line
-            |> List.filter (( <> ) "")
-            |> List.mapi (fun n tok ->
-                   match String.index_opt tok '=' with
-                   | Some e when n = j -> String.sub tok 0 (e + 1) ^ v
-                   | _ -> tok)
-            |> String.concat " ")
-        lines
-  | Drop i -> List.filteri (fun k _ -> k <> i) lines
-  | Duplicate i ->
-      List.concat_map (fun (k, l) -> if k = i then [ l; l ] else [ l ])
-        (List.mapi (fun k l -> (k, l)) lines)
-  | Append (at, key, v) ->
-      List.mapi
-        (fun k line ->
-          let here =
-            match at with Some i -> k = i | None -> is_vchannel line
-          in
-          if here then Printf.sprintf "%s %s=%s" line key v else line)
-        lines
-  | Faults -> "faults seed=1" :: lines
-
-let mutation_gen =
-  QCheck.Gen.(
-    let value = oneofl mutant_values and key = oneofl mutant_keys in
-    let line = int_bound 20 in
-    frequency
-      [
-        (3, map3 (fun i j v -> Replace (i, j, v)) line (int_bound 4) value);
-        (1, map (fun i -> Drop i) line);
-        (1, map (fun i -> Duplicate i) line);
-        (2, map3 (fun i k v -> Append (Some i, k, v)) line key value);
-        (6, map2 (fun k v -> Append (None, k, v)) key value);
-        (2, return Faults);
-      ])
 
 let prop_clusterfile_mutants =
   QCheck.Test.make ~name:"clusterfile mutants load or fail on a line"
@@ -635,16 +570,161 @@ let prop_clusterfile_mutants =
         Gen.(
           let* path = oneofl example_cfgs in
           let base = In_channel.with_open_bin path In_channel.input_all in
-          let* muts = list_size (int_range 1 6) mutation_gen in
-          let lines = String.split_on_char '\n' base in
-          return
-            ( String.concat "\n" (List.fold_left apply_mutation lines muts),
-              () )))
+          let* text = Clusterfile_mutants.mutant base in
+          return (text, ())))
     (fun (text, ()) ->
       let n = List.length (String.split_on_char '\n' text) in
       match Clusterfile.load text with
       | _ -> true
       | exception Clusterfile.Parse_error (line, _) -> line >= 1 && line <= n)
+
+(* Routing against a reference model: the list-copying breadth-first
+   search and overload merge that Routing replaced, over channels
+   labelled by ints. A node's route is its discoverer's route with one
+   hop appended; the first edge to reach a node wins. *)
+module Routing = Madeleine.Routing
+
+let ref_routes ~down ~n channels =
+  let routes = Array.make_matrix n n [] in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (c, members) ->
+      List.iter (fun u -> adj.(u) <- (c, members) :: adj.(u)) members)
+    (List.rev channels);
+  for src = 0 to n - 1 do
+    if adj.(src) <> [] && not (down src src) then begin
+      let row = routes.(src) in
+      let reached v = v = src || row.(v) <> [] in
+      let frontier = Queue.create () in
+      Queue.push src frontier;
+      while not (Queue.is_empty frontier) do
+        let u = Queue.pop frontier in
+        List.iter
+          (fun (c, members) ->
+            List.iter
+              (fun v ->
+                if v <> u && (not (down u v)) && not (reached v) then begin
+                  row.(v) <- row.(u) @ [ (c, v) ];
+                  Queue.push v frontier
+                end)
+              members)
+          adj.(u)
+      done
+    end
+  done;
+  routes
+
+(* Pairs whose route can avoid every overloaded rank take that route. *)
+let ref_recompute ~down ~overloaded ~n channels =
+  let fresh = ref_routes ~down ~n channels in
+  if Array.exists Fun.id overloaded then begin
+    let strict =
+      ref_routes ~n channels ~down:(fun u v -> down u v || overloaded.(v))
+    in
+    Array.iteri
+      (fun src ->
+        Array.iteri (fun dst hops ->
+            if hops <> [] then fresh.(src).(dst) <- hops))
+      strict
+  end;
+  fresh
+
+let ref_neighbours channels r =
+  List.fold_left
+    (fun acc (_, members) ->
+      if List.mem r members then
+        List.fold_left
+          (fun acc v -> if v = r || List.mem v acc then acc else acc @ [ v ])
+          acc members
+      else acc)
+    [] channels
+
+(* A random world: 2-12 ranks, 1-5 channels of shuffled members, three
+   edge-shaped [down] matrices (creation, recompute, physical hop) and
+   an overloaded set. *)
+let routing_world_gen =
+  QCheck.Gen.(
+    let* n = int_range 2 12 in
+    let* k = int_range 1 5 in
+    let* channels =
+      list_repeat k
+        (let* members = shuffle_l (List.init n Fun.id) in
+         let* size = int_range 1 n in
+         return (List.filteri (fun i _ -> i < size) members))
+    in
+    let coin p = float_bound_exclusive 1.0 >|= fun x -> x < p in
+    let matrix p = array_repeat n (array_repeat n (coin p)) in
+    let* down0 = matrix 0.1 and* down1 = matrix 0.25 and* down2 = matrix 0.25 in
+    let* overloaded = array_repeat n (coin 0.3) in
+    let channels = List.mapi (fun c m -> (c, m)) channels in
+    return (n, channels, down0, down1, down2, overloaded))
+
+let print_routing_world (n, channels, _, _, _, _) =
+  let members m = String.concat "," (List.map string_of_int m) in
+  Printf.sprintf "n=%d %s" n
+    (String.concat "; "
+       (List.map (fun (c, m) -> Printf.sprintf "c%d=[%s]" c (members m))
+          channels))
+
+let prop_routing_reference =
+  QCheck.Test.make ~name:"routing matches the list-copying reference"
+    ~count:500
+    (QCheck.make routing_world_gen ~print:print_routing_world)
+    (fun (n, channels, down0, down1, down2, overloaded) ->
+      let edge m u v = m.(u).(v) in
+      let g = Routing.create ~n channels ~down:(edge down0) in
+      let base = ref_routes ~n channels ~down:(edge down0) in
+      let before = Routing.routes g in
+      Routing.recompute g ~down:(edge down1) ~overloaded;
+      let cur = ref_recompute ~n channels ~down:(edge down1) ~overloaded in
+      let physical = ref_routes ~n channels ~down:(edge down2) in
+      let hop (h : int Routing.hop) = (h.hop_channel, h.hop_to) in
+      let first = function h :: _ -> Some h | [] -> None in
+      let ranks = List.init n Fun.id in
+      List.for_all
+        (fun r ->
+          Routing.mem g r = List.exists (fun (_, m) -> List.mem r m) channels
+          && Routing.neighbours g r = ref_neighbours channels r
+          && Routing.channels_of g r
+             = List.filter_map
+                 (fun (c, m) -> if List.mem r m then Some c else None)
+                 channels)
+        ranks
+      && List.for_all
+           (fun (src, dst) ->
+             let hops = cur.(src).(dst) in
+             let next =
+               try Some (hop (Routing.next_hop g ~src ~dst))
+               with Not_found -> None
+             in
+             Routing.via g ~src ~dst = List.map snd hops
+             && Routing.routed g src dst = (hops <> [])
+             && next = first hops
+             && Routing.base_length g ~src ~dst = List.length base.(src).(dst)
+             && Routing.changed g ~before src dst = (base.(src).(dst) <> hops)
+             && Option.map hop
+                  (Routing.first_hop g ~down:(edge down2) ~src ~dst)
+                = first physical.(src).(dst)
+             && (src = dst
+                || Routing.same_channel g src dst
+                   = List.exists
+                       (fun (_, m) -> List.mem src m && List.mem dst m)
+                       channels))
+           (List.concat_map (fun a -> List.map (fun b -> (a, b)) ranks) ranks))
+
+(* Ties break in channel-list order: in the two-gateway world (ethA
+   holds 0, 1, 2 and ethB holds 1, 2, 3), 0 reaches both gateways in
+   one hop, and 1 is listed first on ethA, so 0 -> 3 goes via 1. *)
+let test_routing_tie_order () =
+  let g =
+    Routing.create ~n:4
+      [ ("ethA", [ 0; 1; 2 ]); ("ethB", [ 1; 2; 3 ]) ]
+      ~down:(fun _ _ -> false)
+  in
+  Alcotest.(check (list int)) "0 -> 3" [ 1; 3 ] (Routing.via g ~src:0 ~dst:3);
+  Alcotest.(check string) "first hop channel" "ethA"
+    (Routing.next_hop g ~src:0 ~dst:3).Routing.hop_channel;
+  Alcotest.(check (list int)) "3 -> 0" [ 1; 0 ] (Routing.via g ~src:3 ~dst:0)
 
 let () =
   Alcotest.run "properties"
@@ -668,5 +748,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_credit_bounded_memory;
           QCheck_alcotest.to_alcotest prop_determinism;
           QCheck_alcotest.to_alcotest prop_clusterfile_mutants;
+        ] );
+      ( "routing",
+        [
+          QCheck_alcotest.to_alcotest prop_routing_reference;
+          Alcotest.test_case "ties break in channel-list order" `Quick
+            test_routing_tie_order;
         ] );
     ]
