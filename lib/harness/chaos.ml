@@ -231,17 +231,15 @@ let stall_row ~seed ~size =
 
 (* The fault table: a drop-rate x size sweep, a corruption sweep, a
    mid-exchange link flap, a reorder/duplication exchange and a PCI
-   stall. Reliable TCP recovers by selective repeat, but one send is
-   still one frame, and 12 consecutive expiries of a frame declare the
-   peer dead. A frame of many MTU fragments crossing two faulty
-   endpoints is lost whole whenever any fragment is, so the 5% rate is
-   swept only over messages of a few fragments. The 1% rate puts large
-   frames at risk too: the full sweep's 64 kB x 1% row (45 fragments)
-   loses its peer at 12 of seeds 1-1000. Such a dead row reads
-   latency 0.00 us and bandwidth 0.00 MB/s (nothing was measured, and
-   no clean-latency ratio is printed), intact "NO", and fails the
-   [rows-intact] gate. The fix is to cut frames at the MSS (ROADMAP
-   item 3), not to drop the row. *)
+   stall. Reliable TCP cuts every send at the MSS and recovers each
+   lost segment by selective repeat, so a 64 kB send at 1% drop (45
+   segments) costs about clean latency; 12 consecutive expiries of one
+   segment would declare the peer dead. The 5% rate is still swept only
+   over messages of at most 4 kB, a limit set when one send was one
+   frame, lost whole whenever any of its fragments was. A row whose
+   peer died anyway would read latency 0.00 us and bandwidth 0.00 MB/s
+   (nothing was measured, and no clean-latency ratio is printed),
+   intact "NO", and fail the [rows-intact] gate. *)
 let pingpong_faults ~seed ~quick =
   let rates = if quick then [ 0.0; 0.01 ] else [ 0.0; 0.005; 0.01; 0.05 ] in
   let sizes =

@@ -1224,7 +1224,7 @@ let emit_data t ~charge header payload =
    constituent frame — the receiver's assembler pops each frame as its
    own chunk, so consumption-side accounting matches exactly.
    Reliability: the whole aggregate takes ONE sequence number and ONE
-   re-emission log slot, riding the TCP window as one frame. Gateways
+   re-emission log slot, riding the TCP window as one send. Gateways
    never look inside: the train is ordinary payload to every pump on
    the route. *)
 let emit_one_aggregate t ~src ~dst frames =

@@ -136,9 +136,11 @@ let slow_receiver t ~fabric ~node ~mb_per_s =
   (link_state t (fabric, node)).rx_cap_mb_s <- Some mb_per_s
 
 let rx_cap t ~fabric ~node =
-  match Hashtbl.find_opt t.links (fabric, node) with
-  | None -> None
-  | Some l -> l.rx_cap_mb_s
+  if Hashtbl.length t.links = 0 then None
+  else
+    match Hashtbl.find_opt t.links (fabric, node) with
+    | None -> None
+    | Some l -> l.rx_cap_mb_s
 
 let node_up t node = not (Hashtbl.mem t.node_down node)
 
@@ -261,8 +263,10 @@ let stall_pci t node ~at ~duration =
           Fluid.transfer node.Node.pci ~bytes_count:(max 1 bytes_count)
             ~weight:1000.0 ()))
 
-let frame_verdict t ~fabric ~src ~dst ~fragments =
-  if partitioned t ~fabric ~src ~dst then begin
+(* Reliable transports ask once per MTU-sized frame and once per ack,
+   so a plane with no cut, or no link fault, skips those lookups. *)
+let frame_verdict t ~fabric ~src ~dst =
+  if Hashtbl.length t.cuts > 0 && partitioned t ~fabric ~src ~dst then begin
     t.frames_cut <- t.frames_cut + 1;
     Drop
   end
@@ -270,6 +274,7 @@ let frame_verdict t ~fabric ~src ~dst ~fragments =
     t.frames_dropped <- t.frames_dropped + 1;
     Drop
   end
+  else if Hashtbl.length t.links = 0 then Deliver
   else begin
     let s = Hashtbl.find_opt t.links (fabric, src) in
     let d = Hashtbl.find_opt t.links (fabric, dst) in
@@ -291,15 +296,10 @@ let frame_verdict t ~fabric ~src ~dst ~fragments =
       let drop_rate = sd +. dd and corrupt_rate = sc +. dc in
       let verdict = ref Deliver in
       if drop_rate > 0.0 || corrupt_rate > 0.0 then begin
-        (* One uniform draw per fragment decides drop vs corrupt vs
-           survive; the first non-surviving fragment settles the frame. *)
-        let i = ref 0 in
-        while !verdict = Deliver && !i < max 1 fragments do
-          let r = Rng.float t.rng 1.0 in
-          if r < drop_rate then verdict := Drop
-          else if r < drop_rate +. corrupt_rate then verdict := Corrupt;
-          incr i
-        done
+        (* One uniform draw decides drop vs corrupt vs survive. *)
+        let r = Rng.float t.rng 1.0 in
+        if r < drop_rate then verdict := Drop
+        else if r < drop_rate +. corrupt_rate then verdict := Corrupt
       end;
       (* Duplication and reordering are whole-frame events: the NIC (or a
          misbehaving switch) replays or delays a frame it did deliver. *)

@@ -31,10 +31,10 @@ val engine : t -> Marcel.Engine.t
 
 (** {1 Rate-driven link faults}
 
-    Rates are per fragment (one MTU-sized unit on the wire) for drop and
-    corruption — a frame spanning [n] fragments survives only if every
-    fragment does — and per frame for duplication and reordering, which
-    model NIC/switch replay and queueing rather than wire noise. A link
+    Rates are per frame, and a frame is at most one MTU-sized unit on
+    the wire (reliable transports cut their sends at the MTU). Drop and
+    corruption model wire noise; duplication and reordering model
+    NIC/switch replay and queueing. A link
     is identified by the fabric's name and the node id of its NIC; a
     frame is subject to the faults of both its source and destination
     links. A rate outside [\[0, 1\]], NaN included, raises
@@ -146,9 +146,8 @@ val on_heal : t -> (string -> unit) -> unit
     retransmissions. Runs synchronously from the healing call: it must
     not block, but may spawn threads. *)
 
-val frame_verdict :
-  t -> fabric:string -> src:int -> dst:int -> fragments:int -> verdict
-(** The fate of one frame of [fragments] MTU units crossing [fabric]
+val frame_verdict : t -> fabric:string -> src:int -> dst:int -> verdict
+(** The fate of one frame of at most one MTU crossing [fabric]
     from [src] to [dst], drawn at the moment of delivery. Counts into
     {!stats}. *)
 

@@ -45,14 +45,13 @@ end
 
 exception Timeout of { msg : string; attempts : int }
 
-(* One reliable-mode frame in flight: payload, integrity check and the
-   retransmission bookkeeping the selective-repeat sender needs. *)
+(* One reliable-mode frame in flight: a payload of at most one MSS, its
+   integrity check and the retransmission bookkeeping the
+   selective-repeat sender needs. *)
 type frame = {
   f_seq : int;
   f_data : Bytes.t;
   f_crc : int;
-  f_fragments : int;
-  f_len : int;
   mutable f_sent_at : Time.t; (* last (re)transmission instant *)
   mutable f_floor : Time.span; (* serialization lower bound for the RTO *)
   mutable f_rexmit : bool; (* retransmitted at least once (Karn's rule) *)
@@ -63,7 +62,8 @@ type conn = {
   stack : t;
   mutable peer : conn option;
   inbox : Bytequeue.t;
-  mutable readers : (unit -> unit) list;
+  mutable readers : (int * (unit -> unit)) list;
+      (* blocked readers, each with the bytes it still needs *)
   mutable data_hooks : (unit -> unit) list;
   mutable out_stream : Simnet.Stream.t option;
       (* lazily-built FIFO delivery pipeline toward the peer *)
@@ -81,12 +81,17 @@ type conn = {
   mutable high_rxt : int; (* highest seq resent in this recovery episode *)
   mutable holes_due : bool; (* the ack path asks the daemon to resend *)
   mutable inflight_bytes : int;
+  mutable wire_bytes : int;
+      (* bytes pushed into [out_stream] and not yet delivered: resends and
+         frames of a reset epoch included *)
   mutable srtt : float; (* smoothed RTT, microseconds *)
   mutable rttvar : float; (* RTT mean deviation, microseconds *)
   mutable have_rtt : bool;
   mutable backoff : int; (* RTO doublings since the last ack progress *)
   mutable ack_waiters : (unit -> unit) list; (* window-admission waiters *)
   mutable rtx_wake : (unit -> unit) option; (* retransmitter daemon wake *)
+  mutable rtx_armed : bool; (* an RTO timer is pending at [rtx_timer] *)
+  mutable rtx_timer : Time.t;
   mutable rtx_alive : bool;
   mutable peer_epoch_seen : int; (* peer restart epoch at last session sync *)
   mutable retries : int; (* total retransmissions on this conn *)
@@ -118,7 +123,7 @@ and net = {
   mutable net_handshakes : int; (* crash-epoch session resyncs performed *)
 }
 
-let make_net ?(window = 8) ?(max_retries = 12) engine fabric =
+let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
   if window < 1 then invalid_arg "Tcpnet.make_net: window must be >= 1";
   if max_retries < 1 then invalid_arg "Tcpnet.make_net: max_retries must be >= 1";
   {
@@ -179,12 +184,15 @@ let fresh_conn stack =
     high_rxt = -1;
     holes_due = false;
     inflight_bytes = 0;
+    wire_bytes = 0;
     srtt = 0.0;
     rttvar = 0.0;
     have_rtt = false;
     backoff = 0;
     ack_waiters = [];
     rtx_wake = None;
+    rtx_armed = false;
+    rtx_timer = Time.zero;
     rtx_alive = false;
     peer_epoch_seen = -1;
     retries = 0;
@@ -252,7 +260,19 @@ let socketpair a b =
 let wake_readers conn =
   let readers = conn.readers in
   conn.readers <- [];
-  List.iter (fun wake -> wake ()) readers;
+  List.iter (fun (_, wake) -> wake ()) readers;
+  List.iter (fun hook -> hook ()) conn.data_hooks
+
+(* In-order reliable delivery: a frame carries at most one MSS, so only
+   the readers whose whole remainder is now buffered are woken; the
+   others would take a partial read and block again. *)
+let wake_ready_readers conn =
+  let ready (need, _) = need <= Bytequeue.length conn.inbox in
+  if List.exists ready conn.readers then begin
+    let woken, waiting = List.partition ready conn.readers in
+    conn.readers <- waiting;
+    List.iter (fun (_, wake) -> wake ()) woken
+  end;
   List.iter (fun hook -> hook ()) conn.data_hooks
 
 let push_inbox conn data =
@@ -325,6 +345,21 @@ let wake_acked conn =
   List.iter (fun w -> w ()) waiters
 
 let wake_rtx conn = match conn.rtx_wake with Some w -> w () | None -> ()
+
+(* Ensures the retransmitter is woken by [at]. A pending timer at or
+   before [at] already does that: the retransmitter re-evaluates its
+   deadline whenever it wakes, so one timer covers many acks. A later
+   pending timer is superseded and fires as a no-op. *)
+let arm_rtx conn at =
+  if not (conn.rtx_armed && Time.( <= ) conn.rtx_timer at) then begin
+    conn.rtx_armed <- true;
+    conn.rtx_timer <- at;
+    Engine.at conn.stack.net.engine at (fun () ->
+        if conn.rtx_armed && Time.equal conn.rtx_timer at then begin
+          conn.rtx_armed <- false;
+          wake_rtx conn
+        end)
+  end
 
 (* A conn declared dead stays dead until one of the hosts restarts with
    a bumped epoch, at which point [session_resync] revives it. Readers
@@ -450,7 +485,11 @@ let install_fault_hooks net faults =
    drain is one more serial stage after the wire, so the floor adds the
    backlog at the capped rate on top — otherwise a
    throttled-but-lossless receiver looks like a dead one and the
-   retransmitter storms it. Without a cap the floor is unchanged. *)
+   retransmitter storms it. Without a cap the floor is unchanged.
+   Callers count the larger of the unacked bytes and the bytes still in
+   the out stream ([wire_bytes]): after a socket reset or a round of
+   resends the stream holds more than the window, and a floor blind to
+   that backlog expires early and resends into it again. *)
 let frame_floor net ~rx_cap ~queued_bytes =
   let qb = max queued_bytes 1 in
   let base =
@@ -527,12 +566,24 @@ let dupack_threshold outstanding =
    episode up to the highest seq sent) and on a partial ack inside an
    episode. An ack at or past the recovery point ends the episode. An
    ack with an empty held set reports no hole (it answers a duplicate
-   frame), so it never counts as a duplicate ack. *)
+   frame), so it never counts as a duplicate ack. The send queue and
+   the held set both ascend, so one merge walk marks the SACKed frames. *)
 let rec apply_ack conn ack_upto sacks =
-  if sacks <> [] then
+  if sacks <> [] then begin
+    let rest = ref sacks in
     Queue.iter
-      (fun f -> if List.mem f.f_seq sacks then f.f_sacked <- true)
-      conn.sendq;
+      (fun f ->
+        let rec skip = function
+          | s :: tl when s < f.f_seq -> skip tl
+          | l -> l
+        in
+        match skip !rest with
+        | s :: tl when s = f.f_seq ->
+            f.f_sacked <- true;
+            rest := tl
+        | l -> rest := l)
+      conn.sendq
+  end;
   if ack_upto > conn.acked then begin
     let now = Engine.now conn.stack.net.engine in
     conn.acked <- ack_upto;
@@ -541,7 +592,7 @@ let rec apply_ack conn ack_upto sacks =
       && (Queue.peek conn.sendq).f_seq <= ack_upto
     do
       let f = Queue.pop conn.sendq in
-      conn.inflight_bytes <- conn.inflight_bytes - f.f_len;
+      conn.inflight_bytes <- conn.inflight_bytes - Bytes.length f.f_data;
       (* Karn's rule: never sample RTT from a retransmitted frame. *)
       if not f.f_rexmit then rtt_sample conn (Time.diff now f.f_sent_at)
     done;
@@ -552,7 +603,13 @@ let rec apply_ack conn ack_upto sacks =
       if ack_upto >= conn.recover then conn.recover <- -1
       else conn.holes_due <- true;
     wake_acked conn;
-    wake_rtx conn
+    (* The new head's deadline may be earlier than the pending timer
+       (the backoff just reset); holes to resend need the daemon now. *)
+    if conn.holes_due then wake_rtx conn
+    else if not (Queue.is_empty conn.sendq) then begin
+      let head = Queue.peek conn.sendq in
+      arm_rtx conn (Time.add head.f_sent_at (cur_rto conn head))
+    end
   end
   else if ack_upto = conn.acked && sacks <> [] && conn.recover < 0 then begin
     conn.dupacks <- conn.dupacks + 1;
@@ -579,7 +636,7 @@ and schedule_ack conn remote faults =
     (fun () ->
       match
         Simnet.Faults.frame_verdict faults ~fabric:fabric_name ~src:dst
-          ~dst:src ~fragments:1
+          ~dst:src
       with
       | Simnet.Faults.Deliver | Simnet.Faults.Duplicate ->
           apply_ack conn ack_upto sacks
@@ -589,18 +646,20 @@ and schedule_ack conn remote faults =
             (fun () -> apply_ack conn ack_upto sacks)
       | Simnet.Faults.Drop | Simnet.Faults.Corrupt -> ())
 
-(* Ship one frame toward the peer; the receiver-side fate (verdict, CRC
-   check, in-order delivery or hold, cumulative ack with the held set)
-   runs at delivery time. *)
-and push_wire conn remote faults f =
+(* Ship one frame toward the peer, its kernel entry already paid; the
+   receiver-side fate (verdict, CRC check, in-order delivery or hold,
+   cumulative ack with the held set) runs at delivery time. *)
+and transmit conn remote faults f =
   let net = conn.stack.net in
   let engine = net.engine in
   let fabric_name = Fabric.name net.fabric in
   let src = host_id conn and dst = host_id remote in
-  Engine.sleep Netparams.tcp_send_overhead;
   f.f_sent_at <- Engine.now engine;
-  Simnet.Stream.push (out_stream conn remote) ~bytes_count:f.f_len
+  conn.wire_bytes <- conn.wire_bytes + Bytes.length f.f_data;
+  Simnet.Stream.push (out_stream conn remote)
+    ~bytes_count:(Bytes.length f.f_data)
     ~on_delivered:(fun () ->
+      conn.wire_bytes <- conn.wire_bytes - Bytes.length f.f_data;
       let process data =
         if Simnet.Checksum.crc32 data <> f.f_crc then begin
           (* Detected corruption: discard silently, no ack — the
@@ -614,7 +673,7 @@ and push_wire conn remote faults f =
             remote.rx_next <- next + 1;
             push_inbox remote data;
             drain_held remote;
-            wake_readers remote
+            wake_ready_readers remote
           end
           else if
             f.f_seq > next
@@ -640,14 +699,14 @@ and push_wire conn remote faults f =
             in
             let fin =
               Time.add start
-                (Time.bytes_at_rate ~bytes_count:f.f_len ~mb_per_s:cap)
+                (Time.bytes_at_rate ~bytes_count:(Bytes.length f.f_data)
+                   ~mb_per_s:cap)
             in
             remote.rx_slot <- fin;
             Engine.at engine fin run
       in
       match
         Simnet.Faults.frame_verdict faults ~fabric:fabric_name ~src ~dst
-          ~fragments:f.f_fragments
       with
       | Simnet.Faults.Drop -> ()
       | Simnet.Faults.Deliver -> paced (fun () -> process f.f_data)
@@ -709,7 +768,8 @@ let session_resync conn remote faults =
     end
   end
 
-(* Resends [frames], oldest first, on the retransmitter's own thread. *)
+(* Resends [frames], oldest first, on the retransmitter's own thread;
+   each resend pays its own kernel entry. *)
 let resend conn remote faults frames =
   let net = conn.stack.net in
   let rx_cap = rx_cap_of net remote in
@@ -723,13 +783,17 @@ let resend conn remote faults frames =
     (fun f ->
       (* Acks may land between resends; skip what they covered. *)
       if f.f_seq > conn.acked && (not f.f_sacked) && not conn.dead then begin
-        cum := !cum + f.f_len;
-        f.f_floor <- frame_floor net ~rx_cap ~queued_bytes:(backlog + !cum);
+        let len = Bytes.length f.f_data in
+        cum := !cum + len;
+        f.f_floor <-
+          frame_floor net ~rx_cap
+            ~queued_bytes:(max (backlog + !cum) (conn.wire_bytes + len));
         f.f_rexmit <- true;
         if f.f_seq > conn.high_rxt then conn.high_rxt <- f.f_seq;
         conn.retries <- conn.retries + 1;
         net.net_retransmissions <- net.net_retransmissions + 1;
-        push_wire conn remote faults f
+        Engine.sleep Netparams.tcp_send_overhead;
+        transmit conn remote faults f
       end)
     frames
 
@@ -801,7 +865,7 @@ let rec rtx_loop conn remote faults =
     if Time.( < ) now deadline then begin
       Engine.suspend ~name:"tcp.rtx.wait" (fun wake ->
           conn.rtx_wake <- Some wake;
-          Engine.at engine deadline (fun () -> wake ()));
+          arm_rtx conn deadline);
       conn.rtx_wake <- None;
       rtx_loop conn remote faults
     end
@@ -819,11 +883,15 @@ let ensure_rtx conn remote faults =
       (fun () -> rtx_loop conn remote faults)
   end
 
-(* Windowed reliable send: blocks only for window admission (and for
-   the session handshake after a restart); delivery and recovery are
-   driven by the retransmitter daemon, so a sender may exit with frames
-   still in flight and the transfer completes behind it. *)
-let reliable_send conn remote faults data =
+(* Windowed reliable send of one [send_group], already cut into
+   segments of at most one MSS: each becomes a frame with its own seq,
+   CRC, SACK mark and RTO floor, and waits for its own window slot. The
+   kernel entry is paid once, before the first frame, as on the fast
+   path. Blocks only for window admission (and for the session
+   handshake after a restart); delivery and recovery are driven by the
+   retransmitter daemon, so a sender may exit with frames still in
+   flight and the transfer completes behind it. *)
+let reliable_send conn remote faults segments =
   let net = conn.stack.net in
   install_fault_hooks net faults;
   ensure_epoch_baseline conn remote faults;
@@ -838,49 +906,56 @@ let reliable_send conn remote faults data =
     mark_dead conn remote;
     fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
   end;
-  while
-    (not (conn_unreachable conn)) && Queue.length conn.sendq >= net.window
-  do
-    Engine.suspend ~name:"tcp.window" (fun wake ->
-        conn.ack_waiters <- wake :: conn.ack_waiters)
-  done;
-  if conn_unreachable conn then begin
-    mark_dead conn remote;
-    fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
-  end;
-  let total = Bytes.length data in
-  let mtu = (Fabric.link net.fabric).Netparams.hw_mtu in
-  let seq = conn.tx_seq in
-  conn.tx_seq <- seq + 1;
-  conn.inflight_bytes <- conn.inflight_bytes + total;
-  let f =
-    {
-      f_seq = seq;
-      f_data = data;
-      f_crc = Simnet.Checksum.crc32 data;
-      f_fragments = max 1 ((total + mtu - 1) / mtu);
-      f_len = total;
-      f_sent_at = Engine.now net.engine;
-      f_floor =
-        frame_floor net ~rx_cap:(rx_cap_of net remote)
-          ~queued_bytes:conn.inflight_bytes;
-      f_rexmit = false;
-      f_sacked = false;
-    }
-  in
-  Queue.push f conn.sendq;
-  let depth = Queue.length conn.sendq in
-  if depth > conn.peak_sendq then conn.peak_sendq <- depth;
-  ensure_rtx conn remote faults;
-  push_wire conn remote faults f;
-  wake_rtx conn
+  Array.iteri
+    (fun i data ->
+      while
+        (not (conn_unreachable conn)) && Queue.length conn.sendq >= net.window
+      do
+        Engine.suspend ~name:"tcp.window" (fun wake ->
+            conn.ack_waiters <- wake :: conn.ack_waiters)
+      done;
+      if conn_unreachable conn then begin
+        mark_dead conn remote;
+        fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
+      end;
+      let seq = conn.tx_seq in
+      conn.tx_seq <- seq + 1;
+      conn.inflight_bytes <- conn.inflight_bytes + Bytes.length data;
+      let f =
+        {
+          f_seq = seq;
+          f_data = data;
+          f_crc = Simnet.Checksum.crc32 data;
+          f_sent_at = Engine.now net.engine;
+          f_floor =
+            frame_floor net ~rx_cap:(rx_cap_of net remote)
+              ~queued_bytes:
+                (max conn.inflight_bytes (conn.wire_bytes + Bytes.length data));
+          f_rexmit = false;
+          f_sacked = false;
+        }
+      in
+      Queue.push f conn.sendq;
+      let depth = Queue.length conn.sendq in
+      if depth > conn.peak_sendq then conn.peak_sendq <- depth;
+      ensure_rtx conn remote faults;
+      if i = 0 then Engine.sleep Netparams.tcp_send_overhead;
+      transmit conn remote faults f;
+      (* Only the head's deadline is the daemon's to watch, and a parked
+         daemon has an empty queue: a frame behind the head needs no
+         wake. *)
+      match Queue.peek_opt conn.sendq with
+      | Some head when head == f -> wake_rtx conn
+      | _ -> ())
+    segments
 
-(* Copies the slices, in order, into one fresh buffer: the only copy a
-   send makes of the caller's bytes. It becomes the fast path's inbox
-   chunk or the reliable frame's payload, and is taken before any
-   blocking, so the caller may reuse its buffers as soon as the call
-   returns. *)
-let stage slices =
+(* Copies the slices, in order, straight into fresh segment buffers of
+   [seg] bytes each (the last one shorter; one empty segment for an
+   empty send): the only copy a send makes of the caller's bytes. A
+   segment becomes the fast path's inbox chunk or a reliable frame's
+   payload, and is taken before any blocking, so the caller may reuse
+   its buffers as soon as the call returns. *)
+let stage ~seg slices =
   let total =
     List.fold_left
       (fun n (buf, off, len) ->
@@ -889,25 +964,44 @@ let stage slices =
         n + len)
       0 slices
   in
-  let data = Bytes.create total in
+  let count = if total <= seg then 1 else ((total - 1) / seg) + 1 in
+  let segments =
+    Array.init count (fun i -> Bytes.create (min seg (total - (i * seg))))
+  in
   ignore
     (List.fold_left
        (fun pos (buf, off, len) ->
-         Bytes.blit buf off data pos len;
+         let copied = ref 0 in
+         while !copied < len do
+           let at = pos + !copied in
+           let dst = segments.(at / seg) and dst_off = at mod seg in
+           let n = min (len - !copied) (Bytes.length dst - dst_off) in
+           Bytes.blit buf (off + !copied) dst dst_off n;
+           copied := !copied + n
+         done;
          pos + len)
        0 slices);
-  data
+  segments
 
+(* Without a fault plane the whole send is one chunk; under one it is
+   cut at the MSS, the fabric's hardware MTU. *)
 let send_group conn slices =
-  let data = stage slices in
+  let net = conn.stack.net in
+  let faults = Fabric.faults net.fabric in
+  let seg =
+    match faults with
+    | None -> max_int
+    | Some _ -> (Fabric.link net.fabric).Netparams.hw_mtu
+  in
+  let segments = stage ~seg slices in
   let remote =
     match conn.peer with
     | Some p -> p
     | None -> invalid_arg "Tcpnet.send: not connected"
   in
-  match Fabric.faults conn.stack.net.fabric with
-  | None -> fast_transmit conn remote data
-  | Some faults -> reliable_send conn remote faults data
+  match faults with
+  | None -> fast_transmit conn remote segments.(0)
+  | Some faults -> reliable_send conn remote faults segments
 
 let send conn data = send_group conn [ (data, 0, Bytes.length data) ]
 
@@ -952,7 +1046,7 @@ let recv_raw ?deadline conn buf ~off ~len =
       | _ -> ());
       let timed_out = ref false in
       Engine.suspend ~name:"tcp.recv" (fun wake ->
-          conn.readers <- (fun () -> wake ()) :: conn.readers;
+          conn.readers <- (len - !got, fun () -> wake ()) :: conn.readers;
           match deadline with
           | Some d ->
               Engine.at engine d (fun () ->

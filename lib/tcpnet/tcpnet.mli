@@ -8,9 +8,11 @@
     several sends).
 
     When the underlying fabric has a fault plane attached
-    ({!Simnet.Fabric.set_faults}), every [send] becomes one checksummed,
-    sequence-numbered frame in a selective-repeat sliding window: up to
-    [window] frames ride the wire at once. The receiver holds frames
+    ({!Simnet.Fabric.set_faults}), every [send] is cut at the MSS (the
+    fabric's hardware MTU) into checksummed, sequence-numbered frames of
+    at most one MSS each, in a selective-repeat sliding window: up to
+    [window] frames ride the wire at once, and a lost fragment costs
+    one frame's resend, not the whole send's. The receiver holds frames
     that arrive past a hole and drains them in order once it fills;
     every ack carries the cumulative point plus the held set (SACK), and
     the sender never resends a frame reported held. Duplicate acks
@@ -42,10 +44,11 @@ type conn
 
 val make_net :
   ?window:int -> ?max_retries:int -> Marcel.Engine.t -> Simnet.Fabric.t -> net
-(** [window] (default 8, >= 1) is the selective-repeat window in frames:
-    the sender keeps at most [window] frames in flight and the receiver
-    holds at most [window - 1] past a hole ([window = 1] is
-    stop-and-wait);
+(** [window] (default 24, >= 1) is the selective-repeat window in
+    frames of at most one MSS (24 x 1460 B, about 35 kB, on Fast
+    Ethernet): the sender keeps at most [window] frames in flight and
+    the receiver holds at most [window - 1] past a hole ([window = 1]
+    is stop-and-wait);
     [max_retries] (default 12, >= 1) is the number of consecutive RTO
     expiries after which a connection is declared dead. Both only matter
     under a fault plane. *)
@@ -94,7 +97,7 @@ val send : conn -> Bytes.t -> unit
     the caller may reuse its buffer as soon as the call returns. Under a
     fault plane, additionally blocks while the send window is full;
     recovery is then driven by a per-conn retransmitter daemon, so the
-    call returns with the frame still in flight and raises {!Timeout}
+    call returns with frames still in flight and raises {!Timeout}
     only if the connection is (or becomes, while waiting for window
     space) dead. *)
 
@@ -110,9 +113,9 @@ val available : conn -> int
 val send_group : conn -> (Bytes.t * int * int) list -> unit
 (** Scatter-gather send ([writev]): ships each [(buf, off, len)] slice in
     order while paying the kernel entry cost only once. The slices are
-    copied once, on entry, into a single staging buffer that travels as
-    one chunk (one frame under a fault plane), so the caller may reuse
-    them as soon as the call returns. [send] is the one-slice case.
+    copied once, on entry: into a single staging buffer that travels as
+    one chunk, or under a fault plane straight into MSS-sized frames,
+    so the caller may reuse them as soon as the call returns. [send] is the one-slice case.
     Raises [Invalid_argument] if a slice is out of bounds. *)
 
 val recv_group : conn -> (Bytes.t * int * int) list -> unit

@@ -308,8 +308,9 @@ let test_recv_timeout () =
   Alcotest.(check bool) "recv raised Timeout" true !timed_out
 
 let test_window_survives_reorder_dup_loss () =
-  (* Under a fault plane each send is one frame, so many small messages
-     (plus their acks) give the dup/reorder draws enough frames to bite.
+  (* Under a fault plane each 2 kB send is two frames (cut at the MSS),
+     so many small messages (plus their acks) give the dup/reorder draws
+     enough frames to bite.
      Every seed must deliver each message exactly once, in order. *)
   let duplicated = ref 0 and delayed = ref 0 and discarded = ref 0 in
   for seed = 1 to 16 do
@@ -338,8 +339,8 @@ let test_window_survives_reorder_dup_loss () =
     (!discarded > 0)
 
 (* Selective-repeat recovery, with the losses scripted rather than
-   drawn: a burst of eight 1 kB sends (one frame each, the whole
-   window) crosses a clean link, and each lost frame is the one whose
+   drawn: a burst of eight 1 kB sends (one frame each, under the MSS)
+   crosses a clean link, and each lost frame is the one whose
    delivery verdict falls in a 2 us window of 100 % drop, placed at that
    frame's delivery instant in a loss-free run. Frames arrive about
    90 us apart and acks take 61 us, so no ack falls in a window. The
@@ -529,6 +530,76 @@ let test_sr_tail_loss () =
   (* With one frame to resend, go-back-N did the same: 1947.214 us. *)
   Alcotest.(check (float 1e-3)) "finish instant" 1947.214 (Time.to_us finish)
 
+(* MSS segmentation: under a fault plane one [send_group] becomes
+   ceil(len / MSS) frames, each with its own seq, CRC and SACK mark, so
+   a lost fragment costs one 1460 B resend instead of the whole write.
+   The 64 kB write is three slices whose boundaries fall inside
+   segments, so the staging copy is checked across them too. *)
+let big_size = 65536
+
+let big_slices () =
+  let a = payload 1000 801L
+  and b = payload 30_000 802L
+  and c = payload (big_size - 31_000 + 40) 803L in
+  let slices = [ (a, 0, 1000); (b, 0, 30_000); (c, 40, big_size - 31_000) ] in
+  let expected =
+    Bytes.concat Bytes.empty
+      (List.map (fun (buf, off, len) -> Bytes.sub buf off len) slices)
+  in
+  (slices, expected)
+
+(* One 64 kB [send_group] from c0 to c1; returns whether it arrived
+   bit-identical, the instant of every in-order frame delivery and the
+   highest [consecutive_failures] seen at one. *)
+let big_run w =
+  let slices, expected = big_slices () in
+  let delivered = ref [] and failures = ref 0 in
+  Tcpnet.set_data_hook w.c1 (fun () ->
+      delivered := Engine.now w.engine :: !delivered;
+      failures := max !failures (Tcpnet.consecutive_failures w.c0));
+  let sink = Bytes.create big_size in
+  Engine.spawn w.engine ~name:"send" (fun () -> Tcpnet.send_group w.c0 slices);
+  Engine.spawn w.engine ~name:"recv" (fun () ->
+      Tcpnet.recv w.c1 sink ~off:0 ~len:big_size);
+  Engine.run w.engine;
+  (Bytes.equal sink expected, Array.of_list (List.rev !delivered), !failures)
+
+let test_mss_segments_inert () =
+  let w = faulty_world () in
+  let intact, delivered, _ = big_run w in
+  Alcotest.(check bool) "bit-identical bytes" true intact;
+  Alcotest.(check int) "one in-order delivery per 1460 B frame" 45
+    (Array.length delivered);
+  Alcotest.(check (pair int int)) "no recovery on an inert plane" (0, 0)
+    (Tcpnet.net_stats w.net);
+  let peak = Tcpnet.sendq_peak w.c0 in
+  Alcotest.(check bool) "the window fills" true (peak > 1);
+  Alcotest.(check bool) "sendq peak within the default window" true
+    (peak <= 24)
+
+let test_mss_one_lost_segment () =
+  let _, clean, _ = big_run (faulty_world ()) in
+  let w = faulty_world () in
+  drop_near w [ clean.(10) ];
+  let intact, _, failures = big_run w in
+  Alcotest.(check bool) "bit-identical bytes" true intact;
+  Alcotest.(check int) "one fragment dropped" 1
+    (Faults.stats w.faults).Faults.frames_dropped;
+  Alcotest.(check int) "one retry" 1 (Tcpnet.retries w.c0);
+  Alcotest.(check int) "fast retransmit, no RTO expiry" 0 failures
+
+let test_mss_64k_lossy_never_times_out () =
+  for seed = 1 to 32 do
+    let w = faulty_world ~seed:(Int64.of_int seed) ~drop:0.01 () in
+    match big_run w with
+    | intact, _, _ ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: bit-identical bytes" seed)
+          true intact
+    | exception Tcpnet.Timeout { msg; _ } ->
+        Alcotest.failf "seed %d: Timeout (%s)" seed msg
+  done
+
 let test_max_retries_gives_up_with_attempt_count () =
   let engine = Engine.create () in
   let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
@@ -705,7 +776,7 @@ let test_partition_observables () =
   Alcotest.(check bool) "heartbeat suppressed" false
     (Faults.heartbeat w.faults ~fabric:"eth" ~src:0 ~dst:1 ());
   (match
-     Faults.frame_verdict w.faults ~fabric:"eth" ~src:0 ~dst:1 ~fragments:1
+     Faults.frame_verdict w.faults ~fabric:"eth" ~src:0 ~dst:1
    with
   | Faults.Drop -> ()
   | _ -> Alcotest.fail "expected Drop across the cut");
@@ -928,6 +999,12 @@ let () =
             test_sr_early_retransmit;
           Alcotest.test_case "selective repeat: reset drops held" `Quick
             test_sr_reset_discards_held;
+          Alcotest.test_case "MSS: 64 kB send is 45 frames" `Quick
+            test_mss_segments_inert;
+          Alcotest.test_case "MSS: one lost segment, one resend" `Quick
+            test_mss_one_lost_segment;
+          Alcotest.test_case "MSS: 64 kB at 1% never times out" `Quick
+            test_mss_64k_lossy_never_times_out;
         ] );
       ( "partitions",
         [
