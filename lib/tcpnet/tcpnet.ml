@@ -56,6 +56,7 @@ type frame = {
   mutable f_floor : Time.span; (* serialization lower bound for the RTO *)
   mutable f_rexmit : bool; (* retransmitted at least once (Karn's rule) *)
   mutable f_sacked : bool; (* the receiver reported it held: never resent *)
+  mutable f_lost : bool; (* RACK marked it lost; its next resend clears it *)
 }
 
 type conn = {
@@ -76,10 +77,15 @@ type conn = {
       (* frames received past a hole, ascending seq, at most window - 1 *)
   mutable acked : int; (* highest cumulatively acked sent seq *)
   sendq : frame Queue.t; (* in-flight window, oldest first *)
-  mutable dupacks : int; (* duplicate acks since the last ack progress *)
-  mutable recover : int; (* highest seq of the recovery episode, or -1 *)
-  mutable high_rxt : int; (* highest seq resent in this recovery episode *)
-  mutable holes_due : bool; (* the ack path asks the daemon to resend *)
+  mutable rack_sent : Time.t;
+      (* RACK: send instant of the most recently sent frame copy an ack
+         echoed as delivered *)
+  mutable rack_seq : int; (* its seq, or -1: no echo since the last reset *)
+  mutable rack_rtt : Time.span; (* its round trip *)
+  mutable min_rtt : Time.span; (* smallest echoed round trip since the reset *)
+  mutable tlp_ref : Time.t; (* last ack progress or new frame sent *)
+  mutable drained_at : Time.t; (* last instant [out_stream] emptied *)
+  mutable tlp_out : bool; (* this flight's one tail-loss probe is spent *)
   mutable inflight_bytes : int;
   mutable wire_bytes : int;
       (* bytes pushed into [out_stream] and not yet delivered: resends and
@@ -121,6 +127,10 @@ and net = {
   mutable net_retransmissions : int;
   mutable net_crc_rejects : int;
   mutable net_handshakes : int; (* crash-epoch session resyncs performed *)
+  mutable net_rto_expiries : int;
+  mutable net_rack_marks : int;
+  mutable net_probes : int;
+  mutable net_dup_arrivals : int;
 }
 
 let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
@@ -137,10 +147,29 @@ let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
     net_retransmissions = 0;
     net_crc_rejects = 0;
     net_handshakes = 0;
+    net_rto_expiries = 0;
+    net_rack_marks = 0;
+    net_probes = 0;
+    net_dup_arrivals = 0;
   }
 
 let net_stats net = (net.net_retransmissions, net.net_crc_rejects)
 let net_handshakes net = net.net_handshakes
+
+type recovery = {
+  rto_expiries : int;
+  rack_marks : int;
+  probes : int;
+  duplicate_arrivals : int;
+}
+
+let recovery_stats net =
+  {
+    rto_expiries = net.net_rto_expiries;
+    rack_marks = net.net_rack_marks;
+    probes = net.net_probes;
+    duplicate_arrivals = net.net_dup_arrivals;
+  }
 
 let attach net node =
   if Hashtbl.mem net.stacks node.Node.id then
@@ -179,10 +208,13 @@ let fresh_conn stack =
     held = [];
     acked = -1;
     sendq = Queue.create ();
-    dupacks = 0;
-    recover = -1;
-    high_rxt = -1;
-    holes_due = false;
+    rack_sent = Time.zero;
+    rack_seq = -1;
+    rack_rtt = 0;
+    min_rtt = 0;
+    tlp_ref = Time.zero;
+    drained_at = Time.zero;
+    tlp_out = false;
     inflight_bytes = 0;
     wire_bytes = 0;
     srtt = 0.0;
@@ -333,10 +365,10 @@ let fast_transmit conn remote data =
 let host_id conn = conn.stack.host.Node.id
 
 (* ------------------------------------------------------------------ *)
-(* Reliable mode: selective-repeat window (SACK, fast retransmit,     *)
-(* hole-only resends) with adaptive RTO and crash-epoch session       *)
-(* resync. Only runs when a fault plane is attached to the fabric;    *)
-(* the fast path above is never touched.                              *)
+(* Reliable mode: selective-repeat window (SACK), time-based loss     *)
+(* detection (RACK-TLP), adaptive RTO and crash-epoch session resync. *)
+(* Only runs when a fault plane is attached to the fabric; the fast   *)
+(* path above is never touched.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let wake_acked conn =
@@ -349,9 +381,11 @@ let wake_rtx conn = match conn.rtx_wake with Some w -> w () | None -> ()
 (* Ensures the retransmitter is woken by [at]. A pending timer at or
    before [at] already does that: the retransmitter re-evaluates its
    deadline whenever it wakes, so one timer covers many acks. A later
-   pending timer is superseded and fires as a no-op. *)
+   pending timer is superseded and fires as a no-op. A deadline already
+   reached wakes it now. *)
 let arm_rtx conn at =
-  if not (conn.rtx_armed && Time.( <= ) conn.rtx_timer at) then begin
+  if Time.( <= ) at (Engine.now conn.stack.net.engine) then wake_rtx conn
+  else if not (conn.rtx_armed && Time.( <= ) conn.rtx_timer at) then begin
     conn.rtx_armed <- true;
     conn.rtx_timer <- at;
     Engine.at conn.stack.net.engine at (fun () ->
@@ -398,15 +432,20 @@ let conn_unreachable conn =
    packets from its origin-side logs. Sequence counters keep running so
    the survivor's cursor arithmetic stays monotonic. Idempotent: the
    restart hook visits both ends of a pair. *)
+(* The RACK and TLP state of a conn describes frames of the current
+   epoch only: a reset or a session resync forgets it, so no deadline is
+   ever computed from a frame of the old epoch. *)
+let forget_rack c =
+  c.rack_seq <- -1;
+  c.tlp_out <- false
+
 let reset_socket conn remote =
   let purge c =
     Queue.clear c.sendq;
     c.held <- [];
     c.inflight_bytes <- 0;
     c.acked <- c.tx_seq - 1;
-    c.dupacks <- 0;
-    c.recover <- -1;
-    c.holes_due <- false;
+    forget_rack c;
     c.have_rtt <- false;
     c.backoff <- 0;
     c.consec_fail <- 0;
@@ -552,23 +591,110 @@ let rec drain_held c =
       drain_held c
   | _ -> ()
 
-(* Duplicate acks that trigger a fast retransmit with [outstanding]
-   frames in flight: 3, or outstanding - 1 below four frames (early
-   retransmit); 0, never, for a single frame. *)
-let dupack_threshold outstanding =
-  if outstanding >= 4 then 3 else outstanding - 1
+(* RACK (RFC 8985): a frame sent before the most recently sent frame
+   copy known delivered is lost once that copy's round trip plus a
+   reordering window of [min_rtt / 4] has passed since the frame's own
+   last transmission. Marks the frames already due and returns whether
+   any marked frame awaits its resend, with the earliest deadline still
+   pending ([max_int] if none). A resent frame is sent after the copy
+   that marked it, so it is marked again only once a frame sent after
+   the resend is delivered: a lost resend is found the same way. *)
+let rack_detect conn now =
+  let net = conn.stack.net in
+  let lost = ref false and next = ref max_int in
+  if conn.rack_seq >= 0 then begin
+    let window = Time.span_add conn.rack_rtt (conn.min_rtt / 4) in
+    Queue.iter
+      (fun f ->
+        if f.f_lost then lost := true
+        else if
+          (not f.f_sacked)
+          && (Time.( < ) f.f_sent_at conn.rack_sent
+             || (Time.equal f.f_sent_at conn.rack_sent
+                && f.f_seq < conn.rack_seq))
+        then begin
+          let due = Time.add f.f_sent_at window in
+          if Time.( <= ) due now then begin
+            f.f_lost <- true;
+            net.net_rack_marks <- net.net_rack_marks + 1;
+            lost := true
+          end
+          else if due < !next then next := due
+        end)
+      conn.sendq
+  end;
+  (!lost, !next)
 
-(* An ack moves the cumulative point and marks the frames the receiver
-   reported held (SACK). Resends never run here — this is an event
-   callback and [push_wire] sleeps — so the ack path only raises
-   [holes_due] and wakes the retransmitter: on the duplicate ack that
-   reaches the threshold (fast retransmit, which opens a recovery
-   episode up to the highest seq sent) and on a partial ack inside an
-   episode. An ack at or past the recovery point ends the episode. An
-   ack with an empty held set reports no hole (it answers a duplicate
-   frame), so it never counts as a duplicate ack. The send queue and
-   the held set both ascend, so one merge walk marks the SACKed frames. *)
-let rec apply_ack conn ack_upto sacks =
+(* RTO deadline of the oldest frame in flight. *)
+let rto_deadline conn =
+  let head = Queue.peek conn.sendq in
+  Time.add head.f_sent_at (cur_rto conn head)
+
+(* TLP (RFC 8985): with no ack progress and no new frame for two
+   smoothed RTTs, one probe per flight resends the highest unSACKed
+   frame, so a lost tail raises the ack that RACK needs. The probe also
+   waits until every frame sent has left the out stream and a capped
+   receiver's drain ({!Simnet.Faults.slow_receiver}), plus one SRTT for
+   the last ack to come back (an SRTT includes the reverse hop): while
+   frames are still in the stream their acks are still to come, a probe
+   would only queue behind them, and an SRTT learnt from small frames
+   would fire it before one MSS frame can be acked. No probe before the
+   first RTT sample, after an RTO expiry without progress, or while a
+   RACK-marked frame awaits its resend; and none that would not beat
+   the RTO, which resends the tail anyway. *)
+let tlp_deadline conn ~lost ~rto_at =
+  if
+    conn.tlp_out || lost || (not conn.have_rtt) || conn.consec_fail > 0
+    || conn.wire_bytes > 0
+  then max_int
+  else
+    let srtt = Time.us conn.srtt in
+    let drained =
+      match conn.peer with
+      | Some remote -> max conn.drained_at remote.rx_slot
+      | None -> conn.drained_at
+    in
+    let at =
+      max
+        (Time.add conn.tlp_ref (Time.span_mul srtt 2))
+        (Time.add drained srtt)
+    in
+    if Time.( < ) at rto_at then at else max_int
+
+(* The retransmitter's next deadline: the head's RTO, the earliest
+   reordering window and the probe share the one timer. *)
+let next_deadline conn ~lost ~reorder_at =
+  let rto_at = rto_deadline conn in
+  min rto_at (min reorder_at (tlp_deadline conn ~lost ~rto_at))
+
+(* The ack's timestamp echo (RFC 7323) names the frame copy that
+   triggered it, so its round trip is unambiguous even for a resend. *)
+let rack_update conn now ~sent ~seq =
+  let rtt = Time.diff now sent in
+  if conn.rack_seq < 0 || rtt < conn.min_rtt then conn.min_rtt <- rtt;
+  if
+    conn.rack_seq < 0
+    || Time.( < ) conn.rack_sent sent
+    || (Time.equal sent conn.rack_sent && seq > conn.rack_seq)
+  then begin
+    conn.rack_sent <- sent;
+    conn.rack_seq <- seq;
+    conn.rack_rtt <- rtt
+  end
+
+(* An ack moves the cumulative point, marks the frames the receiver
+   reported held (SACK) and feeds its echo to RACK. Resends never run
+   here — this is an event callback and [transmit]'s callers sleep — so
+   when RACK marks a loss the ack path only wakes the retransmitter;
+   otherwise, after progress or with a reordering window pending, it
+   makes sure the retransmitter's timer covers the new deadlines. An
+   ack that cumulatively acks or newly SACKs a frame is progress: it
+   restarts the probe clock, and a cumulative one opens a new flight.
+   The send queue and the held set both ascend, so one merge walk marks
+   the SACKed frames. *)
+let rec apply_ack conn ack_upto sacks ~sent ~seq =
+  let now = Engine.now conn.stack.net.engine in
+  let progress = ref false in
   if sacks <> [] then begin
     let rest = ref sacks in
     Queue.iter
@@ -579,13 +705,16 @@ let rec apply_ack conn ack_upto sacks =
         in
         match skip !rest with
         | s :: tl when s = f.f_seq ->
-            f.f_sacked <- true;
+            if not f.f_sacked then begin
+              f.f_sacked <- true;
+              f.f_lost <- false;
+              progress := true
+            end;
             rest := tl
         | l -> rest := l)
       conn.sendq
   end;
   if ack_upto > conn.acked then begin
-    let now = Engine.now conn.stack.net.engine in
     conn.acked <- ack_upto;
     while
       (not (Queue.is_empty conn.sendq))
@@ -598,33 +727,23 @@ let rec apply_ack conn ack_upto sacks =
     done;
     conn.backoff <- 0;
     conn.consec_fail <- 0;
-    conn.dupacks <- 0;
-    if conn.recover >= 0 then
-      if ack_upto >= conn.recover then conn.recover <- -1
-      else conn.holes_due <- true;
-    wake_acked conn;
-    (* The new head's deadline may be earlier than the pending timer
-       (the backoff just reset); holes to resend need the daemon now. *)
-    if conn.holes_due then wake_rtx conn
-    else if not (Queue.is_empty conn.sendq) then begin
-      let head = Queue.peek conn.sendq in
-      arm_rtx conn (Time.add head.f_sent_at (cur_rto conn head))
-    end
-  end
-  else if ack_upto = conn.acked && sacks <> [] && conn.recover < 0 then begin
-    conn.dupacks <- conn.dupacks + 1;
-    let threshold = dupack_threshold (Queue.length conn.sendq) in
-    if threshold > 0 && conn.dupacks >= threshold then begin
-      conn.recover <- conn.tx_seq - 1;
-      conn.high_rxt <- conn.acked;
-      conn.holes_due <- true;
-      wake_rtx conn
-    end
+    conn.tlp_out <- false;
+    progress := true;
+    wake_acked conn
+  end;
+  if !progress then conn.tlp_ref <- now;
+  rack_update conn now ~sent ~seq;
+  if not (Queue.is_empty conn.sendq) then begin
+    let lost, reorder_at = rack_detect conn now in
+    if lost then wake_rtx conn
+    else if !progress || reorder_at < max_int then
+      arm_rtx conn (next_deadline conn ~lost ~reorder_at)
   end
 
-(* Cumulative ack plus the receiver's held set, snapshotted now: rides
-   the reverse link one hop later and is itself subject to the plane. *)
-and schedule_ack conn remote faults =
+(* Cumulative ack plus the receiver's held set, snapshotted now, and the
+   echo of the frame copy that triggered it: rides the reverse link one
+   hop later and is itself subject to the plane. *)
+and schedule_ack conn remote faults ~sent ~seq =
   let net = conn.stack.net in
   let engine = net.engine in
   let fabric_name = Fabric.name net.fabric in
@@ -639,31 +758,39 @@ and schedule_ack conn remote faults =
           ~dst:src
       with
       | Simnet.Faults.Deliver | Simnet.Faults.Duplicate ->
-          apply_ack conn ack_upto sacks
+          apply_ack conn ack_upto sacks ~sent ~seq
       | Simnet.Faults.Delay span ->
           Engine.at engine
             (Time.add (Engine.now engine) span)
-            (fun () -> apply_ack conn ack_upto sacks)
+            (fun () -> apply_ack conn ack_upto sacks ~sent ~seq)
       | Simnet.Faults.Drop | Simnet.Faults.Corrupt -> ())
 
-(* Ship one frame toward the peer, its kernel entry already paid; the
-   receiver-side fate (verdict, CRC check, in-order delivery or hold,
-   cumulative ack with the held set) runs at delivery time. *)
+(* Ship one frame copy toward the peer, its kernel entry already paid;
+   the receiver-side fate (verdict, CRC check, in-order delivery or
+   hold, cumulative ack with the held set and this copy's send instant)
+   runs at delivery time. *)
 and transmit conn remote faults f =
   let net = conn.stack.net in
   let engine = net.engine in
   let fabric_name = Fabric.name net.fabric in
   let src = host_id conn and dst = host_id remote in
-  f.f_sent_at <- Engine.now engine;
+  let sent = Engine.now engine in
+  f.f_sent_at <- sent;
   conn.wire_bytes <- conn.wire_bytes + Bytes.length f.f_data;
   Simnet.Stream.push (out_stream conn remote)
     ~bytes_count:(Bytes.length f.f_data)
     ~on_delivered:(fun () ->
       conn.wire_bytes <- conn.wire_bytes - Bytes.length f.f_data;
+      if conn.wire_bytes = 0 then begin
+        conn.drained_at <- Engine.now engine;
+        (* The probe may be due one SRTT from now. *)
+        if not (Queue.is_empty conn.sendq) then
+          arm_rtx conn (next_deadline conn ~lost:false ~reorder_at:max_int)
+      end;
       let process data =
         if Simnet.Checksum.crc32 data <> f.f_crc then begin
           (* Detected corruption: discard silently, no ack — the
-             sender's RTO covers recovery. *)
+             sender recovers it as a loss. *)
           remote.crc_rejects <- remote.crc_rejects + 1;
           net.net_crc_rejects <- net.net_crc_rejects + 1
         end
@@ -680,8 +807,11 @@ and transmit conn remote faults f =
             && f.f_seq < next + net.window
             && not (List.mem_assoc f.f_seq remote.held)
           then remote.held <- hold f.f_seq data remote.held
-          else remote.dup_frames <- remote.dup_frames + 1;
-          schedule_ack conn remote faults
+          else begin
+            remote.dup_frames <- remote.dup_frames + 1;
+            net.net_dup_arrivals <- net.net_dup_arrivals + 1
+          end;
+          schedule_ack conn remote faults ~sent ~seq:f.f_seq
         end
       in
       (* Slow-receiver throttle: a capped destination drains delivered
@@ -757,6 +887,7 @@ let session_resync conn remote faults =
         (fun c ->
           c.dead <- false;
           c.have_rtt <- false;
+          forget_rack c;
           c.backoff <- 0;
           c.consec_fail <- 0)
         [ conn; remote ];
@@ -789,34 +920,45 @@ let resend conn remote faults frames =
           frame_floor net ~rx_cap
             ~queued_bytes:(max (backlog + !cum) (conn.wire_bytes + len));
         f.f_rexmit <- true;
-        if f.f_seq > conn.high_rxt then conn.high_rxt <- f.f_seq;
         conn.retries <- conn.retries + 1;
         net.net_retransmissions <- net.net_retransmissions + 1;
         Engine.sleep Netparams.tcp_send_overhead;
+        (* Cleared only now: until this copy leaves, an ack must not
+           mark the frame again from its previous copy. *)
+        f.f_lost <- false;
         transmit conn remote faults f
       end)
     frames
 
-(* Fast retransmit and partial acks: resend the holes not yet resent in
-   this episode — the unmarked frames below the highest marked one, or
-   the head when no frame is marked. *)
-let resend_holes conn remote faults =
-  let frames = List.of_seq (Queue.to_seq conn.sendq) in
-  let top =
-    List.fold_left (fun m f -> if f.f_sacked then f.f_seq else m) (-1) frames
-  in
-  let holes =
-    if top < 0 then match frames with head :: _ -> [ head ] | [] -> []
-    else List.filter (fun f -> (not f.f_sacked) && f.f_seq < top) frames
-  in
+(* RACK-marked frames, oldest first. *)
+let resend_lost conn remote faults =
   resend conn remote faults
-    (List.filter (fun f -> f.f_seq > conn.high_rxt) holes)
+    (Queue.fold (fun acc f -> if f.f_lost then f :: acc else acc) [] conn.sendq
+    |> List.rev)
+
+(* The tail-loss probe: the highest unSACKed frame (the head is never
+   SACKed, so there is one). A probe toward a crashed host is spent
+   unsent; the RTO then finds the host down, as without a probe. *)
+let send_probe conn remote faults =
+  let net = conn.stack.net in
+  conn.tlp_out <- true;
+  if
+    Simnet.Faults.node_up faults (host_id conn)
+    && Simnet.Faults.node_up faults (host_id remote)
+  then begin
+    let last =
+      Queue.fold
+        (fun acc f -> if f.f_sacked then acc else f)
+        (Queue.peek conn.sendq) conn.sendq
+    in
+    net.net_probes <- net.net_probes + 1;
+    resend conn remote faults [ last ]
+  end
 
 (* One RTO expiry on the oldest in-flight frame: resync if an epoch
    moved, fail fast if a host is down, give up past the retry budget,
    otherwise resend every frame the receiver has not reported held,
-   oldest first, and open a recovery episode up to the highest seq
-   sent, as a fast retransmit does. *)
+   oldest first. *)
 let on_expiry conn remote faults =
   let net = conn.stack.net in
   session_resync conn remote faults;
@@ -827,53 +969,51 @@ let on_expiry conn remote faults =
     then mark_dead conn remote
     else begin
       conn.consec_fail <- conn.consec_fail + 1;
+      net.net_rto_expiries <- net.net_rto_expiries + 1;
       if conn.consec_fail >= net.max_retries then mark_dead conn remote
       else begin
         conn.backoff <- min (conn.backoff + 1) 10;
-        conn.dupacks <- 0;
-        conn.recover <- conn.tx_seq - 1;
-        conn.high_rxt <- conn.acked;
-        conn.holes_due <- false;
         resend conn remote faults (List.of_seq (Queue.to_seq conn.sendq))
       end
     end
   end
 
-(* Per-conn retransmitter: a daemon thread that owns the RTO clock. It
-   parks (suspended, no pending timer) whenever nothing is in flight so
-   the event queue can drain and the engine can quiesce; senders re-arm
-   it via [wake_rtx] when they enqueue, and acks when they flag holes
-   to resend ([holes_due]). Daemons must not raise, so
-   giving up marks the conn dead and wakes the blocked senders, which
-   raise [Timeout] from their own context. *)
+(* Per-conn retransmitter: a daemon thread that owns the one timer of
+   the conn — the head's RTO, RACK's reordering windows and the
+   tail-loss probe. Each time it wakes it re-runs RACK's marking and
+   does the first thing due: resend the marked frames, send the probe,
+   or handle an RTO expiry; otherwise it sleeps until the earliest
+   deadline. It parks (suspended, no pending timer) whenever nothing is
+   in flight so the event queue can drain and the engine can quiesce;
+   senders re-arm it via [wake_rtx] when they enqueue, and acks when
+   RACK marks a loss. Daemons must not raise, so giving up marks the
+   conn dead and wakes the blocked senders, which raise [Timeout] from
+   their own context. *)
 let rec rtx_loop conn remote faults =
   let engine = conn.stack.net.engine in
   if Queue.is_empty conn.sendq || conn.dead then begin
     Engine.suspend ~name:"tcp.rtx.park" (fun wake -> conn.rtx_wake <- Some wake);
-    conn.rtx_wake <- None;
-    rtx_loop conn remote faults
-  end
-  else if conn.holes_due then begin
-    conn.holes_due <- false;
-    resend_holes conn remote faults;
-    rtx_loop conn remote faults
+    conn.rtx_wake <- None
   end
   else begin
-    let f = Queue.peek conn.sendq in
-    let deadline = Time.add f.f_sent_at (cur_rto conn f) in
     let now = Engine.now engine in
-    if Time.( < ) now deadline then begin
-      Engine.suspend ~name:"tcp.rtx.wait" (fun wake ->
-          conn.rtx_wake <- Some wake;
-          arm_rtx conn deadline);
-      conn.rtx_wake <- None;
-      rtx_loop conn remote faults
-    end
+    let lost, reorder_at = rack_detect conn now in
+    if lost then resend_lost conn remote faults
     else begin
-      on_expiry conn remote faults;
-      rtx_loop conn remote faults
+      let rto_at = rto_deadline conn in
+      let tlp_at = tlp_deadline conn ~lost ~rto_at in
+      if Time.( <= ) tlp_at now then send_probe conn remote faults
+      else if Time.( <= ) rto_at now then on_expiry conn remote faults
+      else begin
+        let deadline = min rto_at (min reorder_at tlp_at) in
+        Engine.suspend ~name:"tcp.rtx.wait" (fun wake ->
+            conn.rtx_wake <- Some wake;
+            arm_rtx conn deadline);
+        conn.rtx_wake <- None
+      end
     end
-  end
+  end;
+  rtx_loop conn remote faults
 
 let ensure_rtx conn remote faults =
   if not conn.rtx_alive then begin
@@ -933,6 +1073,7 @@ let reliable_send conn remote faults segments =
                 (max conn.inflight_bytes (conn.wire_bytes + Bytes.length data));
           f_rexmit = false;
           f_sacked = false;
+          f_lost = false;
         }
       in
       Queue.push f conn.sendq;
@@ -941,6 +1082,7 @@ let reliable_send conn remote faults segments =
       ensure_rtx conn remote faults;
       if i = 0 then Engine.sleep Netparams.tcp_send_overhead;
       transmit conn remote faults f;
+      conn.tlp_ref <- Engine.now net.engine;
       (* Only the head's deadline is the daemon's to watch, and a parked
          daemon has an empty queue: a frame behind the head needs no
          wake. *)

@@ -14,21 +14,29 @@
     [window] frames ride the wire at once, and a lost fragment costs
     one frame's resend, not the whole send's. The receiver holds frames
     that arrive past a hole and drains them in order once it fills;
-    every ack carries the cumulative point plus the held set (SACK), and
-    the sender never resends a frame reported held. Duplicate acks
-    trigger a fast retransmit of the holes (threshold 3, or one less
-    than the frames in flight below four: early retransmit) and open a
-    recovery episode in which each partial ack resends the next holes
-    at once. The retransmission timer adapts to the measured RTT
-    (Jacobson/Karel SRTT/RTTVAR on the simulated clock, Karn's rule on
-    retransmits); its expiry resends only the frames not reported held.
-    Corruption is detected by CRC-32 on every accepted frame, held ones
-    included, and treated as loss. A peer the plane reports crashed
-    fails sends fast with {!Timeout}; if it later restarts with a bumped
-    epoch, the next send (or pending retransmission) performs a session
-    handshake that resynchronizes both ends' cursors and replays the
-    survivor's unacked frames. Without a fault plane (the default) the original fault-free
-    path runs, bit for bit. *)
+    every ack carries the cumulative point, the held set (SACK) and the
+    send instant and seq of the frame copy that triggered it (a
+    timestamp echo), and the sender never resends a frame reported
+    held. Loss is detected by time (RACK-TLP, RFC 8985): a frame sent
+    before the most recently sent copy an ack echoed is lost once that
+    copy's round trip plus a reordering window of a quarter of the
+    minimum RTT has passed since the frame was sent, which also finds a
+    lost resend as soon as a frame sent after it is delivered; and when
+    no ack makes progress and no frame is sent for two smoothed RTTs,
+    and one more SRTT has passed since the last frame left the wire,
+    one tail-loss probe per flight resends the highest unSACKed frame,
+    so a lost tail raises the ack RACK needs. The
+    retransmission timer adapts to the measured RTT (Jacobson/Karel
+    SRTT/RTTVAR on the simulated clock, Karn's rule on retransmits); it
+    is the last resort, and its expiry resends only the frames not
+    reported held. Corruption is detected by CRC-32 on every accepted
+    frame, held ones included, and treated as loss. A peer the plane
+    reports crashed fails sends fast with {!Timeout}; if it later
+    restarts with a bumped epoch, the next send (or pending
+    retransmission) performs a session handshake that resynchronizes
+    both ends' cursors and replays the survivor's unacked frames.
+    Without a fault plane (the default) the original fault-free path
+    runs, bit for bit. *)
 
 exception Timeout of { msg : string; attempts : int }
 (** A [?timeout] expired, or the peer host is unreachable. [attempts] is
@@ -67,6 +75,21 @@ val net_stats : net -> int * int
 
 val net_handshakes : net -> int
 (** Crash-epoch session handshakes performed across the net. *)
+
+type recovery = {
+  rto_expiries : int;  (** retransmission-timer expiries *)
+  rack_marks : int;  (** frames RACK marked lost *)
+  probes : int;  (** tail-loss probes sent *)
+  duplicate_arrivals : int;
+      (** frames a receiver discarded as already delivered or held, or
+          as beyond the window *)
+}
+
+val recovery_stats : net -> recovery
+(** How the net's connections recovered, summed over all of them: every
+    retransmission counted by {!net_stats} is a RACK resend, a probe or
+    part of an RTO expiry's resend, and [duplicate_arrivals] counts the
+    copies that proved unneeded. All zero without a fault plane. *)
 
 val listen : t -> port:int -> unit
 (** Opens a passive socket. Raises [Invalid_argument] if the port is

@@ -345,9 +345,12 @@ let test_window_survives_reorder_dup_loss () =
    frame's delivery instant in a loss-free run. Frames arrive about
    90 us apart and acks take 61 us, so no ack falls in a window. The
    finish instant and [Tcpnet.consecutive_failures] at every in-order
-   delivery tell a fast retransmit from an RTO expiry: an expiry counts
-   a failure that only the next ack progress clears, after the resent
-   frame has been delivered. *)
+   delivery tell a RACK resend or a tail-loss probe from an RTO expiry:
+   an expiry counts a failure that only the next ack progress clears,
+   after the resent frame has been delivered; [Tcpnet.recovery_stats]
+   names the branch. Each finish instant keeps, in its comment, what the
+   go-back-N window and the duplicate-ack counting that RACK-TLP
+   replaced took. *)
 let burst_size = 1024
 let burst_frames = 8
 
@@ -361,20 +364,26 @@ let drop_near w instants =
       Engine.at w.engine (near 1.0) (set 0.0))
     instants
 
-let burst_run ?(frames = burst_frames) ~lost () =
+(* [late] more frames follow the burst after a 400 us pause. *)
+let burst_run ?(frames = burst_frames) ?(late = 0) ~lost () =
   let w = faulty_world () in
   let datas =
-    List.init frames (fun i -> payload burst_size (Int64.of_int (500 + i)))
+    List.init (frames + late) (fun i ->
+        payload burst_size (Int64.of_int (500 + i)))
   in
   let delivered = ref [] and failures = ref 0 in
   Tcpnet.set_data_hook w.c1 (fun () ->
       delivered := Engine.now w.engine :: !delivered;
       failures := max !failures (Tcpnet.consecutive_failures w.c0));
   drop_near w lost;
-  let sink = Bytes.create (burst_size * frames) in
+  let sink = Bytes.create (burst_size * (frames + late)) in
   let finish = ref Time.zero in
   Engine.spawn w.engine ~name:"send" (fun () ->
-      List.iter (fun d -> Tcpnet.send w.c0 d) datas);
+      List.iteri
+        (fun i d ->
+          if i = frames then Engine.sleep (Time.us 400.0);
+          Tcpnet.send w.c0 d)
+        datas);
   Engine.spawn w.engine ~name:"recv" (fun () ->
       Tcpnet.recv w.c1 sink ~off:0 ~len:(Bytes.length sink);
       finish := Engine.now w.engine);
@@ -385,10 +394,20 @@ let burst_run ?(frames = burst_frames) ~lost () =
   (w, !finish, List.rev !delivered, !failures)
 
 (* Delivery instants of the burst's frames on a loss-free link. *)
-let burst_clean_instants ?(frames = burst_frames) () =
-  let _, _, delivered, _ = burst_run ~frames ~lost:[] () in
-  Alcotest.(check int) "one delivery per frame" frames (List.length delivered);
+let burst_clean_instants ?(frames = burst_frames) ?(late = 0) () =
+  let _, _, delivered, _ = burst_run ~frames ~late ~lost:[] () in
+  Alcotest.(check int) "one delivery per frame" (frames + late)
+    (List.length delivered);
   Array.of_list delivered
+
+(* [(rto_expiries, rack_marks, probes)] of the world's net. *)
+let branches w =
+  let r = Tcpnet.recovery_stats w.net in
+  (r.Tcpnet.rto_expiries, r.Tcpnet.rack_marks, r.Tcpnet.probes)
+
+let check_branches w expected =
+  Alcotest.(check (triple int int int))
+    "(rto expiries, rack marks, probes)" expected (branches w)
 
 let test_sr_one_hole () =
   let clean = burst_clean_instants () in
@@ -399,11 +418,14 @@ let test_sr_one_hole () =
     (Tcpnet.net_stats w.net);
   Alcotest.(check int) "frames past the hole held, not discarded" 0
     (Tcpnet.duplicate_frames w.c1);
-  Alcotest.(check int) "fast retransmit, no RTO expiry" 0 failures;
+  Alcotest.(check int) "RACK resend, no RTO expiry" 0 failures;
+  check_branches w (0, 1, 0);
   (* The go-back-N window that selective repeat replaced discarded
      frames 4-7, waited out the RTO and resent frames 3-7: it finished
-     this run at 1679.390 us. *)
-  Alcotest.(check (float 1e-3)) "finish instant" 1077.692 (Time.to_us finish)
+     this run at 1679.390 us. Duplicate-ack counting waited for the
+     third duplicate ack (frame 6's): 1077.692 us. RACK marks frame 3
+     lost a reordering window after frame 4's ack. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 967.566 (Time.to_us finish)
 
 let test_sr_two_holes () =
   let clean = burst_clean_instants () in
@@ -413,15 +435,17 @@ let test_sr_two_holes () =
   Alcotest.(check (pair int int)) "exactly the two holes resent" (2, 0)
     (Tcpnet.net_stats w.net);
   Alcotest.(check int) "no RTO expiry" 0 failures;
+  check_branches w (0, 2, 0);
   (* Go-back-N resent six frames after an RTO expiry and finished at
-     1612.434 us. *)
-  Alcotest.(check (float 1e-3)) "finish instant" 1166.736 (Time.to_us finish)
+     1612.434 us; duplicate-ack counting at 1166.736 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1114.745 (Time.to_us finish)
 
 let test_sr_partial_ack () =
-  (* Frames 2 and 7 lost: the duplicate acks of frames 3-5 reveal only
-     the first hole. The ack of its resend stops short of the recovery
-     point — a partial ack — and resends frame 7 at once, where an
-     episode that ignored partial acks would wait for the RTO. *)
+  (* Frames 2 and 7 lost: the acks of frames 3-6 reveal only the first
+     hole, and nothing follows frame 7. The resend of frame 2 is sent
+     after frame 7, so the ack it raises — a partial ack, stopping
+     short of frame 7 — marks frame 7 lost too, where a sender that
+     ignored it would wait for the RTO. *)
   let clean = burst_clean_instants () in
   let w, finish, _, failures =
     burst_run ~lost:[ clean.(2); clean.(burst_frames - 1) ] ()
@@ -429,12 +453,16 @@ let test_sr_partial_ack () =
   Alcotest.(check (pair int int)) "each hole resent once" (2, 0)
     (Tcpnet.net_stats w.net);
   Alcotest.(check int) "no RTO expiry" 0 failures;
-  (* Go-back-N resent frames 2-7 after an RTO expiry: 1612.434 us. *)
-  Alcotest.(check (float 1e-3)) "finish instant" 1276.862 (Time.to_us finish)
+  check_branches w (0, 2, 0);
+  (* Go-back-N resent frames 2-7 after an RTO expiry: 1612.434 us;
+     duplicate-ack counting with partial-ack resends: 1276.862 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1255.780 (Time.to_us finish)
 
 let test_sr_hole_lost_twice () =
-  (* The fast retransmit of frame 3 is lost too: the RTO resends that
-     hole alone, never the frames the receiver reported held. *)
+  (* The resend of frame 3 is lost too, and no frame is sent after it,
+     so no ack can mark it again: two smoothed RTTs after the last SACK
+     progress, the tail-loss probe resends the highest unSACKed frame —
+     that hole — never the frames the receiver reported held. *)
   let clean = burst_clean_instants () in
   let _, _, once, _ = burst_run ~lost:[ clean.(3) ] () in
   let resent = List.nth once 3 in
@@ -443,23 +471,30 @@ let test_sr_hole_lost_twice () =
     (2, 0) (Tcpnet.net_stats w.net);
   Alcotest.(check int) "no held frame resent" 0
     (Tcpnet.duplicate_frames w.c1);
-  Alcotest.(check int) "the second resend was an RTO's" 1 failures;
+  Alcotest.(check int) "no RTO expiry" 0 failures;
+  check_branches w (0, 1, 1);
   (* Go-back-N, under the same two drop windows, finished at
-     3177.656 us after 10 retransmissions and two RTO expiries. *)
-  Alcotest.(check (float 1e-3)) "finish instant" 1840.825 (Time.to_us finish)
+     3177.656 us after 10 retransmissions and two RTO expiries;
+     duplicate-ack counting resent the hole on an RTO expiry and
+     finished at 1840.825 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1731.040 (Time.to_us finish)
 
 let test_sr_early_retransmit () =
-  (* Three frames, the middle one lost: the last one's duplicate ack is
-     the only one that can come, and with two frames in flight it is
-     enough (early retransmit). *)
+  (* Three frames, the middle one lost: the last one's ack is the only
+     one that can come, and it is enough — RACK needs one frame sent
+     later to be delivered, not three duplicate acks. *)
   let clean = burst_clean_instants ~frames:3 () in
   let w, finish, _, failures = burst_run ~frames:3 ~lost:[ clean.(1) ] () in
   Alcotest.(check (pair int int)) "the hole resent once" (1, 0)
     (Tcpnet.net_stats w.net);
   Alcotest.(check int) "no RTO expiry" 0 failures;
+  check_branches w (0, 1, 0);
   (* Go-back-N discarded frame 2, waited out the RTO and resent both:
-     1180.900 us. *)
-  Alcotest.(check (float 1e-3)) "finish instant" 721.516 (Time.to_us finish)
+     1180.900 us. Early retransmit resent frame 1 at the first
+     duplicate ack: 721.516 us. RACK waits a reordering window
+     (min_rtt / 4, 65 us here, less the 28 us between the two sends)
+     past that ack first. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 758.569 (Time.to_us finish)
 
 (* The receiver crashes holding frames 4-7 past a lost frame 3 and
    restarts 5 ms later, which resets the socket. A second burst, with
@@ -524,11 +559,81 @@ let test_sr_tail_loss () =
     (Tcpnet.net_stats w.net);
   Alcotest.(check int) "no held frame to discard" 0
     (Tcpnet.duplicate_frames w.c1);
-  (* Nothing follows the last frame, so no duplicate ack: only the
-     retransmission timer can recover it. *)
-  Alcotest.(check int) "recovered by one RTO expiry" 1 failures;
-  (* With one frame to resend, go-back-N did the same: 1947.214 us. *)
-  Alcotest.(check (float 1e-3)) "finish instant" 1947.214 (Time.to_us finish)
+  (* Nothing follows the last frame, so no ack can mark it: the
+     tail-loss probe resends it two smoothed RTTs after the last ack
+     progress, before its RTO would expire. *)
+  Alcotest.(check int) "no RTO expiry" 0 failures;
+  check_branches w (0, 0, 1);
+  (* Go-back-N and duplicate-ack counting both waited for the RTO and
+     resent this one frame: 1947.214 us. *)
+  Alcotest.(check (float 1e-3)) "finish instant" 1859.580 (Time.to_us finish)
+
+(* The resend of frame 3 is lost, and four more frames follow the burst
+   after a pause; two of them are sent after that resend, so their acks
+   mark it lost again: a lost resend with new data behind it costs a
+   second RACK resend, not an RTO. *)
+let test_rack_lost_resend () =
+  let late = 4 in
+  let clean = burst_clean_instants ~late () in
+  let _, _, once, _ = burst_run ~late ~lost:[ clean.(3) ] () in
+  let resent = List.nth once 3 in
+  let w, _, _, failures = burst_run ~late ~lost:[ clean.(3); resent ] () in
+  Alcotest.(check int) "both copies of frame 3 dropped" 2
+    (Faults.stats w.faults).Faults.frames_dropped;
+  Alcotest.(check (pair int int)) "frame 3 resent twice, nothing else" (2, 0)
+    (Tcpnet.net_stats w.net);
+  Alcotest.(check int) "no RTO expiry" 0 failures;
+  check_branches w (0, 2, 0)
+
+(* A frame held back by a [Delay] verdict arrives after the next frame.
+   RACK counts it lost only a reordering window (min_rtt / 4) past the
+   point its successor's ack implies, so a delay inside that window
+   costs nothing, while a longer one costs one spurious resend. Frame 3
+   of the burst is delayed by the plane's one reorder draw, at seed 1
+   0.746 of the jitter: 119 us with 160 us of jitter, 149 us with
+   200 us. Frames arrive 89 us apart, so both delays let frame 4
+   overtake frame 3: one in-order delivery fewer. *)
+let delayed_run ~jitter =
+  let clean = burst_clean_instants () in
+  let w = faulty_world ~seed:1L () in
+  let delivered = ref 0 in
+  Tcpnet.set_data_hook w.c1 (fun () -> incr delivered);
+  let set rate () =
+    Faults.set_reorder w.faults ~fabric:"eth" ~node:1 ~rate
+      ~jitter:(Time.us jitter)
+  in
+  let near dt = Time.add Time.zero (Time.us (Time.to_us clean.(3) +. dt)) in
+  Engine.at w.engine (near (-1.0)) (set 1.0);
+  Engine.at w.engine (near 1.0) (set 0.0);
+  let datas =
+    List.init burst_frames (fun i ->
+        payload burst_size (Int64.of_int (500 + i)))
+  in
+  let sink = Bytes.create (burst_size * burst_frames) in
+  Engine.spawn w.engine ~name:"send" (fun () ->
+      List.iter (fun d -> Tcpnet.send w.c0 d) datas);
+  Engine.spawn w.engine ~name:"recv" (fun () ->
+      Tcpnet.recv w.c1 sink ~off:0 ~len:(Bytes.length sink));
+  Engine.run w.engine;
+  Alcotest.(check bool) "in-order, bit-identical bytes" true
+    (Bytes.equal sink (Bytes.concat Bytes.empty datas));
+  Alcotest.(check int) "one frame delayed" 1
+    (Faults.stats w.faults).Faults.frames_delayed;
+  Alcotest.(check int) "frame 4 overtook frame 3" (burst_frames - 1)
+    !delivered;
+  w
+
+let test_rack_reorder_window () =
+  let w = delayed_run ~jitter:160.0 in
+  Alcotest.(check (pair int int)) "inside the window: nothing resent" (0, 0)
+    (Tcpnet.net_stats w.net);
+  check_branches w (0, 0, 0);
+  let w = delayed_run ~jitter:200.0 in
+  Alcotest.(check (pair int int)) "past the window: one resend" (1, 0)
+    (Tcpnet.net_stats w.net);
+  check_branches w (0, 1, 0);
+  Alcotest.(check int) "the resend arrived as a duplicate" 1
+    (Tcpnet.recovery_stats w.net).Tcpnet.duplicate_arrivals
 
 (* MSS segmentation: under a fault plane one [send_group] becomes
    ceil(len / MSS) frames, each with its own seq, CRC and SACK mark, so
@@ -549,8 +654,9 @@ let big_slices () =
   (slices, expected)
 
 (* One 64 kB [send_group] from c0 to c1; returns whether it arrived
-   bit-identical, the instant of every in-order frame delivery and the
-   highest [consecutive_failures] seen at one. *)
+   bit-identical, the instant of every in-order frame delivery, the
+   highest [consecutive_failures] seen at one and the instant the
+   receive completed. *)
 let big_run w =
   let slices, expected = big_slices () in
   let delivered = ref [] and failures = ref 0 in
@@ -558,15 +664,20 @@ let big_run w =
       delivered := Engine.now w.engine :: !delivered;
       failures := max !failures (Tcpnet.consecutive_failures w.c0));
   let sink = Bytes.create big_size in
+  let finish = ref Time.zero in
   Engine.spawn w.engine ~name:"send" (fun () -> Tcpnet.send_group w.c0 slices);
   Engine.spawn w.engine ~name:"recv" (fun () ->
-      Tcpnet.recv w.c1 sink ~off:0 ~len:big_size);
+      Tcpnet.recv w.c1 sink ~off:0 ~len:big_size;
+      finish := Engine.now w.engine);
   Engine.run w.engine;
-  (Bytes.equal sink expected, Array.of_list (List.rev !delivered), !failures)
+  ( Bytes.equal sink expected,
+    Array.of_list (List.rev !delivered),
+    !failures,
+    !finish )
 
 let test_mss_segments_inert () =
   let w = faulty_world () in
-  let intact, delivered, _ = big_run w in
+  let intact, delivered, _, _ = big_run w in
   Alcotest.(check bool) "bit-identical bytes" true intact;
   Alcotest.(check int) "one in-order delivery per 1460 B frame" 45
     (Array.length delivered);
@@ -578,27 +689,56 @@ let test_mss_segments_inert () =
     (peak <= 24)
 
 let test_mss_one_lost_segment () =
-  let _, clean, _ = big_run (faulty_world ()) in
+  let _, clean, _, _ = big_run (faulty_world ()) in
   let w = faulty_world () in
   drop_near w [ clean.(10) ];
-  let intact, _, failures = big_run w in
+  let intact, _, failures, _ = big_run w in
   Alcotest.(check bool) "bit-identical bytes" true intact;
   Alcotest.(check int) "one fragment dropped" 1
     (Faults.stats w.faults).Faults.frames_dropped;
   Alcotest.(check int) "one retry" 1 (Tcpnet.retries w.c0);
-  Alcotest.(check int) "fast retransmit, no RTO expiry" 0 failures
+  Alcotest.(check int) "RACK resend, no RTO expiry" 0 failures;
+  check_branches w (0, 1, 0)
+
+(* Every seed also finishes within [tail_bound] times the loss-free
+   finish (5908.463 us). The bound is the worst case of duplicate-ack
+   counting, rounded up: 2.108x at seed 8, which waited out two RTO
+   expiries. With RACK-TLP the worst case is 1.215x (seed 14) and seed
+   8 takes 1.080x. *)
+let tail_bound = 2.2
 
 let test_mss_64k_lossy_never_times_out () =
+  let _, _, _, clean = big_run (faulty_world ()) in
   for seed = 1 to 32 do
     let w = faulty_world ~seed:(Int64.of_int seed) ~drop:0.01 () in
     match big_run w with
-    | intact, _, _ ->
+    | intact, _, _, finish ->
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: bit-identical bytes" seed)
-          true intact
+          true intact;
+        let ratio = Time.to_us finish /. Time.to_us clean in
+        if ratio > tail_bound then
+          Alcotest.failf "seed %d: finish %.3f us is %.3fx clean (bound %.1fx)"
+            seed (Time.to_us finish) ratio tail_bound
     | exception Tcpnet.Timeout { msg; _ } ->
         Alcotest.failf "seed %d: Timeout (%s)" seed msg
   done
+
+(* On an inert plane no frame is lost, so no branch of recovery runs:
+   no RACK mark, no probe, no expiry — for the 8-frame burst, sent one
+   frame per call, and for the 64 kB send, 45 frames from one call. *)
+let test_inert_sends_no_probe () =
+  let w, _, _, _ = burst_run ~lost:[] () in
+  Alcotest.(check (pair int int)) "burst: nothing resent" (0, 0)
+    (Tcpnet.net_stats w.net);
+  check_branches w (0, 0, 0);
+  let w = faulty_world () in
+  let intact, _, _, _ = big_run w in
+  Alcotest.(check bool) "64 kB: bit-identical bytes" true intact;
+  Alcotest.(check (pair int int)) "64 kB: nothing resent" (0, 0)
+    (Tcpnet.net_stats w.net);
+  check_branches w (0, 0, 0)
+
 
 let test_max_retries_gives_up_with_attempt_count () =
   let engine = Engine.create () in
@@ -1005,6 +1145,12 @@ let () =
             test_mss_one_lost_segment;
           Alcotest.test_case "MSS: 64 kB at 1% never times out" `Quick
             test_mss_64k_lossy_never_times_out;
+          Alcotest.test_case "RACK: lost resend, new data behind" `Quick
+            test_rack_lost_resend;
+          Alcotest.test_case "TLP: inert plane sends no probe" `Quick
+            test_inert_sends_no_probe;
+          Alcotest.test_case "RACK: delay inside the reorder window" `Quick
+            test_rack_reorder_window;
         ] );
       ( "partitions",
         [
