@@ -64,5 +64,6 @@ let buffer_header_size = 8
 let default_gateway_pool = 2
 let default_unacked_window = 256
 let credit_probe_interval = Time.ms 1.0
+let credit_probe_max_interval = Time.ms 64.0
 let overload_hold = Time.us 250.0
 let default_aggr_flush = Time.us 50.0

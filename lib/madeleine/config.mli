@@ -150,8 +150,14 @@ val default_unacked_window : int
     can never outgrow the credit window anyway. *)
 
 val credit_probe_interval : Marcel.Time.span
-(** How long a credit-blocked sender waits before shipping a zero-window
-    probe, so a lost grant cannot wedge a flow forever. *)
+(** How long a credit-blocked sender waits before shipping its first
+    zero-window probe, so a lost grant cannot wedge a flow forever. The
+    wait doubles after each probe and returns to this value when a
+    grant raises the sender's credit. *)
+
+val credit_probe_max_interval : Marcel.Time.span
+(** Ceiling of the doubled probe interval, so a grant lost after a long
+    receiver pause is still recovered within this span. *)
 
 val overload_hold : Marcel.Time.span
 (** Hysteresis delay before a gateway that dropped back to its low

@@ -158,6 +158,9 @@ type tx = {
   tx_cond : Condition.t; (* credit-blocked senders wait here *)
   mutable tx_shipped : int;
   mutable tx_granted : int; (* receiver's consumed count, as last heard *)
+  mutable tx_probe_gap : Time.span;
+      (* wait before the next zero-window probe: doubles per probe,
+         reset by a grant that raises [tx_granted] *)
 }
 
 (* Receive-side state of one (me, origin) pair: the delivery journal,
@@ -225,9 +228,10 @@ type rel = {
    the sender, not let it fill the assembler) and replenishes by sending
    cumulative grants every [cr_quantum] consumptions, piggybacking the
    flow's cumulative ack on reliable vchannels. A sender out of credits
-   blocks on the flow's condition variable; a zero-window probe shipped
-   every {!Config.credit_probe_interval} while blocked makes a lost
-   grant (crash paths) unable to wedge the flow. All counters are plain
+   blocks on the flow's condition variable; zero-window probes shipped
+   while blocked, at an interval that backs off from
+   {!Config.credit_probe_interval}, make a lost grant (crash paths)
+   unable to wedge the flow. All counters are plain
    cumulative ints — only the data-packet sequence number wraps. *)
 type credits = {
   cr_budget : int;
@@ -335,6 +339,7 @@ let tx_state t ~src ~dst =
         tx_cond = Condition.create ();
         tx_shipped = 0;
         tx_granted = 0;
+        tx_probe_gap = Config.credit_probe_interval;
       })
 
 let send_lock t ~src ~dst ~flow =
@@ -592,6 +597,7 @@ let handle_crd t ~me header payload =
         let tx = tx_state t ~src:me ~dst:origin in
         if consumed > tx.tx_granted then begin
           tx.tx_granted <- consumed;
+          tx.tx_probe_gap <- Config.credit_probe_interval;
           Condition.broadcast tx.tx_cond
         end
       end
@@ -1130,9 +1136,13 @@ let spawn_dispatcher t ~node channel =
       done)
 
 (* A sender out of credits parks on the flow's condition variable until
-   the receiver's grants catch up. While blocked it ships a zero-window
-   probe every {!Config.credit_probe_interval} (recovering grants lost
-   to crash paths), and on a reliable vchannel it rides out route holes
+   the receiver's grants catch up. While blocked it ships zero-window
+   probes (recovering grants lost to crash paths): the first after
+   {!Config.credit_probe_interval}, each next one twice as late up to
+   {!Config.credit_probe_max_interval}, since a probe answered with no
+   new credit means the receiver is slow, not that a grant was lost; a
+   grant that raises the credit resets the interval. On a reliable
+   vchannel it rides out route holes
    with the usual patience — a flow whose destination never comes back
    surfaces as [Partitioned] here exactly as it would in [ship_packet]. *)
 let wait_credit t c tx ~src ~dst =
@@ -1144,9 +1154,7 @@ let wait_credit t c tx ~src ~dst =
           wait_route t r ~at:src ~dst
       | _ -> ());
       if tx.tx_shipped - tx.tx_granted >= c.cr_budget then begin
-        let wake_at =
-          Time.add (Engine.now t.engine) Config.credit_probe_interval
-        in
+        let wake_at = Time.add (Engine.now t.engine) tx.tx_probe_gap in
         Engine.at t.engine wake_at (fun () -> Condition.broadcast tx.tx_cond);
         Mutex.lock tx.tx_mu;
         Condition.wait tx.tx_cond tx.tx_mu;
@@ -1154,7 +1162,12 @@ let wait_credit t c tx ~src ~dst =
         if
           tx.tx_shipped - tx.tx_granted >= c.cr_budget
           && Time.( <= ) wake_at (Engine.now t.engine)
-        then send_probe t c ~src ~dst
+        then begin
+          send_probe t c ~src ~dst;
+          tx.tx_probe_gap <-
+            min (Time.span_mul tx.tx_probe_gap 2)
+              Config.credit_probe_max_interval
+        end
       end
     done
   end;
@@ -1300,7 +1313,8 @@ let on_crash t r node =
         tx.tx_lost <- true;
         Queue.clear tx.tx_log;
         tx.tx_shipped <- 0;
-        tx.tx_granted <- 0)
+        tx.tx_granted <- 0;
+        tx.tx_probe_gap <- Config.credit_probe_interval)
       t.tx node;
     Pairs.iter_col
       (fun _ rx ->

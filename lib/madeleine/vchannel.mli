@@ -67,9 +67,11 @@ val create :
     the sender (on a condition variable inside [pack]/[end_packing])
     instead of letting data pile up; grants are cumulative [crd]
     packets riding the normal routed path (piggybacking the flow's ack
-    on reliable vchannels), and a blocked sender ships a zero-window
-    probe every {!Config.credit_probe_interval} so a grant lost to a
-    crash cannot wedge the flow. Unset (the default), no credit packet
+    on reliable vchannels), and a blocked sender ships zero-window
+    probes — the first after {!Config.credit_probe_interval}, then at a
+    doubling interval up to {!Config.credit_probe_max_interval}, reset
+    by a grant that raises its credit — so a grant lost to a crash
+    cannot wedge the flow. Unset (the default), no credit packet
     is ever emitted and the wire format is byte-identical to the
     credit-less library. Works with or without [faults].
 

@@ -247,6 +247,47 @@ vchannel vc  channels=c-a,c-b mtu=4096 credits=4 reliable=true
     ]
     lines
 
+(* A grant is a detached packet: no log re-emits it, so one that dies in
+   a crash is gone for good. Rank 0 streams to rank 2 through the
+   gateway (rank 1) on a credits=1 vchannel, so every message waits for
+   the grant of the one before. The gateway crashes 100 us after
+   message 0 is delivered, with that message's grant on its way through
+   it, and restarts 2 ms later; the sender holds message 1 until the
+   restart. It then has no credit and nothing in flight, so only its
+   zero-window probe, 1 ms later, brings the credit back. A second
+   probe follows: the grant for message 1 takes more than the reset
+   1 ms interval to come back through the restarted gateway. *)
+let test_credit_probe_recovers_lost_grant () =
+  let engine, faults, vc =
+    built
+      {|
+faults  seed=5
+network ethA type=tcp
+network ethB type=tcp
+node n0 nets=ethA
+node n1 nets=ethA,ethB
+node n2 nets=ethB
+channel  c-a net=ethA nodes=n0,n1
+channel  c-b net=ethB nodes=n1,n2
+vchannel vc  channels=c-a,c-b mtu=4096 credits=1 reliable=true
+|}
+  in
+  let s =
+    Chaos.stream engine vc ~tag:29 ~src:0 ~dst:2 ~size:2000 ~messages:4
+      ~pause:(1, fun () -> Faults.epoch faults 1 <> 0)
+      ~on_delivery:(fun k ->
+        if k = 0 then
+          Faults.crash_node faults ~node:1
+            ~at:(Time.add (Engine.now engine) (Time.us 100.0))
+            ~restart_after:(Time.us 2_000.0) ())
+      ()
+  in
+  Engine.run engine;
+  Alcotest.(check bool) "delivered exactly once, bit-identical" true
+    (Chaos.verified s);
+  let cs = Option.get (Vc.credit_stats vc) in
+  Alcotest.(check int) "probes" 2 cs.Vc.probes
+
 (* The stated walk order: a vchannel walks its per-pair state in
    ascending rank order, and re-emission daemons and crash handshakes
    spawn in that order. Source s (rank 0) sends one message to each of
@@ -773,6 +814,8 @@ let () =
             test_window_beats_stop_and_wait;
           Alcotest.test_case "credit crash-restart: pinned counters" `Quick
             test_credit_crash_restart_pinned;
+          Alcotest.test_case "credit probe recovers a lost grant" `Quick
+            test_credit_probe_recovers_lost_grant;
           Alcotest.test_case "crash walks go in ascending pair order" `Quick
             test_walks_ascend;
         ] );
