@@ -639,12 +639,13 @@ let rto_deadline conn =
    frames are still in the stream their acks are still to come, a probe
    would only queue behind them, and an SRTT learnt from small frames
    would fire it before one MSS frame can be acked. No probe before the
-   first RTT sample, after an RTO expiry without progress, or while a
-   RACK-marked frame awaits its resend; and none that would not beat
-   the RTO, which resends the tail anyway. *)
-let tlp_deadline conn ~lost ~rto_at =
+   first RTT sample or after an RTO expiry without progress, and none
+   that would not beat the RTO, which resends the tail anyway. (The
+   retransmitter resends RACK-marked frames before it looks at the
+   probe, so none goes out while a marked frame awaits its resend.) *)
+let tlp_deadline conn ~rto_at =
   if
-    conn.tlp_out || lost || (not conn.have_rtt) || conn.consec_fail > 0
+    conn.tlp_out || (not conn.have_rtt) || conn.consec_fail > 0
     || conn.wire_bytes > 0
   then max_int
   else
@@ -663,9 +664,9 @@ let tlp_deadline conn ~lost ~rto_at =
 
 (* The retransmitter's next deadline: the head's RTO, the earliest
    reordering window and the probe share the one timer. *)
-let next_deadline conn ~lost ~reorder_at =
+let next_deadline conn ~reorder_at =
   let rto_at = rto_deadline conn in
-  min rto_at (min reorder_at (tlp_deadline conn ~lost ~rto_at))
+  min rto_at (min reorder_at (tlp_deadline conn ~rto_at))
 
 (* The ack's timestamp echo (RFC 7323) names the frame copy that
    triggered it, so its round trip is unambiguous even for a resend. *)
@@ -737,7 +738,7 @@ let rec apply_ack conn ack_upto sacks ~sent ~seq =
     let lost, reorder_at = rack_detect conn now in
     if lost then wake_rtx conn
     else if !progress || reorder_at < max_int then
-      arm_rtx conn (next_deadline conn ~lost ~reorder_at)
+      arm_rtx conn (next_deadline conn ~reorder_at)
   end
 
 (* Cumulative ack plus the receiver's held set, snapshotted now, and the
@@ -785,7 +786,7 @@ and transmit conn remote faults f =
         conn.drained_at <- Engine.now engine;
         (* The probe may be due one SRTT from now. *)
         if not (Queue.is_empty conn.sendq) then
-          arm_rtx conn (next_deadline conn ~lost:false ~reorder_at:max_int)
+          arm_rtx conn (next_deadline conn ~reorder_at:max_int)
       end;
       let process data =
         if Simnet.Checksum.crc32 data <> f.f_crc then begin
@@ -1001,7 +1002,7 @@ let rec rtx_loop conn remote faults =
     if lost then resend_lost conn remote faults
     else begin
       let rto_at = rto_deadline conn in
-      let tlp_at = tlp_deadline conn ~lost ~rto_at in
+      let tlp_at = tlp_deadline conn ~rto_at in
       if Time.( <= ) tlp_at now then send_probe conn remote faults
       else if Time.( <= ) rto_at now then on_expiry conn remote faults
       else begin
