@@ -156,8 +156,11 @@ val credit_probe_interval : Marcel.Time.span
     grant raises the sender's credit. *)
 
 val credit_probe_max_interval : Marcel.Time.span
-(** Ceiling of the doubled probe interval, so a grant lost after a long
-    receiver pause is still recovered within this span. *)
+(** Ceiling of the doubled probe interval: how late a sender that a
+    slow receiver has backed off may notice credit it was not granted.
+    A crash on the flow's grant route puts the interval back to
+    {!credit_probe_interval}. 64 ms is the smallest doubling of 1 ms
+    past which the chaos [overload] rows send no fewer probes. *)
 
 val overload_hold : Marcel.Time.span
 (** Hysteresis delay before a gateway that dropped back to its low

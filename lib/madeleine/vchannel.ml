@@ -1141,7 +1141,8 @@ let spawn_dispatcher t ~node channel =
    {!Config.credit_probe_interval}, each next one twice as late up to
    {!Config.credit_probe_max_interval}, since a probe answered with no
    new credit means the receiver is slow, not that a grant was lost; a
-   grant that raises the credit resets the interval. On a reliable
+   grant that raises the credit resets the interval, and so does a
+   crash on the grant route ([on_crash]). On a reliable
    vchannel it rides out route holes
    with the usual patience — a flow whose destination never comes back
    surfaces as [Partitioned] here exactly as it would in [ship_packet]. *)
@@ -1321,7 +1322,28 @@ let on_crash t r node =
         rx.rx_consumed <- 0;
         rx.rx_last_grant <- 0)
       t.rx node;
+    (* A grant that died in the crash comes back only through the
+       sender's next probe, so a sender a slow receiver had backed off
+       would wait up to {!Config.credit_probe_max_interval} for it.
+       Every backed-off flow whose grants route through (or come from)
+       the crashed node probes again from the base interval; waking it
+       re-arms its probe timer. *)
+    let backed_off = ref [] in
+    Pairs.iter
+      (fun src dst tx ->
+        if
+          src <> node
+          && Time.( < ) Config.credit_probe_interval tx.tx_probe_gap
+          && (dst = node
+             || List.mem node (Routing.via t.routing ~src:dst ~dst:src))
+        then backed_off := tx :: !backed_off)
+      t.tx;
     recompute t r;
+    List.iter
+      (fun tx ->
+        tx.tx_probe_gap <- Config.credit_probe_interval;
+        Condition.broadcast tx.tx_cond)
+      (List.rev !backed_off);
     reemit_flows t r;
     t.on_health_change ();
     t.view.on_crash node

@@ -70,8 +70,8 @@ val create :
     on reliable vchannels), and a blocked sender ships zero-window
     probes — the first after {!Config.credit_probe_interval}, then at a
     doubling interval up to {!Config.credit_probe_max_interval}, reset
-    by a grant that raises its credit — so a grant lost to a crash
-    cannot wedge the flow. Unset (the default), no credit packet
+    by a grant that raises its credit or by a crash on its grants'
+    route — so a grant lost to a crash cannot wedge the flow. Unset (the default), no credit packet
     is ever emitted and the wire format is byte-identical to the
     credit-less library. Works with or without [faults].
 

@@ -247,20 +247,12 @@ vchannel vc  channels=c-a,c-b mtu=4096 credits=4 reliable=true
     ]
     lines
 
-(* A grant is a detached packet: no log re-emits it, so one that dies in
-   a crash is gone for good. Rank 0 streams to rank 2 through the
-   gateway (rank 1) on a credits=1 vchannel, so every message waits for
-   the grant of the one before. The gateway crashes 100 us after
-   message 0 is delivered, with that message's grant on its way through
-   it, and restarts 2 ms later; the sender holds message 1 until the
-   restart. It then has no credit and nothing in flight, so only its
-   zero-window probe, 1 ms later, brings the credit back. A second
-   probe follows: the grant for message 1 takes more than the reset
-   1 ms interval to come back through the restarted gateway. *)
-let test_credit_probe_recovers_lost_grant () =
-  let engine, faults, vc =
-    built
-      {|
+(* Rank 0 and rank 2 joined through one gateway (rank 1) on a credits=1
+   reliable vchannel: every message waits for the grant of the one
+   before. *)
+let credit1_gateway_world () =
+  built
+    {|
 faults  seed=5
 network ethA type=tcp
 network ethB type=tcp
@@ -271,7 +263,18 @@ channel  c-a net=ethA nodes=n0,n1
 channel  c-b net=ethB nodes=n1,n2
 vchannel vc  channels=c-a,c-b mtu=4096 credits=1 reliable=true
 |}
-  in
+
+(* A grant is a detached packet: no log re-emits it, so one that dies in
+   a crash is gone for good. Rank 0 streams to rank 2; the gateway
+   crashes 100 us after message 0 is delivered, with that message's
+   grant on its way through it, and restarts 2 ms later; the sender
+   holds message 1 until the restart. It then has no credit and
+   nothing in flight, so only its zero-window probe, 1 ms later, brings
+   the credit back. A second probe follows: the grant for message 1
+   takes more than the reset 1 ms interval to come back through the
+   restarted gateway. *)
+let test_credit_probe_recovers_lost_grant () =
+  let engine, faults, vc = credit1_gateway_world () in
   let s =
     Chaos.stream engine vc ~tag:29 ~src:0 ~dst:2 ~size:2000 ~messages:4
       ~pause:(1, fun () -> Faults.epoch faults 1 <> 0)
@@ -287,6 +290,46 @@ vchannel vc  channels=c-a,c-b mtu=4096 credits=1 reliable=true
     (Chaos.verified s);
   let cs = Option.get (Vc.credit_stats vc) in
   Alcotest.(check int) "probes" 2 cs.Vc.probes
+
+(* The same world, but the sender has already backed off: the receiver
+   consumes message 0 only 130 ms after it arrives, so the blocked
+   sender's probes (at 1, 3, 7, ... 127 ms) are 64 ms apart when the
+   grant of message 0 dies in the gateway, which crashes 100 us after
+   that consumption and restarts 2 ms later. The crash puts the flow's
+   probe back to the 1 ms interval, so message 1 lands 4.6 ms after
+   the consumption; left at 64 ms, the next probe goes out at 191 ms
+   and message 1 lands 62.6 ms after the consumption. *)
+let test_credit_probe_backed_off_lost_grant () =
+  let engine, faults, vc = credit1_gateway_world () in
+  let size = 2000 in
+  let msgs = Array.init 2 (fun k -> payload size (Int64.of_int (40 + k))) in
+  let consumed = ref Time.zero and landed = ref Time.zero in
+  Harness.spawn_one_way engine ~messages:2
+    ~send:(fun k ->
+      let oc = Vc.begin_packing vc ~me:0 ~remote:2 in
+      Vc.pack oc msgs.(k);
+      Vc.end_packing oc)
+    ~recv:(fun k ->
+      if k = 0 then Engine.sleep (Time.ms 130.0);
+      let sink = Bytes.create size in
+      Harness.vc_recv vc ~me:2 ~remote:0 sink;
+      Alcotest.(check bool)
+        (Printf.sprintf "message %d intact" k)
+        true (Bytes.equal sink msgs.(k));
+      if k = 0 then begin
+        consumed := Engine.now engine;
+        Faults.crash_node faults ~node:1
+          ~at:(Time.add !consumed (Time.us 100.0))
+          ~restart_after:(Time.us 2_000.0) ()
+      end
+      else landed := Engine.now engine);
+  Engine.run engine;
+  let after = Time.diff !landed !consumed in
+  Alcotest.(check bool)
+    (Printf.sprintf "message 1 lands %d us after the consumption"
+       (after / 1000))
+    true
+    (after < Time.ms 10.0)
 
 (* The stated walk order: a vchannel walks its per-pair state in
    ascending rank order, and re-emission daemons and crash handshakes
@@ -816,6 +859,8 @@ let () =
             test_credit_crash_restart_pinned;
           Alcotest.test_case "credit probe recovers a lost grant" `Quick
             test_credit_probe_recovers_lost_grant;
+          Alcotest.test_case "backed-off credit probe recovers a lost grant"
+            `Quick test_credit_probe_backed_off_lost_grant;
           Alcotest.test_case "crash walks go in ascending pair order" `Quick
             test_walks_ascend;
         ] );
