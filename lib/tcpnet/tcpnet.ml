@@ -130,7 +130,6 @@ and net = {
   mutable net_rto_expiries : int;
   mutable net_rack_marks : int;
   mutable net_probes : int;
-  mutable net_dup_arrivals : int;
 }
 
 let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
@@ -150,7 +149,6 @@ let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
     net_rto_expiries = 0;
     net_rack_marks = 0;
     net_probes = 0;
-    net_dup_arrivals = 0;
   }
 
 let net_stats net = (net.net_retransmissions, net.net_crc_rejects)
@@ -168,7 +166,8 @@ let recovery_stats net =
     rto_expiries = net.net_rto_expiries;
     rack_marks = net.net_rack_marks;
     probes = net.net_probes;
-    duplicate_arrivals = net.net_dup_arrivals;
+    duplicate_arrivals =
+      List.fold_left (fun a c -> a + c.dup_frames) 0 net.conns;
   }
 
 let attach net node =
@@ -425,13 +424,6 @@ let conn_unreachable conn =
              not (Simnet.Faults.node_up faults peer.stack.host.Node.id)
          | None -> false)
 
-(* Socket reset at restart: the rebooted host's TCP state died with it,
-   so both directions of every conn touching it start over — in-flight
-   frames and unconsumed buffered bytes of the old epoch are discarded
-   (as with ECONNRESET) and the session layer above replays whole
-   packets from its origin-side logs. Sequence counters keep running so
-   the survivor's cursor arithmetic stays monotonic. Idempotent: the
-   restart hook visits both ends of a pair. *)
 (* The RACK and TLP state of a conn describes frames of the current
    epoch only: a reset or a session resync forgets it, so no deadline is
    ever computed from a frame of the old epoch. *)
@@ -439,6 +431,13 @@ let forget_rack c =
   c.rack_seq <- -1;
   c.tlp_out <- false
 
+(* Socket reset at restart: the rebooted host's TCP state died with it,
+   so both directions of every conn touching it start over — in-flight
+   frames and unconsumed buffered bytes of the old epoch are discarded
+   (as with ECONNRESET) and the session layer above replays whole
+   packets from its origin-side logs. Sequence counters keep running so
+   the survivor's cursor arithmetic stays monotonic. Idempotent: the
+   restart hook visits both ends of a pair. *)
 let reset_socket conn remote =
   let purge c =
     Queue.clear c.sendq;
@@ -808,10 +807,7 @@ and transmit conn remote faults f =
             && f.f_seq < next + net.window
             && not (List.mem_assoc f.f_seq remote.held)
           then remote.held <- hold f.f_seq data remote.held
-          else begin
-            remote.dup_frames <- remote.dup_frames + 1;
-            net.net_dup_arrivals <- net.net_dup_arrivals + 1
-          end;
+          else remote.dup_frames <- remote.dup_frames + 1;
           schedule_ack conn remote faults ~sent ~seq:f.f_seq
         end
       in

@@ -543,7 +543,7 @@ let test_sr_reset_discards_held () =
   Alcotest.(check int) "one delivery per frame" burst_frames
     (Array.length second);
   let w, _ = reset_run ~lost:[ second.(3) ] in
-  (* The first burst's fast retransmit died with the crash; the second
+  (* The first burst's RACK resend died with the crash; the second
      burst's is the other one. *)
   Alcotest.(check (pair int int)) "one resend per burst" (2, 0)
     (Tcpnet.net_stats w.net);
