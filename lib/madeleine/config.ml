@@ -19,6 +19,7 @@ type t = {
 
 exception Symmetry_violation of string
 exception Peer_unreachable of string
+exception Partitioned of string
 
 let default_sisci_slot_payload = 8192
 let default_sisci_dma_threshold = 16 * 1024

@@ -67,6 +67,11 @@ exception Peer_unreachable of string
     persistent loss). Raised from [pack]/[end_packing]-driven sends on
     channels whose interface has failure detection enabled. *)
 
+exception Partitioned of string
+(** No route (or no surviving route) connects two ranks of a virtual
+    channel: {!Vchannel.Partitioned}, defined here so that the
+    vchannel's reliability plane raises the same exception. *)
+
 val default : t
 
 (** {1 Software cost constants}

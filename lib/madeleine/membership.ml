@@ -15,14 +15,42 @@ let partitioned fmt =
    through the winning coordinator once the cut heals. *)
 type intent = P_join of int | P_drain of int
 
+(* One rank's election state. [voted_term] is the highest term the rank
+   has granted a ballot in — one grant per term, monotonic. [ballots]
+   holds, on a candidate, the ballots granted TO it: voter -> (term,
+   voter's crash epoch at the grant), so a voter that restarts
+   invalidates its old ballot without any revocation message. *)
+module Ballot_box = struct
+  type t = { mutable voted_term : int; ballots : (int, int * int) Hashtbl.t }
+
+  let create () = { voted_term = 0; ballots = Hashtbl.create 4 }
+  let voted_term b = b.voted_term
+  let grant_vote b ~term = term > b.voted_term && (b.voted_term <- term; true)
+  let forget b voter = Hashtbl.remove b.ballots voter
+
+  let record_ballot b ~voter ~term ~voter_epoch =
+    Hashtbl.replace b.ballots voter (term, voter_epoch)
+
+  let ballots b ~epoch ~term =
+    List.sort compare
+      (Hashtbl.fold
+         (fun voter (btrm, bepoch) acc ->
+           if btrm = term && epoch voter = bepoch then voter :: acc else acc)
+         b.ballots [])
+
+  let reset_election b =
+    b.voted_term <- 0;
+    Hashtbl.reset b.ballots
+end
+
 (* The election fields stay inert unless [election]: candidacy is
    epoch-numbered (term = current epoch + 1), and a commit is
    [Topology.with_coordinator] — which bumps the epoch to exactly the
    term — so two candidates can never both commit the same epoch: the
    loser's re-check ([epoch < term]) fails after the winner's swap.
-   Ballots live in the candidate's {!Sentinel} tagged with the voter's
-   crash epoch, so a restarted voter's stale ballot stops counting
-   without any revocation traffic. *)
+   Ballots are tagged with the voter's crash epoch, so a restarted
+   voter's stale ballot stops counting without any revocation
+   traffic. *)
 type t = {
   vc : Vchannel.t;
   engine : Engine.t;
@@ -47,6 +75,7 @@ type t = {
   mutable last_latency : Time.span; (* trigger -> commit, last election *)
   mutable running : bool; (* a candidacy is in flight *)
   mutable pending : intent list; (* minority's suppressed intents *)
+  boxes : Ballot_box.t array; (* per-rank election state *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -89,9 +118,16 @@ let wait m ~until =
   Waiters.await m.waiters m.engine ~patience:m.patience
     ~name:"membership.epoch" ~until
 
-(* Publish [snap] and let the core reroute around the change. *)
+(* Publish [snap] and let the core reroute around the change. A
+   departed rank's ballots stop counting toward any quorum. *)
 let apply_swap m snap =
   let change = Topology.diff m.snapshot snap in
+  List.iter
+    (fun rank ->
+      Array.iteri
+        (fun me b -> if me <> rank then Ballot_box.forget b rank)
+        m.boxes)
+    change.departed;
   m.snapshot <- snap;
   m.coordinator <- Topology.coordinator snap;
   Vchannel.swap_epoch m.vc change;
@@ -128,6 +164,11 @@ let journal_watermark m rank =
       if f.Vchannel.flow_dst = rank then depth + f.Vchannel.delivered
       else depth)
     0 (Vchannel.flow_stats m.vc)
+
+(* The election state of [rank], which only a rank with a sentinel has:
+   its verdicts are what a candidacy rides on. *)
+let box m rank =
+  Option.map (fun _ -> m.boxes.(rank)) (Vchannel.sentinel m.vc ~rank)
 
 (* A [top] payload reached [me]. *)
 let on_top m ~me payload =
@@ -188,8 +229,8 @@ let on_top m ~me payload =
           Topology.mem m.snapshot me
           && committed >= Topology.epoch m.snapshot
         then
-          match Vchannel.sentinel m.vc ~rank:me with
-          | Some s when Sentinel.grant_vote s ~term ->
+          match box m me with
+          | Some b when Ballot_box.grant_vote b ~term ->
               Vchannel.send_top m.vc ~src:me ~dst:rank
                 (top_ext_payload ~op:top_vote_ack ~rank:me ~term
                    ~committed:(Topology.epoch m.snapshot)
@@ -200,9 +241,9 @@ let on_top m ~me payload =
         (* A ballot granted to this rank: [watermark] is the voter's
            crash epoch at the grant. *)
         Option.iter
-          (fun s ->
-            Sentinel.record_ballot s ~voter:rank ~term ~voter_epoch:watermark)
-          (Vchannel.sentinel m.vc ~rank:me);
+          (fun b ->
+            Ballot_box.record_ballot b ~voter:rank ~term ~voter_epoch:watermark)
+          (box m me);
         Waiters.wake_all m.waiters
       end
       else if op = top_coord then
@@ -253,11 +294,11 @@ let run_election m ~candidate =
     let started = Engine.now m.engine in
     let committed = Topology.epoch m.snapshot in
     let term = committed + 1 in
-    (match Vchannel.sentinel m.vc ~rank:candidate with
+    (match box m candidate with
     | None -> m.refusals <- m.refusals + 1
-    | Some s ->
-        if Sentinel.grant_vote s ~term then
-          Sentinel.record_ballot s ~voter:candidate ~term
+    | Some b ->
+        if Ballot_box.grant_vote b ~term then
+          Ballot_box.record_ballot b ~voter:candidate ~term
             ~voter_epoch:(m.crash_epoch candidate);
         List.iter
           (fun peer ->
@@ -268,7 +309,8 @@ let run_election m ~candidate =
           (Topology.ranks m.snapshot);
         let won =
           wait m ~until:(fun () ->
-              List.length (Sentinel.ballots s ~term) >= quorum_needed m)
+              List.length (Ballot_box.ballots b ~epoch:m.crash_epoch ~term)
+              >= quorum_needed m)
         in
         if
           won
@@ -448,11 +490,20 @@ let create ?coordinator ?(election = false) ?topo_quorum ~version vc =
       last_latency = Time.zero;
       running = false;
       pending = [];
+      boxes = Array.init (1 + List.fold_left max 0 ranks) (fun _ ->
+          Ballot_box.create ());
     }
   in
   install m;
   (match faults with
-  | Some f when election -> Simnet.Faults.on_heal f (on_heal m)
+  | Some f when election ->
+      Simnet.Faults.on_heal f (on_heal m);
+      (* A restarted rank's pre-crash vote grant is void — the epoch bump
+         announces it to everyone — so it may vote afresh, and any
+         ballots it had collected as a candidate are dead. *)
+      Simnet.Faults.on_restart f (fun node ->
+          if node < Array.length m.boxes then
+            Ballot_box.reset_election m.boxes.(node))
   | _ -> ());
   m
 

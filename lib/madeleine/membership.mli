@@ -22,7 +22,7 @@
     observes the coordinator dark (sentinel Down or a crash), its side's
     lowest reachable member stands for term [epoch + 1]: one ballot per
     rank per term (ballots are voided by the voter's crash-epoch restart
-    — see {!Sentinel.reset_election}), and a candidacy commits the epoch
+    — see {!Ballot_box}), and a candidacy commits the epoch
     bump only with a quorum of countable ballots — [topo_quorum] when
     pinned, else a majority of the {e current} committed membership, so
     a legitimately shrunk topology keeps its liveness while two disjoint
@@ -56,10 +56,10 @@ val create :
     [topo_quorum=] keys). The vchannel's ranks become epoch [version];
     [coordinator] (default: the lowest rank) arbitrates membership.
     [election] (default [false]) quorum-elects the coordinator and
-    needs a reliable vchannel (created with [~faults]): the sentinels
-    carry both the suspicion verdicts a candidacy rides on and the
-    ballot registries. [topo_quorum] pins the ballot quorum and needs
-    [election]. One membership per vchannel.
+    needs a reliable vchannel (created with [~faults]): its sentinels
+    carry the suspicion verdicts a candidacy rides on, and only a rank
+    with a sentinel votes or stands. [topo_quorum] pins the ballot
+    quorum and needs [election]. One membership per vchannel.
 
     Raises [Invalid_argument], checking in this order, on a [version]
     below 1, a [coordinator] outside the rank set, [topo_quorum] without
@@ -134,3 +134,45 @@ type election_stats = {
 val election_stats : t -> election_stats
 (** Election counters; all zero (and [commits] empty) without
     [election]. *)
+
+(** {1 Ballots}
+
+    Each rank's election state, kept here next to the elections that
+    read it: the vote the rank granted and, on a candidate, the ballots
+    granted to it. A membership clears a rank's box when the rank
+    restarts under a new crash epoch, and voids a departed rank's
+    ballots in every other box at the epoch swap that drops it. *)
+
+module Ballot_box : sig
+  type t
+
+  val create : unit -> t
+
+  val grant_vote : t -> term:int -> bool
+  (** Grants this rank's ballot for [term] iff it has not yet voted in
+      [term] or any later term; the grant is monotonic, so a rank can
+      never hand out two countable ballots for the same term without
+      an intervening {!reset_election}. *)
+
+  val voted_term : t -> int
+  (** Highest term this rank has granted a ballot in (0 = never voted). *)
+
+  val record_ballot : t -> voter:int -> term:int -> voter_epoch:int -> unit
+  (** Candidate side: records a ballot granted by [voter] for [term],
+      tagged with the voter's crash epoch at the grant. *)
+
+  val ballots : t -> epoch:(int -> int) -> term:int -> int list
+  (** The voters whose recorded ballot is for [term] {e and} whose
+      crash epoch ([epoch voter]) has not moved since the grant — a
+      restarted voter's stale ballot silently stops counting. Sorted
+      ascending. *)
+
+  val forget : t -> int -> unit
+  (** Voids a voter's recorded ballot: a drained rank stops counting
+      toward any quorum. *)
+
+  val reset_election : t -> unit
+  (** Clears the vote grant and every recorded ballot: the rank
+      restarted, so its pre-crash grant is void (and so announced by
+      the epoch bump) and it may vote afresh. *)
+end

@@ -63,14 +63,6 @@ type t = {
   mutable running : bool;
   mutable probes : int;
   mutable events : event list; (* newest first *)
-  (* Election bookkeeping (quorum coordinator elections ride the same
-     per-rank detector). [voted_term] is the highest term this rank has
-     granted a ballot in — one grant per term, monotonic. [ballots]
-     holds, on a candidate, the ballots granted TO it: voter -> (term,
-     voter's crash epoch at the grant), so a voter that restarts
-     invalidates its old ballot without any revocation message. *)
-  mutable voted_term : int;
-  ballots : (int, int * int) Hashtbl.t;
 }
 
 let ln10 = Float.log 10.0
@@ -159,38 +151,7 @@ let learn t id =
   if id <> t.me && not (List.exists (fun p -> p.p_id = id) t.peers) then
     t.peers <- t.peers @ [ fresh_peer t id ]
 
-let forget t id =
-  t.peers <- List.filter (fun p -> p.p_id <> id) t.peers;
-  (* A forgotten rank's ballot must not keep counting toward a quorum:
-     drains and crash-epoch restarts both funnel through here. *)
-  Hashtbl.remove t.ballots id
-
-(* ------------------------------------------------------------------ *)
-(* Election bookkeeping *)
-
-let grant_vote t ~term =
-  if term > t.voted_term then begin
-    t.voted_term <- term;
-    true
-  end
-  else false
-
-let voted_term t = t.voted_term
-let record_ballot t ~voter ~term ~voter_epoch =
-  Hashtbl.replace t.ballots voter (term, voter_epoch)
-
-let ballots t ~term =
-  List.sort compare
-    (Hashtbl.fold
-       (fun voter (btrm, bepoch) acc ->
-         if btrm = term && Simnet.Faults.epoch t.faults voter = bepoch then
-           voter :: acc
-         else acc)
-       t.ballots [])
-
-let reset_election t =
-  t.voted_term <- 0;
-  Hashtbl.reset t.ballots
+let forget t id = t.peers <- List.filter (fun p -> p.p_id <> id) t.peers
 let watched t = List.map (fun p -> p.p_id) t.peers
 
 let create engine faults ~me ~peers ?fabric ?(interval = Time.us 500.0)
@@ -207,28 +168,16 @@ let create engine faults ~me ~peers ?fabric ?(interval = Time.us 500.0)
       degraded_phi;
       down_phi;
       grace;
-      peers =
-        List.map
-          (fun id ->
-            {
-              p_id = id;
-              p_state = Up;
-              p_last_arrival = Time.zero;
-              p_mean_us = Time.to_us interval;
-              p_have_arrival = false;
-              p_overloaded = false;
-            })
-          (List.filter (fun id -> id <> me) peers);
+      peers = [];
       cbs = [];
       last_touch = Engine.now engine;
       park_wake = None;
       running = false;
       probes = 0;
       events = [];
-      voted_term = 0;
-      ballots = Hashtbl.create 4;
     }
   in
+  t.peers <- List.map (fresh_peer t) (List.filter (fun id -> id <> me) peers);
   t
 
 let start t =

@@ -102,37 +102,6 @@ val suspected : t -> int list
 (** Peers whose liveness is currently in question ([Degraded] or
     [Down]). [Overloaded] peers are alive and not listed. *)
 
-(** {1 Election bookkeeping}
-
-    Quorum coordinator elections (see {!Vchannel}) keep their per-rank
-    voting state here, next to the liveness verdicts the candidacy is
-    based on, so the lifecycle events that must invalidate election
-    state ({!forget}, crash-epoch restarts) already flow through the
-    right object. *)
-
-val grant_vote : t -> term:int -> bool
-(** Grants this rank's ballot for [term] iff it has not yet voted in
-    [term] or any later term; the grant is monotonic, so a rank can
-    never hand out two countable ballots for the same term without an
-    intervening {!reset_election}. *)
-
-val voted_term : t -> int
-(** Highest term this rank has granted a ballot in (0 = never voted). *)
-
-val record_ballot : t -> voter:int -> term:int -> voter_epoch:int -> unit
-(** Candidate side: records a ballot granted by [voter] for [term],
-    tagged with the voter's crash epoch at the grant. *)
-
-val ballots : t -> term:int -> int list
-(** The voters whose recorded ballot is for [term] {e and} whose crash
-    epoch has not moved since the grant — a restarted voter's stale
-    ballot silently stops counting. Sorted ascending. *)
-
-val reset_election : t -> unit
-(** Clears the vote grant and every recorded ballot. Called on
-    crash-epoch restart of this rank: its pre-crash grant is void
-    (and so announced by the epoch bump), so it may vote afresh. *)
-
 val probes : t -> int
 (** Heartbeats sent so far. *)
 

@@ -2,7 +2,6 @@ module Engine = Marcel.Engine
 module Time = Marcel.Time
 module Mailbox = Marcel.Mailbox
 module Mutex = Marcel.Mutex
-module Condition = Marcel.Condition
 module Semaphore = Marcel.Semaphore
 
 (* Byte stream with blocking reads and message-end markers, fed by the
@@ -14,18 +13,18 @@ module Assembler = struct
     items : item Queue.t;
     mutable head_off : int;
     waiters : Waiters.t;
-    mutable on_pop : int -> unit;
+    on_pop : int -> unit;
         (* consumption hook: called with the chunk length every time a
            whole Data chunk (= one packet payload) has been drained —
            where credit replenishment and buffered-byte accounting hang *)
   }
 
-  let create () =
+  let create on_pop =
     {
       items = Queue.create ();
       head_off = 0;
       waiters = Waiters.create ();
-      on_pop = ignore;
+      on_pop;
     }
 
   let push t item =
@@ -84,7 +83,7 @@ module Assembler = struct
         t.head_off <- 0
 end
 
-exception Partitioned of string
+exception Partitioned = Config.Partitioned
 
 (* Peak-tracking occupancy counter for one buffering point. *)
 type probe_point = { mutable pp_cur : int; mutable pp_peak : int }
@@ -96,85 +95,6 @@ let pp_add p n =
   if p.pp_cur > p.pp_peak then p.pp_peak <- p.pp_cur
 
 let pp_sub p n = p.pp_cur <- p.pp_cur - n
-
-(* State per ordered rank pair, indexed [a].(b). Row [a] is allocated
-   by its first entry, so a world pays only for the ranks that hold
-   pair state. *)
-module Pairs = struct
-  type 'a t = 'a option array array
-
-  let create n : 'a t = Array.make n [||]
-
-  let find (m : 'a t) a b =
-    match m.(a) with [||] -> None | row -> row.(b)
-
-  (* Store [v] at (a, b) and return it. *)
-  let add (m : 'a t) a b v =
-    if Array.length m.(a) = 0 then m.(a) <- Array.make (Array.length m) None;
-    m.(a).(b) <- Some v;
-    v
-
-  (* The entry at (a, b), made by [mk] on first use. *)
-  let get m a b mk =
-    match find m a b with Some v -> v | None -> add m a b (mk ())
-
-  (* The entries of row [a], in ascending [b] order; every entry, in
-     ascending (a, b) order. *)
-  let iter_row f (m : 'a t) a = Array.iteri (fun b -> Option.iter (f b)) m.(a)
-  let iter f (m : 'a t) = Array.iteri (fun a _ -> iter_row (f a) m a) m
-
-  (* The entries (a, b) of column [b], in ascending [a] order. *)
-  let iter_col f (m : 'a t) b =
-    Array.iteri (fun a _ -> Option.iter (f a) (find m a b)) m
-end
-
-(* Send-side state of one (src, dst) pair, made on the pair's first
-   emission. The reliability fields are used only with
-   a fault plane: sequence numbers are per (origin, final destination)
-   pair, 16 bits, carried in the packet header; every accepted packet
-   is answered by a cumulative ack so the origin can trim its log of
-   unacknowledged packets, from which packets are re-emitted after a
-   gateway crash. The credit fields are used only with [?credits] (see
-   [credits]).
-
-   Crash-epoch sessions: a crash wipes the crashed node's send-side
-   state (cursors, logs, credit counters) and marks its pairs
-   [tx_lost]. Receive cursors ([rx_next]) survive a restart — they
-   model a delivery journal the session layer keeps on stable storage,
-   which is what makes exactly-once possible at all. When the node
-   comes back, every live peer that has delivered data from it sends a
-   session-handshake packet ([hs] flag) carrying its expected sequence
-   number, so the restarted origin resumes numbering where the receiver
-   left off instead of colliding with its own pre-crash packets. *)
-type tx = {
-  mutable tx_seq : int; (* next sequence number *)
-  tx_log : (int * Generic_tm.packet_header * Bytes.t) Queue.t;
-      (* unacknowledged packets, in emission order *)
-  mutable tx_log_peak : int;
-  mutable tx_lost : bool;
-      (* the origin crashed: sends block until the peer's session
-         handshake restores the cursor *)
-  tx_mu : Mutex.t;
-  tx_cond : Condition.t; (* credit-blocked senders wait here *)
-  mutable tx_shipped : int;
-  mutable tx_granted : int; (* receiver's consumed count, as last heard *)
-  mutable tx_probe_gap : Time.span;
-      (* wait before the next zero-window probe: doubles per probe,
-         reset by a grant that raises [tx_granted] *)
-}
-
-(* Receive-side state of one (me, origin) pair: the delivery journal,
-   the consumption count credits are granted from, and the bytes
-   buffered in the pair's assemblers. Crash handshakes go to every pair
-   that holds a record, so a record is made only by the pair's first
-   delivery or grant, never by a receiver waiting for a message. *)
-type rx = {
-  mutable rx_next : int; (* next expected sequence number *)
-  mutable rx_consumed : int; (* data packets drained by user unpacks *)
-  mutable rx_last_grant : int; (* consumed count when we last granted *)
-  rx_asm : probe_point; (* assembler bytes, across the pair's flows *)
-  rx_pop : int -> unit; (* the pair's assembler consumption hook *)
-}
 
 (* One receive endpoint per (me, origin, flow): logical flows have
    independent byte streams and message starts. *)
@@ -189,56 +109,6 @@ type gateway = {
   mutable gw_packets : int; (* forwarded *)
   mutable gw_bytes : int;
   mutable gw_next_ingress : Time.t; (* ingress pacing slot *)
-}
-
-(* End-to-end reliability state, present only when the vchannel was
-   created with a fault plane; the per-pair cursors and logs live in
-   [tx] and [rx]. *)
-type rel = {
-  faults : Simnet.Faults.t;
-  sentinels : Sentinel.t option array; (* per-rank failure detectors *)
-  suspected : bool array array;
-      (* [observer].(peer): observer's sentinel currently calls the
-         still-live peer Down. Under a partition the two sides suspect
-         each other, so suspicion is meaningful only relative to who is
-         looking — a global "someone suspects it" bit would take every
-         rank down at once. *)
-  susp_count : int array;
-      (* peer -> number of observers suspecting it; the O(1)
-         "suspected by anyone" view used when no election plane makes
-         suspicion viewer-relative *)
-  route_waiters : Waiters.t;
-  hs_waiters : Waiters.t;
-  ack_waiters : Waiters.t;
-      (* senders blocked on a full unacked log, woken by ack arrivals *)
-  mutable reroutes : int;
-  mutable reemitted : int;
-  mutable dup_drops : int;
-  mutable handshakes : int;
-}
-
-(* End-to-end credit-based flow control, present only when the vchannel
-   was created with [?credits]; the per-pair counters live in [tx] and
-   [rx]. Receiver-granted: each (src, dst) flow may have at most
-   [cr_budget] unconsumed data packets in the network or buffered at the
-   destination, so every buffering point on the path holds at most
-   budget * MTU bytes of the flow. The sender counts
-   packets shipped; the receiver counts packets *consumed* by user
-   unpacks (arrival is not consumption — a paused receiver must block
-   the sender, not let it fill the assembler) and replenishes by sending
-   cumulative grants every [cr_quantum] consumptions, piggybacking the
-   flow's cumulative ack on reliable vchannels. A sender out of credits
-   blocks on the flow's condition variable; zero-window probes shipped
-   while blocked, at an interval that backs off from
-   {!Config.credit_probe_interval}, make a lost grant (crash paths)
-   unable to wedge the flow. All counters are plain
-   cumulative ints — only the data-packet sequence number wraps. *)
-type credits = {
-  cr_budget : int;
-  cr_quantum : int;
-  mutable cr_grants : int;
-  mutable cr_probes : int;
-  mutable cr_stalls : int;
 }
 
 (* One forwarding pump per (gateway node, outgoing link): the paper's
@@ -270,12 +140,8 @@ type view = {
 (* Per-rank and per-pair state is held in arrays indexed by rank, sized
    by the highest rank of [all_ranks]; that set is fixed at [create]
    (a membership join only re-admits ranks already in it). Every walk
-   over this state visits ranks in ascending order, and pairs in
-   ascending (first rank, second rank) order: crash, restart,
-   re-emission, quiescence, suspicion, the sentinel hooks, route
-   comparison and the stats views. Re-emission daemons and crash
-   handshakes spawn in that order, so it is part of the simulated
-   schedule. *)
+   over it, here and in the planes, goes in ascending rank order (see
+   {!Pairs}), which is part of the simulated schedule. *)
 type t = {
   engine : Engine.t;
   mtu : int;
@@ -285,10 +151,14 @@ type t = {
   ingress_cap_mb_s : float option;
   all_ranks : int list; (* ascending *)
   routing : Channel.t Routing.t;
-  rel : rel option;
+  mutable rel : Reliability.hooks;
+  mutable cr : Credits.hooks;
+      (* the reliability and credit planes, chosen once by [create]: a
+         vchannel without a fault plane or credits runs the plain
+         hooks and holds no state of either plane *)
   mutable sched : Sched.t option; (* aggregating scheduler (sched=aggreg) *)
-  tx : tx Pairs.t; (* [src].(dst) *)
-  rx : rx Pairs.t; (* [me].(origin) *)
+  buffered : probe_point Pairs.t;
+      (* [me].(origin): assembler bytes, across the pair's flows *)
   endpoints : (int, endpoint) Hashtbl.t Pairs.t; (* [me].(origin), by flow *)
   gateways : gateway array;
   incoming : (int * int) Mailbox.t array;
@@ -297,7 +167,6 @@ type t = {
       (* [node].(out dst), by out channel id *)
   send_locks : (int, Mutex.t) Hashtbl.t Pairs.t;
       (* [src].(dst), by flow: message serialization *)
-  credits : credits option;
   gw_pool : int;
       (* forwarding buffers per pump (2 = paper's dual buffer); a gateway
          whose busy slots reach it reports Overloaded *)
@@ -324,23 +193,18 @@ let slot_entry m a b key mk =
       Hashtbl.add tbl key v;
       v
 
+let buffered t ~me ~origin = Pairs.get t.buffered me origin pp_make
+
+(* Consumption is accounted per (me, origin) — credits meter the pair,
+   whichever flows the bytes belong to — so every assembler of the pair
+   pops into the same counters. *)
 let endpoint t ~me ~origin ~flow =
   slot_entry t.endpoints me origin flow (fun () ->
-      { ep_starts = Mailbox.create (); ep_asm = Assembler.create () })
-
-let tx_state t ~src ~dst =
-  Pairs.get t.tx src dst (fun () ->
-      {
-        tx_seq = 0;
-        tx_log = Queue.create ();
-        tx_log_peak = 0;
-        tx_lost = false;
-        tx_mu = Mutex.create ();
-        tx_cond = Condition.create ();
-        tx_shipped = 0;
-        tx_granted = 0;
-        tx_probe_gap = Config.credit_probe_interval;
-      })
+      let pop n =
+        pp_sub (buffered t ~me ~origin) n;
+        t.cr.consumed ~me ~origin
+      in
+      { ep_starts = Mailbox.create (); ep_asm = Assembler.create pop })
 
 let send_lock t ~src ~dst ~flow =
   slot_entry t.send_locks src dst flow Mutex.create
@@ -389,34 +253,11 @@ let forwarded t =
    reliable vchannel, whose routes come and go with faults; a usage
    error on a fault-free one. *)
 let unroutable t ~at ~dst =
-  let msg = Printf.sprintf "Vchannel: no route from %d to %d" at dst in
-  match t.rel with Some _ -> Partitioned msg | None -> Invalid_argument msg
+  t.rel.no_route (Printf.sprintf "Vchannel: no route from %d to %d" at dst)
 
 let next_hop t ~at ~dst =
   try Routing.next_hop t.routing ~src:at ~dst
   with Not_found -> raise (unroutable t ~at ~dst)
-
-let touch_sentinel r ~rank = Option.iter Sentinel.touch r.sentinels.(rank)
-
-(* Whether [n] is up; without a fault plane every node always is. *)
-let node_up t n =
-  match t.rel with Some r -> Simnet.Faults.node_up r.faults n | None -> true
-
-(* Park on [w] until [until ()] holds or the vchannel's patience runs
-   out; returns whether [until ()] was reached. *)
-let wait_patiently t w ~name ~until =
-  Waiters.await w t.engine ~patience:t.patience ~name ~until
-
-(* Wait out a route hole from [at] to [dst] until a route recomputation
-   restores a path. A node restarting with a new epoch is unroutable for
-   the length of its restart window; waiting it out here is what lets
-   in-flight flows survive a crash-restart instead of dying on the
-   transient hole. *)
-let wait_route t r ~at ~dst =
-  let routed () = routed t at dst in
-  let name = "vchannel.route" in
-  if not (wait_patiently t r.route_waiters ~name ~until:routed) then
-    raise (unroutable t ~at ~dst)
 
 (* One hop of a self-described packet: a regular Madeleine message on the
    hop's real channel, EXPRESS header then CHEAPER payload. The hop is
@@ -448,28 +289,11 @@ let send_hop ~at hop ~header ~payload ~payload_len =
       Api.abort_packing oc;
       raise e
 
-(* Ship one packet along the routes. On a reliable vchannel a dead next
-   hop is retried over the (by then recomputed) routes; a missing route
-   is waited out with [wait_route]; when no route survives the flow is
-   partitioned. *)
-let ship_packet t ~at ~header ~payload ~payload_len =
-  let dst = header.Generic_tm.final_dst in
-  match t.rel with
-  | None -> send_hop ~at (next_hop t ~at ~dst) ~header ~payload ~payload_len
-  | Some r ->
-      touch_sentinel r ~rank:at;
-      let rec go attempts =
-        match next_hop t ~at ~dst with
-        | exception Partitioned _ ->
-            wait_route t r ~at ~dst;
-            go attempts
-        | hop -> (
-            try send_hop ~at hop ~header ~payload ~payload_len
-            with Config.Peer_unreachable msg ->
-              if attempts >= 3 then raise (Partitioned msg)
-              else go (attempts + 1))
-      in
-      go 0
+(* Ship one packet over the current routes, as a plain vchannel does;
+   the reliability plane wraps this with its retries. *)
+let ship_once t ~at header payload payload_len =
+  send_hop ~at (next_hop t ~at ~dst:header.Generic_tm.final_dst) ~header
+    ~payload ~payload_len
 
 (* Ship a control packet from [at] on its own daemon thread. Best-effort:
    each control protocol recovers a lost or unroutable packet itself
@@ -480,217 +304,8 @@ let ship_detached t ~kind ~at header payload =
       (Printf.sprintf "vchannel.%s.%d->%d" kind at header.Generic_tm.final_dst)
     (fun () ->
       try
-        ship_packet t ~at ~header ~payload
-          ~payload_len:header.Generic_tm.payload_len
+        t.rel.ship ~at header payload header.Generic_tm.payload_len
       with Partitioned _ | Config.Peer_unreachable _ -> ())
-
-(* A 4-byte little-endian count: the payload of grants and handshakes. *)
-let int32_payload n =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int n);
-  b
-
-(* The origin trims its unacknowledged log on a cumulative ack. The
-   16-bit sequence space wraps, so "at or before the acked number" is
-   the circular half-space test: [acked - s] (mod 2^16) < 2^15. Entries
-   are queued in emission order, so trimming pops from the front while
-   the head is inside that window — a cumulative trim even when the
-   exact acked packet was already trimmed by an earlier (reordered) ack.
-   The log is capped at the flow-control window, which keeps every live
-   entry well inside the half-space and makes a stale ack unable to eat
-   unacked packets. Senders blocked on a full log are woken. *)
-let handle_ack t r header =
-  let origin = header.Generic_tm.origin in
-  (match Pairs.find t.tx header.Generic_tm.final_dst origin with
-  | None -> ()
-  | Some tx ->
-      let q = tx.tx_log in
-      let acked = header.Generic_tm.seq in
-      let at_or_before s = (acked - s) land 0xffff < 0x8000 in
-      let continue = ref true in
-      while !continue && not (Queue.is_empty q) do
-        let s, _, _ = Queue.peek q in
-        if at_or_before s then ignore (Queue.pop q) else continue := false
-      done);
-  Waiters.wake_all r.ack_waiters
-
-(* ------------------------------------------------------------------ *)
-(* Credit plane *)
-
-(* Cumulative grant from the consumer [me] back to the flow's origin: a
-   [crd] packet whose 4-byte payload is the number of data packets
-   consumed so far. On reliable vchannels it piggybacks the flow's
-   cumulative ack ([ack] flag + [seq]), so a grant also trims the
-   origin's re-emission log. Rides the normal routed path — gateways
-   forward it like data. Best-effort: a lost grant is recovered by the
-   sender's zero-window probe. *)
-let send_grant t c rx ~me ~origin =
-  rx.rx_last_grant <- rx.rx_consumed;
-  c.cr_grants <- c.cr_grants + 1;
-  let ack, seq =
-    match t.rel with
-    | Some _ when rx.rx_next > 0 -> (true, (rx.rx_next - 1) land 0xffff)
-    | _ -> (false, 0)
-  in
-  ship_detached t ~kind:"grant" ~at:me
-    { (Generic_tm.header ~origin:me ~final_dst:origin ~payload_len:4) with
-      seq;
-      ack;
-      crd = true;
-    }
-    (int32_payload rx.rx_consumed)
-
-(* Zero-window probe from a credit-blocked sender: an empty [crd] packet
-   the receiver answers with a fresh grant. Covers grants lost to crash
-   paths, so a blocked flow can always make progress once the receiver
-   consumes. *)
-let send_probe t c ~src ~dst =
-  c.cr_probes <- c.cr_probes + 1;
-  ship_detached t ~kind:"probe" ~at:src
-    { (Generic_tm.header ~origin:src ~final_dst:dst ~payload_len:0) with
-      crd = true;
-    }
-    Bytes.empty
-
-(* One user unpack drained a whole packet payload at [me]: account the
-   buffered bytes away and replenish the origin's credits once a grant
-   quantum's worth has been consumed. *)
-let note_consumed t rx ~me ~origin chunk_len =
-  pp_sub rx.rx_asm chunk_len;
-  match t.credits with
-  | None -> ()
-  | Some c ->
-      rx.rx_consumed <- rx.rx_consumed + 1;
-      if rx.rx_consumed - rx.rx_last_grant >= c.cr_quantum then
-        send_grant t c rx ~me ~origin
-
-(* Consumption accounting is per (me, origin) — credits meter the pair,
-   whichever flows the bytes belong to — so every assembler of the pair
-   hooks [rx_pop]. *)
-let rx_state t ~me ~origin =
-  match Pairs.find t.rx me origin with
-  | Some rx -> rx
-  | None ->
-      let rec rx =
-        {
-          rx_next = 0;
-          rx_consumed = 0;
-          rx_last_grant = 0;
-          rx_asm = pp_make ();
-          rx_pop = (fun n -> note_consumed t rx ~me ~origin n);
-        }
-      in
-      Pairs.add t.rx me origin rx
-
-(* A grant (or probe answer) reached the flow's origin [me]. Grants are
-   cumulative, so reordered or duplicated ones apply monotonically. *)
-let handle_crd t ~me header payload =
-  let origin = header.Generic_tm.origin in
-  (match (t.rel, header.Generic_tm.ack) with
-  | Some r, true -> handle_ack t r header
-  | _ -> ());
-  match t.credits with
-  | None -> () (* stray credit packet on a credit-less vchannel *)
-  | Some c ->
-      if header.Generic_tm.payload_len >= 4 then begin
-        let consumed = Int32.to_int (Bytes.get_int32_le payload 0) in
-        let tx = tx_state t ~src:me ~dst:origin in
-        if consumed > tx.tx_granted then begin
-          tx.tx_granted <- consumed;
-          tx.tx_probe_gap <- Config.credit_probe_interval;
-          Condition.broadcast tx.tx_cond
-        end
-      end
-      else if node_up t me then
-        (* Zero-window probe: answer with the current consumed count,
-           unless this host is down. *)
-        send_grant t c (rx_state t ~me ~origin) ~me ~origin
-
-(* Cumulative ack from [me] back to the flow's origin, riding the normal
-   routed path as a zero-payload packet. Best-effort: a lost or
-   unroutable ack only delays trimming of the origin's log. *)
-let send_ack t rx ~me ~origin =
-  if rx.rx_next > 0 then
-    ship_detached t ~kind:"ack" ~at:me
-      { (Generic_tm.header ~origin:me ~final_dst:origin ~payload_len:0) with
-        seq = (rx.rx_next - 1) land 0xffff;
-        ack = true;
-      }
-      Bytes.empty
-
-(* Session handshake, received by a freshly restarted node: the peer
-   tells us where its delivery journal stands ([seq] = next sequence it
-   expects from us) and which restart epoch it is answering ([payload] =
-   our epoch, 4 bytes LE — it rides as real payload so gateways forward
-   it like any other packet). We resume our send cursor at the highest
-   such expectation and unblock sends that were waiting on the lost
-   cursor. A handshake for a previous epoch is stale and ignored. *)
-let handle_hs t r ~me header payload =
-  let peer = header.Generic_tm.origin in
-  let epoch =
-    if Bytes.length payload >= 4 then Int32.to_int (Bytes.get_int32_le payload 0)
-    else -1
-  in
-  if epoch = Simnet.Faults.epoch r.faults me then begin
-    let tx = tx_state t ~src:me ~dst:peer in
-    tx.tx_seq <- max tx.tx_seq header.Generic_tm.seq;
-    tx.tx_lost <- false;
-    r.handshakes <- r.handshakes + 1;
-    Waiters.wake_all r.hs_waiters
-  end
-
-(* Block a send on a flow whose cursor was lost to a crash until the
-   peer's handshake restores it — or patience runs out (peer never comes
-   back, or never held any of our data so no handshake will come). *)
-let wait_handshake t r tx ~src ~dst =
-  let restored () = not tx.tx_lost in
-  let name = "vchannel.handshake" in
-  if not (wait_patiently t r.hs_waiters ~name ~until:restored) then
-    raise
-      (Partitioned
-         (Printf.sprintf
-            "Vchannel: flow %d->%d lost its session to a crash and no \
-             handshake restored it"
-            src dst))
-
-(* Withdraw [o]'s suspicion of [p], keeping the by-any count in step. *)
-let unsuspect r o p =
-  if r.suspected.(o).(p) then begin
-    r.suspected.(o).(p) <- false;
-    r.susp_count.(p) <- r.susp_count.(p) - 1
-  end
-
-(* Drop every suspicion record involving [rank] — as the suspect (any
-   observer's entry) and as an observer (its own verdicts die with its
-   departure). *)
-let unsuspect_all r rank =
-  Array.iteri
-    (fun o _ ->
-      unsuspect r o rank;
-      unsuspect r rank o)
-    r.susp_count
-
-(* Call [f me s] for every rank's sentinel, in ascending rank order. *)
-let iter_sentinels r f = Array.iteri (fun me -> Option.iter (f me)) r.sentinels
-
-let sentinels_learn t r rank =
-  unsuspect_all r rank;
-  iter_sentinels r (fun me s ->
-      if me <> rank && Routing.same_channel t.routing me rank then
-        Sentinel.learn s rank)
-
-(* Dropping a departed rank from every detector is what keeps a
-   long-lived elastic session's phi-accrual state from growing without
-   bound — and what stops a sentinel from suspecting a rank that left
-   gracefully. Sentinel.forget also voids the rank's recorded ballots,
-   so a drained rank stops counting toward any quorum. *)
-let sentinels_forget r rank =
-  unsuspect_all r rank;
-  iter_sentinels r (fun me s -> if me <> rank then Sentinel.forget s rank)
-
-(* ------------------------------------------------------------------ *)
-(* Route refresh: one path for epoch swaps, Overloaded edges, crashes,
-   restarts and sentinel verdicts. *)
 
 (* The lock that serializes emission for a (src, dst) pair: with a
    scheduler it is the scheduler's pair lock (aggregates are numbered
@@ -701,39 +316,6 @@ let emission_lock t ~src ~dst =
   match t.sched with
   | Some sc -> Sched.pair_lock sc ~src ~dst
   | None -> send_lock t ~src ~dst ~flow:0
-
-(* After a membership change, re-emit every unacknowledged packet of
-   the affected live flows over the recomputed routes ([only] narrows
-   the set — an epoch swap re-emits just the flows whose route actually
-   changed). One daemon per flow; it takes the flow's message lock so
-   re-emitted packets cannot interleave with (and overtake) a message
-   in progress — the receiver's sequence check would then discard the
-   overtaken packets for good. *)
-let reemit_flows ?(only = fun _ _ -> true) t r =
-  Pairs.iter
-    (fun src dst { tx_log = q; _ } ->
-      if only src dst && Simnet.Faults.node_up r.faults src
-         && not (Queue.is_empty q)
-      then
-        Engine.spawn t.engine ~daemon:true
-          ~name:(Printf.sprintf "vchannel.reemit.%d->%d" src dst)
-          (fun () ->
-            Mutex.lock (emission_lock t ~src ~dst);
-            let snapshot = List.of_seq (Queue.to_seq q) in
-            (try
-               List.iter
-                 (fun (seq, header, payload) ->
-                   (* Skip packets acked while we waited for the lock. *)
-                   if Queue.fold (fun f (s, _, _) -> f || s = seq) false q
-                   then begin
-                     r.reemitted <- r.reemitted + 1;
-                     ship_packet t ~at:src ~header ~payload
-                       ~payload_len:(Bytes.length payload)
-                   end)
-                 snapshot
-             with Partitioned _ | Config.Peer_unreachable _ -> ());
-            Mutex.unlock (emission_lock t ~src ~dst)))
-    t.tx
 
 let fixed_view =
   {
@@ -747,46 +329,12 @@ let fixed_view =
     on_verdict = (fun ~me:_ _ _ -> ());
   }
 
-(* Whether [viewer] distrusts the live rank [n]: with relative suspicion
-   (quorum elections) its own sentinel's verdict, so under a symmetric
-   partition each side keeps full routes within itself instead of
-   everyone going dark because somebody somewhere suspects them;
-   otherwise any observer's verdict, standing for everybody. *)
-let suspects (view : view) r ~viewer n =
-  if view.relative then r.suspected.(viewer).(n) else r.susp_count.(n) > 0
-
 (* Whether the hop [viewer -> n] is unusable. Non-members of the
    current epoch are excluded from routing exactly like crashed nodes:
    never a relay, never an endpoint. Under the fixed view every
    physical rank is a member and the predicate reduces to the
-   crash/suspicion test. *)
-let down (view : view) rel =
-  match rel with
-  | None -> fun _viewer n -> not (view.member n)
-  | Some r ->
-      fun viewer n ->
-        (not (view.member n))
-        || (not (Simnet.Faults.node_up r.faults n))
-        || suspects view r ~viewer n
-
-(* Recompute a reliable vchannel's routes, preferring those around
-   Overloaded gateways, and wake the senders waiting out a route hole. *)
-let recompute t r =
-  Routing.recompute t.routing ~down:(down t.view t.rel)
-    ~overloaded:t.overloaded;
-  Waiters.wake_all r.route_waiters
-
-(* An epoch swap or an Overloaded edge on a reliable vchannel: recompute
-   the routes, then re-emit ONLY the flows whose route actually changed
-   (switching routes mid-flow can strand packets the destination's
-   sequence check discarded as overtakers), under each flow's emission
-   lock. An edge with no alternate gateway changes no route and
-   re-emits nothing — re-emitting into an already-overloaded path would
-   feed the congestion it is reporting. *)
-let swap_routes t r =
-  let before = Routing.routes t.routing in
-  recompute t r;
-  reemit_flows t r ~only:(Routing.changed t.routing ~before)
+   reliability plane's crash/suspicion test. *)
+let down t viewer n = (not (t.view.member n)) || t.rel.distrusts viewer n
 
 (* ------------------------------------------------------------------ *)
 (* Collective control plane. The Collectives layer (see collectives.ml)
@@ -809,7 +357,7 @@ let set_on_col t f = t.on_col <- f
 let set_on_health_change t f = t.on_health_change <- f
 
 let handle_col t ~me header payload =
-  if node_up t me then t.on_col ~me ~origin:header.Generic_tm.origin payload
+  if t.rel.node_up me then t.on_col ~me ~origin:header.Generic_tm.origin payload
 
 (* Physical neighbours: the ranks sharing at least one channel with
    [rank], in channel-list then member-list order. The Collectives
@@ -825,34 +373,29 @@ let neighbours t rank =
 
 let view t = t.view
 let set_view t v = t.view <- v
-let faults t = Option.map (fun r -> r.faults) t.rel
+let faults t = t.rel.faults
 let patience t = t.patience
 let reachable t ~src ~dst = mem t src && mem t dst && routed t src dst
 
-(* An epoch swap the view has already published: every sentinel learns
-   the joined ranks and forgets the departed ones, then the routes are
-   recomputed — on a reliable vchannel, re-emitting only the flows
-   whose route changed. *)
-let swap_epoch t { Topology.joined; departed } =
-  List.iter (fun rank -> t.overloaded.(rank) <- false) departed;
-  (match t.rel with
-  | Some r ->
-      List.iter (sentinels_learn t r) joined;
-      List.iter (sentinels_forget r) departed;
-      swap_routes t r
-  | None -> Routing.recompute t.routing ~down:(down t.view t.rel));
+(* An epoch swap the view has already published: departed ranks lose any
+   Overloaded report, and the routes are recomputed — on a reliable
+   vchannel, after the sentinels learn the joined ranks and forget the
+   departed ones, re-emitting only the flows whose route changed. *)
+let swap_epoch t change =
+  List.iter (fun rank -> t.overloaded.(rank) <- false) change.Topology.departed;
+  t.rel.swap change;
   t.on_health_change ()
 
-(* Whether [rank] holds nothing in flight: cumulative acks cover every
-   re-emission-log entry it originated or is owed, and its forwarding
-   pools are idle. *)
+(* Whether [rank] holds nothing in flight: its forwarding pools are idle
+   and acks cover every re-emission-log entry it originated or is owed. *)
 let quiescent t rank =
   check_rank t "quiescent" rank;
-  let idle = ref (t.gateways.(rank).gw_slots.pp_cur = 0) in
-  let check _ tx = if not (Queue.is_empty tx.tx_log) then idle := false in
-  Pairs.iter_row check t.tx rank;
-  Pairs.iter_col check t.tx rank;
-  !idle
+  t.gateways.(rank).gw_slots.pp_cur = 0
+  && List.for_all
+       (fun f ->
+         f.Reliability.Stats.unacked = 0
+         || (f.flow_src <> rank && f.flow_dst <> rank))
+       (t.rel.flows ())
 
 let top_header ~src ~dst payload =
   { (Generic_tm.header ~origin:src ~final_dst:dst
@@ -871,9 +414,9 @@ let ship_top ?(physical = false) t ~src ~dst payload =
   check_ranks t "ship_top" src dst;
   let header = top_header ~src ~dst payload in
   let payload_len = Bytes.length payload in
-  if not physical then ship_packet t ~at:src ~header ~payload ~payload_len
+  if not physical then t.rel.ship ~at:src header payload payload_len
   else
-    let down _ n = not (node_up t n) in
+    let down _ n = not (t.rel.node_up n) in
     match Routing.first_hop t.routing ~down ~src ~dst with
     | Some hop -> (
         try send_hop ~at:src hop ~header ~payload ~payload_len
@@ -884,26 +427,18 @@ let ship_top ?(physical = false) t ~src ~dst payload =
              (Printf.sprintf "Vchannel.ship_top: no physical path from %d to %d"
                 src dst))
 
-(* Deliver a packet that reached its final node. Reliable vchannels
-   accept only the expected sequence number (re-emitted duplicates and
-   overtaking packets are dropped) and acknowledge cumulatively. *)
+(* Deliver a packet that reached its final node, through the
+   reliability plane's sequence check. *)
 let deliver_local t ~me header payload =
   let origin = header.Generic_tm.origin in
-  let rx = rx_state t ~me ~origin in
-  (* One frame of [flow]. A message start hooks the flow's assembler to
-     the pair's consumption accounting before announcing itself: a
-     receiver blocked in [begin_unpacking_from] may have made the
-     endpoint before the pair's first packet, and only a receiver that
-     took a start drains the assembler. *)
   let frame ~flow ~first ~last chunk =
     let ep = endpoint t ~me ~origin ~flow in
     if first then begin
-      ep.ep_asm.Assembler.on_pop <- rx.rx_pop;
       Mailbox.put ep.ep_starts ();
       Mailbox.put t.incoming.(me) (origin, flow)
     end;
     if Bytes.length chunk > 0 then begin
-      pp_add rx.rx_asm (Bytes.length chunk);
+      pp_add (buffered t ~me ~origin) (Bytes.length chunk);
       Assembler.push ep.ep_asm (Assembler.Data chunk)
     end;
     if last then Assembler.push ep.ep_asm Assembler.End_of_message
@@ -929,41 +464,16 @@ let deliver_local t ~me header payload =
       frame ~flow:0 ~first:header.Generic_tm.first ~last:header.Generic_tm.last
         payload
   in
-  match t.rel with
-  | None -> accept ()
-  | Some r ->
-      touch_sentinel r ~rank:me;
-      if header.Generic_tm.seq = rx.rx_next then begin
-        rx.rx_next <- (rx.rx_next + 1) land 0xffff;
-        accept ()
-      end
-      else r.dup_drops <- r.dup_drops + 1;
-      send_ack t rx ~me ~origin
+  t.rel.deliver ~me header accept
 
 (* ------------------------------------------------------------------ *)
 (* Gateway watermarks: Overloaded load reports with hysteresis *)
 
-let inform_sentinels t node flag =
-  match t.rel with
-  | None -> ()
-  | Some r ->
-      iter_sentinels r (fun me s ->
-          if me <> node then Sentinel.set_overloaded s ~peer:node flag)
-
 let set_overload t node flag =
-  if flag then begin
-    if not t.overloaded.(node) then begin
-      t.overloaded.(node) <- true;
-      t.overload_events <- t.overload_events + 1;
-      inform_sentinels t node true;
-      Option.iter (swap_routes t) t.rel;
-      t.on_health_change ()
-    end
-  end
-  else if t.overloaded.(node) then begin
-    t.overloaded.(node) <- false;
-    inform_sentinels t node false;
-    Option.iter (swap_routes t) t.rel;
+  if flag <> t.overloaded.(node) then begin
+    t.overloaded.(node) <- flag;
+    if flag then t.overload_events <- t.overload_events + 1;
+    t.rel.overload_edge node flag;
     t.on_health_change ()
   end
 
@@ -1035,10 +545,9 @@ and spawn_forwarder t ~node p =
         (* A gateway that crashed with the packet in its pipeline drops
            it: the in-flight state dies; origins re-emit from their logs.
            So does one left with no route to the packet's destination. *)
-        (if node_up t node then
+        (if t.rel.node_up node then
            try
-             ship_packet t ~at:node ~header ~payload
-               ~payload_len:(Bytes.length payload)
+             t.rel.ship ~at:node header payload (Bytes.length payload)
            with Partitioned _ -> ());
         gw_release t ~node p
       done)
@@ -1074,17 +583,15 @@ let spawn_dispatcher t ~node channel =
           if header.Generic_tm.final_dst = node then begin
             let payload = read_payload () in
             let { Generic_tm.col; top; hs; crd; ack; _ } = header in
-            match t.rel with
-            | _ when col -> handle_col t ~me:node header payload
-            | _ when top -> t.view.on_top ~me:node payload
-            | Some r when hs -> handle_hs t r ~me:node header payload
-            | _ when crd -> handle_crd t ~me:node header payload
-            | Some r when ack -> handle_ack t r header
-            | _ when not (node_up t node) ->
-                (* The destination host is down: the data dies with it;
-                   the origin's log re-emits once it comes back. *)
-                ()
-            | _ -> deliver_local t ~me:node header payload
+            if col then handle_col t ~me:node header payload
+            else if top then t.view.on_top ~me:node payload
+            else if hs then t.rel.on_hs ~me:node header payload
+            else if crd then t.cr.on_crd ~me:node header payload
+            else if ack then t.rel.on_ack header
+            else if t.rel.node_up node then
+              deliver_local t ~me:node header payload
+            (* else the destination host is down: the data dies with it;
+               the origin's log re-emits once it comes back. *)
           end
           else
             match next_hop t ~at:node ~dst:header.Generic_tm.final_dst with
@@ -1135,103 +642,15 @@ let spawn_dispatcher t ~node channel =
           Api.abort_unpacking ic
       done)
 
-(* A sender out of credits parks on the flow's condition variable until
-   the receiver's grants catch up. While blocked it ships zero-window
-   probes (recovering grants lost to crash paths): the first after
-   {!Config.credit_probe_interval}, each next one twice as late up to
-   {!Config.credit_probe_max_interval}, since a probe answered with no
-   new credit means the receiver is slow, not that a grant was lost; a
-   grant that raises the credit resets the interval, and so does a
-   crash on the grant route ([on_crash]). On a reliable
-   vchannel it rides out route holes
-   with the usual patience — a flow whose destination never comes back
-   surfaces as [Partitioned] here exactly as it would in [ship_packet]. *)
-let wait_credit t c tx ~src ~dst =
-  if tx.tx_shipped - tx.tx_granted >= c.cr_budget then begin
-    c.cr_stalls <- c.cr_stalls + 1;
-    while tx.tx_shipped - tx.tx_granted >= c.cr_budget do
-      (match t.rel with
-      | Some r when not (routed t src dst) ->
-          wait_route t r ~at:src ~dst
-      | _ -> ());
-      if tx.tx_shipped - tx.tx_granted >= c.cr_budget then begin
-        let wake_at = Time.add (Engine.now t.engine) tx.tx_probe_gap in
-        Engine.at t.engine wake_at (fun () -> Condition.broadcast tx.tx_cond);
-        Mutex.lock tx.tx_mu;
-        Condition.wait tx.tx_cond tx.tx_mu;
-        Mutex.unlock tx.tx_mu;
-        if
-          tx.tx_shipped - tx.tx_granted >= c.cr_budget
-          && Time.( <= ) wake_at (Engine.now t.engine)
-        then begin
-          send_probe t c ~src ~dst;
-          tx.tx_probe_gap <-
-            min (Time.span_mul tx.tx_probe_gap 2)
-              Config.credit_probe_max_interval
-        end
-      end
-    done
-  end;
-  tx.tx_shipped <- tx.tx_shipped + 1
-
-(* A reliable sender whose re-emission log is full parks until acks trim
-   it: reliable mode obeys the same memory budget as every other point
-   on the path. Acks are arrival-driven (the destination acknowledges
-   every data packet it sees, consumed or not), so the log drains as
-   long as the network delivers — only a crashed or partitioned peer
-   stops it, and that surfaces as [Partitioned] below. *)
-let wait_unacked t r ~src ~dst q =
-  while Queue.length q >= t.unacked_cap do
-    if not (routed t src dst) then wait_route t r ~at:src ~dst;
-    if Queue.length q >= t.unacked_cap then begin
-      Waiters.park r.ack_waiters ~name:"vchannel.unacked"
-        ~deadline:(t.engine, Time.add (Engine.now t.engine) t.patience);
-      if
-        Queue.length q >= t.unacked_cap
-        && not (Simnet.Faults.node_up r.faults dst)
-      then
-        raise
-          (Partitioned
-             (Printf.sprintf
-                "Vchannel: flow %d->%d blocked on a full unacked log and \
-                 its peer crashed"
-                src dst))
-    end
-  done
-
 (* The tail every data packet takes at its origin, scheduled or not:
-   charge [charge] credits, number the packet once any crash-lost cursor
-   is restored, log a copy for re-emission (bounded: waits for acks to
-   trim the log), then ship. The first [payload_len] bytes of [payload]
-   are the packet's. *)
+   charge [charge] credits, have the reliability plane number and log
+   the packet, then ship. The first [payload_len] bytes of [payload] are
+   the packet's. *)
 let emit_data t ~charge header payload =
-  let src = header.Generic_tm.origin and dst = header.Generic_tm.final_dst in
-  let payload_len = header.Generic_tm.payload_len in
-  let header =
-    match (t.credits, t.rel) with
-    | None, None -> header
-    | credits, rel -> (
-        let tx = tx_state t ~src ~dst in
-        Option.iter
-          (fun c ->
-            for _ = 1 to charge do
-              wait_credit t c tx ~src ~dst
-            done)
-          credits;
-        match rel with
-        | None -> header
-        | Some r ->
-            wait_handshake t r tx ~src ~dst;
-            let seq = tx.tx_seq in
-            tx.tx_seq <- (seq + 1) land 0xffff;
-            let header = { header with seq } in
-            let q = tx.tx_log in
-            wait_unacked t r ~src ~dst q;
-            Queue.push (seq, header, Bytes.sub payload 0 payload_len) q;
-            tx.tx_log_peak <- max tx.tx_log_peak (Queue.length q);
-            header)
-  in
-  ship_packet t ~at:src ~header ~payload ~payload_len
+  let src = header.Generic_tm.origin in
+  t.cr.charge ~src ~dst:header.Generic_tm.final_dst charge;
+  let header = t.rel.seal header payload in
+  t.rel.ship ~at:src header payload header.Generic_tm.payload_len
 
 (* Emit one aggregate: the scheduler's [emit] callback, running with the
    pair's emission lock held. Credits: one per data-carrying
@@ -1272,174 +691,21 @@ let emit_one_aggregate t ~src ~dst frames =
     }
     payload
 
-(* The scheduler's [emit] callback. One aggregate may never need more
-   credits than the pair's whole budget: the per-frame charge happens
-   before the packet ships, so grants for its own frames cannot arrive
-   while it waits — a train of more data frames than [cr_budget] would
-   deadlock. Split such trains so each wire packet charges at most the
-   budget. *)
+(* The scheduler's [emit] callback: the credit plane splits a train
+   that would charge more than the pair's budget. *)
 let emit_frames t ~src ~dst frames =
-  match t.credits with
-  | None -> emit_one_aggregate t ~src ~dst frames
-  | Some c ->
-      let rec groups acc cur n = function
-        | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-        | fr :: rest ->
-            let is_data = Bytes.length fr.Sched.fr_data > 0 in
-            if is_data && n >= c.cr_budget && cur <> [] then
-              groups (List.rev cur :: acc) [ fr ] 1 rest
-            else groups acc (fr :: cur) (n + if is_data then 1 else 0) rest
-      in
-      List.iter (emit_one_aggregate t ~src ~dst) (groups [] [] 0 frames)
+  List.iter (emit_one_aggregate t ~src ~dst) (t.cr.split frames)
 
-(* ------------------------------------------------------------------ *)
-(* A reliable vchannel's reactions to its fault plane and sentinels,
-   registered by [create]. Crashes are handled here, so sentinel
-   transitions on actually-crashed peers change nothing. *)
-
-let on_crash t r node =
-  if mem t node then begin
-    r.reroutes <- r.reroutes + 1;
-    (* The crashed node's send-side session state dies with it: cursors,
-       unacked logs and credit counters are volatile. Its flows stay
-       blocked ([tx_lost]) until a peer handshake restores the cursor
-       after restart. Receive journals survive, but the receive-side
-       credit counters mirror the wiped ones and restart from zero too
-       (leftover pre-crash bytes still buffered at a peer may
-       transiently over-grant by at most one budget, which the restart
-       window absorbs). *)
-    Pairs.iter_row
-      (fun _ tx ->
-        tx.tx_seq <- 0;
-        tx.tx_lost <- true;
-        Queue.clear tx.tx_log;
-        tx.tx_shipped <- 0;
-        tx.tx_granted <- 0;
-        tx.tx_probe_gap <- Config.credit_probe_interval)
-      t.tx node;
-    Pairs.iter_col
-      (fun _ rx ->
-        rx.rx_consumed <- 0;
-        rx.rx_last_grant <- 0)
-      t.rx node;
-    (* A grant that died in the crash comes back only through the
-       sender's next probe, so a sender a slow receiver had backed off
-       would wait up to {!Config.credit_probe_max_interval} for it.
-       Every backed-off flow whose grants route through (or come from)
-       the crashed node probes again from the base interval; waking it
-       re-arms its probe timer. *)
-    let backed_off = ref [] in
-    Pairs.iter
-      (fun src dst tx ->
-        if
-          src <> node
-          && Time.( < ) Config.credit_probe_interval tx.tx_probe_gap
-          && (dst = node
-             || List.mem node (Routing.via t.routing ~src:dst ~dst:src))
-        then backed_off := tx :: !backed_off)
-      t.tx;
-    recompute t r;
-    List.iter
-      (fun tx ->
-        tx.tx_probe_gap <- Config.credit_probe_interval;
-        Condition.broadcast tx.tx_cond)
-      (List.rev !backed_off);
-    reemit_flows t r;
-    t.on_health_change ();
-    t.view.on_crash node
-  end
-
-let on_restart t r node =
-  if mem t node then begin
-    (* The restarted rank's pre-crash vote grant is void — the epoch
-       bump announces it to everyone — so it may vote afresh, and any
-       ballots it had collected as a candidate are dead. *)
-    Option.iter Sentinel.reset_election r.sentinels.(node);
-    recompute t r;
-    (* Crash-epoch session handshake: every live peer holding a delivery
-       journal for the restarted origin tells it (over the routed
-       network, so gateways forward it like data) where to resume
-       numbering. *)
-    let epoch = Simnet.Faults.epoch r.faults node in
-    Pairs.iter_col
-      (fun me rx ->
-        if me <> node && Simnet.Faults.node_up r.faults me then
-          ship_detached t ~kind:"hs" ~at:me
-            { (Generic_tm.header ~origin:me ~final_dst:node ~payload_len:4) with
-              seq = rx.rx_next;
-              hs = true;
-            }
-            (int32_payload epoch))
-      t.rx node;
-    (* Flows to peers holding no journal for this node restart at zero
-       immediately — nobody will send a handshake. *)
-    let fresh = ref false in
-    Pairs.iter_row
-      (fun dst tx ->
-        if tx.tx_lost && Option.is_none (Pairs.find t.rx dst node) then begin
-          tx.tx_lost <- false;
-          fresh := true
-        end)
-      t.tx node;
-    if !fresh then Waiters.wake_all r.hs_waiters;
-    reemit_flows t r;
-    t.on_health_change ()
-  end
-
-(* [me]'s sentinel changed its verdict on [peer]. Calling a still-live
-   peer Down is a suspicion: routes are recomputed around the suspect
-   and in-flight packets re-emitted, before any send times out on it.
-   With global suspicion the first observer acts for everyone (the
-   by-any view is what routing sees, so later observers change
-   nothing, and the first good probe anywhere rehabilitates the peer
-   for everyone); with relative suspicion every observer's own view
-   shifts, so each one recomputes. The membership view hears of every
-   verdict the core acted on. *)
-let on_verdict t r ~me peer _from to_ =
-  match to_ with
-  | Sentinel.Down when Simnet.Faults.node_up r.faults peer ->
-      if not r.suspected.(me).(peer) then begin
-        let was = r.susp_count.(peer) > 0 in
-        r.suspected.(me).(peer) <- true;
-        r.susp_count.(peer) <- r.susp_count.(peer) + 1;
-        if t.view.relative || not was then begin
-          r.reroutes <- r.reroutes + 1;
-          recompute t r;
-          reemit_flows t r;
-          t.on_health_change ()
-        end;
-        t.view.on_verdict ~me peer to_
-      end
-  | Sentinel.Up when t.view.relative ->
-      if r.suspected.(me).(peer) then begin
-        unsuspect r me peer;
-        recompute t r;
-        t.on_health_change ();
-        t.view.on_verdict ~me peer to_
-      end
-  | Sentinel.Up ->
-      if r.susp_count.(peer) > 0 then begin
-        Array.iter (fun row -> row.(peer) <- false) r.suspected;
-        r.susp_count.(peer) <- 0;
-        recompute t r;
-        t.on_health_change ()
-      end
-  | _ -> ()
-
-(* One phi-accrual sentinel per rank, probing its channel neighbours. *)
-let start_sentinel t r me =
-  let neighbours = List.sort compare (Routing.neighbours t.routing me) in
-  if neighbours <> [] then begin
-    let fabric =
-      List.find_map Channel.fabric (Routing.channels_of t.routing me)
-    in
-    let s =
-      Sentinel.create t.engine r.faults ~me ~peers:neighbours ?fabric ()
-    in
-    Sentinel.on_transition s (on_verdict t r ~me);
-    Sentinel.start s;
-    r.sentinels.(me) <- Some s
-  end
+(* The plain credit plane: nothing is charged, granted or split. *)
+let no_credits =
+  {
+    Credits.charge = (fun ~src:_ ~dst:_ _ -> ());
+    split = (fun frames -> [ frames ]);
+    on_crd = (fun ~me:_ _ _ -> ());
+    consumed = (fun ~me:_ ~origin:_ -> ());
+    crash = (fun _ () -> ());
+    stats = (fun () -> None);
+  }
 
 let create session ?(mtu = Config.default_vchannel_mtu)
     ?(patience = Config.default_route_patience)
@@ -1480,46 +746,16 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   (* [all_ranks] is sorted: the highest rank sizes the rank-indexed
      state. *)
   let n = 1 + List.fold_left max 0 all_ranks in
-  let rel =
-    Option.map
-      (fun f ->
-        {
-          faults = f;
-          sentinels = Array.make n None;
-          suspected = Array.make_matrix n n false;
-          susp_count = Array.make n 0;
-          route_waiters = Waiters.create ();
-          hs_waiters = Waiters.create ();
-          ack_waiters = Waiters.create ();
-          reroutes = 0;
-          reemitted = 0;
-          dup_drops = 0;
-          handshakes = 0;
-        })
-      faults
-  in
-  let credit_plane =
-    Option.map
-      (fun budget ->
-        {
-          cr_budget = budget;
-          (* Grant every half window: frequent enough that a sender with
-             a consuming receiver never runs fully dry, cheap enough that
-             grants stay a small fraction of the data. *)
-          cr_quantum = max 1 (budget / 2);
-          cr_grants = 0;
-          cr_probes = 0;
-          cr_stalls = 0;
-        })
-      credits
-  in
   let pool = Option.value gw_pool ~default:Config.default_gateway_pool in
+  let node_up =
+    match faults with Some f -> Simnet.Faults.node_up f | None -> fun _ -> true
+  in
   let routing =
     Routing.create ~n
       (List.map (fun c -> (c, Channel.ranks c)) channels)
-      ~down:(down fixed_view rel)
+      ~down:(fun _ n -> not (node_up n))
   in
-  let t =
+  let rec t =
     {
       engine = Session.engine session;
       mtu;
@@ -1529,10 +765,10 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       ingress_cap_mb_s;
       all_ranks;
       routing;
-      rel;
+      rel = plain;
+      cr = no_credits;
       sched = None;
-      tx = Pairs.create n;
-      rx = Pairs.create n;
+      buffered = Pairs.create n;
       endpoints = Pairs.create n;
       gateways =
         Array.init n (fun _ ->
@@ -1546,7 +782,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       incoming = Array.init n (fun _ -> Mailbox.create ());
       pumps = Pairs.create n;
       send_locks = Pairs.create n;
-      credits = credit_plane;
       gw_pool = pool;
       gw_low = max 1 (pool / 2);
       (* The watermark machinery (and its clear-hold timers) runs only
@@ -1560,18 +795,63 @@ let create session ?(mtu = Config.default_vchannel_mtu)
       on_health_change = (fun () -> ());
       unacked_cap = Option.value credits ~default:Config.default_unacked_window;
     }
+  and plain =
+    {
+      Reliability.ship = (fun ~at -> ship_once t ~at);
+      seal = (fun header _ -> header);
+      deliver = (fun ~me:_ _ accept -> accept ());
+      on_hs = (fun ~me:_ _ _ -> ());
+      on_ack = ignore;
+      node_up = (fun _ -> true);
+      distrusts = (fun _ _ -> false);
+      no_route = (fun msg -> Invalid_argument msg);
+      overload_edge = (fun _ _ -> ());
+      swap = (fun _ -> Routing.recompute routing ~down:(down t));
+      ack_for = (fun ~me:_ ~origin:_ -> None);
+      await_route = (fun ~at:_ ~dst:_ -> ());
+      faults = None;
+      sentinel = (fun _ -> None);
+      stats = (fun () -> None);
+      flows = (fun () -> []);
+      log_peaks = ignore;
+    }
   in
   List.iter
     (fun node ->
       List.iter (spawn_dispatcher t ~node) (Routing.channels_of routing node))
     all_ranks;
-  (match rel with
-  | None -> ()
-  | Some r ->
+  let ship_detached = ship_detached t in
+  Option.iter
+    (fun f ->
       List.iter Channel.relax_checked channels;
-      Simnet.Faults.on_crash r.faults (on_crash t r);
-      Simnet.Faults.on_restart r.faults (on_restart t r);
-      List.iter (start_sentinel t r) all_ranks);
+      t.rel <-
+        Reliability.create ~unacked_cap:t.unacked_cap
+          {
+            Reliability.engine = t.engine;
+            patience;
+            routing;
+            ranks = all_ranks;
+            send = ship_once t;
+            ship_detached;
+            emission_lock = emission_lock t;
+            reroute =
+              (fun () ->
+                Routing.recompute routing ~down:(down t)
+                  ~overloaded:t.overloaded);
+            relative = (fun () -> t.view.relative);
+            after_crash = (fun node -> t.view.on_crash node);
+            after_verdict = (fun ~me peer s -> t.view.on_verdict ~me peer s);
+            health = (fun () -> t.on_health_change ());
+            credit_crash = (fun node -> t.cr.crash node);
+          }
+          f)
+    faults;
+  Option.iter
+    (fun budget ->
+      t.cr <-
+        Credits.create ~n ~budget
+          { Credits.engine = t.engine; routing; ship_detached; rel = t.rel })
+    credits;
   (match sched_cfg with
   | None -> ()
   | Some (aggr_max, aggr_flush) ->
@@ -1583,7 +863,6 @@ let create session ?(mtu = Config.default_vchannel_mtu)
 
 (* ------------------------------------------------------------------ *)
 (* Emission: the Generic TM's static-copy packetization *)
-
 
 type out_connection = {
   v : t;
@@ -1682,14 +961,9 @@ let ship oc ~last =
              fr_data = take_staged oc;
            }
      | None ->
-         (* Credits are charged per data-carrying packet before it is
-            numbered: a sender out of credits blocks here — holding the
-            flow's message lock, which is what serializes the flow —
-            until the receiver's consumption replenishes the window.
-            Empty last-packet markers carry no bytes and are free. A
-            crash between two packets of this message loses the flow's
-            cursor; numbering waits for the peer's handshake, or the
-            receiver would discard the tail. *)
+         (* A sender out of credits blocks here holding the flow's
+            message lock, which is what serializes the flow. Empty
+            last-packet markers carry no bytes and are free. *)
          emit_data t
            ~charge:(if oc.fill > 0 then 1 else 0)
            { (Generic_tm.header ~origin:oc.oc_src ~final_dst:oc.oc_dst
@@ -1837,100 +1111,29 @@ let peer_status t ~src ~dst =
      [Down], which failover would keep trying to route around. The
      routes already exclude it, so nothing ever reroutes *to* it. *)
   if not (t.view.member dst && t.view.member src) then Iface.Departed
+  else if t.rel.distrusts src dst then Iface.Down
+  else if src = dst then Iface.Up
   else
-  match t.rel with
-  | Some r
-    when (not (Simnet.Faults.node_up r.faults dst))
-         || suspects t.view r ~viewer:src dst ->
-      Iface.Down
-  | _ -> (
-      if src = dst then Iface.Up
-      else
-        match Routing.via t.routing ~src ~dst with
-        | [] -> Iface.Down
-        | via ->
-            let n = List.length via in
-            let base = Routing.base_length t.routing ~src ~dst in
-            (* Overload shedding on the current path (destination or any
-               relay above its watermark) outranks mere route
-               lengthening: after rerouting away from an overloaded
-               gateway the flow reports Degraded like any failover. *)
-            if
-              t.overloaded.(dst)
-              || List.exists (fun h -> t.overloaded.(h)) via
-            then Iface.Overloaded
-            else if base > 0 && n > base then Iface.Degraded (n - base)
-            else Iface.Up)
+    match Routing.via t.routing ~src ~dst with
+    | [] -> Iface.Down
+    | via ->
+        let n = List.length via in
+        let base = Routing.base_length t.routing ~src ~dst in
+        (* Overload shedding on the current path (destination or any
+           relay above its watermark) outranks mere route lengthening:
+           after rerouting away from an overloaded gateway the flow
+           reports Degraded like any failover. *)
+        if t.overloaded.(dst) || List.exists (fun h -> t.overloaded.(h)) via
+        then Iface.Overloaded
+        else if base > 0 && n > base then Iface.Degraded (n - base)
+        else Iface.Up
 
-type rel_stats = {
-  reroutes : int;
-  reemitted : int;
-  dup_drops : int;
-  handshakes : int;
-}
+include Reliability.Stats
+include Credits.Stats
 
-let rel_stats t =
-  match t.rel with
-  | None -> None
-  | Some r ->
-      Some
-        {
-          reroutes = r.reroutes;
-          reemitted = r.reemitted;
-          dup_drops = r.dup_drops;
-          handshakes = r.handshakes;
-        }
-
-type flow_stat = {
-  flow_src : int;
-  flow_dst : int;
-  sent : int;
-  unacked : int;
-  delivered : int;
-}
-
-(* Every pair either end of which holds reliability state. *)
-let flow_stats t =
-  match t.rel with
-  | None -> []
-  | Some _ ->
-      let count f = Option.fold ~none:0 ~some:f in
-      List.concat_map
-        (fun s ->
-          List.filter_map
-            (fun d ->
-              match (Pairs.find t.tx s d, Pairs.find t.rx d s) with
-              | None, None -> None
-              | tx, rx ->
-                  Some
-                    {
-                      flow_src = s;
-                      flow_dst = d;
-                      sent = count (fun tx -> tx.tx_seq) tx;
-                      unacked = count (fun tx -> Queue.length tx.tx_log) tx;
-                      delivered = count (fun rx -> rx.rx_next) rx;
-                    })
-            t.all_ranks)
-        t.all_ranks
-
-type credit_stats = {
-  credit_budget : int;
-  grants : int;
-  probes : int;
-  stalls : int;
-}
-
-let credit_stats t =
-  match t.credits with
-  | None -> None
-  | Some c ->
-      Some
-        {
-          credit_budget = c.cr_budget;
-          grants = c.cr_grants;
-          probes = c.cr_probes;
-          stalls = c.cr_stalls;
-        }
+let rel_stats t = t.rel.stats ()
+let flow_stats t = t.rel.flows ()
+let credit_stats t = t.cr.stats ()
 
 let sched_stats t =
   match t.sched with None -> None | Some sc -> Some (Sched.stats sc)
@@ -1960,12 +1163,11 @@ let queue_stats t =
       rows := { q_point; q_node; q_peer; q_peak; q_bound } :: !rows
   in
   let asm_bound =
-    match t.credits with Some c -> Some (c.cr_budget * t.mtu) | None -> None
+    Option.map (fun c -> c.credit_budget * t.mtu) (credit_stats t)
   in
   Pairs.iter
-    (fun me origin rx ->
-      row "assembler_bytes" me origin rx.rx_asm.pp_peak asm_bound)
-    t.rx;
+    (fun me origin p -> row "assembler_bytes" me origin p.pp_peak asm_bound)
+    t.buffered;
   Array.iteri
     (fun node gw ->
       (* one pool per outgoing link *)
@@ -1976,10 +1178,8 @@ let queue_stats t =
       row "gateway_pool_slots" node (-1) gw.gw_slots.pp_peak
         (Some (t.gw_pool * !pumps)))
     t.gateways;
-  Pairs.iter
-    (fun src dst tx ->
-      row "unacked_packets" src dst tx.tx_log_peak (Some t.unacked_cap))
-    t.tx;
+  t.rel.log_peaks (fun src dst peak ->
+      row "unacked_packets" src dst peak (Some t.unacked_cap));
   List.rev !rows
 
 (* The collectives' fail-fast oracle, answered by the membership
@@ -1987,22 +1187,17 @@ let queue_stats t =
    concept the channel tracks. *)
 let has_quorum t ~viewer = t.view.has_quorum viewer
 
-let sentinel t ~rank =
-  match t.rel with
-  | None -> None
-  | Some r -> if mem t rank then r.sentinels.(rank) else None
+let sentinel t ~rank = if mem t rank then t.rel.sentinel rank else None
 
 let suspicion_timeline t =
-  match t.rel with
-  | None -> []
-  | Some r ->
-      let events = ref [] in
-      iter_sentinels r (fun me s ->
-          let mine = List.map (fun ev -> (me, ev)) (Sentinel.timeline s) in
-          events := mine :: !events);
-      List.concat (List.rev !events)
-      |> List.stable_sort (fun (_, a) (_, b) ->
-             compare a.Sentinel.ev_at b.Sentinel.ev_at)
+  List.concat_map
+    (fun me ->
+      match sentinel t ~rank:me with
+      | Some s -> List.map (fun ev -> (me, ev)) (Sentinel.timeline s)
+      | None -> [])
+    t.all_ranks
+  |> List.stable_sort (fun (_, a) (_, b) ->
+         compare a.Sentinel.ev_at b.Sentinel.ev_at)
 
 let engine t = t.engine
 
@@ -2011,17 +1206,13 @@ let engine t = t.engine
    topology epoch (and not mid-drain), actually up, and not under
    suspicion — the same predicate routing uses, so a tree built over
    live ranks is also routable. Under relative suspicion the view says
-   who is trusted. *)
+   who is trusted; otherwise nobody's suspicion may stand, whoever the
+   viewer. *)
 let rank_alive t rank =
   mem t rank && t.view.member rank
   && (not (t.view.draining rank))
   &&
-  match t.rel with
-  | Some r ->
-      Simnet.Faults.node_up r.faults rank
-      &&
-      if t.view.relative then t.view.trusted rank
-      else r.susp_count.(rank) = 0
-  | None -> true
+  if t.view.relative then t.rel.node_up rank && t.view.trusted rank
+  else not (t.rel.distrusts rank rank)
 
 let rank_overloaded t rank = mem t rank && t.overloaded.(rank)

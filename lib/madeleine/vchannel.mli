@@ -27,7 +27,19 @@
     channels are set at channel-configuration time). Live membership —
     epochs, joins, drains and quorum-elected coordinators — is the
     {!Membership} layer, which sits on top of a vchannel the way
-    {!Collectives} does and replaces the core's fixed {!view}. *)
+    {!Collectives} does and replaces the core's fixed {!view}.
+
+    The core forwards any packet: it owns the routing hooks, the
+    dispatchers and forwarding pumps, the gateway overload watermarks,
+    packing and unpacking. Two optional planes sit beside it, each
+    chosen once by [create] and reached only through its record of
+    hooks. {!Reliability}, built when [faults] is given, owns the
+    sequence numbers, the unacknowledged log, acks, re-emission, the
+    crash-epoch handshake, the sentinels and the suspicion matrix.
+    {!Credits}, built when [credits] is given, owns grants, zero-window
+    probes, their backoff and its crash reset. Without them the core
+    runs plain hooks that branch on nothing and holds no state of
+    either plane. *)
 
 type t
 
@@ -59,7 +71,8 @@ val create :
     of §6.1, charging one additional memcpy per forwarded packet — the
     ablation knob.
 
-    [credits] switches on end-to-end credit-based flow control: each
+    [credits] switches on end-to-end credit-based flow control (the
+    {!Credits} plane): each
     (src, dst) flow may have at most [credits] unconsumed data packets
     in flight or buffered at the destination, so every buffering point
     holds at most [credits * mtu] bytes of the flow. Credits are
@@ -95,7 +108,7 @@ val create :
     outgoing one. Unset = unregulated, the paper's measured behaviour.
 
     [faults] makes the virtual channel {e reliable} against the given
-    fault plane: packets carry per-flow sequence numbers and are logged
+    fault plane (the {!Reliability} plane): packets carry per-flow sequence numbers and are logged
     at the origin until cumulatively acknowledged end to end; when a
     gateway crashes, routes are recomputed over the surviving membership
     graph and unacknowledged packets re-emitted from their origins

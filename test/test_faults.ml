@@ -900,6 +900,131 @@ let test_unacked_log_trimmed_by_acks () =
     (Vc.queue_stats vc);
   Alcotest.(check bool) "origin unacked log was instrumented" true !seen
 
+(* The reliability plane driven by hand across the 16-bit sequence
+   wrap, through the hooks the vchannel core calls: [seal] numbers and
+   logs at the origin, [deliver] runs the receiver's sequence check and
+   ships a cumulative ack, [on_ack] trims the origin's log. The core
+   below ships nothing: acks land in a queue, so each one can be
+   applied, reordered or replayed at will. *)
+let test_sequence_wrap () =
+  let module R = Madeleine.Reliability in
+  let module G = Madeleine.Generic_tm in
+  let engine = Engine.create () in
+  let fabric = Fabric.create engine ~name:"eth" ~link:Netparams.fast_ethernet in
+  let faults = Faults.create engine ~seed:1L in
+  let nodes =
+    Array.init 2 (fun i ->
+        let n = Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
+        Fabric.attach fabric n;
+        n)
+  in
+  let net = Tcpnet.make_net engine fabric in
+  let s0 = Tcpnet.attach net nodes.(0) and s1 = Tcpnet.attach net nodes.(1) in
+  let session = Madeleine.Session.create engine in
+  let channel =
+    Madeleine.Channel.create session
+      (Madeleine.Pmm_tcp.driver (function 0 -> s0 | _ -> s1))
+      ~ranks:[ 0; 1 ] ()
+  in
+  let acks = Queue.create () in
+  let rel =
+    R.create ~unacked_cap:8
+      {
+        R.engine;
+        patience = Time.ms 1.0;
+        routing =
+          Madeleine.Routing.create ~n:2 [ (channel, [ 0; 1 ]) ]
+            ~down:(fun _ _ -> false);
+        ranks = [ 0; 1 ];
+        send = (fun ~at:_ _ _ _ -> ());
+        ship_detached = (fun ~kind:_ ~at:_ header _ -> Queue.push header acks);
+        emission_lock = (fun ~src:_ ~dst:_ -> Marcel.Mutex.create ());
+        reroute = ignore;
+        relative = (fun () -> false);
+        after_crash = ignore;
+        after_verdict = (fun ~me:_ _ _ -> ());
+        health = ignore;
+        credit_crash = (fun _ () -> ());
+      }
+      faults
+  in
+  let payload = Bytes.make 8 'w' in
+  let seal () =
+    rel.R.seal (G.header ~origin:0 ~final_dst:1 ~payload_len:8) payload
+  in
+  let accepted = ref 0 in
+  let deliver header =
+    rel.R.deliver ~me:1 header (fun () -> incr accepted);
+    match Queue.take_opt acks with
+    | Some ack -> ack
+    | None -> Alcotest.failf "no ack after packet %#x" header.G.seq
+  in
+  let flow () =
+    List.find
+      (fun f -> f.R.Stats.flow_src = 0 && f.R.Stats.flow_dst = 1)
+      (rel.R.flows ())
+  in
+  let unacked () = (flow ()).R.Stats.unacked in
+  let dup_drops () = (Option.get (rel.R.stats ())).R.Stats.dup_drops in
+  (* In-order traffic up to the edge of the sequence space: every ack
+     trims the one packet it answers. *)
+  for i = 0 to 0xfffd do
+    let header = seal () in
+    if header.G.seq <> i then
+      Alcotest.failf "packet %d numbered %d" i header.G.seq;
+    let ack = deliver header in
+    if ack.G.seq <> i then Alcotest.failf "ack for %d carries %d" i ack.G.seq;
+    rel.R.on_ack ack;
+    if unacked () <> 0 then
+      Alcotest.failf "ack %d left the log at %d" i (unacked ())
+  done;
+  (* Four packets across the wrap, all in the log at once. *)
+  let across = List.init 4 (fun _ -> seal ()) in
+  Alcotest.(check (list int)) "numbering wraps" [ 0xfffe; 0xffff; 0; 1 ]
+    (List.map (fun h -> h.G.seq) across);
+  Alcotest.(check int) "four packets unacked" 4 (unacked ());
+  let a_fffe, a_ffff, a_0, a_1 =
+    match List.map deliver across with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> assert false
+  in
+  Alcotest.(check int) "receiver accepts 0 after 0xffff" (0xfffe + 4) !accepted;
+  Alcotest.(check (list int)) "one ack per accepted packet, 0xffff included"
+    [ 0xfffe; 0xffff; 0; 1 ]
+    (List.map (fun h -> h.G.seq) [ a_fffe; a_ffff; a_0; a_1 ]);
+  (* The receiver drops a duplicate of 0 and of 0xffff after the wrap. *)
+  ignore (deliver (List.nth across 2));
+  ignore (deliver (List.nth across 1));
+  Alcotest.(check int) "duplicates after the wrap dropped" 2 (dup_drops ());
+  Alcotest.(check int) "duplicates not accepted" (0xfffe + 4) !accepted;
+  Alcotest.(check (pair int int)) "cursor and journal count past the wrap"
+    (0xfffe + 4, 0xfffe + 4)
+    ((flow ()).R.Stats.sent, (flow ()).R.Stats.delivered);
+  (* In-order acks trim one packet each, across the wrap too. *)
+  rel.R.on_ack a_fffe;
+  Alcotest.(check int) "ack 0xfffe trims one" 3 (unacked ());
+  rel.R.on_ack a_ffff;
+  Alcotest.(check int) "ack 0xffff trims one" 2 (unacked ());
+  (* Ack 1 overtakes ack 0: it trims cumulatively, and the late ack 0,
+     for a packet already trimmed, changes nothing. *)
+  rel.R.on_ack a_1;
+  Alcotest.(check int) "ack 1 trims 0 and 1" 0 (unacked ());
+  rel.R.on_ack a_0;
+  Alcotest.(check int) "late ack 0 is harmless" 0 (unacked ());
+  (* Stale acks from before the wrap never remove an unacked entry. *)
+  let fresh = List.init 3 (fun _ -> seal ()) in
+  Alcotest.(check (list int)) "numbering continues" [ 2; 3; 4 ]
+    (List.map (fun h -> h.G.seq) fresh);
+  List.iter
+    (fun stale ->
+      rel.R.on_ack stale;
+      Alcotest.(check int)
+        (Printf.sprintf "stale ack %#x keeps the log" stale.G.seq)
+        3 (unacked ()))
+    [ a_fffe; a_ffff; a_0; a_1; { a_1 with G.seq = 0x8003 } ];
+  rel.R.on_ack (deliver (List.hd fresh));
+  Alcotest.(check int) "ack 2 trims one" 2 (unacked ())
+
 (* ------------------------------------------------------------------ *)
 (* Partitions: first-class directional cuts over rank sets, driving
    frame verdicts, heartbeats and link_up consistently. *)
@@ -1169,6 +1294,7 @@ let () =
             test_paused_receiver_blocks_sender;
           Alcotest.test_case "unacked log trimmed by acks" `Quick
             test_unacked_log_trimmed_by_acks;
+          Alcotest.test_case "16-bit sequence wrap" `Quick test_sequence_wrap;
         ] );
       ( "clusterfile",
         [

@@ -178,46 +178,48 @@ let test_forget_drops_peer_state () =
 (* Stale-ballot hygiene for quorum elections: one countable grant per
    term, ballots voided by the voter's crash-epoch restart or by
    forgetting the voter, and a restart clearing the rank's own grant so
-   it may vote afresh — but never twice in the same term. *)
+   it may vote afresh — but never twice in the same term. The ballot
+   boxes are the membership layer's; the crash epochs are the fault
+   plane's. *)
 let test_election_ballot_hygiene () =
+  let module B = Madeleine.Membership.Ballot_box in
   let engine, faults = world () in
-  let s = Sentinel.create engine faults ~me:0 ~peers:[ 1; 2 ] () in
+  let b = B.create () in
+  let ballots ~term = B.ballots b ~epoch:(Faults.epoch faults) ~term in
   (* One grant per term, monotonic. *)
-  Alcotest.(check bool) "grant term 3" true (Sentinel.grant_vote s ~term:3);
+  Alcotest.(check bool) "grant term 3" true (B.grant_vote b ~term:3);
   Alcotest.(check bool) "no second grant in term 3" false
-    (Sentinel.grant_vote s ~term:3);
+    (B.grant_vote b ~term:3);
   Alcotest.(check bool) "no grant for an older term" false
-    (Sentinel.grant_vote s ~term:2);
-  Alcotest.(check bool) "later term grants" true (Sentinel.grant_vote s ~term:4);
+    (B.grant_vote b ~term:2);
+  Alcotest.(check bool) "later term grants" true (B.grant_vote b ~term:4);
   Alcotest.(check int) "voted_term tracks the highest grant" 4
-    (Sentinel.voted_term s);
+    (B.voted_term b);
   (* Ballots count only while the voter's crash epoch is unchanged. *)
-  Sentinel.record_ballot s ~voter:1 ~term:4
-    ~voter_epoch:(Faults.epoch faults 1);
-  Sentinel.record_ballot s ~voter:2 ~term:4
-    ~voter_epoch:(Faults.epoch faults 2);
+  B.record_ballot b ~voter:1 ~term:4 ~voter_epoch:(Faults.epoch faults 1);
+  B.record_ballot b ~voter:2 ~term:4 ~voter_epoch:(Faults.epoch faults 2);
   Alcotest.(check (list int)) "both ballots countable" [ 1; 2 ]
-    (Sentinel.ballots s ~term:4);
+    (ballots ~term:4);
   Alcotest.(check (list int)) "no ballots for another term" []
-    (Sentinel.ballots s ~term:5);
+    (ballots ~term:5);
   Engine.spawn engine ~name:"restart" (fun () ->
       Faults.crash_now faults ~node:1 ~restart_after:(Time.us 100.0) ());
   Engine.run engine;
   Alcotest.(check (list int))
     "restarted voter's ballot silently stops counting" [ 2 ]
-    (Sentinel.ballots s ~term:4);
+    (ballots ~term:4);
   (* Forgetting a voter (drain) voids its recorded ballot too. *)
-  Sentinel.forget s 2;
+  B.forget b 2;
   Alcotest.(check (list int)) "forgotten voter's ballot voided" []
-    (Sentinel.ballots s ~term:4);
+    (ballots ~term:4);
   (* A crash-epoch restart of this rank clears its own grant — it may
      vote afresh, but still at most once per term. *)
-  Sentinel.reset_election s;
-  Alcotest.(check int) "grant cleared on restart" 0 (Sentinel.voted_term s);
+  B.reset_election b;
+  Alcotest.(check int) "grant cleared on restart" 0 (B.voted_term b);
   Alcotest.(check bool) "may vote again after restart" true
-    (Sentinel.grant_vote s ~term:4);
+    (B.grant_vote b ~term:4);
   Alcotest.(check bool) "still one grant per term" false
-    (Sentinel.grant_vote s ~term:4)
+    (B.grant_vote b ~term:4)
 
 let () =
   Alcotest.run "sentinel"
