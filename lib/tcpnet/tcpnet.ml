@@ -45,19 +45,7 @@ end
 
 exception Timeout of { msg : string; attempts : int }
 
-(* One reliable-mode frame in flight: a payload of at most one MSS, its
-   integrity check and the retransmission bookkeeping the
-   selective-repeat sender needs. *)
-type frame = {
-  f_seq : int;
-  f_data : Bytes.t;
-  f_crc : int;
-  mutable f_sent_at : Time.t; (* last (re)transmission instant *)
-  mutable f_floor : Time.span; (* serialization lower bound for the RTO *)
-  mutable f_rexmit : bool; (* retransmitted at least once (Karn's rule) *)
-  mutable f_sacked : bool; (* the receiver reported it held: never resent *)
-  mutable f_lost : bool; (* RACK marked it lost; its next resend clears it *)
-}
+module Recovery = Recovery
 
 type conn = {
   stack : t;
@@ -71,37 +59,20 @@ type conn = {
   (* Reliability state, live only when the fabric has a fault plane
      attached (Fabric.set_faults); on the default fault-free path none
      of these fields is ever touched. *)
-  mutable tx_seq : int; (* next frame sequence number to send *)
+  recovery : Recovery.t; (* the sender's frames in flight and its policy *)
   mutable rx_next : int; (* next frame sequence number to accept *)
   mutable held : (int * Bytes.t) list;
       (* frames received past a hole, ascending seq, at most window - 1 *)
-  mutable acked : int; (* highest cumulatively acked sent seq *)
-  sendq : frame Queue.t; (* in-flight window, oldest first *)
-  mutable rack_sent : Time.t;
-      (* RACK: send instant of the most recently sent frame copy an ack
-         echoed as delivered *)
-  mutable rack_seq : int; (* its seq, or -1: no echo since the last reset *)
-  mutable rack_rtt : Time.span; (* its round trip *)
-  mutable min_rtt : Time.span; (* smallest echoed round trip since the reset *)
-  mutable tlp_ref : Time.t; (* last ack progress or new frame sent *)
   mutable drained_at : Time.t; (* last instant [out_stream] emptied *)
-  mutable tlp_out : bool; (* this flight's one tail-loss probe is spent *)
-  mutable inflight_bytes : int;
   mutable wire_bytes : int;
       (* bytes pushed into [out_stream] and not yet delivered: resends and
          frames of a reset epoch included *)
-  mutable srtt : float; (* smoothed RTT, microseconds *)
-  mutable rttvar : float; (* RTT mean deviation, microseconds *)
-  mutable have_rtt : bool;
-  mutable backoff : int; (* RTO doublings since the last ack progress *)
   mutable ack_waiters : (unit -> unit) list; (* window-admission waiters *)
   mutable rtx_wake : (unit -> unit) option; (* retransmitter daemon wake *)
-  mutable rtx_armed : bool; (* an RTO timer is pending at [rtx_timer] *)
+  mutable rtx_armed : bool; (* a timer is pending at [rtx_timer] *)
   mutable rtx_timer : Time.t;
   mutable rtx_alive : bool;
   mutable peer_epoch_seen : int; (* peer restart epoch at last session sync *)
-  mutable retries : int; (* total retransmissions on this conn *)
-  mutable consec_fail : int; (* RTO expiries since the last ack progress *)
   mutable dead : bool; (* retransmission gave up: peer unreachable *)
   mutable crc_rejects : int; (* corrupted frames this end discarded *)
   mutable dup_frames : int; (* duplicate/out-of-window frames discarded *)
@@ -124,12 +95,7 @@ and net = {
   max_retries : int; (* RTO expiries before a conn is declared dead *)
   mutable conns : conn list; (* every end ever created on this net *)
   mutable fault_hooks : bool; (* crash/restart listeners installed *)
-  mutable net_retransmissions : int;
-  mutable net_crc_rejects : int;
   mutable net_handshakes : int; (* crash-epoch session resyncs performed *)
-  mutable net_rto_expiries : int;
-  mutable net_rack_marks : int;
-  mutable net_probes : int;
 }
 
 let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
@@ -143,15 +109,15 @@ let make_net ?(window = 24) ?(max_retries = 12) engine fabric =
     max_retries;
     conns = [];
     fault_hooks = false;
-    net_retransmissions = 0;
-    net_crc_rejects = 0;
     net_handshakes = 0;
-    net_rto_expiries = 0;
-    net_rack_marks = 0;
-    net_probes = 0;
   }
 
-let net_stats net = (net.net_retransmissions, net.net_crc_rejects)
+let sum net f = List.fold_left (fun a c -> a + f c) 0 net.conns
+
+let net_stats net =
+  ( sum net (fun c -> Recovery.retries c.recovery),
+    sum net (fun c -> c.crc_rejects) )
+
 let net_handshakes net = net.net_handshakes
 
 type recovery = {
@@ -163,11 +129,10 @@ type recovery = {
 
 let recovery_stats net =
   {
-    rto_expiries = net.net_rto_expiries;
-    rack_marks = net.net_rack_marks;
-    probes = net.net_probes;
-    duplicate_arrivals =
-      List.fold_left (fun a c -> a + c.dup_frames) 0 net.conns;
+    rto_expiries = sum net (fun c -> Recovery.rto_expiries c.recovery);
+    rack_marks = sum net (fun c -> Recovery.rack_marks c.recovery);
+    probes = sum net (fun c -> Recovery.probes c.recovery);
+    duplicate_arrivals = sum net (fun c -> c.dup_frames);
   }
 
 let attach net node =
@@ -202,32 +167,17 @@ let fresh_conn stack =
     readers = [];
     data_hooks = [];
     out_stream = None;
-    tx_seq = 0;
+    recovery = Recovery.create ~max_retries:stack.net.max_retries;
     rx_next = 0;
     held = [];
-    acked = -1;
-    sendq = Queue.create ();
-    rack_sent = Time.zero;
-    rack_seq = -1;
-    rack_rtt = 0;
-    min_rtt = 0;
-    tlp_ref = Time.zero;
     drained_at = Time.zero;
-    tlp_out = false;
-    inflight_bytes = 0;
     wire_bytes = 0;
-    srtt = 0.0;
-    rttvar = 0.0;
-    have_rtt = false;
-    backoff = 0;
     ack_waiters = [];
     rtx_wake = None;
     rtx_armed = false;
     rtx_timer = Time.zero;
     rtx_alive = false;
     peer_epoch_seen = -1;
-    retries = 0;
-    consec_fail = 0;
     dead = false;
     crc_rejects = 0;
     dup_frames = 0;
@@ -367,7 +317,8 @@ let host_id conn = conn.stack.host.Node.id
 (* Reliable mode: selective-repeat window (SACK), time-based loss     *)
 (* detection (RACK-TLP), adaptive RTO and crash-epoch session resync. *)
 (* Only runs when a fault plane is attached to the fabric; the fast   *)
-(* path above is never touched.                                       *)
+(* path above is never touched. [Recovery] decides what to resend and *)
+(* when; this module transmits, schedules acks and runs the timer.    *)
 (* ------------------------------------------------------------------ *)
 
 let wake_acked conn =
@@ -398,9 +349,7 @@ let arm_rtx conn at =
    a bumped epoch, at which point [session_resync] revives it. Readers
    are woken too: bytes they are waiting for may never arrive, and
    [recv] turns that into a {!Timeout} from their own context. *)
-let mark_dead conn remote =
-  conn.dead <- true;
-  remote.dead <- true;
+let wake_both conn remote =
   wake_acked conn;
   wake_acked remote;
   wake_rtx conn;
@@ -408,28 +357,26 @@ let mark_dead conn remote =
   wake_readers conn;
   wake_readers remote
 
+let mark_dead conn remote =
+  conn.dead <- true;
+  remote.dead <- true;
+  wake_both conn remote
+
 (* A read (or a window wait) on this end cannot make progress: the conn
    gave up, or either host is down right now. A blocked receiver must
    not outwait this — the missing bytes died in the crashed host's
    socket buffer and will never be retransmitted. *)
+let both_up faults a b =
+  Simnet.Faults.node_up faults (host_id a)
+  && Simnet.Faults.node_up faults (host_id b)
+
 let conn_unreachable conn =
   conn.dead
   ||
-  match Fabric.faults conn.stack.net.fabric with
-  | None -> false
-  | Some faults ->
-      (not (Simnet.Faults.node_up faults conn.stack.host.Node.id))
-      || (match conn.peer with
-         | Some peer ->
-             not (Simnet.Faults.node_up faults peer.stack.host.Node.id)
-         | None -> false)
-
-(* The RACK and TLP state of a conn describes frames of the current
-   epoch only: a reset or a session resync forgets it, so no deadline is
-   ever computed from a frame of the old epoch. *)
-let forget_rack c =
-  c.rack_seq <- -1;
-  c.tlp_out <- false
+  match (Fabric.faults conn.stack.net.fabric, conn.peer) with
+  | None, _ -> false
+  | Some faults, Some peer -> not (both_up faults conn peer)
+  | Some faults, None -> not (Simnet.Faults.node_up faults (host_id conn))
 
 (* Socket reset at restart: the rebooted host's TCP state died with it,
    so both directions of every conn touching it start over — in-flight
@@ -440,27 +387,16 @@ let forget_rack c =
    restart hook visits both ends of a pair. *)
 let reset_socket conn remote =
   let purge c =
-    Queue.clear c.sendq;
+    Recovery.reset c.recovery ~purge:true;
     c.held <- [];
-    c.inflight_bytes <- 0;
-    c.acked <- c.tx_seq - 1;
-    forget_rack c;
-    c.have_rtt <- false;
-    c.backoff <- 0;
-    c.consec_fail <- 0;
     c.rx_slot <- Time.zero;
     Bytequeue.clear c.inbox
   in
   purge conn;
   purge remote;
-  conn.rx_next <- remote.tx_seq;
-  remote.rx_next <- conn.tx_seq;
-  wake_acked conn;
-  wake_acked remote;
-  wake_rtx conn;
-  wake_rtx remote;
-  wake_readers conn;
-  wake_readers remote
+  conn.rx_next <- Recovery.next_seq remote.recovery;
+  remote.rx_next <- Recovery.next_seq conn.recovery;
+  wake_both conn remote
 
 (* Crash/restart listeners, installed once per net at the first reliable
    use. On a crash, every blocked reader and window waiter touching the
@@ -474,10 +410,7 @@ let install_fault_hooks net faults =
       List.iter
         (fun c ->
           match c.peer with
-          | Some peer
-            when c.stack.host.Node.id = node
-                 || peer.stack.host.Node.id = node ->
-              f c peer
+          | Some peer when host_id c = node || host_id peer = node -> f c peer
           | _ -> ())
         net.conns
     in
@@ -500,10 +433,7 @@ let install_fault_hooks net faults =
           List.iter
             (fun c ->
               match c.peer with
-              | Some peer
-                when c.dead
-                     && Simnet.Faults.node_up faults (host_id c)
-                     && Simnet.Faults.node_up faults (host_id peer) ->
+              | Some peer when c.dead && both_up faults c peer ->
                   reset_socket c peer;
                   c.dead <- false;
                   peer.dead <- false
@@ -512,18 +442,14 @@ let install_fault_hooks net faults =
   end
 
 (* Serialization lower bound for one frame's RTO, given every byte
-   queued ahead of it (including itself): four small-packet hops plus
-   the queued bytes at a conservative 8 MB/s plus scheduling slack.
-   This is the same bound the stop-and-wait path used, extended to the
-   window case: with several frames in flight, a later frame's ack
-   cannot arrive before the earlier frames have drained the wire, so
-   the floor must cover the cumulative backlog or a loss-free world
-   would retransmit spuriously. When the fault plane caps the
-   receiver's drain rate ({!Simnet.Faults.slow_receiver}), the capped
-   drain is one more serial stage after the wire, so the floor adds the
-   backlog at the capped rate on top — otherwise a
-   throttled-but-lossless receiver looks like a dead one and the
-   retransmitter storms it. Without a cap the floor is unchanged.
+   queued ahead of it (itself included): four small-packet hops, the
+   queued bytes at a conservative 8 MB/s and scheduling slack. A later
+   frame's ack cannot arrive before the earlier frames have drained the
+   wire, so the floor covers the whole backlog or a loss-free world
+   would retransmit spuriously. A receiver whose drain the plane caps
+   ({!Simnet.Faults.slow_receiver}) is one more serial stage, so the
+   floor adds the backlog at the capped rate, or a throttled but
+   lossless receiver looks dead and the retransmitter storms it.
    Callers count the larger of the unacked bytes and the bytes still in
    the out stream ([wire_bytes]): after a socket reset or a round of
    resends the stream holds more than the window, and a floor blind to
@@ -549,31 +475,6 @@ let rx_cap_of net remote =
       Simnet.Faults.rx_cap faults ~fabric:(Fabric.name net.fabric)
         ~node:remote.stack.host.Node.id
 
-(* Jacobson/Karel: srtt += err/8, rttvar += (|err| - rttvar)/4. *)
-let rtt_sample conn rtt =
-  let rtt_us = Time.to_us rtt in
-  if not conn.have_rtt then begin
-    conn.srtt <- rtt_us;
-    conn.rttvar <- rtt_us /. 2.0;
-    conn.have_rtt <- true
-  end
-  else begin
-    let err = rtt_us -. conn.srtt in
-    conn.srtt <- conn.srtt +. (err /. 8.0);
-    conn.rttvar <- conn.rttvar +. ((Float.abs err -. conn.rttvar) /. 4.0)
-  end
-
-(* Current RTO for [f]: max(adaptive estimate, per-frame serialization
-   floor), doubled per consecutive expiry (Karn's backoff). *)
-let cur_rto conn f =
-  let adaptive =
-    if conn.have_rtt then
-      Time.us (conn.srtt +. Float.max (4.0 *. conn.rttvar) 100.0)
-    else f.f_floor
-  in
-  let base = max f.f_floor adaptive in
-  Time.span_mul base (1 lsl min conn.backoff 10)
-
 (* Inserts a frame into the ascending held list. *)
 let rec hold seq data = function
   | ((s, _) as h) :: rest when s < seq -> h :: hold seq data rest
@@ -590,160 +491,33 @@ let rec drain_held c =
       drain_held c
   | _ -> ()
 
-(* RACK (RFC 8985): a frame sent before the most recently sent frame
-   copy known delivered is lost once that copy's round trip plus a
-   reordering window of [min_rtt / 4] has passed since the frame's own
-   last transmission. Marks the frames already due and returns whether
-   any marked frame awaits its resend, with the earliest deadline still
-   pending ([max_int] if none). A resent frame is sent after the copy
-   that marked it, so it is marked again only once a frame sent after
-   the resend is delivered: a lost resend is found the same way. *)
-let rack_detect conn now =
-  let net = conn.stack.net in
-  let lost = ref false and next = ref max_int in
-  if conn.rack_seq >= 0 then begin
-    let window = Time.span_add conn.rack_rtt (conn.min_rtt / 4) in
-    Queue.iter
-      (fun f ->
-        if f.f_lost then lost := true
-        else if
-          (not f.f_sacked)
-          && (Time.( < ) f.f_sent_at conn.rack_sent
-             || (Time.equal f.f_sent_at conn.rack_sent
-                && f.f_seq < conn.rack_seq))
-        then begin
-          let due = Time.add f.f_sent_at window in
-          if Time.( <= ) due now then begin
-            f.f_lost <- true;
-            net.net_rack_marks <- net.net_rack_marks + 1;
-            lost := true
-          end
-          else if due < !next then next := due
-        end)
-      conn.sendq
-  end;
-  (!lost, !next)
-
-(* RTO deadline of the oldest frame in flight. *)
-let rto_deadline conn =
-  let head = Queue.peek conn.sendq in
-  Time.add head.f_sent_at (cur_rto conn head)
-
-(* TLP (RFC 8985): with no ack progress and no new frame for two
-   smoothed RTTs, one probe per flight resends the highest unSACKed
-   frame, so a lost tail raises the ack that RACK needs. The probe also
-   waits until every frame sent has left the out stream and a capped
-   receiver's drain ({!Simnet.Faults.slow_receiver}), plus one SRTT for
-   the last ack to come back (an SRTT includes the reverse hop): while
-   frames are still in the stream their acks are still to come, a probe
-   would only queue behind them, and an SRTT learnt from small frames
-   would fire it before one MSS frame can be acked. No probe before the
-   first RTT sample or after an RTO expiry without progress, and none
-   that would not beat the RTO, which resends the tail anyway. (The
-   retransmitter resends RACK-marked frames before it looks at the
-   probe, so none goes out while a marked frame awaits its resend.) *)
-let tlp_deadline conn ~rto_at =
-  if
-    conn.tlp_out || (not conn.have_rtt) || conn.consec_fail > 0
-    || conn.wire_bytes > 0
-  then max_int
+(* The probe's drain input: when the out stream, and a capped
+   receiver's drain, last emptied; [None] while bytes are still in it. *)
+let drained conn =
+  if conn.wire_bytes > 0 then None
   else
-    let srtt = Time.us conn.srtt in
-    let drained =
-      match conn.peer with
-      | Some remote -> max conn.drained_at remote.rx_slot
-      | None -> conn.drained_at
-    in
-    let at =
-      max
-        (Time.add conn.tlp_ref (Time.span_mul srtt 2))
-        (Time.add drained srtt)
-    in
-    if Time.( < ) at rto_at then at else max_int
+    let slot = match conn.peer with Some p -> p.rx_slot | None -> Time.zero in
+    Some (max conn.drained_at slot)
 
-(* The retransmitter's next deadline: the head's RTO, the earliest
-   reordering window and the probe share the one timer. *)
-let next_deadline conn ~reorder_at =
-  let rto_at = rto_deadline conn in
-  min rto_at (min reorder_at (tlp_deadline conn ~rto_at))
-
-(* The ack's timestamp echo (RFC 7323) names the frame copy that
-   triggered it, so its round trip is unambiguous even for a resend. *)
-let rack_update conn now ~sent ~seq =
-  let rtt = Time.diff now sent in
-  if conn.rack_seq < 0 || rtt < conn.min_rtt then conn.min_rtt <- rtt;
-  if
-    conn.rack_seq < 0
-    || Time.( < ) conn.rack_sent sent
-    || (Time.equal sent conn.rack_sent && seq > conn.rack_seq)
-  then begin
-    conn.rack_sent <- sent;
-    conn.rack_seq <- seq;
-    conn.rack_rtt <- rtt
-  end
-
-(* An ack moves the cumulative point, marks the frames the receiver
-   reported held (SACK) and feeds its echo to RACK. Resends never run
-   here — this is an event callback and [transmit]'s callers sleep — so
-   when RACK marks a loss the ack path only wakes the retransmitter;
-   otherwise, after progress or with a reordering window pending, it
-   makes sure the retransmitter's timer covers the new deadlines. An
-   ack that cumulatively acks or newly SACKs a frame is progress: it
-   restarts the probe clock, and a cumulative one opens a new flight.
-   The send queue and the held set both ascend, so one merge walk marks
-   the SACKed frames. *)
-let rec apply_ack conn ack_upto sacks ~sent ~seq =
-  let now = Engine.now conn.stack.net.engine in
-  let progress = ref false in
-  if sacks <> [] then begin
-    let rest = ref sacks in
-    Queue.iter
-      (fun f ->
-        let rec skip = function
-          | s :: tl when s < f.f_seq -> skip tl
-          | l -> l
-        in
-        match skip !rest with
-        | s :: tl when s = f.f_seq ->
-            if not f.f_sacked then begin
-              f.f_sacked <- true;
-              f.f_lost <- false;
-              progress := true
-            end;
-            rest := tl
-        | l -> rest := l)
-      conn.sendq
-  end;
-  if ack_upto > conn.acked then begin
-    conn.acked <- ack_upto;
-    while
-      (not (Queue.is_empty conn.sendq))
-      && (Queue.peek conn.sendq).f_seq <= ack_upto
-    do
-      let f = Queue.pop conn.sendq in
-      conn.inflight_bytes <- conn.inflight_bytes - Bytes.length f.f_data;
-      (* Karn's rule: never sample RTT from a retransmitted frame. *)
-      if not f.f_rexmit then rtt_sample conn (Time.diff now f.f_sent_at)
-    done;
-    conn.backoff <- 0;
-    conn.consec_fail <- 0;
-    conn.tlp_out <- false;
-    progress := true;
-    wake_acked conn
-  end;
-  if !progress then conn.tlp_ref <- now;
-  rack_update conn now ~sent ~seq;
-  if not (Queue.is_empty conn.sendq) then begin
-    let lost, reorder_at = rack_detect conn now in
-    if lost then wake_rtx conn
-    else if !progress || reorder_at < max_int then
-      arm_rtx conn (next_deadline conn ~reorder_at)
-  end
+(* An ack goes to [Recovery]. Resends never run here — this is an event
+   callback and [transmit]'s callers sleep — so the ack path only wakes
+   the window waiters on cumulative progress and makes sure the
+   retransmitter runs by the instant [Recovery] names. *)
+let apply_ack conn ack_upto sacks ~sent ~seq =
+  let r = conn.recovery in
+  let acked = Recovery.acked r in
+  let at =
+    Recovery.on_ack r
+      ~now:(Engine.now conn.stack.net.engine)
+      ~upto:ack_upto ~sacks ~sent ~seq ~drained:(drained conn)
+  in
+  if Recovery.acked r > acked then wake_acked conn;
+  if at < max_int then arm_rtx conn at
 
 (* Cumulative ack plus the receiver's held set, snapshotted now, and the
    echo of the frame copy that triggered it: rides the reverse link one
    hop later and is itself subject to the plane. *)
-and schedule_ack conn remote faults ~sent ~seq =
+let schedule_ack conn remote faults ~sent ~seq =
   let net = conn.stack.net in
   let engine = net.engine in
   let fabric_name = Fabric.name net.fabric in
@@ -769,46 +543,45 @@ and schedule_ack conn remote faults ~sent ~seq =
    the receiver-side fate (verdict, CRC check, in-order delivery or
    hold, cumulative ack with the held set and this copy's send instant)
    runs at delivery time. *)
-and transmit conn remote faults f =
+let transmit conn remote faults (f : Recovery.frame) ~fresh =
   let net = conn.stack.net in
   let engine = net.engine in
   let fabric_name = Fabric.name net.fabric in
   let src = host_id conn and dst = host_id remote in
   let sent = Engine.now engine in
-  f.f_sent_at <- sent;
-  conn.wire_bytes <- conn.wire_bytes + Bytes.length f.f_data;
+  Recovery.on_transmit conn.recovery f ~now:sent ~fresh;
+  conn.wire_bytes <- conn.wire_bytes + Bytes.length f.data;
   Simnet.Stream.push (out_stream conn remote)
-    ~bytes_count:(Bytes.length f.f_data)
+    ~bytes_count:(Bytes.length f.data)
     ~on_delivered:(fun () ->
-      conn.wire_bytes <- conn.wire_bytes - Bytes.length f.f_data;
+      conn.wire_bytes <- conn.wire_bytes - Bytes.length f.data;
       if conn.wire_bytes = 0 then begin
         conn.drained_at <- Engine.now engine;
         (* The probe may be due one SRTT from now. *)
-        if not (Queue.is_empty conn.sendq) then
-          arm_rtx conn (next_deadline conn ~reorder_at:max_int)
+        let r = conn.recovery in
+        let at = Recovery.next_deadline r ~drained:(drained conn) in
+        if at < max_int then arm_rtx conn at
       end;
       let process data =
-        if Simnet.Checksum.crc32 data <> f.f_crc then begin
+        if Simnet.Checksum.crc32 data <> f.crc then
           (* Detected corruption: discard silently, no ack — the
              sender recovers it as a loss. *)
-          remote.crc_rejects <- remote.crc_rejects + 1;
-          net.net_crc_rejects <- net.net_crc_rejects + 1
-        end
+          remote.crc_rejects <- remote.crc_rejects + 1
         else begin
           let next = remote.rx_next in
-          if f.f_seq = next then begin
+          if f.seq = next then begin
             remote.rx_next <- next + 1;
             push_inbox remote data;
             drain_held remote;
             wake_ready_readers remote
           end
           else if
-            f.f_seq > next
-            && f.f_seq < next + net.window
-            && not (List.mem_assoc f.f_seq remote.held)
-          then remote.held <- hold f.f_seq data remote.held
+            f.seq > next
+            && f.seq < next + net.window
+            && not (List.mem_assoc f.seq remote.held)
+          then remote.held <- hold f.seq data remote.held
           else remote.dup_frames <- remote.dup_frames + 1;
-          schedule_ack conn remote faults ~sent ~seq:f.f_seq
+          schedule_ack conn remote faults ~sent ~seq:f.seq
         end
       in
       (* Slow-receiver throttle: a capped destination drains delivered
@@ -826,7 +599,7 @@ and transmit conn remote faults f =
             in
             let fin =
               Time.add start
-                (Time.bytes_at_rate ~bytes_count:(Bytes.length f.f_data)
+                (Time.bytes_at_rate ~bytes_count:(Bytes.length f.data)
                    ~mb_per_s:cap)
             in
             remote.rx_slot <- fin;
@@ -836,17 +609,17 @@ and transmit conn remote faults f =
         Simnet.Faults.frame_verdict faults ~fabric:fabric_name ~src ~dst
       with
       | Simnet.Faults.Drop -> ()
-      | Simnet.Faults.Deliver -> paced (fun () -> process f.f_data)
+      | Simnet.Faults.Deliver -> paced (fun () -> process f.data)
       | Simnet.Faults.Corrupt ->
-          let garbled = Simnet.Faults.corrupt_copy faults f.f_data in
+          let garbled = Simnet.Faults.corrupt_copy faults f.data in
           paced (fun () -> process garbled)
       | Simnet.Faults.Duplicate ->
-          paced (fun () -> process f.f_data);
-          paced (fun () -> process f.f_data)
+          paced (fun () -> process f.data);
+          paced (fun () -> process f.data)
       | Simnet.Faults.Delay span ->
           Engine.at engine
             (Time.add (Engine.now engine) span)
-            (fun () -> paced (fun () -> process f.f_data)))
+            (fun () -> paced (fun () -> process f.data)))
 
 (* First reliable use of a conn pins the peer epochs it was established
    under, so a restart that predates the conn is not mistaken for a
@@ -871,22 +644,15 @@ let session_resync conn remote faults =
     Simnet.Faults.epoch faults (host_id remote) > conn.peer_epoch_seen
     || Simnet.Faults.epoch faults (host_id conn) > remote.peer_epoch_seen
   in
-  let both_up () =
-    Simnet.Faults.node_up faults (host_id conn)
-    && Simnet.Faults.node_up faults (host_id remote)
-  in
-  if need () && both_up () then begin
+  if need () && both_up faults conn remote then begin
     Engine.sleep (Time.span_mul (hop_latency net) 2);
-    if need () && both_up () then begin
+    if need () && both_up faults conn remote then begin
       conn.peer_epoch_seen <- Simnet.Faults.epoch faults (host_id remote);
       remote.peer_epoch_seen <- Simnet.Faults.epoch faults (host_id conn);
       List.iter
         (fun c ->
           c.dead <- false;
-          c.have_rtt <- false;
-          forget_rack c;
-          c.backoff <- 0;
-          c.consec_fail <- 0)
+          Recovery.reset c.recovery ~purge:false)
         [ conn; remote ];
       net.net_handshakes <- net.net_handshakes + 1;
       wake_acked conn;
@@ -900,116 +666,68 @@ let session_resync conn remote faults =
    each resend pays its own kernel entry. *)
 let resend conn remote faults frames =
   let net = conn.stack.net in
+  let r = conn.recovery in
   let rx_cap = rx_cap_of net remote in
   (* A capped receiver drains the original copies too: the resent
      duplicates queue behind everything still unacked, so their floors
      must cover the whole in-flight backlog or the spurious expiry
      repeats until backoff catches up. *)
-  let backlog = match rx_cap with Some _ -> conn.inflight_bytes | None -> 0 in
+  let backlog =
+    match rx_cap with Some _ -> Recovery.inflight_bytes r | None -> 0
+  in
   let cum = ref 0 in
   List.iter
-    (fun f ->
+    (fun (f : Recovery.frame) ->
       (* Acks may land between resends; skip what they covered. *)
-      if f.f_seq > conn.acked && (not f.f_sacked) && not conn.dead then begin
-        let len = Bytes.length f.f_data in
+      if Recovery.resendable r f && not conn.dead then begin
+        let len = Bytes.length f.data in
         cum := !cum + len;
-        f.f_floor <-
-          frame_floor net ~rx_cap
-            ~queued_bytes:(max (backlog + !cum) (conn.wire_bytes + len));
-        f.f_rexmit <- true;
-        conn.retries <- conn.retries + 1;
-        net.net_retransmissions <- net.net_retransmissions + 1;
+        Recovery.on_resend r f
+          ~floor:
+            (frame_floor net ~rx_cap
+               ~queued_bytes:(max (backlog + !cum) (conn.wire_bytes + len)));
         Engine.sleep Netparams.tcp_send_overhead;
-        (* Cleared only now: until this copy leaves, an ack must not
-           mark the frame again from its previous copy. *)
-        f.f_lost <- false;
-        transmit conn remote faults f
+        transmit conn remote faults f ~fresh:false
       end)
     frames
 
-(* RACK-marked frames, oldest first. *)
-let resend_lost conn remote faults =
-  resend conn remote faults
-    (Queue.fold (fun acc f -> if f.f_lost then f :: acc else acc) [] conn.sendq
-    |> List.rev)
-
-(* The tail-loss probe: the highest unSACKed frame (the head is never
-   SACKed, so there is one). A probe toward a crashed host is spent
-   unsent; the RTO then finds the host down, as without a probe. *)
-let send_probe conn remote faults =
-  let net = conn.stack.net in
-  conn.tlp_out <- true;
-  if
-    Simnet.Faults.node_up faults (host_id conn)
-    && Simnet.Faults.node_up faults (host_id remote)
-  then begin
-    let last =
-      Queue.fold
-        (fun acc f -> if f.f_sacked then acc else f)
-        (Queue.peek conn.sendq) conn.sendq
-    in
-    net.net_probes <- net.net_probes + 1;
-    resend conn remote faults [ last ]
-  end
-
-(* One RTO expiry on the oldest in-flight frame: resync if an epoch
-   moved, fail fast if a host is down, give up past the retry budget,
-   otherwise resend every frame the receiver has not reported held,
-   oldest first. *)
-let on_expiry conn remote faults =
-  let net = conn.stack.net in
-  session_resync conn remote faults;
-  if (not conn.dead) && not (Queue.is_empty conn.sendq) then begin
-    let src = host_id conn and dst = host_id remote in
-    if
-      not (Simnet.Faults.node_up faults src && Simnet.Faults.node_up faults dst)
-    then mark_dead conn remote
-    else begin
-      conn.consec_fail <- conn.consec_fail + 1;
-      net.net_rto_expiries <- net.net_rto_expiries + 1;
-      if conn.consec_fail >= net.max_retries then mark_dead conn remote
-      else begin
-        conn.backoff <- min (conn.backoff + 1) 10;
-        resend conn remote faults (List.of_seq (Queue.to_seq conn.sendq))
-      end
-    end
-  end
-
-(* Per-conn retransmitter: a daemon thread that owns the one timer of
-   the conn — the head's RTO, RACK's reordering windows and the
-   tail-loss probe. Each time it wakes it re-runs RACK's marking and
-   does the first thing due: resend the marked frames, send the probe,
-   or handle an RTO expiry; otherwise it sleeps until the earliest
-   deadline. It parks (suspended, no pending timer) whenever nothing is
-   in flight so the event queue can drain and the engine can quiesce;
-   senders re-arm it via [wake_rtx] when they enqueue, and acks when
-   RACK marks a loss. Daemons must not raise, so giving up marks the
-   conn dead and wakes the blocked senders, which raise [Timeout] from
-   their own context. *)
+(* Per-conn retransmitter: a daemon thread that owns the conn's one
+   timer and does what [Recovery.next] finds due each time it wakes. It
+   parks with nothing in flight, so the engine can quiesce, until a
+   sender enqueues. An expiry first resyncs if an epoch moved and fails
+   fast if a host is down; a probe toward a crashed host is spent
+   unsent. Daemons must not raise, so giving up marks the conn dead and
+   wakes the blocked senders, which raise [Timeout] themselves. *)
 let rec rtx_loop conn remote faults =
-  let engine = conn.stack.net.engine in
-  if Queue.is_empty conn.sendq || conn.dead then begin
-    Engine.suspend ~name:"tcp.rtx.park" (fun wake -> conn.rtx_wake <- Some wake);
-    conn.rtx_wake <- None
-  end
-  else begin
-    let now = Engine.now engine in
-    let lost, reorder_at = rack_detect conn now in
-    if lost then resend_lost conn remote faults
-    else begin
-      let rto_at = rto_deadline conn in
-      let tlp_at = tlp_deadline conn ~rto_at in
-      if Time.( <= ) tlp_at now then send_probe conn remote faults
-      else if Time.( <= ) rto_at now then on_expiry conn remote faults
-      else begin
-        let deadline = min rto_at (min reorder_at tlp_at) in
-        Engine.suspend ~name:"tcp.rtx.wait" (fun wake ->
-            conn.rtx_wake <- Some wake;
-            arm_rtx conn deadline);
-        conn.rtx_wake <- None
+  let r = conn.recovery in
+  let now = Engine.now conn.stack.net.engine in
+  (match
+     if conn.dead then Recovery.Idle
+     else Recovery.next r ~now ~drained:(drained conn)
+   with
+  | Recovery.Idle ->
+      Engine.suspend ~name:"tcp.rtx.park" (fun wake ->
+          conn.rtx_wake <- Some wake);
+      conn.rtx_wake <- None
+  | Resend frames -> resend conn remote faults frames
+  | Probe f ->
+      if both_up faults conn remote then begin
+        Recovery.probe_sent r;
+        resend conn remote faults [ f ]
       end
-    end
-  end;
+  | Rto -> (
+      session_resync conn remote faults;
+      if (not conn.dead) && Recovery.in_flight r > 0 then
+        if not (both_up faults conn remote) then mark_dead conn remote
+        else
+          match Recovery.expire r with
+          | Dead -> mark_dead conn remote
+          | Resend_all frames -> resend conn remote faults frames)
+  | Wait deadline ->
+      Engine.suspend ~name:"tcp.rtx.wait" (fun wake ->
+          conn.rtx_wake <- Some wake;
+          arm_rtx conn deadline);
+      conn.rtx_wake <- None);
   rtx_loop conn remote faults
 
 let ensure_rtx conn remote faults =
@@ -1030,23 +748,22 @@ let ensure_rtx conn remote faults =
    flight and the transfer completes behind it. *)
 let reliable_send conn remote faults segments =
   let net = conn.stack.net in
+  let r = conn.recovery in
   install_fault_hooks net faults;
   ensure_epoch_baseline conn remote faults;
   session_resync conn remote faults;
   let src = host_id conn and dst = host_id remote in
-  let fail msg = raise (Timeout { msg; attempts = conn.consec_fail }) in
+  let fail msg = raise (Timeout { msg; attempts = Recovery.consec_fail r }) in
   if conn.dead then
     fail (Printf.sprintf "Tcpnet.send: connection %d->%d is dead" src dst);
-  if
-    not (Simnet.Faults.node_up faults src && Simnet.Faults.node_up faults dst)
-  then begin
+  if not (both_up faults conn remote) then begin
     mark_dead conn remote;
     fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
   end;
   Array.iteri
     (fun i data ->
       while
-        (not (conn_unreachable conn)) && Queue.length conn.sendq >= net.window
+        (not (conn_unreachable conn)) && Recovery.in_flight r >= net.window
       do
         Engine.suspend ~name:"tcp.window" (fun wake ->
             conn.ack_waiters <- wake :: conn.ack_waiters)
@@ -1055,37 +772,24 @@ let reliable_send conn remote faults segments =
         mark_dead conn remote;
         fail (Printf.sprintf "Tcpnet.send: %d->%d unreachable" src dst)
       end;
-      let seq = conn.tx_seq in
-      conn.tx_seq <- seq + 1;
-      conn.inflight_bytes <- conn.inflight_bytes + Bytes.length data;
+      let len = Bytes.length data in
       let f =
-        {
-          f_seq = seq;
-          f_data = data;
-          f_crc = Simnet.Checksum.crc32 data;
-          f_sent_at = Engine.now net.engine;
-          f_floor =
-            frame_floor net ~rx_cap:(rx_cap_of net remote)
-              ~queued_bytes:
-                (max conn.inflight_bytes (conn.wire_bytes + Bytes.length data));
-          f_rexmit = false;
-          f_sacked = false;
-          f_lost = false;
-        }
+        Recovery.on_send r ~now:(Engine.now net.engine) ~data
+          ~crc:(Simnet.Checksum.crc32 data)
+          ~floor:
+            (frame_floor net ~rx_cap:(rx_cap_of net remote)
+               ~queued_bytes:
+                 (max (Recovery.inflight_bytes r + len) (conn.wire_bytes + len)))
       in
-      Queue.push f conn.sendq;
-      let depth = Queue.length conn.sendq in
+      let depth = Recovery.in_flight r in
       if depth > conn.peak_sendq then conn.peak_sendq <- depth;
       ensure_rtx conn remote faults;
       if i = 0 then Engine.sleep Netparams.tcp_send_overhead;
-      transmit conn remote faults f;
-      conn.tlp_ref <- Engine.now net.engine;
+      transmit conn remote faults f ~fresh:true;
       (* Only the head's deadline is the daemon's to watch, and a parked
          daemon has an empty queue: a frame behind the head needs no
          wake. *)
-      match Queue.peek_opt conn.sendq with
-      | Some head when head == f -> wake_rtx conn
-      | _ -> ())
+      if Recovery.is_head r f then wake_rtx conn)
     segments
 
 (* Copies the slices, in order, straight into fresh segment buffers of
@@ -1145,8 +849,8 @@ let send_group conn slices =
 let send conn data = send_group conn [ (data, 0, Bytes.length data) ]
 
 let is_dead conn = conn.dead
-let retries conn = conn.retries
-let consecutive_failures conn = conn.consec_fail
+let retries conn = Recovery.retries conn.recovery
+let consecutive_failures conn = Recovery.consec_fail conn.recovery
 let duplicate_frames conn = conn.dup_frames
 let inbox_peak conn = conn.peak_inbox
 let sendq_peak conn = conn.peak_sendq
@@ -1177,7 +881,7 @@ let recv_raw ?deadline conn buf ~off ~len =
           (Timeout
              {
                msg = "Tcpnet.recv: peer unreachable";
-               attempts = conn.consec_fail;
+               attempts = Recovery.consec_fail conn.recovery;
              });
       (match deadline with
       | Some d when Time.( <= ) d (Engine.now engine) ->

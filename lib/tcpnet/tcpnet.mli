@@ -31,12 +31,27 @@
     is the last resort, and its expiry resends only the frames not
     reported held. Corruption is detected by CRC-32 on every accepted
     frame, held ones included, and treated as loss. A peer the plane
-    reports crashed fails sends fast with {!Timeout}; if it later
-    restarts with a bumped epoch, the next send (or pending
-    retransmission) performs a session handshake that resynchronizes
-    both ends' cursors and replays the survivor's unacked frames.
-    Without a fault plane (the default) the original fault-free path
-    runs, bit for bit. *)
+    reports crashed fails sends fast with {!Timeout}. When a host
+    restarts, the sockets of every connection touching it are reset at
+    that instant: both ends drop their frames in flight, their held
+    frames and their unread bytes. No frame is replayed; the layer
+    above (Madeleine's reliable vchannel) replays whole packets from its
+    own logs. The next send (or pending retransmission) then performs a
+    session handshake that agrees on both ends' epochs and cursors and
+    revives the connection. Without a fault plane (the default) the
+    original fault-free path runs, bit for bit.
+
+    Where the code lives: {!Recovery} decides. It holds the sender's
+    frames in flight, its SACK marks, RACK and probe state, RTT
+    estimate and backoff, and it names the one thing due: resend the
+    marked frames, probe, expire or wait. It makes no engine or fabric
+    call. This module drives it: it cuts and transmits frames, runs the
+    receiver, schedules acks through the fault plane's verdicts, owns
+    the retransmitter daemon and its single timer, reacts to crashes,
+    restarts and heals, performs the session handshake and admits
+    sends to the window. *)
+
+module Recovery = Recovery
 
 exception Timeout of { msg : string; attempts : int }
 (** A [?timeout] expired, or the peer host is unreachable. [attempts] is
@@ -71,10 +86,12 @@ val fabric_name : t -> string
 
 val net_stats : net -> int * int
 (** [(retransmissions, crc_rejects)] summed over every connection of the
-    net — both zero unless a fault plane is attached. *)
+    net ({!retries} and each end's CRC rejects) — both zero unless a
+    fault plane is attached. *)
 
 val net_handshakes : net -> int
-(** Crash-epoch session handshakes performed across the net. *)
+(** Crash-epoch session handshakes performed across the net, counted
+    once per handshake although one revives both ends. *)
 
 type recovery = {
   rto_expiries : int;  (** retransmission-timer expiries *)
