@@ -441,7 +441,7 @@ let chaos workload quick seed jobs json_file fingerprints =
     match workload with
     | Some name ->
         let r = (find name).Chaos.run ~seed ~quick in
-        (r.Chaos.line, Chaos.workload_json ~seed name r, r.Chaos.gates)
+        (Chaos.render name r, Chaos.workload_json ~seed name r, r.Chaos.gates)
     | None ->
         let results =
           Parsim.with_pool ~jobs (fun pool -> Chaos.run pool ~seed ~quick)

@@ -16,11 +16,7 @@ module Cf = Clusterfile
 
 open Json
 
-type result = {
-  fields : (string * Json.t) list;
-  line : string;
-  gates : (string * bool) list;
-}
+type result = { fields : (string * Json.t) list; gates : (string * bool) list }
 
 type workload = {
   name : string;
@@ -30,7 +26,6 @@ type workload = {
 
 let f2 x = Float (x, 2)
 let f3 x = Float (x, 3)
-let ints l = String.concat "; " (List.map string_of_int l)
 let int_list l = List (List.map (fun n -> Int n) l)
 let table rows = List (List.map (fun row -> Obj row) rows)
 
@@ -53,23 +48,6 @@ let bounded_queues queues =
     (fun q ->
       match q.Vc.q_bound with Some b -> q.Vc.q_peak <= b | None -> true)
     queues
-
-(* One verified ping-pong under one fault setting: a row of the fault
-   table. *)
-type row = {
-  scenario : string;
-  size : int;
-  drop_pct : float; (* per-link injected rate, percent *)
-  lat_us : float; (* one-way, averaged over the iterations *)
-  bw_mb_s : float;
-  drops : int; (* frames the plane decided to drop *)
-  corrupts : int; (* frames the plane corrupted in flight *)
-  dups : int; (* frames the plane delivered twice *)
-  delays : int; (* frames held back so later ones overtake *)
-  retransmissions : int;
-  crc_rejects : int;
-  intact : bool; (* every delivered message matched the packed bytes *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* Every world is Clusterfile text: Ethernet segments, each a (fabric
@@ -166,152 +144,102 @@ let verified_pingpong w ~size ~iters =
 
 let iters_for size = if size <= 4096 then 6 else 4
 
-let finish_row ~scenario ~drop ~size w (span, intact) =
+(* One verified ping-pong under one fault setting: a row of the fault
+   table. [faults] defaults to [fault SCENARIO] lines at the [drop]
+   rate on both links; [setup] arms on the plane what no Clusterfile
+   line can. [lat_us] is one-way, averaged over the iterations;
+   [drops], [corrupts], [dups] and [delays] count the frames the plane
+   dropped, corrupted, delivered twice and held back so later ones
+   overtake; [intact] means every delivered message matched the packed
+   bytes. *)
+let fault_row ~seed ~scenario ?(drop = 0.0) ?iters
+    ?(faults = link_faults scenario drop eth) ?(setup = ignore) size =
+  let w = world ~seed eth ~faults in
+  setup (plane w);
+  let iters = Option.value iters ~default:(iters_for size) in
+  let span, intact = verified_pingpong w ~size ~iters in
   let st = Faults.stats (plane w) in
   let retransmissions, crc_rejects = Tcpnet.net_stats (Cf.tcp_net w "eth") in
-  {
-    scenario;
-    size;
-    drop_pct = drop *. 100.0;
-    lat_us = Option.fold span ~none:0.0 ~some:Time.to_us;
-    bw_mb_s =
-      Option.fold span ~none:0.0 ~some:(Time.rate_mb_s ~bytes_count:size);
-    drops = st.Faults.frames_dropped;
-    corrupts = st.Faults.frames_corrupted;
-    dups = st.Faults.frames_duplicated;
-    delays = st.Faults.frames_delayed;
-    retransmissions;
-    crc_rejects;
-    intact;
-  }
-
-let drop_row ~seed ~drop ~size =
-  let w = world ~seed eth ~faults:(link_faults "drop" drop eth) in
-  finish_row ~scenario:"drop" ~drop ~size w
-    (verified_pingpong w ~size ~iters:(iters_for size))
-
-let corrupt_row ~seed ~rate ~size =
-  let w = world ~seed eth ~faults:(link_faults "corrupt" rate eth) in
-  finish_row ~scenario:"corrupt" ~drop:rate ~size w
-    (verified_pingpong w ~size ~iters:(iters_for size))
-
-(* A link flap in the middle of the exchange: everything delivered while
-   the link is down is lost and must be retransmitted after it heals. *)
-let flap_row ~seed ~size =
-  let w =
-    world ~seed eth
-      ~faults:[ "fault flap net=eth node=n0 at_us=4000 for_us=5000" ]
-  in
-  finish_row ~scenario:"flap" ~drop:0.0 ~size w
-    (verified_pingpong w ~size ~iters:8)
-
-(* Duplication and reordering on both endpoints: the receiver's
-   sequence check must discard the duplicates and hold the frames that
-   overtake, and the retransmission path must repair any hole that
-   outlives the overtaking. *)
-let reorder_row ~seed ~size =
-  let w = world ~seed eth in
-  let faults = plane w in
-  for i = 0 to 1 do
-    Faults.set_reorder faults ~fabric:"eth" ~node:i ~rate:0.05
-      ~jitter:(Time.us 300.0);
-    Faults.set_duplicate faults ~fabric:"eth" ~node:i ~rate:0.03
-  done;
-  finish_row ~scenario:"reorder" ~drop:0.0 ~size w
-    (verified_pingpong w ~size ~iters:(iters_for size))
-
-(* A rogue device monopolizes one host's PCI bus mid-transfer: no loss,
-   but every PIO/DMA on that host crawls for the duration. *)
-let stall_row ~seed ~size =
-  let w =
-    world ~seed eth ~faults:[ "fault stall node=n1 at_us=2000 for_us=4000" ]
-  in
-  finish_row ~scenario:"pci-stall" ~drop:0.0 ~size w
-    (verified_pingpong w ~size ~iters:4)
+  let measured f = f2 (Option.fold span ~none:0.0 ~some:f) in
+  [
+    ("scenario", Str scenario);
+    ("size", Int size);
+    ("drop_pct", f2 (drop *. 100.0));
+    ("lat_us", measured Time.to_us);
+    ("bw_mb_s", measured (Time.rate_mb_s ~bytes_count:size));
+    ("drops", Int st.Faults.frames_dropped);
+    ("corrupts", Int st.Faults.frames_corrupted);
+    ("dups", Int st.Faults.frames_duplicated);
+    ("delays", Int st.Faults.frames_delayed);
+    ("retransmissions", Int retransmissions);
+    ("crc_rejects", Int crc_rejects);
+    ("intact", Bool intact);
+  ]
 
 (* The fault table: a drop-rate x size sweep, a corruption sweep, a
-   mid-exchange link flap, a reorder/duplication exchange and a PCI
-   stall. Reliable TCP cuts every send at the MSS and recovers each
-   lost segment by selective repeat, so a 64 kB send at 1% drop (45
+   mid-exchange link flap (everything sent while the link is down is
+   lost and must be retransmitted after it heals), a reorder and
+   duplication exchange on both endpoints (the receiver's sequence
+   check must discard the duplicates and hold the frames that
+   overtake, and retransmission must repair any hole that outlives the
+   overtaking) and a rogue device monopolizing one host's PCI bus
+   mid-transfer (no loss, but every PIO/DMA on that host crawls).
+   Reliable TCP cuts every send at the MSS and recovers each lost
+   segment by selective repeat, so a 64 kB send at 1% drop (45
    segments) costs about clean latency; 12 consecutive expiries of one
    segment would declare the peer dead. The 5% rate is still swept only
    over messages of at most 4 kB, a limit set when one send was one
    frame, lost whole whenever any of its fragments was. A row whose
    peer died anyway would read latency 0.00 us and bandwidth 0.00 MB/s
-   (nothing was measured, and no clean-latency ratio is printed),
-   intact "NO", and fail the [rows-intact] gate. *)
+   (nothing was measured), intact false, and fail the [rows-intact]
+   gate. *)
 let pingpong_faults ~seed ~quick =
   let rates = if quick then [ 0.0; 0.01 ] else [ 0.0; 0.005; 0.01; 0.05 ] in
   let sizes =
     if quick then [ 4; 4096; 16384 ] else [ 4; 256; 4096; 16384; 65536 ]
   in
+  let row = fault_row ~seed in
   let drop_rows =
     List.concat_map
       (fun drop ->
         List.filter_map
           (fun size ->
             if drop >= 0.05 && size > 4096 then None
-            else Some (drop_row ~seed ~drop ~size))
+            else Some (row ~scenario:"drop" ~drop size))
           sizes)
       rates
   in
   let corrupt_rows =
     List.map
-      (fun size -> corrupt_row ~seed ~rate:0.02 ~size)
+      (row ~scenario:"corrupt" ~drop:0.02)
       (if quick then [ 16384 ] else [ 4096; 16384 ])
   in
   let rows =
     drop_rows @ corrupt_rows
     @ [
-        flap_row ~seed ~size:16384;
-        reorder_row ~seed ~size:16384;
-        stall_row ~seed ~size:65536;
+        row ~scenario:"flap" ~iters:8
+          ~faults:[ "fault flap net=eth node=n0 at_us=4000 for_us=5000" ]
+          16384;
+        row ~scenario:"reorder"
+          ~setup:(fun faults ->
+            for i = 0 to 1 do
+              Faults.set_reorder faults ~fabric:"eth" ~node:i ~rate:0.05
+                ~jitter:(Time.us 300.0);
+              Faults.set_duplicate faults ~fabric:"eth" ~node:i ~rate:0.03
+            done)
+          16384;
+        row ~scenario:"pci-stall" ~iters:4
+          ~faults:[ "fault stall node=n1 at_us=2000 for_us=4000" ]
+          65536;
       ]
   in
-  (* Degradation is judged against the clean (0%) row of the same size. *)
-  let clean_lat size =
-    List.find_map
-      (fun row ->
-        if row.scenario = "drop" && row.drop_pct = 0.0 && row.size = size then
-          Some row.lat_us
-        else None)
-      rows
-  in
-  let row_line row =
-    Printf.sprintf
-      "%-10s %8d %7.1f %12.2f %10.2f %6d %8d %5d %5d %8d %5d %7s%s\n"
-      row.scenario row.size row.drop_pct row.lat_us row.bw_mb_s row.drops
-      row.corrupts row.dups row.delays row.retransmissions row.crc_rejects
-      (if row.intact then "yes" else "NO")
-      (match clean_lat row.size with
-      | Some base when row.drop_pct > 0.0 && base > 0.0 && row.lat_us > 0.0 ->
-          Printf.sprintf "  (%.2fx clean latency)" (row.lat_us /. base)
-      | _ -> "")
-  in
-  let row_fields row =
-    [
-      ("scenario", Str row.scenario);
-      ("size", Int row.size);
-      ("drop_pct", f2 row.drop_pct);
-      ("lat_us", f2 row.lat_us);
-      ("bw_mb_s", f2 row.bw_mb_s);
-      ("drops", Int row.drops);
-      ("corrupts", Int row.corrupts);
-      ("dups", Int row.dups);
-      ("delays", Int row.delays);
-      ("retransmissions", Int row.retransmissions);
-      ("crc_rejects", Int row.crc_rejects);
-      ("intact", Bool row.intact);
-    ]
-  in
   {
-    fields = [ ("rows", table (List.map row_fields rows)) ];
-    line =
-      Printf.sprintf "%-10s %8s %7s %12s %10s %6s %8s %5s %5s %8s %5s %7s\n"
-        "scenario" "size(B)" "drop%" "latency(us)" "bw(MB/s)" "drops"
-        "corrupts" "dups" "late" "retrans" "crc" "intact"
-      ^ String.concat "" (List.map row_line rows);
-    gates = [ ("rows-intact", List.for_all (fun row -> row.intact) rows) ];
+    fields = [ ("rows", table rows) ];
+    gates =
+      [
+        ( "rows-intact",
+          List.for_all (fun row -> List.assoc "intact" row = Bool true) rows );
+      ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -450,9 +378,7 @@ let failover_run ~seed ~size ~messages =
   in
   Engine.run engine;
   let intact = verified s && not (List.mem gw !route_after) in
-  let stats =
-    match Vc.rel_stats vc with Some s -> s | None -> assert false
-  in
+  let stats = Option.get (Vc.rel_stats vc) in
   let finish_us = Time.to_us s.finish in
   {
     fields =
@@ -468,16 +394,6 @@ let failover_run ~seed ~size ~messages =
         ("partitioned_after_second_crash", Bool !partitioned);
         ("finish_us", f2 finish_us);
       ];
-    line =
-      Printf.sprintf
-        "failover: %d x %d B via gateway %d; crash mid-stream -> route [%s], \
-         %d reroute(s), %d re-emitted, %d dup(s) dropped, intact=%s, \
-         partitioned after second crash=%s, finish=%.2f us\n"
-        messages size gw (ints !route_after) stats.Vc.reroutes
-        stats.Vc.reemitted stats.Vc.dup_drops
-        (if intact then "yes" else "NO")
-        (if !partitioned then "yes" else "NO")
-        finish_us;
     gates =
       [
         ("failover-intact", intact);
@@ -540,14 +456,6 @@ let goodput_run ~seed ~size ~messages ~window ~drop =
         ("speedup", f2 speedup);
         ("intact", Bool intact);
       ];
-    line =
-      Printf.sprintf
-        "goodput:  %d x %d B at %.1f%% drop: window=%d %.2f MB/s (%d \
-         drop(s), %d retrans) vs stop-and-wait %.2f MB/s (%d drop(s), %d \
-         retrans) -> %.2fx, intact=%s\n"
-        messages size (drop *. 100.0) window window_mb_s drops_w rexmit_w
-        stopwait_mb_s drops_s rexmit_s speedup
-        (if intact then "yes" else "NO");
     gates =
       [
         ("goodput-intact", intact);
@@ -583,7 +491,7 @@ let crash_restart_run ~seed ~size ~messages =
       ()
   in
   Engine.run engine;
-  let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let stats = Option.get (Vc.rel_stats vc) in
   let module S = Madeleine.Sentinel in
   let suspicions =
     List.map
@@ -630,17 +538,6 @@ let crash_restart_run ~seed ~size ~messages =
         ("suspicions", table suspicions);
         ("flows", table flows);
       ];
-    line =
-      Printf.sprintf
-        "crash-restart: 2 x %d x %d B through gateway %d; gateway and \
-         origin each die and restart (%.0f us) mid-stream -> %d delivered, \
-         %d handshake(s), %d reroute(s), %d re-emitted, %d dup(s) dropped, \
-         %d suspicion event(s), exactly-once=%s, finish=%.2f us\n"
-        messages size 1 (Time.to_us restart) delivered stats.Vc.handshakes
-        stats.Vc.reroutes stats.Vc.reemitted stats.Vc.dup_drops
-        (List.length suspicions)
-        (if exactly_once then "yes" else "NO")
-        finish_us;
     gates =
       [
         ("crash-restart-exactly-once", exactly_once);
@@ -716,7 +613,7 @@ let rolling_restart_run ~seed ~size ~messages =
       rolled := !rolled @ [ 0 ];
       phase2_go := true);
   Engine.run engine;
-  let stats = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let stats = Option.get (Vc.rel_stats vc) in
   let topo = Mb.topology_stats m in
   let queues = Vc.queue_stats vc in
   let bounded = bounded_queues queues in
@@ -751,20 +648,6 @@ let rolling_restart_run ~seed ~size ~messages =
         ("finish_us", f2 finish_us);
         ("queues", queue_table queues);
       ];
-    line =
-      Printf.sprintf
-        "rolling-restart: 2 x %d x %d B while every rank restarts \
-         (order [%s]); epoch %d -> %d (%d join(s), %d drain(s)), \
-         %d delivered (%d dup), %d reroute(s), %d re-emitted, \
-         %d handshake(s), partitioned=%s, exactly-once=%s, bounded=%s, \
-         finish=%.2f us\n"
-        messages size (ints !rolled) epoch_start epoch_final joins drains
-        delivered dup_deliveries stats.Vc.reroutes stats.Vc.reemitted
-        stats.Vc.handshakes
-        (if partitioned then "YES" else "no")
-        (if exactly_once then "yes" else "NO")
-        (if bounded then "yes" else "NO")
-        finish_us;
     gates =
       [
         ("rolling-restart-exactly-once", exactly_once);
@@ -798,18 +681,6 @@ let elastic_result ~op ~messages ~size ~rank ~epoch ~routable ~status
         ("intact", Bool intact);
         ("finish_us", f2 finish_us);
       ];
-    line =
-      Printf.sprintf
-        "%s: %d x %d B; rank %d %sed mid-sweep -> epoch %d, \
-         routable-as-expected=%s, status=%s, watched=%s, partitioned=%s, \
-         intact=%s, finish=%.2f us\n"
-        name messages size rank op epoch
-        (if routable then "yes" else "NO")
-        status
-        (if watched then "yes" else "no")
-        (if partitioned then "YES" else "no")
-        (if intact then "yes" else "NO")
-        finish_us;
     gates = [ (name ^ "-no-partition", (not partitioned) && intact); settled ];
   }
 
@@ -929,7 +800,7 @@ let partition_result vc m ~workload:w ~messages ~size ~cycles
     ~coordinator_before ~cut_delivered ~minority_typed ~exactly_once ~finish
     =
   let stats = Mb.election_stats m in
-  let rel = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let rel = Option.get (Vc.rel_stats vc) in
   let coordinator_after = Mb.coordinator m in
   let elections = stats.Mb.elections in
   let epochs_unique = commit_epochs_unique stats in
@@ -956,19 +827,6 @@ let partition_result vc m ~workload:w ~messages ~size ~cycles
         ("exactly_once", Bool exactly_once);
         ("finish_us", f2 finish_us);
       ];
-    line =
-      Printf.sprintf
-        "%s: %d x %d B over %d cut/heal cycle(s); coordinator %d -> %d \
-         (%d election(s), epochs-unique=%s, last re-election %.2f us), \
-         %d delivered mid-cut, minority-typed=%s, pending=%d, members=[%s], \
-         %d re-emitted, exactly-once=%s, finish=%.2f us\n"
-        w messages size cycles coordinator_before coordinator_after elections
-        (if epochs_unique then "yes" else "NO")
-        latency_us cut_delivered
-        (if minority_typed then "yes" else "NO")
-        pending (ints members) rel.Vc.reemitted
-        (if exactly_once then "yes" else "NO")
-        finish_us;
     gates =
       [
         (w ^ ": at most one coordinator committed per epoch", epochs_unique);
@@ -1187,9 +1045,7 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
     overload_one ~seed ~size ~messages ~credits ~mtu
       ~rx_cap:(Some rx_cap_mb_s)
   in
-  let cs =
-    match Vc.credit_stats vc with Some s -> s | None -> assert false
-  in
+  let cs = Option.get (Vc.credit_stats vc) in
   let queues = Vc.queue_stats vc in
   let inbox_peak, sendq_peak = Tcpnet.queue_peaks net in
   let intact = ok && clean_ok and bounded = bounded_queues queues in
@@ -1216,24 +1072,6 @@ let overload_run ~seed ~size ~messages ~credits ~mtu ~rx_cap_mb_s =
         ("finish_us", f2 (Time.to_us finish));
         ("queues", queue_table queues);
       ];
-    line =
-      Printf.sprintf
-        "overload: %d x %d B, credits=%d, receiver capped at %.2f MB/s \
-         (clean %.2f MB/s -> %.1f:1 mismatch): delivered %.3f MB/s, \
-         %d stall(s), %d grant(s), %d probe(s), queues bounded=%s, intact=%s\n"
-        messages size credits rx_cap_mb_s clean_mb_s mismatch throttled_mb_s
-        cs.Vc.stalls cs.Vc.grants cs.Vc.probes
-        (if bounded then "yes" else "NO")
-        (if intact then "yes" else "NO")
-      ^ String.concat ""
-          (List.map
-             (fun q ->
-               Printf.sprintf "  queue %-18s node=%d peer=%d peak=%d bound=%s\n"
-                 q.Vc.q_point q.Vc.q_node q.Vc.q_peer q.Vc.q_peak
-                 (match q.Vc.q_bound with
-                 | Some v -> string_of_int v
-                 | None -> "-"))
-             queues);
     gates =
       [
         ("overload-intact", intact);
@@ -1298,16 +1136,6 @@ let slow_gateway_run ~seed ~size ~messages ~credits ~gw_pool ~rx_cap_mb_s =
         ("finish_us", f2 (Time.to_us s.finish));
         ("queues", queue_table queues);
       ];
-    line =
-      Printf.sprintf
-        "slow-gateway: %d x %d B via a pool of %d, egress capped at \
-         %.2f MB/s: ingress throttled to %.3f MB/s, %d overload event(s) \
-         (reported=%s, cleared=%s), queues bounded=%s, intact=%s\n"
-        messages size gw_pool rx_cap_mb_s ingress_mb_s events
-        (if reported then "yes" else "NO")
-        (if cleared then "yes" else "NO")
-        (if bounded then "yes" else "NO")
-        (if intact then "yes" else "NO");
     gates =
       [
         ("slow-gateway-intact", intact);
@@ -1350,8 +1178,8 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
       (fun t s -> if Time.( < ) t s.finish then s.finish else t)
       Time.zero streams
   in
-  let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
-  let rs = match Vc.rel_stats vc with Some s -> s | None -> assert false in
+  let ss = Option.get (Vc.sched_stats vc) in
+  let rs = Option.get (Vc.rel_stats vc) in
   let module S = Madeleine.Sched in
   let drop_pct = drop *. 100.0 and finish_us = Time.to_us finish in
   {
@@ -1372,17 +1200,6 @@ let sched_aggreg_run ~seed ~flows ~messages ~size ~drop =
         ("intact", Bool intact);
         ("finish_us", f2 finish_us);
       ];
-    line =
-      Printf.sprintf
-        "sched-aggreg: %d flows x %d x %d B at %.1f%% drop: %d frame(s) \
-         merged into %d aggregate(s) (%.1f frames each; full=%d \
-         deadline=%d flow=%d), %d re-emitted, %d dup(s) dropped, \
-         intact=%s, finish=%.2f us\n"
-        flows messages size drop_pct ss.S.sched_merged ss.S.sched_aggregates
-        ss.S.sched_mean_frames ss.S.sched_flush_full ss.S.sched_flush_deadline
-        ss.S.sched_flush_flow rs.Vc.reemitted rs.Vc.dup_drops
-        (if intact then "yes" else "NO")
-        finish_us;
     gates =
       [
         ("sched-aggreg-intact", intact);
@@ -1427,20 +1244,6 @@ let coll_result ~workload:w ~ranks ~expected ~completed ~failed ~agree
         ("dup_suppressed", Int st.Coll.dup_suppressed);
         ("finish_us", f2 finish_us);
       ];
-    line =
-      Printf.sprintf
-        "%s: %d rank(s), %d/%d call(s) completed (%d failed typed); \
-         agree=%s, value-correct=%s, covered=[%s], repairs=%d, \
-         combined=%d, root-contribs=%d, dup-suppressed=%d, \
-         journal-answers=%s, spine-ok=%s, packets=%d, finish=%.2f us\n"
-        w ranks completed expected failed
-        (if agree then "yes" else "NO")
-        (if value_ok then "yes" else "NO")
-        (ints st.Coll.last_covered) st.Coll.repairs st.Coll.combined
-        st.Coll.root_contribs st.Coll.dup_suppressed
-        (if rejoined then "yes" else "no")
-        (if spine_ok then "yes" else "NO")
-        st.Coll.packets finish_us;
     gates =
       [
         (tag "completed", completed = expected && failed = 0);
@@ -1484,14 +1287,17 @@ let coll_agree_and_value results covered =
         && Bytes.get_int64_le v 0 = coll_expected_sum covered )
 
 (* Crash mid-barrier, restart, re-join. Rank 3 holds the first barrier
-   open (everyone else is parked waiting for its contribution when the
-   controller crashes it), the survivors repair and complete among
-   themselves, and the restarted rank re-enters the same collective and
-   is answered from the decision journal — then the same cast runs an
-   allreduce whose value proves nobody was counted twice. *)
+   open until 6 ms; at 3 ms, with everyone else parked waiting for its
+   contribution, it crashes, and it restarts at 8 ms, after the
+   survivors have repaired and completed among themselves. It
+   re-enters the same collective and is answered from the decision
+   journal — then the same cast runs an allreduce whose value proves
+   nobody was counted twice. *)
 let coll_crash_barrier_run ~seed =
-  let engine, faults, vc =
-    parts (world ~seed two_gateways ~vchannel:elastic)
+  let engine, _faults, vc =
+    parts
+      (world ~seed two_gateways ~vchannel:elastic
+         ~faults:[ "fault crash node=n3 at_us=3000 restart_after_us=5000" ])
   in
   let coll = Coll.create ~fanout:2 vc in
   let ranks = Vc.ranks vc in
@@ -1514,12 +1320,6 @@ let coll_crash_barrier_run ~seed =
            with Coll.Collective_failed _ -> incr failed);
           finish := Engine.now engine))
     ranks;
-  Engine.spawn engine ~name:"coll-cb-controller" (fun () ->
-      (* Ranks 0-2 are parked in the barrier waiting for rank 3's
-         contribution; kill it under them, bring it back after the
-         survivors have decided. *)
-      Engine.sleep (Time.ms 3.0);
-      Faults.crash_now faults ~node:3 ~restart_after:(Time.ms 5.0) ());
   Engine.run engine;
   let st = Coll.stats coll in
   let agree, value_ok = coll_agree_and_value results st.Coll.last_covered in
@@ -1583,16 +1383,27 @@ let hierarchy ~clusters ~per =
       (Printf.sprintf "leaf%d" k, List.init per (fun i -> (k * per) + i)))
   @ [ ("backbone", List.init clusters (fun k -> k * per)) ]
 
-(* Rolling restarts during one allreduce: a leaf rank and then a whole
-   gateway (cutting its cluster off) crash and come back while the
-   collective is held open. Every rank's call must return the same
-   bytes, and the decided value must equal the sum over exactly the
-   covered set — the no-double-count property under repair. *)
+(* Rolling restarts during one allreduce, held open until 6 ms: a leaf
+   rank of the second cluster is down from 2 to 5 ms, then the third
+   cluster's gateway from 3 to 7 ms, cutting its whole cluster off the
+   tree until it re-joins through the decision journal. Every rank's
+   call must return the same bytes, and the decided value must equal
+   the sum over exactly the covered set — the no-double-count property
+   under repair. *)
 let coll_rolling_allreduce_run ~seed ~clusters ~per =
-  let engine, faults, vc =
+  let engine, _faults, vc =
     parts
       (world ~seed (hierarchy ~clusters ~per)
-         ~vchannel:"mtu=4096 reliable=true")
+         ~vchannel:"mtu=4096 reliable=true"
+         ~faults:
+           [
+             Printf.sprintf
+               "fault crash node=n%d at_us=2000 restart_after_us=3000"
+               (per + 1);
+             Printf.sprintf
+               "fault crash node=n%d at_us=3000 restart_after_us=4000"
+               (2 * per);
+           ])
   in
   let coll = Coll.create ~fanout:4 vc in
   let n = clusters * per in
@@ -1612,14 +1423,6 @@ let coll_rolling_allreduce_run ~seed ~clusters ~per =
            with Coll.Collective_failed _ -> incr failed);
           finish := Engine.now engine))
     (Vc.ranks vc);
-  Engine.spawn engine ~name:"coll-ra-roller" (fun () ->
-      Engine.sleep (Time.ms 2.0);
-      Faults.crash_now faults ~node:(per + 1) ~restart_after:(Time.ms 3.0) ();
-      Engine.sleep (Time.ms 1.0);
-      (* The second roll takes out a gateway: its whole cluster drops
-         off the tree until the restart, then re-joins through the
-         decision journal. *)
-      Faults.crash_now faults ~node:(2 * per) ~restart_after:(Time.ms 4.0) ());
   Engine.run engine;
   let st = Coll.stats coll in
   let agree, value_ok = coll_agree_and_value results st.Coll.last_covered in
@@ -1712,23 +1515,6 @@ let coll_scale_run ~seed ~fanout ~sizes =
                  ])
                measured) );
       ];
-    line =
-      Printf.sprintf
-        "coll-scale (fanout %d): barrier tree-vs-flat, ratio %.2fx at \
-         largest size, log-like=%s\n"
-        fanout largest_ratio
-        (if log_like then "yes" else "NO")
-      ^ Printf.sprintf "  %6s %6s %7s %12s %12s %8s %11s %11s\n" "ranks"
-          "depth" "rounds" "tree(us)" "flat(us)" "ratio" "tree-root"
-          "flat-root"
-      ^ String.concat ""
-          (List.map
-             (fun (n, tree_us, tree, flat_us, flat) ->
-               Printf.sprintf "  %6d %6d %7d %12.2f %12.2f %7.2fx %11d %11d\n"
-                 n tree.Coll.last_depth tree.Coll.last_rounds tree_us flat_us
-                 (ratio tree_us flat_us) tree.Coll.root_contribs
-                 flat.Coll.root_contribs)
-             measured);
     gates =
       [
         ("coll-scale-tree-log-rounds", log_like);
@@ -1981,10 +1767,49 @@ let workload_json ~seed name r =
           r.fields))
     (gates_json r.gates)
 
+(* A value as the text prints it: what the JSON holds, with strings
+   unquoted and lists unspaced, so a [key=value] pair is one word. *)
+let rec text = function
+  | Str s -> s
+  | List l -> "[" ^ String.concat "," (List.map text l) ^ "]"
+  | v -> Json.to_string v
+
+(* A table as aligned columns under its keys: strings flush left,
+   numbers flush right. *)
+let columns rows =
+  let rows = List.map (function Obj row -> row | _ -> []) rows in
+  let column (key, first) =
+    let cells = key :: List.map (fun row -> text (List.assoc key row)) rows in
+    let w = List.fold_left (fun w c -> max w (String.length c)) 0 cells in
+    match first with
+    | Str _ -> List.map (Printf.sprintf "%-*s" w) cells
+    | _ -> List.map (Printf.sprintf "%*s" w) cells
+  in
+  let cols = List.map column (List.hd rows) in
+  String.concat ""
+    (List.init
+       (List.length rows + 1)
+       (fun i ->
+         "    " ^ String.concat " " (List.map (fun c -> List.nth c i) cols)
+         ^ "\n"))
+
+let render name r =
+  let tables, scalars =
+    List.partition (fun (_, v) -> Json.is_table v) r.fields
+  in
+  name ^ ":"
+  ^ String.concat "" (List.map (fun (k, v) -> " " ^ k ^ "=" ^ text v) scalars)
+  ^ "\n"
+  ^ String.concat ""
+      (List.map
+         (fun (k, v) ->
+           Printf.sprintf "  %s:\n%s" k (columns (Json.to_list v)))
+         tables)
+
 let render_table ~seed ~quick results =
   Printf.sprintf "# chaos report (seed %d%s)\n" seed
     (if quick then ", quick" else "")
-  ^ String.concat "" (List.map (fun (_, r) -> r.line) results)
+  ^ String.concat "" (List.map (fun (name, r) -> render name r) results)
   ^
   match
     List.filter_map (fun (n, ok) -> if ok then None else Some n) (gates results)

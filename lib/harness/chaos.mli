@@ -9,7 +9,10 @@
     restarts, partitions, overload).
 
     Every workload is one {!workload} entry of the {!workloads}
-    registry and returns one {!result} shape. Every recorded number is
+    registry and returns one {!result} shape: its measurements and its
+    gates, nothing else; {!render} derives the text from the
+    measurements, so the text and the JSON cannot disagree. Every
+    recorded number is
     simulated time or a simulated counter — nothing host-dependent — so
     a result is a pure function of [(seed, quick)]: reruns and
     different worker counts produce byte-identical JSON. *)
@@ -17,9 +20,6 @@
 type result = {
   fields : (string * Json.t) list;
       (** the measurements, in the order the JSON object lists them *)
-  line : string;
-      (** the human rendering (newline terminated; tabular workloads
-          span several lines) *)
   gates : (string * bool) list;
       (** named pass/fail invariants, in order; [madbench chaos] exits
           non-zero naming the ones that failed *)
@@ -105,8 +105,15 @@ val fingerprints :
 val gates : (string * result) list -> (string * bool) list
 (** Every gate of a sweep, in order. *)
 
+val render : string -> result -> string
+(** [render name r] is [r] as text: [name:] and every scalar field as
+    [key=value] on one line (lists print as [[a,b]], strings unquoted),
+    then every table field (a non-empty list of objects) as its key and
+    aligned columns beneath. These are exactly the values {!workload_json}
+    prints, in the same order. *)
+
 val render_table : seed:int -> quick:bool -> (string * result) list -> string
-(** The sweep as text: a header, every result's line, and the gate
+(** The sweep as text: a header, every result {!render}ed, and the gate
     verdict. *)
 
 val to_json : seed:int -> quick:bool -> (string * result) list -> string

@@ -15,6 +15,9 @@ type t =
 exception Error of string
 (** A parse or decode failure; the message says where and what. *)
 
+val is_table : t -> bool
+(** A non-empty list whose every element is an object. *)
+
 val quote : string -> string
 (** [s] as a JSON string literal. *)
 

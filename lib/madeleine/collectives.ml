@@ -506,33 +506,31 @@ let cursor t ~me = memo t.cursors me (fun () -> ref 0)
 
 let max_attempts = 32
 
-let fail_no_quorum t inst live =
-  raise
-    (Collective_failed
-       (Printf.sprintf
-          "collective %d: %d live ranks remain, quorum is %d" inst.i_id
-          (List.length live) t.quorum))
-
-let fail_no_progress inst ~me attempts =
-  raise
-    (Collective_failed
-       (Printf.sprintf
-          "collective %d: no progress at rank %d after %d repair attempts"
-          inst.i_id me attempts))
-
-(* On an election-enabled vchannel a rank cut onto a minority side must
-   fail fast: the shared snapshot's live-member count never drops below
-   quorum *for it* (membership is global), so without this check the
-   generic quorum test below would keep bumping repair generations into
-   the partition until max_attempts. *)
-let fail_if_minority t inst ~me =
+(* Patience ran out inside one stable generation: either the survivors
+   no longer form a quorum, or some loss went unnoticed by the
+   sentinels. Fail typed below quorum or after [max_attempts] stalls;
+   otherwise force a repair generation, after which the caller
+   re-sends. On an election-enabled vchannel a rank cut onto a minority
+   side must fail fast, first: the shared snapshot's live-member count
+   never drops below quorum *for it* (membership is global), so the
+   generic quorum test would keep bumping repair generations into the
+   partition until [max_attempts]. *)
+let stalled t inst ~me attempts =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Collective_failed m)) fmt in
+  incr attempts;
   if not (Vchannel.has_quorum t.vc ~viewer:me) then
-    raise
-      (Collective_failed
-         (Printf.sprintf
-            "collective %d: rank %d cannot reach a membership quorum \
-             (partitioned minority)"
-            inst.i_id me))
+    fail
+      "collective %d: rank %d cannot reach a membership quorum (partitioned \
+       minority)"
+      inst.i_id me;
+  let live = List.length (live_members t) in
+  if live < t.quorum then
+    fail "collective %d: %d live ranks remain, quorum is %d" inst.i_id live
+      t.quorum;
+  if !attempts >= max_attempts then
+    fail "collective %d: no progress at rank %d after %d repair attempts"
+      inst.i_id me !attempts;
+  bump t
 
 (* Reduce-family participant (barrier, reduce, allreduce): contribute
    under the current generation, park; on a repair generation re-send
@@ -559,32 +557,20 @@ let run_reduce t inst ~me value =
               Hashtbl.mem inst.i_done me)
         then go ()
         else begin
-          (* Patience ran out inside one stable generation: either
-             the survivors no longer form a quorum, or some loss went
-             unnoticed by the sentinels — force a repair generation
-             and re-send. *)
-          incr attempts;
-          fail_if_minority t inst ~me;
-          let live = live_members t in
-          if List.length live < t.quorum then fail_no_quorum t inst live
-          else if !attempts >= max_attempts then
-            fail_no_progress inst ~me !attempts
-          else begin
-            bump t;
-            (* The stall may mean the collective decided while this
-               rank's subtree was cut off — probe rootward; a node
-               holding the decision answers from its journal. *)
-            let gen = t.generation in
-            if Vchannel.rank_alive t.vc me then begin
-              let tree = tree_for t ~root:inst.i_root gen in
-              match Hashtbl.find_opt tree.tr_parent me with
-              | Some p ->
-                  ship t ~src:me ~dst:p ~kind:k_pull ~id:inst.i_id ~gen
-                    ~count:0 (Bytes.create 0)
-              | None -> ()
-            end;
-            go ()
-          end
+          stalled t inst ~me attempts;
+          (* The stall may mean the collective decided while this
+             rank's subtree was cut off — probe rootward; a node
+             holding the decision answers from its journal. *)
+          let gen = t.generation in
+          if Vchannel.rank_alive t.vc me then begin
+            let tree = tree_for t ~root:inst.i_root gen in
+            match Hashtbl.find_opt tree.tr_parent me with
+            | Some p ->
+                ship t ~src:me ~dst:p ~kind:k_pull ~id:inst.i_id ~gen
+                  ~count:0 (Bytes.create 0)
+            | None -> ()
+          end;
+          go ()
         end
   in
   go ()
@@ -615,16 +601,8 @@ let run_bcast t inst ~me value_opt =
               Hashtbl.mem inst.i_done me)
         then go ()
         else begin
-          incr attempts;
-          fail_if_minority t inst ~me;
-          let live = live_members t in
-          if List.length live < t.quorum then fail_no_quorum t inst live
-          else if !attempts >= max_attempts then
-            fail_no_progress inst ~me !attempts
-          else begin
-            bump t;
-            go ()
-          end
+          stalled t inst ~me attempts;
+          go ()
         end
   in
   go ()
@@ -669,16 +647,8 @@ let run_a2a t inst ~me blocks =
       let gen = t.generation in
       if wait_progress t inst ~gen ~progressed:complete then go ()
       else begin
-        incr attempts;
-        fail_if_minority t inst ~me;
-        let live = live_members t in
-        if List.length live < t.quorum then fail_no_quorum t inst live
-        else if !attempts >= max_attempts then
-          fail_no_progress inst ~me !attempts
-        else begin
-          bump t;
-          go ()
-        end
+        stalled t inst ~me attempts;
+        go ()
       end
     end
   in

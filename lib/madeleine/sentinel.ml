@@ -52,10 +52,6 @@ type t = {
   faults : Simnet.Faults.t;
   me : int;
   fabric : string option;
-  interval : Time.span;
-  degraded_phi : float;
-  down_phi : float;
-  grace : Time.span;
   mutable peers : peer list;
   mutable cbs : (int -> state -> state -> unit) list;
   mutable last_touch : Time.t;
@@ -65,6 +61,13 @@ type t = {
   mutable events : event list; (* newest first *)
 }
 
+(* Probe every [interval]; [degraded_phi] and [down_phi] are the two
+   suspicion thresholds; probing winds down [grace] after the last
+   {!touch}. *)
+let interval = Time.us 500.0
+let degraded_phi = 1.0
+let down_phi = 2.0
+let grace = Time.ms 2.0
 let ln10 = Float.log 10.0
 
 let phi_of _t p now =
@@ -114,13 +117,13 @@ let probe_peer t p =
       p.p_have_arrival <- true
     end;
     let phi = phi_of t p now in
-    if phi >= t.down_phi then transition t p Down phi
-    else if phi >= t.degraded_phi then transition t p Degraded phi
+    if phi >= down_phi then transition t p Down phi
+    else if phi >= degraded_phi then transition t p Degraded phi
   end
 
 let rec loop t =
   let now = Engine.now t.engine in
-  let idle = Time.( < ) (Time.add t.last_touch t.grace) now in
+  let idle = Time.( < ) (Time.add t.last_touch grace) now in
   if idle || not (Simnet.Faults.node_up t.faults t.me) then begin
     Engine.suspend ~name:(Printf.sprintf "sentinel.park.%d" t.me) (fun wake ->
         t.park_wake <- Some wake);
@@ -129,7 +132,7 @@ let rec loop t =
   end
   else begin
     List.iter (fun p -> probe_peer t p) t.peers;
-    Engine.sleep t.interval;
+    Engine.sleep interval;
     loop t
   end
 
@@ -137,48 +140,37 @@ let touch t =
   t.last_touch <- Engine.now t.engine;
   match t.park_wake with Some wake -> wake () | None -> ()
 
-let fresh_peer t id =
+let fresh_peer id =
   {
     p_id = id;
     p_state = Up;
     p_last_arrival = Time.zero;
-    p_mean_us = Time.to_us t.interval;
+    p_mean_us = Time.to_us interval;
     p_have_arrival = false;
     p_overloaded = false;
   }
 
 let learn t id =
   if id <> t.me && not (List.exists (fun p -> p.p_id = id) t.peers) then
-    t.peers <- t.peers @ [ fresh_peer t id ]
+    t.peers <- t.peers @ [ fresh_peer id ]
 
 let forget t id = t.peers <- List.filter (fun p -> p.p_id <> id) t.peers
 let watched t = List.map (fun p -> p.p_id) t.peers
 
-let create engine faults ~me ~peers ?fabric ?(interval = Time.us 500.0)
-    ?(degraded_phi = 1.0) ?(down_phi = 2.0) ?(grace = Time.ms 2.0) () =
-  if degraded_phi <= 0.0 || down_phi < degraded_phi then
-    invalid_arg "Sentinel.create: need 0 < degraded_phi <= down_phi";
-  let t =
-    {
-      engine;
-      faults;
-      me;
-      fabric;
-      interval;
-      degraded_phi;
-      down_phi;
-      grace;
-      peers = [];
-      cbs = [];
-      last_touch = Engine.now engine;
-      park_wake = None;
-      running = false;
-      probes = 0;
-      events = [];
-    }
-  in
-  t.peers <- List.map (fresh_peer t) (List.filter (fun id -> id <> me) peers);
-  t
+let create engine faults ~me ~peers ?fabric () =
+  {
+    engine;
+    faults;
+    me;
+    fabric;
+    peers = List.map fresh_peer (List.filter (fun id -> id <> me) peers);
+    cbs = [];
+    last_touch = Engine.now engine;
+    park_wake = None;
+    running = false;
+    probes = 0;
+    events = [];
+  }
 
 let start t =
   if not t.running then begin

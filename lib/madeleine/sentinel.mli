@@ -2,7 +2,7 @@
     suspicion level instead of a binary timeout.
 
     Each node of a reliable vchannel runs one sentinel. It probes its
-    peers every [interval] through the fault plane ({!Simnet.Faults.heartbeat},
+    peers every 500 us through the fault plane ({!Simnet.Faults.heartbeat},
     so a probe crosses the same crashed-node / flapped-link / lossy-link
     conditions data frames do), maintains an estimate of the heartbeat
     inter-arrival time, and derives the suspicion value
@@ -10,12 +10,12 @@
     {[ phi = elapsed_since_last_arrival / (mean_interval * ln 10) ]}
 
     — the exponential-model form of the Hayashibara phi-accrual
-    detector. [phi >= degraded_phi] moves the peer to [Degraded],
-    [phi >= down_phi] to [Down]; one successful probe snaps it back to
+    detector. [phi >= 1.0] moves the peer to [Degraded], [phi >= 2.0]
+    to [Down]; one successful probe snaps it back to
     [Up]. Registered callbacks fire on every transition, letting the
     channel reroute around a suspect *before* a send times out on it.
 
-    Probing is activity-gated: it runs only within [grace] of the last
+    Probing is activity-gated: it runs only within 2 ms of the last
     {!touch} (the channel touches on every packet it moves), then the
     daemon parks with no pending timer so the engine can quiesce. An
     idle world therefore pays nothing, and a fault-free run's schedule
@@ -46,23 +46,17 @@ val create :
   me:int ->
   peers:int list ->
   ?fabric:string ->
-  ?interval:Marcel.Time.span ->
-  ?degraded_phi:float ->
-  ?down_phi:float ->
-  ?grace:Marcel.Time.span ->
   unit ->
   t
-(** Defaults: probe every 500 us, [degraded_phi] 1.0, [down_phi] 2.0,
-    wind down after 2 ms without a {!touch}. [fabric] scopes probes to
-    one fabric's link faults; without it only node liveness is probed.
-    [me] is removed from [peers] if present. The detector does not run
-    until {!start}. *)
+(** [fabric] scopes probes to one fabric's link faults; without it only
+    node liveness is probed. [me] is removed from [peers] if present.
+    The detector does not run until {!start}. *)
 
 val start : t -> unit
 (** Spawns the probe daemon (idempotent). *)
 
 val touch : t -> unit
-(** Records activity: probing continues for [grace] past the last
+(** Records activity: probing continues for 2 ms past the last
     touch, and a parked daemon is woken. Channels call this on every
     packet they send, forward or deliver. *)
 

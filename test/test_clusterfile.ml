@@ -607,6 +607,45 @@ fault slow net=s node=b mb_s=0.5
   | _ -> Alcotest.fail "a sisci network has no tcp net"
   | exception Invalid_argument _ -> ()
 
+(* A timed crash line takes the node down at [at_us] and brings it back
+   [restart_after_us] later, with a new crash epoch. *)
+let test_fault_crash_timed () =
+  let t =
+    Cf.load
+      {|
+faults seed=1
+network s type=tcp
+node a nets=s
+node b nets=s
+fault crash node=b at_us=3000 restart_after_us=5000
+|}
+  in
+  let engine = Cf.engine t and plane = Option.get (Cf.faults t) in
+  let b = Cf.rank_of t "b" in
+  let samples = ref [] in
+  Engine.spawn engine ~name:"sampler" (fun () ->
+      List.iter
+        (fun us ->
+          let at = Marcel.Time.add Marcel.Time.zero (Marcel.Time.us us) in
+          Engine.sleep (Marcel.Time.diff at (Engine.now engine));
+          samples := (us, Simnet.Faults.node_up plane b) :: !samples)
+        [ 2999.0; 3000.0; 5000.0; 7999.0; 8000.0; 9000.0 ]);
+  Engine.run engine;
+  Alcotest.(check (list (pair (float 0.0) bool)))
+    "down inside [3, 8) ms"
+    [
+      (2999.0, true);
+      (3000.0, false);
+      (5000.0, false);
+      (7999.0, false);
+      (8000.0, true);
+      (9000.0, true);
+    ]
+    (List.rev !samples);
+  Alcotest.(check int) "one restart" 1 (Simnet.Faults.epoch plane b);
+  Alcotest.(check int) "one crash" 1
+    (Simnet.Faults.stats plane).Simnet.Faults.crashes
+
 (* nan and inf parse as floats; every numeric option rejects them. *)
 let test_non_finite_rejected () =
   let world =
@@ -707,6 +746,8 @@ let () =
             test_library_rejections_line_numbered;
           Alcotest.test_case "fault slow and tcp access" `Quick
             test_fault_slow_and_tcp_access;
+          Alcotest.test_case "fault crash at a fixed instant" `Quick
+            test_fault_crash_timed;
           Alcotest.test_case "non-finite numbers rejected" `Quick
             test_non_finite_rejected;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;

@@ -145,8 +145,10 @@ let test_restart_rejoins_exactly_once () =
 (* Same seed, same world, same schedule — byte-identical outcome
    (including the virtual finish time). *)
 let test_deterministic_per_seed () =
-  let line () = (coll_workload ~seed:11 "coll-crash-barrier").Chaos.line in
-  Alcotest.(check string) "same seed, same line" (line ()) (line ())
+  let report () =
+    Chaos.render "coll-crash-barrier" (coll_workload ~seed:11 "coll-crash-barrier")
+  in
+  Alcotest.(check string) "same seed, same report" (report ()) (report ())
 
 (* ------------------------------------------------------------------ *)
 (* Property: under any random crash schedule of non-root ranks that

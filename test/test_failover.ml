@@ -836,6 +836,23 @@ let test_chaos_report_reproducible () =
   Alcotest.(check string) "same seed, byte-identical report" (report ())
     (report ())
 
+(* The fault plane draws randomness only on links with a drop, corrupt,
+   duplicate or reorder rate, so the seed moves the schedules of the
+   three workloads that set one and of no other: crashes, flaps, stalls,
+   cuts and receive caps happen at fixed instants or on run events. *)
+let test_seed_moves_only_rate_faults () =
+  let schedules seed w =
+    Worlds.lines w.Chaos.name
+      (snd (Worlds.recording (fun () -> w.Chaos.run ~seed ~quick:true)))
+  in
+  Alcotest.(check (list string))
+    "workloads whose schedules differ at seeds 1 and 2"
+    [ "pingpong-faults"; "goodput"; "sched-aggreg" ]
+    (List.filter_map
+       (fun w ->
+         if schedules 1 w <> schedules 2 w then Some w.Chaos.name else None)
+       Chaos.workloads)
+
 let () =
   Alcotest.run "failover"
     [
@@ -882,5 +899,7 @@ let () =
         [
           Alcotest.test_case "report reproducible" `Slow
             test_chaos_report_reproducible;
+          Alcotest.test_case "the seed moves only rate-fault workloads"
+            `Quick test_seed_moves_only_rate_faults;
         ] );
     ]
