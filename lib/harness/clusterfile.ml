@@ -106,32 +106,55 @@ let tokenize line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
+let error lineno fmt =
+  Printf.ksprintf (fun msg -> raise (Parse_error (lineno, msg))) fmt
+
 let split_kv lineno tok =
   match String.index_opt tok '=' with
-  | None -> raise (Parse_error (lineno, Printf.sprintf "expected key=value, got %S" tok))
+  | None -> error lineno "expected key=value, got %S" tok
   | Some i ->
       (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
 
-let parse_bool lineno key v =
-  match v with
+(* Value parsers: [p lineno key value], raising Parse_error on the line. *)
+
+let bool lineno key = function
   | "true" -> true
   | "false" -> false
-  | _ -> raise (Parse_error (lineno, Printf.sprintf "%s expects true/false, got %S" key v))
+  | v -> error lineno "%s expects true/false, got %S" key v
 
-let parse_int lineno key v =
+let int lineno key v =
   match int_of_string_opt v with
   | Some i -> i
-  | None -> raise (Parse_error (lineno, Printf.sprintf "%s expects an integer, got %S" key v))
+  | None -> error lineno "%s expects an integer, got %S" key v
 
-let parse_float lineno key v =
+let float lineno key v =
   match float_of_string_opt v with
   | Some f when Float.is_finite f -> f
-  | _ ->
-      raise
-        (Parse_error
-           (lineno, Printf.sprintf "%s expects a finite number, got %S" key v))
+  | _ -> error lineno "%s expects a finite number, got %S" key v
 
+let at_least n lineno key v =
+  let i = int lineno key v in
+  if i < n then error lineno "%s expects an integer >= %d" key n;
+  i
+
+let span lineno key v = Time.us (float lineno key v)
+let some p lineno key v = Some (p lineno key v)
 let comma v = String.split_on_char ',' v |> List.filter (fun s -> s <> "")
+let names _ _ v = comma v
+
+(* One of the named [choices]; the message lists them in order. *)
+let choice choices lineno key v =
+  match List.assoc_opt v choices with
+  | Some c -> c
+  | None ->
+      error lineno "%s expects %s" key (String.concat "|" (List.map fst choices))
+
+let find_or lineno table what name =
+  match Hashtbl.find_opt table name with
+  | Some v -> v
+  | None -> error lineno "unknown %s %S" what name
+
+let find table what lineno _ name = find_or lineno table what name
 
 let string_of_kind = function
   | Sisci_k -> "sisci"
@@ -140,413 +163,342 @@ let string_of_kind = function
   | Via_k -> "via"
   | Sbp_k -> "sbp"
 
-let kind_of_string lineno = function
+let network_type lineno _ = function
   | "sisci" -> Sisci_k
   | "bip" -> Bip_k
   | "tcp" -> Tcp_k
   | "via" -> Via_k
   | "sbp" -> Sbp_k
-  | other -> raise (Parse_error (lineno, Printf.sprintf "unknown network type %S" other))
+  | other -> error lineno "unknown network type %S" other
 
-let find_or lineno table what name =
-  match Hashtbl.find_opt table name with
-  | Some v -> v
-  | None -> raise (Parse_error (lineno, Printf.sprintf "unknown %s %S" what name))
+(* A declaration's table of options: each key with the check of its
+   value, and how to read the typed result from the key=value pairs.
+   Built with [let+ x = opt KEY PARSER and+ ... in BODY]. *)
+type 'a spec = {
+  keys : (string * (int -> string -> string -> unit)) list;
+  read : int -> (string * string) list -> 'a;
+}
+
+let ( let+ ) s f = { s with read = (fun l kvs -> f (s.read l kvs)) }
+
+let ( and+ ) a b =
+  {
+    keys = a.keys @ b.keys;
+    read =
+      (fun l kvs ->
+        let x = a.read l kvs in
+        (x, b.read l kvs));
+  }
+
+(* [Some v] when the line gives [key], [None] otherwise. *)
+let opt key p =
+  {
+    keys = [ (key, fun l k v -> ignore (p l k v)) ];
+    read = (fun l kvs -> Option.map (p l key) (List.assoc_opt key kvs));
+  }
+
+let value key p default =
+  let+ v = opt key p in
+  Option.value v ~default
+
+let required key p msg =
+  let s = opt key p in
+  {
+    s with
+    read =
+      (fun l kvs ->
+        match s.read l kvs with
+        | Some v -> v
+        | None -> error l "%s" msg);
+  }
+
+(* Checks a declaration's key=value tokens in token order against
+   [spec] (the first unknown key, malformed value or unknown name
+   raises at its token), then reads the declaration's values; a key
+   given twice keeps its last value. *)
+let options lineno what opts spec =
+  let kvs =
+    List.fold_left
+      (fun kvs tok ->
+        let k, v = split_kv lineno tok in
+        match List.assoc_opt k spec.keys with
+        | Some check ->
+            check lineno k v;
+            (k, v) :: kvs
+        | None -> error lineno "unknown %s option %s" what k)
+      [] opts
+  in
+  spec.read lineno kvs
 
 (* A node named on a network must be attached to it. *)
 let check_on lineno net node =
   if not (Fabric.attached net.fabric node) then
-    raise
-      (Parse_error
-         (lineno,
-          Printf.sprintf "node %S is not on network %S" node.Node.name
-            (Fabric.name net.fabric)))
+    error lineno "node %S is not on network %S" node.Node.name
+      (Fabric.name net.fabric)
 
 let declare lineno table what name v =
-  if Hashtbl.mem table name then
-    raise (Parse_error (lineno, Printf.sprintf "duplicate %s %S" what name));
+  if Hashtbl.mem table name then error lineno "duplicate %s %S" what name;
   Hashtbl.add table name v
 
 let parse_line t lineno line =
+  let fail fmt = error lineno fmt in
   match tokenize line with
   | [] -> ()
   | "network" :: name :: opts ->
-      let kind = ref None in
-      let window = ref None and max_retries = ref None in
-      let credits = ref None in
-      List.iter
-        (fun tok ->
-          match split_kv lineno tok with
-          | "type", v -> kind := Some (kind_of_string lineno v)
-          | "window", v -> window := Some (parse_int lineno "window" v)
-          | "max_retries", v ->
-              max_retries := Some (parse_int lineno "max_retries" v)
-          | "credits", v ->
-              let n = parse_int lineno "credits" v in
-              if n < 1 then
-                raise (Parse_error (lineno, "credits expects an integer >= 1"));
-              credits := Some n
-          | "gw_pool", _ ->
-              raise
-                (Parse_error
-                   (lineno,
-                    "gw_pool= is a vchannel option (gateway forwarding pool)"))
-          | k, _ -> raise (Parse_error (lineno, "unknown network option " ^ k)))
-        opts;
-      let kind =
-        match !kind with
-        | Some k -> k
-        | None -> raise (Parse_error (lineno, "network needs type="))
-      in
-      (match kind with
-      | Tcp_k -> ()
-      | _ ->
-          if !window <> None || !max_retries <> None then
-            raise
-              (Parse_error
-                 (lineno, "window=/max_retries= apply to tcp networks only")));
-      (match kind with
-      | Bip_k -> ()
-      | _ ->
-          if !credits <> None then
-            raise
-              (Parse_error
-                 (lineno,
-                  "credits= applies to bip networks only (use vchannel \
-                   credits= for end-to-end flow control)")));
-      let net =
-        make_network t.cf_engine ?window:!window ?max_retries:!max_retries
-          ?credits:!credits kind name
-      in
-      (* A previously declared fault plane covers every later fabric. *)
-      (match t.cf_faults with
-      | Some plane -> Fabric.set_faults net.fabric plane
-      | None -> ());
-      declare lineno t.nets "network" name net;
-      t.net_order <- name :: t.net_order
+      options lineno "network" opts
+        (let+ kind = required "type" network_type "network needs type="
+         and+ window = opt "window" int
+         and+ max_retries = opt "max_retries" int
+         and+ credits = opt "credits" (at_least 1)
+         and+ _ =
+           opt "gw_pool" (fun l _ _ ->
+               error l "gw_pool= is a vchannel option (gateway forwarding pool)")
+         in
+         if kind <> Tcp_k && (window <> None || max_retries <> None) then
+           fail "window=/max_retries= apply to tcp networks only";
+         if kind <> Bip_k && credits <> None then
+           fail
+             "credits= applies to bip networks only (use vchannel credits= \
+              for end-to-end flow control)";
+         let net =
+           make_network t.cf_engine ?window ?max_retries ?credits kind name
+         in
+         (* A previously declared fault plane covers every later fabric. *)
+         Option.iter (Fabric.set_faults net.fabric) t.cf_faults;
+         declare lineno t.nets "network" name net;
+         t.net_order <- name :: t.net_order)
   | "faults" :: opts ->
-      if t.cf_faults <> None then
-        raise (Parse_error (lineno, "duplicate faults declaration"));
-      let seed = ref None in
-      List.iter
-        (fun tok ->
-          match split_kv lineno tok with
-          | "seed", v -> seed := Some (parse_int lineno "seed" v)
-          | k, _ -> raise (Parse_error (lineno, "unknown faults option " ^ k)))
-        opts;
-      let seed =
-        match !seed with
-        | Some s -> s
-        | None -> raise (Parse_error (lineno, "faults needs seed="))
-      in
-      let plane = Simnet.Faults.create t.cf_engine ~seed:(Int64.of_int seed) in
-      Hashtbl.iter (fun _ net -> Fabric.set_faults net.fabric plane) t.nets;
-      t.cf_faults <- Some plane
+      if t.cf_faults <> None then fail "duplicate faults declaration";
+      options lineno "faults" opts
+        (let+ seed = required "seed" int "faults needs seed=" in
+         let plane =
+           Simnet.Faults.create t.cf_engine ~seed:(Int64.of_int seed)
+         in
+         Hashtbl.iter (fun _ net -> Fabric.set_faults net.fabric plane) t.nets;
+         t.cf_faults <- Some plane)
   | "fault" :: kind :: opts ->
       let plane =
         match t.cf_faults with
         | Some p -> p
-        | None ->
-            raise
-              (Parse_error
-                 (lineno, "fault requires a prior faults seed=N declaration"))
+        | None -> fail "fault requires a prior faults seed=N declaration"
       in
-      let net = ref None and who = ref None in
-      let rate = ref None and at = ref None and mb_s = ref None in
-      let dur = ref None and restart = ref None in
-      List.iter
-        (fun tok ->
-          match split_kv lineno tok with
-          | "net", v -> net := Some (find_or lineno t.nets "network" v)
-          | "node", v -> who := Some (find_or lineno t.node_tbl "node" v)
-          | "rate", v -> rate := Some (parse_float lineno "rate" v)
-          | "mb_s", v -> mb_s := Some (parse_float lineno "mb_s" v)
-          | "at_us", v -> at := Some (parse_float lineno "at_us" v)
-          | "for_us", v -> dur := Some (parse_float lineno "for_us" v)
-          | "restart_after_us", v ->
-              restart := Some (parse_float lineno "restart_after_us" v)
-          | k, _ -> raise (Parse_error (lineno, "unknown fault option " ^ k)))
-        opts;
-      let need what = function
-        | Some v -> v
-        | None ->
-            raise
-              (Parse_error
-                 (lineno, Printf.sprintf "fault %s needs %s=" kind what))
-      in
-      let node () = need "node" !who in
-      let rank () = (node ()).Node.id in
-      (* A link fault names a network and one of its nodes. *)
-      let link () =
-        let net = need "net" !net in
-        check_on lineno net (node ());
-        Fabric.name net.fabric
-      in
-      let at_time () = Time.add Time.zero (Time.us (need "at_us" !at)) in
-      let duration () = Time.us (need "for_us" !dur) in
-      (match kind with
-      | "drop" ->
-          Simnet.Faults.set_drop plane ~fabric:(link ()) ~node:(rank ())
-            ~rate:(need "rate" !rate)
-      | "corrupt" ->
-          Simnet.Faults.set_corrupt plane ~fabric:(link ()) ~node:(rank ())
-            ~rate:(need "rate" !rate)
-      | "flap" ->
-          Simnet.Faults.flap_link plane ~fabric:(link ()) ~node:(rank ())
-            ~at:(at_time ()) ~duration:(duration ())
-      | "slow" ->
-          Simnet.Faults.slow_receiver plane ~fabric:(link ()) ~node:(rank ())
-            ~mb_per_s:(need "mb_s" !mb_s)
-      | "crash" ->
-          Simnet.Faults.crash_node plane ~node:(rank ()) ~at:(at_time ())
-            ?restart_after:(Option.map Time.us !restart) ()
-      | "stall" ->
-          Simnet.Faults.stall_pci plane (node ()) ~at:(at_time ())
-            ~duration:(duration ())
-      | other ->
-          raise
-            (Parse_error
-               (lineno,
-                Printf.sprintf
-                  "unknown fault kind %S (drop|corrupt|flap|slow|crash|stall)"
-                  other)))
+      options lineno "fault" opts
+        (let+ net = opt "net" (find t.nets "network")
+         and+ who = opt "node" (find t.node_tbl "node")
+         and+ rate = opt "rate" float
+         and+ mb_s = opt "mb_s" float
+         and+ at = opt "at_us" float
+         and+ dur = opt "for_us" float
+         and+ restart = opt "restart_after_us" float in
+         let need what = function
+           | Some v -> v
+           | None -> fail "fault %s needs %s=" kind what
+         in
+         let node () = need "node" who in
+         let rank () = (node ()).Node.id in
+         (* A link fault names a network and one of its nodes. *)
+         let link () =
+           let net = need "net" net in
+           check_on lineno net (node ());
+           Fabric.name net.fabric
+         in
+         let at_time () = Time.add Time.zero (Time.us (need "at_us" at)) in
+         let duration () = Time.us (need "for_us" dur) in
+         match kind with
+         | "drop" ->
+             Simnet.Faults.set_drop plane ~fabric:(link ()) ~node:(rank ())
+               ~rate:(need "rate" rate)
+         | "corrupt" ->
+             Simnet.Faults.set_corrupt plane ~fabric:(link ()) ~node:(rank ())
+               ~rate:(need "rate" rate)
+         | "flap" ->
+             Simnet.Faults.flap_link plane ~fabric:(link ()) ~node:(rank ())
+               ~at:(at_time ()) ~duration:(duration ())
+         | "slow" ->
+             Simnet.Faults.slow_receiver plane ~fabric:(link ()) ~node:(rank ())
+               ~mb_per_s:(need "mb_s" mb_s)
+         | "crash" ->
+             Simnet.Faults.crash_node plane ~node:(rank ()) ~at:(at_time ())
+               ?restart_after:(Option.map Time.us restart) ()
+         | "stall" ->
+             Simnet.Faults.stall_pci plane (node ()) ~at:(at_time ())
+               ~duration:(duration ())
+         | other ->
+             fail "unknown fault kind %S (drop|corrupt|flap|slow|crash|stall)"
+               other)
   | "node" :: name :: opts ->
-      let nets = ref [] in
-      List.iter
-        (fun tok ->
-          match split_kv lineno tok with
-          | "nets", v -> nets := comma v
-          | k, _ -> raise (Parse_error (lineno, "unknown node option " ^ k)))
-        opts;
-      let id = Hashtbl.length t.node_tbl in
-      let n = Node.create t.cf_engine ~name ~id in
-      declare lineno t.node_tbl "node" name n;
-      t.node_order <- name :: t.node_order;
-      List.iter
-        (fun net_name -> (find_or lineno t.nets "network" net_name).attach_node n)
-        !nets
+      options lineno "node" opts
+        (let+ nets = value "nets" names [] in
+         let id = Hashtbl.length t.node_tbl in
+         let n = Node.create t.cf_engine ~name ~id in
+         declare lineno t.node_tbl "node" name n;
+         t.node_order <- name :: t.node_order;
+         List.iter
+           (fun net -> (find_or lineno t.nets "network" net).attach_node n)
+           nets)
   | "channel" :: name :: opts ->
-      let net = ref None and members = ref [] in
-      let config = ref Config.default in
-      (* rendezvous=auto resolves against the channel's fabric, which
-         may be named later on the line — defer until net= is known. *)
-      let rendezvous_auto = ref false in
-      let positive_int key v =
-        let n = parse_int lineno key v in
-        if n < 1 then
-          raise
-            (Parse_error (lineno, Printf.sprintf "%s expects an integer >= 1" key));
-        n
-      in
-      List.iter
-        (fun tok ->
-          match split_kv lineno tok with
-          | "net", v -> net := Some (find_or lineno t.nets "network" v)
-          | "nodes", v -> members := comma v
-          | "slot_payload", v ->
-              config :=
-                { !config with sisci_slot_payload = positive_int "slot_payload" v }
-          | "dma_threshold", v ->
-              config :=
-                { !config with sisci_dma_threshold = positive_int "dma_threshold" v }
-          | "rendezvous", v -> (
-              match v with
-              | "auto" -> rendezvous_auto := true
-              | "off" ->
-                  rendezvous_auto := false;
-                  config := { !config with rendezvous_threshold = None }
-              | _ ->
-                  config :=
-                    { !config with
-                      rendezvous_threshold = Some (positive_int "rendezvous" v) })
-          | "regcache", v ->
-              let n = parse_int lineno "regcache" v in
-              if n < 0 then
-                raise
-                  (Parse_error (lineno, "regcache expects an integer >= 0"));
-              config := { !config with regcache_entries = n }
-          | "regcache_bytes", v ->
-              config :=
-                { !config with
-                  regcache_bytes = Some (positive_int "regcache_bytes" v) }
-          | "aggregation", v ->
-              config := { !config with aggregation = parse_bool lineno "aggregation" v }
-          | "checked", v ->
-              config := { !config with checked = parse_bool lineno "checked" v }
-          | "slots", v ->
-              config := { !config with sisci_ring_slots = parse_int lineno "slots" v }
-          | "connect_timeout_us", v ->
-              config :=
-                { !config with
-                  tcp_connect_timeout =
-                    Some (Time.us (parse_float lineno "connect_timeout_us" v)) }
-          | "dma", v ->
-              config := { !config with sisci_use_dma = parse_bool lineno "dma" v }
-          | "rx", v ->
-              let rx_interaction =
-                match v with
-                | "poll" -> Config.Rx_poll
-                | "interrupt" -> Config.Rx_interrupt
-                | "adaptive" -> Config.Rx_adaptive Config.default_adaptive_window
-                | _ -> raise (Parse_error (lineno, "rx expects poll|interrupt|adaptive"))
-              in
-              config := { !config with rx_interaction }
-          | k, _ -> raise (Parse_error (lineno, "unknown channel option " ^ k)))
-        opts;
-      let net =
-        match !net with
-        | Some n -> n
-        | None -> raise (Parse_error (lineno, "channel needs net="))
-      in
-      (if !rendezvous_auto then
-         let fabric = string_of_kind net.kind in
-         match Crossover.lookup ~fabric () with
-         | exception Json.Error msg ->
-             raise (Parse_error (lineno, "rendezvous=auto: " ^ msg))
-         | Some bytes_count ->
-             config := { !config with rendezvous_threshold = Some bytes_count }
-         | None ->
-             raise
-               (Parse_error
-                  (lineno,
-                   Printf.sprintf
-                     "rendezvous=auto: no measured crossover for fabric %S \
-                      in %s (run: madbench crossover)"
-                     fabric Crossover.default_file)));
-      let ranks =
-        List.map
-          (fun node_name ->
-            let node = find_or lineno t.node_tbl "node" node_name in
-            check_on lineno net node;
-            node.Node.id)
-          !members
-      in
-      if ranks = [] then raise (Parse_error (lineno, "channel needs nodes="));
-      let chan =
-        Channel.create t.cf_session (net.driver_of ()) ~config:!config ~ranks ()
-      in
-      declare lineno t.chan_tbl "channel" name chan;
-      t.chan_order <- name :: t.chan_order
+      let d = Config.default in
+      options lineno "channel" opts
+        (let+ net =
+           required "net" (find t.nets "network") "channel needs net="
+         and+ members = value "nodes" names []
+         and+ sisci_slot_payload =
+           value "slot_payload" (at_least 1) d.sisci_slot_payload
+         and+ sisci_dma_threshold =
+           value "dma_threshold" (at_least 1) d.sisci_dma_threshold
+         and+ rendezvous =
+           opt "rendezvous" (fun l k -> function
+             | "auto" -> `Auto
+             | "off" -> `Fixed None
+             | v -> `Fixed (Some (at_least 1 l k v)))
+         and+ regcache_entries =
+           value "regcache" (at_least 0) d.regcache_entries
+         and+ regcache_bytes =
+           value "regcache_bytes" (some (at_least 1)) d.regcache_bytes
+         and+ aggregation = value "aggregation" bool d.aggregation
+         and+ checked = value "checked" bool d.checked
+         and+ sisci_ring_slots = value "slots" int d.sisci_ring_slots
+         and+ tcp_connect_timeout =
+           value "connect_timeout_us" (some span) d.tcp_connect_timeout
+         and+ sisci_use_dma = value "dma" bool d.sisci_use_dma
+         and+ rx_interaction =
+           value "rx"
+             (choice
+                [
+                  ("poll", Config.Rx_poll);
+                  ("interrupt", Config.Rx_interrupt);
+                  ("adaptive", Config.(Rx_adaptive default_adaptive_window));
+                ])
+             d.rx_interaction
+         in
+         (* rendezvous=auto resolves against the channel's fabric. *)
+         let rendezvous_threshold =
+           match rendezvous with
+           | None -> d.rendezvous_threshold
+           | Some (`Fixed threshold) -> threshold
+           | Some `Auto -> (
+               let fabric = string_of_kind net.kind in
+               match Crossover.lookup ~fabric () with
+               | exception Json.Error msg -> fail "rendezvous=auto: %s" msg
+               | Some _ as bytes_count -> bytes_count
+               | None ->
+                   fail
+                     "rendezvous=auto: no measured crossover for fabric %S in \
+                      %s (run: madbench crossover)"
+                     fabric Crossover.default_file)
+         in
+         let config =
+           {
+             Config.checked;
+             aggregation;
+             sisci_ring_slots;
+             sisci_use_dma;
+             sisci_slot_payload;
+             sisci_dma_threshold;
+             rendezvous_threshold;
+             regcache_entries;
+             regcache_bytes;
+             rx_interaction;
+             tcp_connect_timeout;
+           }
+         in
+         let ranks =
+           List.map
+             (fun node_name ->
+               let node = find_or lineno t.node_tbl "node" node_name in
+               check_on lineno net node;
+               node.Node.id)
+             members
+         in
+         if ranks = [] then fail "channel needs nodes=";
+         let chan =
+           Channel.create t.cf_session (net.driver_of ()) ~config ~ranks ()
+         in
+         declare lineno t.chan_tbl "channel" name chan;
+         t.chan_order <- name :: t.chan_order)
   | "vchannel" :: name :: opts ->
-      let chans = ref [] and mtu = ref None in
-      let overhead = ref None and cap = ref None in
-      let reliable = ref false and patience = ref None in
-      let credits = ref None and gw_pool = ref None in
-      let sched = ref None and aggr_max = ref None and aggr_flush = ref None in
-      let version = ref None and coordinator = ref None in
-      let election = ref false and topo_quorum = ref None in
-      let coll = ref None and coll_fanout = ref None and coll_quorum = ref None in
       (* Ranges are Vchannel.create's, Membership.create's and
          Collectives.create's to judge ([load] reports their rejections
          on this line); only the prerequisites between options are here. *)
-      List.iter
-        (fun tok ->
-          match split_kv lineno tok with
-          | "channels", v ->
-              chans :=
-                List.map (fun cn -> find_or lineno t.chan_tbl "channel" cn) (comma v)
-          | "mtu", v -> mtu := Some (parse_int lineno "mtu" v)
-          | "gateway_overhead_us", v ->
-              overhead := Some (Time.us (parse_float lineno "gateway_overhead_us" v))
-          | "ingress_cap", v -> cap := Some (parse_float lineno "ingress_cap" v)
-          | "reliable", v -> reliable := parse_bool lineno "reliable" v
-          | "patience_us", v ->
-              patience := Some (Time.us (parse_float lineno "patience_us" v))
-          | "credits", v -> credits := Some (parse_int lineno "credits" v)
-          | "gw_pool", v -> gw_pool := Some (parse_int lineno "gw_pool" v)
-          | "sched", v -> (
-              match v with
-              | "fifo" -> sched := Some `Fifo
-              | "aggreg" -> sched := Some `Aggreg
-              | _ -> raise (Parse_error (lineno, "sched expects fifo|aggreg")))
-          | "aggr_max", v -> aggr_max := Some (parse_int lineno "aggr_max" v)
-          | "aggr_flush_us", v ->
-              aggr_flush :=
-                Some (Time.us (parse_float lineno "aggr_flush_us" v))
-          | "version", v -> version := Some (parse_int lineno "version" v)
-          | "coordinator", v ->
-              coordinator :=
-                Some (find_or lineno t.node_tbl "node" v).Node.id
-          | "election", v -> (
-              match v with
-              | "on" -> election := true
-              | "off" -> election := false
-              | _ -> raise (Parse_error (lineno, "election expects on|off")))
-          | "topo_quorum", v ->
-              topo_quorum := Some (parse_int lineno "topo_quorum" v)
-          | "coll", v -> (
-              match v with
-              | "tree" -> coll := Some Madeleine.Collectives.Tree
-              | "flat" -> coll := Some Madeleine.Collectives.Flat
-              | _ -> raise (Parse_error (lineno, "coll expects tree|flat")))
-          | "coll_fanout", v ->
-              coll_fanout := Some (parse_int lineno "coll_fanout" v)
-          | "coll_quorum", v ->
-              coll_quorum := Some (parse_int lineno "coll_quorum" v)
-          | k, _ -> raise (Parse_error (lineno, "unknown vchannel option " ^ k)))
-        opts;
-      if !chans = [] then raise (Parse_error (lineno, "vchannel needs channels="));
-      (match (!sched, !aggr_max, !aggr_flush) with
-      | Some `Aggreg, _, _ | _, None, None -> ()
-      | _, Some _, _ ->
-          raise (Parse_error (lineno, "aggr_max= requires sched=aggreg"))
-      | _, _, Some _ ->
-          raise (Parse_error (lineno, "aggr_flush_us= requires sched=aggreg")));
-      (match (!coll, !coll_fanout) with
-      | Some Madeleine.Collectives.Tree, _ | _, None -> ()
-      | _, Some _ ->
-          raise (Parse_error (lineno, "coll_fanout= requires coll=tree")));
-      (match (!coll, !coll_quorum) with
-      | None, Some _ ->
-          raise (Parse_error (lineno, "coll_quorum= requires coll="))
-      | _ -> ());
-      let vc_sched =
-        match !sched with
-        | None -> None
-        | Some `Fifo -> Some Madeleine.Sched.Fifo
-        | Some `Aggreg ->
-            Some
-              (Madeleine.Sched.Aggreg
-                 { aggr_max = !aggr_max; aggr_flush = !aggr_flush })
-      in
-      let vc_faults =
-        if not !reliable then None
-        else
-          match t.cf_faults with
-          | Some _ as plane -> plane
-          | None ->
-              raise
-                (Parse_error
-                   (lineno,
-                    "reliable=true requires a prior faults seed=N declaration"))
-      in
-      let vc =
-        Madeleine.Vchannel.create t.cf_session ?mtu:!mtu ?patience:!patience
-          ?gateway_overhead:!overhead ?ingress_cap_mb_s:!cap
-          ?credits:!credits ?gw_pool:!gw_pool ?faults:vc_faults ?sched:vc_sched
-          !chans
-      in
-      declare lineno t.vchan_tbl "vchannel" name vc;
-      (match !version with
-      | Some version ->
-          Hashtbl.replace t.memb_tbl name
-            (Madeleine.Membership.create ?coordinator:!coordinator
-               ~election:!election ?topo_quorum:!topo_quorum ~version vc)
-      | None when !election || !coordinator <> None || !topo_quorum <> None ->
-          raise
-            (Parse_error
-               ( lineno,
-                 "coordinator=, election=on, topo_quorum= need version=" ))
-      | None -> ());
-      (match !coll with
-      | None -> ()
-      | Some algo ->
-          Hashtbl.replace t.coll_tbl name
-            (Madeleine.Collectives.create ~algo ?fanout:!coll_fanout
-               ?quorum:!coll_quorum vc));
-      t.vchan_order <- name :: t.vchan_order
-  | keyword :: _ ->
-      raise (Parse_error (lineno, Printf.sprintf "unknown declaration %S" keyword))
+      options lineno "vchannel" opts
+        (let+ chans =
+           value "channels"
+             (fun l _ v -> List.map (find_or l t.chan_tbl "channel") (comma v))
+             []
+         and+ mtu = opt "mtu" int
+         and+ gateway_overhead = opt "gateway_overhead_us" span
+         and+ ingress_cap_mb_s = opt "ingress_cap" float
+         and+ reliable = value "reliable" bool false
+         and+ patience = opt "patience_us" span
+         and+ credits = opt "credits" int
+         and+ gw_pool = opt "gw_pool" int
+         and+ sched =
+           opt "sched" (choice [ ("fifo", `Fifo); ("aggreg", `Aggreg) ])
+         and+ aggr_max = opt "aggr_max" int
+         and+ aggr_flush = opt "aggr_flush_us" span
+         and+ version = opt "version" int
+         and+ coordinator = opt "coordinator" (find t.node_tbl "node")
+         and+ election =
+           value "election" (choice [ ("on", true); ("off", false) ]) false
+         and+ topo_quorum = opt "topo_quorum" int
+         and+ coll =
+           opt "coll"
+             (choice
+                [
+                  ("tree", Madeleine.Collectives.Tree);
+                  ("flat", Madeleine.Collectives.Flat);
+                ])
+         and+ coll_fanout = opt "coll_fanout" int
+         and+ coll_quorum = opt "coll_quorum" int in
+         if chans = [] then fail "vchannel needs channels=";
+         (match (sched, aggr_max, aggr_flush) with
+         | Some `Aggreg, _, _ | _, None, None -> ()
+         | _, Some _, _ -> fail "aggr_max= requires sched=aggreg"
+         | _, _, Some _ -> fail "aggr_flush_us= requires sched=aggreg");
+         (match (coll, coll_fanout) with
+         | Some Madeleine.Collectives.Tree, _ | _, None -> ()
+         | _, Some _ -> fail "coll_fanout= requires coll=tree");
+         if coll = None && coll_quorum <> None then
+           fail "coll_quorum= requires coll=";
+         let sched =
+           Option.map
+             (function
+               | `Fifo -> Madeleine.Sched.Fifo
+               | `Aggreg -> Madeleine.Sched.Aggreg { aggr_max; aggr_flush })
+             sched
+         in
+         let faults =
+           match (reliable, t.cf_faults) with
+           | false, _ -> None
+           | true, None ->
+               fail "reliable=true requires a prior faults seed=N declaration"
+           | true, plane -> plane
+         in
+         let vc =
+           Madeleine.Vchannel.create t.cf_session ?mtu ?patience
+             ?gateway_overhead ?ingress_cap_mb_s ?credits ?gw_pool ?faults
+             ?sched chans
+         in
+         declare lineno t.vchan_tbl "vchannel" name vc;
+         (match version with
+         | Some version ->
+             Hashtbl.replace t.memb_tbl name
+               (Madeleine.Membership.create
+                  ?coordinator:(Option.map (fun n -> n.Node.id) coordinator)
+                  ~election ?topo_quorum ~version vc)
+         | None
+           when election || Option.is_some coordinator
+                || Option.is_some topo_quorum ->
+             fail "coordinator=, election=on, topo_quorum= need version="
+         | None -> ());
+         Option.iter
+           (fun algo ->
+             Hashtbl.replace t.coll_tbl name
+               (Madeleine.Collectives.create ~algo ?fanout:coll_fanout
+                  ?quorum:coll_quorum vc))
+           coll;
+         t.vchan_order <- name :: t.vchan_order)
+  | keyword :: _ -> fail "unknown declaration %S" keyword
 
 let load text =
   let cf_engine = Worlds.engine () in

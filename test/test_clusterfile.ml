@@ -285,7 +285,15 @@ let test_rendezvous_options_parsed () =
   let cfg = Madeleine.Channel.config (Cf.channel t "c") in
   Alcotest.(check (option int)) "rendezvous off" None
     cfg.Madeleine.Config.rendezvous_threshold;
-  Alcotest.(check int) "regcache 0" 0 cfg.Madeleine.Config.regcache_entries
+  Alcotest.(check int) "regcache 0" 0 cfg.Madeleine.Config.regcache_entries;
+  (* A key given twice keeps its last value, rendezvous=auto included:
+     a threshold after it reads no crossover, one before it is
+     overridden by it (and this directory has no measurement). *)
+  let t = Cf.load (rdv_cfg_lines "rendezvous=auto rendezvous=65536") in
+  Alcotest.(check (option int)) "last rendezvous wins" (Some 65536)
+    (Madeleine.Channel.config (Cf.channel t "c"))
+      .Madeleine.Config.rendezvous_threshold;
+  expect_parse_error ~line:4 (rdv_cfg_lines "rendezvous=65536 rendezvous=auto")
 
 let test_rendezvous_auto_from_bench_json () =
   (* rendezvous=auto consumes the measured crossover written by
