@@ -146,16 +146,14 @@ let iters_for size = if size <= 4096 then 6 else 4
 
 (* One verified ping-pong under one fault setting: a row of the fault
    table. [faults] defaults to [fault SCENARIO] lines at the [drop]
-   rate on both links; [setup] arms on the plane what no Clusterfile
-   line can. [lat_us] is one-way, averaged over the iterations;
+   rate on both links. [lat_us] is one-way, averaged over the iterations;
    [drops], [corrupts], [dups] and [delays] count the frames the plane
    dropped, corrupted, delivered twice and held back so later ones
    overtake; [intact] means every delivered message matched the packed
    bytes. *)
 let fault_row ~seed ~scenario ?(drop = 0.0) ?iters
-    ?(faults = link_faults scenario drop eth) ?(setup = ignore) size =
+    ?(faults = link_faults scenario drop eth) size =
   let w = world ~seed eth ~faults in
-  setup (plane w);
   let iters = Option.value iters ~default:(iters_for size) in
   let span, intact = verified_pingpong w ~size ~iters in
   let st = Faults.stats (plane w) in
@@ -221,12 +219,13 @@ let pingpong_faults ~seed ~quick =
           ~faults:[ "fault flap net=eth node=n0 at_us=4000 for_us=5000" ]
           16384;
         row ~scenario:"reorder"
-          ~setup:(fun faults ->
-            for i = 0 to 1 do
-              Faults.set_reorder faults ~fabric:"eth" ~node:i ~rate:0.05
-                ~jitter:(Time.us 300.0);
-              Faults.set_duplicate faults ~fabric:"eth" ~node:i ~rate:0.03
-            done)
+          ~faults:
+            [
+              "fault reorder net=eth node=n0 rate=0.05 jitter_us=300";
+              "fault duplicate net=eth node=n0 rate=0.03";
+              "fault reorder net=eth node=n1 rate=0.05 jitter_us=300";
+              "fault duplicate net=eth node=n1 rate=0.03";
+            ]
           16384;
         row ~scenario:"pci-stall" ~iters:4
           ~faults:[ "fault stall node=n1 at_us=2000 for_us=4000" ]

@@ -289,7 +289,8 @@ let parse_line t lineno line =
          and+ mb_s = opt "mb_s" float
          and+ at = opt "at_us" float
          and+ dur = opt "for_us" float
-         and+ restart = opt "restart_after_us" float in
+         and+ restart = opt "restart_after_us" float
+         and+ jitter = opt "jitter_us" float in
          let need what = function
            | Some v -> v
            | None -> fail "fault %s needs %s=" kind what
@@ -311,6 +312,13 @@ let parse_line t lineno line =
          | "corrupt" ->
              Simnet.Faults.set_corrupt plane ~fabric:(link ()) ~node:(rank ())
                ~rate:(need "rate" rate)
+         | "duplicate" ->
+             Simnet.Faults.set_duplicate plane ~fabric:(link ()) ~node:(rank ())
+               ~rate:(need "rate" rate)
+         | "reorder" ->
+             Simnet.Faults.set_reorder plane ~fabric:(link ()) ~node:(rank ())
+               ~rate:(need "rate" rate)
+               ~jitter:(Time.us (need "jitter_us" jitter))
          | "flap" ->
              Simnet.Faults.flap_link plane ~fabric:(link ()) ~node:(rank ())
                ~at:(at_time ()) ~duration:(duration ())
@@ -324,7 +332,9 @@ let parse_line t lineno line =
              Simnet.Faults.stall_pci plane (node ()) ~at:(at_time ())
                ~duration:(duration ())
          | other ->
-             fail "unknown fault kind %S (drop|corrupt|flap|slow|crash|stall)"
+             fail
+               "unknown fault kind %S \
+                (drop|corrupt|duplicate|reorder|flap|slow|crash|stall)"
                other)
   | "node" :: name :: opts ->
       options lineno "node" opts

@@ -590,6 +590,8 @@ let test_library_rejections_line_numbered () =
       "fault drop net=s node=a rate=2.0";
       "fault drop net=s node=a rate=-1";
       "fault crash node=a at_us=-3";
+      "fault duplicate net=s node=a rate=2";
+      "fault reorder net=s node=a rate=0.1 jitter_us=0";
     ]
 
 let test_fault_slow_and_tcp_access () =
@@ -614,6 +616,38 @@ fault slow net=s node=b mb_s=0.5
   match Cf.tcp_net t "m" with
   | _ -> Alcotest.fail "a sisci network has no tcp net"
   | exception Invalid_argument _ -> ()
+
+(* Duplicate and reorder lines arm the plane's per-link rates: traffic
+   over the link is delivered twice and held back, and still arrives
+   intact. *)
+let test_fault_duplicate_reorder () =
+  let t =
+    Cf.load
+      {|
+faults seed=1
+network s type=tcp
+node a nets=s
+node b nets=s
+fault duplicate net=s node=a rate=0.5
+fault reorder net=s node=b rate=0.5 jitter_us=300
+channel c net=s nodes=a,b
+|}
+  in
+  let ep rank = Madeleine.Channel.endpoint (Cf.channel t "c") ~rank in
+  let data = Harness.payload 16384 83L and sink = Bytes.create 16384 in
+  let intact = ref true in
+  ignore
+    (Harness.one_way (Cf.engine t) ~messages:8
+       ~send:(fun _ -> Harness.mad_send (ep 0) ~remote:1 data)
+       ~recv:(fun _ ->
+         Harness.mad_recv (ep 1) ~remote:0 sink;
+         if not (Bytes.equal sink data) then intact := false));
+  let st = Simnet.Faults.stats (Option.get (Cf.faults t)) in
+  Alcotest.(check bool) "intact" true !intact;
+  Alcotest.(check bool) "frames duplicated" true
+    (st.Simnet.Faults.frames_duplicated > 0);
+  Alcotest.(check bool) "frames delayed" true
+    (st.Simnet.Faults.frames_delayed > 0)
 
 (* A timed crash line takes the node down at [at_us] and brings it back
    [restart_after_us] later, with a new crash epoch. *)
@@ -754,6 +788,8 @@ let () =
             test_library_rejections_line_numbered;
           Alcotest.test_case "fault slow and tcp access" `Quick
             test_fault_slow_and_tcp_access;
+          Alcotest.test_case "fault duplicate and reorder" `Quick
+            test_fault_duplicate_reorder;
           Alcotest.test_case "fault crash at a fixed instant" `Quick
             test_fault_crash_timed;
           Alcotest.test_case "non-finite numbers rejected" `Quick
