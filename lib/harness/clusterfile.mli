@@ -63,7 +63,9 @@
     [gw_pool=N] sizes the gateway forwarding pools (both >= 1; see
     {!Madeleine.Vchannel.create}). [#] starts a comment. Declarations
     must appear in dependency order (networks, then nodes, then
-    channels, then virtual channels). Node ranks are assigned in
+    channels, then virtual channels). A key given twice on one line
+    keeps its last value ([rendezvous=auto] included); each value is
+    still checked where it appears. Node ranks are assigned in
     declaration order. A node named on a network (a channel's
     [nodes=], a link fault's [node=]) must be attached to it by its
     [nets=]. Every number must be finite: [nan] and [inf] are
@@ -86,13 +88,18 @@
     [reliable=true] vchannel and any channel with a connect timeout that
     should actually fire. Individual faults then read:
     {v
-    fault drop    net=NET node=NAME rate=R        # per-fragment loss
-    fault corrupt net=NET node=NAME rate=R        # per-fragment bit flip
-    fault flap    net=NET node=NAME at_us=T for_us=D
-    fault slow    net=NET node=NAME mb_s=R        # receive-rate cap
-    fault crash   node=NAME at_us=T [restart_after_us=D]
-    fault stall   node=NAME at_us=T for_us=D      # PCI-bus hog
+    fault drop      net=NET node=NAME rate=R      # per-fragment loss
+    fault corrupt   net=NET node=NAME rate=R      # per-fragment bit flip
+    fault duplicate net=NET node=NAME rate=R      # frame delivered twice
+    fault reorder   net=NET node=NAME rate=R jitter_us=J
+    fault flap      net=NET node=NAME at_us=T for_us=D
+    fault slow      net=NET node=NAME mb_s=R      # receive-rate cap
+    fault crash     node=NAME at_us=T [restart_after_us=D]
+    fault stall     node=NAME at_us=T for_us=D    # PCI-bus hog
     v}
+    [fault reorder] holds a frame back, with probability [R], by a
+    random delay of up to [J] us, so later frames overtake it
+    ({!Simnet.Faults.set_reorder}; [J] must be positive).
     [fault slow] caps the rate at which the node drains frames arriving
     on the network ({!Simnet.Faults.slow_receiver}).
     [reliable=true] on a vchannel enables sequence-numbered delivery

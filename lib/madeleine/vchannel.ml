@@ -386,8 +386,11 @@ let swap_epoch t change =
   t.rel.swap change;
   t.on_health_change ()
 
-(* Whether [rank] holds nothing in flight: its forwarding pools are idle
-   and acks cover every re-emission-log entry it originated or is owed. *)
+(* Whether [rank] holds nothing in flight that this vchannel counts:
+   acks cover every re-emission-log entry it originated or is owed, and
+   its forwarding-pool slots are free. [gw_acquire] counts slots only
+   under [overload_track] (credits or gw_pool set); otherwise the slot
+   half always holds, and packets still in the rank's pumps go unseen. *)
 let quiescent t rank =
   check_rank t "quiescent" rank;
   t.gateways.(rank).gw_slots.pp_cur = 0

@@ -272,9 +272,12 @@ val swap_epoch : t -> Topology.change -> unit
     route changed — and the health hook fires. *)
 
 val quiescent : t -> int -> bool
-(** Whether the rank holds nothing in flight: acks cover every
-    re-emission-log entry it originated or is owed, and its forwarding
-    pools are idle. *)
+(** Whether the rank holds nothing in flight that the vchannel counts:
+    acks cover every re-emission-log entry it originated or is owed,
+    and its forwarding-pool slots are free. Slots are counted only on a
+    vchannel created with [~credits] or [~gw_pool]; on any other the
+    second half always holds, so a relay with packets still in its
+    forwarding pumps reads quiescent. *)
 
 val send_top : t -> src:int -> dst:int -> Bytes.t -> unit
 (** Asynchronous and unreliable, like {!send_col}. *)
