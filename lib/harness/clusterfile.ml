@@ -139,8 +139,7 @@ let at_least n lineno key v =
 
 let span lineno key v = Time.us (float lineno key v)
 let some p lineno key v = Some (p lineno key v)
-let comma v = String.split_on_char ',' v |> List.filter (fun s -> s <> "")
-let names _ _ v = comma v
+let names _ _ v = String.split_on_char ',' v |> List.filter (( <> ) "")
 
 (* One of the named [choices]; the message lists them in order. *)
 let choice choices lineno key v =
@@ -433,7 +432,8 @@ let parse_line t lineno line =
       options lineno "vchannel" opts
         (let+ chans =
            value "channels"
-             (fun l _ v -> List.map (find_or l t.chan_tbl "channel") (comma v))
+             (fun l k v ->
+               List.map (find_or l t.chan_tbl "channel") (names l k v))
              []
          and+ mtu = opt "mtu" int
          and+ gateway_overhead = opt "gateway_overhead_us" span
