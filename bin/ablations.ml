@@ -196,31 +196,20 @@ let a8 =
    is the ceiling — so on this hardware a second rail does not pay. *)
 let dual_rail_bw rails =
   let module Channel = Madeleine.Channel in
-  let engine = Worlds.engine () in
-  let fabrics =
-    List.init rails (fun i ->
-        Simnet.Fabric.create engine
-          ~name:(Printf.sprintf "myri-%d" i)
-          ~link:Simnet.Netparams.myrinet)
+  (* Rail i is network and channel myri-i; both nodes are on every rail. *)
+  let nets = List.init rails (Printf.sprintf "myri-%d") in
+  let on_all = String.concat "," nets in
+  let cf =
+    Clusterfile.load
+      (String.concat "\n"
+         (List.map (Printf.sprintf "network %s type=bip") nets
+         @ [ "node n0 nets=" ^ on_all; "node n1 nets=" ^ on_all ]
+         @ List.map
+             (fun r -> Printf.sprintf "channel %s net=%s nodes=n0,n1" r r)
+             nets))
   in
-  let n0 = Simnet.Node.create engine ~name:"n0" ~id:0 in
-  let n1 = Simnet.Node.create engine ~name:"n1" ~id:1 in
-  List.iter
-    (fun f ->
-      Simnet.Fabric.attach f n0;
-      Simnet.Fabric.attach f n1)
-    fabrics;
-  let session = Madeleine.Session.create engine in
-  let channels =
-    List.map
-      (fun f ->
-        let net = Bip.make_net engine f in
-        let e0 = Bip.attach net n0 and e1 = Bip.attach net n1 in
-        Channel.create session
-          (Madeleine.Pmm_bip.driver (function 0 -> e0 | _ -> e1))
-          ~ranks:[ 0; 1 ] ())
-      fabrics
-  in
+  let engine = Clusterfile.engine cf in
+  let channels = List.map (Clusterfile.channel cf) nets in
   let per_rail = 1 lsl 20 / rails in
   List.iter
     (fun chan ->
@@ -246,7 +235,7 @@ let a9 =
    receiver's PCI bus (NIC-write class) is the shared bottleneck. *)
 let incast senders =
   let module Mad = Madeleine.Api in
-  let w = H.make_world ~n:(senders + 1) H.sisci_driver Simnet.Netparams.sci in
+  let w = H.make_world ~n:(senders + 1) H.sisci_driver (Clusterfile.link "sisci") in
   let n = 1 lsl 19 in
   for s = 1 to senders do
     Marcel.Engine.spawn w.H.engine ~name:(Printf.sprintf "s%d" s) (fun () ->

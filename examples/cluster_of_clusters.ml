@@ -12,43 +12,28 @@
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
-module Channel = Madeleine.Channel
 module Vc = Madeleine.Vchannel
 
 let () =
-  let engine = Engine.create () in
-  let sci_fab = Simnet.Fabric.create engine ~name:"sci" ~link:Simnet.Netparams.sci in
-  let myri_fab =
-    Simnet.Fabric.create engine ~name:"myri" ~link:Simnet.Netparams.myrinet
+  (* Ranks 0-2 on SCI, rank 3 the gateway on both, ranks 4-5 on Myrinet. *)
+  let cluster =
+    Clusterfile.load
+      {|
+network sci   type=sisci
+network myri  type=bip
+node sci-a    nets=sci
+node sci-b    nets=sci
+node sci-c    nets=sci
+node gateway  nets=sci,myri
+node myri-a   nets=myri
+node myri-b   nets=myri
+channel  c-sci   net=sci   nodes=sci-a,sci-b,sci-c,gateway
+channel  c-myri  net=myri  nodes=gateway,myri-a,myri-b
+vchannel wan     channels=c-sci,c-myri  mtu=32768
+|}
   in
-  (* Nodes 0,1,2 on SCI; node 3 = gateway on both; nodes 4,5 on Myrinet. *)
-  let node i name = Simnet.Node.create engine ~name ~id:i in
-  let sci_nodes = [ node 0 "sci-a"; node 1 "sci-b"; node 2 "sci-c" ] in
-  let gw = node 3 "gateway" in
-  let myri_nodes = [ node 4 "myri-a"; node 5 "myri-b" ] in
-  List.iter (Simnet.Fabric.attach sci_fab) (sci_nodes @ [ gw ]);
-  List.iter (Simnet.Fabric.attach myri_fab) (gw :: myri_nodes);
-  let sisci = Sisci.make_net engine sci_fab in
-  let bip = Bip.make_net engine myri_fab in
-  let adapters = Hashtbl.create 8 and endpoints = Hashtbl.create 8 in
-  List.iter
-    (fun n -> Hashtbl.add adapters n.Simnet.Node.id (Sisci.attach sisci n))
-    (sci_nodes @ [ gw ]);
-  List.iter
-    (fun n -> Hashtbl.add endpoints n.Simnet.Node.id (Bip.attach bip n))
-    (gw :: myri_nodes);
-  let session = Madeleine.Session.create engine in
-  let ch_sci =
-    Channel.create session
-      (Madeleine.Pmm_sisci.driver (Hashtbl.find adapters))
-      ~ranks:[ 0; 1; 2; 3 ] ()
-  in
-  let ch_myri =
-    Channel.create session
-      (Madeleine.Pmm_bip.driver (Hashtbl.find endpoints))
-      ~ranks:[ 3; 4; 5 ] ()
-  in
-  let vc = Vc.create session ~mtu:(32 * 1024) [ ch_sci; ch_myri ] in
+  let engine = Clusterfile.engine cluster in
+  let vc = Clusterfile.vchannel cluster "wan" in
 
   Format.printf "virtual channel spans ranks %s@."
     (String.concat ", " (List.map string_of_int (Vc.ranks vc)));

@@ -13,7 +13,6 @@ module Engine = Marcel.Engine
 module Time = Marcel.Time
 module Mpi = Mpilite.Mpi
 
-let ranks = 4
 let cells_per_rank = 4096
 let max_iters = 200
 let tolerance = 1e-5
@@ -33,21 +32,20 @@ let fsum a b =
   float_to_bytes (Array.map2 ( +. ) x y)
 
 let () =
-  let engine = Engine.create () in
-  let fabric = Simnet.Fabric.create engine ~name:"sci" ~link:Simnet.Netparams.sci in
-  let sisci = Sisci.make_net engine fabric in
-  let adapters =
-    Array.init ranks (fun i ->
-        let n = Simnet.Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Simnet.Fabric.attach fabric n;
-        Sisci.attach sisci n)
+  let cluster =
+    Clusterfile.load
+      {|
+network sci  type=sisci
+node n0  nets=sci
+node n1  nets=sci
+node n2  nets=sci
+node n3  nets=sci
+channel c  net=sci  nodes=n0,n1,n2,n3
+|}
   in
-  let session = Madeleine.Session.create engine in
-  let channel =
-    Madeleine.Channel.create session
-      (Madeleine.Pmm_sisci.driver (fun r -> adapters.(r)))
-      ~ranks:(List.init ranks Fun.id) ()
-  in
+  let engine = Clusterfile.engine cluster in
+  let channel = Clusterfile.channel cluster "c" in
+  let ranks = List.length (Clusterfile.nodes cluster) in
   let world =
     Mpi.create_world engine
       ~devices:(Array.init ranks (fun rank -> Mpilite.Dev_chmad.make channel ~rank))

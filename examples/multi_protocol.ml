@@ -19,28 +19,21 @@ let block_size = 256 * 1024
 let blocks = 4
 
 let () =
-  let engine = Engine.create () in
-  (* Two fabrics: Fast Ethernet and SCI, both NICs in both nodes. *)
-  let eth = Simnet.Fabric.create engine ~name:"eth" ~link:Simnet.Netparams.fast_ethernet in
-  let sci = Simnet.Fabric.create engine ~name:"sci" ~link:Simnet.Netparams.sci in
-  let n0 = Simnet.Node.create engine ~name:"client" ~id:0 in
-  let n1 = Simnet.Node.create engine ~name:"server" ~id:1 in
-  List.iter (fun f -> Simnet.Fabric.attach f n0; Simnet.Fabric.attach f n1) [ eth; sci ];
-  let tcp = Tcpnet.make_net engine eth in
-  let t0 = Tcpnet.attach tcp n0 and t1 = Tcpnet.attach tcp n1 in
-  let sisci = Sisci.make_net engine sci in
-  let s0 = Sisci.attach sisci n0 and s1 = Sisci.attach sisci n1 in
-  let session = Madeleine.Session.create engine in
-  let control =
-    Channel.create session
-      (Madeleine.Pmm_tcp.driver (function 0 -> t0 | _ -> t1))
-      ~ranks:[ 0; 1 ] ()
+  (* Two networks, Fast Ethernet and SCI, both NICs in both nodes. *)
+  let cluster =
+    Clusterfile.load
+      {|
+network eth  type=tcp
+network sci  type=sisci
+node client  nets=eth,sci
+node server  nets=eth,sci
+channel control  net=eth  nodes=client,server
+channel bulk     net=sci  nodes=client,server
+|}
   in
-  let bulk =
-    Channel.create session
-      (Madeleine.Pmm_sisci.driver (function 0 -> s0 | _ -> s1))
-      ~ranks:[ 0; 1 ] ()
-  in
+  let engine = Clusterfile.engine cluster in
+  let control = Clusterfile.channel cluster "control" in
+  let bulk = Clusterfile.channel cluster "bulk" in
 
   let dataset =
     Array.init blocks (fun k ->

@@ -14,7 +14,6 @@ module Time = Marcel.Time
 module Mad = Madeleine.Api
 module Iface = Madeleine.Iface
 
-let workers = 3
 let tasks = 12
 let range_per_task = 20_000
 
@@ -43,22 +42,21 @@ let unpack_ints ic n =
   List.init n (fun i -> Int64.to_int (Bytes.get_int64_le b (8 * i)))
 
 let () =
-  let engine = Engine.create () in
-  let fabric = Simnet.Fabric.create engine ~name:"sci" ~link:Simnet.Netparams.sci in
-  let sisci = Sisci.make_net engine fabric in
-  let adapters =
-    Array.init (workers + 1) (fun i ->
-        let n = Simnet.Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Simnet.Fabric.attach fabric n;
-        Sisci.attach sisci n)
+  (* Rank 0 is the master, ranks 1-3 the workers. *)
+  let cluster =
+    Clusterfile.load
+      {|
+network sci  type=sisci
+node master   nets=sci
+node worker1  nets=sci
+node worker2  nets=sci
+node worker3  nets=sci
+channel c  net=sci  nodes=master,worker1,worker2,worker3
+|}
   in
-  let session = Madeleine.Session.create engine in
-  let channel =
-    Madeleine.Channel.create session
-      (Madeleine.Pmm_sisci.driver (fun r -> adapters.(r)))
-      ~ranks:(List.init (workers + 1) Fun.id)
-      ()
-  in
+  let engine = Clusterfile.engine cluster in
+  let channel = Clusterfile.channel cluster "c" in
+  let workers = List.length (Clusterfile.nodes cluster) - 1 in
   let pm = Pm2.create_world engine channel in
 
   let total = ref 0 and results_seen = ref 0 in

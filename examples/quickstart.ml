@@ -15,19 +15,17 @@ module Iface = Madeleine.Iface
 
 let () =
   (* A two-node Myrinet cluster with BIP. *)
-  let engine = Engine.create () in
-  let fabric =
-    Simnet.Fabric.create engine ~name:"myrinet" ~link:Simnet.Netparams.myrinet
+  let cluster =
+    Clusterfile.load
+      {|
+network myrinet  type=bip
+node sender      nets=myrinet
+node receiver    nets=myrinet
+channel c        net=myrinet  nodes=sender,receiver
+|}
   in
-  let node0 = Simnet.Node.create engine ~name:"sender" ~id:0 in
-  let node1 = Simnet.Node.create engine ~name:"receiver" ~id:1 in
-  Simnet.Fabric.attach fabric node0;
-  Simnet.Fabric.attach fabric node1;
-  let bip = Bip.make_net engine fabric in
-  let b0 = Bip.attach bip node0 and b1 = Bip.attach bip node1 in
-  let driver = Madeleine.Pmm_bip.driver (function 0 -> b0 | _ -> b1) in
-  let session = Madeleine.Session.create engine in
-  let channel = Madeleine.Channel.create session driver ~ranks:[ 0; 1 ] () in
+  let engine = Clusterfile.engine cluster in
+  let channel = Clusterfile.channel cluster "c" in
 
   let array_size = 100_000 in
   let data = Simnet.Rng.bytes (Simnet.Rng.create ~seed:1L) array_size in

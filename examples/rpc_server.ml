@@ -118,36 +118,35 @@ let run_world proto_name transports engine =
 
 let () =
   (* Over Madeleine/SCI. *)
-  let engine = Engine.create () in
-  let sci = Simnet.Fabric.create engine ~name:"sci" ~link:Simnet.Netparams.sci in
-  let sisci = Sisci.make_net engine sci in
-  let adapters =
-    Array.init 3 (fun i ->
-        let n = Simnet.Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Simnet.Fabric.attach sci n;
-        Sisci.attach sisci n)
+  let sci =
+    Clusterfile.load
+      {|
+network sci  type=sisci
+node n0  nets=sci
+node n1  nets=sci
+node n2  nets=sci
+channel c  net=sci  nodes=n0,n1,n2
+|}
   in
-  let session = Madeleine.Session.create engine in
-  let channel =
-    Madeleine.Channel.create session
-      (Madeleine.Pmm_sisci.driver (fun r -> adapters.(r)))
-      ~ranks:[ 0; 1; 2 ] ()
-  in
+  let channel = Clusterfile.channel sci "c" in
   run_world "nexus/mad/SCI"
     (Array.init 3 (fun rank -> Nx.mad_transport channel ~rank))
-    engine;
+    (Clusterfile.engine sci);
 
-  (* Over plain TCP. *)
-  let engine = Engine.create () in
+  (* Over plain TCP: the same nodes, no Madeleine channel. *)
   let eth =
-    Simnet.Fabric.create engine ~name:"eth" ~link:Simnet.Netparams.fast_ethernet
+    Clusterfile.load
+      {|
+network eth  type=tcp
+node n0  nets=eth
+node n1  nets=eth
+node n2  nets=eth
+|}
   in
-  let tcp = Tcpnet.make_net engine eth in
+  let engine = Clusterfile.engine eth in
   let stacks =
     Array.init 3 (fun i ->
-        let n = Simnet.Node.create engine ~name:(Printf.sprintf "n%d" i) ~id:i in
-        Simnet.Fabric.attach eth n;
-        Tcpnet.attach tcp n)
+        Clusterfile.tcp_stack eth ~net:"eth" (Printf.sprintf "n%d" i))
   in
   run_world "nexus/TCP" (Nx.tcp_transports engine ~stacks) engine;
   print_endline "rpc_server: done"

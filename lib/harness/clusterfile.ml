@@ -8,18 +8,17 @@ module Config = Madeleine.Config
 
 exception Parse_error of int * string
 
-type net_kind = Sisci_k | Bip_k | Tcp_k | Via_k | Sbp_k
-
-(* A network: its fabric plus the per-rank protocol endpoint factory,
-   built lazily as nodes join. A tcp network also keeps its net and
-   per-rank stacks, for workloads that use raw TCP. *)
-type network = {
-  kind : net_kind;
-  fabric : Fabric.t;
-  attach_node : Node.t -> unit;
-  driver_of : unit -> Madeleine.Driver.t;
+(* One protocol over one fabric: an endpoint per attached node and the
+   PMM driver over those endpoints, by node id. A tcp network also keeps
+   its net and per-rank stacks, for workloads that use raw TCP. *)
+type protocol = {
+  attach : Node.t -> unit;
+  driver : unit -> Madeleine.Driver.t;
   tcp : (Tcpnet.net * (int, Tcpnet.t) Hashtbl.t) option;
 }
+
+(* A network: its [type=] name, its fabric and its protocol. *)
+type network = { kind : string; fabric : Fabric.t; proto : protocol }
 
 type t = {
   cf_engine : Engine.t;
@@ -51,7 +50,7 @@ let membership t name = Hashtbl.find_opt t.memb_tbl name
 let collectives t name = Hashtbl.find_opt t.coll_tbl name
 
 let tcp t name =
-  match (Hashtbl.find t.nets name).tcp with
+  match (Hashtbl.find t.nets name).proto.tcp with
   | Some tcp -> tcp
   | None ->
       invalid_arg (Printf.sprintf "Clusterfile: %s is not a tcp network" name)
@@ -60,43 +59,74 @@ let tcp_net t name = fst (tcp t name)
 let tcp_stack t ~net name = Hashtbl.find (snd (tcp t net)) (rank_of t name)
 
 (* ------------------------------------------------------------------ *)
-(* Per-kind glue: how to attach a node and build a driver. *)
+(* Network kinds *)
 
-let make_network engine ?window ?max_retries ?credits kind name =
-  let link =
-    match kind with
-    | Sisci_k -> Netparams.sci
-    | Bip_k -> Netparams.myrinet
-    | Tcp_k | Via_k | Sbp_k -> Netparams.fast_ethernet
-  in
+(* The options only some kinds take: [window=] and [max_retries=] (tcp),
+   [credits=] (bip). *)
+type net_options = {
+  window : int option;
+  max_retries : int option;
+  credits : int option;
+}
+
+let no_options = { window = None; max_retries = None; credits = None }
+
+(* One protocol's glue: its net over the fabric, an endpoint per
+   attached node, and the PMM driver over those endpoints; [tcp] keeps
+   the net and endpoints of a tcp network. *)
+let glue ?(tcp = fun _ _ -> None) make_net attach driver engine fabric =
+  let net = make_net engine fabric in
+  let eps = Hashtbl.create 8 in
+  {
+    attach = (fun n -> Hashtbl.add eps n.Node.id (attach net n));
+    driver = (fun () -> driver (Hashtbl.find eps));
+    tcp = tcp net eps;
+  }
+
+(* Every network kind, by its [type=] name: its link model and how to
+   build its protocol over a fabric. A new kind is one more entry. *)
+let kinds =
+  [
+    ( "sisci",
+      ( Netparams.sci,
+        fun _ -> glue Sisci.make_net Sisci.attach Madeleine.Pmm_sisci.driver ) );
+    ( "bip",
+      ( Netparams.myrinet,
+        fun o ->
+          glue (Bip.make_net ?credits:o.credits) Bip.attach
+            Madeleine.Pmm_bip.driver ) );
+    ( "tcp",
+      ( Netparams.fast_ethernet,
+        fun o ->
+          glue
+            ~tcp:(fun net stacks -> Some (net, stacks))
+            (Tcpnet.make_net ?window:o.window ?max_retries:o.max_retries)
+            Tcpnet.attach Madeleine.Pmm_tcp.driver ) );
+    ( "via",
+      ( Netparams.fast_ethernet,
+        fun _ -> glue Via.make_net Via.attach Madeleine.Pmm_via.driver ) );
+    ( "sbp",
+      ( Netparams.fast_ethernet,
+        fun _ -> glue Sbp.make_net Sbp.attach Madeleine.Pmm_sbp.driver ) );
+  ]
+
+let kind_of name =
+  match List.assoc_opt name kinds with
+  | Some k -> k
+  | None ->
+      invalid_arg (Printf.sprintf "Clusterfile: unknown network type %S" name)
+
+let link kind = fst (kind_of kind)
+
+let driver kind engine fabric nodes =
+  let proto = snd (kind_of kind) no_options engine fabric in
+  List.iter proto.attach nodes;
+  proto.driver ()
+
+let make_network engine options kind name =
+  let link, make = kind_of kind in
   let fabric = Fabric.create engine ~name ~link in
-  (* One protocol's glue: its net over the fabric, an endpoint per
-     attached node, and the PMM driver over those endpoints; [tcp]
-     keeps the net and endpoints of a tcp network. *)
-  let glue ?(tcp = fun _ _ -> None) make_net attach driver =
-    let net = make_net engine fabric in
-    let eps = Hashtbl.create 8 in
-    {
-      kind;
-      fabric;
-      attach_node =
-        (fun n ->
-          Fabric.attach fabric n;
-          Hashtbl.add eps n.Node.id (attach net n));
-      driver_of = (fun () -> driver (Hashtbl.find eps));
-      tcp = tcp net eps;
-    }
-  in
-  match kind with
-  | Sisci_k -> glue Sisci.make_net Sisci.attach Madeleine.Pmm_sisci.driver
-  | Bip_k -> glue (Bip.make_net ?credits) Bip.attach Madeleine.Pmm_bip.driver
-  | Tcp_k ->
-      glue
-        ~tcp:(fun net stacks -> Some (net, stacks))
-        (Tcpnet.make_net ?window ?max_retries)
-        Tcpnet.attach Madeleine.Pmm_tcp.driver
-  | Via_k -> glue Via.make_net Via.attach Madeleine.Pmm_via.driver
-  | Sbp_k -> glue Sbp.make_net Sbp.attach Madeleine.Pmm_sbp.driver
+  { kind; fabric; proto = make options engine fabric }
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
@@ -155,20 +185,10 @@ let find_or lineno table what name =
 
 let find table what lineno _ name = find_or lineno table what name
 
-let string_of_kind = function
-  | Sisci_k -> "sisci"
-  | Bip_k -> "bip"
-  | Tcp_k -> "tcp"
-  | Via_k -> "via"
-  | Sbp_k -> "sbp"
-
-let network_type lineno _ = function
-  | "sisci" -> Sisci_k
-  | "bip" -> Bip_k
-  | "tcp" -> Tcp_k
-  | "via" -> Via_k
-  | "sbp" -> Sbp_k
-  | other -> error lineno "unknown network type %S" other
+let network_type lineno _ kind =
+  if not (List.mem_assoc kind kinds) then
+    error lineno "unknown network type %S" kind;
+  kind
 
 (* A declaration's table of options: each key with the check of its
    value, and how to read the typed result from the key=value pairs.
@@ -253,14 +273,14 @@ let parse_line t lineno line =
            opt "gw_pool" (fun l _ _ ->
                error l "gw_pool= is a vchannel option (gateway forwarding pool)")
          in
-         if kind <> Tcp_k && (window <> None || max_retries <> None) then
+         if kind <> "tcp" && (window <> None || max_retries <> None) then
            fail "window=/max_retries= apply to tcp networks only";
-         if kind <> Bip_k && credits <> None then
+         if kind <> "bip" && credits <> None then
            fail
              "credits= applies to bip networks only (use vchannel credits= \
               for end-to-end flow control)";
          let net =
-           make_network t.cf_engine ?window ?max_retries ?credits kind name
+           make_network t.cf_engine { window; max_retries; credits } kind name
          in
          (* A previously declared fault plane covers every later fabric. *)
          Option.iter (Fabric.set_faults net.fabric) t.cf_faults;
@@ -343,7 +363,10 @@ let parse_line t lineno line =
          declare lineno t.node_tbl "node" name n;
          t.node_order <- name :: t.node_order;
          List.iter
-           (fun net -> (find_or lineno t.nets "network" net).attach_node n)
+           (fun net ->
+             let net = find_or lineno t.nets "network" net in
+             Fabric.attach net.fabric n;
+             net.proto.attach n)
            nets)
   | "channel" :: name :: opts ->
       let d = Config.default in
@@ -386,7 +409,7 @@ let parse_line t lineno line =
            | None -> d.rendezvous_threshold
            | Some (`Fixed threshold) -> threshold
            | Some `Auto -> (
-               let fabric = string_of_kind net.kind in
+               let fabric = net.kind in
                match Crossover.lookup ~fabric () with
                | exception Json.Error msg -> fail "rendezvous=auto: %s" msg
                | Some _ as bytes_count -> bytes_count
@@ -421,7 +444,7 @@ let parse_line t lineno line =
          in
          if ranks = [] then fail "channel needs nodes=";
          let chan =
-           Channel.create t.cf_session (net.driver_of ()) ~config ~ranks ()
+           Channel.create t.cf_session (net.proto.driver ()) ~config ~ranks ()
          in
          declare lineno t.chan_tbl "channel" name chan;
          t.chan_order <- name :: t.chan_order)

@@ -153,3 +153,26 @@ val tcp_stack : t -> net:string -> string -> Tcpnet.t
 (** [tcp_stack t ~net node] is the TCP stack of [node] on the [type=tcp]
     network [net]. Raises [Invalid_argument] for a network of another
     type. *)
+
+(** {2 Network kinds}
+
+    One table maps each [type=] name to its link model and its protocol
+    glue (the protocol's net over a fabric, an endpoint per node and the
+    PMM driver over them); [load] and the hand-built testbeds of
+    {!Harness} both read it. Both functions raise [Invalid_argument]
+    for a name that is not a network type. *)
+
+val link : string -> Simnet.Netparams.link
+(** The link model of a network kind: [link "bip"] is
+    {!Simnet.Netparams.myrinet}. *)
+
+val driver :
+  string ->
+  Marcel.Engine.t ->
+  Simnet.Fabric.t ->
+  Simnet.Node.t list ->
+  Madeleine.Driver.t
+(** [driver kind engine fabric nodes] builds the kind's protocol over
+    [fabric], with default options, attaches an endpoint to each of
+    [nodes] (already on [fabric]) and returns the PMM driver over them;
+    a channel's rank is its node's id. *)

@@ -97,41 +97,18 @@ let make_world ?config ~n driver_of_nodes link =
   in
   { engine; session; channel }
 
-let bip_driver engine fabric nodes =
-  let net = Bip.make_net engine fabric in
-  let endpoints = List.map (Bip.attach net) nodes in
-  Madeleine.Pmm_bip.driver (List.nth endpoints)
+let bip_driver = Clusterfile.driver "bip"
+let sisci_driver = Clusterfile.driver "sisci"
 
-let sisci_driver engine fabric nodes =
-  let net = Sisci.make_net engine fabric in
-  let adapters = List.map (Sisci.attach net) nodes in
-  Madeleine.Pmm_sisci.driver (List.nth adapters)
+(* Two nodes on one network of a Clusterfile [type=] kind. *)
+let pair_world kind ?config () =
+  make_world ?config ~n:2 (Clusterfile.driver kind) (Clusterfile.link kind)
 
-let tcp_driver engine fabric nodes =
-  let net = Tcpnet.make_net engine fabric in
-  let stacks = List.map (Tcpnet.attach net) nodes in
-  Madeleine.Pmm_tcp.driver (List.nth stacks)
-
-let via_driver engine fabric nodes =
-  let net = Via.make_net engine fabric in
-  let hosts = List.map (Via.attach net) nodes in
-  Madeleine.Pmm_via.driver (List.nth hosts)
-
-let sbp_driver engine fabric nodes =
-  let net = Sbp.make_net engine fabric in
-  let hosts = List.map (Sbp.attach net) nodes in
-  Madeleine.Pmm_sbp.driver (List.nth hosts)
-
-let bip_world ?config () = make_world ?config ~n:2 bip_driver Netparams.myrinet
-let sisci_world ?config () = make_world ?config ~n:2 sisci_driver Netparams.sci
-let tcp_world ?config () =
-  make_world ?config ~n:2 tcp_driver Netparams.fast_ethernet
-
-let via_world ?config () =
-  make_world ?config ~n:2 via_driver Netparams.fast_ethernet
-
-let sbp_world ?config () =
-  make_world ?config ~n:2 sbp_driver Netparams.fast_ethernet
+let bip_world = pair_world "bip"
+let sisci_world = pair_world "sisci"
+let tcp_world = pair_world "tcp"
+let via_world = pair_world "via"
+let sbp_world = pair_world "sbp"
 
 (* One-way time of a Madeleine ping-pong, per the paper's methodology. *)
 let mad_pingpong w ~bytes_count ~iters =
@@ -176,8 +153,12 @@ type cluster_world = {
 
 let two_cluster_world ?config () =
   let engine = Worlds.engine () in
-  let sci_fab = Fabric.create engine ~name:"sci" ~link:Netparams.sci in
-  let myri_fab = Fabric.create engine ~name:"myri" ~link:Netparams.myrinet in
+  let sci_fab =
+    Fabric.create engine ~name:"sci" ~link:(Clusterfile.link "sisci")
+  in
+  let myri_fab =
+    Fabric.create engine ~name:"myri" ~link:(Clusterfile.link "bip")
+  in
   let n0 = Node.create engine ~name:"a" ~id:0 in
   let gw = Node.create engine ~name:"gw" ~id:1 in
   let n2 = Node.create engine ~name:"b" ~id:2 in
@@ -185,22 +166,8 @@ let two_cluster_world ?config () =
   Fabric.attach sci_fab gw;
   Fabric.attach myri_fab gw;
   Fabric.attach myri_fab n2;
-  let sci_net = Sisci.make_net engine sci_fab in
-  let s0 = Sisci.attach sci_net n0 and s1 = Sisci.attach sci_net gw in
-  let bip_net = Bip.make_net engine myri_fab in
-  let b1 = Bip.attach bip_net gw and b2 = Bip.attach bip_net n2 in
-  let sisci_drv =
-    Madeleine.Pmm_sisci.driver (function
-      | 0 -> s0
-      | 1 -> s1
-      | r -> invalid_arg (string_of_int r))
-  in
-  let bip_drv =
-    Madeleine.Pmm_bip.driver (function
-      | 1 -> b1
-      | 2 -> b2
-      | r -> invalid_arg (string_of_int r))
-  in
+  let sisci_drv = sisci_driver engine sci_fab [ n0; gw ] in
+  let bip_drv = bip_driver engine myri_fab [ gw; n2 ] in
   let session = Madeleine.Session.create engine in
   let ch_sci = Channel.create session sisci_drv ?config ~ranks:[ 0; 1 ] () in
   let ch_myri = Channel.create session bip_drv ?config ~ranks:[ 1; 2 ] () in

@@ -87,12 +87,15 @@ val make_world :
 
 val bip_driver :
   Marcel.Engine.t -> Simnet.Fabric.t -> Simnet.Node.t list -> Madeleine.Driver.t
+(** [Clusterfile.driver "bip"]. *)
 
 val sisci_driver :
   Marcel.Engine.t -> Simnet.Fabric.t -> Simnet.Node.t list -> Madeleine.Driver.t
+(** [Clusterfile.driver "sisci"]. *)
 
 val bip_world : ?config:Madeleine.Config.t -> unit -> world
-(** Two nodes on Myrinet with BIP. *)
+(** Two nodes on Myrinet with BIP; the other four are the same pair on
+    their kind's {!Clusterfile.link}. *)
 
 val sisci_world : ?config:Madeleine.Config.t -> unit -> world
 val tcp_world : ?config:Madeleine.Config.t -> unit -> world
