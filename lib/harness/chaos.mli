@@ -84,12 +84,9 @@ val workloads : workload list
 
 val find : string -> workload option
 
-val sweep : string list
-(** The registry names of the full sweep, in report order. *)
-
 val run : Parsim.pool -> seed:int -> quick:bool -> (string * result) list
-(** Runs the {!sweep} workloads (one job each) and returns them, named,
-    in sweep order. *)
+(** Runs the workloads of the full sweep (one job each) and returns
+    them, named, in report order. *)
 
 val fingerprints :
   Parsim.pool -> seed:int -> quick:bool -> string list -> string

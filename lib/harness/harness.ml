@@ -205,8 +205,6 @@ let message_sizes =
   [ 4; 16; 64; 256; 1024; 4096; 8192; 16384; 32768; 65536; 131072; 262144;
     524288; 1048576 ]
 
-let iters_for n = if n <= 1024 then 30 else if n <= 65536 then 10 else 4
-
 
 (* ------------------------------------------------------------------ *)
 (* MPI worlds and measurements (Fig. 6) *)

@@ -151,8 +151,6 @@ val forwarding_run :
 val message_sizes : int list
 (** The standard sweep used by the figures. *)
 
-val iters_for : int -> int
-
 (** {1 MPI worlds (Fig. 6)} *)
 
 type mpi_device_kind =

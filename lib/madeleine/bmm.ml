@@ -81,6 +81,9 @@ let aggregating_dynamic_send (d : Tm.dynamic_send) =
   in
   { bs_name = "aggregating-dynamic"; append; commit = flush }
 
+(* Receives [Receive_express] buffers immediately; defers
+   [Receive_cheaper] ones until checkout (or until a later express
+   extraction forces the stream order). *)
 let dynamic_recv (d : Tm.dynamic_recv) =
   let deferred = Bufs.create () in
   let drain () =

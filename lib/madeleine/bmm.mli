@@ -27,11 +27,6 @@ type recv = {
   checkout : unit -> unit;
 }
 
-val dynamic_recv : Tm.dynamic_recv -> recv
-(** Receives [Receive_express] buffers immediately; defers
-    [Receive_cheaper] ones until checkout (or until a later express
-    extraction forces the stream order). *)
-
 val static_copy_send : Tm.static_send -> send
 (** Stages buffers into TM slots, splitting oversized buffers across
     slots; the TM's [write_static] models the copy cost. *)

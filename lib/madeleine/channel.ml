@@ -79,10 +79,6 @@ let check_remote t remote =
   if not (List.mem remote t.chan_ranks) then
     invalid_arg (Printf.sprintf "Madeleine: rank %d not in channel" remote)
 
-let peer_health ep ~remote =
-  check_remote ep.ep_channel remote;
-  ep.ep_channel.inst.Driver.peer_health ~me:ep.ep_rank ~peer:remote
-
 let reg_stats ep = ep.ep_channel.inst.Driver.reg_stats ~me:ep.ep_rank
 
 let sender_link ep ~remote =

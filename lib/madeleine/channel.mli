@@ -33,12 +33,6 @@ val endpoint : t -> rank:int -> endpoint
 val endpoint_rank : endpoint -> int
 val endpoint_channel : endpoint -> t
 
-val peer_health : endpoint -> remote:int -> Iface.health
-(** Health of the path to [remote] as seen by the channel's driver:
-    [Up], [Degraded n] under retransmission pressure, or [Down] once the
-    peer is unreachable. Interfaces without failure detection always
-    report [Up]. *)
-
 val reg_stats : endpoint -> Regcache.stats option
 (** Counters of this endpoint's sender-side registration (pin-down)
     cache: hits, misses, evictions, merges and currently pinned bytes.

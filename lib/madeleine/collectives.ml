@@ -773,6 +773,3 @@ let tree_spine t =
       | Some p -> Some (r, p)
       | None -> None)
     tree.tr_members
-
-let tree_depth t =
-  (tree_for t ~root:(default_root t) t.generation).tr_depth

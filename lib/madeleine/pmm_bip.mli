@@ -6,9 +6,6 @@
     receiver-acknowledged rendezvous (dynamic buffers). The Switch
     routes at BIP's 1 kB threshold. *)
 
-val select : len:int -> transit:bool -> Iface.send_mode -> Iface.recv_mode -> int
-(** The Switch query: 0 (short TM) below BIP's threshold, else 1. *)
-
 val driver : (int -> Bip.t) -> Driver.t
 (** [driver endpoint_of] builds the PMM over the given per-rank BIP
     endpoints (ranks are node ids). *)

@@ -5,5 +5,4 @@
     receiver copies out of the delivered pool buffer and releases it. *)
 
 val capacity : int
-val select : len:int -> transit:bool -> Iface.send_mode -> Iface.recv_mode -> int
 val driver : (int -> Sbp.t) -> Driver.t

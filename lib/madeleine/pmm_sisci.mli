@@ -11,8 +11,5 @@
 val seg_id : channel_id:int -> src:int -> kind:int -> int
 (** Segment-id naming scheme (kind 0 = short, 1 = regular, 2 = DMA). *)
 
-val select :
-  config:Config.t -> len:int -> transit:bool -> Iface.send_mode -> Iface.recv_mode -> int
-
 val driver : (int -> Sisci.t) -> Driver.t
 (** [driver adapter_of] builds the PMM over per-rank SISCI adapters. *)

@@ -7,5 +7,4 @@
     pre-established stream per node pair per channel carries both
     directions. *)
 
-val select : len:int -> transit:bool -> Iface.send_mode -> Iface.recv_mode -> int
 val driver : (int -> Tcpnet.t) -> Driver.t

@@ -7,11 +7,4 @@
     buffer as it is consumed. *)
 
 val capacity : int
-val select :
-  config:Config.t ->
-  len:int ->
-  transit:bool ->
-  Iface.send_mode ->
-  Iface.recv_mode ->
-  int
 val driver : (int -> Via.t) -> Driver.t

@@ -110,7 +110,6 @@ let at t time action =
   schedule t time action
 
 let sleep d = Effect.perform (Sleep d)
-let yield () = Effect.perform (Sleep 0)
 let suspend ~name register = Effect.perform (Suspend (name, register))
 let self_name () = Effect.perform Self_name
 

@@ -102,10 +102,6 @@ val run_until : t -> Time.t -> unit
 val sleep : Time.span -> unit
 (** Advances this thread's virtual time by the given span. *)
 
-val yield : unit -> unit
-(** Re-schedules this thread after events already pending at the current
-    instant. *)
-
 val suspend : name:string -> (('a -> unit) -> unit) -> 'a
 (** [suspend ~name register] blocks the current thread. [register] is
     called immediately with a [wake] function; storing [wake] somewhere

@@ -9,6 +9,4 @@
     The MPI instance becomes dedicated to Madeleine: user-context tags
     equal to channel ids are reserved. *)
 
-val select :
-  len:int -> transit:bool -> Madeleine.Iface.send_mode -> Madeleine.Iface.recv_mode -> int
 val driver : (int -> Mpi.ctx) -> Madeleine.Driver.t

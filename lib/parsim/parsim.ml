@@ -44,8 +44,6 @@ type pool = {
   mutable domains : unit Domain.t list;
 }
 
-let jobs t = t.n
-
 (* Claim and run jobs until the index passes the end of the batch. Jobs
    never enqueue further jobs, so once a claim overshoots this worker
    is done with the batch. Claim [i] runs the [i]-th job from the back:

@@ -29,9 +29,6 @@ val create : jobs:int -> pool
 
     @raise Invalid_argument if [jobs < 1]. *)
 
-val jobs : pool -> int
-(** The pool's worker count (including the calling domain). *)
-
 val shutdown : pool -> unit
 (** Terminates and joins the worker domains. Idempotent. Calling {!run}
     after [shutdown] raises [Invalid_argument]. *)

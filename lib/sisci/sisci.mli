@@ -34,8 +34,6 @@ val create_segment : t -> segment_id:int -> size:int -> local_segment
 val connect : t -> node_id:int -> segment_id:int -> remote_segment
 (** Maps a peer's segment. Raises [Not_found] if it does not exist. *)
 
-val segment_size : local_segment -> int
-
 val pio_write : remote_segment -> off:int -> Bytes.t -> unit
 (** CPU store sequence into the mapped window. Blocks the calling thread
     while the stores drain through the local PCI bridge (posted,
@@ -73,8 +71,6 @@ val register : t -> Bytes.t -> pos:int -> len:int -> region
 val deregister : region -> unit
 (** Unpins the region, charging {!Simnet.Cost.unpin}. The region becomes
     unusable; raises [Invalid_argument] if already deregistered. *)
-
-val region_length : region -> int
 
 val expose_region : t -> segment_id:int -> region -> local_segment
 (** Exposes a registered region as a connectable segment whose memory

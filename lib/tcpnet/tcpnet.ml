@@ -852,7 +852,6 @@ let is_dead conn = conn.dead
 let retries conn = Recovery.retries conn.recovery
 let consecutive_failures conn = Recovery.consec_fail conn.recovery
 let duplicate_frames conn = conn.dup_frames
-let inbox_peak conn = conn.peak_inbox
 let sendq_peak conn = conn.peak_sendq
 
 let queue_peaks net =

@@ -193,10 +193,6 @@ val duplicate_frames : conn -> int
     dead one. Without a cap (and without a fault plane) the delivery
     path is untouched. *)
 
-val inbox_peak : conn -> int
-(** Highest number of delivered-but-unconsumed bytes ever buffered on
-    this end. *)
-
 val sendq_peak : conn -> int
 (** Highest send-window occupancy (frames in flight, held-at-receiver
     ones included) ever reached by this end — never exceeds the net's

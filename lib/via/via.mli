@@ -65,8 +65,6 @@ val deregister : region -> unit
 (** Unpins the region, charging {!Simnet.Cost.unpin}; raises
     [Invalid_argument] if already deregistered. *)
 
-val region_length : region -> int
-
 val expose : t -> region -> int
 (** Publishes a registered region as an RDMA-write target and returns
     its cookie (carried to the sender in the rendezvous clear-to-send).
