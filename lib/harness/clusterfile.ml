@@ -493,12 +493,12 @@ let parse_line t lineno line =
          | _, Some _ -> fail "coll_fanout= requires coll=tree");
          if coll = None && coll_quorum <> None then
            fail "coll_quorum= requires coll=";
+         (* sched=fifo is the inert spelling of sched unset. *)
          let sched =
-           Option.map
-             (function
-               | `Fifo -> Madeleine.Sched.Fifo
-               | `Aggreg -> Madeleine.Sched.Aggreg { aggr_max; aggr_flush })
-             sched
+           match sched with
+           | Some `Aggreg ->
+               Some (Madeleine.Sched.Aggreg { aggr_max; aggr_flush })
+           | Some `Fifo | None -> None
          in
          let faults =
            match (reliable, t.cf_faults) with

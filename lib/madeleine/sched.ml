@@ -3,10 +3,8 @@ module Time = Marcel.Time
 module Mutex = Marcel.Mutex
 
 type strategy =
-  | Fifo
   | Aggreg of { aggr_max : int option; aggr_flush : Marcel.Time.span option }
 
-let fifo = Fifo
 let aggreg ?aggr_max ?aggr_flush () = Aggreg { aggr_max; aggr_flush }
 
 type frame = {

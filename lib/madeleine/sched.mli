@@ -10,9 +10,9 @@
     frames, so large transfers overlap small-message trains instead of
     queueing behind them).
 
-    A {!strategy} picks the tactic set. [Fifo] is the identity
-    scheduler: packets ship exactly as the unscheduled library ships
-    them, byte-identical on the wire. [Aggreg] buffers sub-MTU frames
+    A {!strategy} picks the tactic set; a vchannel created without one
+    has no scheduler, and its packets ship unmerged and in order.
+    [Aggreg] buffers sub-MTU frames
     per (source, destination) pair and flushes a merged aggregate when
     the [aggr_max] byte budget fills, when the oldest buffered frame
     reaches the [aggr_flush] deadline, on an explicit barrier
@@ -28,7 +28,6 @@
     re-emission after a crash takes the same lock. *)
 
 type strategy =
-  | Fifo
   | Aggreg of {
       aggr_max : int option;
           (** Wire-payload byte budget of one aggregate, frame headers
@@ -38,8 +37,6 @@ type strategy =
               before its pair is flushed. Defaults to
               {!Config.default_aggr_flush}. *)
     }
-
-val fifo : strategy
 
 val aggreg : ?aggr_max:int -> ?aggr_flush:Marcel.Time.span -> unit -> strategy
 

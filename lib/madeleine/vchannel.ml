@@ -719,10 +719,8 @@ let create session ?(mtu = Config.default_vchannel_mtu)
   if mtu <= Generic_tm.sub_header_size then
     invalid_arg "Vchannel.create: mtu too small";
   let sched_cfg =
-    (* [Fifo] IS the unscheduled path: no scheduler state, no [agg]
-       packets, wire format and schedule byte-identical to sched unset. *)
     match sched with
-    | None | Some Sched.Fifo -> None
+    | None -> None
     | Some (Sched.Aggreg { aggr_max; aggr_flush }) ->
         let aggr_max = Option.value aggr_max ~default:mtu in
         let aggr_flush =

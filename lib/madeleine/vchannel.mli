@@ -131,9 +131,8 @@ val create :
     pre-reliability library.
 
     [sched] selects the packet scheduler sitting between the pack path
-    and the transfer modules (see {!Sched}). Unset or {!Sched.Fifo},
-    packets ship exactly as the unscheduled library ships them —
-    byte-identical wire format and schedule. {!Sched.aggreg} merges
+    and the transfer modules (see {!Sched}). Unset, there is no
+    scheduler and packets ship unmerged, in order. {!Sched.aggreg} merges
     small pending packets from concurrent logical flows into aggregate
     wire packets (up to [aggr_max] payload bytes, flushed at the latest
     after [aggr_flush]), lets rendezvous-class messages (first fragment

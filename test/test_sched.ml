@@ -1,7 +1,7 @@
 (* Tests for the pluggable packet scheduler (Sched) and its integration
    with virtual channels: per-flow FIFO under aggregation, the aggr_max
    wire budget, composition with credits and TCP reliability, and
-   the inertness of Fifo/unset. *)
+   the absence of scheduler state when none is set. *)
 
 module Engine = Marcel.Engine
 module Time = Marcel.Time
@@ -97,20 +97,6 @@ let test_credits_split_aggregates () =
   let ss = match Vc.sched_stats vc with Some s -> s | None -> assert false in
   Alcotest.(check bool) "aggregates still emitted" true
     (ss.Sched.sched_aggregates > 0)
-
-let test_fifo_and_unset_identical () =
-  (* Fifo is a spelling of "no scheduler": same workload, same simulated
-     finish time, down to the nanosecond. *)
-  let _, ok_none, t_none =
-    flows_workload ~flow_ids:false ~flows:1 ~messages:5 ~size:4096 ()
-  in
-  let _, ok_fifo, t_fifo =
-    flows_workload ~sched:Sched.fifo ~flow_ids:false ~flows:1 ~messages:5
-      ~size:4096 ()
-  in
-  Alcotest.(check bool) "both intact" true (ok_none && ok_fifo);
-  Alcotest.(check bool) "identical simulated schedule" true
-    (Time.to_us t_none = Time.to_us t_fifo)
 
 let test_flow_needs_scheduler () =
   let w = Harness.two_cluster_world () in
@@ -247,8 +233,6 @@ let () =
             test_aggr_max_bounds_aggregates;
           Alcotest.test_case "credits split aggregates" `Quick
             test_credits_split_aggregates;
-          Alcotest.test_case "fifo and unset identical" `Quick
-            test_fifo_and_unset_identical;
           Alcotest.test_case "barrier flush ships before the deadline" `Quick
             test_barrier_flush;
           Alcotest.test_case "flow needs scheduler" `Quick
