@@ -3,7 +3,7 @@
    replaced with 0, -1, 2^62 - 1, 1.5, 1 or a name; a line dropped or
    duplicated; a key appended to any line or to the vchannel line (the
    membership, flow-control, scheduler and collectives keys among
-   them); a fault plane declared. Values of 1 and the fault plane help
+   them); a fault plane declared where the file has none. Values of 1 and the fault plane help
    reliable and election vchannels get past the loader's prerequisites
    into the library's own checks. *)
 
@@ -25,6 +25,7 @@ let mutant_keys =
     "coll_quorum"; "sched"; "aggr_max" ]
 
 let is_vchannel line = String.starts_with ~prefix:"vchannel" line
+let is_faults line = String.starts_with ~prefix:"faults" line
 
 let apply_mutation lines = function
   | Replace (i, j, v) ->
@@ -52,7 +53,9 @@ let apply_mutation lines = function
           in
           if here then Printf.sprintf "%s %s=%s" line key v else line)
         lines
-  | Faults -> "faults seed=1" :: lines
+  | Faults ->
+      (* A second faults line would only fail as a duplicate. *)
+      if List.exists is_faults lines then lines else "faults seed=1" :: lines
 
 let mutation_gen =
   QCheck.Gen.(
