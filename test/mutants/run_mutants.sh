@@ -1,9 +1,10 @@
 #!/bin/sh
-# Runs seeded cluster-file mutants through madbench config-pingpong and
-# fails if any exits 125 (an uncaught exception); other exit codes are
-# the typed outcomes (0 ran, 2 input error, 124 usage error). Prints
-# the exit-code histogram. Run from the repository root after
-# `dune build`:
+# Runs seeded mutants of the two example cluster files and of
+# test/mutants/all_keys.cfg (every declaration kind and key) through
+# madbench config-pingpong and fails if any exits 125 (an uncaught
+# exception); other exit codes are the typed outcomes (0 ran, 2 input
+# error, 124 usage error). Prints the exit-code histogram. Run from the
+# repository root after `dune build`:
 #   test/mutants/run_mutants.sh [SEED] [COUNT]
 set -e
 seed=${1:-1}
@@ -13,7 +14,8 @@ gen=./_build/default/test/mutants/gen_mutants.exe
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 "$gen" "$seed" "$count" "$dir" examples/clusters/two_cluster.cfg \
-  examples/clusters/three_cluster.cfg > "$dir/manifest"
+  examples/clusters/three_cluster.cfg test/mutants/all_keys.cfg \
+  > "$dir/manifest"
 fail=0
 while read -r cfg vc from to; do
   code=0
