@@ -10,11 +10,11 @@ exception Parse_error of int * string
 
 (* One protocol over one fabric: an endpoint per attached node and the
    PMM driver over those endpoints, by node id. A tcp network also keeps
-   its net and per-rank stacks, for workloads that use raw TCP. *)
+   its net and its stack lookup by rank, for workloads that use raw TCP. *)
 type protocol = {
   attach : Node.t -> unit;
   driver : unit -> Madeleine.Driver.t;
-  tcp : (Tcpnet.net * (int, Tcpnet.t) Hashtbl.t) option;
+  tcp : (Tcpnet.net * (int -> Tcpnet.t)) option;
 }
 
 (* A network: its [type=] name, its fabric and its protocol. *)
@@ -56,7 +56,7 @@ let tcp t name =
       invalid_arg (Printf.sprintf "Clusterfile: %s is not a tcp network" name)
 
 let tcp_net t name = fst (tcp t name)
-let tcp_stack t ~net name = Hashtbl.find (snd (tcp t net)) (rank_of t name)
+let tcp_stack t ~net name = snd (tcp t net) (rank_of t name)
 
 (* ------------------------------------------------------------------ *)
 (* Network kinds *)
@@ -76,11 +76,13 @@ let no_options = { window = None; max_retries = None; credits = None }
    the net and endpoints of a tcp network. *)
 let glue ?(tcp = fun _ _ -> None) make_net attach driver engine fabric =
   let net = make_net engine fabric in
-  let eps = Hashtbl.create 8 in
+  let eps = ref [] in
+  (* Node ids are ints, so physical equality is equality. *)
+  let endpoint id = List.assq id !eps in
   {
-    attach = (fun n -> Hashtbl.add eps n.Node.id (attach net n));
-    driver = (fun () -> driver (Hashtbl.find eps));
-    tcp = tcp net eps;
+    attach = (fun n -> eps := (n.Node.id, attach net n) :: !eps);
+    driver = (fun () -> driver endpoint);
+    tcp = tcp net endpoint;
   }
 
 (* Every network kind, by its [type=] name: its link model and how to
@@ -118,10 +120,12 @@ let kind_of name =
 
 let link kind = fst (kind_of kind)
 
-let driver kind engine fabric nodes =
-  let proto = snd (kind_of kind) no_options engine fabric in
-  List.iter proto.attach nodes;
-  proto.driver ()
+let driver kind =
+  let make = snd (kind_of kind) no_options in
+  fun engine fabric nodes ->
+    let proto = make engine fabric in
+    List.iter proto.attach nodes;
+    proto.driver ()
 
 let make_network engine options kind name =
   let link, make = kind_of kind in

@@ -101,8 +101,9 @@ let bip_driver = Clusterfile.driver "bip"
 let sisci_driver = Clusterfile.driver "sisci"
 
 (* Two nodes on one network of a Clusterfile [type=] kind. *)
-let pair_world kind ?config () =
-  make_world ?config ~n:2 (Clusterfile.driver kind) (Clusterfile.link kind)
+let pair_world kind =
+  let driver = Clusterfile.driver kind and link = Clusterfile.link kind in
+  fun ?config () -> make_world ?config ~n:2 driver link
 
 let bip_world = pair_world "bip"
 let sisci_world = pair_world "sisci"
